@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -109,6 +110,25 @@ class _Run:
         os.replace(tmp, self.out / "manifest.json")
 
 
+def _check_number(flag: str, value: float, allow_zero: bool = False) -> None:
+    """Reject a non-finite, negative (or zero) numeric flag as a config error."""
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ConfigError(f"{flag} must be a finite {kind} number, got {value!r}")
+
+
+def _parse_torques(text: str) -> np.ndarray:
+    try:
+        torques = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"--torques needs three comma-separated numbers, got {text!r}") from None
+    if torques.shape != (3,):
+        raise ConfigError("--torques needs exactly three comma-separated values")
+    if not np.all(np.isfinite(torques)):
+        raise ConfigError(f"--torques values must be finite, got {text!r}")
+    return torques
+
+
 def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
     if flag_seed is not None:
         return flag_seed
@@ -168,6 +188,13 @@ def _write_sensor_csv(run: _Run, name: str, record) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    # flags are checked before _Run creates --out, so a bad call leaves nothing
+    if not args.scenario:
+        if args.torques is None or args.duration is None:
+            raise ConfigError("simulate needs either --scenario or both --torques and --duration")
+        torques = _parse_torques(args.torques)
+        _check_number("--duration", args.duration)
+        _check_number("--rate", args.rate)
     out = Path(args.out)
     run = _Run("simulate", out)
 
@@ -208,14 +235,9 @@ def _cmd_simulate(args) -> int:
                 f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the control subcommand"
             )
     else:
-        if args.torques is None or args.duration is None:
-            raise ConfigError("simulate needs either --scenario or both --torques and --duration")
         params, pfile = _load_params_arg(args.params, nominal_params())
         if pfile:
             run.configs.append(pfile)
-        torques = np.array([float(v) for v in args.torques.split(",")])
-        if torques.shape != (3,):
-            raise ConfigError("--torques needs exactly three comma-separated values")
         controls = ControlSequence.constant(torques, args.duration, args.rate)
         grid = np.arange(int(round(args.duration * args.rate)) + 1) / args.rate
         from .dynamics import RobotState
@@ -411,6 +433,8 @@ def _write_feasibility(run: _Run, report) -> None:
 
 
 def _cmd_control(args) -> int:
+    if args.rate is not None:
+        _check_number("--rate", args.rate)
     out = Path(args.out)
     run = _Run("control", out)
     cfg = load_scenario(args.scenario if args.scenario != "plan" else "plan-tracking")
@@ -423,7 +447,7 @@ def _cmd_control(args) -> int:
         run.configs.append(gfile)
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
-    rate = args.rate or cfg.loop_rate
+    rate = cfg.loop_rate if args.rate is None else args.rate
     seed = _resolve_seed(args.seed, cfg.seed)
     run.seeds["scenario"] = seed
 
@@ -476,6 +500,7 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_check_torques(args) -> int:
+    _check_number("--limit", args.limit, allow_zero=True)
     out = Path(args.out)
     run = _Run("check-torques", out)
     cfg = load_scenario(args.scenario)

@@ -208,6 +208,9 @@ def _run_tracking(
         stops = [t for t in edges if t_k < t < t_next]
         stops.append(t_next)
         t_seg = t_k
+        # the sample-instant derivative is the first segment's k1: same rhs,
+        # same state, same force
+        k1 = derivs[k]
         for t_stop in stops:
             f_seg = schedule.force_at(t_seg)
             fv = (f_seg[0], f_seg[1]) if f_seg.any() else None
@@ -216,9 +219,10 @@ def _run_tracking(
                 return state_derivative(params, y, u, pivot_force=fv)
 
             x, _, h_carry = advance_segment(
-                rhs, t_seg, t_stop, x, options, stats, h_start=h_carry
+                rhs, t_seg, t_stop, x, options, stats, h_start=h_carry, k1=k1
             )
             t_seg = t_stop
+            k1 = None
 
     traj = SimTrajectory(
         times=times, states=states, controls=controls, derivs=derivs, stats=stats.as_dict()

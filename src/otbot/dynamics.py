@@ -14,9 +14,12 @@ gives the task-space model
 
 with Mbar = Delta^T M Lam and Cbar = Delta^T (M dLam + (C - Ef) Lam); the
 joint accelerations then follow from the kinematic loop,
-ddphi = M_IIK ddp + dM_IIK dp. That route needs one 3x3 solve per call and is
-what the simulator uses. The conventional route solves the full 9x9 KKT
-system and also returns the multipliers.
+ddphi = M_IIK ddp + dM_IIK dp. The production route evaluates these terms in
+closed form: ``otbot._task_space`` is generated once with sympy by
+``scripts/gen_task_space.py`` from the model matrices, works on plain floats
+and solves the 3x3 system explicitly. The simulator, the computed-torque law
+and the feasibility check all use it. The conventional route solves the full
+9x9 KKT system from the 6x6 model matrices and also returns the multipliers.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _task_space
 from .model import (
     constraint_jacobian,
     coriolis_matrix,
@@ -114,17 +118,24 @@ def _warn_if_inadmissible(params: RobotParams, q: np.ndarray, dq: np.ndarray, wh
         )
 
 
+def _floats(v) -> list:
+    return v.tolist() if isinstance(v, np.ndarray) else [float(e) for e in v]
+
+
 def task_space_model(params: RobotParams, q: np.ndarray, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Mbar, Cbar) of the task-space model Mbar ddp + Cbar dp = u."""
-    lam, delta = lambda_delta(params, q)
-    m = mass_matrix(params, q)
-    c = coriolis_matrix(params, q, dq)
-    ef = friction_coefficients(params)
-    dlam = np.zeros((6, 3))
-    dlam[3:] = iik_matrix_rate(params, q, dq)
-    mbar = delta.T @ (m @ lam)
-    cbar = delta.T @ (m @ dlam + c @ lam - ef[:, None] * lam)
-    return mbar, cbar
+    q = _floats(q)
+    dq = _floats(dq)
+    m, c = _task_space.task_space_model(params, q[2], q[2] - q[5], dq[2], dq[2] - dq[5])
+    return np.array(m).reshape(3, 3), np.array(c).reshape(3, 3)
+
+
+def _accelerations(params: RobotParams, q: list, dq: list, u, pivot_force) -> tuple:
+    fx, fy = (0.0, 0.0) if pivot_force is None else (float(pivot_force[0]), float(pivot_force[1]))
+    u0, u1, u2 = _floats(u)
+    return _task_space.accelerations(
+        params, q[2], q[2] - q[5], dq[0], dq[1], dq[2], dq[2] - dq[5], u0, u1, u2, fx, fy
+    )
 
 
 def inverse_dynamics(params: RobotParams, q: np.ndarray, dq: np.ndarray, ddq: np.ndarray) -> np.ndarray:
@@ -170,19 +181,10 @@ def forward_dynamics(
     """Accelerations under motor torques u, multiplier-free route.
 
     Requires an admissible dq (the simulator guarantees it); solves one 3x3
-    system for the task accelerations and recovers the joint ones from the
-    kinematic loop.
+    system for the task accelerations, pivot force included through
+    Delta^T Qp, and recovers the joint ones from the kinematic loop.
     """
-    mbar, cbar = task_space_model(params, q, dq)
-    dp = dq[:3]
-    rhs = u - cbar @ dp
-    if pivot_force is not None:
-        # Delta^T Qp: the pivot force enters through the M_FIK block transposed.
-        f3 = np.array([pivot_force[0], pivot_force[1], 0.0])
-        rhs = rhs + fik_matrix(params, q).T @ f3
-    ddp = np.linalg.solve(mbar, rhs)
-    ddphi = iik_matrix(params, q) @ ddp + iik_matrix_rate(params, q, dq) @ dp
-    return np.concatenate([ddp, ddphi])
+    return np.array(_accelerations(params, _floats(q), _floats(dq), u, pivot_force))
 
 
 def forward_dynamics_conventional(
@@ -216,13 +218,9 @@ def state_derivative(
     pivot_force=None,
 ) -> np.ndarray:
     """dx/dt = (dq, ddq) for the simulator (multiplier-free route)."""
-    q = x[:6]
+    x = _floats(x)
     dq = x[6:]
-    ddq = forward_dynamics(params, q, dq, u, pivot_force=pivot_force)
-    out = np.empty(12)
-    out[:6] = dq
-    out[6:] = ddq
-    return out
+    return np.array([*dq, *_accelerations(params, x, dq, u, pivot_force)])
 
 
 def kinetic_energy(params: RobotParams, q: np.ndarray, dq: np.ndarray) -> float:

@@ -45,6 +45,11 @@ class RobotParams:
     bp: float
 
     def __post_init__(self) -> None:
+        # Stored as Python floats: the closed-form dynamics does scalar
+        # arithmetic on these fields, which is several times slower on the
+        # numpy scalars a least-squares solver hands to replace().
+        for name in PARAM_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("l1", "l2", "r"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

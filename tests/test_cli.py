@@ -259,6 +259,30 @@ class TestCheckTorques:
         assert "controller scenario" in capsys.readouterr().err
 
 
+class TestBadNumericFlags:
+    """Bad numbers exit 2 with one line naming the flag and write no --out."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--torques", "a,b,c", "--duration", "1"], "--torques"),
+            (["simulate", "--torques", "1,2,3", "--duration", "1", "--rate", "0"], "--rate"),
+            (["simulate", "--torques", "1,2,3", "--duration", "-1"], "--duration"),
+            (["check-torques", "--scenario", "figure8", "--limit", "-5"], "--limit"),
+            (["control", "--scenario", "corridor", "--rate", "-100"], "--rate"),
+        ],
+        ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
+             "negative-control-rate"],
+    )
+    def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_argparse_rejects_missing_out(self):
         with pytest.raises(SystemExit) as info:

@@ -328,6 +328,35 @@ class TestTrackingLoop:
         assert 1e-6 < pos_diff <= 0.01 * peak
         assert vel_diff <= 0.01 * 0.6
 
+    def test_seven_fevals_per_control_period(self, params_nf):
+        # Per period: the sample-instant derivative, reused as the step's k1,
+        # plus six stages. On top come the derivative at the last sample, the
+        # first-step guess and the one extra step the first period takes
+        # because the guess (0.1 ms from rest) is shorter than the period.
+        rest = RobotState(q=np.zeros(6), dq=np.zeros(6))
+        res = closed_loop_simulate(
+            params_nf, rest, CorridorReference(), tune_gains(3.0), control_rate=1000.0, t_end=0.2
+        )
+        stats = res.trajectory.stats
+        n = len(res.trajectory.times) - 1
+        assert n == 200
+        assert (stats["accepted"], stats["rejected"]) == (n + 1, 0)
+        assert stats["fevals"] == 7 * n + 1 + 1 + 6 == 1408
+
+    def test_pulse_edge_inside_a_period_opens_one_more_segment(self, params_nf):
+        # Each pulse edge strictly inside a period splits it: the second
+        # segment needs its own k1 (the force has changed) and one step.
+        rest = RobotState(q=np.zeros(6), dq=np.zeros(6))
+        pulse = DisturbanceSchedule((ForcePulse(0.0505, 0.1205, fx=20.0, fy=-10.0),))
+        res = closed_loop_simulate(
+            params_nf, rest, CorridorReference(), tune_gains(3.0),
+            control_rate=1000.0, t_end=0.2, disturbances=pulse,
+        )
+        stats = res.trajectory.stats
+        n = len(res.trajectory.times) - 1
+        assert (stats["accepted"], stats["rejected"]) == (n + 1 + 2, 0)
+        assert stats["fevals"] == 7 * n + 1 + 1 + 6 + 2 * 7 == 1422
+
     def test_feedforward_alone_drifts_but_stays_close(self, params):
         res = feedforward_rollout(params, HarmonicReference(), rate=100.0, t_end=2.0)
         assert_array_equal(res.u_corr, np.zeros_like(res.u_corr))

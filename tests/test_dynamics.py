@@ -1,8 +1,18 @@
+import hashlib
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_admissible, random_q
+from hypothesis import given
+from hypothesis import strategies as st
+
+import otbot._task_space
 
 from otbot.dynamics import (
     AdmissibilityWarning,
@@ -21,8 +31,55 @@ from otbot.dynamics import (
     state_derivative,
     task_space_model,
 )
-from otbot.model import constraint_jacobian, jacobian_time_derivative, mass_matrix
+from otbot.model import (
+    constraint_jacobian,
+    coriolis_matrix,
+    iik_matrix_rate,
+    jacobian_time_derivative,
+    lambda_delta,
+    mass_matrix,
+)
 from otbot.params import nominal_params
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _arr(*vals: float) -> np.ndarray:
+    return np.array(vals, dtype=float)
+
+
+def _scaled_params(l1, l2, r, mc, mp, ic, ip, ia, xb, yb, xf, yf, bw, bp):
+    n = nominal_params()
+    return n.replace(
+        l1=n.l1 * l1, l2=n.l2 * l2, r=n.r * r, mc=n.mc * mc, mp=n.mp * mp,
+        Ic=n.Ic * ic, Ip=n.Ip * ip, Ia=n.Ia * ia, xB=xb, yB=yb, xF=xf, yF=yf, bw=bw, bp=bp,
+    )
+
+
+# Parameter sets around the catalogue values: every length, mass and inertia
+# scaled by up to a factor two either way, every centre of mass offset and
+# friction coefficient drawn afresh, so no term vanishes by accident.
+_scale = st.floats(0.5, 2.0)
+_offset = st.floats(-0.2, 0.2)
+_friction = st.floats(0.0, 0.5)
+param_sets = st.builds(
+    _scaled_params, *[_scale] * 8, *[_offset] * 4, _friction, _friction
+)
+_angle = st.floats(-math.pi, math.pi)
+_coord = st.floats(-2.0, 2.0)
+_speed = st.floats(-1.0, 1.0)
+_torque = st.floats(-20.0, 20.0)
+_force = st.floats(-50.0, 50.0)
+q_vectors = st.builds(_arr, _coord, _coord, _angle, _angle, _angle, _angle)
+dp_vectors = st.builds(_arr, _speed, _speed, _speed)
+u_vectors = st.builds(_arr, _torque, _torque, _torque)
+forces = st.one_of(st.none(), st.builds(_arr, _force, _force))
+
+
+def _rel_err(fast: np.ndarray, oracle: np.ndarray) -> float:
+    scale = float(np.max(np.abs(oracle)))
+    diff = float(np.max(np.abs(fast - oracle)))
+    return diff if scale == 0.0 else diff / scale
 
 
 def test_robot_state_vector_round_trip():
@@ -236,3 +293,46 @@ def test_kinetic_energy_at_rest_and_in_motion():
     assert kinetic_energy(p, q, np.zeros(6)) == 0.0
     state = random_admissible(p, rng)
     assert kinetic_energy(p, state.q, state.dq) > 0.0
+
+
+@given(p=param_sets, q=q_vectors, dp=dp_vectors, u=u_vectors, force=forces)
+def test_closed_form_state_derivative_matches_the_kkt_oracle(p, q, dp, u, force):
+    state = admissible_state(p, q, dp=dp)
+    ddq, _ = forward_dynamics_conventional(p, state.q, state.dq, u, pivot_force=force)
+    oracle = np.concatenate([state.dq, ddq])
+    fast = state_derivative(p, state.as_vector(), u, pivot_force=force)
+    assert _rel_err(fast, oracle) <= 1e-12
+
+
+@given(p=param_sets, q=q_vectors, dp=dp_vectors)
+def test_closed_form_task_space_model_matches_the_matrix_composition(p, q, dp):
+    # Mbar = Delta^T M Lam and Cbar = Delta^T (M dLam + (C - Ef) Lam), built
+    # here from the 6x6 model matrices
+    state = admissible_state(p, q, dp=dp)
+    lam, delta = lambda_delta(p, state.q)
+    dlam = np.zeros((6, 3))
+    dlam[3:] = iik_matrix_rate(p, state.q, state.dq)
+    m = mass_matrix(p, state.q)
+    c = coriolis_matrix(p, state.q, state.dq)
+    ef = friction_coefficients(p)
+    mbar_ref = delta.T @ m @ lam
+    cbar_ref = delta.T @ (m @ dlam + c @ lam - ef[:, None] * lam)
+    mbar, cbar = task_space_model(p, state.q, state.dq)
+    assert _rel_err(mbar, mbar_ref) <= 1e-12
+    assert _rel_err(cbar, cbar_ref) <= 1e-12
+
+
+def test_generated_task_space_module_matches_its_generator():
+    # The header pins the generator by hash; a stale module means
+    # `python scripts/gen_task_space.py` was not rerun after an edit.
+    header = Path(otbot._task_space.__file__).read_text().splitlines()[:3]
+    digest = hashlib.sha256((ROOT / "scripts" / "gen_task_space.py").read_bytes()).hexdigest()
+    assert header[1] == f"# generator sha256: {digest}"
+    assert header[2].startswith("# sympy ")
+
+
+def test_runtime_does_not_import_sympy():
+    code = "import sys, otbot.cli; sys.exit('sympy' in sys.modules)"
+    src = str(Path(otbot._task_space.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, cwd=ROOT)
+    assert proc.returncode == 0
