@@ -59,11 +59,14 @@ from .scenarios import (
 )
 from .sensors import SensorModel
 from .sensors import sample_sensors
-from .simulate import ControlSequence, simulate_robot, simulate_shaft, trajectory_from_csv, trajectory_to_csv
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+from .simulate import (
+    ControlSequence,
+    format_float,
+    simulate_robot,
+    simulate_shaft,
+    trajectory_from_csv,
+    trajectory_to_csv,
+)
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -71,7 +74,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -256,12 +259,12 @@ def _report_estimate(fh, label: str, est, truth: dict[str, float], guesses: dict
     fh.write(f"[{label}]\n")
     fh.write(f"converged = {est.converged}\n")
     fh.write(f"iterations = {est.iterations}\n")
-    fh.write(f"loss = {_fmt(est.loss)}\n")
+    fh.write(f"loss = {format_float(est.loss)}\n")
     for name, value in zip(est.names, est.values):
         err = abs(value - truth[name])
         fh.write(
-            f"{name}: guess {_fmt(guesses[name])} -> estimate {_fmt(value)} "
-            f"(true {_fmt(truth[name])}, abs error {_fmt(err)})\n"
+            f"{name}: guess {format_float(guesses[name])} -> estimate {format_float(value)} "
+            f"(true {format_float(truth[name])}, abs error {format_float(err)})\n"
         )
     fh.write("\n")
 
@@ -387,8 +390,8 @@ def _cmd_identify(args) -> int:
         fh.write("step,name,guess,estimate,true,abs_error\n")
         for step, name, guess, value, true in est_rows:
             fh.write(
-                f"{step},{name},{_fmt(guess)},{_fmt(value)},{_fmt(true)},"
-                f"{_fmt(abs(value - true))}\n"
+                f"{step},{name},{format_float(guess)},{format_float(value)},{format_float(true)},"
+                f"{format_float(abs(value - true))}\n"
             )
     run.finish()
     return 0
@@ -454,7 +457,7 @@ def _cmd_control(args) -> int:
     with open(run.emit("report.txt"), "w") as fh:
         fh.write(f"scenario = {cfg.name}\n")
         fh.write(f"kp = {gains.kp[0]:.3f}\nkv = {gains.kv[0]:.3f}\n")
-        fh.write(f"poles = {_fmt(gains.poles[0][0])}, {_fmt(gains.poles[0][1])}\n")
+        fh.write(f"poles = {format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}\n")
 
         if cfg.mode == "controller":
             ref = make_reference(cfg.reference)
@@ -466,10 +469,10 @@ def _cmd_control(args) -> int:
             feas = torque_feasibility(params, ref, gains)
             _write_feasibility(run, feas)
             ep = np.linalg.norm(result.e_p[:, :2], axis=1)
-            fh.write(f"peak_position_error = {_fmt(ep.max())}\n")
-            fh.write(f"peak_alpha_error = {_fmt(np.abs(result.e_p[:, 2]).max())}\n")
+            fh.write(f"peak_position_error = {format_float(ep.max())}\n")
+            fh.write(f"peak_alpha_error = {format_float(np.abs(result.e_p[:, 2]).max())}\n")
             fh.write(f"feasible = {feas.ok}\n")
-            fh.write(f"feasibility_margin = {_fmt(feas.worst_margin)}\n")
+            fh.write(f"feasibility_margin = {format_float(feas.worst_margin)}\n")
         elif cfg.mode == "plan":
             plan_path = Path(args.plan) if args.plan else ensure_plan(cfg, out)
             if args.plan and not plan_path.exists():
@@ -487,9 +490,9 @@ def _cmd_control(args) -> int:
             trajectory_to_csv(replay, run.emit("replay.csv"))
             drift = np.linalg.norm(replay.states[:, 0:2] - plan.states[:, 0:2], axis=1)
             ep = np.linalg.norm(result.e_p[:, :2], axis=1)
-            fh.write(f"open_loop_drift_max = {_fmt(drift.max())}\n")
-            fh.write(f"open_loop_drift_final = {_fmt(drift[-1])}\n")
-            fh.write(f"closed_loop_position_error_max = {_fmt(ep.max())}\n")
+            fh.write(f"open_loop_drift_max = {format_float(drift.max())}\n")
+            fh.write(f"open_loop_drift_final = {format_float(drift[-1])}\n")
+            fh.write(f"closed_loop_position_error_max = {format_float(ep.max())}\n")
         else:
             raise ConfigError(
                 f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the simulate subcommand"
@@ -517,9 +520,9 @@ def _cmd_check_torques(args) -> int:
     _write_feasibility(run, report)
     with open(run.emit("report.txt"), "w") as fh:
         fh.write(f"scenario = {cfg.name}\n")
-        fh.write(f"torque_limit = {_fmt(args.limit)}\n")
+        fh.write(f"torque_limit = {format_float(args.limit)}\n")
         fh.write(f"feasible = {report.ok}\n")
-        fh.write(f"worst_margin = {_fmt(report.worst_margin)}\n")
+        fh.write(f"worst_margin = {format_float(report.worst_margin)}\n")
         fh.write(f"note = {report.note}\n")
     run.finish()
     print("feasible" if report.ok else "infeasible")

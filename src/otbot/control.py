@@ -183,7 +183,7 @@ def _run_tracking(
 
     stats = IntegratorStats()
     x = np.asarray(x0, dtype=float).copy()
-    h_carry = None
+    h_carry = options.first_step
     for k in range(n + 1):
         t_k = float(times[k])
         sample = ref.sample(t_k)
@@ -195,10 +195,10 @@ def _run_tracking(
         p_ref[k], v_ref[k], a_ref[k] = sample
         u_traj[k] = command.u_traj
         u_corr[k] = command.u_corr
+        u = command.u.tolist()
         force = schedule.force_at(t_k)
-        derivs[k] = state_derivative(
-            params, x, command.u, pivot_force=force if force.any() else None
-        )
+        dx = state_derivative(params, x, u, pivot_force=force.tolist() if force.any() else None)
+        derivs[k] = dx
         stats.fevals += 1
         if k == n:
             break
@@ -210,12 +210,12 @@ def _run_tracking(
         t_seg = t_k
         # the sample-instant derivative is the first segment's k1: same rhs,
         # same state, same force
-        k1 = derivs[k]
+        k1 = dx
         for t_stop in stops:
             f_seg = schedule.force_at(t_seg)
-            fv = (f_seg[0], f_seg[1]) if f_seg.any() else None
+            fv = f_seg.tolist() if f_seg.any() else None
 
-            def rhs(t, y, u=command.u, fv=fv):
+            def rhs(t, y, u=u, fv=fv):
                 return state_derivative(params, y, u, pivot_force=fv)
 
             x, _, h_carry = advance_segment(

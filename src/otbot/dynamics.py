@@ -86,10 +86,6 @@ def friction_coefficients(params: RobotParams) -> np.ndarray:
     return np.array([0.0, 0.0, 0.0, -params.bw, -params.bw, -params.bp])
 
 
-def friction_matrix(params: RobotParams) -> np.ndarray:
-    return np.diag(friction_coefficients(params))
-
-
 def pivot_force_vector(force_xy) -> np.ndarray:
     """Generalised force of a planar force applied at the pivot point.
 
@@ -131,8 +127,9 @@ def task_space_model(params: RobotParams, q: np.ndarray, dq: np.ndarray) -> tupl
 
 
 def _accelerations(params: RobotParams, q: list, dq: list, u, pivot_force) -> tuple:
-    fx, fy = (0.0, 0.0) if pivot_force is None else (float(pivot_force[0]), float(pivot_force[1]))
-    u0, u1, u2 = _floats(u)
+    """Joint accelerations from float sequences q, dq, u and (fx, fy) or None."""
+    fx, fy = (0.0, 0.0) if pivot_force is None else pivot_force
+    u0, u1, u2 = u
     return _task_space.accelerations(
         params, q[2], q[2] - q[5], dq[0], dq[1], dq[2], dq[2] - dq[5], u0, u1, u2, fx, fy
     )
@@ -184,7 +181,8 @@ def forward_dynamics(
     system for the task accelerations, pivot force included through
     Delta^T Qp, and recovers the joint ones from the kinematic loop.
     """
-    return np.array(_accelerations(params, _floats(q), _floats(dq), u, pivot_force))
+    force = None if pivot_force is None else _floats(pivot_force)
+    return np.array(_accelerations(params, _floats(q), _floats(dq), _floats(u), force))
 
 
 def forward_dynamics_conventional(
@@ -213,14 +211,21 @@ def forward_dynamics_conventional(
 
 def state_derivative(
     params: RobotParams,
-    x: np.ndarray,
-    u: np.ndarray,
+    x: list,
+    u,
     pivot_force=None,
-) -> np.ndarray:
-    """dx/dt = (dq, ddq) for the simulator (multiplier-free route)."""
-    x = _floats(x)
+) -> list:
+    """dx/dt = (dq, ddq) for the simulator (multiplier-free route).
+
+    This is the integrator's rhs: ``x`` is a list of 12 floats (an ndarray
+    is converted once), ``u`` three torques and ``pivot_force`` None or
+    (fx, fy), all as floats; callers convert them once per hold segment.
+    Returns a list of 12 floats.
+    """
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
     dq = x[6:]
-    return np.array([*dq, *_accelerations(params, x, dq, u, pivot_force)])
+    return [*dq, *_accelerations(params, x, dq, u, pivot_force)]
 
 
 def kinetic_energy(params: RobotParams, q: np.ndarray, dq: np.ndarray) -> float:

@@ -99,15 +99,13 @@ class Experiment:
 
     ``x0`` is a RobotState for the full model or a length-2 array
     (phi, dphi) for the isolated-shaft model. ``sensor_model`` is the
-    noise-free copy used to predict outputs; ``output_map`` optionally
-    restricts the loss to a subset of the sensor's output columns.
+    noise-free copy used to predict outputs.
     """
 
     x0: object
     controls: ControlSequence
     record: SensorRecord
     sensor_model: SensorModel
-    output_map: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         t_lo, t_hi = self.record.times[0], self.record.times[-1]
@@ -250,20 +248,20 @@ def prediction_error(
     """Sum of squared output residuals of a candidate parameter subset.
 
     Returns ``(epsilon, residuals)`` with one residual entry per scalar
-    output per sample. A candidate whose rollout cannot be integrated gets
-    ``epsilon = inf`` and all-inf residuals, which a trust-region solver
-    treats as a rejected step rather than an error.
+    output per sample. A candidate whose rollout cannot be integrated, or
+    whose model divides by zero on the way (the rhs works on Python floats,
+    which raise where numpy gave inf), gets ``epsilon = inf`` and all-inf
+    residuals, which a trust-region solver treats as a rejected step rather
+    than an error.
     """
     opts = options or IntegratorOptions()
     meas = exp.record.values
     meas = meas if meas.ndim == 2 else meas[:, None]
-    cols = tuple(range(meas.shape[1])) if exp.output_map is None else exp.output_map
     try:
         pred = _predict_outputs(candidate, fixed, exp, opts)
-    except IntegrationError:
-        res = np.full(len(exp.record.times) * len(cols), np.inf)
-        return math.inf, res
-    res = (meas[:, cols] - pred[:, cols]).ravel()
+    except (IntegrationError, ArithmeticError):
+        return math.inf, np.full(meas.size, np.inf)
+    res = (meas - pred).ravel()
     return float(res @ res), res
 
 

@@ -9,6 +9,19 @@ the boundary).
 
 The pair propagates the fifth-order solution and uses the embedded
 fourth-order one for error control, i.e. the usual ode45 behaviour.
+
+The right-hand side contract is ``f(t, y) -> sequence of floats`` with ``t``
+a Python float and ``y`` a list of Python floats. Inside a segment the state
+and the seven stages are float lists: on a 12-vector, one list comprehension
+per stage costs less than the handful of small-array numpy operations it
+replaces, and it performs the same IEEE operations in the same order, so the
+results are bit-identical. The segment ends are cast with ``float()``,
+because a numpy scalar time would turn every stage value into a numpy scalar
+and slow the float code of the rhs down. The error norm builds its ratios as
+a list but keeps the final reduction ``ratio @ ratio`` in numpy: numpy's dot
+does not sum left to right, and a Python sum would change the last bit of
+the norm, and with it the adaptive step sizes, on about a fifth of the
+steps.
 """
 
 from __future__ import annotations
@@ -85,19 +98,33 @@ class IntegratorStats:
         }
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    ratio = err / scale
+def _error_norm(err, y0, y1, rtol: float, atol: float) -> float:
+    """RMS of err over the mixed tolerance atol + rtol * max(|y0|, |y1|).
+
+    Takes float sequences. The max propagates a NaN from either side, as
+    np.maximum does; a zero scale gives inf where numpy's division would
+    give inf or nan, so every non-finite norm stays non-finite.
+    """
+    try:
+        ratio = np.array([
+            e / (atol + rtol * (a if a > b or a != a else b))
+            for e, a, b in zip(err, map(abs, y0), map(abs, y1))
+        ])
+    except ZeroDivisionError:
+        return math.inf
     return math.sqrt(float(ratio @ ratio) / ratio.size)
 
-def initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray, rtol: float, atol: float) -> float:
+
+def initial_step(f, t0: float, y0, f0, rtol: float, atol: float) -> float:
     """Cheap two-evaluation guess of a sensible first step (Hairer's rule)."""
+    y0 = np.asarray(y0, dtype=float)
+    f0 = np.asarray(f0, dtype=float)
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = np.asarray(f(t0 + h0, y1.tolist()), dtype=float)
     d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -114,20 +141,24 @@ def advance_segment(
     opts: IntegratorOptions,
     stats: IntegratorStats,
     h_start: float | None = None,
-    k1: np.ndarray | None = None,
+    k1=None,
 ):
     """Integrate y' = f(t, y) from t0 to exactly t1 (t1 > t0).
 
-    Returns (y(t1), k_end, h_next) where k_end = f(t1, y(t1)) evaluated with
-    THIS segment's rhs (left limit at a control boundary) and h_next is the
-    unclipped step-size suggestion to carry into the next segment.
+    ``y0`` is an ndarray; ``k1``, if given, is f(t0, y0) as an ndarray or a
+    float sequence. Returns (y(t1), k_end, h_next): y(t1) as an ndarray,
+    k_end = f(t1, y(t1)) as returned by THIS segment's rhs (left limit at a
+    control boundary) and h_next, the unclipped step-size suggestion to
+    carry into the next segment.
     """
     rtol, atol = opts.rtol, opts.atol
-    t = t0
-    y = y0
+    t, t1 = float(t0), float(t1)
+    y = y0.tolist()
     if k1 is None:
         k1 = f(t, y)
         stats.fevals += 1
+    elif isinstance(k1, np.ndarray):
+        k1 = k1.tolist()
     if h_start is None:
         h_next = initial_step(f, t, y, k1, rtol, atol)
         stats.fevals += 1
@@ -153,16 +184,45 @@ def advance_segment(
                 rejected=stats.rejected,
             )
 
-        k2 = f(t + _C2 * h, y + h * (_A21 * k1))
-        k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        # sN is one component of stage kN; each stage sums its terms in the
+        # order the tableau lists them
+        k2 = f(t + _C2 * h, [yi + h * (_A21 * s1) for yi, s1 in zip(y, k1)])
+        k3 = f(
+            t + _C3 * h,
+            [yi + h * (_A31 * s1 + _A32 * s2) for yi, s1, s2 in zip(y, k1, k2)],
+        )
+        k4 = f(
+            t + _C4 * h,
+            [
+                yi + h * (_A41 * s1 + _A42 * s2 + _A43 * s3)
+                for yi, s1, s2, s3 in zip(y, k1, k2, k3)
+            ],
+        )
+        k5 = f(
+            t + _C5 * h,
+            [
+                yi + h * (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
+                for yi, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)
+            ],
+        )
+        k6 = f(
+            t + h,
+            [
+                yi + h * (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
+                for yi, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)
+            ],
+        )
+        y_new = [
+            yi + h * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
+            for yi, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)
+        ]
         k7 = f(t + h, y_new)
         stats.fevals += 6
 
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        err = [
+            h * (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7)
+            for s1, s3, s4, s5, s6, s7 in zip(k1, k3, k4, k5, k6, k7)
+        ]
         norm = _error_norm(err, y, y_new, rtol, atol)
 
         if not math.isfinite(norm):
@@ -183,4 +243,4 @@ def advance_segment(
             stats.rejected += 1
             h_next = h * max(_MIN_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)
 
-    return y, k1, h_next
+    return np.array(y), k1, h_next

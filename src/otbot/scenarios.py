@@ -249,9 +249,9 @@ def build_plan(
     dt = 1.0 / rate
     times = dt * np.arange(n + 1)
 
-    def kinematics(t: float, q: np.ndarray) -> np.ndarray:
+    def kinematics(t: float, q: list) -> list:
         lam, _ = lambda_delta(params, q)
-        return lam @ ref.sample(t)[1]
+        return (lam @ ref.sample(t)[1]).tolist()
 
     states = np.empty((n + 1, 12))
     controls = np.empty((n + 1, 3))

@@ -140,6 +140,9 @@ def integrate(
 ) -> SimTrajectory:
     """Adaptively integrate dx/dt = model_fn(t, x, u(t)) over t_span.
 
+    ``model_fn`` follows the integrator's rhs contract: ``t`` a float, ``x``
+    and ``u`` lists of floats, a sequence of floats returned.
+
     output_times defaults to the control grid covered by t_span (plus the
     endpoints). All output times and breakpoints become hard step boundaries.
     """
@@ -164,31 +167,32 @@ def integrate(
     times, states, derivs, us = [], [], [], []
 
     for seg in range(len(events) - 1):
-        ta, tb = events[seg], events[seg + 1]
+        ta, tb = float(events[seg]), float(events[seg + 1])
         # sample at the midpoint: boundaries merged onto a nearby output
         # time could otherwise pick the neighbouring interval's value
         u = controls.value_at(0.5 * (ta + tb))
+        u_floats = u.tolist()
 
-        def f(t, y, _u=u):
+        def f(t, y, _u=u_floats):
             return model_fn(t, y, _u)
 
-        k1 = f(ta, x)
+        k1 = f(ta, x.tolist())
         stats.fevals += 1
         if ta in out_set:
             times.append(ta)
-            states.append(x.copy())
-            derivs.append(k1.copy())
-            us.append(np.array(u, dtype=float))
+            states.append(x)
+            derivs.append(np.array(k1))
+            us.append(u)
         x, _, h = advance_segment(f, ta, tb, x, opts, stats, h_start=h, k1=k1)
 
     t_end = float(events[-1])
     u_end = controls.value_at(t_end)
-    k_end = model_fn(t_end, x, u_end)
+    k_end = model_fn(t_end, x.tolist(), u_end.tolist())
     stats.fevals += 1
     times.append(t_end)
-    states.append(x.copy())
-    derivs.append(k_end.copy())
-    us.append(np.array(u_end, dtype=float))
+    states.append(x)
+    derivs.append(np.array(k_end))
+    us.append(u_end)
 
     keep = np.isin(np.array(times), output_times)
     times_arr = np.array(times)[keep]
@@ -236,9 +240,9 @@ def simulate_robot(
     )
 
 
-def shaft_derivative(inertia: float, damping: float, x: np.ndarray, u: float) -> np.ndarray:
+def shaft_derivative(inertia: float, damping: float, x: list, u: float) -> list:
     """Single actuated shaft: inertia * ddphi = u - damping * dphi."""
-    return np.array([x[1], (u - damping * x[1]) / inertia])
+    return [x[1], (u - damping * x[1]) / inertia]
 
 
 def simulate_shaft(
@@ -250,9 +254,11 @@ def simulate_shaft(
     output_times=None,
 ) -> SimTrajectory:
     """Rollout of the isolated-shaft model used by the basic identification step."""
+    # the fitter hands in numpy scalars; float arithmetic keeps the stages floats
+    inertia, damping = float(inertia), float(damping)
 
     def model_fn(t, x, u):
-        return shaft_derivative(inertia, damping, x, float(u[0]))
+        return shaft_derivative(inertia, damping, x, u[0])
 
     return integrate(
         model_fn,
@@ -264,7 +270,8 @@ def simulate_shaft(
     )
 
 
-def _fmt(v: float) -> str:
+def format_float(v: float) -> str:
+    """Shortest decimal spelling that reads back as the same double."""
     return repr(float(v))
 
 
@@ -278,7 +285,7 @@ def trajectory_to_csv(traj: SimTrajectory, path: str | Path) -> None:
         writer.writerow(TRAJECTORY_COLUMNS)
         for k in range(len(traj.times)):
             row = [traj.times[k], *traj.states[k], *traj.controls[k]]
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_float(v) for v in row])
 
 
 def trajectory_from_csv(path: str | Path) -> SimTrajectory:

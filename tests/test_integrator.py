@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from otbot.dynamics import RobotState
+from conftest import random_admissible
+from otbot.dynamics import RobotState, state_derivative
 from otbot.integrator import (
     IntegrationError,
     IntegratorOptions,
     IntegratorStats,
+    _error_norm,
     advance_segment,
     initial_step,
 )
@@ -19,7 +21,7 @@ EXACT_AT_2 = math.exp(math.sin(2.0))
 
 
 def _rhs(t, y):
-    return y * math.cos(t)
+    return [v * math.cos(t) for v in y]
 
 
 def _solve(opts, t1=2.0):
@@ -64,7 +66,7 @@ def test_segment_split_matches_single_segment():
 
 def test_nan_region_raises_with_location():
     def rhs(t, y):
-        return y if t < 1.0 else np.full_like(y, np.nan)
+        return y if t < 1.0 else [math.nan] * len(y)
 
     stats = IntegratorStats()
     with pytest.raises(IntegrationError) as excinfo:
@@ -82,7 +84,7 @@ def test_step_landing_one_ulp_short_of_boundary_finishes():
     h = np.nextafter(1.0, 0.0)
     opts = IntegratorOptions(max_step=h)
     y, _, _ = advance_segment(
-        lambda t, y: np.zeros_like(y), 0.0, 1.0, np.array([3.0]), opts, stats, h_start=h
+        lambda t, y: [0.0] * len(y), 0.0, 1.0, np.array([3.0]), opts, stats, h_start=h
     )
     assert y[0] == 3.0
     assert stats.accepted == 1
@@ -94,7 +96,7 @@ def test_clipped_final_step_keeps_carried_suggestion():
     # to the caller for the next segment.
     stats = IntegratorStats()
     _, _, h_next = advance_segment(
-        lambda t, y: np.zeros_like(y), 0.0, 1e-6, np.array([1.0]), IntegratorOptions(), stats,
+        lambda t, y: [0.0] * len(y), 0.0, 1e-6, np.array([1.0]), IntegratorOptions(), stats,
         h_start=0.5,
     )
     assert h_next >= 0.5
@@ -137,3 +139,115 @@ def test_hold_grid_caps_error_at_loose_tolerance():
 
     err = np.max(np.abs(final_state(1e-5) - final_state(1e-12)))
     assert err < 1e-9
+
+
+# --- oracles for the float-list stepper --------------------------------------
+
+# Dormand-Prince 5(4) tableau, written out independently of the module.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+# fifth-order weights by stage index (the second stage has weight zero)
+_DP_B = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84))
+
+
+def _numpy_dp5(f, t, y, h, steps):
+    """Fixed-step DP5 on ndarrays, each stage summed in tableau order."""
+    k1 = f(t, y)
+    for _ in range(steps):
+        ks = [k1]
+        for c, row in zip(_DP_C, _DP_A):
+            acc = row[0] * ks[0]
+            for a, k in zip(row[1:], ks[1:]):
+                acc = acc + a * k
+            ks.append(f(t + c * h, y + h * acc))
+        j, b = _DP_B[0]
+        acc = b * ks[j]
+        for j, b in _DP_B[1:]:
+            acc = acc + b * ks[j]
+        y = y + h * acc
+        t = t + h
+        k1 = f(t, y)
+    return y, k1
+
+
+def _numpy_error_norm(err, y0, y1, rtol, atol):
+    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+    ratio = err / scale
+    return math.sqrt(float(ratio @ ratio) / ratio.size)
+
+
+def test_float_list_steps_equal_the_numpy_stepper_bit_for_bit():
+    # Pinned power-of-two steps and tolerances too loose to reject: the
+    # stepper must reproduce the ndarray arithmetic exactly, robot rhs and all.
+    p = nominal_params()
+    rng = np.random.default_rng(21)
+    h, steps = 2.0**-4, 8
+    opts = IntegratorOptions(rtol=1e6, atol=1e6, max_step=h, first_step=h)
+    for _ in range(3):
+        x0 = random_admissible(p, rng).as_vector()
+        u = rng.uniform(-20.0, 20.0, size=3).tolist()
+        stats = IntegratorStats()
+        y, k_end, _ = advance_segment(
+            lambda t, x: state_derivative(p, x, u), 0.0, steps * h, x0, opts, stats, h_start=h
+        )
+        y_ref, k_ref = _numpy_dp5(
+            lambda t, x: np.array(state_derivative(p, x, u)), 0.0, x0, h, steps
+        )
+        assert (stats.accepted, stats.rejected, stats.fevals) == (steps, 0, 6 * steps + 1)
+        assert (y == y_ref).all()
+        assert (np.array(k_end) == k_ref).all()
+
+
+def test_error_norm_matches_the_numpy_formula():
+    rng = np.random.default_rng(5)
+
+    def draw():
+        return rng.standard_normal(12) * 10.0 ** rng.uniform(-14.0, 3.0, 12)
+
+    for _ in range(300):
+        err, y0, y1 = draw(), draw(), draw()
+        got = _error_norm(err.tolist(), y0.tolist(), y1.tolist(), 1e-9, 1e-12)
+        assert got == _numpy_error_norm(err, y0, y1, 1e-9, 1e-12)
+
+    for bad in (math.nan, math.inf, -math.inf):
+        for which in range(3):
+            vecs = [draw(), draw(), draw()]
+            vecs[which][rng.integers(12)] = bad
+            with np.errstate(invalid="ignore"):
+                ref = _numpy_error_norm(*vecs, 1e-9, 1e-12)
+            got = _error_norm(*(v.tolist() for v in vecs), 1e-9, 1e-12)
+            if math.isnan(bad) or which == 0:
+                assert not math.isfinite(ref)
+            if math.isfinite(ref):
+                assert got == ref
+            else:
+                assert not math.isfinite(got)
+
+    # a zero scale (atol = 0 at a zero state) is non-finite, not an exception
+    zeros = [0.0] * 12
+    assert not math.isfinite(_error_norm([1.0] * 12, zeros, zeros, 1e-9, 0.0))
+
+
+def test_rhs_gets_float_lists_and_float_time_from_numpy_segment_ends():
+    seen = []
+
+    def rhs(t, y):
+        assert type(t) is float
+        assert type(y) is list and all(type(v) is float for v in y)
+        seen.append(t)
+        return [-v for v in y]
+
+    stats = IntegratorStats()
+    y, k_end, _ = advance_segment(
+        rhs, np.float64(0.0), np.float64(0.5), np.array([1.0, 2.0]), IntegratorOptions(), stats,
+        k1=np.array([-1.0, -2.0]),
+    )
+    assert len(seen) == stats.fevals > 6
+    assert type(y) is np.ndarray
+    assert all(type(v) is float for v in k_end)
