@@ -66,15 +66,8 @@ from .simulate import (
     simulate_shaft,
     trajectory_from_csv,
     trajectory_to_csv,
+    write_csv,
 )
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = np.column_stack(columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -184,7 +177,7 @@ def _write_sensor_csv(run: _Run, name: str, record) -> None:
         header = ["time", "accel_x", "accel_y", "angular_rate"]
     else:
         header = ["time", "rate"]
-    _write_csv(run.emit(name), header, [record.times] + [vals[:, i] for i in range(vals.shape[1])])
+    write_csv(run.emit(name), header, [record.times] + [vals[:, i] for i in range(vals.shape[1])])
 
 
 # ---------------------------------------------------------------- simulate
@@ -217,7 +210,7 @@ def _cmd_simulate(args) -> int:
             controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.torque_rate)
             grid = np.arange(int(round(cfg.horizon * cfg.sensor_rate)) + 1) / cfg.sensor_rate
             traj = simulate_shaft(inertia, damping, controls, output_times=grid)
-            _write_csv(
+            write_csv(
                 run.emit("shaft.csv"),
                 ["time", "angle", "rate", "torque"],
                 [traj.times, traj.states[:, 0], traj.states[:, 1], traj.controls[:, 0]],
@@ -283,7 +276,7 @@ def _fit_data_csv(run: _Run, name: str, candidate: dict, fixed, exp) -> None:
     else:
         header = ["time", "measured_rate", "predicted_rate"]
         cols = [exp.record.times, meas[:, 0], pred[:, 0]]
-    _write_csv(run.emit(name), header, cols)
+    write_csv(run.emit(name), header, cols)
 
 
 def _cmd_identify(args) -> int:
@@ -319,10 +312,7 @@ def _cmd_identify(args) -> int:
                 options=options,
             )
             est1, est2, est3 = result.step1, result.step2, result.step3
-            known2 = params.replace(
-                Ia=est1["Ia"], bw=est1["bw"], bp=est1["bp"], Ip=est1["Ip0"], xF=0.0, yF=0.0
-            )
-            known3 = known2.replace(**est2.as_dict())
+            exps, known2, known3 = result.experiments, result.known2, result.known3
             g3 = platform_guess(deviation, params.mp, est1["Ip0"])
         else:
             # Single step: everything else is held at the file values.
@@ -331,47 +321,37 @@ def _cmd_identify(args) -> int:
             known3 = params
             g3 = platform_guess(deviation, params.mp, params.Ip)
             if args.step == "1":
-                est1 = identify_basic(
-                    wheel_experiment(params, seed=seed),
-                    platform_shaft_experiment(params, seed=seed),
-                    g1,
-                    options,
-                )
+                exps = {
+                    "wheel": wheel_experiment(params, seed=seed),
+                    "platform": platform_shaft_experiment(params, seed=seed),
+                }
+                est1 = identify_basic(exps["wheel"], exps["platform"], g1, options)
             elif args.step == "2":
-                est2 = identify_chassis(
-                    chassis_experiment(params, seed=seed + 1), known2, g2, options
-                )
+                exps = {"step2": chassis_experiment(params, seed=seed + 1)}
+                est2 = identify_chassis(exps["step2"], known2, g2, options)
             else:
-                exp3 = chassis_experiment(params, seed=seed + 2, duration=args.window)
-                est3 = identify_platform(exp3, known3, g3, options)
+                exps = {"step3": chassis_experiment(params, seed=seed + 2, duration=args.window)}
+                est3 = identify_platform(exps["step3"], known3, g3, options)
 
         if est1 is not None:
             _report_estimate(fh, "step1", est1, truth, g1)
             est_rows += [("step1", n, g1[n], est1[n], truth[n]) for n in est1.names]
             _fit_data_csv(
                 run, "fit_step1_wheel.csv",
-                {"inertia": est1["Ia"], "damping": est1["bw"]}, {},
-                wheel_experiment(params, seed=seed),
+                {"inertia": est1["Ia"], "damping": est1["bw"]}, {}, exps["wheel"],
             )
             _fit_data_csv(
                 run, "fit_step1_platform.csv",
-                {"inertia": est1["Ip0"], "damping": est1["bp"]}, {},
-                platform_shaft_experiment(params, seed=seed),
+                {"inertia": est1["Ip0"], "damping": est1["bp"]}, {}, exps["platform"],
             )
         if est2 is not None:
             _report_estimate(fh, "step2", est2, truth, g2)
             est_rows += [("step2", n, g2[n], est2[n], truth[n]) for n in est2.names]
-            _fit_data_csv(
-                run, "fit_step2.csv", est2.as_dict(), known2,
-                chassis_experiment(params, seed=seed + 1),
-            )
+            _fit_data_csv(run, "fit_step2.csv", est2.as_dict(), known2, exps["step2"])
         if est3 is not None:
             _report_estimate(fh, "step3", est3, truth, g3)
             est_rows += [("step3", n, g3[n], est3[n], truth[n]) for n in est3.names]
-            _fit_data_csv(
-                run, "fit_step3.csv", est3.as_dict(), known3,
-                chassis_experiment(params, seed=seed + 2, duration=args.window),
-            )
+            _fit_data_csv(run, "fit_step3.csv", est3.as_dict(), known3, exps["step3"])
             if args.sweep > 0:
                 cells = sensitivity_sweep(
                     deviations=(0.05, 0.10, 0.15, 0.20, 0.25),
@@ -379,7 +359,7 @@ def _cmd_identify(args) -> int:
                     true_params=params,
                     options=options,
                 )
-                _write_csv(
+                write_csv(
                     run.emit("sweep.csv"),
                     ["deviation", "seed", "err_mp", "err_Ip", "err_xF", "err_yF", "converged"],
                     [np.array([float(c[k]) for c in cells]) for k in
@@ -404,19 +384,19 @@ def _write_tracking_outputs(run: _Run, result) -> None:
     traj = result.trajectory
     trajectory_to_csv(traj, run.emit("trajectory.csv"))
     t = traj.times
-    _write_csv(
+    write_csv(
         run.emit("errors.csv"),
         ["time", "ep_x", "ep_y", "ep_alpha", "ev_x", "ev_y", "ev_alpha"],
         [t] + [result.e_p[:, i] for i in range(3)] + [result.e_v[:, i] for i in range(3)],
     )
-    _write_csv(
+    write_csv(
         run.emit("reference.csv"),
         ["time", "pd_x", "pd_y", "pd_alpha", "vd_x", "vd_y", "vd_alpha", "ad_x", "ad_y", "ad_alpha"],
         [t] + [result.p_ref[:, i] for i in range(3)]
             + [result.v_ref[:, i] for i in range(3)]
             + [result.a_ref[:, i] for i in range(3)],
     )
-    _write_csv(
+    write_csv(
         run.emit("torques.csv"),
         ["time", "u_r", "u_l", "u_p", "utraj_r", "utraj_l", "utraj_p", "ucorr_r", "ucorr_l", "ucorr_p"],
         [t] + [traj.controls[:, i] for i in range(3)]
@@ -426,7 +406,7 @@ def _write_tracking_outputs(run: _Run, result) -> None:
 
 
 def _write_feasibility(run: _Run, report) -> None:
-    _write_csv(
+    write_csv(
         run.emit("feasibility.csv"),
         ["time", "lo_r", "lo_l", "lo_p", "hi_r", "hi_l", "hi_p", "nom_r", "nom_l", "nom_p"],
         [report.times] + [report.lo[:, i] for i in range(3)]
@@ -562,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--params", help="true plant parameter file (defaults to nominal)")
     p_id.add_argument("--guess", help="initial-guess overrides, key = value")
     p_id.add_argument("--seed", type=int, default=None)
-    p_id.add_argument("--jobs", type=int, default=1, help="worker cap for Jacobian columns")
+    p_id.add_argument("--jobs", type=int, default=1, help="threads for the Jacobian columns (estimates do not depend on it)")
     p_id.add_argument("--sweep", type=int, default=2,
                       help="seeds for the step-3 sensitivity sweep (0 disables)")
     p_id.add_argument("--window", type=float, default=1.0,

@@ -139,9 +139,10 @@ class ParamEstimate:
 class FitOptions:
     """Trust-region solver settings.
 
-    The residual Jacobian is built by forward finite differences with
-    relative step ``fd_step`` (small absolute fallback at zero); ``jobs``
-    > 1 evaluates the columns from a thread pool.
+    The residual Jacobian is scipy's forward finite difference ("2-point")
+    with relative step ``fd_step``; ``jobs`` > 1 evaluates its columns from
+    a thread pool. The differences are the same either way, so ``jobs``
+    changes only the wall time, never the estimates.
     """
 
     max_iter: int = 200
@@ -153,12 +154,20 @@ class FitOptions:
 
 @dataclass
 class IdentPipelineResult:
-    """Estimates of the three steps plus what each step held fixed."""
+    """Estimates of the three steps, what each step held fixed, and its data.
+
+    ``experiments`` holds the four records the fits ran on, keyed
+    ``wheel``, ``platform`` (step 1), ``step2`` and ``step3``; ``known2``
+    and ``known3`` are the full parameter sets held by steps 2 and 3.
+    """
 
     step1: ParamEstimate
     step2: ParamEstimate
     step3: ParamEstimate
     fixed: dict[str, dict[str, float]]
+    experiments: dict[str, Experiment]
+    known2: RobotParams
+    known3: RobotParams
 
     def identified_params(self, base: RobotParams) -> RobotParams:
         """Assemble a full parameter set from the three estimates."""
@@ -269,23 +278,6 @@ def prediction_error(
 # Solver
 
 
-def _forward_difference_jacobian(fn, p, f0, lb, ub, rel_step, pool):
-    h = np.maximum(rel_step * np.abs(p), 1e-8)
-    # step backward where a forward step would leave the box
-    h = np.where(p + h > ub, -h, h)
-
-    def column(j):
-        pj = p.copy()
-        pj[j] += h[j]
-        return (np.asarray(fn(pj), dtype=float) - f0) / h[j]
-
-    if pool is None:
-        cols = [column(j) for j in range(len(p))]
-    else:
-        cols = list(pool.map(column, range(len(p))))
-    return np.column_stack(cols)
-
-
 def fit_trust_region(
     residual_fn,
     p0,
@@ -315,6 +307,8 @@ def fit_trust_region(
         lb, ub = (np.asarray(b, dtype=float) for b in bounds)
 
     kwargs = dict(
+        jac="2-point",
+        diff_step=opts.fd_step,
         bounds=(lb, ub),
         method="trf",
         ftol=opts.ftol,
@@ -323,26 +317,10 @@ def fit_trust_region(
         max_nfev=opts.max_iter * (len(p0) + 1),
     )
     if opts.jobs > 1:
-        cache: dict = {}
-
-        def fn(p):
-            f = np.asarray(residual_fn(p), dtype=float)
-            cache["p"], cache["f"] = p.copy(), f
-            return f
-
         with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            def jac(p, *_):
-                if "p" in cache and np.array_equal(cache["p"], p):
-                    f_here = cache["f"]
-                else:
-                    f_here = fn(p)
-                return _forward_difference_jacobian(
-                    residual_fn, p, f_here, lb, ub, opts.fd_step, pool
-                )
-
-            result = least_squares(fn, p0, jac=jac, **kwargs)
+            result = least_squares(residual_fn, p0, workers=pool.map, **kwargs)
     else:
-        result = least_squares(residual_fn, p0, jac="2-point", diff_step=opts.fd_step, **kwargs)
+        result = least_squares(residual_fn, p0, **kwargs)
 
     return ParamEstimate(
         names=names,
@@ -499,12 +477,11 @@ def run_pipeline(
     ``true_params`` drives the simulated plant; records at the three steps
     use ``seed``, ``seed + 1`` and ``seed + 2``.
     """
-    step1 = identify_basic(
-        wheel_experiment(true_params, seed=seed),
-        platform_shaft_experiment(true_params, seed=seed),
-        basic_guess,
-        options,
-    )
+    experiments = {
+        "wheel": wheel_experiment(true_params, seed=seed),
+        "platform": platform_shaft_experiment(true_params, seed=seed),
+    }
+    step1 = identify_basic(experiments["wheel"], experiments["platform"], basic_guess, options)
 
     # Unloaded platform: mass is known from its data sheet, inertia from
     # step 1, and its centre sits on the pivot axis.
@@ -516,16 +493,25 @@ def run_pipeline(
         xF=0.0,
         yF=0.0,
     )
-    step2 = identify_chassis(chassis_experiment(true_params, seed=seed + 1), known2, chassis_guess, options)
+    experiments["step2"] = chassis_experiment(true_params, seed=seed + 1)
+    step2 = identify_chassis(experiments["step2"], known2, chassis_guess, options)
 
     known3 = known2.replace(**step2.as_dict())
     guess3 = platform_guess(platform_deviation, mp0=true_params.mp, Ip0=step1["Ip0"])
-    exp3 = chassis_experiment(true_params, seed=seed + 2, duration=platform_window)
-    step3 = identify_platform(exp3, known3, guess3, options)
+    experiments["step3"] = chassis_experiment(true_params, seed=seed + 2, duration=platform_window)
+    step3 = identify_platform(experiments["step3"], known3, guess3, options)
 
     fixed = {
         "step1": {},
         "step2": {k: known2.as_dict()[k] for k in ("Ia", "bw", "bp", "Ip", "mp", "xF", "yF")},
         "step3": {k: known3.as_dict()[k] for k in ("Ia", "bw", "bp", "mc", "Ic", "xB", "yB")},
     }
-    return IdentPipelineResult(step1=step1, step2=step2, step3=step3, fixed=fixed)
+    return IdentPipelineResult(
+        step1=step1,
+        step2=step2,
+        step3=step3,
+        fixed=fixed,
+        experiments=experiments,
+        known2=known2,
+        known3=known3,
+    )

@@ -4,21 +4,28 @@ Control inputs are zero-order held, so the right-hand side is only smooth
 inside a control interval. The driver therefore never steps across a segment
 boundary: callers advance segment by segment (supplying the rhs valid for
 that segment) and the stepper clips its step to the segment end. The step
-size survives across segments, the FSAL stage does not (the rhs changes at
-the boundary).
+size survives across segments. The FSAL stage survives only where the caller
+passes it on as the next segment's ``k1``, which is valid when the rhs does
+not change at the boundary.
 
 The pair propagates the fifth-order solution and uses the embedded
 fourth-order one for error control, i.e. the usual ode45 behaviour.
 
 The right-hand side contract is ``f(t, y) -> sequence of floats`` with ``t``
 a Python float and ``y`` a list of Python floats. Inside a segment the state
-and the seven stages are float lists: on a 12-vector, one list comprehension
-per stage costs less than the handful of small-array numpy operations it
-replaces, and it performs the same IEEE operations in the same order, so the
-results are bit-identical. The segment ends are cast with ``float()``,
-because a numpy scalar time would turn every stage value into a numpy scalar
-and slow the float code of the rhs down. The error norm builds its ratios as
-a list but keeps the final reduction ``ratio @ ratio`` in numpy: numpy's dot
+and the seven stages are float lists. One attempted step runs in a kernel
+generated from the tableau for the state size at hand (``<dp5 step n=12>``
+for the robot, ``n=2`` for a shaft), built on first use and cached: it
+unpacks the state and each stage into locals and spells every stage
+argument, the new state and the error vector as list literals with the
+coefficients inlined. That removes the zip, unpack and append work a generic
+loop or comprehension pays per component, while each component still sums
+its terms in the tableau's order, so the results are the same bits as the
+ndarray formulas. The kernel is the only stepping path, for every state
+size. The segment ends are cast with ``float()``, because a numpy scalar
+time would turn every stage value into a numpy scalar and slow the float
+code of the rhs down. The error norm builds its ratios in Python but keeps
+the final reduction, the dot product of the ratios, in numpy: numpy's dot
 does not sum left to right, and a Python sum would change the last bit of
 the norm, and with it the adaptive step sizes, on about a fifth of the
 steps.
@@ -26,27 +33,32 @@ steps.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Butcher tableau (Dormand & Prince 1980), FSAL form.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Butcher tableau (Dormand & Prince 1980), FSAL form. Stage i is taken at
+# t + c_i h from y + h * (a_i1 k1 + ... + a_i,i-1 k_i-1), summed in this order.
+_STAGES = (  # (c_i, (a_i1, ..., a_i,i-1)) of stages 2 to 6
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+)
+# Fifth-order weights as (stage, weight); stage 2 has weight zero.
+_B = ((1, 35 / 384), (3, 500 / 1113), (4, 125 / 192), (5, -2187 / 6784), (6, 11 / 84))
 # Difference between the 5th and the embedded 4th order weights.
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_E = (
+    (1, 71 / 57600),
+    (3, -71 / 16695),
+    (4, 71 / 1920),
+    (5, -17253 / 339200),
+    (6, 22 / 525),
+    (7, -1 / 40),
 )
 
 _SAFETY = 0.9
@@ -105,14 +117,69 @@ def _error_norm(err, y0, y1, rtol: float, atol: float) -> float:
     np.maximum does; a zero scale gives inf where numpy's division would
     give inf or nan, so every non-finite norm stays non-finite.
     """
+    n = len(err)
     try:
-        ratio = np.array([
-            e / (atol + rtol * (a if a > b or a != a else b))
-            for e, a, b in zip(err, map(abs, y0), map(abs, y1))
-        ])
+        # ndarray.dot is the same BLAS reduction as ``@`` at less call overhead
+        ratio = np.fromiter(
+            [
+                e / (atol + rtol * (a if a > b or a != a else b))
+                for e, a, b in zip(err, map(abs, y0), map(abs, y1))
+            ],
+            float,
+            n,
+        )
     except ZeroDivisionError:
         return math.inf
-    return math.sqrt(float(ratio @ ratio) / ratio.size)
+    return math.sqrt(float(ratio.dot(ratio)) / n)
+
+
+def _step_source(n: int) -> str:
+    """Python source of one DP5 attempt on n-vectors, unrolled per component.
+
+    ``step(f, t, h, y, k1)`` returns ``(y_new, k7, err)``: the fifth-order
+    solution, the rhs value there (the next step's k1) and the error vector,
+    with every sum in the tableau's order and the coefficients as literals.
+    """
+
+    def names(vector_name):
+        return ", ".join(f"{vector_name}_{j}" for j in range(n)) + ("," if n == 1 else "")
+
+    def combo(weights, j):
+        return " + ".join(f"{w!r} * k{i}_{j}" for i, w in weights)
+
+    def vector(terms):
+        return "[\n" + "".join(f"        {term},\n" for term in terms) + "    ]"
+
+    lines = [
+        "def step(f, t, h, y, k1):",
+        f"    {names('y')} = y",
+        f"    {names('k1')} = k1",
+    ]
+    for i, (c, row) in enumerate(_STAGES, start=2):
+        weights = tuple(enumerate(row, start=1))
+        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        arg = vector(f"y_{j} + h * ({combo(weights, j)})" for j in range(n))
+        lines.append(f"    {names(f'k{i}')} = f({at}, {arg})")
+    lines += [
+        "    y_new = " + vector(f"y_{j} + h * ({combo(_B, j)})" for j in range(n)),
+        "    k7 = f(t + h, y_new)",
+        f"    {names('k7')} = k7",
+        "    err = " + vector(f"h * ({combo(_E, j)})" for j in range(n)),
+        "    return y_new, k7, err",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _step_kernel(n: int):
+    """The DP5 attempt of :func:`_step_source`, compiled on first use."""
+    source = _step_source(n)
+    filename = f"<dp5 step n={n}>"
+    # lets tracebacks through the kernel show its lines
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["step"]
 
 
 def initial_step(f, t0: float, y0, f0, rtol: float, atol: float) -> float:
@@ -165,6 +232,7 @@ def advance_segment(
     else:
         h_next = h_start
     h_next = min(h_next, opts.max_step)
+    step = _step_kernel(len(y))
 
     while t < t1:
         remaining = t1 - t
@@ -184,45 +252,8 @@ def advance_segment(
                 rejected=stats.rejected,
             )
 
-        # sN is one component of stage kN; each stage sums its terms in the
-        # order the tableau lists them
-        k2 = f(t + _C2 * h, [yi + h * (_A21 * s1) for yi, s1 in zip(y, k1)])
-        k3 = f(
-            t + _C3 * h,
-            [yi + h * (_A31 * s1 + _A32 * s2) for yi, s1, s2 in zip(y, k1, k2)],
-        )
-        k4 = f(
-            t + _C4 * h,
-            [
-                yi + h * (_A41 * s1 + _A42 * s2 + _A43 * s3)
-                for yi, s1, s2, s3 in zip(y, k1, k2, k3)
-            ],
-        )
-        k5 = f(
-            t + _C5 * h,
-            [
-                yi + h * (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
-                for yi, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)
-            ],
-        )
-        k6 = f(
-            t + h,
-            [
-                yi + h * (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
-                for yi, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)
-            ],
-        )
-        y_new = [
-            yi + h * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
-            for yi, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)
-        ]
-        k7 = f(t + h, y_new)
+        y_new, k7, err = step(f, t, h, y, k1)
         stats.fevals += 6
-
-        err = [
-            h * (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7)
-            for s1, s3, s4, s5, s6, s7 in zip(k1, k3, k4, k5, k6, k7)
-        ]
         norm = _error_norm(err, y, y_new, rtol, atol)
 
         if not math.isfinite(norm):

@@ -113,20 +113,24 @@ _EVENT_MERGE_TOL = 1e-9
 
 
 def _event_times(t0: float, t_end: float, controls: ControlSequence, output_times, breakpoints, out_set):
+    """Sorted, merged step boundaries and, per boundary, whether a breakpoint lies on it."""
     lo, hi = t0 - _EVENT_MERGE_TOL, t_end + _EVENT_MERGE_TOL
-    events = {float(t0), float(t_end)}
-    for group in (controls.boundaries, output_times, breakpoints):
-        events.update(float(t) for t in group if lo < t < hi)
+    breaks = {float(t) for t in breakpoints if lo < t < hi}
+    events = {float(t0), float(t_end)} | breaks
+    for group in (controls.boundaries, output_times):
+        events.update(t for t in group.tolist() if lo < t < hi)
     raw = sorted(events)
-    merged = [raw[0]]
+    merged, on_break = [raw[0]], [raw[0] in breaks]
     for t in raw[1:]:
         if t - merged[-1] <= _EVENT_MERGE_TOL:
             # keep the output-grid spelling so requested samples match exactly
             if t in out_set and merged[-1] not in out_set:
                 merged[-1] = t
+            on_break[-1] = on_break[-1] or t in breaks
         else:
             merged.append(t)
-    return np.array(merged)
+            on_break.append(t in breaks)
+    return merged, on_break
 
 
 def integrate(
@@ -141,10 +145,18 @@ def integrate(
     """Adaptively integrate dx/dt = model_fn(t, x, u(t)) over t_span.
 
     ``model_fn`` follows the integrator's rhs contract: ``t`` a float, ``x``
-    and ``u`` lists of floats, a sequence of floats returned.
+    and ``u`` lists of floats, a sequence of floats returned. It must be
+    autonomous between breakpoints: for a fixed ``u`` it may depend on ``t``
+    only through changes at the listed ``breakpoints``.
 
     output_times defaults to the control grid covered by t_span (plus the
     endpoints). All output times and breakpoints become hard step boundaries.
+
+    Each segment's first stage is the derivative at its start. When a
+    segment holds the same control floats as the one before it and no
+    breakpoint lies at its start, that derivative is the previous segment's
+    end derivative (same state, same rhs), so it is reused instead of being
+    evaluated again; the results are the same bits either way.
     """
     opts = options or IntegratorOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -159,33 +171,43 @@ def integrate(
             raise ValueError("output times fall outside the integration span")
 
     out_set = set(output_times.tolist())
-    events = _event_times(t0, t_end, controls, output_times, breakpoints, out_set)
+    events, on_break = _event_times(t0, t_end, controls, output_times, breakpoints, out_set)
+
+    # sample at the segment midpoints: boundaries merged onto a nearby output
+    # time could otherwise pick the neighbouring interval's value
+    bounds = np.array(events)
+    idx = np.searchsorted(controls.boundaries, 0.5 * (bounds[:-1] + bounds[1:]), side="right") - 1
+    held = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)]
+    # compared bit for bit, so that 0.0 and -0.0 count as different holds
+    bits = held.view(np.int64)
+    new_k1 = [True] + [
+        changed or brk
+        for changed, brk in zip((bits[1:] != bits[:-1]).any(axis=1).tolist(), on_break[1:])
+    ]
 
     x = np.asarray(x0, dtype=float).copy()
     stats = IntegratorStats()
     h = opts.first_step
     times, states, derivs, us = [], [], [], []
 
-    for seg in range(len(events) - 1):
-        ta, tb = float(events[seg]), float(events[seg + 1])
-        # sample at the midpoint: boundaries merged onto a nearby output
-        # time could otherwise pick the neighbouring interval's value
-        u = controls.value_at(0.5 * (ta + tb))
-        u_floats = u.tolist()
+    for seg, (ta, tb) in enumerate(zip(events, events[1:])):
+        u = held[seg]
+        if new_k1[seg]:
+            u_floats = u.tolist()
 
-        def f(t, y, _u=u_floats):
-            return model_fn(t, y, _u)
+            def f(t, y, _u=u_floats):
+                return model_fn(t, y, _u)
 
-        k1 = f(ta, x.tolist())
-        stats.fevals += 1
+            k1 = f(ta, x.tolist())
+            stats.fevals += 1
         if ta in out_set:
             times.append(ta)
             states.append(x)
             derivs.append(np.array(k1))
             us.append(u)
-        x, _, h = advance_segment(f, ta, tb, x, opts, stats, h_start=h, k1=k1)
+        x, k1, h = advance_segment(f, ta, tb, x, opts, stats, h_start=h, k1=k1)
 
-    t_end = float(events[-1])
+    t_end = events[-1]
     u_end = controls.value_at(t_end)
     k_end = model_fn(t_end, x.tolist(), u_end.tolist())
     stats.fevals += 1
@@ -218,7 +240,8 @@ def simulate_robot(
     """Open-loop robot rollout under a held torque sequence.
 
     ``pivot_force_fn(t) -> (fx, fy) | None`` models an external force on the
-    pivot; its on/off instants must be listed in ``breakpoints``.
+    pivot; it must be constant between the instants listed in
+    ``breakpoints`` (the contract of :func:`integrate`).
     """
     t_end = controls.end_time if t_end is None else t_end
 
@@ -275,17 +298,26 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
+def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
+    """Write equal-length columns (1-D or 2-D arrays) under a header row.
+
+    Each double is written in its shortest exact spelling (see
+    :func:`format_float`); rows are converted one at a time, so no list copy
+    of the whole table is made. ``line_end`` ends every line as given.
+    """
+    table = np.column_stack(columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + line_end)
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + line_end)
+
+
 def trajectory_to_csv(traj: SimTrajectory, path: str | Path) -> None:
     """Write a robot trajectory in the interchange schema (exact doubles)."""
     if traj.states.shape[1] != 12 or traj.controls.shape[1] != 3:
         raise ValueError("CSV schema is defined for the full robot model only")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.states[k], *traj.controls[k]]
-            writer.writerow([format_float(v) for v in row])
+    # CRLF, the line end of the csv module's default dialect these files have used
+    write_csv(path, TRAJECTORY_COLUMNS, [traj.times, traj.states, traj.controls], line_end="\r\n")
 
 
 def trajectory_from_csv(path: str | Path) -> SimTrajectory:

@@ -50,12 +50,28 @@ def test_bounds_clip_the_estimate():
     assert est.values[0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_threaded_jacobian_matches_serial():
-    a = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
-    target = a @ np.array([0.3, -0.7])
-    serial = fit_trust_region(lambda p: a @ p - target, [0.0, 0.0], options=FitOptions(jobs=1))
-    threaded = fit_trust_region(lambda p: a @ p - target, [0.0, 0.0], options=FitOptions(jobs=2))
-    np.testing.assert_allclose(threaded.values, serial.values, atol=1e-10)
+def test_threaded_jacobian_matches_serial(params):
+    # A nonlinear shaft fit, where finite differences are inexact: threads
+    # may only change the wall time, never the estimates or the evaluations.
+    exp = wheel_experiment(params, seed=0)
+    names = ("inertia", "damping")
+    bounds = parameter_bounds(names)
+
+    def fit(jobs):
+        calls = []
+
+        def residual(p):
+            calls.append(None)
+            return prediction_error(dict(zip(names, p)), {}, exp)[1]
+
+        est = fit_trust_region(residual, [0.01, 0.09], bounds, FitOptions(jobs=jobs), names)
+        return est, len(calls)
+
+    (serial, serial_calls), (threaded, threaded_calls) = fit(1), fit(2)
+    assert serial.iterations > 2
+    assert (threaded.values == serial.values).all()
+    assert threaded.loss == serial.loss
+    assert (threaded.iterations, threaded_calls) == (serial.iterations, serial_calls)
 
 
 def test_non_finite_initial_residual_raises():
@@ -234,6 +250,11 @@ def test_pipeline_bookkeeping(pipeline_result, params):
     # Step 3 holds the chassis just estimated.
     assert r.fixed["step3"]["mc"] == r.step2["mc"]
     assert r.fixed["step3"]["xB"] == r.step2["xB"]
+    # The held parameter sets and the four records travel with the result.
+    assert r.known2.as_dict().items() >= r.fixed["step2"].items()
+    assert r.known3.as_dict().items() >= r.fixed["step3"].items()
+    assert sorted(r.experiments) == ["platform", "step2", "step3", "wheel"]
+    assert r.experiments["step3"].controls.end_time == pytest.approx(3.0)
 
 
 def test_pipeline_assembles_params(pipeline_result, params):

@@ -14,7 +14,7 @@ from otbot.integrator import (
     initial_step,
 )
 from otbot.params import nominal_params
-from otbot.simulate import ControlSequence, simulate_robot
+from otbot.simulate import ControlSequence, shaft_derivative, simulate_robot
 
 # y' = y cos t has the closed-form solution y = exp(sin t).
 EXACT_AT_2 = math.exp(math.sin(2.0))
@@ -182,24 +182,32 @@ def _numpy_error_norm(err, y0, y1, rtol, atol):
     return math.sqrt(float(ratio @ ratio) / ratio.size)
 
 
-def test_float_list_steps_equal_the_numpy_stepper_bit_for_bit():
-    # Pinned power-of-two steps and tolerances too loose to reject: the
-    # stepper must reproduce the ndarray arithmetic exactly, robot rhs and all.
+def _bit_for_bit_case(n, rng):
+    """An rhs on n-vectors and a start state: y' = y cos t, a shaft, the robot."""
+    if n == 1:
+        return _rhs, rng.uniform(0.5, 2.0, 1)
+    if n == 2:
+        inertia, damping, u = rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0), rng.uniform(-20.0, 20.0)
+        return (lambda t, x: shaft_derivative(inertia, damping, x, u)), rng.uniform(-5.0, 5.0, 2)
     p = nominal_params()
+    u = rng.uniform(-20.0, 20.0, size=3).tolist()
+    return (lambda t, x: state_derivative(p, x, u)), random_admissible(p, rng).as_vector()
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_float_list_steps_equal_the_numpy_stepper_bit_for_bit(n):
+    # Pinned power-of-two steps and tolerances too loose to reject: the
+    # generated kernel must reproduce the ndarray arithmetic exactly.
     rng = np.random.default_rng(21)
     h, steps = 2.0**-4, 8
     opts = IntegratorOptions(rtol=1e6, atol=1e6, max_step=h, first_step=h)
-    for _ in range(3):
-        x0 = random_admissible(p, rng).as_vector()
-        u = rng.uniform(-20.0, 20.0, size=3).tolist()
+    for _ in range(30):
+        rhs, x0 = _bit_for_bit_case(n, rng)
         stats = IntegratorStats()
-        y, k_end, _ = advance_segment(
-            lambda t, x: state_derivative(p, x, u), 0.0, steps * h, x0, opts, stats, h_start=h
-        )
-        y_ref, k_ref = _numpy_dp5(
-            lambda t, x: np.array(state_derivative(p, x, u)), 0.0, x0, h, steps
-        )
+        y, k_end, _ = advance_segment(rhs, 0.0, steps * h, x0, opts, stats, h_start=h)
+        y_ref, k_ref = _numpy_dp5(lambda t, x: np.array(rhs(t, x)), 0.0, x0, h, steps)
         assert (stats.accepted, stats.rejected, stats.fevals) == (steps, 0, 6 * steps + 1)
+        assert y.shape == (n,)
         assert (y == y_ref).all()
         assert (np.array(k_end) == k_ref).all()
 

@@ -1,18 +1,22 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from otbot.dynamics import RobotState, constraint_violation
-from otbot.integrator import IntegratorOptions
+from otbot.dynamics import RobotState, constraint_violation, state_derivative
+from otbot.integrator import IntegratorOptions, IntegratorStats, advance_segment
 from otbot.model import holonomic_residual
 from otbot.params import nominal_params
 from otbot.simulate import (
+    TRAJECTORY_COLUMNS,
     ControlSequence,
     simulate_robot,
     simulate_shaft,
     trajectory_from_csv,
     trajectory_to_csv,
+    write_csv,
 )
 
 
@@ -134,6 +138,86 @@ def test_pivot_force_changes_the_motion():
     assert constraint_violation(p, pushed.q[-1], pushed.dq[-1]) < 1e-9
 
 
+def _recomputing_rollout(p, controls, pivot_force_fn=None):
+    """integrate's loop without the first-stage reuse: f(ta, x) at every segment."""
+    opts, stats = IntegratorOptions(), IntegratorStats()
+    events = controls.boundaries.tolist() + [controls.end_time]
+    x, h = RobotState.rest().as_vector(), None
+    states, derivs = [], []
+
+    def model_fn(t, y, u):
+        force = None if pivot_force_fn is None else pivot_force_fn(t)
+        return state_derivative(p, y, u, pivot_force=force)
+
+    for ta, tb in zip(events, events[1:]):
+        u = controls.value_at(0.5 * (ta + tb)).tolist()
+
+        def f(t, y, _u=u):
+            return model_fn(t, y, _u)
+
+        k1 = f(ta, x.tolist())
+        stats.fevals += 1
+        states.append(x)
+        derivs.append(k1)
+        x, _, h = advance_segment(f, ta, tb, x, opts, stats, h_start=h, k1=k1)
+    states.append(x)
+    derivs.append(model_fn(events[-1], x.tolist(), controls.samples[-1].tolist()))
+    stats.fevals += 1
+    return np.array(states), np.array(derivs), stats
+
+
+def _attempts(traj):
+    return traj.stats["accepted"] + traj.stats["rejected"]
+
+
+def test_unchanged_holds_reuse_the_end_derivative_bit_for_bit():
+    # Under a constant torque only the first segment evaluates its first
+    # stage: 6 fevals per attempt, plus the first stage, the step-size guess
+    # and the derivative recorded at the end.
+    p = nominal_params()
+    controls = chassis_controls(duration=0.3)
+    traj = simulate_robot(p, RobotState.rest(), controls)
+    states, derivs, ref = _recomputing_rollout(p, controls)
+    assert (traj.states == states).all()
+    assert (traj.derivs == derivs).all()
+    assert traj.stats["fevals"] == 6 * _attempts(traj) + 3
+    assert traj.stats["fevals"] == ref.fevals - (len(controls.samples) - 1)
+
+
+def test_control_switch_and_force_breakpoint_take_a_fresh_first_stage():
+    p = nominal_params()
+    samples = np.tile([6.0, -10.0, 6.0], (30, 1))
+    samples[15:] = [-4.0, 8.0, 2.0]
+    switched = ControlSequence(t0=0.0, dt=0.01, samples=samples)
+    traj = simulate_robot(p, RobotState.rest(), switched)
+    states, derivs, _ = _recomputing_rollout(p, switched)
+    assert (traj.states == states).all() and (traj.derivs == derivs).all()
+    assert traj.stats["fevals"] == 6 * _attempts(traj) + 4
+
+    # a pulse switched on and off on the hold grid, torques unchanged there
+    controls = chassis_controls(duration=0.3)
+    on, off = controls.boundaries[10], controls.boundaries[20]
+
+    def push(t):
+        return (30.0, -20.0) if on <= t < off else None
+
+    traj = simulate_robot(
+        p, RobotState.rest(), controls, pivot_force_fn=push, breakpoints=(on, off)
+    )
+    states, derivs, _ = _recomputing_rollout(p, controls, pivot_force_fn=push)
+    assert (traj.states == states).all() and (traj.derivs == derivs).all()
+    assert traj.stats["fevals"] == 6 * _attempts(traj) + 5
+
+
+def test_holds_compare_bit_for_bit():
+    # at rest, a -0.0 torque gives a -0.0 acceleration: equal to 0.0 as a
+    # number, but a different hold, so its first stage is evaluated afresh
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=[[0.0]] * 5 + [[-0.0]] * 5)
+    traj = simulate_shaft(1.0, 0.5, controls)
+    assert math.copysign(1.0, traj.derivs[4, 1]) == 1.0
+    assert math.copysign(1.0, traj.derivs[5, 1]) == -1.0
+
+
 def test_csv_round_trip(tmp_path):
     p = nominal_params()
     traj = simulate_robot(p, RobotState.rest(), chassis_controls(duration=0.3))
@@ -145,6 +229,24 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.controls, traj.controls)
     with pytest.raises(ValueError, match="derivative"):
         back.accelerations
+
+
+def test_csv_bytes(tmp_path):
+    # trajectory files keep the csv module's CRLF line ends, other tables
+    # end lines as asked; every double is spelled by repr
+    p = nominal_params()
+    traj = simulate_robot(p, RobotState.rest(), chassis_controls(duration=0.05))
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path)
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for k in range(len(traj.times)):
+        writer.writerow([repr(float(v)) for v in (traj.times[k], *traj.states[k], *traj.controls[k])])
+    assert path.read_bytes() == ref.getvalue().encode()
+
+    write_csv(path, ["a", "b"], [np.array([0.1, -0.0]), np.array([[1e300], [np.inf]])])
+    assert path.read_bytes() == b"a,b\n0.1,1e+300\n-0.0,inf\n"
 
 
 def test_csv_rejects_foreign_schema(tmp_path):
