@@ -26,7 +26,6 @@ from .control import (
     open_loop_replay,
     torque_feasibility,
     track_planned_trajectory,
-    transient_metrics,
     tune_gains,
 )
 from .identify import (
@@ -46,11 +45,9 @@ from .identify import (
     _predict_outputs,
 )
 from .integrator import IntegrationError, IntegratorOptions
-from .params import RobotParams, load_params, nominal_params
+from .params import load_params, nominal_params, read_kv
 from .scenarios import (
-    BUNDLED_SCENARIOS,
     ConfigError,
-    ScenarioConfig,
     _bundle_dir,
     ensure_plan,
     load_scenario,
@@ -70,6 +67,11 @@ from .simulate import (
 )
 
 
+# keys a --guess file may set: the initial guesses of steps 1 and 2, and the
+# relative deviation of the step-3 guess from the truth
+GUESS_KEYS = (*BASIC_GUESS, *CHASSIS_GUESS, "deviation")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -80,16 +82,38 @@ class _Run:
     def __init__(self, command: str, out_dir: Path, options: IntegratorOptions | None = None):
         self.command = command
         self.out = out_dir
-        self.out.mkdir(parents=True, exist_ok=True)
         self.options = options or IntegratorOptions()
         self.configs: list[Path] = []
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         self.t0 = time.perf_counter()
 
+    def config(self, path: str | Path | None, reader, default):
+        """``reader(path)`` of a file named on the command line, or ``default``.
+
+        The file is recorded for the manifest; a missing or malformed file
+        is a configuration error.
+        """
+        if path is None:
+            return default
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"file not found: {p}")
+        try:
+            value = reader(p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        self.configs.append(p)
+        return value
+
+    def directory(self) -> Path:
+        """The output directory, created on first use so a rejected run leaves none."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out
+
     def emit(self, name: str) -> Path:
         self.files.append(name)
-        return self.out / name
+        return self.directory() / name
 
     def finish(self) -> None:
         payload = {
@@ -137,40 +161,6 @@ def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
     return cfg_seed
 
 
-def _load_params_arg(path: str | None, fallback: RobotParams) -> tuple[RobotParams, Path | None]:
-    if path is None:
-        return fallback, None
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"params file not found: {p}")
-    try:
-        return load_params(p), p
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _load_kv(path: str | None) -> tuple[dict[str, float], Path | None]:
-    """Flat key = value file into a dict (used for guess and gains files)."""
-    if path is None:
-        return {}, None
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"file not found: {p}")
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, text = line.partition("=")
-        try:
-            values[key.strip()] = float(text.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{p}:{lineno}: not a number: {text.strip()!r}") from exc
-    return values, p
-
-
 def _write_sensor_csv(run: _Run, name: str, record) -> None:
     vals = np.atleast_2d(record.values.T).T
     if record.kind == "imu":
@@ -197,9 +187,7 @@ def _cmd_simulate(args) -> int:
     if args.scenario:
         cfg = load_scenario(args.scenario)
         run.configs.append(cfg.path)
-        params, pfile = _load_params_arg(args.params, cfg.params)
-        if pfile:
-            run.configs.append(pfile)
+        params = run.config(args.params, load_params, cfg.params)
         seed = _resolve_seed(args.seed, cfg.seed)
         run.seeds["scenario"] = seed
 
@@ -231,9 +219,7 @@ def _cmd_simulate(args) -> int:
                 f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the control subcommand"
             )
     else:
-        params, pfile = _load_params_arg(args.params, nominal_params())
-        if pfile:
-            run.configs.append(pfile)
+        params = run.config(args.params, load_params, nominal_params())
         controls = ControlSequence.constant(torques, args.duration, args.rate)
         grid = np.arange(int(round(args.duration * args.rate)) + 1) / args.rate
         from .dynamics import RobotState
@@ -280,14 +266,14 @@ def _fit_data_csv(run: _Run, name: str, candidate: dict, fixed, exp) -> None:
 
 
 def _cmd_identify(args) -> int:
-    out = Path(args.out)
-    run = _Run("identify", out)
-    params, pfile = _load_params_arg(args.params, nominal_params())
-    if pfile:
-        run.configs.append(pfile)
-    guesses, gfile = _load_kv(args.guess)
-    if gfile:
-        run.configs.append(gfile)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
+    if args.sweep < 0:
+        raise ConfigError(f"--sweep must be a non-negative integer, got {args.sweep}")
+    _check_number("--window", args.window)
+    run = _Run("identify", Path(args.out))
+    params = run.config(args.params, load_params, nominal_params())
+    guesses = run.config(args.guess, lambda p: read_kv(p, GUESS_KEYS), {})
     seed = _resolve_seed(args.seed)
     run.seeds["base"] = seed
     options = FitOptions(jobs=args.jobs)
@@ -422,17 +408,22 @@ def _cmd_control(args) -> int:
     run = _Run("control", out)
     cfg = load_scenario(args.scenario if args.scenario != "plan" else "plan-tracking")
     run.configs.append(cfg.path)
-    params, pfile = _load_params_arg(args.params, cfg.params)
-    if pfile:
-        run.configs.append(pfile)
-    gains_kv, gfile = _load_kv(args.gains)
-    if gfile:
-        run.configs.append(gfile)
+    if cfg.mode not in ("controller", "plan"):
+        raise ConfigError(
+            f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the simulate subcommand"
+        )
+    params = run.config(args.params, load_params, cfg.params)
+    gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",)), {})
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
     rate = cfg.loop_rate if args.rate is None else args.rate
     seed = _resolve_seed(args.seed, cfg.seed)
     run.seeds["scenario"] = seed
+    if cfg.mode == "plan":
+        plan_path = Path(args.plan) if args.plan else ensure_plan(cfg, run.directory())
+        plan = run.config(plan_path, trajectory_from_csv, None)
+        if plan_path.parent == out and plan_path.name not in run.files:
+            run.files.append(plan_path.name)
 
     with open(run.emit("report.txt"), "w") as fh:
         fh.write(f"scenario = {cfg.name}\n")
@@ -453,17 +444,7 @@ def _cmd_control(args) -> int:
             fh.write(f"peak_alpha_error = {format_float(np.abs(result.e_p[:, 2]).max())}\n")
             fh.write(f"feasible = {feas.ok}\n")
             fh.write(f"feasibility_margin = {format_float(feas.worst_margin)}\n")
-        elif cfg.mode == "plan":
-            plan_path = Path(args.plan) if args.plan else ensure_plan(cfg, out)
-            if args.plan and not plan_path.exists():
-                raise ConfigError(f"plan file not found: {plan_path}")
-            run.configs.append(plan_path)
-            if plan_path.parent == out and plan_path.name not in run.files:
-                run.files.append(plan_path.name)
-            try:
-                plan = trajectory_from_csv(plan_path)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        else:
             result = track_planned_trajectory(params, plan, gains, control_rate=rate)
             _write_tracking_outputs(run, result)
             replay = open_loop_replay(params, plan)
@@ -473,10 +454,6 @@ def _cmd_control(args) -> int:
             fh.write(f"open_loop_drift_max = {format_float(drift.max())}\n")
             fh.write(f"open_loop_drift_final = {format_float(drift[-1])}\n")
             fh.write(f"closed_loop_position_error_max = {format_float(ep.max())}\n")
-        else:
-            raise ConfigError(
-                f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the simulate subcommand"
-            )
 
     run.finish()
     return 0
@@ -490,9 +467,7 @@ def _cmd_check_torques(args) -> int:
     run.configs.append(cfg.path)
     if cfg.mode != "controller":
         raise ConfigError(f"check-torques needs a controller scenario, got {cfg.mode!r}")
-    params, pfile = _load_params_arg(args.params, cfg.params)
-    if pfile:
-        run.configs.append(pfile)
+    params = run.config(args.params, load_params, cfg.params)
     gains = tune_gains(cfg.t_stab)
     bounds = TorqueBounds.symmetric(torque=args.limit)
     ref = make_reference(cfg.reference)

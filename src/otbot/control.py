@@ -14,13 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotState, state_derivative, task_space_model
-from .integrator import IntegratorOptions, IntegratorStats, advance_segment
+from .dynamics import RobotState, task_space_model
+from .integrator import IntegratorOptions
 from .interval import Interval, matvec
 from .model import fik_matrix, iik_matrix
 from .params import RobotParams
 from .references import PlanReference, ReferenceTrajectory
-from .simulate import ControlSequence, SimTrajectory, simulate_robot
+from .simulate import (  # the disturbance types are re-exported from here
+    ControlSequence,
+    DisturbanceSchedule,
+    FeedbackLaw,
+    ForcePulse,
+    SimTrajectory,
+    simulate_robot,
+)
 
 DEFAULT_TORQUE_LIMIT = 50.0
 
@@ -109,37 +116,6 @@ def computed_torque(
     return ControlInput(u=u_traj + u_corr, u_traj=u_traj, u_corr=u_corr)
 
 
-@dataclass(frozen=True)
-class ForcePulse:
-    """Planar force on the pivot over the half-open window [t_on, t_off)."""
-
-    t_on: float
-    t_off: float
-    fx: float = 0.0
-    fy: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.t_off > self.t_on:
-            raise ValueError("pulse must have positive duration")
-
-
-@dataclass(frozen=True)
-class DisturbanceSchedule:
-    pulses: tuple[ForcePulse, ...] = ()
-
-    def force_at(self, t: float) -> np.ndarray:
-        f = np.zeros(2)
-        for pulse in self.pulses:
-            if pulse.t_on <= t < pulse.t_off:
-                f[0] += pulse.fx
-                f[1] += pulse.fy
-        return f
-
-    def edges(self) -> list[float]:
-        times = {p.t_on for p in self.pulses} | {p.t_off for p in self.pulses}
-        return sorted(times)
-
-
 @dataclass
 class TrackingResult:
     """Closed-loop (or feedforward) run sampled on the control grid."""
@@ -154,96 +130,11 @@ class TrackingResult:
     u_corr: np.ndarray
 
 
-def _run_tracking(
-    params: RobotParams,
-    x0: np.ndarray,
-    ref: ReferenceTrajectory,
-    gains: Gains | None,
-    control_rate: float,
-    schedule: DisturbanceSchedule,
-    t_end: float,
-    options: IntegratorOptions,
-    velocity_from_wheels: bool,
-) -> TrackingResult:
-    dt = 1.0 / control_rate
-    n = int(round(t_end * control_rate))
-    if not math.isclose(n * dt, t_end, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError("t_end must be a whole number of control periods")
-    edges = schedule.edges()
-
-    times = dt * np.arange(n + 1)
-    states = np.empty((n + 1, 12))
-    controls = np.empty((n + 1, 3))
-    derivs = np.empty((n + 1, 12))
-    p_ref = np.empty((n + 1, 3))
-    v_ref = np.empty((n + 1, 3))
-    a_ref = np.empty((n + 1, 3))
-    u_traj = np.empty((n + 1, 3))
-    u_corr = np.empty((n + 1, 3))
-
-    stats = IntegratorStats()
-    x = np.asarray(x0, dtype=float).copy()
-    h_carry = options.first_step
-    for k in range(n + 1):
-        t_k = float(times[k])
-        sample = ref.sample(t_k)
-        command = computed_torque(
-            params, RobotState(q=x[:6], dq=x[6:]), sample, gains, velocity_from_wheels
-        )
-        states[k] = x
-        controls[k] = command.u
-        p_ref[k], v_ref[k], a_ref[k] = sample
-        u_traj[k] = command.u_traj
-        u_corr[k] = command.u_corr
-        u = command.u.tolist()
-        force = schedule.force_at(t_k)
-        dx = state_derivative(params, x, u, pivot_force=force.tolist() if force.any() else None)
-        derivs[k] = dx
-        stats.fevals += 1
-        if k == n:
-            break
-
-        # honour disturbance switches that fall inside the control period
-        t_next = float(times[k + 1])
-        stops = [t for t in edges if t_k < t < t_next]
-        stops.append(t_next)
-        t_seg = t_k
-        # the sample-instant derivative is the first segment's k1: same rhs,
-        # same state, same force
-        k1 = dx
-        for t_stop in stops:
-            f_seg = schedule.force_at(t_seg)
-            fv = f_seg.tolist() if f_seg.any() else None
-
-            def rhs(t, y, u=u, fv=fv):
-                return state_derivative(params, y, u, pivot_force=fv)
-
-            x, _, h_carry = advance_segment(
-                rhs, t_seg, t_stop, x, options, stats, h_start=h_carry, k1=k1
-            )
-            t_seg = t_stop
-            k1 = None
-
-    traj = SimTrajectory(
-        times=times, states=states, controls=controls, derivs=derivs, stats=stats.as_dict()
-    )
-    return TrackingResult(
-        trajectory=traj,
-        p_ref=p_ref,
-        v_ref=v_ref,
-        a_ref=a_ref,
-        e_p=states[:, 0:3] - p_ref,
-        e_v=states[:, 6:9] - v_ref,
-        u_traj=u_traj,
-        u_corr=u_corr,
-    )
-
-
 def closed_loop_simulate(
     params: RobotParams,
     state0: RobotState | np.ndarray,
     ref: ReferenceTrajectory,
-    gains: Gains,
+    gains: Gains | None,
     control_rate: float = 1000.0,
     disturbances: DisturbanceSchedule | None = None,
     t_end: float | None = None,
@@ -252,21 +143,49 @@ def closed_loop_simulate(
 ) -> TrackingResult:
     """Track ``ref`` with the computed-torque law under zero-order hold.
 
-    The torque updates at ``control_rate``; disturbance pulses act as planar
-    forces on the pivot and their switching instants are integration
-    breakpoints, never stepped across.
+    The torque updates at ``control_rate`` from the state at each update;
+    ``gains=None`` applies the trajectory part alone (pure feedforward).
+    Disturbance pulses act as planar forces on the pivot and their
+    switching instants are integration breakpoints, never stepped across.
     """
-    x0 = state0.as_vector() if isinstance(state0, RobotState) else np.asarray(state0, dtype=float)
-    return _run_tracking(
+    t_end = ref.horizon if t_end is None else float(t_end)
+    dt = 1.0 / control_rate
+    n = int(round(t_end * control_rate))
+    if not math.isclose(n * dt, t_end, rel_tol=0.0, abs_tol=1e-9):
+        raise ValueError("t_end must be a whole number of control periods")
+    p_ref, v_ref, a_ref, u_traj, u_corr = (np.empty((n + 1, 3)) for _ in range(5))
+    k = 0
+
+    def law(t, x):
+        nonlocal k
+        sample = ref.sample(t)
+        command = computed_torque(
+            params, RobotState(q=x[:6], dq=x[6:]), sample, gains, velocity_from_wheels
+        )
+        p_ref[k], v_ref[k], a_ref[k] = sample
+        u_traj[k] = command.u_traj
+        u_corr[k] = command.u_corr
+        k += 1
+        return command.u
+
+    if not isinstance(state0, RobotState):
+        state0 = RobotState.from_vector(state0)
+    traj = simulate_robot(
         params,
-        x0,
-        ref,
-        gains,
-        control_rate,
-        disturbances or DisturbanceSchedule(),
-        ref.horizon if t_end is None else float(t_end),
-        options or IntegratorOptions(),
-        velocity_from_wheels,
+        state0,
+        FeedbackLaw(dt * np.arange(n + 1), law),
+        disturbances=disturbances,
+        options=options,
+    )
+    return TrackingResult(
+        trajectory=traj,
+        p_ref=p_ref,
+        v_ref=v_ref,
+        a_ref=a_ref,
+        e_p=traj.states[:, 0:3] - p_ref,
+        e_v=traj.states[:, 6:9] - v_ref,
+        u_traj=u_traj,
+        u_corr=u_corr,
     )
 
 
@@ -294,16 +213,8 @@ def feedforward_rollout(
     nominal run the feasibility check linearises about.
     """
     state0 = x0 if x0 is not None else reference_start_state(params, ref)
-    return _run_tracking(
-        params,
-        state0.as_vector(),
-        ref,
-        None,
-        rate,
-        DisturbanceSchedule(),
-        ref.horizon if t_end is None else float(t_end),
-        options or IntegratorOptions(),
-        False,
+    return closed_loop_simulate(
+        params, state0, ref, None, control_rate=rate, t_end=t_end, options=options
     )
 
 

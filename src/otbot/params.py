@@ -103,12 +103,12 @@ def frictionless(params: RobotParams) -> RobotParams:
     return params.replace(bw=0.0, bp=0.0)
 
 
-def load_params(path: str | Path) -> RobotParams:
-    """Read a flat ``key = value`` parameter file.
+def read_kv(path: str | Path, keys) -> dict[str, float]:
+    """Read a flat ``key = value`` file of finite numbers.
 
-    Blank lines and ``#`` comments are ignored. Every robot parameter must be
-    present exactly once; unknown keys are an error so typos do not silently
-    fall back to defaults.
+    Blank lines and ``#`` comments are ignored. Every key must be one of
+    ``keys`` and appear at most once, so a typo cannot silently fall back to
+    a default; errors name the file and line.
     """
     path = Path(path)
     values: dict[str, float] = {}
@@ -116,22 +116,33 @@ def load_params(path: str | Path) -> RobotParams:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        if key not in PARAM_FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r} (expected one of {', '.join(keys)})")
         if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate parameter {key!r}")
+            raise ValueError(f"{where}: duplicate key {key!r}")
         try:
-            values[key] = float(text.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {text.strip()!r}") from exc
+            values[key] = float(text)
+        except ValueError:
+            raise ValueError(f"{where}: {key} is not a number: {text!r}") from None
+        if not math.isfinite(values[key]):
+            raise ValueError(f"{where}: {key} must be finite, got {text!r}")
+    return values
+
+
+def load_params(path: str | Path) -> RobotParams:
+    """Read a parameter file (see :func:`read_kv`) holding every robot parameter."""
+    values = read_kv(path, PARAM_FIELDS)
     missing = [name for name in PARAM_FIELDS if name not in values]
     if missing:
         raise ValueError(f"{path}: missing parameters: {', '.join(missing)}")
-    return RobotParams(**values)
+    try:
+        return RobotParams(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_params(params: RobotParams, path: str | Path) -> None:

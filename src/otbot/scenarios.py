@@ -14,13 +14,11 @@ Bundled scenarios live next to this module and are addressed by name.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .control import DisturbanceSchedule, ForcePulse
 from .dynamics import RobotState, admissible_state, inverse_dynamics, admissible_acceleration
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
@@ -31,7 +29,7 @@ from .references import (
     HarmonicReference,
     ReferenceTrajectory,
 )
-from .simulate import SimTrajectory, trajectory_to_csv
+from .simulate import DisturbanceSchedule, ForcePulse, SimTrajectory, trajectory_to_csv
 
 BUNDLED_SCENARIOS = (
     "wheel-spin",

@@ -1,13 +1,14 @@
-"""Open-loop simulation driver and trajectory containers.
+"""The rollout engine: the robot (or a shaft) integrated under held inputs.
 
-Torques are zero-order held on a uniform grid. The integrator is never
-allowed to step across a hold boundary, an output sample time or any extra
-breakpoint the caller supplies (disturbance on/off edges), so every recorded
-sample is an exact step endpoint and no dense-output interpolation is needed.
+Inputs are zero-order held. They come either from a torque sequence (open
+loop) or from a feedback law evaluated at each control instant (closed
+loop). The integrator is never allowed to step across a hold boundary, an
+output sample time or a disturbance on/off edge, so every recorded sample is
+an exact step endpoint and no dense-output interpolation is needed.
 
 Recorded derivatives follow the right-continuous convention: the derivative
-stored at a grid time is evaluated with the control sample that starts there
-(the final sample uses the last control, held).
+stored at a grid time is evaluated with the input and the pivot force that
+start there (the final sample uses the input held at the end).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -68,9 +70,59 @@ class ControlSequence:
     def end_time(self) -> float:
         return self.t0 + self.dt * len(self.samples)
 
-    def value_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.boundaries, t, side="right")) - 1
-        return self.samples[min(max(idx, 0), len(self.samples) - 1)]
+
+@dataclass(frozen=True)
+class FeedbackLaw:
+    """Input computed from the state: ``law(t, x)`` at each of ``boundaries``.
+
+    ``x`` is the state as an ndarray and the law returns the input as an
+    ndarray, held until the next instant. It is called once per instant, in
+    time order, the last instant included.
+    """
+
+    boundaries: np.ndarray
+    law: Callable[[float, np.ndarray], np.ndarray]
+
+    @property
+    def t0(self) -> float:
+        return float(self.boundaries[0])
+
+    @property
+    def end_time(self) -> float:
+        return float(self.boundaries[-1])
+
+
+@dataclass(frozen=True)
+class ForcePulse:
+    """Planar force on the pivot over the half-open window [t_on, t_off)."""
+
+    t_on: float
+    t_off: float
+    fx: float = 0.0
+    fy: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.t_off > self.t_on:
+            raise ValueError("pulse must have positive duration")
+
+
+@dataclass(frozen=True)
+class DisturbanceSchedule:
+    """External pivot forces: the sum of the pulses active at a time."""
+
+    pulses: tuple[ForcePulse, ...] = ()
+
+    def force_at(self, t: float) -> np.ndarray:
+        f = np.zeros(2)
+        for pulse in self.pulses:
+            if pulse.t_on <= t < pulse.t_off:
+                f[0] += pulse.fx
+                f[1] += pulse.fy
+        return f
+
+    def edges(self) -> list[float]:
+        times = {p.t_on for p in self.pulses} | {p.t_off for p in self.pulses}
+        return sorted(times)
 
 
 @dataclass
@@ -112,53 +164,60 @@ class SimTrajectory:
 _EVENT_MERGE_TOL = 1e-9
 
 
-def _event_times(t0: float, t_end: float, controls: ControlSequence, output_times, breakpoints, out_set):
-    """Sorted, merged step boundaries and, per boundary, whether a breakpoint lies on it."""
+def _event_times(t0: float, t_end: float, output_times, instants, edges):
+    """Sorted, merged step boundaries as an array and, per boundary, whether
+    an output time, a control instant and a disturbance edge lie on it."""
     lo, hi = t0 - _EVENT_MERGE_TOL, t_end + _EVENT_MERGE_TOL
-    breaks = {float(t) for t in breakpoints if lo < t < hi}
-    events = {float(t0), float(t_end)} | breaks
-    for group in (controls.boundaries, output_times):
-        events.update(t for t in group.tolist() if lo < t < hi)
-    raw = sorted(events)
-    merged, on_break = [raw[0]], [raw[0] in breaks]
-    for t in raw[1:]:
-        if t - merged[-1] <= _EVENT_MERGE_TOL:
-            # keep the output-grid spelling so requested samples match exactly
-            if t in out_set and merged[-1] not in out_set:
-                merged[-1] = t
-            on_break[-1] = on_break[-1] or t in breaks
-        else:
-            merged.append(t)
-            on_break.append(t in breaks)
-    return merged, on_break
+    groups = [g[(g > lo) & (g < hi)] for g in (output_times, instants, np.array(edges, float))]
+    raw = np.unique(np.concatenate([[t0, t_end], *groups]))
+    marks = []
+    for g in groups:
+        marks.append(np.zeros(len(raw), dtype=bool))
+        marks[-1][np.searchsorted(raw, g)] = True
+    # a boundary starts wherever the gap to the previous time exceeds the tolerance
+    starts = np.flatnonzero(np.diff(raw, prepend=-np.inf) > _EVENT_MERGE_TOL)
+    events = raw[starts]
+    # keep the output-grid spelling so requested samples match exactly
+    outs = np.flatnonzero(marks[0])
+    merged, first = np.unique(np.searchsorted(starts, outs, side="right") - 1, return_index=True)
+    events[merged] = raw[outs[first]]
+    flags = (np.logical_or.reduceat(m, starts) for m in marks)
+    return events, *flags
 
 
 def integrate(
-    model_fn,
+    model,
     x0,
     t_span,
-    controls: ControlSequence,
+    controls: ControlSequence | FeedbackLaw,
     options: IntegratorOptions | None = None,
     output_times=None,
-    breakpoints=(),
+    disturbances: DisturbanceSchedule | None = None,
 ) -> SimTrajectory:
-    """Adaptively integrate dx/dt = model_fn(t, x, u(t)) over t_span.
+    """Adaptively integrate dx/dt = f(t, x) under held inputs over t_span.
 
-    ``model_fn`` follows the integrator's rhs contract: ``t`` a float, ``x``
-    and ``u`` lists of floats, a sequence of floats returned. It must be
-    autonomous between breakpoints: for a fixed ``u`` it may depend on ``t``
-    only through changes at the listed ``breakpoints``.
+    ``model(u, force)`` returns the rhs ``f(t, y)`` for a held input ``u``
+    and pivot force ``force``, both lists of floats; ``f`` follows the
+    integrator's contract (``t`` a float, ``y`` a list of floats, a sequence
+    of floats returned) and may not depend on ``t``. The input is a
+    ``ControlSequence`` row (open loop) or the value of a ``FeedbackLaw`` at
+    its latest instant (closed loop). The pivot force comes from
+    ``disturbances``, read once per segment, so it is constant over each
+    step; the model of a shaft ignores it.
 
     output_times defaults to the control grid covered by t_span (plus the
-    endpoints). All output times and breakpoints become hard step boundaries.
+    endpoints). Output times, control instants and disturbance edges all
+    become hard step boundaries.
 
     Each segment's first stage is the derivative at its start. When a
-    segment holds the same control floats as the one before it and no
-    breakpoint lies at its start, that derivative is the previous segment's
-    end derivative (same state, same rhs), so it is reused instead of being
-    evaluated again; the results are the same bits either way.
+    segment holds the same input bits as the one before it and no
+    disturbance edge lies at its start, that derivative is the previous
+    segment's end derivative (same state, same rhs), so it is reused instead
+    of being evaluated again; the results are the same bits either way. The
+    derivative recorded at the end follows the same rule.
     """
     opts = options or IntegratorOptions()
+    schedule = disturbances or DisturbanceSchedule()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not t_end > t0:
         raise ValueError(f"empty time span {t_span}")
@@ -170,96 +229,89 @@ def integrate(
         if output_times[0] < t0 - _EVENT_MERGE_TOL or output_times[-1] > t_end + _EVENT_MERGE_TOL:
             raise ValueError("output times fall outside the integration span")
 
-    out_set = set(output_times.tolist())
-    events, on_break = _event_times(t0, t_end, controls, output_times, breakpoints, out_set)
-
-    # sample at the segment midpoints: boundaries merged onto a nearby output
-    # time could otherwise pick the neighbouring interval's value
-    bounds = np.array(events)
-    idx = np.searchsorted(controls.boundaries, 0.5 * (bounds[:-1] + bounds[1:]), side="right") - 1
-    held = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)]
-    # compared bit for bit, so that 0.0 and -0.0 count as different holds
-    bits = held.view(np.int64)
-    new_k1 = [True] + [
-        changed or brk
-        for changed, brk in zip((bits[1:] != bits[:-1]).any(axis=1).tolist(), on_break[1:])
-    ]
+    events, on_out, on_start, on_break = _event_times(
+        t0, t_end, output_times, controls.boundaries, schedule.edges()
+    )
+    # inputs and forces are read inside each segment (and at the end):
+    # boundaries merged onto a nearby output time could otherwise pick the
+    # neighbouring interval's value
+    inside = np.append(0.5 * (events[:-1] + events[1:]), events[-1])
+    if isinstance(controls, FeedbackLaw):
+        held = None
+        on_start[0] = True
+    else:
+        idx = np.searchsorted(controls.boundaries, inside, side="right") - 1
+        held = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)]
 
     x = np.asarray(x0, dtype=float).copy()
+    times = events[on_out]
+    states = np.empty((len(times), len(x)))
+    derivs = np.empty_like(states)
+    inputs = None
     stats = IntegratorStats()
     h = opts.first_step
-    times, states, derivs, us = [], [], [], []
-
-    for seg, (ta, tb) in enumerate(zip(events, events[1:])):
-        u = held[seg]
-        if new_k1[seg]:
-            u_floats = u.tolist()
-
-            def f(t, y, _u=u_floats):
-                return model_fn(t, y, _u)
-
-            k1 = f(ta, x.tolist())
+    last_bits = None
+    row = 0
+    # the flags are iterated as arrays and the times converted one at a
+    # time, so no per-event Python objects outlive their event
+    for i, (t, out, start, brk) in enumerate(zip(map(float, events), on_out, on_start, on_break)):
+        if i:
+            x, k1, h = advance_segment(f, t_prev, t, x, opts, stats, h_start=h, k1=k1)
+        if held is not None:
+            u = held[i]
+        elif start:
+            u = np.asarray(controls.law(t, x), dtype=float)
+        # compared bit for bit, so that 0.0 and -0.0 count as different holds
+        bits = u.tobytes()
+        if bits != last_bits or brk:
+            f = model(u.tolist(), schedule.force_at(inside[i]).tolist())
+            k1 = f(t, x.tolist())
             stats.fevals += 1
-        if ta in out_set:
-            times.append(ta)
-            states.append(x)
-            derivs.append(np.array(k1))
-            us.append(u)
-        x, k1, h = advance_segment(f, ta, tb, x, opts, stats, h_start=h, k1=k1)
+            last_bits = bits
+        if out:
+            if inputs is None:
+                inputs = np.empty((len(times), len(u)))
+            states[row] = x
+            derivs[row] = k1
+            inputs[row] = u
+            row += 1
+        t_prev = t
 
-    t_end = events[-1]
-    u_end = controls.value_at(t_end)
-    k_end = model_fn(t_end, x.tolist(), u_end.tolist())
-    stats.fevals += 1
-    times.append(t_end)
-    states.append(x)
-    derivs.append(np.array(k_end))
-    us.append(u_end)
-
-    keep = np.isin(np.array(times), output_times)
-    times_arr = np.array(times)[keep]
     return SimTrajectory(
-        times=times_arr,
-        states=np.array(states)[keep],
-        controls=np.array(us)[keep],
-        derivs=np.array(derivs)[keep],
-        stats=stats.as_dict(),
+        times=times, states=states, controls=inputs, derivs=derivs, stats=stats.as_dict()
     )
 
 
 def simulate_robot(
     params: RobotParams,
     state0: RobotState,
-    controls: ControlSequence,
+    controls: ControlSequence | FeedbackLaw,
     t_end: float | None = None,
-    pivot_force_fn=None,
-    breakpoints=(),
+    disturbances: DisturbanceSchedule | None = None,
     options: IntegratorOptions | None = None,
     output_times=None,
 ) -> SimTrajectory:
-    """Open-loop robot rollout under a held torque sequence.
+    """Robot rollout under held torques, from a sequence or a feedback law.
 
-    ``pivot_force_fn(t) -> (fx, fy) | None`` models an external force on the
-    pivot; it must be constant between the instants listed in
-    ``breakpoints`` (the contract of :func:`integrate`).
+    ``disturbances`` is a schedule of planar force pulses on the pivot; each
+    pulse edge is a step boundary, and the force is read once per segment
+    (see :func:`integrate`).
     """
-    t_end = controls.end_time if t_end is None else t_end
 
-    if pivot_force_fn is None:
-        def model_fn(t, x, u):
-            return state_derivative(params, x, u)
-    else:
-        def model_fn(t, x, u):
-            return state_derivative(params, x, u, pivot_force=pivot_force_fn(t))
+    def model(u, force):
+        def f(t, y):
+            return state_derivative(params, y, u, force)
+
+        return f
 
     return integrate(
-        model_fn,
+        model,
         state0.as_vector(),
-        (controls.t0, t_end),
+        (controls.t0, controls.end_time if t_end is None else t_end),
         controls,
         options=options,
         output_times=output_times,
-        breakpoints=breakpoints,
+        disturbances=disturbances,
     )
 
 
@@ -280,11 +332,16 @@ def simulate_shaft(
     # the fitter hands in numpy scalars; float arithmetic keeps the stages floats
     inertia, damping = float(inertia), float(damping)
 
-    def model_fn(t, x, u):
-        return shaft_derivative(inertia, damping, x, u[0])
+    def model(u, force):
+        torque = u[0]
+
+        def f(t, y):
+            return shaft_derivative(inertia, damping, y, torque)
+
+        return f
 
     return integrate(
-        model_fn,
+        model,
         np.zeros(2),
         (controls.t0, t_end if t_end is not None else controls.end_time),
         controls,

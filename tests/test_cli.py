@@ -15,6 +15,7 @@ import pytest
 import otbot
 from otbot import __version__
 from otbot.cli import main
+from otbot.params import nominal_params, save_params
 from otbot.simulate import trajectory_from_csv
 
 MANIFEST_KEYS = {
@@ -152,6 +153,7 @@ class TestSimulate:
     def test_unknown_scenario_names_the_alternatives(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "spiral", "--out", str(tmp_path / "x")]) == 2
         assert "wheel-spin" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_params_file_names_the_path(self, tmp_path, capsys):
         code = main(
@@ -160,6 +162,21 @@ class TestSimulate:
         )
         assert code == 2
         assert "nope.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_nonphysical_params_file_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "heavy.cfg"
+        save_params(nominal_params(), bad)
+        bad.write_text(bad.read_text().replace("mc = 109.14", "mc = -5.0"))
+        code = main(
+            ["simulate", "--scenario", "wheel-spin", "--params", str(bad),
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}: mc must be positive, got -5.0" in err
+        assert not (tmp_path / "x").exists()
 
     def test_controller_scenario_is_redirected(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "corridor", "--out", str(tmp_path / "x")]) == 2
@@ -204,6 +221,38 @@ class TestIdentify:
         assert main(["identify", "--guess", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, body, message",
+        [
+            ("identify", "--guess", "Ia = 0.02\nIa = 0.03\n", "keys.cfg:2: duplicate key 'Ia'"),
+            ("identify", "--guess", "Ia = 0.02\nmcc = 5\n", "keys.cfg:2: unknown key 'mcc'"),
+            ("control", "--gains", "t_stab = 2\nkp = 9\n", "keys.cfg:2: unknown key 'kp'"),
+            ("control", "--gains", "t_stab = 2\nt_stab = 3\n", "keys.cfg:2: duplicate key 't_stab'"),
+        ],
+        ids=["guess-duplicate", "guess-unknown", "gains-unknown", "gains-duplicate"],
+    )
+    def test_key_files_reject_duplicate_and_unknown_keys(
+        self, tmp_path, capsys, command, flag, body, message
+    ):
+        bad = tmp_path / "keys.cfg"
+        bad.write_text(body)
+        out = tmp_path / "x"
+        argv = [command, flag, str(bad), "--out", str(out)]
+        if command == "control":
+            argv += ["--scenario", "corridor"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def test_guess_file_takes_the_keys_of_every_step(self, tmp_path):
+        guess = tmp_path / "guess.cfg"
+        guess.write_text("Ia = 0.02\nmc = 60\ndeviation = 0.1\n")
+        out = tmp_path / "id"
+        assert main(["identify", "--step", "1", "--guess", str(guess), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "estimates.csv").read_text().splitlines()]
+        assert rows[1][:3] == ["step1", "Ia", "0.02"]
+
 
 class TestControl:
     def test_plan_scenario_reports_drift_and_tracking(self, tmp_path):
@@ -237,6 +286,7 @@ class TestControl:
         )
         assert code == 2
         assert "ghost.csv" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_shaft_scenario_is_redirected(self, tmp_path, capsys):
         assert main(["control", "--scenario", "wheel-spin", "--out", str(tmp_path / "x")]) == 2
@@ -270,9 +320,14 @@ class TestBadNumericFlags:
             (["simulate", "--torques", "1,2,3", "--duration", "-1"], "--duration"),
             (["check-torques", "--scenario", "figure8", "--limit", "-5"], "--limit"),
             (["control", "--scenario", "corridor", "--rate", "-100"], "--rate"),
+            (["identify", "--jobs", "0"], "--jobs"),
+            (["identify", "--jobs", "-3"], "--jobs"),
+            (["identify", "--sweep", "-1"], "--sweep"),
+            (["identify", "--step", "3", "--window", "0"], "--window"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
-             "negative-control-rate"],
+             "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
+             "zero-window"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "run"

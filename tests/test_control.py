@@ -27,6 +27,7 @@ from otbot.integrator import IntegratorOptions
 from otbot.interval import Interval
 from otbot.references import CorridorReference, HarmonicReference
 from otbot.scenarios import build_plan
+from otbot.simulate import ControlSequence, simulate_robot
 
 
 class TestGainTuning:
@@ -370,6 +371,25 @@ class TestTrackingLoop:
         n = len(res.trajectory.times) - 1
         assert (stats["accepted"], stats["rejected"]) == (n + 1 + 2, 0)
         assert stats["fevals"] == 7 * n + 1 + 1 + 6 + 2 * 7 == 1422
+
+    def test_open_loop_replay_of_the_recorded_torques_is_the_same_run(self, params):
+        # One engine and one pivot-force convention: replaying the torques a
+        # closed-loop run recorded, under the same pulse (switched on inside
+        # a control period), reproduces its states and derivatives bit for
+        # bit. Only the last derivative differs: the run evaluates the law
+        # once more at the end, the replay holds the last recorded torque.
+        pulse = DisturbanceSchedule((ForcePulse(0.0505, 0.1, fx=20.0, fy=-10.0),))
+        res = closed_loop_simulate(
+            params, RobotState.rest(), CorridorReference(), tune_gains(3.0),
+            control_rate=1000.0, t_end=0.2, disturbances=pulse,
+        )
+        run = res.trajectory
+        torques = ControlSequence(t0=0.0, dt=1.0 / 1000.0, samples=run.controls[:-1])
+        replay = simulate_robot(params, RobotState.rest(), torques, disturbances=pulse)
+        assert_array_equal(replay.times, run.times)
+        assert (replay.states == run.states).all()
+        assert (replay.derivs[:-1] == run.derivs[:-1]).all()
+        assert (replay.derivs[-1] != run.derivs[-1]).any()
 
     def test_feedforward_alone_drifts_but_stays_close(self, params):
         res = feedforward_rollout(params, HarmonicReference(), rate=100.0, t_end=2.0)

@@ -12,6 +12,8 @@ from otbot.params import nominal_params
 from otbot.simulate import (
     TRAJECTORY_COLUMNS,
     ControlSequence,
+    DisturbanceSchedule,
+    ForcePulse,
     simulate_robot,
     simulate_shaft,
     trajectory_from_csv,
@@ -28,10 +30,6 @@ def test_control_sequence_lookup():
     seq = ControlSequence(t0=0.25, dt=0.25, samples=[[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(seq.boundaries, [0.25, 0.5, 0.75])
     assert seq.end_time == pytest.approx(1.0)
-    assert seq.value_at(0.3)[0] == 1.0
-    assert seq.value_at(0.5)[0] == 2.0  # boundary belongs to the new hold
-    assert seq.value_at(0.0)[0] == 1.0  # clamped before t0
-    assert seq.value_at(9.0)[0] == 3.0  # clamped past the end
 
 
 def test_control_sequence_constant():
@@ -129,39 +127,36 @@ def test_rollout_preserves_constraints():
 def test_pivot_force_changes_the_motion():
     p = nominal_params()
     controls = ControlSequence.constant([0.0, 0.0, 0.0], duration=0.5, rate=100.0)
-
-    def push(t):
-        return (40.0, 0.0) if t < 0.25 else None
-
-    pushed = simulate_robot(p, RobotState.rest(), controls, pivot_force_fn=push, breakpoints=(0.25,))
+    push = DisturbanceSchedule((ForcePulse(0.0, 0.25, fx=40.0),))
+    pushed = simulate_robot(p, RobotState.rest(), controls, disturbances=push)
     assert pushed.states[-1][0] > 0.01  # picked up forward speed, then coasts
     assert constraint_violation(p, pushed.q[-1], pushed.dq[-1]) < 1e-9
 
 
-def _recomputing_rollout(p, controls, pivot_force_fn=None):
-    """integrate's loop without the first-stage reuse: f(ta, x) at every segment."""
+def _recomputing_rollout(p, controls, schedule=DisturbanceSchedule()):
+    """integrate's loop without the first-stage reuse: f(ta, x) at every hold.
+
+    Each hold reads its torques from its row and the pivot force at its start.
+    """
     opts, stats = IntegratorOptions(), IntegratorStats()
     events = controls.boundaries.tolist() + [controls.end_time]
     x, h = RobotState.rest().as_vector(), None
     states, derivs = [], []
 
-    def model_fn(t, y, u):
-        force = None if pivot_force_fn is None else pivot_force_fn(t)
-        return state_derivative(p, y, u, pivot_force=force)
+    def rhs(k, t):
+        u = controls.samples[k].tolist()
+        force = schedule.force_at(t).tolist()
+        return lambda t, y: state_derivative(p, y, u, pivot_force=force)
 
-    for ta, tb in zip(events, events[1:]):
-        u = controls.value_at(0.5 * (ta + tb)).tolist()
-
-        def f(t, y, _u=u):
-            return model_fn(t, y, _u)
-
+    for k, (ta, tb) in enumerate(zip(events, events[1:])):
+        f = rhs(k, ta)
         k1 = f(ta, x.tolist())
         stats.fevals += 1
         states.append(x)
         derivs.append(k1)
         x, _, h = advance_segment(f, ta, tb, x, opts, stats, h_start=h, k1=k1)
     states.append(x)
-    derivs.append(model_fn(events[-1], x.tolist(), controls.samples[-1].tolist()))
+    derivs.append(rhs(-1, events[-1])(events[-1], x.tolist()))
     stats.fevals += 1
     return np.array(states), np.array(derivs), stats
 
@@ -172,16 +167,16 @@ def _attempts(traj):
 
 def test_unchanged_holds_reuse_the_end_derivative_bit_for_bit():
     # Under a constant torque only the first segment evaluates its first
-    # stage: 6 fevals per attempt, plus the first stage, the step-size guess
-    # and the derivative recorded at the end.
+    # stage: 6 fevals per attempt, plus the first stage and the step-size
+    # guess; the derivative recorded at the end is the last segment's.
     p = nominal_params()
     controls = chassis_controls(duration=0.3)
     traj = simulate_robot(p, RobotState.rest(), controls)
     states, derivs, ref = _recomputing_rollout(p, controls)
     assert (traj.states == states).all()
     assert (traj.derivs == derivs).all()
-    assert traj.stats["fevals"] == 6 * _attempts(traj) + 3
-    assert traj.stats["fevals"] == ref.fevals - (len(controls.samples) - 1)
+    assert traj.stats["fevals"] == 6 * _attempts(traj) + 2
+    assert traj.stats["fevals"] == ref.fevals - len(controls.samples)
 
 
 def test_control_switch_and_force_breakpoint_take_a_fresh_first_stage():
@@ -192,21 +187,16 @@ def test_control_switch_and_force_breakpoint_take_a_fresh_first_stage():
     traj = simulate_robot(p, RobotState.rest(), switched)
     states, derivs, _ = _recomputing_rollout(p, switched)
     assert (traj.states == states).all() and (traj.derivs == derivs).all()
-    assert traj.stats["fevals"] == 6 * _attempts(traj) + 4
+    assert traj.stats["fevals"] == 6 * _attempts(traj) + 3
 
     # a pulse switched on and off on the hold grid, torques unchanged there
     controls = chassis_controls(duration=0.3)
     on, off = controls.boundaries[10], controls.boundaries[20]
-
-    def push(t):
-        return (30.0, -20.0) if on <= t < off else None
-
-    traj = simulate_robot(
-        p, RobotState.rest(), controls, pivot_force_fn=push, breakpoints=(on, off)
-    )
-    states, derivs, _ = _recomputing_rollout(p, controls, pivot_force_fn=push)
+    push = DisturbanceSchedule((ForcePulse(on, off, fx=30.0, fy=-20.0),))
+    traj = simulate_robot(p, RobotState.rest(), controls, disturbances=push)
+    states, derivs, _ = _recomputing_rollout(p, controls, push)
     assert (traj.states == states).all() and (traj.derivs == derivs).all()
-    assert traj.stats["fevals"] == 6 * _attempts(traj) + 5
+    assert traj.stats["fevals"] == 6 * _attempts(traj) + 4
 
 
 def test_holds_compare_bit_for_bit():
