@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Generate ``src/otbot/_task_space.py``, the closed-form task-space model.
+"""Generate ``src/otbot/_task_space.py``, the closed-form task-space model,
+and ``src/otbot/_dp5_robot.c``, the robot's DP5 attempt in C.
 
 The task-space model of ``otbot.dynamics`` is
 
@@ -14,18 +15,27 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
-    python scripts/gen_task_space.py           # rewrite the module
-    python scripts/gen_task_space.py --check   # exit 1 if it is out of date
+The C file is translated from the syntax tree of the generated
+``accelerations`` and of ``otbot.integrator._step_source(12)``: one
+Dormand-Prince attempt with the rhs inlined at each of its six stages,
+every operation kept in the Python order and fully parenthesised, so the
+compiled attempt computes the same bits as the Python kernel (see
+``otbot._ckernel`` for the compiler flags that this needs).
 
-The module header records the SHA-256 of this file and the sympy version,
-so a stale module is visible without sympy installed.
+    python scripts/gen_task_space.py           # rewrite both files
+    python scripts/gen_task_space.py --check   # exit 1 if either is out of date
+
+Both headers record the SHA-256 of this file and the sympy version, so a
+stale file is visible without sympy installed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import difflib
 import hashlib
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,9 +48,10 @@ from sympy.printing.pycode import PythonCodePrinter
 
 ROOT = Path(__file__).resolve().parent.parent
 TARGET = ROOT / "src" / "otbot" / "_task_space.py"
+C_TARGET = ROOT / "src" / "otbot" / "_dp5_robot.c"
 sys.path.insert(0, str(ROOT / "src"))
 
-from otbot import dynamics, model  # noqa: E402
+from otbot import dynamics, integrator, model  # noqa: E402
 from otbot.params import PARAM_FIELDS  # noqa: E402
 
 INDENT = "    "
@@ -224,6 +235,235 @@ def render(generator_sha256: str) -> str:
     return "\n".join(header + model_fn + accel_fn).rstrip("\n") + "\n"
 
 
+# ---------------------------------------------------------------- C attempt
+
+# Index in the block that the C attempt reads the rhs from
+# (integrator.RobotBlock, packed by otbot.simulate): the parameters in
+# PARAM_FIELDS order, the held torques, then the pivot force.
+_BLOCK = {name: i for i, name in enumerate(
+    [*(f"p.{name}" for name in PARAM_FIELDS), "u0", "u1", "u2", "fx", "fy"])}
+assert len(_BLOCK) == integrator.RobotBlock._length_
+
+# The arguments of ``accelerations`` as dynamics.state_derivative passes
+# them, from the 12-state x = (q, dq): q[2], q[2] - q[5], dq[0], dq[1],
+# dq[2], dq[2] - dq[5].
+_STATE_ARGS = {
+    "alpha": "{x}[2]",
+    "theta": "({x}[2] - {x}[5])",
+    "dx": "{x}[6]",
+    "dy": "{x}[7]",
+    "da": "{x}[8]",
+    "dth": "({x}[8] - {x}[11])",
+}
+
+# Nonzero statuses: the Python kernel would raise here, so the caller reruns
+# the attempt in Python to raise the same exception.
+_ZERO_DIVISOR, _INFINITE_ANGLE, _ZERO_SCALE = 1, 2, 3
+
+_C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# names a generated local may not take: the attempt's own variables and
+# the Bessel functions that math.h declares
+_C_RESERVED = {"blk", "h", "rtol", "atol", "y", "y_new", "ratio", "ys", "e",
+               *(f"k{i}" for i in range(1, 8)), "y0", "y1", "yn", "j0", "j1", "jn"}
+
+
+class _CExpr:
+    """C spelling of the float arithmetic of the generated Python.
+
+    Every operation becomes one parenthesised C operation on doubles, in
+    the order the Python evaluates it; integer literals become doubles.
+    A division by a non-constant and a sin or cos first emit, into
+    ``checks``, the test for the value on which Python raises; a variable
+    is tested once per instance.
+    """
+
+    def __init__(self, rename):
+        self.rename = rename
+        self.checks: list[str] = []
+        self.checked: set[str] = set()
+        self.temporaries = 0
+
+    def __call__(self, node) -> str:
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            value = float(node.value)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite literal {node.value!r}")
+            return repr(value)
+        if isinstance(node, ast.Name):
+            return self.rename(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return self.rename(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return f"(-{self(node.operand)})"
+        if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
+            left = self(node.left)
+            right = self(node.right)
+            if isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
+                if not isinstance(node.right, ast.Name):
+                    right = self._temporary(right)
+                self._check(right, f"{right} == 0.0", _ZERO_DIVISOR)
+            return f"({left} {_C_OPS[type(node.op)]} {right})"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("sin", "cos") and len(node.args) == 1):
+            arg = self(node.args[0])
+            if not isinstance(node.args[0], ast.Name):
+                arg = self._temporary(arg)
+            self._check(arg, f"isinf({arg})", _INFINITE_ANGLE)
+            return f"{node.func.id}({arg})"
+        raise ValueError(f"no C translation for {ast.unparse(node)!r}")
+
+    def _check(self, name: str, condition: str, status: int) -> None:
+        if name not in self.checked:
+            self.checked.add(name)
+            self.checks.append(f"if ({condition}) return {status};")
+
+    def _temporary(self, text: str) -> str:
+        name = f"tmp{self.temporaries}"
+        self.temporaries += 1
+        self.checks.append(f"const double {name} = {text};")
+        return name
+
+    def statement(self, target: str, node) -> list[str]:
+        """Lines that compute ``node`` into ``target``, checks first."""
+        self.checks = []
+        text = self(node)
+        return self.checks + [f"{target} = {text};"]
+
+
+def _function_def(source: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse(source)
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _rhs_block(accel: ast.FunctionDef, x: str, k: str) -> list[str]:
+    """``k = f(x)`` for the robot rhs, inlined as one C block."""
+    args = [a.arg for a in accel.args.args[1:]]
+    lines = [
+        f"const double {a} = {_STATE_ARGS[a].format(x=x) if a in _STATE_ARGS else f'blk[{_BLOCK[a]}]'};"
+        for a in args
+    ]
+    locals_ = set(args)
+
+    def rename(name):
+        if name in _BLOCK and "." in name:
+            return f"blk[{_BLOCK[name]}]"
+        if name not in locals_:
+            raise ValueError(f"unbound name {name!r} in accelerations")
+        return name
+
+    to_c = _CExpr(rename)
+    for stmt in accel.body:
+        if isinstance(stmt, ast.Expr):  # the docstring
+            continue
+        if isinstance(stmt, ast.Assign):
+            (target,) = stmt.targets
+            if target.id in _C_RESERVED or target.id in locals_ or target.id.startswith("tmp"):
+                raise ValueError(f"local {target.id!r} cannot be a C local here")
+            lines += to_c.statement(f"const double {target.id}", stmt.value)
+            locals_.add(target.id)
+        elif isinstance(stmt, ast.Return):
+            outputs = [to_c(e) for e in stmt.value.elts]
+            # state_derivative returns (dq, ddq)
+            lines += [f"{k}[{j}] = {x}[{j + 6}];" for j in range(6)]
+            lines += [f"{k}[{j + 6}] = {v};" for j, v in enumerate(outputs)]
+        else:
+            raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
+    return ["{"] + [INDENT + line for line in lines] + ["}"]
+
+
+def _vector_name(name: str) -> str:
+    """``y_3`` -> ``y[3]``, ``k2_5`` -> ``k2[5]``, ``h`` -> ``h``."""
+    stem, _, index = name.rpartition("_")
+    if stem in ("y", "k1", "k2", "k3", "k4", "k5", "k6", "k7") and index.isdigit():
+        return f"{stem}[{index}]"
+    if name == "h":
+        return name
+    raise ValueError(f"unexpected name {name!r} in the step source")
+
+
+def _attempt_body(accel: ast.FunctionDef) -> list[str]:
+    """The DP5 attempt of integrator._step_source(12), with the rhs inlined."""
+    step = _function_def(integrator._step_source(12), "step")
+    to_c = _CExpr(_vector_name)
+    lines: list[str] = []
+    for stmt in step.body:
+        if isinstance(stmt, ast.Return):
+            continue
+        (target,) = stmt.targets
+        value = stmt.value
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Name):
+            continue  # unpacking a vector into components
+        if isinstance(value, ast.Call):  # a stage: k_i = f(t + c h, state)
+            _, state = value.args
+            out = target.elts[0].id.split("_")[0] if isinstance(target, ast.Tuple) else target.id
+            x = "ys"
+            if isinstance(state, ast.List):
+                lines.append(f"/* stage {out[1:]} */")
+                for j, e in enumerate(state.elts):
+                    lines += to_c.statement(f"ys[{j}]", e)
+            else:
+                x = state.id
+                lines.append(f"/* stage {out[1:]}, at the new state */")
+            lines += _rhs_block(accel, x, out)
+        elif isinstance(value, ast.List):  # y_new or the error vector
+            vector = {"y_new": "y_new", "err": "e"}[target.id]
+            lines.append(f"/* {'fifth-order solution' if vector == 'y_new' else 'error estimate'} */")
+            for j, e in enumerate(value.elts):
+                lines += to_c.statement(f"{vector}[{j}]", e)
+        else:
+            raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
+    return lines
+
+
+_C_SIGNATURE = (
+    "int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,\n"
+    "                      const double *y, const double *k1,\n"
+    "                      double *y_new, double *k7, double *ratio)"
+)
+
+# The ratio vector of integrator._error_norm: e / (atol + rtol * max(|y|,
+# |y_new|)) with the NaN of either side propagated; a zero scale is where
+# Python divides by zero.
+_RATIO = [
+    "/* error ratios; the caller reduces them to the norm */",
+    "for (int j = 0; j < 12; j++) {",
+    "    const double a = fabs(y[j]);",
+    "    const double b = fabs(y_new[j]);",
+    "    const double scale = (atol + (rtol * ((a > b || a != a) ? a : b)));",
+    f"    if (scale == 0.0) return {_ZERO_SCALE};",
+    "    ratio[j] = (e[j] / scale);",
+    "}",
+    "return 0;",
+]
+
+
+def render_c(python_source: str, generator_sha256: str) -> str:
+    accel = _function_def(python_source, "accelerations")
+    header = [
+        "// Generated by scripts/gen_task_space.py; do not edit by hand.",
+        f"// generator sha256: {generator_sha256}",
+        f"// sympy {sp.__version__}",
+        "//",
+        "// One Dormand-Prince 5(4) attempt of the robot, y' = f(y) with f the",
+        "// rhs of otbot.dynamics.state_derivative (accelerations of",
+        "// otbot._task_space) under the held torques and pivot force in blk:",
+        f"// the parameters ({', '.join(PARAM_FIELDS[:7])},",
+        f"// {', '.join(PARAM_FIELDS[7:])}), u0, u1, u2, fx, fy.",
+        "// Fills y_new, k7 = f(y_new) and the error ratios of",
+        "// otbot.integrator._error_norm, bit for bit what the Python kernel",
+        "// computes. Returns 0, or nonzero where the Python kernel raises or",
+        f"// divides by zero: {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of an infinite",
+        f"// angle, {_ZERO_SCALE} a zero error scale.",
+        "",
+        "#include <math.h>",
+        "",
+    ]
+    body = ["double ys[12], k2[12], k3[12], k4[12], k5[12], k6[12], e[12];"]
+    body += _attempt_body(accel) + _RATIO
+    lines = header + [_C_SIGNATURE, "{"] + [INDENT + line for line in body] + ["}"]
+    return "\n".join(lines) + "\n"
+
+
 def generator_sha256() -> str:
     return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
 
@@ -231,22 +471,28 @@ def generator_sha256() -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--check", action="store_true",
-                    help="regenerate in memory and exit 1 if the committed module differs")
+                    help="regenerate in memory and exit 1 if a committed file differs")
     args = ap.parse_args(argv)
-    text = render(generator_sha256())
-    if args.check:
-        current = TARGET.read_text() if TARGET.exists() else ""
+    digest = generator_sha256()
+    python_source = render(digest)
+    outputs = {TARGET: python_source, C_TARGET: render_c(python_source, digest)}
+    status = 0
+    for target, text in outputs.items():
+        name = target.relative_to(ROOT)
+        if not args.check:
+            target.write_text(text)
+            print(f"wrote {name}")
+            continue
+        current = target.read_text() if target.exists() else ""
         if current == text:
-            print(f"{TARGET.relative_to(ROOT)} is up to date")
-            return 0
+            print(f"{name} is up to date")
+            continue
         sys.stdout.writelines(
             difflib.unified_diff(current.splitlines(True), text.splitlines(True),
-                                 "committed", "regenerated", n=1)
+                                 f"committed {name}", f"regenerated {name}", n=1)
         )
-        return 1
-    TARGET.write_text(text)
-    print(f"wrote {TARGET.relative_to(ROOT)}")
-    return 0
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

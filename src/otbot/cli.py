@@ -37,6 +37,7 @@ from .identify import (
     identify_basic,
     identify_chassis,
     identify_platform,
+    parameter_bounds,
     platform_guess,
     run_pipeline,
     sensitivity_sweep,
@@ -44,7 +45,7 @@ from .identify import (
     platform_shaft_experiment,
     _predict_outputs,
 )
-from .integrator import IntegrationError, IntegratorOptions
+from .integrator import IntegrationError, IntegratorOptions, robot_segments
 from .params import load_params, nominal_params, read_kv
 from .scenarios import (
     ConfigError,
@@ -87,6 +88,7 @@ class _Run:
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         self.t0 = time.perf_counter()
+        self.c_segments = robot_segments["c"]
 
     def config(self, path: str | Path | None, reader, default):
         """``reader(path)`` of a file named on the command line, or ``default``.
@@ -121,13 +123,47 @@ class _Run:
             "command": self.command,
             "config_sha256": {str(p): _sha256(p) for p in self.configs if p.exists()},
             "seeds": self.seeds,
-            "integrator": {"rtol": self.options.rtol, "atol": self.options.atol},
+            "integrator": {
+                "rtol": self.options.rtol,
+                "atol": self.options.atol,
+                # the DP5 attempt the robot rollouts ran on
+                "kernel": "c" if robot_segments["c"] > self.c_segments else "python",
+            },
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
             "files": sorted(self.files),
         }
         tmp = self.out / "manifest.json.tmp"
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
         os.replace(tmp, self.out / "manifest.json")
+
+
+def _positive(key: str, value: float) -> str | None:
+    return None if value > 0.0 else "must be positive"
+
+
+def _guess_check(params):
+    """``read_kv`` check of a --guess file: every guess inside the fit bounds.
+
+    ``deviation`` is checked through the step-3 guess it makes from the
+    platform mass and inertia of ``params`` (a full run takes the inertia
+    from step 1 instead, which moves only the inertia guess).
+    """
+
+    def check(key: str, value: float) -> str | None:
+        if key == "deviation":
+            guess = platform_guess(value, params.mp, params.Ip)
+        else:
+            guess = {key: value}
+        for name, v in guess.items():
+            lo, hi = (float(b[0]) for b in parameter_bounds([name]))
+            if not lo <= v <= hi:
+                bounds = f"the fit bounds [{lo!r}, {hi!r}]"
+                if name == key:
+                    return f"must lie within {bounds}"
+                return f"must keep the step-3 guess within {bounds} ({name} = {v!r})"
+        return None
+
+    return check
 
 
 def _check_number(flag: str, value: float, allow_zero: bool = False) -> None:
@@ -273,7 +309,9 @@ def _cmd_identify(args) -> int:
     _check_number("--window", args.window)
     run = _Run("identify", Path(args.out))
     params = run.config(args.params, load_params, nominal_params())
-    guesses = run.config(args.guess, lambda p: read_kv(p, GUESS_KEYS), {})
+    guesses = run.config(
+        args.guess, lambda p: read_kv(p, GUESS_KEYS, _guess_check(params)), {}
+    )
     seed = _resolve_seed(args.seed)
     run.seeds["base"] = seed
     options = FitOptions(jobs=args.jobs)
@@ -413,7 +451,7 @@ def _cmd_control(args) -> int:
             f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the simulate subcommand"
         )
     params = run.config(args.params, load_params, cfg.params)
-    gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",)), {})
+    gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",), _positive), {})
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
     rate = cfg.loop_rate if args.rate is None else args.rate

@@ -21,18 +21,29 @@ argument, the new state and the error vector as list literals with the
 coefficients inlined. That removes the zip, unpack and append work a generic
 loop or comprehension pays per component, while each component still sums
 its terms in the tableau's order, so the results are the same bits as the
-ndarray formulas. The kernel is the only stepping path, for every state
-size. The segment ends are cast with ``float()``, because a numpy scalar
-time would turn every stage value into a numpy scalar and slow the float
-code of the rhs down. The error norm builds its ratios in Python but keeps
-the final reduction, the dot product of the ratios, in numpy: numpy's dot
-does not sum left to right, and a Python sum would change the last bit of
-the norm, and with it the adaptive step sizes, on about a fifth of the
-steps.
+ndarray formulas. The segment ends are cast with ``float()``, because a
+numpy scalar time would turn every stage value into a numpy scalar and slow
+the float code of the rhs down. The error norm builds its ratios in Python
+but keeps the final reduction, the dot product of the ratios, in numpy:
+numpy's dot does not sum left to right, and a Python sum would change the
+last bit of the norm, and with it the adaptive step sizes, on about a fifth
+of the steps.
+
+The robot's rhs (a 12-state ``f`` that carries a ``block``, see
+:data:`RobotBlock`) runs instead on ``dp5_robot_attempt``, C generated by
+``scripts/gen_task_space.py`` from the same tableau and the same generated
+accelerations, and compiled on first use (``otbot._ckernel``). It computes
+the same bits as the Python kernel and hands back the ratio vector of the
+error norm; numpy still does the dot. Where the Python kernel would raise (a
+zero divisor, sin or cos of an infinite angle) the C attempt returns a
+nonzero status and the attempt is rerun in Python, which raises the same
+exception. Without a C compiler every attempt runs in Python, with the
+same results.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import linecache
 import math
@@ -75,6 +86,19 @@ class IntegrationError(RuntimeError):
         self.t = t
         self.h = h
         self.rejected = rejected
+
+
+# The robot rhs as data, for the C attempt: the 14 parameters in
+# otbot.params.PARAM_FIELDS order, the held torques u0, u1, u2 and the
+# pivot force fx, fy.
+RobotBlock = ctypes.c_double * 19
+_ROBOT_STATES = 12
+# y, k1, y_new, k7 and the error ratios of one segment's compiled attempts
+_RobotBuffers = ctypes.c_double * (5 * _ROBOT_STATES)
+
+# Robot segments advanced by each kernel in this process ("c" or "python");
+# the CLI manifest reports which one ran.
+robot_segments = {"c": 0, "python": 0}
 
 
 @dataclass
@@ -182,6 +206,93 @@ def _step_kernel(n: int):
     return namespace["step"]
 
 
+@functools.cache
+def _compiled_robot_attempt():
+    """The C attempt of the robot (``otbot._ckernel.load``), or None."""
+    from . import _ckernel
+
+    return _ckernel.load()
+
+
+class _PythonAttempt:
+    """DP5 attempts of the generated Python kernel on float lists."""
+
+    __slots__ = ("f", "step", "y", "k1", "y_new", "k7", "rtol", "atol")
+
+    def __init__(self, f, y: np.ndarray, k1, rtol: float, atol: float):
+        self.f, self.rtol, self.atol = f, rtol, atol
+        self.y = y.tolist()
+        self.k1 = k1.tolist() if isinstance(k1, np.ndarray) else k1
+        self.step = _step_kernel(len(self.y))
+
+    def __call__(self, t: float, h: float) -> float:
+        """Attempt a step of size h from (t, y); returns its error norm."""
+        self.y_new, self.k7, err = self.step(self.f, t, h, self.y, self.k1)
+        return _error_norm(err, self.y, self.y_new, self.rtol, self.atol)
+
+    def accept(self) -> None:
+        self.y, self.k1 = self.y_new, self.k7  # FSAL
+
+    def result(self):
+        """The state as an ndarray and the derivative there."""
+        return np.array(self.y), self.k1
+
+
+class _CompiledAttempt:
+    """The robot's C attempt on five buffers of this segment.
+
+    y and y_new, k1 and k7 swap places on accept, so only addresses move.
+    The buffers belong to one call of :func:`advance_segment`: rollouts may
+    run on threads, and the foreign call releases the GIL.
+    """
+
+    __slots__ = ("run", "f", "block", "rtol", "atol", "rows", "orders", "order", "ratio", "ratio_at")
+
+    def __init__(self, run, f, y: np.ndarray, k1, rtol: float, atol: float):
+        self.run, self.f, self.block, self.rtol, self.atol = run, f, f.block, rtol, atol
+        raw = _RobotBuffers()
+        # rows y, k1, y_new, k7, ratio; the view keeps raw alive
+        self.rows = rows = np.frombuffer(raw).reshape(5, _ROBOT_STATES)
+        rows[0] = y
+        rows[1] = k1
+        a, n = ctypes.addressof(raw), 8 * _ROBOT_STATES
+        # addresses of (y, k1, y_new, k7) before and after an accept
+        self.orders = ((a, a + n, a + 2 * n, a + 3 * n), (a + 2 * n, a + 3 * n, a, a + n))
+        self.order = 0
+        self.ratio = rows[4]
+        self.ratio_at = a + 4 * n
+
+    def __call__(self, t: float, h: float) -> float:
+        y, k1, y_new, k7 = self.orders[self.order]
+        if self.run(self.block, h, self.rtol, self.atol, y, k1, y_new, k7, self.ratio_at):
+            # the Python kernel raises where the C attempt stopped
+            i = 2 * self.order
+            y, k1 = self.rows[i].tolist(), self.rows[i + 1].tolist()
+            y_new, k7 = self.rows[2 - i], self.rows[3 - i]
+            y_new[:], k7[:], err = _step_kernel(_ROBOT_STATES)(self.f, t, h, y, k1)
+            return _error_norm(err, y, y_new.tolist(), self.rtol, self.atol)
+        ratio = self.ratio
+        return math.sqrt(float(ratio.dot(ratio)) / _ROBOT_STATES)
+
+    def accept(self) -> None:
+        self.order ^= 1
+
+    def result(self):
+        i = 2 * self.order
+        return self.rows[i].copy(), self.rows[i + 1].copy()
+
+
+def _attempt(f, y: np.ndarray, k1, rtol: float, atol: float):
+    """The DP5 attempt for this rhs: the C one for the robot, if it builds."""
+    if getattr(f, "block", None) is not None and len(y) == _ROBOT_STATES:
+        run = _compiled_robot_attempt()
+        kernel = "python" if run is None else "c"
+        robot_segments[kernel] += 1
+        if run is not None:
+            return _CompiledAttempt(run, f, y, k1, rtol, atol)
+    return _PythonAttempt(f, y, k1, rtol, atol)
+
+
 def initial_step(f, t0: float, y0, f0, rtol: float, atol: float) -> float:
     """Cheap two-evaluation guess of a sensible first step (Hairer's rule)."""
     y0 = np.asarray(y0, dtype=float)
@@ -220,19 +331,16 @@ def advance_segment(
     """
     rtol, atol = opts.rtol, opts.atol
     t, t1 = float(t0), float(t1)
-    y = y0.tolist()
     if k1 is None:
-        k1 = f(t, y)
+        k1 = f(t, y0.tolist())
         stats.fevals += 1
-    elif isinstance(k1, np.ndarray):
-        k1 = k1.tolist()
     if h_start is None:
-        h_next = initial_step(f, t, y, k1, rtol, atol)
+        h_next = initial_step(f, t, y0, k1, rtol, atol)
         stats.fevals += 1
     else:
         h_next = h_start
     h_next = min(h_next, opts.max_step)
-    step = _step_kernel(len(y))
+    attempt = _attempt(f, y0, k1, rtol, atol)
 
     while t < t1:
         remaining = t1 - t
@@ -252,9 +360,8 @@ def advance_segment(
                 rejected=stats.rejected,
             )
 
-        y_new, k7, err = step(f, t, h, y, k1)
+        norm = attempt(t, h)
         stats.fevals += 6
-        norm = _error_norm(err, y, y_new, rtol, atol)
 
         if not math.isfinite(norm):
             stats.rejected += 1
@@ -263,8 +370,7 @@ def advance_segment(
         if norm <= 1.0:
             stats.note(h)
             t = t1 if clipped else t + h
-            y = y_new
-            k1 = k7  # FSAL
+            attempt.accept()
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)
             grown = min(h * factor, opts.max_step)
             # a clipped step can be arbitrarily short (end-of-segment sliver);
@@ -274,4 +380,5 @@ def advance_segment(
             stats.rejected += 1
             h_next = h * max(_MIN_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)
 
-    return np.array(y), k1, h_next
+    y, k1 = attempt.result()
+    return y, k1, h_next

@@ -103,12 +103,13 @@ def frictionless(params: RobotParams) -> RobotParams:
     return params.replace(bw=0.0, bp=0.0)
 
 
-def read_kv(path: str | Path, keys) -> dict[str, float]:
+def read_kv(path: str | Path, keys, check=None) -> dict[str, float]:
     """Read a flat ``key = value`` file of finite numbers.
 
     Blank lines and ``#`` comments are ignored. Every key must be one of
     ``keys`` and appear at most once, so a typo cannot silently fall back to
-    a default; errors name the file and line.
+    a default. ``check(key, value)``, if given, returns what is wrong with a
+    value, or None. Errors name the file and line.
     """
     path = Path(path)
     values: dict[str, float] = {}
@@ -130,6 +131,9 @@ def read_kv(path: str | Path, keys) -> dict[str, float]:
             raise ValueError(f"{where}: {key} is not a number: {text!r}") from None
         if not math.isfinite(values[key]):
             raise ValueError(f"{where}: {key} must be finite, got {text!r}")
+        problem = check(key, values[key]) if check else None
+        if problem:
+            raise ValueError(f"{where}: {key} {problem}, got {text!r}")
     return values
 
 

@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import RobotState, state_derivative
-from .integrator import IntegratorOptions, IntegratorStats, advance_segment
-from .params import RobotParams
+from .integrator import IntegratorOptions, IntegratorStats, RobotBlock, advance_segment
+from .params import PARAM_FIELDS, RobotParams
 
 TRAJECTORY_COLUMNS = (
     "t",
@@ -298,14 +298,8 @@ def simulate_robot(
     (see :func:`integrate`).
     """
 
-    def model(u, force):
-        def f(t, y):
-            return state_derivative(params, y, u, force)
-
-        return f
-
     return integrate(
-        model,
+        _robot_model(params),
         state0.as_vector(),
         (controls.t0, controls.end_time if t_end is None else t_end),
         controls,
@@ -313,6 +307,24 @@ def simulate_robot(
         output_times=output_times,
         disturbances=disturbances,
     )
+
+
+def _robot_model(params: RobotParams):
+    """``model(u, force)`` of :func:`integrate` for the robot.
+
+    Each rhs also carries its hold as data, the ``block`` that the
+    integrator's compiled attempt reads.
+    """
+    head = [getattr(params, name) for name in PARAM_FIELDS]
+
+    def model(u, force):
+        def f(t, y):
+            return state_derivative(params, y, u, force)
+
+        f.block = RobotBlock(*head, *u, *force)
+        return f
+
+    return model
 
 
 def shaft_derivative(inertia: float, damping: float, x: list, u: float) -> list:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from otbot import _ckernel
 from otbot.dynamics import admissible_state
+from otbot.integrator import _compiled_robot_attempt
 from otbot.params import frictionless, nominal_params
 
 settings.register_profile(
@@ -23,6 +25,16 @@ def params():
 def params_nf():
     """Nominal parameters with friction removed (tracking studies)."""
     return frictionless(nominal_params())
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Force the Python DP5 kernel for the robot: the C builder finds no compiler."""
+    monkeypatch.setattr(_ckernel, "build", lambda: None)
+    _compiled_robot_attempt.cache_clear()
+    yield
+    monkeypatch.undo()
+    _compiled_robot_attempt.cache_clear()
 
 
 def random_q(rng: np.random.Generator) -> np.ndarray:

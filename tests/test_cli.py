@@ -15,6 +15,7 @@ import pytest
 import otbot
 from otbot import __version__
 from otbot.cli import main
+from otbot.integrator import _compiled_robot_attempt
 from otbot.params import nominal_params, save_params
 from otbot.simulate import trajectory_from_csv
 
@@ -88,7 +89,9 @@ class TestSimulate:
         assert set(m["files"]) == on_disk
         assert all(len(h) == 64 for h in m["config_sha256"].values())
         assert isinstance(m["wall_clock_s"], float)
-        assert {"rtol", "atol"} == set(m["integrator"])
+        assert {"rtol", "atol", "kernel"} == set(m["integrator"])
+        # shafts run on the Python kernel; only robot rollouts have a C one
+        assert m["integrator"]["kernel"] == "python"
 
     def test_robot_scenario_records_trajectory_and_imu(self, tmp_path):
         out = tmp_path / "run"
@@ -245,6 +248,40 @@ class TestIdentify:
         assert err.count("\n") == 1 and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("Ia = -1\n", "guess.cfg:1: Ia must lie within the fit bounds [1e-06, 10000.0], got '-1'"),
+            ("bw = 0.1\nxB = 2\n", "guess.cfg:2: xB must lie within the fit bounds [-1.0, 1.0]"),
+            ("deviation = 3\n", "guess.cfg:1: deviation must keep the step-3 guess within "
+                                 "the fit bounds [-1.0, 1.0] (xF = 1.35)"),
+        ],
+        ids=["Ia", "xB", "deviation"],
+    )
+    def test_guess_outside_the_fit_bounds_exits_two(self, tmp_path, capsys, body, message):
+        guess = tmp_path / "guess.cfg"
+        guess.write_text(body)
+        out = tmp_path / "id"
+        assert main(["identify", "--step", "1", "--guess", str(guess), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--step", "1"], ["--step", "3", "--window", "0.2", "--sweep", "0"]],
+        ids=["shafts", "platform"],
+    )
+    def test_jobs_leave_every_artifact_byte_identical(self, tmp_path, argv):
+        outs = []
+        for jobs in ("1", "2"):
+            outs.append(tmp_path / f"jobs{jobs}")
+            assert main(["identify", *argv, "--jobs", jobs, "--out", str(outs[-1])]) == 0
+        files = manifest(outs[0])["files"]
+        assert files == manifest(outs[1])["files"]
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_guess_file_takes_the_keys_of_every_step(self, tmp_path):
         guess = tmp_path / "guess.cfg"
         guess.write_text("Ia = 0.02\nmc = 60\ndeviation = 0.1\n")
@@ -312,6 +349,9 @@ class TestCheckTorques:
 class TestBadNumericFlags:
     """Bad numbers exit 2 with one line naming the flag and write no --out."""
 
+    # gain files that cases below name, written next to --out
+    KEY_FILES = {"zero.kv": "t_stab = 0\n", "negative.kv": "t_stab = -1\n", "nan.kv": "t_stab = nan\n"}
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -324,18 +364,45 @@ class TestBadNumericFlags:
             (["identify", "--jobs", "-3"], "--jobs"),
             (["identify", "--sweep", "-1"], "--sweep"),
             (["identify", "--step", "3", "--window", "0"], "--window"),
+            (["control", "--scenario", "corridor", "--gains", "zero.kv"], "zero.kv:1"),
+            (["control", "--scenario", "corridor", "--gains", "negative.kv"], "negative.kv:1"),
+            (["control", "--scenario", "corridor", "--gains", "nan.kv"], "nan.kv:1"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
-             "zero-window"],
+             "zero-window", "zero-t-stab", "negative-t-stab", "nan-t-stab"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
+        for i, arg in enumerate(argv):
+            if arg in self.KEY_FILES:
+                (tmp_path / arg).write_text(self.KEY_FILES[arg])
+                argv[i] = str(tmp_path / arg)
         out = tmp_path / "run"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
         assert not out.exists()
+
+
+class TestKernelInManifest:
+    """The manifest names the DP5 attempt the robot rollouts ran on."""
+
+    RUNS = [
+        ["simulate", "--torques", "6,-10,6", "--duration", "0.2"],
+        ["control", "--scenario", "corridor", "--rate", "50"],
+        ["identify", "--step", "3", "--window", "0.2", "--sweep", "0"],
+    ]
+
+    @pytest.mark.parametrize("argv", RUNS, ids=["simulate", "control", "identify"])
+    def test_compiled_kernel(self, tmp_path, argv):
+        expected = "python" if _compiled_robot_attempt() is None else "c"
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert manifest(tmp_path / "run")["integrator"]["kernel"] == expected
+
+    def test_forced_fallback(self, tmp_path, python_kernel):
+        assert main(self.RUNS[0] + ["--out", str(tmp_path / "run")]) == 0
+        assert manifest(tmp_path / "run")["integrator"]["kernel"] == "python"
 
 
 class TestEntryPoint:

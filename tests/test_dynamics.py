@@ -323,12 +323,15 @@ def test_closed_form_task_space_model_matches_the_matrix_composition(p, q, dp):
 
 
 def test_generated_task_space_module_matches_its_generator():
-    # The header pins the generator by hash; a stale module means
+    # The headers pin the generator by hash; a stale module or C file means
     # `python scripts/gen_task_space.py` was not rerun after an edit.
-    header = Path(otbot._task_space.__file__).read_text().splitlines()[:3]
     digest = hashlib.sha256((ROOT / "scripts" / "gen_task_space.py").read_bytes()).hexdigest()
-    assert header[1] == f"# generator sha256: {digest}"
-    assert header[2].startswith("# sympy ")
+    module = Path(otbot._task_space.__file__)
+    for path, comment in ((module, "#"), (module.with_name("_dp5_robot.c"), "//")):
+        header = path.read_text().splitlines()[:3]
+        assert header[0] == f"{comment} Generated by scripts/gen_task_space.py; do not edit by hand."
+        assert header[1] == f"{comment} generator sha256: {digest}"
+        assert header[2].startswith(f"{comment} sympy ")
 
 
 def test_runtime_does_not_import_sympy():
