@@ -1,20 +1,27 @@
-"""Build and load ``_dp5_robot.c``, the robot's DP5 attempt in C.
+"""Build and load the compiled parts of otbot.
 
-The library is compiled on first use, never at import, with the system C
-compiler (``cc``) and these flags:
+Two libraries are compiled on first use, never at import:
 
-- ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply and add
-  a separately rounded double operation, in the order the source gives;
-- ``-fno-builtin`` keeps ``sin`` and ``cos`` as calls into the same libm
-  that Python's ``math`` calls, with no fused ``sincos``.
+- ``_dp5_robot.c``, the robot's DP5 attempt, with the system C compiler
+  (``cc``) and these flags:
 
-So the compiled attempt computes the same bits as the Python kernel. The
-library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
-under the SHA-256 of the source and the flags. It is written to a temporary
+  - ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply and
+    add a separately rounded double operation, in the order the source
+    gives;
+  - ``-fno-builtin`` keeps ``sin`` and ``cos`` as calls into the same libm
+    that Python's ``math`` calls, with no fused ``sincos``.
+
+  So the compiled attempt computes the same bits as the Python kernel.
+- ``_csv_format.cpp``, the CSV formatter, with the system C++ compiler
+  (``c++ -O2 -std=c++17``): ``std::to_chars`` gives the digits of ``repr``,
+  so it writes the same bytes as the Python loop.
+
+A library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
+under the SHA-256 of its source and flags. It is written to a temporary
 name and moved into place, so concurrent processes may build it at once.
 Where the cache directory cannot be written, it is built into a temporary
-directory of this process. Without a working compiler :func:`load` returns
-None and the integrator runs the Python kernel.
+directory of this process. Without a working compiler a loader returns
+None and the Python code runs instead.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ SOURCE = Path(__file__).with_name("_dp5_robot.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin", "-shared", "-fPIC")
 
+FORMATTER_SOURCE = Path(__file__).with_name("_csv_format.cpp")
+CXX = "c++"
+CXX_FLAGS = ("-O2", "-std=c++17", "-shared", "-fPIC")
+
 
 def cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -44,17 +55,17 @@ def _process_dir() -> Path:
     return Path(path)
 
 
-def build() -> Path | None:
-    """Path of the compiled library, compiled now if it is not cached.
+def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
+    """Path of ``source`` compiled to a shared library, compiled now if it is not cached.
 
-    None if there is no compiler or it fails on the source.
+    None if there is no ``compiler`` or it fails on the source.
     """
-    compiler = shutil.which(COMPILER)
-    if compiler is None:
+    exe = shutil.which(compiler)
+    if exe is None:
         return None
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + "\0".join(FLAGS).encode()).hexdigest()
-    name = f"dp5_robot-{key[:24]}.so"
+    text = source.read_bytes()
+    key = hashlib.sha256(text + "\0".join(flags).encode()).hexdigest()
+    name = f"{source.stem.lstrip('_')}-{key[:24]}.so"
     cached = cache_dir() / name
     if cached.is_file():
         return cached
@@ -67,9 +78,8 @@ def build() -> Path | None:
             continue
         os.close(fd)
         try:
-            done = subprocess.run(
-                [compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"], capture_output=True
-            )
+            # libm last, for the DP5 attempt's sin and cos
+            done = subprocess.run([exe, *flags, "-o", tmp, str(source), "-lm"], capture_output=True)
             if done.returncode != 0:
                 return None
             os.replace(tmp, target)
@@ -89,10 +99,31 @@ def load():
     block and the five 12-double buffers as addresses; see the source's
     header for the layout and the status it returns.
     """
-    path = build()
+    path = build(SOURCE, COMPILER, FLAGS)
     if path is None:
         return None
     attempt = ctypes.CDLL(str(path)).dp5_robot_attempt
     attempt.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 5
     attempt.restype = ctypes.c_int
     return attempt
+
+
+def load_formatter():
+    """The ``format_rows`` function of the CSV formatter, or None.
+
+    ``format_rows(x, rows, cols, eol, n_eol, out)`` spells the row-major
+    float64 table at address ``x`` into the buffer at address ``out``, which
+    must hold ``rows * (25 * cols + n_eol)`` bytes, and returns the number
+    of bytes written; see the source's header.
+    """
+    path = build(FORMATTER_SOURCE, CXX, CXX_FLAGS)
+    if path is None:
+        return None
+    try:
+        format_rows = ctypes.CDLL(str(path)).format_rows
+    except OSError:  # e.g. an older libstdc++ already loaded into this process
+        return None
+    format_rows.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p,
+                            ctypes.c_long, ctypes.c_void_p]
+    format_rows.restype = ctypes.c_long
+    return format_rows

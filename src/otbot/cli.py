@@ -59,6 +59,7 @@ from .sensors import SensorModel
 from .sensors import sample_sensors
 from .simulate import (
     ControlSequence,
+    csv_tables,
     format_float,
     simulate_robot,
     simulate_shaft,
@@ -89,6 +90,7 @@ class _Run:
         self.seeds: dict[str, int] = {}
         self.t0 = time.perf_counter()
         self.c_segments = robot_segments["c"]
+        self.c_tables = csv_tables["c"]
 
     def config(self, path: str | Path | None, reader, default):
         """``reader(path)`` of a file named on the command line, or ``default``.
@@ -129,6 +131,8 @@ class _Run:
                 # the DP5 attempt the robot rollouts ran on
                 "kernel": "c" if robot_segments["c"] > self.c_segments else "python",
             },
+            # the formatter that wrote the run's CSV tables
+            "csv": "c" if csv_tables["c"] > self.c_tables else "python",
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
             "files": sorted(self.files),
         }

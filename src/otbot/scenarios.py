@@ -14,6 +14,7 @@ Bundled scenarios live next to this module and are addressed by name.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,6 +108,17 @@ class ScenarioConfig:
             make_reference(self.reference)
         if self.velocity not in ("rest", "reference"):
             raise ConfigError(f"{self.path}: velocity must be rest or reference")
+        for key, value in (
+            ("[control] t_stab", self.t_stab),
+            ("[control] rate", self.loop_rate),
+            ("[torques] rate", self.torque_rate),
+            ("[plan] rate", self.plan_rate),
+            ("[sensors] rate", self.sensor_rate),
+        ):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(
+                    f"{self.path}: {key} must be a finite positive number, got {value!r}"
+                )
 
 
 def _floats(text: str) -> np.ndarray:

@@ -14,6 +14,7 @@ start there (the final sample uses the input held at the end).
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -367,18 +368,50 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
+# Tables written by each CSV formatter in this process ("c" or "python"); a
+# run's manifest names the one that wrote its tables.
+csv_tables = {"c": 0, "python": 0}
+
+# Rows spelled per call of the compiled formatter, and the most bytes one
+# double and its separator take ("-2.2250738585072014e-308,").
+_BLOCK_ROWS = 1024
+_CELL_BYTES = 25
+
+
+@functools.cache
+def _csv_formatter():
+    """The compiled CSV formatter (``otbot._ckernel.load_formatter``), or None."""
+    from . import _ckernel
+
+    return _ckernel.load_formatter()
+
+
 def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
     """Write equal-length columns (1-D or 2-D arrays) under a header row.
 
-    Each double is written in its shortest exact spelling (see
-    :func:`format_float`); rows are converted one at a time, so no list copy
-    of the whole table is made. ``line_end`` ends every line as given.
+    The columns are cast to float64 (no caller passes a non-float table), and
+    each double is written in its shortest exact spelling, the one ``repr``
+    gives (see :func:`format_float`). The compiled formatter spells blocks of
+    rows into one reusable buffer, so no text of the whole table is built.
+    Where it cannot be built, each row is joined from ``repr`` in Python, with
+    the same bytes. ``line_end`` ends every line as given.
     """
-    table = np.column_stack(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + line_end)
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + line_end)
+    table = np.ascontiguousarray(np.column_stack(columns), dtype=np.float64)
+    eol = line_end.encode()
+    format_rows = _csv_formatter()
+    csv_tables["python" if format_rows is None else "c"] += 1
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + eol)
+        if format_rows is None:
+            for row in table:
+                fh.write(",".join(map(repr, row.tolist())).encode() + eol)
+            return
+        cols = table.shape[1]
+        out = np.empty(_BLOCK_ROWS * (_CELL_BYTES * cols + len(eol)), dtype=np.uint8)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            n = format_rows(block.ctypes.data, len(block), cols, eol, len(eol), out.ctypes.data)
+            fh.write(out[:n])
 
 
 def trajectory_to_csv(traj: SimTrajectory, path: str | Path) -> None:

@@ -6,6 +6,7 @@ from otbot import _ckernel
 from otbot.dynamics import admissible_state
 from otbot.integrator import _compiled_robot_attempt
 from otbot.params import frictionless, nominal_params
+from otbot.simulate import _csv_formatter
 
 settings.register_profile(
     "numerics",
@@ -29,12 +30,18 @@ def params_nf():
 
 @pytest.fixture
 def python_kernel(monkeypatch):
-    """Force the Python DP5 kernel for the robot: the C builder finds no compiler."""
-    monkeypatch.setattr(_ckernel, "build", lambda: None)
+    """Force the Python fallbacks: the C builder finds no compiler.
+
+    The robot then runs the Python DP5 kernel and CSV rows are joined from
+    ``repr`` in Python.
+    """
+    monkeypatch.setattr(_ckernel, "build", lambda *library: None)
     _compiled_robot_attempt.cache_clear()
+    _csv_formatter.cache_clear()
     yield
     monkeypatch.undo()
     _compiled_robot_attempt.cache_clear()
+    _csv_formatter.cache_clear()
 
 
 def random_q(rng: np.random.Generator) -> np.ndarray:

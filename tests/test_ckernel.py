@@ -1,19 +1,24 @@
-"""The compiled DP5 attempt of the robot against the Python kernel, its oracle.
+"""The compiled parts of otbot against the Python code, their oracle.
 
 ``dp5_robot_attempt`` (``src/otbot/_dp5_robot.c``) must give the same bits
 as the generated Python kernel, fail where the Python kernel raises, and
-leave every rollout unchanged when it cannot be built.
+leave every rollout unchanged when it cannot be built. ``format_rows``
+(``src/otbot/_csv_format.cpp``) must spell every double as ``repr`` does,
+so ``write_csv`` writes the same bytes with it and without it.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from otbot import integrator
+from otbot import _ckernel, integrator, simulate
 from otbot.integrator import (
     IntegratorOptions,
     IntegratorStats,
@@ -28,8 +33,10 @@ from otbot.simulate import (
     ControlSequence,
     DisturbanceSchedule,
     ForcePulse,
+    _csv_formatter,
     _robot_model,
     simulate_robot,
+    write_csv,
 )
 from otbot.dynamics import admissible_state
 
@@ -40,6 +47,18 @@ def compiled():
     run = _compiled_robot_attempt()
     if run is None:
         pytest.skip("no working C compiler (cc): the compiled DP5 attempt cannot be built")
+    return run
+
+
+@pytest.fixture
+def formatter():
+    """The compiled CSV formatter; the test is skipped where it cannot be built."""
+    run = _csv_formatter()
+    if run is None:
+        pytest.skip(
+            "no working C++ compiler (c++ with floating-point std::to_chars): "
+            "the CSV formatter cannot be built"
+        )
     return run
 
 
@@ -166,29 +185,115 @@ def test_forced_fallback_gives_the_same_rollout(compiled, request):
     assert c.stats == py.stats
 
 
-def test_build_falls_back_to_a_process_directory_and_to_python(compiled, tmp_path, monkeypatch):
-    from otbot import _ckernel
+def test_build_falls_back_to_a_process_directory_and_to_python(
+    compiled, formatter, tmp_path, monkeypatch
+):
+    libraries = [
+        (_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS),
+        (_ckernel.FORMATTER_SOURCE, _ckernel.CXX, _ckernel.CXX_FLAGS),
+    ]
 
     # a cache path below a regular file cannot be created
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "file" / "otbot")
-    built = _ckernel.build()
-    assert built is not None and built.is_file()
-    assert tmp_path not in built.parents
-    assert _ckernel.load() is not None
+    for library in libraries:
+        built = _ckernel.build(*library)
+        assert built is not None and built.is_file()
+        assert tmp_path not in built.parents
+    assert _ckernel.load() is not None and _ckernel.load_formatter() is not None
 
     # a writable cache is filled once and then reused
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "cache")
-    first = _ckernel.build()
-    assert first.parent == tmp_path / "cache"
-    assert [p.name for p in first.parent.iterdir()] == [first.name]
-    assert _ckernel.build() == first
+    first = [_ckernel.build(*library) for library in libraries]
+    assert {path.parent for path in first} == {tmp_path / "cache"}
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(p.name for p in first)
+    assert [_ckernel.build(*library) for library in libraries] == first
 
-    # a compiler that fails selects the Python kernel
+    # a compiler that fails selects the Python code
     failing = tmp_path / "cc"
     failing.write_text("#!/bin/sh\nexit 1\n")
     failing.chmod(0o755)
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "other")
     monkeypatch.setattr(_ckernel, "COMPILER", str(failing))
-    assert _ckernel.build() is None and _ckernel.load() is None
+    monkeypatch.setattr(_ckernel, "CXX", str(failing))
+    assert _ckernel.load() is None and _ckernel.load_formatter() is None
     assert list((tmp_path / "other").iterdir()) == []
+
+
+def test_sources_sit_next_to_the_module_and_ship_as_package_data():
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        shipped = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["otbot"]
+    for source in (_ckernel.SOURCE, _ckernel.FORMATTER_SOURCE):
+        assert source.parent == Path(_ckernel.__file__).parent and source.is_file()
+        assert any(fnmatch.fnmatch(source.name, pattern) for pattern in shipped), source.name
+
+
+def _spelled(format_rows, table: np.ndarray, eol: bytes) -> bytes:
+    """``format_rows`` of a whole float64 table in one call."""
+    rows, cols = table.shape
+    out = np.empty(rows * (simulate._CELL_BYTES * cols + len(eol)), dtype=np.uint8)
+    n = format_rows(table.ctypes.data, rows, cols, eol, len(eol), out.ctypes.data)
+    return out[:n].tobytes()
+
+
+def _repr_rows(table: np.ndarray, eol: str) -> bytes:
+    """The oracle: every row joined from ``repr`` in Python."""
+    return "".join(",".join(map(repr, row)) + eol for row in table.tolist()).encode()
+
+
+def test_formatter_spells_random_bit_patterns_as_repr(formatter):
+    bits = np.random.default_rng(11).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    table = bits.view(np.float64).reshape(-1, 8)
+    assert _spelled(formatter, table, b"\n") == _repr_rows(table, "\n")
+
+
+def _bits_around(value: float, n: int) -> np.ndarray:
+    """The n doubles below ``value``, ``value`` and the n above it."""
+    bits = np.array([value]).view(np.int64)[0] + np.arange(-n, n + 1, dtype=np.int64)
+    return bits.view(np.float64)
+
+
+def test_formatter_spells_the_edge_cases_as_repr(formatter):
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    rng = np.random.default_rng(3)
+    subnormals = rng.integers(1, 2**52, size=100_000, dtype=np.int64).view(np.float64)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        twos, np.nextafter(twos, np.inf), np.nextafter(twos, 0.0),
+        subnormals, _bits_around(np.finfo(float).tiny, 1000),
+        # around 1e16 fixed notation gives way to exponents; 2**53 ends the integers
+        np.arange(10**16 - 3000, 10**16 + 3000, dtype=np.int64).astype(np.float64),
+        _bits_around(1e16, 1000), _bits_around(2.0**53, 1000),
+        # around 1e-4 exponents take over from fixed notation
+        _bits_around(1e-4, 1000), _bits_around(1e-5, 1000),
+        np.array([0.0, np.inf, 1.0, 0.1, np.finfo(float).max]), nans,
+    ])
+    table = np.concatenate([values, -values]).reshape(-1, 1)
+    assert np.isnan(table).sum() == 8 and np.signbit(table[np.isnan(table)]).sum() == 4
+    spelled = _spelled(formatter, table, b"\n")
+    assert spelled == _repr_rows(table, "\n")
+    assert b"-0.0\n" in spelled and b"-nan" not in spelled
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_write_csv_blocks_match_the_python_rows(formatter, tmp_path, line_end):
+    block = simulate._BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    # the longest spelling fills every cell, so every block fills its buffer
+    longest = -2.2250738585072014e-308
+    assert len(repr(longest)) + 1 == simulate._CELL_BYTES
+    for rows in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        times = np.arange(rows) * 1e-3
+        states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 20, (rows, 3))
+        fill = np.full((rows, 2), longest)
+        path = tmp_path / f"{rows}.csv"
+        write_csv(path, ["t", "a", "b", "c", "d", "e"], [times, states, fill], line_end=line_end)
+        table = np.column_stack([times, states, fill])
+        expected = ("t,a,b,c,d,e" + line_end).encode() + _repr_rows(table, line_end)
+        assert path.read_bytes() == expected, rows

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import otbot
-from otbot import __version__
+from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.integrator import _compiled_robot_attempt
 from otbot.params import nominal_params, save_params
-from otbot.simulate import trajectory_from_csv
+from otbot.simulate import _csv_formatter, trajectory_from_csv
 
 MANIFEST_KEYS = {
     "tool",
@@ -25,6 +25,7 @@ MANIFEST_KEYS = {
     "config_sha256",
     "seeds",
     "integrator",
+    "csv",
     "wall_clock_s",
     "files",
 }
@@ -351,6 +352,17 @@ class TestBadNumericFlags:
 
     # gain files that cases below name, written next to --out
     KEY_FILES = {"zero.kv": "t_stab = 0\n", "negative.kv": "t_stab = -1\n", "nan.kv": "t_stab = nan\n"}
+    # scenario files that cases below name: a bundled scenario with one line
+    # changed, written next to --out with the parameter file it refers to
+    SCENARIO_FILES = {
+        "t-stab-negative.cfg": ("corridor", "t_stab = 3", "t_stab = -1"),
+        "t-stab-nan.cfg": ("corridor", "t_stab = 3", "t_stab = nan"),
+        "rate-zero.cfg": ("corridor", "rate = 1000", "rate = 0"),
+        "rate-negative.cfg": ("corridor", "rate = 1000", "rate = -5"),
+        "torque-rate-zero.cfg": ("chassis-excitation", "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 0"),
+        "sensor-rate-inf.cfg": ("chassis-excitation", "e-3\nrate = 100", "e-3\nrate = inf"),
+        "plan-rate-negative.cfg": ("plan-tracking", "plan.csv\nrate = 100", "plan.csv\nrate = -1"),
+    }
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -367,15 +379,34 @@ class TestBadNumericFlags:
             (["control", "--scenario", "corridor", "--gains", "zero.kv"], "zero.kv:1"),
             (["control", "--scenario", "corridor", "--gains", "negative.kv"], "negative.kv:1"),
             (["control", "--scenario", "corridor", "--gains", "nan.kv"], "nan.kv:1"),
+            (["control", "--scenario", "t-stab-negative.cfg"], "t-stab-negative.cfg: [control] t_stab"),
+            (["check-torques", "--scenario", "t-stab-nan.cfg"], "t-stab-nan.cfg: [control] t_stab"),
+            (["control", "--scenario", "rate-zero.cfg"], "rate-zero.cfg: [control] rate"),
+            (["control", "--scenario", "rate-negative.cfg"], "rate-negative.cfg: [control] rate"),
+            (["simulate", "--scenario", "torque-rate-zero.cfg"], "torque-rate-zero.cfg: [torques] rate"),
+            (["simulate", "--scenario", "sensor-rate-inf.cfg"], "sensor-rate-inf.cfg: [sensors] rate"),
+            (["control", "--scenario", "plan-rate-negative.cfg"], "plan-rate-negative.cfg: [plan] rate"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
-             "zero-window", "zero-t-stab", "negative-t-stab", "nan-t-stab"],
+             "zero-window", "zero-t-stab", "negative-t-stab", "nan-t-stab",
+             "scenario-negative-t-stab", "scenario-nan-t-stab", "scenario-zero-control-rate",
+             "scenario-negative-control-rate", "scenario-zero-torque-rate",
+             "scenario-inf-sensor-rate", "scenario-negative-plan-rate"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
+        bundled = Path(otbot.__file__).with_name("scenarios")
+        argv = list(argv)
         for i, arg in enumerate(argv):
             if arg in self.KEY_FILES:
                 (tmp_path / arg).write_text(self.KEY_FILES[arg])
+                argv[i] = str(tmp_path / arg)
+            if arg in self.SCENARIO_FILES:
+                name, line, changed = self.SCENARIO_FILES[arg]
+                text = (bundled / f"{name}.cfg").read_text()
+                assert text.count(line) == 1
+                (tmp_path / arg).write_text(text.replace(line, changed))
+                shutil.copy(bundled / "nominal.cfg", tmp_path)
                 argv[i] = str(tmp_path / arg)
         out = tmp_path / "run"
         assert main(argv + ["--out", str(out)]) == 2
@@ -386,7 +417,8 @@ class TestBadNumericFlags:
 
 
 class TestKernelInManifest:
-    """The manifest names the DP5 attempt the robot rollouts ran on."""
+    """The manifest names the DP5 attempt the robot rollouts ran on and the
+    formatter that wrote the CSV tables."""
 
     RUNS = [
         ["simulate", "--torques", "6,-10,6", "--duration", "0.2"],
@@ -398,11 +430,35 @@ class TestKernelInManifest:
     def test_compiled_kernel(self, tmp_path, argv):
         expected = "python" if _compiled_robot_attempt() is None else "c"
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
-        assert manifest(tmp_path / "run")["integrator"]["kernel"] == expected
+        m = manifest(tmp_path / "run")
+        assert m["integrator"]["kernel"] == expected
+        assert m["csv"] == ("python" if _csv_formatter() is None else "c")
 
     def test_forced_fallback(self, tmp_path, python_kernel):
         assert main(self.RUNS[0] + ["--out", str(tmp_path / "run")]) == 0
-        assert manifest(tmp_path / "run")["integrator"]["kernel"] == "python"
+        m = manifest(tmp_path / "run")
+        assert m["integrator"]["kernel"] == "python" and m["csv"] == "python"
+
+    def test_python_rows_write_the_same_csv_bytes(self, tmp_path, monkeypatch):
+        if _csv_formatter() is None:
+            pytest.skip("no working C++ compiler: the CSV formatter cannot be built")
+        argv = ["control", "--scenario", "corridor"]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+        assert manifest(tmp_path / "c")["csv"] == "c"
+        # the formatter cannot be built; the DP5 attempt stays loaded
+        monkeypatch.setattr(_ckernel, "load_formatter", lambda: None)
+        _csv_formatter.cache_clear()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "python")]) == 0
+        finally:
+            monkeypatch.undo()
+            _csv_formatter.cache_clear()
+        assert manifest(tmp_path / "python")["csv"] == "python"
+        names = sorted(p.name for p in (tmp_path / "c").glob("*.csv"))
+        assert len(names) == 5
+        assert names == sorted(p.name for p in (tmp_path / "python").glob("*.csv"))
+        for name in names:
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "python" / name).read_bytes(), name
 
 
 class TestEntryPoint:
