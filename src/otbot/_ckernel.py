@@ -42,6 +42,9 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin", "-shared"
 FORMATTER_SOURCE = Path(__file__).with_name("_csv_format.cpp")
 CXX = "c++"
 CXX_FLAGS = ("-O2", "-std=c++17", "-shared", "-fPIC")
+# The most bytes one double and its separator take ("-2.2250738585072014e-308,"):
+# a buffer of rows * (CELL_BYTES * cols + n_eol) bytes holds any table.
+CELL_BYTES = 25
 
 
 def cache_dir() -> Path:
@@ -111,10 +114,11 @@ def load():
 def load_formatter():
     """The ``format_rows`` function of the CSV formatter, or None.
 
-    ``format_rows(x, rows, cols, eol, n_eol, out)`` spells the row-major
-    float64 table at address ``x`` into the buffer at address ``out``, which
-    must hold ``rows * (25 * cols + n_eol)`` bytes, and returns the number
-    of bytes written; see the source's header.
+    ``format_rows(x, rows, cols, eol, n_eol, out, size)`` spells the
+    row-major float64 table at address ``x`` into the ``size`` bytes at
+    address ``out`` and returns the number of bytes written, or -1 where
+    ``size`` is less than ``rows * (CELL_BYTES * cols + n_eol)``; see the
+    source's header.
     """
     path = build(FORMATTER_SOURCE, CXX, CXX_FLAGS)
     if path is None:
@@ -124,6 +128,6 @@ def load_formatter():
     except OSError:  # e.g. an older libstdc++ already loaded into this process
         return None
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p,
-                            ctypes.c_long, ctypes.c_void_p]
+                            ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
     format_rows.restype = ctypes.c_long
     return format_rows

@@ -9,7 +9,6 @@
 //     integral values;
 //   - otherwise d.ddde+XX or d.ddde-XX, with at least two exponent digits;
 //   - "-0.0", "inf", "-inf", and "nan" for every NaN whatever its sign.
-// The longest spelling, "-2.2250738585072014e-308", has 24 characters.
 //
 // Built by otbot._ckernel with: c++ -O2 -std=c++17 -shared -fPIC
 #include <charconv>
@@ -17,6 +16,10 @@
 #include <cstring>
 
 namespace {
+
+// The most characters one double and its separator take: the longest
+// spelling, "-2.2250738585072014e-308", has 24.
+constexpr long kCell = sizeof "-2.2250738585072014e-308";
 
 char *put(char *p, const char *s, long n) {
     std::memcpy(p, s, n);
@@ -73,13 +76,16 @@ char *format_double(double x, char *p) {
 
 }  // namespace
 
-// Writes rows x cols doubles (row-major) to out, values separated by commas
-// and every row ended by the n_eol characters of eol; returns the number of
-// characters written, at most rows * (25 * cols + n_eol).
+// Writes rows x cols doubles (row-major) to the size bytes at out, values
+// separated by commas and every row ended by the n_eol characters of eol;
+// returns the number of characters written. Returns -1, having written only
+// whole rows, where the longest spelling of a row might not fit in what is
+// left of out.
 extern "C" long format_rows(const double *x, long rows, long cols, const char *eol, long n_eol,
-                            char *out) {
+                            char *out, long size) {
     char *p = out;
     for (long i = 0; i < rows; ++i) {
+        if (out + size - p < kCell * cols + n_eol) return -1;
         for (long j = 0; j < cols; ++j) {
             if (j > 0) *p++ = ',';
             p = format_double(x[i * cols + j], p);

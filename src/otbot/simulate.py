@@ -372,10 +372,8 @@ def format_float(v: float) -> str:
 # run's manifest names the one that wrote its tables.
 csv_tables = {"c": 0, "python": 0}
 
-# Rows spelled per call of the compiled formatter, and the most bytes one
-# double and its separator take ("-2.2250738585072014e-308,").
+# Rows spelled per call of the compiled formatter
 _BLOCK_ROWS = 1024
-_CELL_BYTES = 25
 
 
 @functools.cache
@@ -406,11 +404,16 @@ def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
             for row in table:
                 fh.write(",".join(map(repr, row.tolist())).encode() + eol)
             return
+        from ._ckernel import CELL_BYTES
+
         cols = table.shape[1]
-        out = np.empty(_BLOCK_ROWS * (_CELL_BYTES * cols + len(eol)), dtype=np.uint8)
+        out = np.empty(_BLOCK_ROWS * (CELL_BYTES * cols + len(eol)), dtype=np.uint8)
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
-            n = format_rows(block.ctypes.data, len(block), cols, eol, len(eol), out.ctypes.data)
+            n = format_rows(block.ctypes.data, len(block), cols, eol, len(eol),
+                            out.ctypes.data, out.size)
+            if n < 0:
+                raise RuntimeError(f"CSV formatter: {out.size} bytes cannot hold {len(block)} rows")
             fh.write(out[:n])
 
 

@@ -185,39 +185,43 @@ def test_forced_fallback_gives_the_same_rollout(compiled, request):
     assert c.stats == py.stats
 
 
-def test_build_falls_back_to_a_process_directory_and_to_python(
-    compiled, formatter, tmp_path, monkeypatch
-):
-    libraries = [
-        (_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS),
-        (_ckernel.FORMATTER_SOURCE, _ckernel.CXX, _ckernel.CXX_FLAGS),
-    ]
-
+def _check_build_fallbacks(library, load, compiler, tmp_path, monkeypatch):
+    """``build(*library)`` and ``load`` around caches and a failing ``compiler``."""
     # a cache path below a regular file cannot be created
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "file" / "otbot")
-    for library in libraries:
-        built = _ckernel.build(*library)
-        assert built is not None and built.is_file()
-        assert tmp_path not in built.parents
-    assert _ckernel.load() is not None and _ckernel.load_formatter() is not None
+    built = _ckernel.build(*library)
+    assert built is not None and built.is_file()
+    assert tmp_path not in built.parents
+    assert load() is not None
 
     # a writable cache is filled once and then reused
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "cache")
-    first = [_ckernel.build(*library) for library in libraries]
-    assert {path.parent for path in first} == {tmp_path / "cache"}
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(p.name for p in first)
-    assert [_ckernel.build(*library) for library in libraries] == first
+    first = _ckernel.build(*library)
+    assert first.parent == tmp_path / "cache"
+    assert [p.name for p in first.parent.iterdir()] == [first.name]
+    assert _ckernel.build(*library) == first
 
     # a compiler that fails selects the Python code
     failing = tmp_path / "cc"
     failing.write_text("#!/bin/sh\nexit 1\n")
     failing.chmod(0o755)
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "other")
-    monkeypatch.setattr(_ckernel, "COMPILER", str(failing))
-    monkeypatch.setattr(_ckernel, "CXX", str(failing))
-    assert _ckernel.load() is None and _ckernel.load_formatter() is None
+    monkeypatch.setattr(_ckernel, compiler, str(failing))
+    assert load() is None
     assert list((tmp_path / "other").iterdir()) == []
+
+
+def test_build_falls_back_to_a_process_directory_and_to_python(compiled, tmp_path, monkeypatch):
+    library = (_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS)
+    _check_build_fallbacks(library, _ckernel.load, "COMPILER", tmp_path, monkeypatch)
+
+
+def test_formatter_build_falls_back_to_a_process_directory_and_to_python(
+    formatter, tmp_path, monkeypatch
+):
+    library = (_ckernel.FORMATTER_SOURCE, _ckernel.CXX, _ckernel.CXX_FLAGS)
+    _check_build_fallbacks(library, _ckernel.load_formatter, "CXX", tmp_path, monkeypatch)
 
 
 def test_sources_sit_next_to_the_module_and_ship_as_package_data():
@@ -236,8 +240,9 @@ def test_sources_sit_next_to_the_module_and_ship_as_package_data():
 def _spelled(format_rows, table: np.ndarray, eol: bytes) -> bytes:
     """``format_rows`` of a whole float64 table in one call."""
     rows, cols = table.shape
-    out = np.empty(rows * (simulate._CELL_BYTES * cols + len(eol)), dtype=np.uint8)
-    n = format_rows(table.ctypes.data, rows, cols, eol, len(eol), out.ctypes.data)
+    out = np.empty(rows * (_ckernel.CELL_BYTES * cols + len(eol)), dtype=np.uint8)
+    n = format_rows(table.ctypes.data, rows, cols, eol, len(eol), out.ctypes.data, out.size)
+    assert n >= 0
     return out[:n].tobytes()
 
 
@@ -287,7 +292,7 @@ def test_write_csv_blocks_match_the_python_rows(formatter, tmp_path, line_end):
     rng = np.random.default_rng(5)
     # the longest spelling fills every cell, so every block fills its buffer
     longest = -2.2250738585072014e-308
-    assert len(repr(longest)) + 1 == simulate._CELL_BYTES
+    assert len(repr(longest)) + 1 == _ckernel.CELL_BYTES
     for rows in (0, 1, block - 1, block, block + 1, 2 * block + 3):
         times = np.arange(rows) * 1e-3
         states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 20, (rows, 3))
@@ -297,3 +302,31 @@ def test_write_csv_blocks_match_the_python_rows(formatter, tmp_path, line_end):
         table = np.column_stack([times, states, fill])
         expected = ("t,a,b,c,d,e" + line_end).encode() + _repr_rows(table, line_end)
         assert path.read_bytes() == expected, rows
+
+
+def test_formatter_refuses_a_buffer_a_row_might_overflow(formatter):
+    longest = -2.2250738585072014e-308
+    table = np.full((3, 4), longest)
+    line = ",".join([repr(longest)] * 4).encode() + b"\r\n"
+    bound = _ckernel.CELL_BYTES * 4 + 2  # what a row of 4 doubles may take
+    assert len(line) == bound - 1  # no separator after the last cell
+    out = np.full(3 * bound, 0xAB, dtype=np.uint8)
+
+    def spell(rows, size):
+        return formatter(table.ctypes.data, rows, 4, b"\r\n", 2, out.ctypes.data, size)
+
+    assert spell(3, 2 * len(line) + bound) == 3 * len(line)
+    assert out[: 3 * len(line)].tobytes() == line * 3
+    out[:] = 0xAB
+    # the third row is refused where its bound does not fit, and nothing is written past two rows
+    assert spell(3, 2 * len(line) + bound - 1) == -1
+    assert out[: 2 * len(line)].tobytes() == line * 2 and (out[2 * len(line) :] == 0xAB).all()
+    assert spell(1, bound - 1) == -1 and spell(0, 0) == 0
+
+
+def test_write_csv_raises_where_its_buffer_is_sized_too_small(formatter, tmp_path, monkeypatch):
+    # a bound one byte short: a full block of the longest spelling would overflow
+    monkeypatch.setattr(_ckernel, "CELL_BYTES", _ckernel.CELL_BYTES - 1)
+    column = np.full(simulate._BLOCK_ROWS, -2.2250738585072014e-308)
+    with pytest.raises(RuntimeError, match="CSV formatter"):
+        write_csv(tmp_path / "t.csv", ["a"], [column])
