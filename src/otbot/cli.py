@@ -32,18 +32,11 @@ from .identify import (
     BASIC_GUESS,
     CHASSIS_GUESS,
     FitOptions,
-    PLATFORM_DEVIATION,
-    chassis_experiment,
-    identify_basic,
-    identify_chassis,
-    identify_platform,
     parameter_bounds,
     platform_guess,
+    predict_outputs,
     run_pipeline,
     sensitivity_sweep,
-    wheel_experiment,
-    platform_shaft_experiment,
-    _predict_outputs,
 )
 from .integrator import IntegrationError, IntegratorOptions, robot_segments
 from .params import load_params, nominal_params, read_kv
@@ -289,7 +282,7 @@ def _report_estimate(fh, label: str, est, truth: dict[str, float], guesses: dict
 
 
 def _fit_data_csv(run: _Run, name: str, candidate: dict, fixed, exp) -> None:
-    pred = _predict_outputs(candidate, fixed, exp, IntegratorOptions())
+    pred = predict_outputs(candidate, fixed, exp, IntegratorOptions())
     meas = exp.record.values
     meas = meas if meas.ndim == 2 else meas[:, None]
     if meas.shape[1] == 3:
@@ -319,88 +312,39 @@ def _cmd_identify(args) -> int:
     seed = _resolve_seed(args.seed)
     run.seeds["base"] = seed
     options = FitOptions(jobs=args.jobs)
-    truth = params.as_dict()
-    truth["Ip0"] = params.Ip
-    deviation = guesses.get("deviation", PLATFORM_DEVIATION)
-    g1 = {**BASIC_GUESS, **{k: v for k, v in guesses.items() if k in BASIC_GUESS}}
-    g2 = {**CHASSIS_GUESS, **{k: v for k, v in guesses.items() if k in CHASSIS_GUESS}}
+    # a single step holds the other steps' parameters at the --params values
+    steps = ("1", "2", "3") if args.step == "all" else (args.step,)
+    result = run_pipeline(params, seed, guesses, args.window, options, steps)
+    sweep_keys = ("deviation", "seed", "err_mp", "err_Ip", "err_xF", "err_yF", "converged")
+    cells = []
+    if result.step3 is not None and args.sweep > 0:
+        cells = sensitivity_sweep((0.05, 0.10, 0.15, 0.20, 0.25), range(args.sweep), params, options=options)
+    truth = {**params.as_dict(), "Ip0": params.Ip}
 
-    report_path = run.emit("report.txt")
-    est_rows: list[tuple] = []
-    with open(report_path, "w") as fh:
-        if args.step == "all":
-            # Chained: each step consumes the previous estimates.
-            result = run_pipeline(
-                params,
-                seed=seed,
-                basic_guess=g1,
-                chassis_guess=g2,
-                platform_deviation=deviation,
-                platform_window=args.window,
-                options=options,
-            )
-            est1, est2, est3 = result.step1, result.step2, result.step3
-            exps, known2, known3 = result.experiments, result.known2, result.known3
-            g3 = platform_guess(deviation, params.mp, est1["Ip0"])
-        else:
-            # Single step: everything else is held at the file values.
-            est1 = est2 = est3 = None
-            known2 = params.replace(xF=0.0, yF=0.0)
-            known3 = params
-            g3 = platform_guess(deviation, params.mp, params.Ip)
-            if args.step == "1":
-                exps = {
-                    "wheel": wheel_experiment(params, seed=seed),
-                    "platform": platform_shaft_experiment(params, seed=seed),
-                }
-                est1 = identify_basic(exps["wheel"], exps["platform"], g1, options)
-            elif args.step == "2":
-                exps = {"step2": chassis_experiment(params, seed=seed + 1)}
-                est2 = identify_chassis(exps["step2"], known2, g2, options)
-            else:
-                exps = {"step3": chassis_experiment(params, seed=seed + 2, duration=args.window)}
-                est3 = identify_platform(exps["step3"], known3, g3, options)
-
-        if est1 is not None:
-            _report_estimate(fh, "step1", est1, truth, g1)
-            est_rows += [("step1", n, g1[n], est1[n], truth[n]) for n in est1.names]
-            _fit_data_csv(
-                run, "fit_step1_wheel.csv",
-                {"inertia": est1["Ia"], "damping": est1["bw"]}, {}, exps["wheel"],
-            )
-            _fit_data_csv(
-                run, "fit_step1_platform.csv",
-                {"inertia": est1["Ip0"], "damping": est1["bp"]}, {}, exps["platform"],
-            )
-        if est2 is not None:
-            _report_estimate(fh, "step2", est2, truth, g2)
-            est_rows += [("step2", n, g2[n], est2[n], truth[n]) for n in est2.names]
-            _fit_data_csv(run, "fit_step2.csv", est2.as_dict(), known2, exps["step2"])
-        if est3 is not None:
-            _report_estimate(fh, "step3", est3, truth, g3)
-            est_rows += [("step3", n, g3[n], est3[n], truth[n]) for n in est3.names]
-            _fit_data_csv(run, "fit_step3.csv", est3.as_dict(), known3, exps["step3"])
-            if args.sweep > 0:
-                cells = sensitivity_sweep(
-                    deviations=(0.05, 0.10, 0.15, 0.20, 0.25),
-                    seeds=range(args.sweep),
-                    true_params=params,
-                    options=options,
-                )
-                write_csv(
-                    run.emit("sweep.csv"),
-                    ["deviation", "seed", "err_mp", "err_Ip", "err_xF", "err_yF", "converged"],
-                    [np.array([float(c[k]) for c in cells]) for k in
-                     ("deviation", "seed", "err_mp", "err_Ip", "err_xF", "err_yF", "converged")],
-                )
-
+    with open(run.emit("report.txt"), "w") as fh:
+        for label, est in result.estimates.items():
+            _report_estimate(fh, label, est, truth, result.guesses[label])
     with open(run.emit("estimates.csv"), "w") as fh:
         fh.write("step,name,guess,estimate,true,abs_error\n")
-        for step, name, guess, value, true in est_rows:
-            fh.write(
-                f"{step},{name},{format_float(guess)},{format_float(value)},{format_float(true)},"
-                f"{format_float(abs(value - true))}\n"
-            )
+        for label, est in result.estimates.items():
+            for name in est.names:
+                guess, value, true = result.guesses[label][name], est[name], truth[name]
+                fh.write(
+                    f"{label},{name},{format_float(guess)},{format_float(value)},"
+                    f"{format_float(true)},{format_float(abs(value - true))}\n"
+                )
+    exps = result.experiments
+    if result.step1 is not None:
+        for shaft, names in (("wheel", ("Ia", "bw")), ("platform", ("Ip0", "bp"))):
+            candidate = {"inertia": result.step1[names[0]], "damping": result.step1[names[1]]}
+            _fit_data_csv(run, f"fit_step1_{shaft}.csv", candidate, {}, exps[shaft])
+    if result.step2 is not None:
+        _fit_data_csv(run, "fit_step2.csv", result.step2.as_dict(), result.known2, exps["step2"])
+    if result.step3 is not None:
+        _fit_data_csv(run, "fit_step3.csv", result.step3.as_dict(), result.known3, exps["step3"])
+    if cells:
+        write_csv(run.emit("sweep.csv"), list(sweep_keys),
+                  [np.array([float(c[k]) for c in cells]) for k in sweep_keys])
     run.finish()
     return 0
 

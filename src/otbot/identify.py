@@ -154,27 +154,34 @@ class FitOptions:
 
 @dataclass
 class IdentPipelineResult:
-    """Estimates of the three steps, what each step held fixed, and its data.
+    """Estimates of the steps that ran, what each step held fixed, and its data.
 
-    ``experiments`` holds the four records the fits ran on, keyed
-    ``wheel``, ``platform`` (step 1), ``step2`` and ``step3``; ``known2``
-    and ``known3`` are the full parameter sets held by steps 2 and 3.
+    ``step1``-``step3`` are ``None`` for a step that did not run; ``guesses``
+    holds each step's initial guess by step label. ``experiments`` holds
+    the records the fits ran on, keyed ``wheel``, ``platform`` (step 1),
+    ``step2`` and ``step3``; ``known2`` and ``known3`` are the full
+    parameter sets held by steps 2 and 3.
     """
 
-    step1: ParamEstimate
-    step2: ParamEstimate
-    step3: ParamEstimate
-    fixed: dict[str, dict[str, float]]
+    step1: ParamEstimate | None
+    step2: ParamEstimate | None
+    step3: ParamEstimate | None
+    guesses: dict[str, dict[str, float]]
     experiments: dict[str, Experiment]
     known2: RobotParams
     known3: RobotParams
 
+    @property
+    def estimates(self) -> dict[str, ParamEstimate]:
+        """The estimates of the steps that ran, by step label."""
+        steps = {"step1": self.step1, "step2": self.step2, "step3": self.step3}
+        return {label: est for label, est in steps.items() if est is not None}
+
     def identified_params(self, base: RobotParams) -> RobotParams:
-        """Assemble a full parameter set from the three estimates."""
-        out = base.replace(Ia=self.step1["Ia"], bw=self.step1["bw"], bp=self.step1["bp"])
-        out = out.replace(**self.step2.as_dict())
-        named = self.step3.as_dict()
-        return out.replace(mp=named["mp"], Ip=named["Ip"], xF=named["xF"], yF=named["yF"])
+        """``base`` with the estimates of the steps that ran (Ip0 excepted)."""
+        for est in self.estimates.values():
+            base = base.replace(**{n: v for n, v in est.as_dict().items() if n != "Ip0"})
+        return base
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +229,7 @@ def chassis_experiment(
 # Loss
 
 
-def _predict_outputs(candidate: dict, fixed, exp: Experiment, options: IntegratorOptions) -> np.ndarray:
+def predict_outputs(candidate: dict, fixed, exp: Experiment, options: IntegratorOptions) -> np.ndarray:
     """Noise-free sensor outputs of the candidate model on the record grid."""
     model = exp.sensor_model
     if exp.is_shaft:
@@ -267,7 +274,7 @@ def prediction_error(
     meas = exp.record.values
     meas = meas if meas.ndim == 2 else meas[:, None]
     try:
-        pred = _predict_outputs(candidate, fixed, exp, opts)
+        pred = predict_outputs(candidate, fixed, exp, opts)
     except (IntegrationError, ArithmeticError):
         return math.inf, np.full(meas.size, np.inf)
     res = (meas - pred).ravel()
@@ -466,51 +473,47 @@ def sensitivity_sweep(
 def run_pipeline(
     true_params: RobotParams,
     seed: int = 0,
-    basic_guess: dict | None = None,
-    chassis_guess: dict | None = None,
-    platform_deviation: float = PLATFORM_DEVIATION,
+    guesses: dict | None = None,
     platform_window: float = PLATFORM_WINDOW,
     options: FitOptions | None = None,
+    steps=("1", "2", "3"),
 ) -> IdentPipelineResult:
-    """All three steps in order, each consuming the previous estimates.
+    """The named steps in order, each consuming the earlier estimates.
 
     ``true_params`` drives the simulated plant; records at the three steps
-    use ``seed``, ``seed + 1`` and ``seed + 2``.
+    use ``seed``, ``seed + 1`` and ``seed + 2``. ``guesses`` may override
+    the initial guesses of steps 1 and 2 and the step-3 ``deviation``. A
+    step left out holds its parameters at ``true_params``.
     """
-    experiments = {
-        "wheel": wheel_experiment(true_params, seed=seed),
-        "platform": platform_shaft_experiment(true_params, seed=seed),
-    }
-    step1 = identify_basic(experiments["wheel"], experiments["platform"], basic_guess, options)
-
+    g = {**BASIC_GUESS, **CHASSIS_GUESS, "deviation": PLATFORM_DEVIATION, **(guesses or {})}
+    g1, g2 = ({n: g[n] for n in group} for group in (BASIC_GUESS, CHASSIS_GUESS))
+    step1 = step2 = step3 = None
+    experiments = {}
     # Unloaded platform: mass is known from its data sheet, inertia from
     # step 1, and its centre sits on the pivot axis.
-    known2 = true_params.replace(
-        Ia=step1["Ia"],
-        bw=step1["bw"],
-        bp=step1["bp"],
-        Ip=step1["Ip0"],
-        xF=0.0,
-        yF=0.0,
-    )
-    experiments["step2"] = chassis_experiment(true_params, seed=seed + 1)
-    step2 = identify_chassis(experiments["step2"], known2, chassis_guess, options)
+    known2 = true_params.replace(xF=0.0, yF=0.0)
+    if "1" in steps:
+        experiments["wheel"] = wheel_experiment(true_params, seed=seed)
+        experiments["platform"] = platform_shaft_experiment(true_params, seed=seed)
+        step1 = identify_basic(experiments["wheel"], experiments["platform"], g1, options)
+        known2 = known2.replace(Ia=step1["Ia"], bw=step1["bw"], bp=step1["bp"], Ip=step1["Ip0"])
 
-    known3 = known2.replace(**step2.as_dict())
-    guess3 = platform_guess(platform_deviation, mp0=true_params.mp, Ip0=step1["Ip0"])
-    experiments["step3"] = chassis_experiment(true_params, seed=seed + 2, duration=platform_window)
-    step3 = identify_platform(experiments["step3"], known3, guess3, options)
+    known3 = known2
+    if "2" in steps:
+        experiments["step2"] = chassis_experiment(true_params, seed=seed + 1)
+        step2 = identify_chassis(experiments["step2"], known2, g2, options)
+        known3 = known2.replace(**step2.as_dict())
 
-    fixed = {
-        "step1": {},
-        "step2": {k: known2.as_dict()[k] for k in ("Ia", "bw", "bp", "Ip", "mp", "xF", "yF")},
-        "step3": {k: known3.as_dict()[k] for k in ("Ia", "bw", "bp", "mc", "Ic", "xB", "yB")},
-    }
+    g3 = platform_guess(g["deviation"], mp0=true_params.mp, Ip0=known2.Ip)
+    if "3" in steps:
+        experiments["step3"] = chassis_experiment(true_params, seed=seed + 2, duration=platform_window)
+        step3 = identify_platform(experiments["step3"], known3, g3, options)
+
     return IdentPipelineResult(
         step1=step1,
         step2=step2,
         step3=step3,
-        fixed=fixed,
+        guesses={"step1": g1, "step2": g2, "step3": g3},
         experiments=experiments,
         known2=known2,
         known3=known3,

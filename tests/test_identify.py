@@ -6,14 +6,16 @@ import pytest
 from otbot.identify import (
     Experiment,
     FitOptions,
+    PLATFORM_DEVIATION,
     ParamEstimate,
-    _predict_outputs,
     chassis_experiment,
     fit_trust_region,
     identify_basic,
+    identify_platform,
     parameter_bounds,
     platform_guess,
     platform_shaft_experiment,
+    predict_outputs,
     prediction_error,
     run_pipeline,
     wheel_experiment,
@@ -193,12 +195,12 @@ def test_imu_channels_condition_the_chassis_fit(params):
     # would be an order of magnitude worse.
     exp = chassis_experiment(params, seed=None, sigma=0.0)
     opts = IntegratorOptions(rtol=1e-10, atol=1e-13)
-    base = _predict_outputs({}, params, exp, opts)
+    base = predict_outputs({}, params, exp, opts)
     cols = []
     for name in ("mc", "Ic", "xB", "yB"):
         t0 = getattr(params, name) if name != "yB" else 0.05  # yB = 0 needs a base point
         h = 1e-6 * abs(t0)
-        pred = _predict_outputs({name: getattr(params, name) + h}, params, exp, opts)
+        pred = predict_outputs({name: getattr(params, name) + h}, params, exp, opts)
         cols.append((pred - base) / h * abs(t0))
     jac = np.stack(cols, axis=-1)  # samples x channels x parameters
 
@@ -242,19 +244,36 @@ def test_pipeline_recovers_every_group(pipeline_result, params):
 
 def test_pipeline_bookkeeping(pipeline_result, params):
     r = pipeline_result
-    # Step 2 holds the unloaded platform: catalogue mass, shaft inertia from
-    # step 1, centre of mass on the axis.
-    assert r.fixed["step2"]["Ip"] == r.step1["Ip0"]
-    assert r.fixed["step2"]["mp"] == params.mp
-    assert r.fixed["step2"]["xF"] == r.fixed["step2"]["yF"] == 0.0
-    # Step 3 holds the chassis just estimated.
-    assert r.fixed["step3"]["mc"] == r.step2["mc"]
-    assert r.fixed["step3"]["xB"] == r.step2["xB"]
-    # The held parameter sets and the four records travel with the result.
-    assert r.known2.as_dict().items() >= r.fixed["step2"].items()
-    assert r.known3.as_dict().items() >= r.fixed["step3"].items()
+    # Step 2 holds the step-1 shafts and the unloaded platform: catalogue
+    # mass, shaft inertia from step 1, centre of mass on the axis.
+    assert r.known2.Ia == r.step1["Ia"]
+    assert r.known2.bp == r.step1["bp"]
+    assert r.known2.Ip == r.step1["Ip0"]
+    assert r.known2.mp == params.mp
+    assert r.known2.xF == r.known2.yF == 0.0
+    # Step 3 adds the chassis just estimated.
+    assert r.known3.mc == r.step2["mc"]
+    assert r.known3.xB == r.step2["xB"]
+    assert r.known3.Ia == r.step1["Ia"]
+    # The four records and each step's guesses travel with the result.
     assert sorted(r.experiments) == ["platform", "step2", "step3", "wheel"]
     assert r.experiments["step3"].controls.end_time == pytest.approx(3.0)
+    assert list(r.estimates) == ["step1", "step2", "step3"]
+    assert r.guesses["step3"] == platform_guess(0.25, params.mp, r.step1["Ip0"])
+
+
+def test_a_single_step_holds_the_others_at_the_truth(params):
+    window = 0.3
+    r = run_pipeline(params, seed=4, platform_window=window, steps=("3",))
+    assert r.step1 is None and r.step2 is None and list(r.estimates) == ["step3"]
+    assert r.known3 == params.replace(xF=0.0, yF=0.0)
+    direct = identify_platform(
+        chassis_experiment(params, seed=4 + 2, duration=window),
+        params,
+        platform_guess(PLATFORM_DEVIATION, params.mp, params.Ip),
+    )
+    assert (r.step3.values == direct.values).all()
+    assert r.step3.loss == direct.loss
 
 
 def test_pipeline_assembles_params(pipeline_result, params):
