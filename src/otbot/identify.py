@@ -12,16 +12,15 @@ each fixing everything estimated before it:
 3. working platform: same excitation over a short window, fits
    (mp, Ip, xF, yF) of the platform plus whatever load it carries.
 
-Losses are unweighted sums of squared output residuals. Fits run twice:
-first with a loose integrator tolerance for speed, then re-polished from
-the solution with a tight one.
+Losses are unweighted sums of squared output residuals. Each parameter
+subset is fitted once, its rollouts at one integrator tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -79,11 +78,15 @@ _PARAM_KIND = {
     "yF": "com",
 }
 
-# Stage tolerances: exploration, then polish from the found minimum.
-_FIT_STAGES = (
-    IntegratorOptions(rtol=1e-8, atol=1e-11),
-    IntegratorOptions(rtol=1e-10, atol=1e-13),
-)
+# Integrator tolerance of every rollout a fit makes
+FIT_TOLERANCE = IntegratorOptions(rtol=1e-8, atol=1e-11)
+
+# Trust-region settings: iteration cap, relative loss and step tolerances,
+# and the relative step of the forward-difference Jacobian
+MAX_ITER = 200
+FTOL = 1e-10
+XTOL = 1e-10
+FD_STEP = 1e-6
 
 
 def parameter_bounds(names) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +143,11 @@ class FitOptions:
     """Trust-region solver settings.
 
     The residual Jacobian is scipy's forward finite difference ("2-point")
-    with relative step ``fd_step``; ``jobs`` > 1 evaluates its columns from
+    with relative step ``FD_STEP``; ``jobs`` > 1 evaluates its columns from
     a thread pool. The differences are the same either way, so ``jobs``
     changes only the wall time, never the estimates.
     """
 
-    max_iter: int = 200
-    ftol: float = 1e-10
-    xtol: float = 1e-10
-    fd_step: float = 1e-6
     jobs: int = 1
 
 
@@ -295,7 +294,7 @@ def fit_trust_region(
     """Minimize ``sum(residual_fn(p)**2)`` inside box bounds.
 
     Bounded trust-region reflective least squares; terminates on relative
-    loss decrease (ftol), step size (xtol) or the iteration cap. The
+    loss decrease (FTOL), step size (XTOL) or the iteration cap. The
     returned loss never exceeds the loss at ``p0``; running out of
     iterations is reported as ``converged=False``.
     """
@@ -315,13 +314,13 @@ def fit_trust_region(
 
     kwargs = dict(
         jac="2-point",
-        diff_step=opts.fd_step,
+        diff_step=FD_STEP,
         bounds=(lb, ub),
         method="trf",
-        ftol=opts.ftol,
-        xtol=opts.xtol,
+        ftol=FTOL,
+        xtol=XTOL,
         gtol=1e-14,
-        max_nfev=opts.max_iter * (len(p0) + 1),
+        max_nfev=MAX_ITER * (len(p0) + 1),
     )
     if opts.jobs > 1:
         with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
@@ -339,32 +338,15 @@ def fit_trust_region(
     )
 
 
-def _staged_fit(make_residual, p0, bounds, names, options: FitOptions | None) -> ParamEstimate:
-    """Fit at each stage tolerance in turn, warm-starting from the last."""
-    est: ParamEstimate | None = None
-    x = np.asarray(p0, dtype=float)
-    iterations = 0
-    converged = True
-    for stage in _FIT_STAGES:
-        est = fit_trust_region(make_residual(stage), x, bounds, options, names)
-        x = est.values
-        iterations += est.iterations
-        converged = converged and est.converged
-    return dc_replace(est, iterations=iterations, converged=converged)
-
-
 # ---------------------------------------------------------------------------
 # The three steps
 
 
 def _fit_subset(exp: Experiment, fixed, names, guess_values, options) -> ParamEstimate:
-    def make_residual(int_opts):
-        def residual(p):
-            return prediction_error(dict(zip(names, p)), fixed, exp, int_opts)[1]
+    def residual(p):
+        return prediction_error(dict(zip(names, p)), fixed, exp, FIT_TOLERANCE)[1]
 
-        return residual
-
-    return _staged_fit(make_residual, guess_values, parameter_bounds(names), names, options)
+    return fit_trust_region(residual, guess_values, parameter_bounds(names), options, names)
 
 
 def identify_basic(

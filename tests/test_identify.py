@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from otbot import identify
 from otbot.identify import (
     Experiment,
     FitOptions,
@@ -260,6 +261,20 @@ def test_pipeline_bookkeeping(pipeline_result, params):
     assert r.experiments["step3"].controls.end_time == pytest.approx(3.0)
     assert list(r.estimates) == ["step1", "step2", "step3"]
     assert r.guesses["step3"] == platform_guess(0.25, params.mp, r.step1["Ip0"])
+
+
+def test_pipeline_fits_each_subset_once(monkeypatch, params):
+    fitted = []
+    real_fit = identify.fit_trust_region
+
+    def counted_fit(residual_fn, p0, bounds=None, options=None, names=None):
+        fitted.append(names)
+        return real_fit(residual_fn, p0, bounds, options, names)
+
+    monkeypatch.setattr(identify, "fit_trust_region", counted_fit)
+    run_pipeline(params, seed=0, platform_window=0.5)
+    shaft = ("inertia", "damping")
+    assert fitted == [shaft, shaft, ("mc", "Ic", "xB", "yB"), ("mp", "Ip", "xF", "yF")]
 
 
 def test_a_single_step_holds_the_others_at_the_truth(params):
