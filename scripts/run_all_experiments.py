@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every bundled scenario through the CLI into runs/<name>/.
 
-Identification runs take a few minutes (the chained pipeline refits at every
-step); pass --quick to skip them and only produce the simulation and
+The identification run (the three chained steps and a two-seed sweep) takes
+a few seconds; pass --quick to skip it and only produce the simulation and
 tracking artifacts.
 """
 

@@ -31,6 +31,7 @@ from .control import (
 from .identify import (
     BASIC_GUESS,
     CHASSIS_GUESS,
+    SAMPLE_RATE,
     FitOptions,
     parameter_bounds,
     platform_guess,
@@ -183,15 +184,20 @@ def _parse_torques(text: str) -> np.ndarray:
 
 
 def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("OTBOT_SEED")
-    if env is not None:
+    """The noise seed: --seed, else OTBOT_SEED, else the scenario's."""
+    source, seed = "--seed", flag_seed
+    if seed is None:
+        env = os.environ.get("OTBOT_SEED")
+        if env is None:
+            return cfg_seed
+        source = "OTBOT_SEED"
         try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"OTBOT_SEED must be an integer, got {env!r}") from exc
-    return cfg_seed
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"OTBOT_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _write_sensor_csv(run: _Run, name: str, record) -> None:
@@ -214,6 +220,10 @@ def _cmd_simulate(args) -> int:
         torques = _parse_torques(args.torques)
         _check_number("--duration", args.duration)
         _check_number("--rate", args.rate)
+        if round(args.duration * args.rate) < 1:
+            raise ConfigError(
+                f"--duration {args.duration!r} s is shorter than one period of --rate {args.rate!r} Hz"
+            )
     out = Path(args.out)
     run = _Run("simulate", out)
 
@@ -304,6 +314,10 @@ def _cmd_identify(args) -> int:
     if args.sweep < 0:
         raise ConfigError(f"--sweep must be a non-negative integer, got {args.sweep}")
     _check_number("--window", args.window)
+    if round(args.window * SAMPLE_RATE) < 1:
+        raise ConfigError(
+            f"--window {args.window!r} s is shorter than one {SAMPLE_RATE!r} Hz sample period"
+        )
     run = _Run("identify", Path(args.out))
     params = run.config(args.params, load_params, nominal_params())
     guesses = run.config(
@@ -315,10 +329,10 @@ def _cmd_identify(args) -> int:
     # a single step holds the other steps' parameters at the --params values
     steps = ("1", "2", "3") if args.step == "all" else (args.step,)
     result = run_pipeline(params, seed, guesses, args.window, options, steps)
-    sweep_keys = ("deviation", "seed", "err_mp", "err_Ip", "err_xF", "err_yF", "converged")
     cells = []
     if result.step3 is not None and args.sweep > 0:
-        cells = sensitivity_sweep((0.05, 0.10, 0.15, 0.20, 0.25), range(args.sweep), params, options=options)
+        deviations = (0.05, 0.10, 0.15, 0.20, 0.25)
+        cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window, options)
     truth = {**params.as_dict(), "Ip0": params.Ip}
 
     with open(run.emit("report.txt"), "w") as fh:
@@ -335,16 +349,16 @@ def _cmd_identify(args) -> int:
                 )
     exps = result.experiments
     if result.step1 is not None:
-        for shaft, names in (("wheel", ("Ia", "bw")), ("platform", ("Ip0", "bp"))):
-            candidate = {"inertia": result.step1[names[0]], "damping": result.step1[names[1]]}
+        for shaft, (inertia, damping) in (("wheel", ("Ia", "bw")), ("platform", ("Ip0", "bp"))):
+            candidate = {"inertia": result.step1[inertia], "damping": result.step1[damping]}
             _fit_data_csv(run, f"fit_step1_{shaft}.csv", candidate, {}, exps[shaft])
     if result.step2 is not None:
         _fit_data_csv(run, "fit_step2.csv", result.step2.as_dict(), result.known2, exps["step2"])
     if result.step3 is not None:
         _fit_data_csv(run, "fit_step3.csv", result.step3.as_dict(), result.known3, exps["step3"])
     if cells:
-        write_csv(run.emit("sweep.csv"), list(sweep_keys),
-                  [np.array([float(c[k]) for c in cells]) for k in sweep_keys])
+        keys = list(cells[0])
+        write_csv(run.emit("sweep.csv"), keys, [np.array([float(c[k]) for c in cells]) for k in keys])
     run.finish()
     return 0
 
@@ -410,6 +424,16 @@ def _cmd_control(args) -> int:
         plan = run.config(plan_path, trajectory_from_csv, None)
         if plan_path.parent == out and plan_path.name not in run.files:
             run.files.append(plan_path.name)
+        horizon = float(plan.times[-1] - plan.times[0])
+    else:
+        ref = make_reference(cfg.reference)
+        horizon = ref.horizon
+    # the tracking loop runs a whole number of control periods
+    if not math.isclose(round(horizon * rate) * (1.0 / rate), horizon, rel_tol=0.0, abs_tol=1e-9):
+        source = "--rate" if args.rate is not None else f"{cfg.path}: [control] rate"
+        raise ConfigError(
+            f"{source} {rate!r} Hz does not split the {horizon!r} s horizon into whole periods"
+        )
 
     with open(run.emit("report.txt"), "w") as fh:
         fh.write(f"scenario = {cfg.name}\n")
@@ -417,7 +441,6 @@ def _cmd_control(args) -> int:
         fh.write(f"poles = {format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}\n")
 
         if cfg.mode == "controller":
-            ref = make_reference(cfg.reference)
             x0 = cfg.initial_state(ref)
             result = closed_loop_simulate(
                 params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances
@@ -507,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--sweep", type=int, default=2,
                       help="seeds for the step-3 sensitivity sweep (0 disables)")
     p_id.add_argument("--window", type=float, default=1.0,
-                      help="step-3 record length in seconds")
+                      help="step-3 and sweep record length in seconds")
     p_id.add_argument("--out", required=True)
     p_id.set_defaults(func=_cmd_identify)
 

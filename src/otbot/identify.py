@@ -422,22 +422,22 @@ def sensitivity_sweep(
     deviations,
     seeds,
     true_params: RobotParams,
-    known: RobotParams | None = None,
+    window: float = PLATFORM_WINDOW,
     options: FitOptions | None = None,
 ) -> list[dict]:
     """Re-run the platform step across guess deviations and noise seeds.
 
-    Returns one row per (deviation, seed) cell with the absolute estimate
-    errors against ``true_params`` and the convergence flag. Individual
-    non-convergences are recorded, not raised.
+    Every cell fits a ``window``-second record with everything but the
+    platform held at ``true_params``. Returns one row per (deviation, seed)
+    cell with the absolute estimate errors against ``true_params`` and the
+    convergence flag. Individual non-convergences are recorded, not raised.
     """
-    known = known if known is not None else true_params
     rows = []
     for deviation in deviations:
-        guess = platform_guess(deviation, mp0=true_params.mp, Ip0=known.Ip)
+        guess = platform_guess(deviation, mp0=true_params.mp, Ip0=true_params.Ip)
         for seed in seeds:
-            exp = chassis_experiment(true_params, seed=seed, duration=PLATFORM_WINDOW)
-            est = identify_platform(exp, known, guess, options)
+            exp = chassis_experiment(true_params, seed=seed, duration=window)
+            est = identify_platform(exp, true_params, guess, options)
             rows.append(
                 {
                     "deviation": float(deviation),
@@ -458,7 +458,7 @@ def run_pipeline(
     guesses: dict | None = None,
     platform_window: float = PLATFORM_WINDOW,
     options: FitOptions | None = None,
-    steps=("1", "2", "3"),
+    steps: tuple[str, ...] = ("1", "2", "3"),
 ) -> IdentPipelineResult:
     """The named steps in order, each consuming the earlier estimates.
 

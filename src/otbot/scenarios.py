@@ -98,6 +98,8 @@ class ScenarioConfig:
             raise ConfigError(f"{self.path}: unknown mode {self.mode!r}")
         if not self.horizon > 0.0:
             raise ConfigError(f"{self.path}: horizon must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"{self.path}: seed must be a non-negative integer, got {self.seed}")
         if self.mode == "shaft" and self.axis not in ("wheel", "platform"):
             raise ConfigError(f"{self.path}: shaft mode needs axis = wheel | platform")
         if self.mode == "torques" and self.torques is None:

@@ -362,6 +362,8 @@ class TestBadNumericFlags:
         "torque-rate-zero.cfg": ("chassis-excitation", "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 0"),
         "sensor-rate-inf.cfg": ("chassis-excitation", "e-3\nrate = 100", "e-3\nrate = inf"),
         "plan-rate-negative.cfg": ("plan-tracking", "plan.csv\nrate = 100", "plan.csv\nrate = -1"),
+        "rate-fraction.cfg": ("corridor", "rate = 1000", "rate = 0.45"),
+        "seed-negative.cfg": ("chassis-excitation", "seed = 1", "seed = -1"),
     }
 
     @pytest.mark.parametrize(
@@ -386,17 +388,30 @@ class TestBadNumericFlags:
             (["simulate", "--scenario", "torque-rate-zero.cfg"], "torque-rate-zero.cfg: [torques] rate"),
             (["simulate", "--scenario", "sensor-rate-inf.cfg"], "sensor-rate-inf.cfg: [sensors] rate"),
             (["control", "--scenario", "plan-rate-negative.cfg"], "plan-rate-negative.cfg: [plan] rate"),
+            (["control", "--scenario", "rate-fraction.cfg"], "rate-fraction.cfg: [control] rate"),
+            (["simulate", "--scenario", "seed-negative.cfg"], "seed-negative.cfg: seed"),
+            (["simulate", "--scenario", "chassis-excitation", "--seed", "-1"], "--seed"),
+            (["OTBOT_SEED=-3", "simulate", "--scenario", "wheel-spin"], "OTBOT_SEED"),
+            (["identify", "--step", "1", "--seed", "-2"], "--seed"),
+            (["control", "--scenario", "corridor", "--rate", "0.45"], "--rate"),
+            (["simulate", "--torques", "1,2,3", "--duration", "0.001", "--rate", "100"], "--duration"),
+            (["identify", "--step", "3", "--window", "0.004"], "--window"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
              "zero-window", "zero-t-stab", "negative-t-stab", "nan-t-stab",
              "scenario-negative-t-stab", "scenario-nan-t-stab", "scenario-zero-control-rate",
              "scenario-negative-control-rate", "scenario-zero-torque-rate",
-             "scenario-inf-sensor-rate", "scenario-negative-plan-rate"],
+             "scenario-inf-sensor-rate", "scenario-negative-plan-rate",
+             "scenario-fractional-control-periods", "scenario-negative-seed", "negative-seed",
+             "negative-environment-seed", "negative-identify-seed", "fractional-control-periods",
+             "duration-under-one-period", "window-under-one-sample"],
     )
-    def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
+    def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")
         argv = list(argv)
+        if argv[0].startswith("OTBOT_SEED="):
+            monkeypatch.setenv("OTBOT_SEED", argv.pop(0).partition("=")[2])
         for i, arg in enumerate(argv):
             if arg in self.KEY_FILES:
                 (tmp_path / arg).write_text(self.KEY_FILES[arg])

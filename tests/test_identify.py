@@ -19,6 +19,7 @@ from otbot.identify import (
     predict_outputs,
     prediction_error,
     run_pipeline,
+    sensitivity_sweep,
     wheel_experiment,
 )
 from otbot.integrator import IntegratorOptions
@@ -289,6 +290,11 @@ def test_a_single_step_holds_the_others_at_the_truth(params):
     )
     assert (r.step3.values == direct.values).all()
     assert r.step3.loss == direct.loss
+    # With no step run, step 2 would hold the plant with its platform unloaded.
+    loaded = params.replace(xF=0.05, yF=-0.02)
+    held = run_pipeline(loaded, steps=())
+    assert held.estimates == {} and held.experiments == {}
+    assert held.known2 == held.known3 == loaded.replace(xF=0.0, yF=0.0)
 
 
 def test_pipeline_assembles_params(pipeline_result, params):
@@ -298,3 +304,17 @@ def test_pipeline_assembles_params(pipeline_result, params):
     assert ident.Ip == pipeline_result.step3["Ip"]
     assert ident.l1 == params.l1  # geometry is never estimated
     assert abs(ident.mc - params.mc) < 0.8
+
+
+def test_sweep_fits_records_of_the_given_window(monkeypatch, params):
+    ends = []
+    real_identify = identify.identify_platform
+
+    def recorded(exp, known, guess, options=None):
+        ends.append(exp.controls.end_time)
+        return real_identify(exp, known, guess, options)
+
+    monkeypatch.setattr(identify, "identify_platform", recorded)
+    rows = sensitivity_sweep((0.05, 0.25), range(1), params, window=0.2)
+    assert [row["deviation"] for row in rows] == [0.05, 0.25]
+    assert ends == [pytest.approx(0.2)] * 2
