@@ -31,6 +31,7 @@ from .control import (
 from .identify import (
     BASIC_GUESS,
     CHASSIS_GUESS,
+    FIT_TOLERANCE,
     SAMPLE_RATE,
     FitOptions,
     parameter_bounds,
@@ -39,6 +40,7 @@ from .identify import (
     run_pipeline,
     sensitivity_sweep,
 )
+from .dynamics import RobotState
 from .integrator import IntegrationError, IntegratorOptions, robot_segments
 from .params import load_params, nominal_params, read_kv
 from .scenarios import (
@@ -47,6 +49,7 @@ from .scenarios import (
     ensure_plan,
     load_scenario,
     make_reference,
+    plan_path,
     scenario_listing,
 )
 from .sensors import SensorModel
@@ -67,6 +70,16 @@ from .simulate import (
 # relative deviation of the step-3 guess from the truth
 GUESS_KEYS = (*BASIC_GUESS, *CHASSIS_GUESS, "deviation")
 
+# output channels of each sensor kind, in the column order of its records
+SENSOR_CHANNELS = {"imu": ("accel_x", "accel_y", "angular_rate"), "encoder": ("rate",)}
+XYA = ("x", "y", "alpha")  # task coordinates
+RLP = ("r", "l", "p")  # actuated joints
+
+
+def _prefix_suffix(prefixes, suffixes) -> list[str]:
+    """Column names ``prefix_suffix``, suffixes varying fastest."""
+    return [f"{p}_{s}" for p in prefixes for s in suffixes]
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -75,10 +88,12 @@ def _sha256(path: Path) -> str:
 class _Run:
     """Collects emitted files and writes the manifest at the end."""
 
-    def __init__(self, command: str, out_dir: Path, options: IntegratorOptions | None = None):
+    def __init__(self, command: str, out_dir: Path):
         self.command = command
         self.out = out_dir
-        self.options = options or IntegratorOptions()
+        # tolerances of the rollouts; a run that fits adds its fits' as "fit"
+        options = IntegratorOptions()
+        self.tolerances: dict = {"rtol": options.rtol, "atol": options.atol}
         self.configs: list[Path] = []
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
@@ -120,8 +135,7 @@ class _Run:
             "config_sha256": {str(p): _sha256(p) for p in self.configs if p.exists()},
             "seeds": self.seeds,
             "integrator": {
-                "rtol": self.options.rtol,
-                "atol": self.options.atol,
+                **self.tolerances,
                 # the DP5 attempt the robot rollouts ran on
                 "kernel": "c" if robot_segments["c"] > self.c_segments else "python",
             },
@@ -200,13 +214,18 @@ def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
     return seed
 
 
+def _scenario(run: _Run, name: str, params_file: str | None, modes, hint: str):
+    """The scenario ``name`` in one of ``modes`` and its (``--params``) robot parameters."""
+    cfg = load_scenario(name)
+    run.configs.append(cfg.path)
+    if cfg.mode not in modes:
+        raise ConfigError(f"scenario {cfg.name!r} is a {cfg.mode} scenario; {hint}")
+    return cfg, run.config(params_file, load_params, cfg.params)
+
+
 def _write_sensor_csv(run: _Run, name: str, record) -> None:
-    vals = np.atleast_2d(record.values.T).T
-    if record.kind == "imu":
-        header = ["time", "accel_x", "accel_y", "angular_rate"]
-    else:
-        header = ["time", "rate"]
-    write_csv(run.emit(name), header, [record.times] + [vals[:, i] for i in range(vals.shape[1])])
+    header = ["time", *SENSOR_CHANNELS[record.kind]]
+    write_csv(run.emit(name), header, [record.times, record.values])
 
 
 # ---------------------------------------------------------------- simulate
@@ -228,45 +247,37 @@ def _cmd_simulate(args) -> int:
     run = _Run("simulate", out)
 
     if args.scenario:
-        cfg = load_scenario(args.scenario)
-        run.configs.append(cfg.path)
-        params = run.config(args.params, load_params, cfg.params)
+        cfg, params = _scenario(
+            run, args.scenario, args.params, ("shaft", "torques"), "use the control subcommand"
+        )
         seed = _resolve_seed(args.seed, cfg.seed)
         run.seeds["scenario"] = seed
-
-        if cfg.mode == "shaft":
+        grid = np.arange(int(round(cfg.horizon * cfg.sensor_rate)) + 1) / cfg.sensor_rate
+        shaft = cfg.mode == "shaft"
+        if shaft:
             inertia, damping = (
                 (params.Ia, params.bw) if cfg.axis == "wheel" else (params.Ip, params.bp)
             )
-            controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.torque_rate)
-            grid = np.arange(int(round(cfg.horizon * cfg.sensor_rate)) + 1) / cfg.sensor_rate
+            controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.shaft_rate)
             traj = simulate_shaft(inertia, damping, controls, output_times=grid)
             write_csv(
                 run.emit("shaft.csv"),
                 ["time", "angle", "rate", "torque"],
-                [traj.times, traj.states[:, 0], traj.states[:, 1], traj.controls[:, 0]],
+                [traj.times, traj.states, traj.controls],
             )
-            for kind, sigma in cfg.sensors.items():
-                model = SensorModel(kind="encoder", sigma=sigma, rate=cfg.sensor_rate, axis=1)
-                _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
-        elif cfg.mode == "torques":
+        else:
             controls = ControlSequence.constant(cfg.torques, cfg.horizon, cfg.torque_rate)
-            grid = np.arange(int(round(cfg.horizon * cfg.sensor_rate)) + 1) / cfg.sensor_rate
             traj = simulate_robot(params, cfg.initial_state(), controls, output_times=grid)
             trajectory_to_csv(traj, run.emit("trajectory.csv"))
-            for kind, sigma in cfg.sensors.items():
-                model = SensorModel(kind=kind, sigma=sigma, rate=cfg.sensor_rate)
-                _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
-        else:
-            raise ConfigError(
-                f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the control subcommand"
-            )
+        for kind, sigma in cfg.sensors.items():
+            # a shaft's sensors are encoders on its rate, whatever their key
+            model = SensorModel(kind="encoder" if shaft else kind, sigma=sigma,
+                                rate=cfg.sensor_rate, axis=1 if shaft else None)
+            _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     else:
         params = run.config(args.params, load_params, nominal_params())
         controls = ControlSequence.constant(torques, args.duration, args.rate)
         grid = np.arange(int(round(args.duration * args.rate)) + 1) / args.rate
-        from .dynamics import RobotState
-
         traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
         trajectory_to_csv(traj, run.emit("trajectory.csv"))
 
@@ -293,19 +304,13 @@ def _report_estimate(fh, label: str, est, truth: dict[str, float], guesses: dict
 
 def _fit_data_csv(run: _Run, name: str, candidate: dict, fixed, exp) -> None:
     pred = predict_outputs(candidate, fixed, exp, IntegratorOptions())
-    meas = exp.record.values
-    meas = meas if meas.ndim == 2 else meas[:, None]
-    if meas.shape[1] == 3:
-        header = ["time"]
-        for channel in ("accel_x", "accel_y", "angular_rate"):
-            header += [f"measured_{channel}", f"predicted_{channel}"]
-        cols = [exp.record.times]
-        for i in range(3):
-            cols += [meas[:, i], pred[:, i]]
-    else:
-        header = ["time", "measured_rate", "predicted_rate"]
-        cols = [exp.record.times, meas[:, 0], pred[:, 0]]
-    write_csv(run.emit(name), header, cols)
+    n = len(exp.record.times)
+    meas = exp.record.values.reshape(n, -1)
+    # each measured channel next to its prediction
+    pairs = np.stack([meas, pred], axis=2).reshape(n, -1)
+    channels = SENSOR_CHANNELS[exp.record.kind]
+    header = ["time", *(f"{kind}_{c}" for c in channels for kind in ("measured", "predicted"))]
+    write_csv(run.emit(name), header, [exp.record.times, pairs])
 
 
 def _cmd_identify(args) -> int:
@@ -319,6 +324,7 @@ def _cmd_identify(args) -> int:
             f"--window {args.window!r} s is shorter than one {SAMPLE_RATE!r} Hz sample period"
         )
     run = _Run("identify", Path(args.out))
+    run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
     params = run.config(args.params, load_params, nominal_params())
     guesses = run.config(
         args.guess, lambda p: read_kv(p, GUESS_KEYS, _guess_check(params)), {}
@@ -370,35 +376,17 @@ def _write_tracking_outputs(run: _Run, result) -> None:
     traj = result.trajectory
     trajectory_to_csv(traj, run.emit("trajectory.csv"))
     t = traj.times
-    write_csv(
-        run.emit("errors.csv"),
-        ["time", "ep_x", "ep_y", "ep_alpha", "ev_x", "ev_y", "ev_alpha"],
-        [t] + [result.e_p[:, i] for i in range(3)] + [result.e_v[:, i] for i in range(3)],
-    )
-    write_csv(
-        run.emit("reference.csv"),
-        ["time", "pd_x", "pd_y", "pd_alpha", "vd_x", "vd_y", "vd_alpha", "ad_x", "ad_y", "ad_alpha"],
-        [t] + [result.p_ref[:, i] for i in range(3)]
-            + [result.v_ref[:, i] for i in range(3)]
-            + [result.a_ref[:, i] for i in range(3)],
-    )
-    write_csv(
-        run.emit("torques.csv"),
-        ["time", "u_r", "u_l", "u_p", "utraj_r", "utraj_l", "utraj_p", "ucorr_r", "ucorr_l", "ucorr_p"],
-        [t] + [traj.controls[:, i] for i in range(3)]
-            + [result.u_traj[:, i] for i in range(3)]
-            + [result.u_corr[:, i] for i in range(3)],
-    )
+    write_csv(run.emit("errors.csv"), ["time", *_prefix_suffix(("ep", "ev"), XYA)],
+              [t, result.e_p, result.e_v])
+    write_csv(run.emit("reference.csv"), ["time", *_prefix_suffix(("pd", "vd", "ad"), XYA)],
+              [t, result.p_ref, result.v_ref, result.a_ref])
+    write_csv(run.emit("torques.csv"), ["time", *_prefix_suffix(("u", "utraj", "ucorr"), RLP)],
+              [t, traj.controls, result.u_traj, result.u_corr])
 
 
 def _write_feasibility(run: _Run, report) -> None:
-    write_csv(
-        run.emit("feasibility.csv"),
-        ["time", "lo_r", "lo_l", "lo_p", "hi_r", "hi_l", "hi_p", "nom_r", "nom_l", "nom_p"],
-        [report.times] + [report.lo[:, i] for i in range(3)]
-            + [report.hi[:, i] for i in range(3)]
-            + [report.nominal[:, i] for i in range(3)],
-    )
+    write_csv(run.emit("feasibility.csv"), ["time", *_prefix_suffix(("lo", "hi", "nom"), RLP)],
+              [report.times, report.lo, report.hi, report.nominal])
 
 
 def _cmd_control(args) -> int:
@@ -406,13 +394,10 @@ def _cmd_control(args) -> int:
         _check_number("--rate", args.rate)
     out = Path(args.out)
     run = _Run("control", out)
-    cfg = load_scenario(args.scenario if args.scenario != "plan" else "plan-tracking")
-    run.configs.append(cfg.path)
-    if cfg.mode not in ("controller", "plan"):
-        raise ConfigError(
-            f"scenario {cfg.name!r} is a {cfg.mode} scenario; use the simulate subcommand"
-        )
-    params = run.config(args.params, load_params, cfg.params)
+    name = args.scenario if args.scenario != "plan" else "plan-tracking"
+    cfg, params = _scenario(
+        run, name, args.params, ("controller", "plan"), "use the simulate subcommand"
+    )
     gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",), _positive), {})
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
@@ -420,11 +405,12 @@ def _cmd_control(args) -> int:
     seed = _resolve_seed(args.seed, cfg.seed)
     run.seeds["scenario"] = seed
     if cfg.mode == "plan":
-        plan_path = Path(args.plan) if args.plan else ensure_plan(cfg, run.directory())
-        plan = run.config(plan_path, trajectory_from_csv, None)
-        if plan_path.parent == out and plan_path.name not in run.files:
-            run.files.append(plan_path.name)
-        horizon = float(plan.times[-1] - plan.times[0])
+        plan_file = Path(args.plan) if args.plan else plan_path(cfg, out)
+        # a plan on disk is read now; a generated one is written after the checks
+        plan = None
+        if args.plan or plan_file.exists():
+            plan = run.config(plan_file, trajectory_from_csv, None)
+        horizon = cfg.horizon if plan is None else float(plan.times[-1] - plan.times[0])
     else:
         ref = make_reference(cfg.reference)
         horizon = ref.horizon
@@ -434,6 +420,11 @@ def _cmd_control(args) -> int:
         raise ConfigError(
             f"{source} {rate!r} Hz does not split the {horizon!r} s horizon into whole periods"
         )
+    if cfg.mode == "plan":
+        if plan is None:
+            plan = run.config(ensure_plan(cfg, run.directory()), trajectory_from_csv, None)
+        if plan_file.parent == out and plan_file.name not in run.files:
+            run.files.append(plan_file.name)
 
     with open(run.emit("report.txt"), "w") as fh:
         fh.write(f"scenario = {cfg.name}\n")
@@ -472,11 +463,9 @@ def _cmd_check_torques(args) -> int:
     _check_number("--limit", args.limit, allow_zero=True)
     out = Path(args.out)
     run = _Run("check-torques", out)
-    cfg = load_scenario(args.scenario)
-    run.configs.append(cfg.path)
-    if cfg.mode != "controller":
-        raise ConfigError(f"check-torques needs a controller scenario, got {cfg.mode!r}")
-    params = run.config(args.params, load_params, cfg.params)
+    cfg, params = _scenario(
+        run, args.scenario, args.params, ("controller",), "check-torques needs a controller scenario"
+    )
     gains = tune_gains(cfg.t_stab)
     bounds = TorqueBounds.symmetric(torque=args.limit)
     ref = make_reference(cfg.reference)

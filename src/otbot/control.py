@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotState, task_space_model
+from .dynamics import RobotState, admissible_state, task_space_model
 from .integrator import IntegratorOptions
 from .interval import Interval, matvec
-from .model import fik_matrix, iik_matrix
 from .params import RobotParams
 from .references import PlanReference, ReferenceTrajectory
 from .simulate import (  # the disturbance types are re-exported from here
@@ -39,7 +38,6 @@ class Gains:
     kp: np.ndarray
     kv: np.ndarray
     poles: np.ndarray
-    t_stab: np.ndarray
 
     def __post_init__(self) -> None:
         kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
@@ -47,7 +45,6 @@ class Gains:
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kv", kv)
         object.__setattr__(self, "poles", np.asarray(self.poles, dtype=float).reshape(3, 2))
-        object.__setattr__(self, "t_stab", np.atleast_1d(np.asarray(self.t_stab, dtype=float)))
         if kp.shape != (3,) or kv.shape != (3,):
             raise ValueError("need one kp and one kv per task coordinate")
         if np.any(kp <= 0.0) or np.any(kv <= 0.0):
@@ -62,19 +59,19 @@ class Gains:
         return np.diag(self.kv)
 
 
-def tune_gains(t_stab=3.0, separation: float = 10.0) -> Gains:
+def tune_gains(t_stab=3.0) -> Gains:
     """Place the error poles from a stabilisation time, one per axis or shared.
 
     The slow pole sits at -4/t_stab (the 2 percent settling rate of a
-    first-order mode) and the fast pole ``separation`` times further left;
-    kp is the product of the poles and kv their negated sum.
+    first-order mode) and the fast pole ten times further left; kp is the
+    product of the poles and kv their negated sum.
     """
     ts = np.broadcast_to(np.atleast_1d(np.asarray(t_stab, dtype=float)), (3,)).copy()
     if np.any(ts <= 0.0):
         raise ValueError("stabilisation times must be positive")
     s1 = -4.0 / ts
-    s2 = separation * s1
-    return Gains(kp=s1 * s2, kv=-(s1 + s2), poles=np.stack([s1, s2], axis=1), t_stab=ts)
+    s2 = 10.0 * s1
+    return Gains(kp=s1 * s2, kv=-(s1 + s2), poles=np.stack([s1, s2], axis=1))
 
 
 @dataclass(frozen=True)
@@ -91,20 +88,17 @@ def computed_torque(
     state: RobotState,
     ref_sample,
     gains: Gains | None,
-    velocity_from_wheels: bool = False,
 ) -> ControlInput:
     """Feedback-linearising torque for one control instant.
 
     ``ref_sample`` is the (p_d, dp_d, ddp_d) triple at the current time.
-    With ``velocity_from_wheels`` the task velocity is reconstructed from
-    the shaft rates through the forward instantaneous kinematics instead of
-    read off the state; on admissible states the two agree. ``gains=None``
-    drops the correction term (pure feedforward along the reference).
+    ``gains=None`` drops the correction term (pure feedforward along the
+    reference).
     """
     p_d, dp_d, ddp_d = ref_sample
     q = state.q
     dq = state.dq
-    dp = fik_matrix(params, q) @ dq[3:6] if velocity_from_wheels else dq[:3]
+    dp = dq[:3]
     mbar, cbar = task_space_model(params, q, dq)
     u_traj = mbar @ ddp_d + cbar @ dp
     if gains is None:
@@ -139,7 +133,6 @@ def closed_loop_simulate(
     disturbances: DisturbanceSchedule | None = None,
     t_end: float | None = None,
     options: IntegratorOptions | None = None,
-    velocity_from_wheels: bool = False,
 ) -> TrackingResult:
     """Track ``ref`` with the computed-torque law under zero-order hold.
 
@@ -159,9 +152,7 @@ def closed_loop_simulate(
     def law(t, x):
         nonlocal k
         sample = ref.sample(t)
-        command = computed_torque(
-            params, RobotState(q=x[:6], dq=x[6:]), sample, gains, velocity_from_wheels
-        )
+        command = computed_torque(params, RobotState(q=x[:6], dq=x[6:]), sample, gains)
         p_ref[k], v_ref[k], a_ref[k] = sample
         u_traj[k] = command.u_traj
         u_corr[k] = command.u_corr
@@ -194,8 +185,7 @@ def reference_start_state(params: RobotParams, ref: ReferenceTrajectory) -> Robo
     p0, v0, _ = ref.sample(0.0)
     theta = math.atan2(v0[1], v0[0]) if math.hypot(v0[0], v0[1]) > 1e-12 else p0[2]
     q = np.array([p0[0], p0[1], p0[2], 0.0, 0.0, p0[2] - theta])
-    dp0 = np.asarray(v0, dtype=float)
-    return RobotState(q=q, dq=np.concatenate([dp0, iik_matrix(params, q) @ dp0]))
+    return admissible_state(params, q, dp=v0)
 
 
 def feedforward_rollout(
@@ -203,19 +193,15 @@ def feedforward_rollout(
     ref: ReferenceTrajectory,
     rate: float = 100.0,
     t_end: float | None = None,
-    x0: RobotState | None = None,
-    options: IntegratorOptions | None = None,
 ) -> TrackingResult:
     """Open-loop run applying only the trajectory part of the torque.
 
-    Starts on the reference unless ``x0`` is given. The applied torque is
-    the feedforward term evaluated along the simulated motion, which is the
-    nominal run the feasibility check linearises about.
+    Starts on the reference. The applied torque is the feedforward term
+    evaluated along the simulated motion, which is the nominal run the
+    feasibility check linearises about.
     """
-    state0 = x0 if x0 is not None else reference_start_state(params, ref)
-    return closed_loop_simulate(
-        params, state0, ref, None, control_rate=rate, t_end=t_end, options=options
-    )
+    state0 = reference_start_state(params, ref)
+    return closed_loop_simulate(params, state0, ref, None, control_rate=rate, t_end=t_end)
 
 
 def track_planned_trajectory(
@@ -223,7 +209,6 @@ def track_planned_trajectory(
     plan: SimTrajectory,
     gains: Gains,
     control_rate: float = 1000.0,
-    options: IntegratorOptions | None = None,
 ) -> TrackingResult:
     """Follow a planned state sequence closed loop from its first state."""
     ref = PlanReference(plan)
@@ -234,15 +219,10 @@ def track_planned_trajectory(
         gains,
         control_rate=control_rate,
         t_end=ref.horizon,
-        options=options,
     )
 
 
-def open_loop_replay(
-    params: RobotParams,
-    plan: SimTrajectory,
-    options: IntegratorOptions | None = None,
-) -> SimTrajectory:
+def open_loop_replay(params: RobotParams, plan: SimTrajectory) -> SimTrajectory:
     """Re-run the planned torque sequence blind from the plan's first state."""
     times = plan.times
     dt = float(times[1] - times[0])
@@ -254,7 +234,6 @@ def open_loop_replay(
         RobotState.from_vector(plan.states[0]),
         controls,
         t_end=float(times[-1]),
-        options=options,
         output_times=times,
     )
 
@@ -273,16 +252,12 @@ class TorqueBounds:
             raise ValueError("error boxes must contain zero")
 
     @classmethod
-    def symmetric(
-        cls,
-        torque: float = DEFAULT_TORQUE_LIMIT,
-        position: float = 0.05,
-        velocity: float = 0.25,
-    ) -> "TorqueBounds":
+    def symmetric(cls, torque: float = DEFAULT_TORQUE_LIMIT) -> "TorqueBounds":
+        """Limits of +-``torque``, error boxes of +-0.05 (position) and +-0.25 (velocity)."""
         return cls(
             limits=Interval.symmetric(np.full(3, torque)),
-            position_box=Interval.symmetric(np.full(3, position)),
-            velocity_box=Interval.symmetric(np.full(3, velocity)),
+            position_box=Interval.symmetric(np.full(3, 0.05)),
+            velocity_box=Interval.symmetric(np.full(3, 0.25)),
         )
 
 
@@ -303,9 +278,6 @@ class FeasibilityReport:
     worst_margin: float
     note: str
 
-    def interval_at(self, k: int) -> Interval:
-        return Interval(self.lo[k], self.hi[k])
-
 
 def torque_feasibility(
     params: RobotParams,
@@ -314,8 +286,6 @@ def torque_feasibility(
     bounds: TorqueBounds | None = None,
     rate: float = 100.0,
     t_end: float | None = None,
-    x0: RobotState | None = None,
-    options: IntegratorOptions | None = None,
 ) -> FeasibilityReport:
     """Interval certificate that tracking torques stay inside actuator limits.
 
@@ -326,7 +296,7 @@ def torque_feasibility(
     notes this approximation.
     """
     bounds = bounds or TorqueBounds.symmetric()
-    roll = feedforward_rollout(params, ref, rate=rate, t_end=t_end, x0=x0, options=options)
+    roll = feedforward_rollout(params, ref, rate=rate, t_end=t_end)
     states = roll.trajectory.states
     n = len(roll.trajectory.times)
 

@@ -56,10 +56,6 @@ class RobotState:
     q: np.ndarray
     dq: np.ndarray
 
-    @property
-    def theta(self) -> float:
-        return self.q[2] - self.q[5]
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.q, self.dq])
 
@@ -226,11 +222,6 @@ def state_derivative(
         x = x.tolist()
     dq = x[6:]
     return [*dq, *_accelerations(params, x, dq, u, pivot_force)]
-
-
-def kinetic_energy(params: RobotParams, q: np.ndarray, dq: np.ndarray) -> float:
-    """T = 0.5 dq^T M dq."""
-    return 0.5 * float(dq @ (mass_matrix(params, q) @ dq))
 
 
 def admissible_state(

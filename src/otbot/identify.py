@@ -176,12 +176,6 @@ class IdentPipelineResult:
         steps = {"step1": self.step1, "step2": self.step2, "step3": self.step3}
         return {label: est for label, est in steps.items() if est is not None}
 
-    def identified_params(self, base: RobotParams) -> RobotParams:
-        """``base`` with the estimates of the steps that ran (Ip0 excepted)."""
-        for est in self.estimates.values():
-            base = base.replace(**{n: v for n, v in est.as_dict().items() if n != "Ip0"})
-        return base
-
 
 # ---------------------------------------------------------------------------
 # Experiment construction

@@ -22,18 +22,10 @@ one holonomic constraint, see :func:`holonomic_residual`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import RobotParams
-
-N_Q = 6
-
-
-def heading(q: np.ndarray) -> float:
-    """Chassis heading theta = alpha - phi_p."""
-    return q[2] - q[5]
 
 
 def constraint_jacobian(params: RobotParams, q: np.ndarray) -> np.ndarray:
@@ -209,26 +201,3 @@ def holonomic_residual(params: RobotParams, q: np.ndarray, q0: np.ndarray) -> fl
         return qq[2] - k * qq[3] + k * qq[4] - qq[5]
 
     return combo(q) - combo(q0)
-
-
-@dataclass(frozen=True)
-class ChassisPose:
-    """Pose of the wheel axle midpoint plus its forward speed."""
-
-    a: float
-    b: float
-    theta: float
-    v: float
-
-
-def chassis_pose(params: RobotParams, q: np.ndarray, dq: np.ndarray) -> ChassisPose:
-    """Recover the differential-drive pose hidden under the platform.
-
-    The axle midpoint sits l1 behind the pivot along the heading; the forward
-    speed follows from the wheel rates alone (exact under rolling).
-    """
-    th = q[2] - q[5]
-    a = q[0] - params.l1 * math.cos(th)
-    b = q[1] - params.l1 * math.sin(th)
-    v = 0.5 * params.r * (dq[3] + dq[4])
-    return ChassisPose(a=a, b=b, theta=th, v=v)

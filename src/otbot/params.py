@@ -10,6 +10,7 @@ their origin at the pivot point.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,35 +75,6 @@ class RobotParams:
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(RobotParams))
 
 
-def nominal_params() -> RobotParams:
-    """Catalogue values of the physical robot (unloaded platform)."""
-    return RobotParams(
-        l1=0.25,
-        l2=0.20,
-        r=0.10,
-        xB=-0.13,
-        yB=0.0,
-        xF=0.0,
-        yF=0.0,
-        mc=109.14,
-        mp=21.95,
-        Ic=1.30,
-        Ip=2.22,
-        Ia=1.04e-2,
-        bw=0.18,
-        bp=0.24,
-    )
-
-
-def frictionless(params: RobotParams) -> RobotParams:
-    """Copy of ``params`` with both viscous friction coefficients zeroed.
-
-    The tracking-control studies neglect friction; this keeps that choice in
-    one place.
-    """
-    return params.replace(bw=0.0, bp=0.0)
-
-
 def read_kv(path: str | Path, keys, check=None) -> dict[str, float]:
     """Read a flat ``key = value`` file of finite numbers.
 
@@ -147,6 +119,16 @@ def load_params(path: str | Path) -> RobotParams:
         return RobotParams(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+@functools.cache
+def nominal_params() -> RobotParams:
+    """Catalogue values of the physical robot (unloaded platform).
+
+    Read once from the bundled ``scenarios/nominal.cfg``, the file the
+    scenarios name; the instance is frozen, so every caller shares it.
+    """
+    return load_params(Path(__file__).parent / "scenarios" / "nominal.cfg")
 
 
 def save_params(params: RobotParams, path: str | Path) -> None:

@@ -24,11 +24,6 @@ class ReferenceTrajectory:
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def sample_many(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = [self.sample(float(t)) for t in np.atleast_1d(times)]
-        p, v, a = zip(*rows)
-        return np.array(p), np.array(v), np.array(a)
-
 
 @dataclass
 class CorridorReference(ReferenceTrajectory):
@@ -53,11 +48,6 @@ class CorridorReference(ReferenceTrajectory):
         self._starts = starts
         self.leg_time = self.leg_length / self.speed
         self.horizon = 5 * self.leg_time + self.hold
-
-    @property
-    def corner_times(self) -> np.ndarray:
-        """Instants where the commanded velocity changes direction."""
-        return self.leg_time * np.arange(1, 5)
 
     @property
     def goal_time(self) -> float:

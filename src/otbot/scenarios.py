@@ -1,7 +1,9 @@
 """Scenario configs: parsing, validation, and the bundled set.
 
 A scenario file is flat INI: a [scenario] section with name/mode/horizon,
-then mode-specific sections. Modes:
+then mode-specific sections. Keys are case-sensitive, and a key that its
+section does not define is an error; [sensors] and [disturbances] name
+their own keys. Modes:
 
 * ``shaft``      one motor shaft under constant torque (bench test)
 * ``torques``    whole robot open loop under held torques
@@ -23,7 +25,7 @@ import numpy as np
 from .dynamics import RobotState, admissible_state, inverse_dynamics, admissible_acceleration
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
-from .params import RobotParams, load_params, nominal_params
+from .params import PARAM_FIELDS, RobotParams, load_params, nominal_params
 from .references import (
     CorridorReference,
     Figure8Reference,
@@ -40,6 +42,19 @@ BUNDLED_SCENARIOS = (
     "plan-tracking",
     "figure8",
 )
+
+# the keys each section may set; None leaves the key names to the file
+SECTION_KEYS = {
+    "scenario": ("name", "mode", "description", "horizon", "seed"),
+    "params": ("file", *PARAM_FIELDS),
+    "initial": ("q", "velocity"),
+    "torques": ("values", "rate"),
+    "shaft": ("axis", "torque", "rate"),
+    "control": ("reference", "t_stab", "rate"),
+    "plan": ("file", "rate", "mass_error"),
+    "sensors": None,
+    "disturbances": None,
+}
 
 
 class ConfigError(Exception):
@@ -74,6 +89,7 @@ class ScenarioConfig:
     torque_rate: float = 100.0
     axis: str | None = None
     shaft_torque: float = 0.0
+    shaft_rate: float = 100.0
     reference: str | None = None
     t_stab: float = 3.0
     loop_rate: float = 1000.0
@@ -96,8 +112,6 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.mode not in ("shaft", "torques", "controller", "plan"):
             raise ConfigError(f"{self.path}: unknown mode {self.mode!r}")
-        if not self.horizon > 0.0:
-            raise ConfigError(f"{self.path}: horizon must be positive")
         if self.seed < 0:
             raise ConfigError(f"{self.path}: seed must be a non-negative integer, got {self.seed}")
         if self.mode == "shaft" and self.axis not in ("wheel", "platform"):
@@ -111,9 +125,11 @@ class ScenarioConfig:
         if self.velocity not in ("rest", "reference"):
             raise ConfigError(f"{self.path}: velocity must be rest or reference")
         for key, value in (
+            ("[scenario] horizon", self.horizon),
             ("[control] t_stab", self.t_stab),
             ("[control] rate", self.loop_rate),
             ("[torques] rate", self.torque_rate),
+            ("[shaft] rate", self.shaft_rate),
             ("[plan] rate", self.plan_rate),
             ("[sensors] rate", self.sensor_rate),
         ):
@@ -121,6 +137,10 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{self.path}: {key} must be a finite positive number, got {value!r}"
                 )
+        hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate}.get(self.mode)
+        if hold_rate is not None and round(self.horizon * hold_rate) < 1:
+            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is shorter "
+                              f"than one period of [{self.mode}] rate {hold_rate!r} Hz")
 
 
 def _floats(text: str) -> np.ndarray:
@@ -132,12 +152,24 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
     ini = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    ini.optionxform = str  # keep the case of keys such as Ic and xB
     try:
         ini.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if "scenario" not in ini:
         raise ConfigError(f"{path}: missing [scenario] section")
+    for section in ini.sections():
+        if section not in SECTION_KEYS:
+            raise ConfigError(
+                f"{path}: unknown section [{section}] (expected one of {', '.join(SECTION_KEYS)})"
+            )
+        keys = SECTION_KEYS[section]
+        for key in ini[section] if keys is not None else ():
+            if key not in keys:
+                raise ConfigError(
+                    f"{path}: [{section}] unknown key {key!r} (expected one of {', '.join(keys)})"
+                )
     base = ini["scenario"]
     try:
         cfg = ScenarioConfig(
@@ -173,6 +205,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         if "shaft" in ini:
             cfg.axis = ini["shaft"].get("axis")
             cfg.shaft_torque = ini["shaft"].getfloat("torque", 0.0)
+            cfg.shaft_rate = ini["shaft"].getfloat("rate", 100.0)
 
         if "control" in ini:
             sect = ini["control"]
@@ -286,19 +319,23 @@ def build_plan(
     return SimTrajectory(times=times, states=states, controls=controls)
 
 
-def ensure_plan(cfg: ScenarioConfig, out_dir: Path) -> Path:
-    """Resolve the scenario's plan file, generating it if absent."""
+def plan_path(cfg: ScenarioConfig, out_dir: Path) -> Path:
+    """Where the scenario's plan is: its own file, else that name in ``out_dir``."""
     target = cfg.plan_file
     if target is not None and target.exists():
         return target
-    name = target.name if target is not None else "plan.csv"
-    generated = out_dir / name
-    if not generated.exists():
+    return out_dir / (target.name if target is not None else "plan.csv")
+
+
+def ensure_plan(cfg: ScenarioConfig, out_dir: Path) -> Path:
+    """Resolve the scenario's plan file (see :func:`plan_path`), generating it if absent."""
+    path = plan_path(cfg, out_dir)
+    if not path.exists():
         plan = build_plan(
             cfg.params,
             horizon=cfg.horizon,
             rate=cfg.plan_rate,
             mass_error=cfg.plan_mass_error,
         )
-        trajectory_to_csv(plan, generated)
-    return generated
+        trajectory_to_csv(plan, path)
+    return path

@@ -9,7 +9,6 @@ are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +16,6 @@ import numpy as np
 from .simulate import SimTrajectory
 
 ENCODER_SIGMA = 0.01  # rad/s, rate-encoder noise used by the shaft experiments
-
-
-def sigma_imu(noise_density: float, sample_rate: float) -> float:
-    """IMU noise standard deviation from its datasheet density: ND * sqrt(SR)."""
-    return noise_density * math.sqrt(sample_rate)
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,10 @@ class ControlSequence:
         object.__setattr__(self, "boundaries", self.t0 + self.dt * np.arange(len(samples)))
 
     @classmethod
-    def constant(cls, u, duration: float, rate: float, t0: float = 0.0) -> "ControlSequence":
+    def constant(cls, u, duration: float, rate: float) -> "ControlSequence":
         n = int(round(duration * rate))
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return cls(t0=t0, dt=1.0 / rate, samples=np.tile(u, (n, 1)))
+        return cls(t0=0.0, dt=1.0 / rate, samples=np.tile(u, (n, 1)))
 
     @property
     def end_time(self) -> float:
@@ -142,21 +142,10 @@ class SimTrajectory:
     stats: dict = field(default_factory=dict)
 
     @property
-    def q(self) -> np.ndarray:
-        return self.states[:, :6]
-
-    @property
-    def dq(self) -> np.ndarray:
-        return self.states[:, 6:12]
-
-    @property
     def accelerations(self) -> np.ndarray:
         if self.derivs is None:
             raise ValueError("trajectory was loaded without derivative data")
         return self.derivs[:, 6:12]
-
-    def final_state(self) -> RobotState:
-        return RobotState.from_vector(self.states[-1])
 
 
 # Times closer than this are one instant spelled two ways (a control grid
@@ -337,7 +326,6 @@ def simulate_shaft(
     inertia: float,
     damping: float,
     controls: ControlSequence,
-    t_end: float | None = None,
     options: IntegratorOptions | None = None,
     output_times=None,
 ) -> SimTrajectory:
@@ -356,7 +344,7 @@ def simulate_shaft(
     return integrate(
         model,
         np.zeros(2),
-        (controls.t0, t_end if t_end is not None else controls.end_time),
+        (controls.t0, controls.end_time),
         controls,
         options=options,
         output_times=output_times,

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 from otbot import _ckernel
 from otbot.dynamics import admissible_state
 from otbot.integrator import _compiled_robot_attempt
-from otbot.params import frictionless, nominal_params
+from otbot.params import nominal_params
 from otbot.simulate import _csv_formatter
 
 settings.register_profile(
@@ -25,7 +25,7 @@ def params():
 @pytest.fixture(scope="session")
 def params_nf():
     """Nominal parameters with friction removed (tracking studies)."""
-    return frictionless(nominal_params())
+    return nominal_params().replace(bw=0.0, bp=0.0)
 
 
 @pytest.fixture

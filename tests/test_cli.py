@@ -15,6 +15,7 @@ import pytest
 import otbot
 from otbot import __version__, _ckernel
 from otbot.cli import main
+from otbot.identify import FIT_TOLERANCE
 from otbot.integrator import _compiled_robot_attempt
 from otbot.params import nominal_params, save_params
 from otbot.simulate import _csv_formatter, trajectory_from_csv
@@ -209,6 +210,10 @@ class TestIdentify:
         assert set(m["files"]) == {
             "report.txt", "estimates.csv", "fit_step1_wheel.csv", "fit_step1_platform.csv"
         }
+        # the records ran at the default tolerance, every fit rollout at FIT_TOLERANCE
+        assert (m["integrator"]["rtol"], m["integrator"]["atol"]) == (1e-9, 1e-12)
+        assert m["integrator"]["fit"] == {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
+        assert (FIT_TOLERANCE.rtol, FIT_TOLERANCE.atol) == (1e-8, 1e-11)
         # the fit CSVs pair each measured channel with its prediction
         header = (out / "fit_step1_wheel.csv").read_text().splitlines()[0]
         assert header == "time,measured_rate,predicted_rate"
@@ -364,6 +369,14 @@ class TestBadNumericFlags:
         "plan-rate-negative.cfg": ("plan-tracking", "plan.csv\nrate = 100", "plan.csv\nrate = -1"),
         "rate-fraction.cfg": ("corridor", "rate = 1000", "rate = 0.45"),
         "seed-negative.cfg": ("chassis-excitation", "seed = 1", "seed = -1"),
+        "params-lowercase.cfg": ("corridor", "bp = 0", "bp = 0\nic = 1.5"),
+        "params-bogus.cfg": ("corridor", "bp = 0", "bp = 0\nbogus = 3"),
+        "control-typo.cfg": ("corridor", "t_stab = 3", "t_sabb = 1"),
+        "section-typo.cfg": ("corridor", "[control]", "[contrl]"),
+        "shaft-rate-zero.cfg": ("wheel-spin", "torque = 6\nrate = 100", "torque = 6\nrate = 0"),
+        "shaft-horizon-short.cfg": ("wheel-spin", "horizon = 0.5", "horizon = 0.001"),
+        "torques-horizon-short.cfg": ("chassis-excitation", "horizon = 3", "horizon = 0.001"),
+        "horizon-inf.cfg": ("chassis-excitation", "horizon = 3", "horizon = inf"),
     }
 
     @pytest.mark.parametrize(
@@ -390,10 +403,23 @@ class TestBadNumericFlags:
             (["control", "--scenario", "plan-rate-negative.cfg"], "plan-rate-negative.cfg: [plan] rate"),
             (["control", "--scenario", "rate-fraction.cfg"], "rate-fraction.cfg: [control] rate"),
             (["simulate", "--scenario", "seed-negative.cfg"], "seed-negative.cfg: seed"),
+            (["control", "--scenario", "params-lowercase.cfg"],
+             "params-lowercase.cfg: [params] unknown key 'ic'"),
+            (["control", "--scenario", "params-bogus.cfg"], "params-bogus.cfg: [params] unknown key 'bogus'"),
+            (["check-torques", "--scenario", "control-typo.cfg"],
+             "control-typo.cfg: [control] unknown key 't_sabb'"),
+            (["control", "--scenario", "section-typo.cfg"], "section-typo.cfg: unknown section [contrl]"),
+            (["simulate", "--scenario", "shaft-rate-zero.cfg"], "shaft-rate-zero.cfg: [shaft] rate"),
+            (["simulate", "--scenario", "shaft-horizon-short.cfg"],
+             "shaft-horizon-short.cfg: [scenario] horizon 0.001 s is shorter than one period of [shaft] rate"),
+            (["simulate", "--scenario", "torques-horizon-short.cfg"],
+             "torques-horizon-short.cfg: [scenario] horizon 0.001 s is shorter than one period of [torques] rate"),
+            (["simulate", "--scenario", "horizon-inf.cfg"], "horizon-inf.cfg: [scenario] horizon"),
             (["simulate", "--scenario", "chassis-excitation", "--seed", "-1"], "--seed"),
             (["OTBOT_SEED=-3", "simulate", "--scenario", "wheel-spin"], "OTBOT_SEED"),
             (["identify", "--step", "1", "--seed", "-2"], "--seed"),
             (["control", "--scenario", "corridor", "--rate", "0.45"], "--rate"),
+            (["control", "--scenario", "plan", "--rate", "0.45"], "--rate"),
             (["simulate", "--torques", "1,2,3", "--duration", "0.001", "--rate", "100"], "--duration"),
             (["identify", "--step", "3", "--window", "0.004"], "--window"),
         ],
@@ -403,9 +429,12 @@ class TestBadNumericFlags:
              "scenario-negative-t-stab", "scenario-nan-t-stab", "scenario-zero-control-rate",
              "scenario-negative-control-rate", "scenario-zero-torque-rate",
              "scenario-inf-sensor-rate", "scenario-negative-plan-rate",
-             "scenario-fractional-control-periods", "scenario-negative-seed", "negative-seed",
+             "scenario-fractional-control-periods", "scenario-negative-seed",
+             "scenario-lowercase-param", "scenario-unknown-param", "scenario-unknown-control-key",
+             "scenario-unknown-section", "scenario-zero-shaft-rate", "scenario-shaft-horizon-under-one-period",
+             "scenario-torques-horizon-under-one-period", "scenario-inf-horizon", "negative-seed",
              "negative-environment-seed", "negative-identify-seed", "fractional-control-periods",
-             "duration-under-one-period", "window-under-one-sample"],
+             "plan-fractional-control-periods", "duration-under-one-period", "window-under-one-sample"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")

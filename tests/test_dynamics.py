@@ -26,7 +26,6 @@ from otbot.dynamics import (
     input_matrix,
     inverse_dynamics,
     inverse_dynamics_conventional,
-    kinetic_energy,
     pivot_force_vector,
     state_derivative,
     task_space_model,
@@ -87,7 +86,6 @@ def test_robot_state_vector_round_trip():
     again = RobotState.from_vector(state.as_vector())
     np.testing.assert_array_equal(again.q, state.q)
     np.testing.assert_array_equal(again.dq, state.dq)
-    assert state.theta == state.q[2] - state.q[5]
     rest = RobotState.rest()
     assert np.all(rest.q == 0.0) and np.all(rest.dq == 0.0)
 
@@ -284,15 +282,6 @@ def test_state_derivative_layout():
     dx = state_derivative(p, state.as_vector(), u)
     np.testing.assert_array_equal(dx[:6], state.dq)
     np.testing.assert_allclose(dx[6:], forward_dynamics(p, state.q, state.dq, u), atol=0)
-
-
-def test_kinetic_energy_at_rest_and_in_motion():
-    p = nominal_params()
-    rng = np.random.default_rng(14)
-    q = random_q(rng)
-    assert kinetic_energy(p, q, np.zeros(6)) == 0.0
-    state = random_admissible(p, rng)
-    assert kinetic_energy(p, state.q, state.dq) > 0.0
 
 
 @given(p=param_sets, q=q_vectors, dp=dp_vectors, u=u_vectors, force=forces)

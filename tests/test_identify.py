@@ -297,15 +297,6 @@ def test_a_single_step_holds_the_others_at_the_truth(params):
     assert held.known2 == held.known3 == loaded.replace(xF=0.0, yF=0.0)
 
 
-def test_pipeline_assembles_params(pipeline_result, params):
-    ident = pipeline_result.identified_params(params)
-    assert ident.Ia == pipeline_result.step1["Ia"]
-    assert ident.mc == pipeline_result.step2["mc"]
-    assert ident.Ip == pipeline_result.step3["Ip"]
-    assert ident.l1 == params.l1  # geometry is never estimated
-    assert abs(ident.mc - params.mc) < 0.8
-
-
 def test_sweep_fits_records_of_the_given_window(monkeypatch, params):
     ends = []
     real_identify = identify.identify_platform

@@ -6,11 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otbot.model import (
-    chassis_pose,
     constraint_jacobian,
     coriolis_matrix,
     fik_matrix,
-    heading,
     holonomic_residual,
     iik_matrix,
     iik_matrix_rate,
@@ -201,15 +199,6 @@ def test_holonomic_residual_tracks_violations():
     q = q0.copy()
     q[3] += 1.0
     assert holonomic_residual(p, q, q0) == pytest.approx(-p.r / (2 * p.l2))
-
-
-@given(q=q_vectors, dq=dq_vectors)
-def test_chassis_pose_geometry(q, dq):
-    p = nominal_params()
-    pose = chassis_pose(p, q, dq)
-    assert math.hypot(q[0] - pose.a, q[1] - pose.b) == pytest.approx(p.l1, rel=1e-12)
-    assert pose.theta == heading(q) == q[2] - q[5]
-    assert pose.v == pytest.approx(0.5 * p.r * (dq[3] + dq[4]), rel=1e-12, abs=1e-15)
 
 
 @given(q=q_vectors, dq=dq_vectors)

@@ -4,7 +4,6 @@ import pytest
 from otbot.params import (
     PARAM_FIELDS,
     RobotParams,
-    frictionless,
     load_params,
     nominal_params,
     save_params,
@@ -26,12 +25,6 @@ def test_replace_returns_new_instance():
     assert q.mc == 100.0
     assert p.mc == 109.14
     assert q.l1 == p.l1
-
-
-def test_frictionless_zeroes_both_coefficients():
-    p = frictionless(nominal_params())
-    assert p.bw == 0.0 and p.bp == 0.0
-    assert p.mc == nominal_params().mc
 
 
 @pytest.mark.parametrize("field", ["l1", "l2", "r", "mc", "mp", "Ic", "Ip", "Ia"])

@@ -26,7 +26,8 @@ class TestCorridor:
     def test_timing(self):
         ref = CorridorReference()
         assert ref.leg_time == pytest.approx(5.0)
-        np.testing.assert_allclose(ref.corner_times, [5.0, 10.0, 15.0, 20.0])
+        # the corners, where the commanded velocity changes direction
+        np.testing.assert_allclose(ref.leg_time * np.arange(1, 5), [5.0, 10.0, 15.0, 20.0])
         assert ref.goal_time == pytest.approx(25.0)
         assert ref.horizon == pytest.approx(30.0)
 
@@ -54,7 +55,7 @@ class TestCorridor:
     def test_position_continuous_velocity_jumps_at_corners(self):
         ref = CorridorReference()
         eps = 1e-9
-        for t in ref.corner_times:
+        for t in ref.leg_time * np.arange(1, 5):  # the four corners
             p_m, v_m, _ = ref.sample(t - eps)
             p_p, v_p, _ = ref.sample(t + eps)
             np.testing.assert_allclose(p_m, p_p, atol=1e-8)
@@ -128,14 +129,10 @@ class TestHarmonic:
     def test_derivatives_consistent(self):
         fd_check(HarmonicReference(), [0.3, 1.7, 4.2, 9.9], tol=1e-4)
 
-    def test_sample_many_shapes(self):
-        p, v, a = HarmonicReference().sample_many(np.linspace(0.0, 2.0, 11))
-        assert p.shape == v.shape == a.shape == (11, 3)
-
 
 def _plan_from(ref, horizon=2.0, rate=100.0):
     times = np.arange(int(horizon * rate) + 1) / rate
-    p, _, _ = ref.sample_many(times)
+    p = np.array([ref.sample(float(t))[0] for t in times])
     states = np.zeros((len(times), 12))
     states[:, 0:3] = p
     return SimTrajectory(times=times, states=states, controls=np.zeros((len(times), 3)))

@@ -41,6 +41,7 @@ def test_bundled_details():
     assert wheel.mode == "shaft"
     assert wheel.axis == "wheel"
     assert wheel.shaft_torque == 6.0
+    assert wheel.shaft_rate == 100.0
     assert wheel.sensors == {"encoder": 0.01}
 
     fig8 = load_scenario("figure8")
@@ -126,11 +127,13 @@ def test_params_file_with_overrides(tmp_path):
     save_params(nominal_params(), tmp_path / "robot.cfg")
     body = (
         "[scenario]\nmode = torques\nhorizon = 1\n"
-        "[params]\nfile = robot.cfg\nmc = 100\n"
+        "[params]\nfile = robot.cfg\nmc = 100\nIc = 1.5\nxB = -0.1\n"
         "[torques]\nvalues = 1, 2, 3\n"
     )
     cfg = parse_scenario(_write_scenario(tmp_path, body))
     assert cfg.params.mc == 100.0
+    # keys keep their case, so the mixed-case parameters can be overridden too
+    assert (cfg.params.Ic, cfg.params.xB) == (1.5, -0.1)
     assert cfg.params.l1 == 0.25
 
 
@@ -164,7 +167,7 @@ class TestBuildPlan:
         plan = build_plan(p, horizon=2.0, rate=50.0, mass_error=0.05, reference=ref)
         assert len(plan.times) == 101
         np.testing.assert_allclose(np.diff(plan.times), 0.02, atol=1e-12)
-        p_ref, v_ref, _ = ref.sample_many(plan.times)
+        p_ref, v_ref = (np.array([ref.sample(float(t))[i] for t in plan.times]) for i in (0, 1))
         np.testing.assert_array_equal(plan.states[:, 0:3], p_ref)
         np.testing.assert_allclose(plan.states[:, 6:9], v_ref, atol=1e-12)
         for k in (0, 33, 100):

@@ -8,7 +8,6 @@ from otbot.sensors import (
     SensorModel,
     imu_truth,
     sample_sensors,
-    sigma_imu,
 )
 from otbot.simulate import ControlSequence, simulate_robot, simulate_shaft
 
@@ -23,11 +22,6 @@ def robot_traj():
 def shaft_traj():
     controls = ControlSequence.constant([6.0], duration=0.5, rate=100.0)
     return simulate_shaft(1.04e-2, 0.18, controls)
-
-
-def test_sigma_imu_is_density_times_root_rate():
-    assert sigma_imu(13.73e-3, 100.0) == pytest.approx(0.1373)
-    assert sigma_imu(0.0, 100.0) == 0.0
 
 
 def test_model_validation():

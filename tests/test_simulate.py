@@ -55,7 +55,7 @@ def test_recorded_derivatives_and_controls():
     p = nominal_params()
     traj = simulate_robot(p, RobotState.rest(), chassis_controls(duration=0.3))
     # First half of the derivative is the velocity, stored bitwise identical.
-    np.testing.assert_array_equal(traj.derivs[:, :6], traj.dq)
+    np.testing.assert_array_equal(traj.derivs[:, :6], traj.states[:, 6:])
     np.testing.assert_array_equal(traj.controls, np.tile([6.0, -10.0, 6.0], (len(traj.times), 1)))
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(0.3)
 
@@ -118,10 +118,11 @@ def test_shaft_without_damping_matches_closed_form():
 def test_rollout_preserves_constraints():
     p = nominal_params()
     traj = simulate_robot(p, RobotState.rest(), chassis_controls(duration=1.0))
-    q0 = traj.q[0]
+    q, dq = traj.states[:, :6], traj.states[:, 6:]
+    q0 = q[0]
     for k in range(len(traj.times)):
-        assert constraint_violation(p, traj.q[k], traj.dq[k]) < 1e-9
-        assert abs(holonomic_residual(p, traj.q[k], q0)) < 1e-9
+        assert constraint_violation(p, q[k], dq[k]) < 1e-9
+        assert abs(holonomic_residual(p, q[k], q0)) < 1e-9
 
 
 def test_pivot_force_changes_the_motion():
@@ -130,7 +131,7 @@ def test_pivot_force_changes_the_motion():
     push = DisturbanceSchedule((ForcePulse(0.0, 0.25, fx=40.0),))
     pushed = simulate_robot(p, RobotState.rest(), controls, disturbances=push)
     assert pushed.states[-1][0] > 0.01  # picked up forward speed, then coasts
-    assert constraint_violation(p, pushed.q[-1], pushed.dq[-1]) < 1e-9
+    assert constraint_violation(p, pushed.states[-1, :6], pushed.states[-1, 6:]) < 1e-9
 
 
 def _recomputing_rollout(p, controls, schedule=DisturbanceSchedule()):
