@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Generate ``src/otbot/_task_space.py``, the closed-form task-space model,
-and ``src/otbot/_dp5_robot.c``, the robot's DP5 attempt in C.
+and ``src/otbot/_dp5_robot.c``, the robot's rollout loop in C.
 
 The task-space model of ``otbot.dynamics`` is
 
@@ -15,12 +15,14 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
-The C file is translated from the syntax tree of the generated
-``accelerations`` and of ``otbot.integrator._step_source(12)``: one
-Dormand-Prince attempt with the rhs inlined at each of its six stages,
-every operation kept in the Python order and fully parenthesised, so the
-compiled attempt computes the same bits as the Python kernel (see
-``otbot._ckernel`` for the compiler flags that this needs).
+The C rhs and the C Dormand-Prince attempt are translated from the syntax
+tree of the generated ``accelerations`` and of
+``otbot.integrator._step_source(12)``, every operation kept in the Python
+order and fully parenthesised, so they compute the same bits as the Python
+kernel (see ``otbot._ckernel`` for the compiler flags that this needs). The
+rollout loop around them is written out below; its step-control constants
+are printed from ``otbot.integrator`` and its struct from
+``otbot._ckernel.Rollout``, so ``--check`` sees any drift.
 
     python scripts/gen_task_space.py           # rewrite both files
     python scripts/gen_task_space.py --check   # exit 1 if either is out of date
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import ctypes
 import difflib
 import hashlib
 import math
@@ -51,7 +54,7 @@ TARGET = ROOT / "src" / "otbot" / "_task_space.py"
 C_TARGET = ROOT / "src" / "otbot" / "_dp5_robot.c"
 sys.path.insert(0, str(ROOT / "src"))
 
-from otbot import dynamics, integrator, model  # noqa: E402
+from otbot import _ckernel, dynamics, integrator, model  # noqa: E402
 from otbot.params import PARAM_FIELDS  # noqa: E402
 
 INDENT = "    "
@@ -235,14 +238,13 @@ def render(generator_sha256: str) -> str:
     return "\n".join(header + model_fn + accel_fn).rstrip("\n") + "\n"
 
 
-# ---------------------------------------------------------------- C attempt
+# ---------------------------------------------------------------- C rollout
 
-# Index in the block that the C attempt reads the rhs from
-# (integrator.RobotBlock, packed by otbot.simulate): the parameters in
-# PARAM_FIELDS order, the held torques, then the pivot force.
+# Index in the block that the C rhs reads (the ``blk`` of _ckernel.Rollout):
+# the parameters in PARAM_FIELDS order, the held torques, then the pivot force.
 _BLOCK = {name: i for i, name in enumerate(
     [*(f"p.{name}" for name in PARAM_FIELDS), "u0", "u1", "u2", "fx", "fy"])}
-assert len(_BLOCK) == integrator.RobotBlock._length_
+assert len(_BLOCK) == dict(_ckernel.Rollout._fields_)["blk"]._length_
 
 # The arguments of ``accelerations`` as dynamics.state_derivative passes
 # them, from the 12-state x = (q, dq): q[2], q[2] - q[5], dq[0], dq[1],
@@ -256,15 +258,15 @@ _STATE_ARGS = {
     "dth": "({x}[8] - {x}[11])",
 }
 
-# Nonzero statuses: the Python kernel would raise here, so the caller reruns
-# the attempt in Python to raise the same exception.
-_ZERO_DIVISOR, _INFINITE_ANGLE, _ZERO_SCALE = 1, 2, 3
+# Nonzero statuses: where the Python kernel raises, divides by zero in the
+# error norm or finds the step underflowing, and where the first step is to
+# be guessed (integrator.initial_step); the caller goes on in Python.
+_ZERO_DIVISOR, _INFINITE_ANGLE, _ZERO_SCALE, _UNDERFLOW, _FIRST_STEP = 1, 2, 3, 4, 5
 
 _C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-# names a generated local may not take: the attempt's own variables and
-# the Bessel functions that math.h declares
-_C_RESERVED = {"blk", "h", "rtol", "atol", "y", "y_new", "ratio", "ys", "e",
-               *(f"k{i}" for i in range(1, 8)), "y0", "y1", "yn", "j0", "j1", "jn"}
+# names a generated local may not take: the rhs's arguments and the Bessel
+# functions that math.h declares
+_C_RESERVED = {"blk", "x", "k", "y0", "y1", "yn", "j0", "j1", "jn"}
 
 
 class _CExpr:
@@ -335,11 +337,11 @@ def _function_def(source: str, name: str) -> ast.FunctionDef:
     return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-def _rhs_block(accel: ast.FunctionDef, x: str, k: str) -> list[str]:
-    """``k = f(x)`` for the robot rhs, inlined as one C block."""
+def _rhs_function(accel: ast.FunctionDef) -> list[str]:
+    """``robot_rhs``: k = f(x) for the robot on the hold in blk, as C."""
     args = [a.arg for a in accel.args.args[1:]]
     lines = [
-        f"const double {a} = {_STATE_ARGS[a].format(x=x) if a in _STATE_ARGS else f'blk[{_BLOCK[a]}]'};"
+        f"const double {a} = {_STATE_ARGS[a].format(x='x') if a in _STATE_ARGS else f'blk[{_BLOCK[a]}]'};"
         for a in args
     ]
     locals_ = set(args)
@@ -364,11 +366,13 @@ def _rhs_block(accel: ast.FunctionDef, x: str, k: str) -> list[str]:
         elif isinstance(stmt, ast.Return):
             outputs = [to_c(e) for e in stmt.value.elts]
             # state_derivative returns (dq, ddq)
-            lines += [f"{k}[{j}] = {x}[{j + 6}];" for j in range(6)]
-            lines += [f"{k}[{j + 6}] = {v};" for j, v in enumerate(outputs)]
+            lines += [f"k[{j}] = x[{j + 6}];" for j in range(6)]
+            lines += [f"k[{j + 6}] = {v};" for j, v in enumerate(outputs)]
+            lines.append("return 0;")
         else:
             raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
-    return ["{"] + [INDENT + line for line in lines] + ["}"]
+    signature = "static int robot_rhs(const double *blk, const double *x, double *k)"
+    return [signature, "{"] + [INDENT + line for line in lines] + ["}"]
 
 
 def _vector_name(name: str) -> str:
@@ -381,8 +385,8 @@ def _vector_name(name: str) -> str:
     raise ValueError(f"unexpected name {name!r} in the step source")
 
 
-def _attempt_body(accel: ast.FunctionDef) -> list[str]:
-    """The DP5 attempt of integrator._step_source(12), with the rhs inlined."""
+def _attempt_body() -> list[str]:
+    """The DP5 attempt of integrator._step_source(12), calling robot_rhs."""
     step = _function_def(integrator._step_source(12), "step")
     to_c = _CExpr(_vector_name)
     lines: list[str] = []
@@ -404,7 +408,7 @@ def _attempt_body(accel: ast.FunctionDef) -> list[str]:
             else:
                 x = state.id
                 lines.append(f"/* stage {out[1:]}, at the new state */")
-            lines += _rhs_block(accel, x, out)
+            lines.append(f"if ((s = robot_rhs(blk, {x}, {out}))) return s;")
         elif isinstance(value, ast.List):  # y_new or the error vector
             vector = {"y_new": "y_new", "err": "e"}[target.id]
             lines.append(f"/* {'fifth-order solution' if vector == 'y_new' else 'error estimate'} */")
@@ -437,6 +441,159 @@ _RATIO = [
 ]
 
 
+def _struct() -> list[str]:
+    """``struct rollout``, field by field from _ckernel.Rollout."""
+    lines = []
+    for name, ctype in _ckernel.Rollout._fields_:
+        if ctype is ctypes.c_void_p:
+            lines.append(f"void *{name};")
+        elif ctype in (ctypes.c_long, ctypes.c_double):
+            lines.append(f"{'long' if ctype is ctypes.c_long else 'double'} {name};")
+        elif getattr(ctype, "_type_", None) is ctypes.c_double:
+            lines.append(f"double {name}[{ctype._length_}];")
+        else:
+            raise ValueError(f"no C type for the field {name!r}")
+    return ["struct rollout {"] + [INDENT + line for line in lines] + ["};"]
+
+
+def _loop() -> str:
+    """The rollout loop: simulate.integrate's event loop and
+    integrator.advance_segment's step control, with its constants."""
+    constants = "\n".join(
+        f"static const double {name} = {getattr(integrator, '_' + name)!r};"
+        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR", "ORDER_EXPONENT",
+                     "NONFINITE_FACTOR", "TIME_RESOLUTION")
+    )
+    return _LOOP.replace("@CONSTANTS@", constants).replace(
+        "@UNDERFLOW@", str(_UNDERFLOW)).replace("@FIRST_STEP@", str(_FIRST_STEP))
+
+
+_LOOP = """\
+/* BLAS ddot with 64-bit integers: numpy's dot of two float64 vectors */
+typedef double (*ddot_t)(long long, const double *, long long, const double *, long long);
+
+@CONSTANTS@
+
+/* Python's min(a, b) and max(a, b): a unless b is smaller (larger) */
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+static void copy(double *to, const double *from, int n)
+{
+    for (int c = 0; c < n; c++) to[c] = from[c];
+}
+
+/* 1 where the torques a and b are the same bits: 0.0 and -0.0 differ */
+static int same_bits(const double *a, const double *b)
+{
+    for (int c = 0; c < 3; c++) {
+        union { double d; unsigned long long bits; } p = {a[c]}, q = {b[c]};
+        if (p.bits != q.bits) return 0;
+    }
+    return 1;
+}
+
+/* integrator.advance_segment from t to t1 on the hold in r->blk, from
+   r->x, r->k1 and r->h. On success these and the counts move on; on a
+   nonzero status nothing in r has changed. */
+static int advance(struct rollout *r, double t, double t1)
+{
+    const ddot_t ddot = (ddot_t)r->ddot;
+    double y[2][12], k[2][12], ratio[12];
+    int now = 0;
+    long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
+    double min_step = r->min_step, max_step = r->max_step;
+    double h_next = py_min(r->h, r->h_max);
+    copy(y[0], r->x, 12);
+    copy(k[0], r->k1, 12);
+    while (t < t1) {
+        const double remaining = t1 - t;
+        if (remaining <= TIME_RESOLUTION * py_max(1.0, fabs(t1))) {
+            t = t1; /* a sliver below the time resolution */
+            break;
+        }
+        const int clipped = h_next >= remaining;
+        const double h = clipped ? remaining : h_next;
+        if (h < TIME_RESOLUTION * py_max(1.0, fabs(t))) return @UNDERFLOW@;
+        const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
+                                        y[!now], k[!now], ratio);
+        if (s) return s;
+        const double norm = sqrt(ddot(12, ratio, 1, ratio, 1) / 12.0);
+        fevals += 6;
+        if (!isfinite(norm)) {
+            rejected += 1;
+            h_next = NONFINITE_FACTOR * h;
+            continue;
+        }
+        if (norm <= 1.0) {
+            accepted += 1;
+            if (h < min_step) min_step = h;
+            if (h > max_step) max_step = h;
+            t = clipped ? t1 : t + h;
+            now = !now; /* FSAL */
+            const double factor = norm == 0.0
+                ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
+            const double grown = py_min(h * factor, r->h_max);
+            h_next = clipped ? py_max(h_next, grown) : grown;
+        } else {
+            rejected += 1;
+            h_next = h * py_max(MIN_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
+        }
+    }
+    copy(r->x, y[now], 12);
+    copy(r->k1, k[now], 12);
+    r->h = h_next;
+    r->accepted = accepted;
+    r->rejected = rejected;
+    r->fevals = fevals;
+    r->min_step = min_step;
+    r->max_step = max_step;
+    return 0;
+}
+
+/* Events [i, j) of simulate.integrate: at each event the hold (a fresh
+   first stage where the torque bits change or a disturbance edge lies),
+   the output row, then the segment to the next event. Returns 0, or the
+   status that stopped it at r->event: before the hold (r->resume 0) or
+   before the segment (r->resume 1). A call with r->resume 1 starts at the
+   segment. */
+int robot_rollout(struct rollout *r, long i, long j)
+{
+    const double *events = r->events, *held = r->held, *forces = r->forces;
+    const unsigned char *out = r->out, *brk = r->brk;
+    double *states = r->states, *derivs = r->derivs, *controls = r->controls;
+    for (long e = i; e < j; e++) {
+        const double *u = held + 3 * e;
+        r->event = e;
+        if (!r->resume) {
+            if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
+                double k1[12];
+                copy(r->blk + 14, u, 3);
+                copy(r->blk + 17, forces + 2 * e, 2);
+                const int s = robot_rhs(r->blk, r->x, k1);
+                if (s) return s;
+                copy(r->k1, k1, 12);
+                r->fevals += 1;
+            }
+            if (out[e]) {
+                copy(states + 12 * r->row, r->x, 12);
+                copy(derivs + 12 * r->row, r->k1, 12);
+                copy(controls + 3 * r->row, u, 3);
+                r->row += 1;
+            }
+        }
+        if (e + 1 == r->n) break;
+        r->resume = 1;
+        if (r->guess) return @FIRST_STEP@;
+        const int s = advance(r, events[e], events[e + 1]);
+        if (s) return s;
+        r->resume = 0;
+    }
+    return 0;
+}
+"""
+
+
 def render_c(python_source: str, generator_sha256: str) -> str:
     accel = _function_def(python_source, "accelerations")
     header = [
@@ -444,24 +601,31 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         f"// generator sha256: {generator_sha256}",
         f"// sympy {sp.__version__}",
         "//",
-        "// One Dormand-Prince 5(4) attempt of the robot, y' = f(y) with f the",
-        "// rhs of otbot.dynamics.state_derivative (accelerations of",
+        "// The robot's rollout loop: robot_rollout runs the event loop of",
+        "// otbot.simulate.integrate and the step control of",
+        "// otbot.integrator.advance_segment on a struct rollout (the fields of",
+        "// otbot._ckernel.Rollout). dp5_robot_attempt is one Dormand-Prince 5(4)",
+        "// attempt of y' = f(y), with f the rhs of",
+        "// otbot.dynamics.state_derivative (robot_rhs, from the accelerations of",
         "// otbot._task_space) under the held torques and pivot force in blk:",
         f"// the parameters ({', '.join(PARAM_FIELDS[:7])},",
         f"// {', '.join(PARAM_FIELDS[7:])}), u0, u1, u2, fx, fy.",
-        "// Fills y_new, k7 = f(y_new) and the error ratios of",
-        "// otbot.integrator._error_norm, bit for bit what the Python kernel",
-        "// computes. Returns 0, or nonzero where the Python kernel raises or",
-        f"// divides by zero: {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of an infinite",
-        f"// angle, {_ZERO_SCALE} a zero error scale.",
+        "// Every value is bit for bit what the Python code computes; the error",
+        "// norm reduces through the BLAS ddot that numpy calls. A nonzero status",
+        f"// stops the loop where Python goes on: {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of",
+        f"// an infinite angle, {_ZERO_SCALE} a zero error scale, {_UNDERFLOW} a step underflow, {_FIRST_STEP} the",
+        "// first step to be guessed.",
         "",
         "#include <math.h>",
         "",
     ]
-    body = ["double ys[12], k2[12], k3[12], k4[12], k5[12], k6[12], e[12];"]
-    body += _attempt_body(accel) + _RATIO
-    lines = header + [_C_SIGNATURE, "{"] + [INDENT + line for line in body] + ["}"]
-    return "\n".join(lines) + "\n"
+    attempt = ["double ys[12], k2[12], k3[12], k4[12], k5[12], k6[12], e[12];", "int s;"]
+    attempt += _attempt_body() + _RATIO
+    lines = (
+        header + _struct() + [""] + _rhs_function(accel) + [""]
+        + [_C_SIGNATURE, "{"] + [INDENT + line for line in attempt] + ["}", ""]
+    )
+    return "\n".join(lines) + "\n" + _loop()
 
 
 def generator_sha256() -> str:

@@ -2,16 +2,14 @@
 
 Two libraries are compiled on first use, never at import:
 
-- ``_dp5_robot.c``, the robot's DP5 attempt, with the system C compiler
-  (``cc``) and these flags:
-
-  - ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply and
-    add a separately rounded double operation, in the order the source
-    gives;
-  - ``-fno-builtin`` keeps ``sin`` and ``cos`` as calls into the same libm
-    that Python's ``math`` calls, with no fused ``sincos``.
-
-  So the compiled attempt computes the same bits as the Python kernel.
+- ``_dp5_robot.c``, the robot's rollout loop, with the system C compiler
+  (``cc``). ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
+  and add a separately rounded double operation, in the source's order;
+  ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and ``sqrt`` as calls into
+  the libm that Python calls, with no fused ``sincos``. The error norm
+  reduces through the ``ddot`` that numpy calls (:func:`numpy_ddot`). So the
+  loop computes the same bits as the Python engine; where numpy has no such
+  ``ddot`` (another BLAS), the Python engine runs.
 - ``_csv_format.cpp``, the CSV formatter, with the system C++ compiler
   (``c++ -O2 -std=c++17``): ``std::to_chars`` gives the digits of ``repr``,
   so it writes the same bytes as the Python loop.
@@ -38,6 +36,26 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_dp5_robot.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin", "-shared", "-fPIC")
+# numpy's dot of two float64 vectors, in the 64-bit-integer scipy-openblas build
+DDOT = "scipy_cblas_ddot64_"
+
+
+class Rollout(ctypes.Structure):
+    """One robot rollout, ``struct rollout`` of ``robot_rollout``: the numpy
+    tables as addresses, the tolerances and step cap ``h_max``, and what the
+    C moves on: the step ``h`` (``guess`` where it is yet to be guessed), the
+    ``IntegratorStats`` counts, the output row, where it stopped, and the
+    hold ``blk``, state ``x`` and first stage ``k1``."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in (
+            "events", "out", "brk", "held", "forces", "states", "derivs", "controls", "ddot")),
+        *((name, ctypes.c_double) for name in ("rtol", "atol", "h_max", "h", "min_step", "max_step")),
+        *((name, ctypes.c_long) for name in (
+            "n", "guess", "accepted", "rejected", "fevals", "row", "event", "resume")),
+        ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),
+    ]
+
 
 FORMATTER_SOURCE = Path(__file__).with_name("_csv_format.cpp")
 CXX = "c++"
@@ -81,7 +99,7 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
             continue
         os.close(fd)
         try:
-            # libm last, for the DP5 attempt's sin and cos
+            # libm last, for the rollout loop's sin, cos, pow and sqrt
             done = subprocess.run([exe, *flags, "-o", tmp, str(source), "-lm"], capture_output=True)
             if done.returncode != 0:
                 return None
@@ -96,19 +114,36 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
 
 
 def load():
-    """The ``dp5_robot_attempt`` function of the library, or None.
+    """``(robot_rollout, ddot)``, or None where the library or numpy's ddot is missing.
 
-    ``attempt(blk, h, rtol, atol, y, k1, y_new, k7, ratio)`` takes the rhs
-    block and the five 12-double buffers as addresses; see the source's
-    header for the layout and the status it returns.
+    ``robot_rollout(r, i, j)`` advances the events ``[i, j)`` of the
+    :class:`Rollout` ``r``, whose ``ddot`` field is ``ddot``.
     """
-    path = build(SOURCE, COMPILER, FLAGS)
+    ddot = numpy_ddot()
+    path = None if ddot is None else build(SOURCE, COMPILER, FLAGS)
     if path is None:
         return None
-    attempt = ctypes.CDLL(str(path)).dp5_robot_attempt
-    attempt.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 5
-    attempt.restype = ctypes.c_int
-    return attempt
+    run = ctypes.CDLL(str(path)).robot_rollout
+    run.argtypes = [ctypes.POINTER(Rollout), ctypes.c_long, ctypes.c_long]
+    run.restype = ctypes.c_int
+    return run, ddot
+
+
+def numpy_ddot() -> int | None:
+    """Address of ``DDOT`` in the scipy-openblas library numpy loaded, or None.
+
+    numpy's wheels ship that library next to the package; opening it again
+    yields the instance already loaded, with its kernel choice.
+    """
+    import numpy
+
+    root = Path(numpy.__file__).parent
+    for library in (*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")):
+        try:
+            return ctypes.cast(getattr(ctypes.CDLL(str(library)), DDOT), ctypes.c_void_p).value
+        except (OSError, AttributeError):
+            continue
+    return None
 
 
 def load_formatter():

@@ -1,25 +1,221 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: b848c02f5e8bc4fe111d58c858dfa5fc6f2c1ec76a9c6c9ba9ace06e77817a37
+// generator sha256: 9df83cf24694a5e1f3d56ef606d5cf310f4498d731cad1ac4c7bc612c91e6fd5
 // sympy 1.14.0
 //
-// One Dormand-Prince 5(4) attempt of the robot, y' = f(y) with f the
-// rhs of otbot.dynamics.state_derivative (accelerations of
+// The robot's rollout loop: robot_rollout runs the event loop of
+// otbot.simulate.integrate and the step control of
+// otbot.integrator.advance_segment on a struct rollout (the fields of
+// otbot._ckernel.Rollout). dp5_robot_attempt is one Dormand-Prince 5(4)
+// attempt of y' = f(y), with f the rhs of
+// otbot.dynamics.state_derivative (robot_rhs, from the accelerations of
 // otbot._task_space) under the held torques and pivot force in blk:
 // the parameters (l1, l2, r, xB, yB, xF, yF,
 // mc, mp, Ic, Ip, Ia, bw, bp), u0, u1, u2, fx, fy.
-// Fills y_new, k7 = f(y_new) and the error ratios of
-// otbot.integrator._error_norm, bit for bit what the Python kernel
-// computes. Returns 0, or nonzero where the Python kernel raises or
-// divides by zero: 1 a zero divisor, 2 sin or cos of an infinite
-// angle, 3 a zero error scale.
+// Every value is bit for bit what the Python code computes; the error
+// norm reduces through the BLAS ddot that numpy calls. A nonzero status
+// stops the loop where Python goes on: 1 a zero divisor, 2 sin or cos of
+// an infinite angle, 3 a zero error scale, 4 a step underflow, 5 the
+// first step to be guessed.
 
 #include <math.h>
+
+struct rollout {
+    void *events;
+    void *out;
+    void *brk;
+    void *held;
+    void *forces;
+    void *states;
+    void *derivs;
+    void *controls;
+    void *ddot;
+    double rtol;
+    double atol;
+    double h_max;
+    double h;
+    double min_step;
+    double max_step;
+    long n;
+    long guess;
+    long accepted;
+    long rejected;
+    long fevals;
+    long row;
+    long event;
+    long resume;
+    double blk[19];
+    double x[12];
+    double k1[12];
+};
+
+static int robot_rhs(const double *blk, const double *x, double *k)
+{
+    const double alpha = x[2];
+    const double theta = (x[2] - x[5]);
+    const double dx = x[6];
+    const double dy = x[7];
+    const double da = x[8];
+    const double dth = (x[8] - x[11]);
+    const double u0 = blk[14];
+    const double u1 = blk[15];
+    const double u2 = blk[16];
+    const double fx = blk[17];
+    const double fy = blk[18];
+    const double l1 = blk[0];
+    const double l2 = blk[1];
+    const double r = blk[2];
+    const double xB = blk[3];
+    const double yB = blk[4];
+    const double xF = blk[5];
+    const double yF = blk[6];
+    const double mc = blk[7];
+    const double mp = blk[8];
+    const double Ic = blk[9];
+    const double Ip = blk[10];
+    const double Ia = blk[11];
+    const double bw = blk[12];
+    const double bp = blk[13];
+    if (isinf(alpha)) return 2;
+    const double ca = cos(alpha);
+    const double sa = sin(alpha);
+    if (isinf(theta)) return 2;
+    const double ct = cos(theta);
+    const double st = sin(theta);
+    const double t0 = (ct * l1);
+    const double t1 = (l2 * st);
+    const double t2 = (t0 - t1);
+    if (r == 0.0) return 1;
+    const double t3 = (1.0 / r);
+    const double t4 = (t2 * t3);
+    if (l1 == 0.0) return 1;
+    const double t5 = (1.0 / l1);
+    const double t6 = (Ia * t5);
+    const double t7 = (ct * l2);
+    const double t8 = (l1 * st);
+    const double t9 = (t7 - t8);
+    if (l2 == 0.0) return 1;
+    const double t10 = (r / l2);
+    const double t11 = ((1.0 / 2.0) * t10);
+    const double t12 = (t11 * (mc + mp));
+    const double t13 = (ca * yF);
+    const double t14 = (ct * yB);
+    const double t15 = (st * xB);
+    const double t16 = (sa * xF);
+    const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
+    const double t18 = (t11 * t17);
+    const double t19 = (t0 + t1);
+    const double t20 = (ct * xB);
+    const double t21 = (st * yB);
+    const double t22 = (t20 - t21);
+    const double t23 = (mc * t22);
+    const double t24 = (t19 * t23);
+    const double t25 = (t14 + t15);
+    const double t26 = (mc * t25);
+    const double t27 = (t26 * t9);
+    const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
+    const double t29 = (t11 * t5);
+    const double t30 = (t29 * ((t24 - t27) + t28));
+    const double t31 = (t7 + t8);
+    const double t32 = (t3 * t6);
+    const double t33 = (ca * xF);
+    const double t34 = (sa * yF);
+    const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
+    const double t36 = (t11 * t35);
+    const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
+    const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
+    const double t39 = (t13 + t16);
+    const double t40 = (t33 - t34);
+    const double t41 = (fy * t11);
+    const double t42 = (fx * t11);
+    const double t43 = (((da * da) * mp) * t11);
+    const double t44 = (2.0 * bw);
+    const double t45 = (dth * t31);
+    const double t46 = ((2.0 * Ia) * t3);
+    const double t47 = (dth * t10);
+    const double t48 = (t28 * t47);
+    const double t49 = (ct * t48);
+    const double t50 = ((ct * t22) - (st * t25));
+    const double t51 = (-t50);
+    const double t52 = (mc * t47);
+    const double t53 = (t19 * t52);
+    const double t54 = (ct * t25);
+    const double t55 = ((st * t22) + t54);
+    const double t56 = (t52 * t9);
+    const double t57 = ((1.0 / 2.0) * t5);
+    const double t58 = (dx * t57);
+    const double t59 = (st * t48);
+    const double t60 = ((st * t22) + t54);
+    const double t61 = (dy * t57);
+    const double t62 = (t3 * t44);
+    const double t63 = (dth * t46);
+    const double t64 = ((mc * t10) * t45);
+    const double t65 = (t2 * t52);
+    const double t66 = (bp * t5);
+    const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
+    const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
+    const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
+    const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
+    const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
+    const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
+    const double m20 = ((-mp) * t39);
+    const double m21 = (mp * t40);
+    const double m22 = t37;
+    const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
+    const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
+    const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
+    const double a00 = ((m11 * m22) - (m12 * m21));
+    const double a01 = ((m02 * m21) - (m01 * m22));
+    const double a02 = ((m01 * m12) - (m02 * m11));
+    const double a10 = ((m12 * m20) - (m10 * m22));
+    const double a11 = ((m00 * m22) - (m02 * m20));
+    const double a12 = ((m02 * m10) - (m00 * m12));
+    const double a20 = ((m10 * m21) - (m11 * m20));
+    const double a21 = ((m01 * m20) - (m00 * m21));
+    const double a22 = ((m00 * m11) - (m01 * m10));
+    const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
+    if (tmp0 == 0.0) return 1;
+    const double inv_det = (1.0 / tmp0);
+    const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
+    const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
+    const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
+    const double s0 = (ct * l2);
+    const double s1 = (l1 * st);
+    const double s2 = (s0 + s1);
+    const double s3 = (ct * l1);
+    const double s4 = (l2 * st);
+    const double s5 = (s3 - s4);
+    const double s6 = (dth * dx);
+    const double s7 = (dth * dy);
+    const double s8 = (1.0 / l1);
+    const double s9 = (s8 / r);
+    const double s10 = (s3 + s4);
+    const double s11 = (s0 - s1);
+    const double s12 = (s8 * st);
+    const double s13 = (ct * s8);
+    const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
+    const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
+    const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
+    k[0] = x[6];
+    k[1] = x[7];
+    k[2] = x[8];
+    k[3] = x[9];
+    k[4] = x[10];
+    k[5] = x[11];
+    k[6] = ddx;
+    k[7] = ddy;
+    k[8] = dda;
+    k[9] = ddphi_r;
+    k[10] = ddphi_l;
+    k[11] = ddphi_p;
+    return 0;
+}
 
 int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
                       const double *y, const double *k1,
                       double *y_new, double *k7, double *ratio)
 {
     double ys[12], k2[12], k3[12], k4[12], k5[12], k6[12], e[12];
+    int s;
     /* stage 2 */
     ys[0] = (y[0] + (h * (0.2 * k1[0])));
     ys[1] = (y[1] + (h * (0.2 * k1[1])));
@@ -33,165 +229,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     ys[9] = (y[9] + (h * (0.2 * k1[9])));
     ys[10] = (y[10] + (h * (0.2 * k1[10])));
     ys[11] = (y[11] + (h * (0.2 * k1[11])));
-    {
-        const double alpha = ys[2];
-        const double theta = (ys[2] - ys[5]);
-        const double dx = ys[6];
-        const double dy = ys[7];
-        const double da = ys[8];
-        const double dth = (ys[8] - ys[11]);
-        const double u0 = blk[14];
-        const double u1 = blk[15];
-        const double u2 = blk[16];
-        const double fx = blk[17];
-        const double fy = blk[18];
-        const double l1 = blk[0];
-        const double l2 = blk[1];
-        const double r = blk[2];
-        const double xB = blk[3];
-        const double yB = blk[4];
-        const double xF = blk[5];
-        const double yF = blk[6];
-        const double mc = blk[7];
-        const double mp = blk[8];
-        const double Ic = blk[9];
-        const double Ip = blk[10];
-        const double Ia = blk[11];
-        const double bw = blk[12];
-        const double bp = blk[13];
-        if (isinf(alpha)) return 2;
-        const double ca = cos(alpha);
-        const double sa = sin(alpha);
-        if (isinf(theta)) return 2;
-        const double ct = cos(theta);
-        const double st = sin(theta);
-        const double t0 = (ct * l1);
-        const double t1 = (l2 * st);
-        const double t2 = (t0 - t1);
-        if (r == 0.0) return 1;
-        const double t3 = (1.0 / r);
-        const double t4 = (t2 * t3);
-        if (l1 == 0.0) return 1;
-        const double t5 = (1.0 / l1);
-        const double t6 = (Ia * t5);
-        const double t7 = (ct * l2);
-        const double t8 = (l1 * st);
-        const double t9 = (t7 - t8);
-        if (l2 == 0.0) return 1;
-        const double t10 = (r / l2);
-        const double t11 = ((1.0 / 2.0) * t10);
-        const double t12 = (t11 * (mc + mp));
-        const double t13 = (ca * yF);
-        const double t14 = (ct * yB);
-        const double t15 = (st * xB);
-        const double t16 = (sa * xF);
-        const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
-        const double t18 = (t11 * t17);
-        const double t19 = (t0 + t1);
-        const double t20 = (ct * xB);
-        const double t21 = (st * yB);
-        const double t22 = (t20 - t21);
-        const double t23 = (mc * t22);
-        const double t24 = (t19 * t23);
-        const double t25 = (t14 + t15);
-        const double t26 = (mc * t25);
-        const double t27 = (t26 * t9);
-        const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
-        const double t29 = (t11 * t5);
-        const double t30 = (t29 * ((t24 - t27) + t28));
-        const double t31 = (t7 + t8);
-        const double t32 = (t3 * t6);
-        const double t33 = (ca * xF);
-        const double t34 = (sa * yF);
-        const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
-        const double t36 = (t11 * t35);
-        const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
-        const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
-        const double t39 = (t13 + t16);
-        const double t40 = (t33 - t34);
-        const double t41 = (fy * t11);
-        const double t42 = (fx * t11);
-        const double t43 = (((da * da) * mp) * t11);
-        const double t44 = (2.0 * bw);
-        const double t45 = (dth * t31);
-        const double t46 = ((2.0 * Ia) * t3);
-        const double t47 = (dth * t10);
-        const double t48 = (t28 * t47);
-        const double t49 = (ct * t48);
-        const double t50 = ((ct * t22) - (st * t25));
-        const double t51 = (-t50);
-        const double t52 = (mc * t47);
-        const double t53 = (t19 * t52);
-        const double t54 = (ct * t25);
-        const double t55 = ((st * t22) + t54);
-        const double t56 = (t52 * t9);
-        const double t57 = ((1.0 / 2.0) * t5);
-        const double t58 = (dx * t57);
-        const double t59 = (st * t48);
-        const double t60 = ((st * t22) + t54);
-        const double t61 = (dy * t57);
-        const double t62 = (t3 * t44);
-        const double t63 = (dth * t46);
-        const double t64 = ((mc * t10) * t45);
-        const double t65 = (t2 * t52);
-        const double t66 = (bp * t5);
-        const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
-        const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
-        const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
-        const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
-        const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
-        const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
-        const double m20 = ((-mp) * t39);
-        const double m21 = (mp * t40);
-        const double m22 = t37;
-        const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
-        const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
-        const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
-        const double a00 = ((m11 * m22) - (m12 * m21));
-        const double a01 = ((m02 * m21) - (m01 * m22));
-        const double a02 = ((m01 * m12) - (m02 * m11));
-        const double a10 = ((m12 * m20) - (m10 * m22));
-        const double a11 = ((m00 * m22) - (m02 * m20));
-        const double a12 = ((m02 * m10) - (m00 * m12));
-        const double a20 = ((m10 * m21) - (m11 * m20));
-        const double a21 = ((m01 * m20) - (m00 * m21));
-        const double a22 = ((m00 * m11) - (m01 * m10));
-        const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
-        if (tmp0 == 0.0) return 1;
-        const double inv_det = (1.0 / tmp0);
-        const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
-        const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
-        const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
-        const double s0 = (ct * l2);
-        const double s1 = (l1 * st);
-        const double s2 = (s0 + s1);
-        const double s3 = (ct * l1);
-        const double s4 = (l2 * st);
-        const double s5 = (s3 - s4);
-        const double s6 = (dth * dx);
-        const double s7 = (dth * dy);
-        const double s8 = (1.0 / l1);
-        const double s9 = (s8 / r);
-        const double s10 = (s3 + s4);
-        const double s11 = (s0 - s1);
-        const double s12 = (s8 * st);
-        const double s13 = (ct * s8);
-        const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
-        const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
-        const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
-        k2[0] = ys[6];
-        k2[1] = ys[7];
-        k2[2] = ys[8];
-        k2[3] = ys[9];
-        k2[4] = ys[10];
-        k2[5] = ys[11];
-        k2[6] = ddx;
-        k2[7] = ddy;
-        k2[8] = dda;
-        k2[9] = ddphi_r;
-        k2[10] = ddphi_l;
-        k2[11] = ddphi_p;
-    }
+    if ((s = robot_rhs(blk, ys, k2))) return s;
     /* stage 3 */
     ys[0] = (y[0] + (h * ((0.075 * k1[0]) + (0.225 * k2[0]))));
     ys[1] = (y[1] + (h * ((0.075 * k1[1]) + (0.225 * k2[1]))));
@@ -205,165 +243,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     ys[9] = (y[9] + (h * ((0.075 * k1[9]) + (0.225 * k2[9]))));
     ys[10] = (y[10] + (h * ((0.075 * k1[10]) + (0.225 * k2[10]))));
     ys[11] = (y[11] + (h * ((0.075 * k1[11]) + (0.225 * k2[11]))));
-    {
-        const double alpha = ys[2];
-        const double theta = (ys[2] - ys[5]);
-        const double dx = ys[6];
-        const double dy = ys[7];
-        const double da = ys[8];
-        const double dth = (ys[8] - ys[11]);
-        const double u0 = blk[14];
-        const double u1 = blk[15];
-        const double u2 = blk[16];
-        const double fx = blk[17];
-        const double fy = blk[18];
-        const double l1 = blk[0];
-        const double l2 = blk[1];
-        const double r = blk[2];
-        const double xB = blk[3];
-        const double yB = blk[4];
-        const double xF = blk[5];
-        const double yF = blk[6];
-        const double mc = blk[7];
-        const double mp = blk[8];
-        const double Ic = blk[9];
-        const double Ip = blk[10];
-        const double Ia = blk[11];
-        const double bw = blk[12];
-        const double bp = blk[13];
-        if (isinf(alpha)) return 2;
-        const double ca = cos(alpha);
-        const double sa = sin(alpha);
-        if (isinf(theta)) return 2;
-        const double ct = cos(theta);
-        const double st = sin(theta);
-        const double t0 = (ct * l1);
-        const double t1 = (l2 * st);
-        const double t2 = (t0 - t1);
-        if (r == 0.0) return 1;
-        const double t3 = (1.0 / r);
-        const double t4 = (t2 * t3);
-        if (l1 == 0.0) return 1;
-        const double t5 = (1.0 / l1);
-        const double t6 = (Ia * t5);
-        const double t7 = (ct * l2);
-        const double t8 = (l1 * st);
-        const double t9 = (t7 - t8);
-        if (l2 == 0.0) return 1;
-        const double t10 = (r / l2);
-        const double t11 = ((1.0 / 2.0) * t10);
-        const double t12 = (t11 * (mc + mp));
-        const double t13 = (ca * yF);
-        const double t14 = (ct * yB);
-        const double t15 = (st * xB);
-        const double t16 = (sa * xF);
-        const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
-        const double t18 = (t11 * t17);
-        const double t19 = (t0 + t1);
-        const double t20 = (ct * xB);
-        const double t21 = (st * yB);
-        const double t22 = (t20 - t21);
-        const double t23 = (mc * t22);
-        const double t24 = (t19 * t23);
-        const double t25 = (t14 + t15);
-        const double t26 = (mc * t25);
-        const double t27 = (t26 * t9);
-        const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
-        const double t29 = (t11 * t5);
-        const double t30 = (t29 * ((t24 - t27) + t28));
-        const double t31 = (t7 + t8);
-        const double t32 = (t3 * t6);
-        const double t33 = (ca * xF);
-        const double t34 = (sa * yF);
-        const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
-        const double t36 = (t11 * t35);
-        const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
-        const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
-        const double t39 = (t13 + t16);
-        const double t40 = (t33 - t34);
-        const double t41 = (fy * t11);
-        const double t42 = (fx * t11);
-        const double t43 = (((da * da) * mp) * t11);
-        const double t44 = (2.0 * bw);
-        const double t45 = (dth * t31);
-        const double t46 = ((2.0 * Ia) * t3);
-        const double t47 = (dth * t10);
-        const double t48 = (t28 * t47);
-        const double t49 = (ct * t48);
-        const double t50 = ((ct * t22) - (st * t25));
-        const double t51 = (-t50);
-        const double t52 = (mc * t47);
-        const double t53 = (t19 * t52);
-        const double t54 = (ct * t25);
-        const double t55 = ((st * t22) + t54);
-        const double t56 = (t52 * t9);
-        const double t57 = ((1.0 / 2.0) * t5);
-        const double t58 = (dx * t57);
-        const double t59 = (st * t48);
-        const double t60 = ((st * t22) + t54);
-        const double t61 = (dy * t57);
-        const double t62 = (t3 * t44);
-        const double t63 = (dth * t46);
-        const double t64 = ((mc * t10) * t45);
-        const double t65 = (t2 * t52);
-        const double t66 = (bp * t5);
-        const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
-        const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
-        const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
-        const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
-        const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
-        const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
-        const double m20 = ((-mp) * t39);
-        const double m21 = (mp * t40);
-        const double m22 = t37;
-        const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
-        const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
-        const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
-        const double a00 = ((m11 * m22) - (m12 * m21));
-        const double a01 = ((m02 * m21) - (m01 * m22));
-        const double a02 = ((m01 * m12) - (m02 * m11));
-        const double a10 = ((m12 * m20) - (m10 * m22));
-        const double a11 = ((m00 * m22) - (m02 * m20));
-        const double a12 = ((m02 * m10) - (m00 * m12));
-        const double a20 = ((m10 * m21) - (m11 * m20));
-        const double a21 = ((m01 * m20) - (m00 * m21));
-        const double a22 = ((m00 * m11) - (m01 * m10));
-        const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
-        if (tmp0 == 0.0) return 1;
-        const double inv_det = (1.0 / tmp0);
-        const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
-        const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
-        const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
-        const double s0 = (ct * l2);
-        const double s1 = (l1 * st);
-        const double s2 = (s0 + s1);
-        const double s3 = (ct * l1);
-        const double s4 = (l2 * st);
-        const double s5 = (s3 - s4);
-        const double s6 = (dth * dx);
-        const double s7 = (dth * dy);
-        const double s8 = (1.0 / l1);
-        const double s9 = (s8 / r);
-        const double s10 = (s3 + s4);
-        const double s11 = (s0 - s1);
-        const double s12 = (s8 * st);
-        const double s13 = (ct * s8);
-        const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
-        const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
-        const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
-        k3[0] = ys[6];
-        k3[1] = ys[7];
-        k3[2] = ys[8];
-        k3[3] = ys[9];
-        k3[4] = ys[10];
-        k3[5] = ys[11];
-        k3[6] = ddx;
-        k3[7] = ddy;
-        k3[8] = dda;
-        k3[9] = ddphi_r;
-        k3[10] = ddphi_l;
-        k3[11] = ddphi_p;
-    }
+    if ((s = robot_rhs(blk, ys, k3))) return s;
     /* stage 4 */
     ys[0] = (y[0] + (h * (((0.9777777777777777 * k1[0]) + ((-3.7333333333333334) * k2[0])) + (3.5555555555555554 * k3[0]))));
     ys[1] = (y[1] + (h * (((0.9777777777777777 * k1[1]) + ((-3.7333333333333334) * k2[1])) + (3.5555555555555554 * k3[1]))));
@@ -377,165 +257,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     ys[9] = (y[9] + (h * (((0.9777777777777777 * k1[9]) + ((-3.7333333333333334) * k2[9])) + (3.5555555555555554 * k3[9]))));
     ys[10] = (y[10] + (h * (((0.9777777777777777 * k1[10]) + ((-3.7333333333333334) * k2[10])) + (3.5555555555555554 * k3[10]))));
     ys[11] = (y[11] + (h * (((0.9777777777777777 * k1[11]) + ((-3.7333333333333334) * k2[11])) + (3.5555555555555554 * k3[11]))));
-    {
-        const double alpha = ys[2];
-        const double theta = (ys[2] - ys[5]);
-        const double dx = ys[6];
-        const double dy = ys[7];
-        const double da = ys[8];
-        const double dth = (ys[8] - ys[11]);
-        const double u0 = blk[14];
-        const double u1 = blk[15];
-        const double u2 = blk[16];
-        const double fx = blk[17];
-        const double fy = blk[18];
-        const double l1 = blk[0];
-        const double l2 = blk[1];
-        const double r = blk[2];
-        const double xB = blk[3];
-        const double yB = blk[4];
-        const double xF = blk[5];
-        const double yF = blk[6];
-        const double mc = blk[7];
-        const double mp = blk[8];
-        const double Ic = blk[9];
-        const double Ip = blk[10];
-        const double Ia = blk[11];
-        const double bw = blk[12];
-        const double bp = blk[13];
-        if (isinf(alpha)) return 2;
-        const double ca = cos(alpha);
-        const double sa = sin(alpha);
-        if (isinf(theta)) return 2;
-        const double ct = cos(theta);
-        const double st = sin(theta);
-        const double t0 = (ct * l1);
-        const double t1 = (l2 * st);
-        const double t2 = (t0 - t1);
-        if (r == 0.0) return 1;
-        const double t3 = (1.0 / r);
-        const double t4 = (t2 * t3);
-        if (l1 == 0.0) return 1;
-        const double t5 = (1.0 / l1);
-        const double t6 = (Ia * t5);
-        const double t7 = (ct * l2);
-        const double t8 = (l1 * st);
-        const double t9 = (t7 - t8);
-        if (l2 == 0.0) return 1;
-        const double t10 = (r / l2);
-        const double t11 = ((1.0 / 2.0) * t10);
-        const double t12 = (t11 * (mc + mp));
-        const double t13 = (ca * yF);
-        const double t14 = (ct * yB);
-        const double t15 = (st * xB);
-        const double t16 = (sa * xF);
-        const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
-        const double t18 = (t11 * t17);
-        const double t19 = (t0 + t1);
-        const double t20 = (ct * xB);
-        const double t21 = (st * yB);
-        const double t22 = (t20 - t21);
-        const double t23 = (mc * t22);
-        const double t24 = (t19 * t23);
-        const double t25 = (t14 + t15);
-        const double t26 = (mc * t25);
-        const double t27 = (t26 * t9);
-        const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
-        const double t29 = (t11 * t5);
-        const double t30 = (t29 * ((t24 - t27) + t28));
-        const double t31 = (t7 + t8);
-        const double t32 = (t3 * t6);
-        const double t33 = (ca * xF);
-        const double t34 = (sa * yF);
-        const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
-        const double t36 = (t11 * t35);
-        const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
-        const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
-        const double t39 = (t13 + t16);
-        const double t40 = (t33 - t34);
-        const double t41 = (fy * t11);
-        const double t42 = (fx * t11);
-        const double t43 = (((da * da) * mp) * t11);
-        const double t44 = (2.0 * bw);
-        const double t45 = (dth * t31);
-        const double t46 = ((2.0 * Ia) * t3);
-        const double t47 = (dth * t10);
-        const double t48 = (t28 * t47);
-        const double t49 = (ct * t48);
-        const double t50 = ((ct * t22) - (st * t25));
-        const double t51 = (-t50);
-        const double t52 = (mc * t47);
-        const double t53 = (t19 * t52);
-        const double t54 = (ct * t25);
-        const double t55 = ((st * t22) + t54);
-        const double t56 = (t52 * t9);
-        const double t57 = ((1.0 / 2.0) * t5);
-        const double t58 = (dx * t57);
-        const double t59 = (st * t48);
-        const double t60 = ((st * t22) + t54);
-        const double t61 = (dy * t57);
-        const double t62 = (t3 * t44);
-        const double t63 = (dth * t46);
-        const double t64 = ((mc * t10) * t45);
-        const double t65 = (t2 * t52);
-        const double t66 = (bp * t5);
-        const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
-        const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
-        const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
-        const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
-        const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
-        const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
-        const double m20 = ((-mp) * t39);
-        const double m21 = (mp * t40);
-        const double m22 = t37;
-        const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
-        const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
-        const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
-        const double a00 = ((m11 * m22) - (m12 * m21));
-        const double a01 = ((m02 * m21) - (m01 * m22));
-        const double a02 = ((m01 * m12) - (m02 * m11));
-        const double a10 = ((m12 * m20) - (m10 * m22));
-        const double a11 = ((m00 * m22) - (m02 * m20));
-        const double a12 = ((m02 * m10) - (m00 * m12));
-        const double a20 = ((m10 * m21) - (m11 * m20));
-        const double a21 = ((m01 * m20) - (m00 * m21));
-        const double a22 = ((m00 * m11) - (m01 * m10));
-        const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
-        if (tmp0 == 0.0) return 1;
-        const double inv_det = (1.0 / tmp0);
-        const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
-        const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
-        const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
-        const double s0 = (ct * l2);
-        const double s1 = (l1 * st);
-        const double s2 = (s0 + s1);
-        const double s3 = (ct * l1);
-        const double s4 = (l2 * st);
-        const double s5 = (s3 - s4);
-        const double s6 = (dth * dx);
-        const double s7 = (dth * dy);
-        const double s8 = (1.0 / l1);
-        const double s9 = (s8 / r);
-        const double s10 = (s3 + s4);
-        const double s11 = (s0 - s1);
-        const double s12 = (s8 * st);
-        const double s13 = (ct * s8);
-        const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
-        const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
-        const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
-        k4[0] = ys[6];
-        k4[1] = ys[7];
-        k4[2] = ys[8];
-        k4[3] = ys[9];
-        k4[4] = ys[10];
-        k4[5] = ys[11];
-        k4[6] = ddx;
-        k4[7] = ddy;
-        k4[8] = dda;
-        k4[9] = ddphi_r;
-        k4[10] = ddphi_l;
-        k4[11] = ddphi_p;
-    }
+    if ((s = robot_rhs(blk, ys, k4))) return s;
     /* stage 5 */
     ys[0] = (y[0] + (h * ((((2.9525986892242035 * k1[0]) + ((-11.595793324188385) * k2[0])) + (9.822892851699436 * k3[0])) + ((-0.2908093278463649) * k4[0]))));
     ys[1] = (y[1] + (h * ((((2.9525986892242035 * k1[1]) + ((-11.595793324188385) * k2[1])) + (9.822892851699436 * k3[1])) + ((-0.2908093278463649) * k4[1]))));
@@ -549,165 +271,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     ys[9] = (y[9] + (h * ((((2.9525986892242035 * k1[9]) + ((-11.595793324188385) * k2[9])) + (9.822892851699436 * k3[9])) + ((-0.2908093278463649) * k4[9]))));
     ys[10] = (y[10] + (h * ((((2.9525986892242035 * k1[10]) + ((-11.595793324188385) * k2[10])) + (9.822892851699436 * k3[10])) + ((-0.2908093278463649) * k4[10]))));
     ys[11] = (y[11] + (h * ((((2.9525986892242035 * k1[11]) + ((-11.595793324188385) * k2[11])) + (9.822892851699436 * k3[11])) + ((-0.2908093278463649) * k4[11]))));
-    {
-        const double alpha = ys[2];
-        const double theta = (ys[2] - ys[5]);
-        const double dx = ys[6];
-        const double dy = ys[7];
-        const double da = ys[8];
-        const double dth = (ys[8] - ys[11]);
-        const double u0 = blk[14];
-        const double u1 = blk[15];
-        const double u2 = blk[16];
-        const double fx = blk[17];
-        const double fy = blk[18];
-        const double l1 = blk[0];
-        const double l2 = blk[1];
-        const double r = blk[2];
-        const double xB = blk[3];
-        const double yB = blk[4];
-        const double xF = blk[5];
-        const double yF = blk[6];
-        const double mc = blk[7];
-        const double mp = blk[8];
-        const double Ic = blk[9];
-        const double Ip = blk[10];
-        const double Ia = blk[11];
-        const double bw = blk[12];
-        const double bp = blk[13];
-        if (isinf(alpha)) return 2;
-        const double ca = cos(alpha);
-        const double sa = sin(alpha);
-        if (isinf(theta)) return 2;
-        const double ct = cos(theta);
-        const double st = sin(theta);
-        const double t0 = (ct * l1);
-        const double t1 = (l2 * st);
-        const double t2 = (t0 - t1);
-        if (r == 0.0) return 1;
-        const double t3 = (1.0 / r);
-        const double t4 = (t2 * t3);
-        if (l1 == 0.0) return 1;
-        const double t5 = (1.0 / l1);
-        const double t6 = (Ia * t5);
-        const double t7 = (ct * l2);
-        const double t8 = (l1 * st);
-        const double t9 = (t7 - t8);
-        if (l2 == 0.0) return 1;
-        const double t10 = (r / l2);
-        const double t11 = ((1.0 / 2.0) * t10);
-        const double t12 = (t11 * (mc + mp));
-        const double t13 = (ca * yF);
-        const double t14 = (ct * yB);
-        const double t15 = (st * xB);
-        const double t16 = (sa * xF);
-        const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
-        const double t18 = (t11 * t17);
-        const double t19 = (t0 + t1);
-        const double t20 = (ct * xB);
-        const double t21 = (st * yB);
-        const double t22 = (t20 - t21);
-        const double t23 = (mc * t22);
-        const double t24 = (t19 * t23);
-        const double t25 = (t14 + t15);
-        const double t26 = (mc * t25);
-        const double t27 = (t26 * t9);
-        const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
-        const double t29 = (t11 * t5);
-        const double t30 = (t29 * ((t24 - t27) + t28));
-        const double t31 = (t7 + t8);
-        const double t32 = (t3 * t6);
-        const double t33 = (ca * xF);
-        const double t34 = (sa * yF);
-        const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
-        const double t36 = (t11 * t35);
-        const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
-        const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
-        const double t39 = (t13 + t16);
-        const double t40 = (t33 - t34);
-        const double t41 = (fy * t11);
-        const double t42 = (fx * t11);
-        const double t43 = (((da * da) * mp) * t11);
-        const double t44 = (2.0 * bw);
-        const double t45 = (dth * t31);
-        const double t46 = ((2.0 * Ia) * t3);
-        const double t47 = (dth * t10);
-        const double t48 = (t28 * t47);
-        const double t49 = (ct * t48);
-        const double t50 = ((ct * t22) - (st * t25));
-        const double t51 = (-t50);
-        const double t52 = (mc * t47);
-        const double t53 = (t19 * t52);
-        const double t54 = (ct * t25);
-        const double t55 = ((st * t22) + t54);
-        const double t56 = (t52 * t9);
-        const double t57 = ((1.0 / 2.0) * t5);
-        const double t58 = (dx * t57);
-        const double t59 = (st * t48);
-        const double t60 = ((st * t22) + t54);
-        const double t61 = (dy * t57);
-        const double t62 = (t3 * t44);
-        const double t63 = (dth * t46);
-        const double t64 = ((mc * t10) * t45);
-        const double t65 = (t2 * t52);
-        const double t66 = (bp * t5);
-        const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
-        const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
-        const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
-        const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
-        const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
-        const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
-        const double m20 = ((-mp) * t39);
-        const double m21 = (mp * t40);
-        const double m22 = t37;
-        const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
-        const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
-        const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
-        const double a00 = ((m11 * m22) - (m12 * m21));
-        const double a01 = ((m02 * m21) - (m01 * m22));
-        const double a02 = ((m01 * m12) - (m02 * m11));
-        const double a10 = ((m12 * m20) - (m10 * m22));
-        const double a11 = ((m00 * m22) - (m02 * m20));
-        const double a12 = ((m02 * m10) - (m00 * m12));
-        const double a20 = ((m10 * m21) - (m11 * m20));
-        const double a21 = ((m01 * m20) - (m00 * m21));
-        const double a22 = ((m00 * m11) - (m01 * m10));
-        const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
-        if (tmp0 == 0.0) return 1;
-        const double inv_det = (1.0 / tmp0);
-        const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
-        const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
-        const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
-        const double s0 = (ct * l2);
-        const double s1 = (l1 * st);
-        const double s2 = (s0 + s1);
-        const double s3 = (ct * l1);
-        const double s4 = (l2 * st);
-        const double s5 = (s3 - s4);
-        const double s6 = (dth * dx);
-        const double s7 = (dth * dy);
-        const double s8 = (1.0 / l1);
-        const double s9 = (s8 / r);
-        const double s10 = (s3 + s4);
-        const double s11 = (s0 - s1);
-        const double s12 = (s8 * st);
-        const double s13 = (ct * s8);
-        const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
-        const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
-        const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
-        k5[0] = ys[6];
-        k5[1] = ys[7];
-        k5[2] = ys[8];
-        k5[3] = ys[9];
-        k5[4] = ys[10];
-        k5[5] = ys[11];
-        k5[6] = ddx;
-        k5[7] = ddy;
-        k5[8] = dda;
-        k5[9] = ddphi_r;
-        k5[10] = ddphi_l;
-        k5[11] = ddphi_p;
-    }
+    if ((s = robot_rhs(blk, ys, k5))) return s;
     /* stage 6 */
     ys[0] = (y[0] + (h * (((((2.8462752525252526 * k1[0]) + ((-10.757575757575758) * k2[0])) + (8.906422717743473 * k3[0])) + (0.2784090909090909 * k4[0])) + ((-0.2735313036020583) * k5[0]))));
     ys[1] = (y[1] + (h * (((((2.8462752525252526 * k1[1]) + ((-10.757575757575758) * k2[1])) + (8.906422717743473 * k3[1])) + (0.2784090909090909 * k4[1])) + ((-0.2735313036020583) * k5[1]))));
@@ -721,165 +285,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     ys[9] = (y[9] + (h * (((((2.8462752525252526 * k1[9]) + ((-10.757575757575758) * k2[9])) + (8.906422717743473 * k3[9])) + (0.2784090909090909 * k4[9])) + ((-0.2735313036020583) * k5[9]))));
     ys[10] = (y[10] + (h * (((((2.8462752525252526 * k1[10]) + ((-10.757575757575758) * k2[10])) + (8.906422717743473 * k3[10])) + (0.2784090909090909 * k4[10])) + ((-0.2735313036020583) * k5[10]))));
     ys[11] = (y[11] + (h * (((((2.8462752525252526 * k1[11]) + ((-10.757575757575758) * k2[11])) + (8.906422717743473 * k3[11])) + (0.2784090909090909 * k4[11])) + ((-0.2735313036020583) * k5[11]))));
-    {
-        const double alpha = ys[2];
-        const double theta = (ys[2] - ys[5]);
-        const double dx = ys[6];
-        const double dy = ys[7];
-        const double da = ys[8];
-        const double dth = (ys[8] - ys[11]);
-        const double u0 = blk[14];
-        const double u1 = blk[15];
-        const double u2 = blk[16];
-        const double fx = blk[17];
-        const double fy = blk[18];
-        const double l1 = blk[0];
-        const double l2 = blk[1];
-        const double r = blk[2];
-        const double xB = blk[3];
-        const double yB = blk[4];
-        const double xF = blk[5];
-        const double yF = blk[6];
-        const double mc = blk[7];
-        const double mp = blk[8];
-        const double Ic = blk[9];
-        const double Ip = blk[10];
-        const double Ia = blk[11];
-        const double bw = blk[12];
-        const double bp = blk[13];
-        if (isinf(alpha)) return 2;
-        const double ca = cos(alpha);
-        const double sa = sin(alpha);
-        if (isinf(theta)) return 2;
-        const double ct = cos(theta);
-        const double st = sin(theta);
-        const double t0 = (ct * l1);
-        const double t1 = (l2 * st);
-        const double t2 = (t0 - t1);
-        if (r == 0.0) return 1;
-        const double t3 = (1.0 / r);
-        const double t4 = (t2 * t3);
-        if (l1 == 0.0) return 1;
-        const double t5 = (1.0 / l1);
-        const double t6 = (Ia * t5);
-        const double t7 = (ct * l2);
-        const double t8 = (l1 * st);
-        const double t9 = (t7 - t8);
-        if (l2 == 0.0) return 1;
-        const double t10 = (r / l2);
-        const double t11 = ((1.0 / 2.0) * t10);
-        const double t12 = (t11 * (mc + mp));
-        const double t13 = (ca * yF);
-        const double t14 = (ct * yB);
-        const double t15 = (st * xB);
-        const double t16 = (sa * xF);
-        const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
-        const double t18 = (t11 * t17);
-        const double t19 = (t0 + t1);
-        const double t20 = (ct * xB);
-        const double t21 = (st * yB);
-        const double t22 = (t20 - t21);
-        const double t23 = (mc * t22);
-        const double t24 = (t19 * t23);
-        const double t25 = (t14 + t15);
-        const double t26 = (mc * t25);
-        const double t27 = (t26 * t9);
-        const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
-        const double t29 = (t11 * t5);
-        const double t30 = (t29 * ((t24 - t27) + t28));
-        const double t31 = (t7 + t8);
-        const double t32 = (t3 * t6);
-        const double t33 = (ca * xF);
-        const double t34 = (sa * yF);
-        const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
-        const double t36 = (t11 * t35);
-        const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
-        const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
-        const double t39 = (t13 + t16);
-        const double t40 = (t33 - t34);
-        const double t41 = (fy * t11);
-        const double t42 = (fx * t11);
-        const double t43 = (((da * da) * mp) * t11);
-        const double t44 = (2.0 * bw);
-        const double t45 = (dth * t31);
-        const double t46 = ((2.0 * Ia) * t3);
-        const double t47 = (dth * t10);
-        const double t48 = (t28 * t47);
-        const double t49 = (ct * t48);
-        const double t50 = ((ct * t22) - (st * t25));
-        const double t51 = (-t50);
-        const double t52 = (mc * t47);
-        const double t53 = (t19 * t52);
-        const double t54 = (ct * t25);
-        const double t55 = ((st * t22) + t54);
-        const double t56 = (t52 * t9);
-        const double t57 = ((1.0 / 2.0) * t5);
-        const double t58 = (dx * t57);
-        const double t59 = (st * t48);
-        const double t60 = ((st * t22) + t54);
-        const double t61 = (dy * t57);
-        const double t62 = (t3 * t44);
-        const double t63 = (dth * t46);
-        const double t64 = ((mc * t10) * t45);
-        const double t65 = (t2 * t52);
-        const double t66 = (bp * t5);
-        const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
-        const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
-        const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
-        const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
-        const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
-        const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
-        const double m20 = ((-mp) * t39);
-        const double m21 = (mp * t40);
-        const double m22 = t37;
-        const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
-        const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
-        const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
-        const double a00 = ((m11 * m22) - (m12 * m21));
-        const double a01 = ((m02 * m21) - (m01 * m22));
-        const double a02 = ((m01 * m12) - (m02 * m11));
-        const double a10 = ((m12 * m20) - (m10 * m22));
-        const double a11 = ((m00 * m22) - (m02 * m20));
-        const double a12 = ((m02 * m10) - (m00 * m12));
-        const double a20 = ((m10 * m21) - (m11 * m20));
-        const double a21 = ((m01 * m20) - (m00 * m21));
-        const double a22 = ((m00 * m11) - (m01 * m10));
-        const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
-        if (tmp0 == 0.0) return 1;
-        const double inv_det = (1.0 / tmp0);
-        const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
-        const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
-        const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
-        const double s0 = (ct * l2);
-        const double s1 = (l1 * st);
-        const double s2 = (s0 + s1);
-        const double s3 = (ct * l1);
-        const double s4 = (l2 * st);
-        const double s5 = (s3 - s4);
-        const double s6 = (dth * dx);
-        const double s7 = (dth * dy);
-        const double s8 = (1.0 / l1);
-        const double s9 = (s8 / r);
-        const double s10 = (s3 + s4);
-        const double s11 = (s0 - s1);
-        const double s12 = (s8 * st);
-        const double s13 = (ct * s8);
-        const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
-        const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
-        const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
-        k6[0] = ys[6];
-        k6[1] = ys[7];
-        k6[2] = ys[8];
-        k6[3] = ys[9];
-        k6[4] = ys[10];
-        k6[5] = ys[11];
-        k6[6] = ddx;
-        k6[7] = ddy;
-        k6[8] = dda;
-        k6[9] = ddphi_r;
-        k6[10] = ddphi_l;
-        k6[11] = ddphi_p;
-    }
+    if ((s = robot_rhs(blk, ys, k6))) return s;
     /* fifth-order solution */
     y_new[0] = (y[0] + (h * (((((0.09114583333333333 * k1[0]) + (0.44923629829290207 * k3[0])) + (0.6510416666666666 * k4[0])) + ((-0.322376179245283) * k5[0])) + (0.13095238095238096 * k6[0]))));
     y_new[1] = (y[1] + (h * (((((0.09114583333333333 * k1[1]) + (0.44923629829290207 * k3[1])) + (0.6510416666666666 * k4[1])) + ((-0.322376179245283) * k5[1])) + (0.13095238095238096 * k6[1]))));
@@ -894,165 +300,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     y_new[10] = (y[10] + (h * (((((0.09114583333333333 * k1[10]) + (0.44923629829290207 * k3[10])) + (0.6510416666666666 * k4[10])) + ((-0.322376179245283) * k5[10])) + (0.13095238095238096 * k6[10]))));
     y_new[11] = (y[11] + (h * (((((0.09114583333333333 * k1[11]) + (0.44923629829290207 * k3[11])) + (0.6510416666666666 * k4[11])) + ((-0.322376179245283) * k5[11])) + (0.13095238095238096 * k6[11]))));
     /* stage 7, at the new state */
-    {
-        const double alpha = y_new[2];
-        const double theta = (y_new[2] - y_new[5]);
-        const double dx = y_new[6];
-        const double dy = y_new[7];
-        const double da = y_new[8];
-        const double dth = (y_new[8] - y_new[11]);
-        const double u0 = blk[14];
-        const double u1 = blk[15];
-        const double u2 = blk[16];
-        const double fx = blk[17];
-        const double fy = blk[18];
-        const double l1 = blk[0];
-        const double l2 = blk[1];
-        const double r = blk[2];
-        const double xB = blk[3];
-        const double yB = blk[4];
-        const double xF = blk[5];
-        const double yF = blk[6];
-        const double mc = blk[7];
-        const double mp = blk[8];
-        const double Ic = blk[9];
-        const double Ip = blk[10];
-        const double Ia = blk[11];
-        const double bw = blk[12];
-        const double bp = blk[13];
-        if (isinf(alpha)) return 2;
-        const double ca = cos(alpha);
-        const double sa = sin(alpha);
-        if (isinf(theta)) return 2;
-        const double ct = cos(theta);
-        const double st = sin(theta);
-        const double t0 = (ct * l1);
-        const double t1 = (l2 * st);
-        const double t2 = (t0 - t1);
-        if (r == 0.0) return 1;
-        const double t3 = (1.0 / r);
-        const double t4 = (t2 * t3);
-        if (l1 == 0.0) return 1;
-        const double t5 = (1.0 / l1);
-        const double t6 = (Ia * t5);
-        const double t7 = (ct * l2);
-        const double t8 = (l1 * st);
-        const double t9 = (t7 - t8);
-        if (l2 == 0.0) return 1;
-        const double t10 = (r / l2);
-        const double t11 = ((1.0 / 2.0) * t10);
-        const double t12 = (t11 * (mc + mp));
-        const double t13 = (ca * yF);
-        const double t14 = (ct * yB);
-        const double t15 = (st * xB);
-        const double t16 = (sa * xF);
-        const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
-        const double t18 = (t11 * t17);
-        const double t19 = (t0 + t1);
-        const double t20 = (ct * xB);
-        const double t21 = (st * yB);
-        const double t22 = (t20 - t21);
-        const double t23 = (mc * t22);
-        const double t24 = (t19 * t23);
-        const double t25 = (t14 + t15);
-        const double t26 = (mc * t25);
-        const double t27 = (t26 * t9);
-        const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
-        const double t29 = (t11 * t5);
-        const double t30 = (t29 * ((t24 - t27) + t28));
-        const double t31 = (t7 + t8);
-        const double t32 = (t3 * t6);
-        const double t33 = (ca * xF);
-        const double t34 = (sa * yF);
-        const double t35 = ((((mc * t20) - (mc * t21)) + (mp * t33)) - (mp * t34));
-        const double t36 = (t11 * t35);
-        const double t37 = (Ip + (mp * ((xF * xF) + (yF * yF))));
-        const double t38 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
-        const double t39 = (t13 + t16);
-        const double t40 = (t33 - t34);
-        const double t41 = (fy * t11);
-        const double t42 = (fx * t11);
-        const double t43 = (((da * da) * mp) * t11);
-        const double t44 = (2.0 * bw);
-        const double t45 = (dth * t31);
-        const double t46 = ((2.0 * Ia) * t3);
-        const double t47 = (dth * t10);
-        const double t48 = (t28 * t47);
-        const double t49 = (ct * t48);
-        const double t50 = ((ct * t22) - (st * t25));
-        const double t51 = (-t50);
-        const double t52 = (mc * t47);
-        const double t53 = (t19 * t52);
-        const double t54 = (ct * t25);
-        const double t55 = ((st * t22) + t54);
-        const double t56 = (t52 * t9);
-        const double t57 = ((1.0 / 2.0) * t5);
-        const double t58 = (dx * t57);
-        const double t59 = (st * t48);
-        const double t60 = ((st * t22) + t54);
-        const double t61 = (dy * t57);
-        const double t62 = (t3 * t44);
-        const double t63 = (dth * t46);
-        const double t64 = ((mc * t10) * t45);
-        const double t65 = (t2 * t52);
-        const double t66 = (bp * t5);
-        const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t4 * t6));
-        const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t32)) + t36);
-        const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t35)) - t24) + t27) + t37));
-        const double m10 = ((((st * t38) + (t12 * t31)) + t18) + (t19 * t32));
-        const double m11 = (((((-ct) * t38) - (t12 * t2)) - (t32 * t9)) - t36);
-        const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t35)) - t37));
-        const double m20 = ((-mp) * t39);
-        const double m21 = (mp * t40);
-        const double m22 = t37;
-        const double b0 = ((((((t19 * t41) + (t42 * t9)) + (t43 * ((t19 * t39) + (t40 * t9)))) - (t58 * (((((t4 * t44) - (t45 * t46)) - t49) + (t51 * t53)) + (t55 * t56)))) - (t61 * ((((((((2.0 * Ia) * dth) * t2) * t3) + (((2.0 * bw) * t3) * t31)) - (t50 * t56)) - (t53 * t60)) - t59))) + u0);
-        const double b1 = (((((((-t2) * t41) + (t31 * t42)) + (t43 * (((-t2) * t39) + (t31 * t40)))) - (t58 * (((((t19 * t62) + t49) - (t51 * t65)) + (t55 * t64)) + (t63 * t9)))) - (t61 * (((((t19 * t63) - (t50 * t64)) + t59) + (t60 * t65)) - (t62 * t9)))) + u1);
-        const double b2 = (((((-bp) * da) + ((ct * dy) * t66)) - ((dx * st) * t66)) + u2);
-        const double a00 = ((m11 * m22) - (m12 * m21));
-        const double a01 = ((m02 * m21) - (m01 * m22));
-        const double a02 = ((m01 * m12) - (m02 * m11));
-        const double a10 = ((m12 * m20) - (m10 * m22));
-        const double a11 = ((m00 * m22) - (m02 * m20));
-        const double a12 = ((m02 * m10) - (m00 * m12));
-        const double a20 = ((m10 * m21) - (m11 * m20));
-        const double a21 = ((m01 * m20) - (m00 * m21));
-        const double a22 = ((m00 * m11) - (m01 * m10));
-        const double tmp0 = (((m00 * a00) + (m01 * a10)) + (m02 * a20));
-        if (tmp0 == 0.0) return 1;
-        const double inv_det = (1.0 / tmp0);
-        const double ddx = ((((a00 * b0) + (a01 * b1)) + (a02 * b2)) * inv_det);
-        const double ddy = ((((a10 * b0) + (a11 * b1)) + (a12 * b2)) * inv_det);
-        const double dda = ((((a20 * b0) + (a21 * b1)) + (a22 * b2)) * inv_det);
-        const double s0 = (ct * l2);
-        const double s1 = (l1 * st);
-        const double s2 = (s0 + s1);
-        const double s3 = (ct * l1);
-        const double s4 = (l2 * st);
-        const double s5 = (s3 - s4);
-        const double s6 = (dth * dx);
-        const double s7 = (dth * dy);
-        const double s8 = (1.0 / l1);
-        const double s9 = (s8 / r);
-        const double s10 = (s3 + s4);
-        const double s11 = (s0 - s1);
-        const double s12 = (s8 * st);
-        const double s13 = (ct * s8);
-        const double ddphi_r = (s9 * ((((ddx * s5) + (ddy * s2)) - (s2 * s6)) + (s5 * s7)));
-        const double ddphi_l = (s9 * ((((ddx * s10) - (ddy * s11)) + (s10 * s7)) + (s11 * s6)));
-        const double ddphi_p = ((((dda + (ddx * s12)) - (ddy * s13)) + (s12 * s7)) + (s13 * s6));
-        k7[0] = y_new[6];
-        k7[1] = y_new[7];
-        k7[2] = y_new[8];
-        k7[3] = y_new[9];
-        k7[4] = y_new[10];
-        k7[5] = y_new[11];
-        k7[6] = ddx;
-        k7[7] = ddy;
-        k7[8] = dda;
-        k7[9] = ddphi_r;
-        k7[10] = ddphi_l;
-        k7[11] = ddphi_p;
-    }
+    if ((s = robot_rhs(blk, y_new, k7))) return s;
     /* error estimate */
     e[0] = (h * ((((((0.0012326388888888888 * k1[0]) + ((-0.0042527702905061394) * k3[0])) + (0.03697916666666667 * k4[0])) + ((-0.05086379716981132) * k5[0])) + (0.0419047619047619 * k6[0])) + ((-0.025) * k7[0])));
     e[1] = (h * ((((((0.0012326388888888888 * k1[1]) + ((-0.0042527702905061394) * k3[1])) + (0.03697916666666667 * k4[1])) + ((-0.05086379716981132) * k5[1])) + (0.0419047619047619 * k6[1])) + ((-0.025) * k7[1])));
@@ -1073,6 +321,134 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
         const double scale = (atol + (rtol * ((a > b || a != a) ? a : b)));
         if (scale == 0.0) return 3;
         ratio[j] = (e[j] / scale);
+    }
+    return 0;
+}
+
+/* BLAS ddot with 64-bit integers: numpy's dot of two float64 vectors */
+typedef double (*ddot_t)(long long, const double *, long long, const double *, long long);
+
+static const double SAFETY = 0.9;
+static const double MIN_FACTOR = 0.2;
+static const double MAX_FACTOR = 10.0;
+static const double ORDER_EXPONENT = -0.2;
+static const double NONFINITE_FACTOR = 0.1;
+static const double TIME_RESOLUTION = 1e-14;
+
+/* Python's min(a, b) and max(a, b): a unless b is smaller (larger) */
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+static void copy(double *to, const double *from, int n)
+{
+    for (int c = 0; c < n; c++) to[c] = from[c];
+}
+
+/* 1 where the torques a and b are the same bits: 0.0 and -0.0 differ */
+static int same_bits(const double *a, const double *b)
+{
+    for (int c = 0; c < 3; c++) {
+        union { double d; unsigned long long bits; } p = {a[c]}, q = {b[c]};
+        if (p.bits != q.bits) return 0;
+    }
+    return 1;
+}
+
+/* integrator.advance_segment from t to t1 on the hold in r->blk, from
+   r->x, r->k1 and r->h. On success these and the counts move on; on a
+   nonzero status nothing in r has changed. */
+static int advance(struct rollout *r, double t, double t1)
+{
+    const ddot_t ddot = (ddot_t)r->ddot;
+    double y[2][12], k[2][12], ratio[12];
+    int now = 0;
+    long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
+    double min_step = r->min_step, max_step = r->max_step;
+    double h_next = py_min(r->h, r->h_max);
+    copy(y[0], r->x, 12);
+    copy(k[0], r->k1, 12);
+    while (t < t1) {
+        const double remaining = t1 - t;
+        if (remaining <= TIME_RESOLUTION * py_max(1.0, fabs(t1))) {
+            t = t1; /* a sliver below the time resolution */
+            break;
+        }
+        const int clipped = h_next >= remaining;
+        const double h = clipped ? remaining : h_next;
+        if (h < TIME_RESOLUTION * py_max(1.0, fabs(t))) return 4;
+        const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
+                                        y[!now], k[!now], ratio);
+        if (s) return s;
+        const double norm = sqrt(ddot(12, ratio, 1, ratio, 1) / 12.0);
+        fevals += 6;
+        if (!isfinite(norm)) {
+            rejected += 1;
+            h_next = NONFINITE_FACTOR * h;
+            continue;
+        }
+        if (norm <= 1.0) {
+            accepted += 1;
+            if (h < min_step) min_step = h;
+            if (h > max_step) max_step = h;
+            t = clipped ? t1 : t + h;
+            now = !now; /* FSAL */
+            const double factor = norm == 0.0
+                ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
+            const double grown = py_min(h * factor, r->h_max);
+            h_next = clipped ? py_max(h_next, grown) : grown;
+        } else {
+            rejected += 1;
+            h_next = h * py_max(MIN_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
+        }
+    }
+    copy(r->x, y[now], 12);
+    copy(r->k1, k[now], 12);
+    r->h = h_next;
+    r->accepted = accepted;
+    r->rejected = rejected;
+    r->fevals = fevals;
+    r->min_step = min_step;
+    r->max_step = max_step;
+    return 0;
+}
+
+/* Events [i, j) of simulate.integrate: at each event the hold (a fresh
+   first stage where the torque bits change or a disturbance edge lies),
+   the output row, then the segment to the next event. Returns 0, or the
+   status that stopped it at r->event: before the hold (r->resume 0) or
+   before the segment (r->resume 1). A call with r->resume 1 starts at the
+   segment. */
+int robot_rollout(struct rollout *r, long i, long j)
+{
+    const double *events = r->events, *held = r->held, *forces = r->forces;
+    const unsigned char *out = r->out, *brk = r->brk;
+    double *states = r->states, *derivs = r->derivs, *controls = r->controls;
+    for (long e = i; e < j; e++) {
+        const double *u = held + 3 * e;
+        r->event = e;
+        if (!r->resume) {
+            if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
+                double k1[12];
+                copy(r->blk + 14, u, 3);
+                copy(r->blk + 17, forces + 2 * e, 2);
+                const int s = robot_rhs(r->blk, r->x, k1);
+                if (s) return s;
+                copy(r->k1, k1, 12);
+                r->fevals += 1;
+            }
+            if (out[e]) {
+                copy(states + 12 * r->row, r->x, 12);
+                copy(derivs + 12 * r->row, r->k1, 12);
+                copy(controls + 3 * r->row, u, 3);
+                r->row += 1;
+            }
+        }
+        if (e + 1 == r->n) break;
+        r->resume = 1;
+        if (r->guess) return 5;
+        const int s = advance(r, events[e], events[e + 1]);
+        if (s) return s;
+        r->resume = 0;
     }
     return 0;
 }

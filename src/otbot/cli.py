@@ -41,7 +41,7 @@ from .identify import (
     sensitivity_sweep,
 )
 from .dynamics import RobotState
-from .integrator import IntegrationError, IntegratorOptions, robot_segments
+from .integrator import IntegrationError, IntegratorOptions
 from .params import load_params, nominal_params, read_kv
 from .scenarios import (
     ConfigError,
@@ -58,10 +58,12 @@ from .simulate import (
     ControlSequence,
     csv_tables,
     format_float,
+    robot_rollouts,
     simulate_robot,
     simulate_shaft,
     trajectory_from_csv,
     trajectory_to_csv,
+    whole_periods,
     write_csv,
 )
 
@@ -98,7 +100,7 @@ class _Run:
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         self.t0 = time.perf_counter()
-        self.c_segments = robot_segments["c"]
+        self.c_rollouts = robot_rollouts["c"]
         self.c_tables = csv_tables["c"]
 
     def config(self, path: str | Path | None, reader, default):
@@ -136,8 +138,8 @@ class _Run:
             "seeds": self.seeds,
             "integrator": {
                 **self.tolerances,
-                # the DP5 attempt the robot rollouts ran on
-                "kernel": "c" if robot_segments["c"] > self.c_segments else "python",
+                # the engine the robot rollouts ran on: the C loop or Python
+                "kernel": "c" if robot_rollouts["c"] > self.c_rollouts else "python",
             },
             # the formatter that wrote the run's CSV tables
             "csv": "c" if csv_tables["c"] > self.c_tables else "python",
@@ -239,10 +241,9 @@ def _cmd_simulate(args) -> int:
         torques = _parse_torques(args.torques)
         _check_number("--duration", args.duration)
         _check_number("--rate", args.rate)
-        if round(args.duration * args.rate) < 1:
-            raise ConfigError(
-                f"--duration {args.duration!r} s is shorter than one period of --rate {args.rate!r} Hz"
-            )
+        if whole_periods(args.duration, args.rate) is None:
+            raise ConfigError(f"--duration {args.duration!r} s is not a whole number of "
+                              f"periods of --rate {args.rate!r} Hz")
     out = Path(args.out)
     run = _Run("simulate", out)
 
@@ -319,10 +320,9 @@ def _cmd_identify(args) -> int:
     if args.sweep < 0:
         raise ConfigError(f"--sweep must be a non-negative integer, got {args.sweep}")
     _check_number("--window", args.window)
-    if round(args.window * SAMPLE_RATE) < 1:
-        raise ConfigError(
-            f"--window {args.window!r} s is shorter than one {SAMPLE_RATE!r} Hz sample period"
-        )
+    if whole_periods(args.window, SAMPLE_RATE) is None:
+        raise ConfigError(f"--window {args.window!r} s is not a whole number of "
+                          f"{SAMPLE_RATE!r} Hz sample periods")
     run = _Run("identify", Path(args.out))
     run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
     params = run.config(args.params, load_params, nominal_params())
@@ -415,7 +415,7 @@ def _cmd_control(args) -> int:
         ref = make_reference(cfg.reference)
         horizon = ref.horizon
     # the tracking loop runs a whole number of control periods
-    if not math.isclose(round(horizon * rate) * (1.0 / rate), horizon, rel_tol=0.0, abs_tol=1e-9):
+    if whole_periods(horizon, rate) is None:
         source = "--rate" if args.rate is not None else f"{cfg.path}: [control] rate"
         raise ConfigError(
             f"{source} {rate!r} Hz does not split the {horizon!r} s horizon into whole periods"

@@ -26,6 +26,7 @@ from .simulate import (  # the disturbance types are re-exported from here
     ForcePulse,
     SimTrajectory,
     simulate_robot,
+    whole_periods,
 )
 
 DEFAULT_TORQUE_LIMIT = 50.0
@@ -142,10 +143,10 @@ def closed_loop_simulate(
     switching instants are integration breakpoints, never stepped across.
     """
     t_end = ref.horizon if t_end is None else float(t_end)
-    dt = 1.0 / control_rate
-    n = int(round(t_end * control_rate))
-    if not math.isclose(n * dt, t_end, rel_tol=0.0, abs_tol=1e-9):
+    n = whole_periods(t_end, control_rate)
+    if n is None:
         raise ValueError("t_end must be a whole number of control periods")
+    dt = 1.0 / control_rate
     p_ref, v_ref, a_ref, u_traj, u_corr = (np.empty((n + 1, 3)) for _ in range(5))
     k = 0
 
@@ -305,11 +306,11 @@ def torque_feasibility(
     nominal = np.empty((n, 3))
     mbars = np.empty((n, 3, 3))
     cbars = np.empty((n, 3, 3))
+    feedback = bounds.position_box.scale(-gains.kp) + bounds.velocity_box.scale(-gains.kv)
     for k in range(n):
         mbar, cbar = task_space_model(params, states[k, :6], states[k, 6:])
         mbars[k] = mbar
         cbars[k] = cbar
-        feedback = bounds.position_box.scale(-gains.kp) + bounds.velocity_box.scale(-gains.kv)
         corr = matvec(mbar, feedback)
         traj = matvec(cbar, bounds.velocity_box + roll.v_ref[k]) + mbar @ roll.a_ref[k]
         total = corr + traj

@@ -1,53 +1,36 @@
 """Embedded Dormand-Prince 5(4) stepper with hard segment boundaries.
 
 Control inputs are zero-order held, so the right-hand side is only smooth
-inside a control interval. The driver therefore never steps across a segment
-boundary: callers advance segment by segment (supplying the rhs valid for
-that segment) and the stepper clips its step to the segment end. The step
-size survives across segments. The FSAL stage survives only where the caller
-passes it on as the next segment's ``k1``, which is valid when the rhs does
-not change at the boundary.
+inside a control interval. Callers therefore advance segment by segment,
+supplying the rhs valid for that segment, and the stepper clips its step to
+the segment end. The step size survives across segments; the FSAL stage
+survives where the caller passes it on as the next segment's ``k1``, which
+is valid when the rhs does not change at the boundary. The pair propagates
+the fifth-order solution and controls the error with the embedded
+fourth-order one, i.e. the usual ode45 behaviour.
 
-The pair propagates the fifth-order solution and uses the embedded
-fourth-order one for error control, i.e. the usual ode45 behaviour.
-
-The right-hand side contract is ``f(t, y) -> sequence of floats`` with ``t``
-a Python float and ``y`` a list of Python floats. Inside a segment the state
-and the seven stages are float lists. One attempted step runs in a kernel
+The rhs contract is ``f(t, y) -> sequence of floats`` with ``t`` a Python
+float and ``y`` a list of Python floats. One attempted step runs in a kernel
 generated from the tableau for the state size at hand (``<dp5 step n=12>``
-for the robot, ``n=2`` for a shaft), built on first use and cached: it
-unpacks the state and each stage into locals and spells every stage
-argument, the new state and the error vector as list literals with the
-coefficients inlined. That removes the zip, unpack and append work a generic
-loop or comprehension pays per component, while each component still sums
-its terms in the tableau's order, so the results are the same bits as the
-ndarray formulas. The segment ends are cast with ``float()``, because a
-numpy scalar time would turn every stage value into a numpy scalar and slow
-the float code of the rhs down. The error norm builds its ratios in Python
-but keeps the final reduction, the dot product of the ratios, in numpy:
-numpy's dot does not sum left to right, and a Python sum would change the
-last bit of the norm, and with it the adaptive step sizes, on about a fifth
-of the steps.
+for the robot, ``n=2`` for a shaft): list literals with the coefficients
+inlined, each component summing its terms in the tableau's order. The error
+norm reduces its ratios with numpy's dot, which is BLAS ``ddot``: a Python
+sum would change the last bit of the norm, and with it the step sizes, on
+about a fifth of the steps.
 
-The robot's rhs (a 12-state ``f`` that carries a ``block``, see
-:data:`RobotBlock`) runs instead on ``dp5_robot_attempt``, C generated by
-``scripts/gen_task_space.py`` from the same tableau and the same generated
-accelerations, and compiled on first use (``otbot._ckernel``). It computes
-the same bits as the Python kernel and hands back the ratio vector of the
-error norm; numpy still does the dot. Where the Python kernel would raise (a
-zero divisor, sin or cos of an infinite angle) the C attempt returns a
-nonzero status and the attempt is rerun in Python, which raises the same
-exception. Without a C compiler every attempt runs in Python, with the
-same results.
+This module is the oracle of the robot's compiled rollout loop
+(``robot_rollout`` in ``_dp5_robot.c``, driven by ``otbot.simulate``). The
+C runs :func:`advance_segment`'s step control with this tableau and these
+constants and reduces its norm through the ``ddot`` that numpy calls; a
+segment where it stops is advanced here.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import linecache
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +59,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ORDER_EXPONENT = -0.2  # 1 / (4 + 1)
+_NONFINITE_FACTOR = 0.1  # step shrink after a non-finite error norm
+# A gap to t1 of at most this times max(1, |t1|) is absorbed into t1, and a
+# step below this times max(1, |t|) underflows.
+_TIME_RESOLUTION = 1e-14
 
 
 class IntegrationError(RuntimeError):
@@ -86,19 +73,6 @@ class IntegrationError(RuntimeError):
         self.t = t
         self.h = h
         self.rejected = rejected
-
-
-# The robot rhs as data, for the C attempt: the 14 parameters in
-# otbot.params.PARAM_FIELDS order, the held torques u0, u1, u2 and the
-# pivot force fx, fy.
-RobotBlock = ctypes.c_double * 19
-_ROBOT_STATES = 12
-# y, k1, y_new, k7 and the error ratios of one segment's compiled attempts
-_RobotBuffers = ctypes.c_double * (5 * _ROBOT_STATES)
-
-# Robot segments advanced by each kernel in this process ("c" or "python");
-# the CLI manifest reports which one ran.
-robot_segments = {"c": 0, "python": 0}
 
 
 @dataclass
@@ -116,22 +90,6 @@ class IntegratorStats:
     fevals: int = 0
     min_step: float = math.inf
     max_step: float = 0.0
-
-    def note(self, h: float) -> None:
-        self.accepted += 1
-        if h < self.min_step:
-            self.min_step = h
-        if h > self.max_step:
-            self.max_step = h
-
-    def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "fevals": self.fevals,
-            "min_step": self.min_step,
-            "max_step": self.max_step,
-        }
 
 
 def _error_norm(err, y0, y1, rtol: float, atol: float) -> float:
@@ -206,93 +164,6 @@ def _step_kernel(n: int):
     return namespace["step"]
 
 
-@functools.cache
-def _compiled_robot_attempt():
-    """The C attempt of the robot (``otbot._ckernel.load``), or None."""
-    from . import _ckernel
-
-    return _ckernel.load()
-
-
-class _PythonAttempt:
-    """DP5 attempts of the generated Python kernel on float lists."""
-
-    __slots__ = ("f", "step", "y", "k1", "y_new", "k7", "rtol", "atol")
-
-    def __init__(self, f, y: np.ndarray, k1, rtol: float, atol: float):
-        self.f, self.rtol, self.atol = f, rtol, atol
-        self.y = y.tolist()
-        self.k1 = k1.tolist() if isinstance(k1, np.ndarray) else k1
-        self.step = _step_kernel(len(self.y))
-
-    def __call__(self, t: float, h: float) -> float:
-        """Attempt a step of size h from (t, y); returns its error norm."""
-        self.y_new, self.k7, err = self.step(self.f, t, h, self.y, self.k1)
-        return _error_norm(err, self.y, self.y_new, self.rtol, self.atol)
-
-    def accept(self) -> None:
-        self.y, self.k1 = self.y_new, self.k7  # FSAL
-
-    def result(self):
-        """The state as an ndarray and the derivative there."""
-        return np.array(self.y), self.k1
-
-
-class _CompiledAttempt:
-    """The robot's C attempt on five buffers of this segment.
-
-    y and y_new, k1 and k7 swap places on accept, so only addresses move.
-    The buffers belong to one call of :func:`advance_segment`: rollouts may
-    run on threads, and the foreign call releases the GIL.
-    """
-
-    __slots__ = ("run", "f", "block", "rtol", "atol", "rows", "orders", "order", "ratio", "ratio_at")
-
-    def __init__(self, run, f, y: np.ndarray, k1, rtol: float, atol: float):
-        self.run, self.f, self.block, self.rtol, self.atol = run, f, f.block, rtol, atol
-        raw = _RobotBuffers()
-        # rows y, k1, y_new, k7, ratio; the view keeps raw alive
-        self.rows = rows = np.frombuffer(raw).reshape(5, _ROBOT_STATES)
-        rows[0] = y
-        rows[1] = k1
-        a, n = ctypes.addressof(raw), 8 * _ROBOT_STATES
-        # addresses of (y, k1, y_new, k7) before and after an accept
-        self.orders = ((a, a + n, a + 2 * n, a + 3 * n), (a + 2 * n, a + 3 * n, a, a + n))
-        self.order = 0
-        self.ratio = rows[4]
-        self.ratio_at = a + 4 * n
-
-    def __call__(self, t: float, h: float) -> float:
-        y, k1, y_new, k7 = self.orders[self.order]
-        if self.run(self.block, h, self.rtol, self.atol, y, k1, y_new, k7, self.ratio_at):
-            # the Python kernel raises where the C attempt stopped
-            i = 2 * self.order
-            y, k1 = self.rows[i].tolist(), self.rows[i + 1].tolist()
-            y_new, k7 = self.rows[2 - i], self.rows[3 - i]
-            y_new[:], k7[:], err = _step_kernel(_ROBOT_STATES)(self.f, t, h, y, k1)
-            return _error_norm(err, y, y_new.tolist(), self.rtol, self.atol)
-        ratio = self.ratio
-        return math.sqrt(float(ratio.dot(ratio)) / _ROBOT_STATES)
-
-    def accept(self) -> None:
-        self.order ^= 1
-
-    def result(self):
-        i = 2 * self.order
-        return self.rows[i].copy(), self.rows[i + 1].copy()
-
-
-def _attempt(f, y: np.ndarray, k1, rtol: float, atol: float):
-    """The DP5 attempt for this rhs: the C one for the robot, if it builds."""
-    if getattr(f, "block", None) is not None and len(y) == _ROBOT_STATES:
-        run = _compiled_robot_attempt()
-        kernel = "python" if run is None else "c"
-        robot_segments[kernel] += 1
-        if run is not None:
-            return _CompiledAttempt(run, f, y, k1, rtol, atol)
-    return _PythonAttempt(f, y, k1, rtol, atol)
-
-
 def initial_step(f, t0: float, y0, f0, rtol: float, atol: float) -> float:
     """Cheap two-evaluation guess of a sensible first step (Hairer's rule)."""
     y0 = np.asarray(y0, dtype=float)
@@ -330,6 +201,8 @@ def advance_segment(
     carry into the next segment.
     """
     rtol, atol = opts.rtol, opts.atol
+    # numpy scalar times would turn every stage value into a numpy scalar and
+    # slow the float code of the rhs down
     t, t1 = float(t0), float(t1)
     if k1 is None:
         k1 = f(t, y0.tolist())
@@ -340,18 +213,21 @@ def advance_segment(
     else:
         h_next = h_start
     h_next = min(h_next, opts.max_step)
-    attempt = _attempt(f, y0, k1, rtol, atol)
+    step = _step_kernel(len(y0))
+    y = y0.tolist()
+    if isinstance(k1, np.ndarray):
+        k1 = k1.tolist()
 
     while t < t1:
         remaining = t1 - t
-        if remaining <= 1e-14 * max(1.0, abs(t1)):
+        if remaining <= _TIME_RESOLUTION * max(1.0, abs(t1)):
             # a step that lands an ulp short of t1 leaves a sliver narrower
             # than the time resolution; absorb it into the boundary
             t = t1
             break
         clipped = h_next >= remaining
         h = remaining if clipped else h_next
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < _TIME_RESOLUTION * max(1.0, abs(t)):
             raise IntegrationError(
                 f"step size underflow at t = {t:.6e} (h = {h:.3e}, "
                 f"{stats.rejected} rejected steps so far)",
@@ -360,17 +236,19 @@ def advance_segment(
                 rejected=stats.rejected,
             )
 
-        norm = attempt(t, h)
+        y_new, k7, err = step(f, t, h, y, k1)
+        norm = _error_norm(err, y, y_new, rtol, atol)
         stats.fevals += 6
 
         if not math.isfinite(norm):
             stats.rejected += 1
-            h_next = 0.1 * h
+            h_next = _NONFINITE_FACTOR * h
             continue
         if norm <= 1.0:
-            stats.note(h)
+            stats.accepted += 1
+            stats.min_step, stats.max_step = min(stats.min_step, h), max(stats.max_step, h)
             t = t1 if clipped else t + h
-            attempt.accept()
+            y, k1 = y_new, k7  # FSAL
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)
             grown = min(h * factor, opts.max_step)
             # a clipped step can be arbitrarily short (end-of-segment sliver);
@@ -380,5 +258,4 @@ def advance_segment(
             stats.rejected += 1
             h_next = h * max(_MIN_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)
 
-    y, k1 = attempt.result()
-    return y, k1, h_next
+    return np.array(y), k1, h_next

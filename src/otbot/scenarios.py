@@ -32,7 +32,7 @@ from .references import (
     HarmonicReference,
     ReferenceTrajectory,
 )
-from .simulate import DisturbanceSchedule, ForcePulse, SimTrajectory, trajectory_to_csv
+from .simulate import DisturbanceSchedule, ForcePulse, SimTrajectory, trajectory_to_csv, whole_periods
 
 BUNDLED_SCENARIOS = (
     "wheel-spin",
@@ -138,9 +138,10 @@ class ScenarioConfig:
                     f"{self.path}: {key} must be a finite positive number, got {value!r}"
                 )
         hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate}.get(self.mode)
-        if hold_rate is not None and round(self.horizon * hold_rate) < 1:
-            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is shorter "
-                              f"than one period of [{self.mode}] rate {hold_rate!r} Hz")
+        if hold_rate is not None and whole_periods(self.horizon, hold_rate) is None:
+            what = "shorter than one period" if round(self.horizon * hold_rate) < 1 else "not whole periods"
+            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is {what} "
+                              f"of [{self.mode}] rate {hold_rate!r} Hz")
 
 
 def _floats(text: str) -> np.ndarray:

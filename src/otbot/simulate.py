@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import RobotState, state_derivative
-from .integrator import IntegratorOptions, IntegratorStats, RobotBlock, advance_segment
+from .integrator import IntegratorOptions, IntegratorStats, advance_segment, initial_step
 from .params import PARAM_FIELDS, RobotParams
 
 TRAJECTORY_COLUMNS = (
@@ -45,6 +46,12 @@ TRAJECTORY_COLUMNS = (
 )
 
 
+def whole_periods(duration: float, rate: float) -> int | None:
+    """The periods of ``rate`` in ``duration``, or None where not a positive whole number."""
+    n = round(duration * rate)
+    return n if n >= 1 and math.isclose(n * (1.0 / rate), duration, rel_tol=0.0, abs_tol=1e-9) else None
+
+
 @dataclass(frozen=True)
 class ControlSequence:
     """Piecewise-constant control: samples[k] is held on [t0+k*dt, t0+(k+1)*dt)."""
@@ -63,7 +70,9 @@ class ControlSequence:
 
     @classmethod
     def constant(cls, u, duration: float, rate: float) -> "ControlSequence":
-        n = int(round(duration * rate))
+        n = whole_periods(duration, rate)
+        if n is None:
+            raise ValueError(f"{duration!r} s is not a whole number of periods of {rate!r} Hz")
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return cls(t0=0.0, dt=1.0 / rate, samples=np.tile(u, (n, 1)))
 
@@ -113,12 +122,12 @@ class DisturbanceSchedule:
 
     pulses: tuple[ForcePulse, ...] = ()
 
-    def force_at(self, t: float) -> np.ndarray:
-        f = np.zeros(2)
+    def force_at(self, t) -> np.ndarray:
+        """The force (fx, fy) at a time, or one row per time of an array."""
+        t = np.asarray(t, dtype=float)
+        f = np.zeros((*t.shape, 2))
         for pulse in self.pulses:
-            if pulse.t_on <= t < pulse.t_off:
-                f[0] += pulse.fx
-                f[1] += pulse.fy
+            f[(pulse.t_on <= t) & (t < pulse.t_off)] += (pulse.fx, pulse.fy)
         return f
 
     def edges(self) -> list[float]:
@@ -205,6 +214,9 @@ def integrate(
     segment's end derivative (same state, same rhs), so it is reused instead
     of being evaluated again; the results are the same bits either way. The
     derivative recorded at the end follows the same rule.
+
+    A robot model (one with ``robot_params``) runs this loop in C where that
+    loads (:func:`_compiled_rollout`), to the same bits.
     """
     opts = options or IntegratorOptions()
     schedule = disturbances or DisturbanceSchedule()
@@ -234,6 +246,12 @@ def integrate(
         held = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)]
 
     x = np.asarray(x0, dtype=float).copy()
+    if getattr(model, "robot_params", None) is not None and (held is None or held.shape[1] == 3):
+        kernel = _robot_kernel()
+        robot_rollouts["python" if kernel is None else "c"] += 1
+        if kernel is not None:
+            return _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break,
+                                     held, schedule.force_at(inside), controls)
     times = events[on_out]
     states = np.empty((len(times), len(x)))
     derivs = np.empty_like(states)
@@ -268,8 +286,70 @@ def integrate(
         t_prev = t
 
     return SimTrajectory(
-        times=times, states=states, controls=inputs, derivs=derivs, stats=stats.as_dict()
+        times=times, states=states, controls=inputs, derivs=derivs, stats=asdict(stats)
     )
+
+
+# Robot rollouts run by each engine in this process ("c" or "python"); a
+# run's manifest names the one that ran its robot rollouts.
+robot_rollouts = {"c": 0, "python": 0}
+
+# the IntegratorStats counts, fields of _ckernel.Rollout by the same names
+_STATS = [f.name for f in fields(IntegratorStats)]
+
+
+@functools.cache
+def _robot_kernel():
+    """The compiled rollout loop (``otbot._ckernel.load``), or None."""
+    from . import _ckernel
+
+    return _ckernel.load()
+
+
+def _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break, held, forces, controls):
+    """:func:`integrate`'s loop for the robot on ``robot_rollout`` (``_dp5_robot.c``),
+    a feedback law called here at each control instant.
+
+    Where the C stops, Python guesses the first step, raises the exception
+    of a hold or a segment, or advances a segment past a zero error scale;
+    then the C resumes. The struct belongs to this rollout: rollouts may run
+    on threads, and the foreign call releases the GIL."""
+    from ._ckernel import Rollout
+
+    run, ddot = kernel
+    n = len(events)
+    law = controls.law if held is None else None
+    starts = [0] if law is None else np.flatnonzero(on_start).tolist()
+    held = np.empty((n, 3)) if law is not None else held
+    states = np.empty((int(on_out.sum()), 12))
+    derivs, inputs = np.empty_like(states), np.empty((len(states), 3))
+    tables = (events, on_out, on_break, held, forces, states, derivs, inputs)
+    c = Rollout(*(a.ctypes.data for a in tables), ddot, opts.rtol, opts.atol, opts.max_step,
+                opts.first_step or 0.0, math.inf, 0.0, n, opts.first_step is None)
+    c.blk[:14] = model.robot_params
+    cx, ck1 = np.ctypeslib.as_array(c.x), np.ctypeslib.as_array(c.k1)
+    cx[:] = x
+    for i, j in zip(starts, starts[1:] + [n]):
+        if law is not None:
+            held[i:j] = np.asarray(law(float(events[i]), cx.copy()), dtype=float)
+        while run(c, i, j):
+            i, t = c.event, float(events[c.event])
+            f = model(c.blk[14:17], c.blk[17:])
+            if not c.resume:  # at the hold of event i
+                f(t, cx.tolist())  # raises where the C stopped
+                raise AssertionError(f"the compiled rhs stopped at t = {t!r}, where Python does not")
+            if c.guess:  # the first step, from the first hold
+                c.h, c.guess = initial_step(f, t, cx, ck1, opts.rtol, opts.atol), 0
+                c.fevals += 1
+                continue
+            stats = IntegratorStats(*(getattr(c, name) for name in _STATS))
+            cx[:], ck1[:], c.h = advance_segment(f, t, float(events[i + 1]), cx.copy(), opts, stats,
+                                                 h_start=c.h, k1=ck1.tolist())
+            for name in _STATS:
+                setattr(c, name, getattr(stats, name))
+            c.resume, i = 0, i + 1
+    stats = {name: getattr(c, name) for name in _STATS}
+    return SimTrajectory(times=events[on_out], states=states, controls=inputs, derivs=derivs, stats=stats)
 
 
 def simulate_robot(
@@ -300,20 +380,16 @@ def simulate_robot(
 
 
 def _robot_model(params: RobotParams):
-    """``model(u, force)`` of :func:`integrate` for the robot.
-
-    Each rhs also carries its hold as data, the ``block`` that the
-    integrator's compiled attempt reads.
-    """
-    head = [getattr(params, name) for name in PARAM_FIELDS]
+    """``model(u, force)`` of :func:`integrate` for the robot, with the parameters in
+    ``PARAM_FIELDS`` order as ``model.robot_params`` for the compiled loop."""
 
     def model(u, force):
         def f(t, y):
             return state_derivative(params, y, u, force)
 
-        f.block = RobotBlock(*head, *u, *force)
         return f
 
+    model.robot_params = [getattr(params, name) for name in PARAM_FIELDS]
     return model
 
 

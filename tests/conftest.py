@@ -4,9 +4,8 @@ from hypothesis import HealthCheck, settings
 
 from otbot import _ckernel
 from otbot.dynamics import admissible_state
-from otbot.integrator import _compiled_robot_attempt
 from otbot.params import nominal_params
-from otbot.simulate import _csv_formatter
+from otbot.simulate import _csv_formatter, _robot_kernel
 
 settings.register_profile(
     "numerics",
@@ -32,15 +31,15 @@ def params_nf():
 def python_kernel(monkeypatch):
     """Force the Python fallbacks: the C builder finds no compiler.
 
-    The robot then runs the Python DP5 kernel and CSV rows are joined from
-    ``repr`` in Python.
+    The robot then rolls out on the Python integrator and CSV rows are
+    joined from ``repr`` in Python.
     """
     monkeypatch.setattr(_ckernel, "build", lambda *library: None)
-    _compiled_robot_attempt.cache_clear()
+    _robot_kernel.cache_clear()
     _csv_formatter.cache_clear()
     yield
     monkeypatch.undo()
-    _compiled_robot_attempt.cache_clear()
+    _robot_kernel.cache_clear()
     _csv_formatter.cache_clear()
 
 

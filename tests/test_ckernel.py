@@ -1,15 +1,20 @@
 """The compiled parts of otbot against the Python code, their oracle.
 
-``dp5_robot_attempt`` (``src/otbot/_dp5_robot.c``) must give the same bits
-as the generated Python kernel, fail where the Python kernel raises, and
-leave every rollout unchanged when it cannot be built. ``format_rows``
-(``src/otbot/_csv_format.cpp``) must spell every double as ``repr`` does,
-so ``write_csv`` writes the same bytes with it and without it.
+``robot_rollout`` (``src/otbot/_dp5_robot.c``) must roll the robot out to
+the same times, states, derivatives, controls and counters as the Python
+engine of ``otbot.simulate.integrate``, hand every segment where Python
+raises back to it, and leave every rollout unchanged where it cannot be
+loaded. Its ``dp5_robot_attempt`` must give the same bits as the generated
+Python kernel. ``format_rows`` (``src/otbot/_csv_format.cpp``) must spell
+every double as ``repr`` does, so ``write_csv`` writes the same bytes with
+it and without it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import fnmatch
+import json
 import math
 import sys
 from pathlib import Path
@@ -18,36 +23,39 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from otbot import _ckernel, integrator, simulate
-from otbot.integrator import (
-    IntegratorOptions,
-    IntegratorStats,
-    _CompiledAttempt,
-    _PythonAttempt,
-    _compiled_robot_attempt,
-    _step_kernel,
-    advance_segment,
-)
+from otbot import _ckernel, simulate
+from otbot.cli import main
+from otbot.control import closed_loop_simulate, tune_gains
+from otbot.dynamics import RobotState, admissible_state
+from otbot.integrator import IntegrationError, IntegratorOptions, _error_norm, _step_kernel
 from otbot.params import PARAM_FIELDS, nominal_params
+from otbot.references import HarmonicReference
 from otbot.simulate import (
     ControlSequence,
     DisturbanceSchedule,
+    FeedbackLaw,
     ForcePulse,
     _csv_formatter,
+    _robot_kernel,
     _robot_model,
+    integrate,
     simulate_robot,
     write_csv,
 )
-from otbot.dynamics import admissible_state
 
 
 @pytest.fixture
 def compiled():
-    """The C attempt; the test is skipped where it cannot be built."""
-    run = _compiled_robot_attempt()
-    if run is None:
-        pytest.skip("no working C compiler (cc): the compiled DP5 attempt cannot be built")
-    return run
+    """``dp5_robot_attempt`` of the compiled library, bound here; the test is
+    skipped where the rollout loop cannot be loaded."""
+    if _robot_kernel() is None:
+        pytest.skip("no working C compiler (cc) or no scipy-openblas ddot in numpy: "
+                    "the compiled rollout loop cannot be loaded")
+    path = _ckernel.build(_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS)
+    attempt = ctypes.CDLL(str(path)).dp5_robot_attempt
+    attempt.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 5
+    attempt.restype = ctypes.c_int
+    return attempt
 
 
 @pytest.fixture
@@ -86,15 +94,20 @@ def _state(rng):
     return q.tolist() + rng.uniform(-3.0, 3.0, 6).tolist()
 
 
-def _both(f, y, k1, h, rtol, atol, run):
-    c = _CompiledAttempt(run, f, np.array(y), k1, rtol, atol)
-    py = _PythonAttempt(f, np.array(y), k1, rtol, atol)
-    return c, c(0.0, h), py, py(0.0, h)
+def _c_attempt(attempt, p, u, force, y, k1, h, rtol, atol):
+    """(status, y_new, k7, ratio) of one compiled attempt."""
+    blk = np.array([getattr(p, name) for name in PARAM_FIELDS] + list(u) + list(force))
+    rows = np.zeros((5, 12))
+    rows[0], rows[1] = y, k1
+    status = attempt(blk.ctypes.data, h, rtol, atol, *(row.ctypes.data for row in rows))
+    return status, rows[2], rows[3], rows[4]
 
 
 def test_compiled_attempt_equals_the_python_kernel(compiled):
-    rng = np.random.default_rng(7)
     step = _step_kernel(12)
+    ddot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                            ctypes.c_void_p, ctypes.c_int64)(_robot_kernel()[1])
+    rng = np.random.default_rng(7)
     for _ in range(3000):
         p = _params(rng)
         u = rng.uniform(-40.0, 40.0, 3).tolist()
@@ -105,21 +118,51 @@ def test_compiled_attempt_equals_the_python_kernel(compiled):
         h = float(10.0 ** rng.uniform(-6.0, -0.5))
         rtol, atol = float(10.0 ** rng.uniform(-11.0, -5.0)), float(10.0 ** rng.uniform(-14.0, -8.0))
 
-        c, c_norm, py, py_norm = _both(f, y, k1, h, rtol, atol, compiled)
+        status, c_y, c_k7, ratio = _c_attempt(compiled, p, u, force, y, k1, h, rtol, atol)
         y_new, k7, err = step(f, 0.0, h, y, k1)
-        ratio = [
+        assert status == 0
+        assert c_y.tolist() == y_new and c_k7.tolist() == k7
+        assert ratio.tolist() == [
             e / (atol + rtol * (a if a > b or a != a else b))
             for e, a, b in zip(err, map(abs, y), map(abs, y_new))
         ]
-        assert c.ratio.tolist() == ratio
-        assert c_norm == py_norm
-        c.accept()
-        py.accept()
-        c_y, c_k7 = c.result()
-        assert c_y.tolist() == y_new
-        assert c_k7.tolist() == k7
-        py_y, _ = py.result()
-        assert (c_y == py_y).all()
+        # the loop's norm: numpy's own ddot, called from C
+        norm = math.sqrt(ddot(12, ratio.ctypes.data, 1, ratio.ctypes.data, 1) / 12)
+        assert norm == _error_norm(err, y, y_new, rtol, atol)
+
+
+def _outcome(run):
+    """``run()``, or the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:  # compared between the engines
+        return exc
+
+
+def _on_both(run, monkeypatch):
+    """``run()`` on the compiled loop, then on the Python engine."""
+    before = dict(simulate.robot_rollouts)
+    c = _outcome(run)
+    assert simulate.robot_rollouts["c"] > before["c"]
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_robot_kernel", lambda: None)
+        py = _outcome(run)
+    assert simulate.robot_rollouts["python"] > before["python"]
+    return c, py
+
+
+def _assert_same(c, py):
+    """The same trajectory bit for bit, or the same exception."""
+    if isinstance(py, Exception):
+        assert type(c) is type(py) and str(c) == str(py), (c, py)
+        if isinstance(py, IntegrationError):
+            assert (c.t, c.h, c.rejected) == (py.t, py.h, py.rejected)
+        return
+    assert not isinstance(c, Exception), c
+    for name in ("times", "states", "derivs", "controls"):
+        a, b = getattr(c, name), getattr(py, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert c.stats == py.stats
 
 
 @pytest.mark.parametrize(
@@ -137,52 +180,241 @@ def test_compiled_attempt_equals_the_python_kernel(compiled):
     ids=["l1-zero", "r-zero", "l2-zero", "alpha-inf", "alpha-minus-inf", "heading-inf",
          "alpha-inf-heading-nan"],
 )
-def test_where_python_raises_the_compiled_attempt_stops_and_python_raises(compiled, change, error):
+def test_where_python_raises_the_compiled_attempt_stops_and_python_raises(
+    compiled, monkeypatch, change, error
+):
     p = nominal_params().as_dict()
     p.update({k: v for k, v in change.items() if k in p})
-    f = _robot_model(SimpleNamespace(**p))([5.0, -3.0, 2.0], [1.0, 0.0])
+    p = SimpleNamespace(**p)
+    u, force = [5.0, -3.0, 2.0], [1.0, 0.0]
     y = [0.1, 0.2, change.get("alpha", 0.3), 0.0, 0.0, change.get("phi_p", 0.1)] + [0.5] * 6
     k1 = [0.0] * 12
-    c = _CompiledAttempt(compiled, f, np.array(y), k1, 1e-9, 1e-12)
-    assert compiled(f.block, 1e-3, 1e-9, 1e-12, *c.orders[0], c.ratio_at) != 0
-    for attempt in (_PythonAttempt, lambda *a: _CompiledAttempt(compiled, *a)):
-        with pytest.raises(error):
-            attempt(f, np.array(y), k1, 1e-9, 1e-12)(0.0, 1e-3)
+    assert _c_attempt(compiled, p, u, force, y, k1, 1e-3, 1e-9, 1e-12)[0] != 0
     with pytest.raises(error):
-        advance_segment(f, 0.0, 0.01, np.array(y), IntegratorOptions(), IntegratorStats(),
-                        h_start=1e-3, k1=k1)
+        _step_kernel(12)(_robot_model(p)(u, force), 0.0, 1e-3, y, k1)
+    # the rollout stops in C at its first hold and raises in Python
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=[u])
+    pulses = DisturbanceSchedule((ForcePulse(0.0, 1.0, fx=force[0]),))
+    c, py = _on_both(lambda: integrate(_robot_model(p), y, (0.0, 0.01), controls,
+                                       disturbances=pulses), monkeypatch)
+    assert isinstance(py, error)
+    _assert_same(c, py)
 
 
-def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled):
+def test_a_stage_that_raises_hands_its_segment_to_python(compiled, monkeypatch):
+    # the first hold is finite; a huge first step drives stage 2's angle to inf
+    y = [0.0] * 8 + [1.7e308] + [0.0] * 3
+    controls = ControlSequence(t0=0.0, dt=50.0, samples=[[1.0, 2.0, 3.0]] * 2)
+    options = IntegratorOptions(first_step=10.0)
+    c, py = _on_both(lambda: integrate(_robot_model(nominal_params()), y, (0.0, 100.0), controls,
+                                       options=options), monkeypatch)
+    assert isinstance(py, ValueError)
+    _assert_same(c, py)
+
+
+def test_a_step_underflow_raises_the_same_integration_error(compiled, monkeypatch):
+    # a NaN torque from the sixth hold on: every attempt there is rejected
+    samples = np.tile([6.0, -10.0, 6.0], (10, 1))
+    samples[5:, 1] = math.nan
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=samples)
+    c, py = _on_both(lambda: simulate_robot(nominal_params(), RobotState.rest(), controls), monkeypatch)
+    assert isinstance(py, IntegrationError) and py.t == pytest.approx(0.05)
+    _assert_same(c, py)
+
+
+def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkeypatch):
     # at rest, unforced, with atol = 0: every scale is zero
-    f = _robot_model(nominal_params())([0.0, 0.0, 0.0], [0.0, 0.0])
+    p = nominal_params()
+    f = _robot_model(p)([0.0, 0.0, 0.0], [0.0, 0.0])
     y = [0.0] * 12
     k1 = f(0.0, y)
-    c, c_norm, py, py_norm = _both(f, y, k1, 1e-3, 1e-9, 0.0, compiled)
-    assert c_norm == py_norm == math.inf
+    assert _c_attempt(compiled, p, [0.0] * 3, [0.0] * 2, y, k1, 1e-3, 1e-9, 0.0)[0] != 0
+    y_new, _, err = _step_kernel(12)(f, 0.0, 1e-3, y, k1)
+    assert _error_norm(err, y, y_new, 1e-9, 0.0) == math.inf
+    # the rollout hands the segment to Python, which rejects every attempt
+    # until the step underflows
+    controls = ControlSequence.constant([0.0, 0.0, 0.0], 0.05, 100.0)
+    options = IntegratorOptions(atol=0.0, first_step=1e-3)
+    c, py = _on_both(lambda: simulate_robot(p, RobotState.rest(), controls, options=options),
+                     monkeypatch)
+    assert isinstance(py, IntegrationError) and py.rejected > 0
+    _assert_same(c, py)
 
 
-def _rollout():
+def test_the_loop_resumes_after_segments_advanced_in_python(compiled, monkeypatch):
+    """Every third segment stops in C as a zero error scale would, runs in
+    Python and the C resumes after it: the rollouts stay the same."""
+    run, ddot = _robot_kernel()
+    stops = []
+
+    def stopping(c, i, j):
+        if c.resume:  # the segment of event i, then the events after it
+            status = run(c, i, i + 1)
+            if status:
+                return status
+            i += 1
+        for e in range(i, j):
+            if e % 3 == 2 and e + 1 < c.n:
+                n, c.n = c.n, e + 1  # the hold at e is the last the C does
+                status = run(c, i, e + 1)
+                c.n = n
+                if not status:
+                    c.event, c.resume = e, 1
+                    stops.append(e)
+                return status or 3
+        return run(c, i, j)
+
+    rng = np.random.default_rng(13)
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 30))
+    pulses = DisturbanceSchedule((ForcePulse(0.05, 0.17, fx=20.0),))
+    state = _start(rng)
+
+    def rollouts():
+        p = nominal_params()
+        return (simulate_robot(p, state, controls, disturbances=pulses),
+                closed_loop_simulate(p, state, HarmonicReference(horizon=0.2), tune_gains(1.0)).trajectory)
+
+    plain = rollouts()
+    monkeypatch.setattr(simulate, "_robot_kernel", lambda: (stopping, ddot))
+    resumed = rollouts()
+    assert len(stops) > 20
+    monkeypatch.setattr(simulate, "_robot_kernel", lambda: None)
+    for plain_traj, resumed_traj, oracle in zip(plain, resumed, rollouts()):
+        _assert_same(plain_traj, oracle)
+        _assert_same(resumed_traj, oracle)
+
+
+def _holds(rng, n):
+    """n torque rows: repeats, 0.0 against -0.0, and random values."""
+    pool = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [6.0, -10.0, 6.0]])
+    rows = np.where(rng.random((n, 1)) < 0.5, pool[rng.integers(4, size=n)],
+                    rng.uniform(-10.0, 10.0, (n, 3)))
+    repeat = rng.random(n) < 0.3
+    for k in np.flatnonzero(repeat[1:]) + 1:
+        rows[k] = rows[k - 1]
+    return rows
+
+
+def _start(rng):
     p = nominal_params()
-    state = admissible_state(p, np.array([0.1, -0.2, 0.3, 0.0, 0.0, 0.2]), dp=np.array([0.2, -0.1, 0.3]))
-    rng = np.random.default_rng(3)
-    controls = ControlSequence(t0=0.0, dt=0.01, samples=rng.uniform(-10.0, 10.0, (60, 3)))
-    pulses = DisturbanceSchedule((ForcePulse(0.123, 0.3, fx=40.0, fy=-25.0),))
-    before = dict(integrator.robot_segments)
-    traj = simulate_robot(p, state, controls, disturbances=pulses)
-    ran = {k: integrator.robot_segments[k] - before[k] for k in before}
-    return traj, ran
+    return admissible_state(p, rng.uniform(-1.0, 1.0, 6), dp=rng.uniform(-0.5, 0.5, 3))
+
+
+def test_random_holds_roll_out_the_same_on_both_engines(compiled, monkeypatch):
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 40))
+        state = _start(rng)
+        _assert_same(*_on_both(lambda: simulate_robot(nominal_params(), state, controls),
+                               monkeypatch))
+
+
+def test_pulses_on_and_next_to_segment_edges_roll_out_the_same(compiled, monkeypatch):
+    rng = np.random.default_rng(8)
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 30))
+    edge = controls.boundaries
+    pulses = DisturbanceSchedule((
+        ForcePulse(edge[3], edge[9], fx=40.0),
+        ForcePulse(np.nextafter(edge[9], math.inf), np.nextafter(edge[15], -math.inf), fy=-25.0),
+        ForcePulse(np.nextafter(edge[5], -math.inf), edge[20] + 0.004, fx=-10.0, fy=12.0),
+    ))
+    state = _start(rng)
+    _assert_same(*_on_both(
+        lambda: simulate_robot(nominal_params(), state, controls, disturbances=pulses), monkeypatch))
+
+
+def test_output_grids_with_ulp_near_merges_roll_out_the_same(compiled, monkeypatch):
+    rng = np.random.default_rng(9)
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 30))
+    grid = np.arange(61) / 200.0
+    grid[::3] = np.nextafter(grid[::3], math.inf)
+    grid[1::4] = np.nextafter(grid[1::4], -math.inf)
+    grid = np.clip(np.append(grid, [0.0137, 0.2001]), 0.0, 0.3)
+    state = _start(rng)
+    _assert_same(*_on_both(
+        lambda: simulate_robot(nominal_params(), state, controls, output_times=grid), monkeypatch))
+
+
+@pytest.mark.parametrize("options", [
+    IntegratorOptions(max_step=2e-3),
+    IntegratorOptions(first_step=5e-4),
+    IntegratorOptions(rtol=1e-6, atol=1e-9, max_step=4e-3, first_step=1e-2),
+], ids=["max-step", "first-step", "both-loose"])
+def test_max_and_first_step_roll_out_the_same(compiled, monkeypatch, options):
+    rng = np.random.default_rng(10)
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 20))
+    state = _start(rng)
+    _assert_same(*_on_both(
+        lambda: simulate_robot(nominal_params(), state, controls, options=options), monkeypatch))
+
+
+def test_a_feedback_law_sees_the_same_calls_on_both_engines(compiled, monkeypatch):
+    p = nominal_params()
+    calls = []
+
+    def law(t, x):
+        calls.append((t, x.tobytes()))
+        # -0.0 after the tenth instant: a new hold in bits only
+        return np.array([5.0 * math.sin(t), -3.0 * x[6], 0.0 if len(calls) < 10 else -0.0])
+
+    laws = FeedbackLaw(np.arange(21) * 0.01, law)
+    pulses = DisturbanceSchedule((ForcePulse(0.033, 0.12, fx=30.0),))
+    state = _start(np.random.default_rng(11))
+
+    def run():
+        calls.clear()
+        traj = simulate_robot(p, state, laws, disturbances=pulses, output_times=np.arange(41) / 200.0)
+        return traj, list(calls)
+
+    (c, c_calls), (py, py_calls) = _on_both(run, monkeypatch)
+    assert len(c_calls) == 21 and c_calls == py_calls
+    _assert_same(c, py)
+    ref = HarmonicReference(horizon=0.5)
+    _assert_same(*_on_both(
+        lambda: closed_loop_simulate(p, _start(np.random.default_rng(12)), ref, tune_gains(1.0)).trajectory,
+        monkeypatch))
 
 
 def test_forced_fallback_gives_the_same_rollout(compiled, request):
-    c, c_ran = _rollout()
-    assert c_ran["c"] > 0 and c_ran["python"] == 0
+    p = nominal_params()
+    state = admissible_state(p, np.array([0.1, -0.2, 0.3, 0.0, 0.0, 0.2]), dp=np.array([0.2, -0.1, 0.3]))
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=np.random.default_rng(3).uniform(-10.0, 10.0, (60, 3)))
+    pulses = DisturbanceSchedule((ForcePulse(0.123, 0.3, fx=40.0, fy=-25.0),))
+
+    def rollout():
+        before = dict(simulate.robot_rollouts)
+        traj = simulate_robot(p, state, controls, disturbances=pulses)
+        return traj, {k: simulate.robot_rollouts[k] - before[k] for k in before}
+
+    c, c_ran = rollout()
+    assert c_ran == {"c": 1, "python": 0}
     request.getfixturevalue("python_kernel")
-    py, py_ran = _rollout()
-    assert py_ran == {"c": 0, "python": c_ran["c"]}
-    for name in ("times", "states", "derivs", "controls"):
-        assert np.array_equal(getattr(c, name), getattr(py, name)), name
-    assert c.stats == py.stats
+    py, py_ran = rollout()
+    assert py_ran == {"c": 0, "python": 1}
+    _assert_same(c, py)
+
+
+@pytest.mark.parametrize("missing", ["ddot", "compiler"])
+def test_a_missing_ddot_or_compiler_runs_python_with_the_same_bytes(compiled, tmp_path, monkeypatch,
+                                                                    missing):
+    argv = ["simulate", "--torques", "6,-10,6", "--duration", "0.3", "--rate", "50"]
+    assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+    if missing == "ddot":
+        monkeypatch.setattr(_ckernel, "DDOT", "no_such_blas_symbol")
+        assert _ckernel.numpy_ddot() is None
+    else:
+        monkeypatch.setattr(_ckernel, "COMPILER", str(tmp_path / "no-such-cc"))
+    _robot_kernel.cache_clear()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "python")]) == 0
+    finally:
+        monkeypatch.undo()
+        _robot_kernel.cache_clear()
+    kernels = [json.loads((tmp_path / run / "manifest.json").read_text())["integrator"]["kernel"]
+               for run in ("c", "python")]
+    assert kernels == ["c", "python"]
+    c, py = ((tmp_path / run / "trajectory.csv").read_bytes() for run in ("c", "python"))
+    assert c == py
 
 
 def _check_build_fallbacks(library, load, compiler, tmp_path, monkeypatch):

@@ -16,9 +16,8 @@ import otbot
 from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
-from otbot.integrator import _compiled_robot_attempt
 from otbot.params import nominal_params, save_params
-from otbot.simulate import _csv_formatter, trajectory_from_csv
+from otbot.simulate import _csv_formatter, _robot_kernel, trajectory_from_csv
 
 MANIFEST_KEYS = {
     "tool",
@@ -377,6 +376,7 @@ class TestBadNumericFlags:
         "shaft-horizon-short.cfg": ("wheel-spin", "horizon = 0.5", "horizon = 0.001"),
         "torques-horizon-short.cfg": ("chassis-excitation", "horizon = 3", "horizon = 0.001"),
         "horizon-inf.cfg": ("chassis-excitation", "horizon = 3", "horizon = inf"),
+        "torques-horizon-fraction.cfg": ("chassis-excitation", "horizon = 3", "horizon = 3.015"),
     }
 
     @pytest.mark.parametrize(
@@ -422,6 +422,12 @@ class TestBadNumericFlags:
             (["control", "--scenario", "plan", "--rate", "0.45"], "--rate"),
             (["simulate", "--torques", "1,2,3", "--duration", "0.001", "--rate", "100"], "--duration"),
             (["identify", "--step", "3", "--window", "0.004"], "--window"),
+            (["simulate", "--torques", "1,2,3", "--duration", "0.015", "--rate", "100"],
+             "--duration 0.015 s is not a whole number of periods of --rate 100.0 Hz"),
+            (["identify", "--step", "3", "--window", "0.015"],
+             "--window 0.015 s is not a whole number of 100.0 Hz sample periods"),
+            (["simulate", "--scenario", "torques-horizon-fraction.cfg"],
+             "torques-horizon-fraction.cfg: [scenario] horizon 3.015 s is not whole periods of [torques] rate"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -434,7 +440,9 @@ class TestBadNumericFlags:
              "scenario-unknown-section", "scenario-zero-shaft-rate", "scenario-shaft-horizon-under-one-period",
              "scenario-torques-horizon-under-one-period", "scenario-inf-horizon", "negative-seed",
              "negative-environment-seed", "negative-identify-seed", "fractional-control-periods",
-             "plan-fractional-control-periods", "duration-under-one-period", "window-under-one-sample"],
+             "plan-fractional-control-periods", "duration-under-one-period", "window-under-one-sample",
+             "fractional-duration-periods", "fractional-window-periods",
+             "scenario-fractional-torques-horizon"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")
@@ -461,7 +469,7 @@ class TestBadNumericFlags:
 
 
 class TestKernelInManifest:
-    """The manifest names the DP5 attempt the robot rollouts ran on and the
+    """The manifest names the engine the robot rollouts ran on and the
     formatter that wrote the CSV tables."""
 
     RUNS = [
@@ -472,7 +480,7 @@ class TestKernelInManifest:
 
     @pytest.mark.parametrize("argv", RUNS, ids=["simulate", "control", "identify"])
     def test_compiled_kernel(self, tmp_path, argv):
-        expected = "python" if _compiled_robot_attempt() is None else "c"
+        expected = "python" if _robot_kernel() is None else "c"
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         m = manifest(tmp_path / "run")
         assert m["integrator"]["kernel"] == expected

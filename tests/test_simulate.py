@@ -39,6 +39,14 @@ def test_control_sequence_constant():
     np.testing.assert_array_equal(seq.samples[17], [1.5, -2.5, 0.5])
 
 
+@pytest.mark.parametrize("duration", [0.015, 0.004, 0.0, 1.0 + 2e-9])
+def test_control_sequence_constant_refuses_part_periods(duration):
+    # a record is never rounded to a neighbouring whole number of periods
+    with pytest.raises(ValueError, match="not a whole number of periods"):
+        ControlSequence.constant([1.0], duration=duration, rate=100.0)
+    assert len(ControlSequence.constant([1.0], duration=1.0 + 5e-10, rate=100.0).samples) == 100
+
+
 def test_control_sequence_rejects_bad_dt():
     with pytest.raises(ValueError, match="dt"):
         ControlSequence(t0=0.0, dt=0.0, samples=[[1.0]])
