@@ -15,14 +15,15 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
-The C rhs and the C Dormand-Prince attempt are translated from the syntax
-tree of the generated ``accelerations`` and of
-``otbot.integrator._step_source(12)``, every operation kept in the Python
-order and fully parenthesised, so they compute the same bits as the Python
-kernel (see ``otbot._ckernel`` for the compiler flags that this needs). The
-rollout loop around them is written out below; its step-control constants
-are printed from ``otbot.integrator`` and its struct from
-``otbot._ckernel.Rollout``, so ``--check`` sees any drift.
+The C rhs, the C task-space model and the C Dormand-Prince attempt are
+translated from the syntax tree of the generated ``accelerations``,
+``task_space_model`` and ``otbot.integrator._step_source(12)``, every
+operation kept in the Python order and fully parenthesised, so they compute
+the same bits as the Python code (see ``otbot._ckernel`` for the compiler
+flags that this needs). The rollout loop around them, with the
+computed-torque law of ``otbot.control.computed_torque``, is written out
+below; its step-control constants are printed from ``otbot.integrator`` and
+its struct from ``otbot._ckernel.Rollout``, so ``--check`` sees any drift.
 
     python scripts/gen_task_space.py           # rewrite both files
     python scripts/gen_task_space.py --check   # exit 1 if either is out of date
@@ -264,9 +265,9 @@ _STATE_ARGS = {
 _ZERO_DIVISOR, _INFINITE_ANGLE, _ZERO_SCALE, _UNDERFLOW, _FIRST_STEP = 1, 2, 3, 4, 5
 
 _C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-# names a generated local may not take: the rhs's arguments and the Bessel
-# functions that math.h declares
-_C_RESERVED = {"blk", "x", "k", "y0", "y1", "yn", "j0", "j1", "jn"}
+# names a generated local may not take: the C functions' arguments and the
+# Bessel functions that math.h declares
+_C_RESERVED = {"blk", "x", "k", "m", "c", "y0", "y1", "yn", "j0", "j1", "jn"}
 
 
 class _CExpr:
@@ -337,9 +338,19 @@ def _function_def(source: str, name: str) -> ast.FunctionDef:
     return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-def _rhs_function(accel: ast.FunctionDef) -> list[str]:
-    """``robot_rhs``: k = f(x) for the robot on the hold in blk, as C."""
-    args = [a.arg for a in accel.args.args[1:]]
+def _values(node) -> list:
+    """The leaves of a returned tuple, nested tuples flattened in order."""
+    if isinstance(node, ast.Tuple):
+        return [leaf for e in node.elts for leaf in _values(e)]
+    return [node]
+
+
+def _c_function(fn: ast.FunctionDef, signature: str, store) -> list[str]:
+    """C of a generated float function of ``p`` and the state arguments
+    (read from ``x``) or the hold's torques and force (read from ``blk``):
+    its statements in order, then ``store(values)``, the lines that store
+    the returned values."""
+    args = [a.arg for a in fn.args.args[1:]]
     lines = [
         f"const double {a} = {_STATE_ARGS[a].format(x='x') if a in _STATE_ARGS else f'blk[{_BLOCK[a]}]'};"
         for a in args
@@ -350,11 +361,11 @@ def _rhs_function(accel: ast.FunctionDef) -> list[str]:
         if name in _BLOCK and "." in name:
             return f"blk[{_BLOCK[name]}]"
         if name not in locals_:
-            raise ValueError(f"unbound name {name!r} in accelerations")
+            raise ValueError(f"unbound name {name!r} in {fn.name}")
         return name
 
     to_c = _CExpr(rename)
-    for stmt in accel.body:
+    for stmt in fn.body:
         if isinstance(stmt, ast.Expr):  # the docstring
             continue
         if isinstance(stmt, ast.Assign):
@@ -364,15 +375,33 @@ def _rhs_function(accel: ast.FunctionDef) -> list[str]:
             lines += to_c.statement(f"const double {target.id}", stmt.value)
             locals_.add(target.id)
         elif isinstance(stmt, ast.Return):
-            outputs = [to_c(e) for e in stmt.value.elts]
-            # state_derivative returns (dq, ddq)
-            lines += [f"k[{j}] = x[{j + 6}];" for j in range(6)]
-            lines += [f"k[{j + 6}] = {v};" for j, v in enumerate(outputs)]
+            lines += store([to_c(e) for e in _values(stmt.value)])
             lines.append("return 0;")
         else:
             raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
-    signature = "static int robot_rhs(const double *blk, const double *x, double *k)"
     return [signature, "{"] + [INDENT + line for line in lines] + ["}"]
+
+
+def _rhs_function(accel: ast.FunctionDef) -> list[str]:
+    """``robot_rhs``: k = f(x) for the robot on the hold in blk, as C."""
+
+    def store(values):
+        # state_derivative returns (dq, ddq)
+        return [f"k[{j}] = x[{j + 6}];" for j in range(6)] + [
+            f"k[{j + 6}] = {v};" for j, v in enumerate(values)]
+
+    signature = "static int robot_rhs(const double *blk, const double *x, double *k)"
+    return _c_function(accel, signature, store)
+
+
+def _model_function(model_fn: ast.FunctionDef) -> list[str]:
+    """``task_space_model``: Mbar and Cbar at x, row by row into m and c, as C."""
+
+    def store(values):
+        return [f"{'mc'[j // 9]}[{j % 9}] = {v};" for j, v in enumerate(values)]
+
+    signature = "static int task_space_model(const double *blk, const double *x, double *m, double *c)"
+    return _c_function(model_fn, signature, store)
 
 
 def _vector_name(name: str) -> str:
@@ -464,13 +493,17 @@ def _loop() -> str:
         for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR", "ORDER_EXPONENT",
                      "NONFINITE_FACTOR", "TIME_RESOLUTION")
     )
-    return _LOOP.replace("@CONSTANTS@", constants).replace(
-        "@UNDERFLOW@", str(_UNDERFLOW)).replace("@FIRST_STEP@", str(_FIRST_STEP))
+    return (_LOOP.replace("@CONSTANTS@", constants)
+            .replace("@UNDERFLOW@", str(_UNDERFLOW)).replace("@FIRST_STEP@", str(_FIRST_STEP))
+            .replace("@FEEDBACK@", str(_ckernel.FEEDBACK)))
 
 
 _LOOP = """\
-/* BLAS ddot with 64-bit integers: numpy's dot of two float64 vectors */
+/* BLAS ddot and dgemv with 64-bit integers: numpy's dot of two float64
+   vectors and its (3, 3) @ (3,) */
 typedef double (*ddot_t)(long long, const double *, long long, const double *, long long);
+typedef void (*dgemv_t)(int, int, long long, long long, double, const double *, long long,
+                        const double *, long long, double, double *, long long);
 
 @CONSTANTS@
 
@@ -514,7 +547,8 @@ static int advance(struct rollout *r, double t, double t1)
         }
         const int clipped = h_next >= remaining;
         const double h = clipped ? remaining : h_next;
-        if (h < TIME_RESOLUTION * py_max(1.0, fabs(t))) return @UNDERFLOW@;
+        /* written so that a NaN step underflows too */
+        if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return @UNDERFLOW@;
         const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
                                         y[!now], k[!now], ratio);
         if (s) return s;
@@ -551,21 +585,65 @@ static int advance(struct rollout *r, double t, double t1)
     return 0;
 }
 
-/* Events [i, j) of simulate.integrate: at each event the hold (a fresh
+/* y = a @ v for a row-major 3x3 a, through numpy's dgemv: row-major (101),
+   no transpose (111), alpha 1, beta 0 */
+static void matvec(const struct rollout *r, const double *a, const double *v, double *y)
+{
+    ((dgemv_t)r->dgemv)(101, 111, 3, 3, 1.0, a, 3, v, 1, 0.0, y, 1);
+}
+
+/* control.computed_torque at the state r->x and the reference row
+   r->instant: the torque into u and the row r->instant of u_traj and
+   u_corr, with every operation in numpy's order; u_corr is zero without
+   feedback. A nonzero status is where the task-space model raises in
+   Python. */
+static int computed_torque(struct rollout *r, double *u)
+{
+    const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
+    double *u_traj = (double *)r->u_traj + 3 * r->instant;
+    double *u_corr = (double *)r->u_corr + 3 * r->instant;
+    double mbar[9], cbar[9], a[3] = {0.0}, b[3] = {0.0}, w[3];
+    const int s = task_space_model(r->blk, x, mbar, cbar);
+    if (s) return s;
+    matvec(r, mbar, ref + 6, a);
+    matvec(r, cbar, x + 6, b);
+    for (int c = 0; c < 3; c++) {
+        u_traj[c] = a[c] + b[c];
+        u_corr[c] = 0.0;
+    }
+    if (r->law == @FEEDBACK@) {
+        for (int c = 0; c < 3; c++)
+            w[c] = ((-r->kp[c]) * (x[c] - ref[c])) - (r->kv[c] * (x[c + 6] - ref[c + 3]));
+        matvec(r, mbar, w, u_corr);
+    }
+    /* + 0.0 without feedback, so that a -0.0 becomes 0.0 as in numpy */
+    for (int c = 0; c < 3; c++) u[c] = u_traj[c] + u_corr[c];
+    return 0;
+}
+
+/* Events [i, j) of simulate.integrate: at each event the law at a control
+   instant (or the torques held from the last one), the hold (a fresh
    first stage where the torque bits change or a disturbance edge lies),
    the output row, then the segment to the next event. Returns 0, or the
-   status that stopped it at r->event: before the hold (r->resume 0) or
-   before the segment (r->resume 1). A call with r->resume 1 starts at the
-   segment. */
+   status that stopped it at r->event: before the law or the hold
+   (r->resume 0) or before the segment (r->resume 1). A call with
+   r->resume 1 starts at the segment. */
 int robot_rollout(struct rollout *r, long i, long j)
 {
-    const double *events = r->events, *held = r->held, *forces = r->forces;
-    const unsigned char *out = r->out, *brk = r->brk;
-    double *states = r->states, *derivs = r->derivs, *controls = r->controls;
+    const double *events = r->events, *forces = r->forces;
+    const unsigned char *out = r->out, *start = r->start, *brk = r->brk;
+    double *held = r->held, *states = r->states, *derivs = r->derivs, *controls = r->controls;
     for (long e = i; e < j; e++) {
-        const double *u = held + 3 * e;
+        double *u = held + 3 * e;
+        const int instant = r->law && start[e];
         r->event = e;
         if (!r->resume) {
+            if (instant) {
+                const int s = computed_torque(r, u);
+                if (s) return s;
+            } else if (r->law) {
+                copy(u, u - 3, 3);
+            }
             if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
                 double k1[12];
                 copy(r->blk + 14, u, 3);
@@ -575,6 +653,7 @@ int robot_rollout(struct rollout *r, long i, long j)
                 copy(r->k1, k1, 12);
                 r->fevals += 1;
             }
+            r->instant += instant;
             if (out[e]) {
                 copy(states + 12 * r->row, r->x, 12);
                 copy(derivs + 12 * r->row, r->k1, 12);
@@ -596,22 +675,26 @@ int robot_rollout(struct rollout *r, long i, long j)
 
 def render_c(python_source: str, generator_sha256: str) -> str:
     accel = _function_def(python_source, "accelerations")
+    model_fn = _function_def(python_source, "task_space_model")
     header = [
         "// Generated by scripts/gen_task_space.py; do not edit by hand.",
         f"// generator sha256: {generator_sha256}",
         f"// sympy {sp.__version__}",
         "//",
         "// The robot's rollout loop: robot_rollout runs the event loop of",
-        "// otbot.simulate.integrate and the step control of",
-        "// otbot.integrator.advance_segment on a struct rollout (the fields of",
-        "// otbot._ckernel.Rollout). dp5_robot_attempt is one Dormand-Prince 5(4)",
-        "// attempt of y' = f(y), with f the rhs of",
+        "// otbot.simulate.integrate, with the computed-torque law of",
+        "// otbot.control.computed_torque at each control instant, and the step",
+        "// control of otbot.integrator.advance_segment on a struct rollout (the",
+        "// fields of otbot._ckernel.Rollout). dp5_robot_attempt is one",
+        "// Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of",
         "// otbot.dynamics.state_derivative (robot_rhs, from the accelerations of",
         "// otbot._task_space) under the held torques and pivot force in blk:",
         f"// the parameters ({', '.join(PARAM_FIELDS[:7])},",
-        f"// {', '.join(PARAM_FIELDS[7:])}), u0, u1, u2, fx, fy.",
+        f"// {', '.join(PARAM_FIELDS[7:])}), u0, u1, u2, fx, fy; the law's",
+        "// task_space_model is that of otbot._task_space on the same parameters.",
         "// Every value is bit for bit what the Python code computes; the error",
-        "// norm reduces through the BLAS ddot that numpy calls. A nonzero status",
+        "// norm and the law's products reduce through the BLAS ddot and dgemv",
+        "// that numpy calls. A nonzero status",
         f"// stops the loop where Python goes on: {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of",
         f"// an infinite angle, {_ZERO_SCALE} a zero error scale, {_UNDERFLOW} a step underflow, {_FIRST_STEP} the",
         "// first step to be guessed.",
@@ -622,7 +705,7 @@ def render_c(python_source: str, generator_sha256: str) -> str:
     attempt = ["double ys[12], k2[12], k3[12], k4[12], k5[12], k6[12], e[12];", "int s;"]
     attempt += _attempt_body() + _RATIO
     lines = (
-        header + _struct() + [""] + _rhs_function(accel) + [""]
+        header + _struct() + [""] + _rhs_function(accel) + [""] + _model_function(model_fn) + [""]
         + [_C_SIGNATURE, "{"] + [INDENT + line for line in attempt] + ["}", ""]
     )
     return "\n".join(lines) + "\n" + _loop()

@@ -7,9 +7,11 @@ Two libraries are compiled on first use, never at import:
   and add a separately rounded double operation, in the source's order;
   ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and ``sqrt`` as calls into
   the libm that Python calls, with no fused ``sincos``. The error norm
-  reduces through the ``ddot`` that numpy calls (:func:`numpy_ddot`). So the
-  loop computes the same bits as the Python engine; where numpy has no such
-  ``ddot`` (another BLAS), the Python engine runs.
+  reduces through the ``ddot`` that numpy calls, and the computed-torque
+  law's three (3, 3) @ (3,) products through its ``dgemv``
+  (:func:`numpy_blas`). So the loop, the law included, computes the same
+  bits as the Python engine; where numpy has no such ``ddot`` or ``dgemv``
+  (another BLAS), the Python engine runs.
 - ``_csv_format.cpp``, the CSV formatter, with the system C++ compiler
   (``c++ -O2 -std=c++17``): ``std::to_chars`` gives the digits of ``repr``,
   so it writes the same bytes as the Python loop.
@@ -36,24 +38,32 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_dp5_robot.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin", "-shared", "-fPIC")
-# numpy's dot of two float64 vectors, in the 64-bit-integer scipy-openblas build
+# numpy's dot of two float64 vectors and its (3, 3) @ (3,), in the
+# 64-bit-integer scipy-openblas build
 DDOT = "scipy_cblas_ddot64_"
+DGEMV = "scipy_cblas_dgemv64_"
+# Rollout.law: 0 for held torque rows, else the computed-torque law without
+# or with feedback
+FEEDFORWARD, FEEDBACK = 1, 2
 
 
 class Rollout(ctypes.Structure):
     """One robot rollout, ``struct rollout`` of ``robot_rollout``: the numpy
-    tables as addresses, the tolerances and step cap ``h_max``, and what the
-    C moves on: the step ``h`` (``guess`` where it is yet to be guessed), the
-    ``IntegratorStats`` counts, the output row, where it stopped, and the
-    hold ``blk``, state ``x`` and first stage ``k1``."""
+    tables (a feedback law's too) and BLAS routines as addresses, the tolerances
+    and step cap ``h_max``, what the C moves on (the step ``h``, ``guess`` where
+    it is yet to be guessed, the counts, the output row, the law's ``instant``,
+    where it stopped, the hold ``blk``, state ``x``, first stage ``k1``), the law."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
-            "events", "out", "brk", "held", "forces", "states", "derivs", "controls", "ddot")),
+            "events", "out", "start", "brk", "held", "forces", "states", "derivs", "controls",
+            "reference", "u_traj", "u_corr", "ddot", "dgemv")),
         *((name, ctypes.c_double) for name in ("rtol", "atol", "h_max", "h", "min_step", "max_step")),
         *((name, ctypes.c_long) for name in (
-            "n", "guess", "accepted", "rejected", "fevals", "row", "event", "resume")),
+            "n", "guess", "accepted", "rejected", "fevals", "row", "instant", "event", "resume",
+            "law")),
         ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),
+        ("kp", ctypes.c_double * 3), ("kv", ctypes.c_double * 3),
     ]
 
 
@@ -114,23 +124,23 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
 
 
 def load():
-    """``(robot_rollout, ddot)``, or None where the library or numpy's ddot is missing.
+    """``(robot_rollout, ddot, dgemv)``, or None where the library or numpy's BLAS is missing.
 
     ``robot_rollout(r, i, j)`` advances the events ``[i, j)`` of the
-    :class:`Rollout` ``r``, whose ``ddot`` field is ``ddot``.
+    :class:`Rollout` ``r``, whose ``ddot`` and ``dgemv`` fields are these.
     """
-    ddot = numpy_ddot()
-    path = None if ddot is None else build(SOURCE, COMPILER, FLAGS)
+    blas = numpy_blas()
+    path = None if blas is None else build(SOURCE, COMPILER, FLAGS)
     if path is None:
         return None
     run = ctypes.CDLL(str(path)).robot_rollout
     run.argtypes = [ctypes.POINTER(Rollout), ctypes.c_long, ctypes.c_long]
     run.restype = ctypes.c_int
-    return run, ddot
+    return run, *blas
 
 
-def numpy_ddot() -> int | None:
-    """Address of ``DDOT`` in the scipy-openblas library numpy loaded, or None.
+def numpy_blas() -> tuple[int, int] | None:
+    """Addresses of ``DDOT`` and ``DGEMV`` in the scipy-openblas library numpy loaded, or None.
 
     numpy's wheels ship that library next to the package; opening it again
     yields the instance already loaded, with its kernel choice.
@@ -140,7 +150,8 @@ def numpy_ddot() -> int | None:
     root = Path(numpy.__file__).parent
     for library in (*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")):
         try:
-            return ctypes.cast(getattr(ctypes.CDLL(str(library)), DDOT), ctypes.c_void_p).value
+            lib = ctypes.CDLL(str(library))
+            return tuple(ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in (DDOT, DGEMV))
         except (OSError, AttributeError):
             continue
     return None

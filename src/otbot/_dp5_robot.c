@@ -1,18 +1,21 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: 9df83cf24694a5e1f3d56ef606d5cf310f4498d731cad1ac4c7bc612c91e6fd5
+// generator sha256: dcb52e7df51fac9534d41953f923f33a52fe9163acd120d9c6efe13648bb9d7f
 // sympy 1.14.0
 //
 // The robot's rollout loop: robot_rollout runs the event loop of
-// otbot.simulate.integrate and the step control of
-// otbot.integrator.advance_segment on a struct rollout (the fields of
-// otbot._ckernel.Rollout). dp5_robot_attempt is one Dormand-Prince 5(4)
-// attempt of y' = f(y), with f the rhs of
+// otbot.simulate.integrate, with the computed-torque law of
+// otbot.control.computed_torque at each control instant, and the step
+// control of otbot.integrator.advance_segment on a struct rollout (the
+// fields of otbot._ckernel.Rollout). dp5_robot_attempt is one
+// Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of
 // otbot.dynamics.state_derivative (robot_rhs, from the accelerations of
 // otbot._task_space) under the held torques and pivot force in blk:
 // the parameters (l1, l2, r, xB, yB, xF, yF,
-// mc, mp, Ic, Ip, Ia, bw, bp), u0, u1, u2, fx, fy.
+// mc, mp, Ic, Ip, Ia, bw, bp), u0, u1, u2, fx, fy; the law's
+// task_space_model is that of otbot._task_space on the same parameters.
 // Every value is bit for bit what the Python code computes; the error
-// norm reduces through the BLAS ddot that numpy calls. A nonzero status
+// norm and the law's products reduce through the BLAS ddot and dgemv
+// that numpy calls. A nonzero status
 // stops the loop where Python goes on: 1 a zero divisor, 2 sin or cos of
 // an infinite angle, 3 a zero error scale, 4 a step underflow, 5 the
 // first step to be guessed.
@@ -22,13 +25,18 @@
 struct rollout {
     void *events;
     void *out;
+    void *start;
     void *brk;
     void *held;
     void *forces;
     void *states;
     void *derivs;
     void *controls;
+    void *reference;
+    void *u_traj;
+    void *u_corr;
     void *ddot;
+    void *dgemv;
     double rtol;
     double atol;
     double h_max;
@@ -41,11 +49,15 @@ struct rollout {
     long rejected;
     long fevals;
     long row;
+    long instant;
     long event;
     long resume;
+    long law;
     double blk[19];
     double x[12];
     double k1[12];
+    double kp[3];
+    double kv[3];
 };
 
 static int robot_rhs(const double *blk, const double *x, double *k)
@@ -210,6 +222,129 @@ static int robot_rhs(const double *blk, const double *x, double *k)
     return 0;
 }
 
+static int task_space_model(const double *blk, const double *x, double *m, double *c)
+{
+    const double alpha = x[2];
+    const double theta = (x[2] - x[5]);
+    const double da = x[8];
+    const double dth = (x[8] - x[11]);
+    const double l1 = blk[0];
+    const double l2 = blk[1];
+    const double r = blk[2];
+    const double xB = blk[3];
+    const double yB = blk[4];
+    const double xF = blk[5];
+    const double yF = blk[6];
+    const double mc = blk[7];
+    const double mp = blk[8];
+    const double Ic = blk[9];
+    const double Ip = blk[10];
+    const double Ia = blk[11];
+    const double bw = blk[12];
+    const double bp = blk[13];
+    if (isinf(alpha)) return 2;
+    const double ca = cos(alpha);
+    const double sa = sin(alpha);
+    if (isinf(theta)) return 2;
+    const double ct = cos(theta);
+    const double st = sin(theta);
+    const double t0 = (ct * l1);
+    const double t1 = (l2 * st);
+    const double t2 = (t0 - t1);
+    if (l1 == 0.0) return 1;
+    const double t3 = (1.0 / l1);
+    if (r == 0.0) return 1;
+    const double t4 = (1.0 / r);
+    const double t5 = (Ia * t4);
+    const double t6 = (t3 * t5);
+    const double t7 = (ct * l2);
+    const double t8 = (l1 * st);
+    const double t9 = (t7 - t8);
+    if (l2 == 0.0) return 1;
+    const double t10 = (1.0 / l2);
+    const double t11 = (((1.0 / 2.0) * r) * t10);
+    const double t12 = (t11 * (mc + mp));
+    const double t13 = (ca * yF);
+    const double t14 = (ct * yB);
+    const double t15 = (st * xB);
+    const double t16 = (sa * xF);
+    const double t17 = ((((mc * t14) + (mc * t15)) + (mp * t13)) + (mp * t16));
+    const double t18 = (t11 * t17);
+    const double t19 = (t0 + t1);
+    const double t20 = (ct * xB);
+    const double t21 = (st * yB);
+    const double t22 = (t20 - t21);
+    const double t23 = (mc * t22);
+    const double t24 = (t19 * t23);
+    const double t25 = (t14 + t15);
+    const double t26 = (mc * t25);
+    const double t27 = (t26 * t9);
+    const double t28 = (Ic + (mc * ((xB * xB) + (yB * yB))));
+    const double t29 = (t11 * t3);
+    const double t30 = (t29 * ((t24 - t27) + t28));
+    const double t31 = (t7 + t8);
+    const double t32 = (ca * xF);
+    const double t33 = (sa * yF);
+    const double t34 = ((((mc * t20) - (mc * t21)) + (mp * t32)) - (mp * t33));
+    const double t35 = (t11 * t34);
+    const double t36 = (Ip + (mp * ((xF * xF) + (yF * yF))));
+    const double t37 = (t29 * (((t2 * t23) + (t26 * t31)) + t28));
+    const double t38 = (t13 + t16);
+    const double t39 = (t32 - t33);
+    const double t40 = (dth * t5);
+    const double t41 = (dth * t11);
+    const double t42 = (t28 * t41);
+    const double t43 = (ct * t42);
+    const double t44 = ((ct * t22) - (st * t25));
+    const double t45 = (mc * t41);
+    const double t46 = (t19 * t45);
+    const double t47 = (ct * t25);
+    const double t48 = ((st * t22) + t47);
+    const double t49 = (st * t42);
+    const double t50 = ((da * mp) * t11);
+    const double t51 = (bw * t4);
+    const double t52 = (t31 * t45);
+    const double t53 = (t2 * t45);
+    const double t54 = (bp * t3);
+    const double m00 = (((((-st) * t30) + (t12 * t9)) - t18) + (t2 * t6));
+    const double m01 = ((((ct * t30) + (t12 * t19)) + (t31 * t6)) + t35);
+    const double m02 = (t11 * ((((((-t17) * t9) + (t19 * t34)) - t24) + t27) + t36));
+    const double m10 = ((((st * t37) + (t12 * t31)) + t18) + (t19 * t6));
+    const double m11 = (((((-ct) * t37) - (t12 * t2)) - t35) - (t6 * t9));
+    const double m12 = (t11 * ((((((mc * t2) * t22) + ((mc * t25) * t31)) - (t17 * t31)) - (t2 * t34)) - t36));
+    const double m20 = ((-mp) * t38);
+    const double m21 = (mp * t39);
+    const double m22 = t36;
+    const double c00 = (t3 * ((((((bw * t2) * t4) + (((((((1.0 / 2.0) * dth) * mc) * r) * t10) * t48) * t9)) - (t31 * t40)) - t43) - (t44 * t46)));
+    const double c01 = (t3 * (((((((Ia * dth) * t2) * t4) + ((bw * t31) * t4)) - ((t44 * t45) * t9)) - (t46 * ((st * t22) + t47))) - t49));
+    const double c02 = ((-t50) * ((t19 * t38) + (t39 * t9)));
+    const double c10 = (t3 * (((((t19 * t51) + (t40 * t9)) + t43) + (t44 * t53)) + (t48 * t52)));
+    const double c11 = (t3 * (((((t19 * t40) - (t44 * t52)) + (t48 * t53)) + t49) - (t51 * t9)));
+    const double c12 = (t50 * ((t2 * t38) - (t31 * t39)));
+    const double c20 = (st * t54);
+    const double c21 = ((-ct) * t54);
+    const double c22 = bp;
+    m[0] = m00;
+    m[1] = m01;
+    m[2] = m02;
+    m[3] = m10;
+    m[4] = m11;
+    m[5] = m12;
+    m[6] = m20;
+    m[7] = m21;
+    m[8] = m22;
+    c[0] = c00;
+    c[1] = c01;
+    c[2] = c02;
+    c[3] = c10;
+    c[4] = c11;
+    c[5] = c12;
+    c[6] = c20;
+    c[7] = c21;
+    c[8] = c22;
+    return 0;
+}
+
 int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
                       const double *y, const double *k1,
                       double *y_new, double *k7, double *ratio)
@@ -325,8 +460,11 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     return 0;
 }
 
-/* BLAS ddot with 64-bit integers: numpy's dot of two float64 vectors */
+/* BLAS ddot and dgemv with 64-bit integers: numpy's dot of two float64
+   vectors and its (3, 3) @ (3,) */
 typedef double (*ddot_t)(long long, const double *, long long, const double *, long long);
+typedef void (*dgemv_t)(int, int, long long, long long, double, const double *, long long,
+                        const double *, long long, double, double *, long long);
 
 static const double SAFETY = 0.9;
 static const double MIN_FACTOR = 0.2;
@@ -375,7 +513,8 @@ static int advance(struct rollout *r, double t, double t1)
         }
         const int clipped = h_next >= remaining;
         const double h = clipped ? remaining : h_next;
-        if (h < TIME_RESOLUTION * py_max(1.0, fabs(t))) return 4;
+        /* written so that a NaN step underflows too */
+        if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return 4;
         const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
                                         y[!now], k[!now], ratio);
         if (s) return s;
@@ -412,21 +551,65 @@ static int advance(struct rollout *r, double t, double t1)
     return 0;
 }
 
-/* Events [i, j) of simulate.integrate: at each event the hold (a fresh
+/* y = a @ v for a row-major 3x3 a, through numpy's dgemv: row-major (101),
+   no transpose (111), alpha 1, beta 0 */
+static void matvec(const struct rollout *r, const double *a, const double *v, double *y)
+{
+    ((dgemv_t)r->dgemv)(101, 111, 3, 3, 1.0, a, 3, v, 1, 0.0, y, 1);
+}
+
+/* control.computed_torque at the state r->x and the reference row
+   r->instant: the torque into u and the row r->instant of u_traj and
+   u_corr, with every operation in numpy's order; u_corr is zero without
+   feedback. A nonzero status is where the task-space model raises in
+   Python. */
+static int computed_torque(struct rollout *r, double *u)
+{
+    const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
+    double *u_traj = (double *)r->u_traj + 3 * r->instant;
+    double *u_corr = (double *)r->u_corr + 3 * r->instant;
+    double mbar[9], cbar[9], a[3] = {0.0}, b[3] = {0.0}, w[3];
+    const int s = task_space_model(r->blk, x, mbar, cbar);
+    if (s) return s;
+    matvec(r, mbar, ref + 6, a);
+    matvec(r, cbar, x + 6, b);
+    for (int c = 0; c < 3; c++) {
+        u_traj[c] = a[c] + b[c];
+        u_corr[c] = 0.0;
+    }
+    if (r->law == 2) {
+        for (int c = 0; c < 3; c++)
+            w[c] = ((-r->kp[c]) * (x[c] - ref[c])) - (r->kv[c] * (x[c + 6] - ref[c + 3]));
+        matvec(r, mbar, w, u_corr);
+    }
+    /* + 0.0 without feedback, so that a -0.0 becomes 0.0 as in numpy */
+    for (int c = 0; c < 3; c++) u[c] = u_traj[c] + u_corr[c];
+    return 0;
+}
+
+/* Events [i, j) of simulate.integrate: at each event the law at a control
+   instant (or the torques held from the last one), the hold (a fresh
    first stage where the torque bits change or a disturbance edge lies),
    the output row, then the segment to the next event. Returns 0, or the
-   status that stopped it at r->event: before the hold (r->resume 0) or
-   before the segment (r->resume 1). A call with r->resume 1 starts at the
-   segment. */
+   status that stopped it at r->event: before the law or the hold
+   (r->resume 0) or before the segment (r->resume 1). A call with
+   r->resume 1 starts at the segment. */
 int robot_rollout(struct rollout *r, long i, long j)
 {
-    const double *events = r->events, *held = r->held, *forces = r->forces;
-    const unsigned char *out = r->out, *brk = r->brk;
-    double *states = r->states, *derivs = r->derivs, *controls = r->controls;
+    const double *events = r->events, *forces = r->forces;
+    const unsigned char *out = r->out, *start = r->start, *brk = r->brk;
+    double *held = r->held, *states = r->states, *derivs = r->derivs, *controls = r->controls;
     for (long e = i; e < j; e++) {
-        const double *u = held + 3 * e;
+        double *u = held + 3 * e;
+        const int instant = r->law && start[e];
         r->event = e;
         if (!r->resume) {
+            if (instant) {
+                const int s = computed_torque(r, u);
+                if (s) return s;
+            } else if (r->law) {
+                copy(u, u - 3, 3);
+            }
             if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
                 double k1[12];
                 copy(r->blk + 14, u, 3);
@@ -436,6 +619,7 @@ int robot_rollout(struct rollout *r, long i, long j)
                 copy(r->k1, k1, 12);
                 r->fevals += 1;
             }
+            r->instant += instant;
             if (out[e]) {
                 copy(states + 12 * r->row, r->x, 12);
                 copy(derivs + 12 * r->row, r->k1, 12);

@@ -271,9 +271,9 @@ def _cmd_simulate(args) -> int:
             traj = simulate_robot(params, cfg.initial_state(), controls, output_times=grid)
             trajectory_to_csv(traj, run.emit("trajectory.csv"))
         for kind, sigma in cfg.sensors.items():
-            # a shaft's sensors are encoders on its rate, whatever their key
-            model = SensorModel(kind="encoder" if shaft else kind, sigma=sigma,
-                                rate=cfg.sensor_rate, axis=1 if shaft else None)
+            # a shaft's encoder reads its rate
+            model = SensorModel(kind=kind, sigma=sigma, rate=cfg.sensor_rate,
+                                axis=1 if shaft else None)
             _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     else:
         params = run.config(args.params, load_params, nominal_params())
@@ -404,16 +404,16 @@ def _cmd_control(args) -> int:
     rate = cfg.loop_rate if args.rate is None else args.rate
     seed = _resolve_seed(args.seed, cfg.seed)
     run.seeds["scenario"] = seed
+    plan = None
     if cfg.mode == "plan":
         plan_file = Path(args.plan) if args.plan else plan_path(cfg, out)
         # a plan on disk is read now; a generated one is written after the checks
-        plan = None
         if args.plan or plan_file.exists():
             plan = run.config(plan_file, trajectory_from_csv, None)
-        horizon = cfg.horizon if plan is None else float(plan.times[-1] - plan.times[0])
     else:
         ref = make_reference(cfg.reference)
-        horizon = ref.horizon
+    # the run lasts the scenario's horizon, or that of a plan read from disk
+    horizon = cfg.horizon if plan is None else float(plan.times[-1] - plan.times[0])
     # the tracking loop runs a whole number of control periods
     if whole_periods(horizon, rate) is None:
         source = "--rate" if args.rate is not None else f"{cfg.path}: [control] rate"
@@ -434,10 +434,11 @@ def _cmd_control(args) -> int:
         if cfg.mode == "controller":
             x0 = cfg.initial_state(ref)
             result = closed_loop_simulate(
-                params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances
+                params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances,
+                t_end=horizon,
             )
             _write_tracking_outputs(run, result)
-            feas = torque_feasibility(params, ref, gains)
+            feas = torque_feasibility(params, ref, gains, t_end=horizon)
             _write_feasibility(run, feas)
             ep = np.linalg.norm(result.e_p[:, :2], axis=1)
             fh.write(f"peak_position_error = {format_float(ep.max())}\n")
@@ -469,7 +470,7 @@ def _cmd_check_torques(args) -> int:
     gains = tune_gains(cfg.t_stab)
     bounds = TorqueBounds.symmetric(torque=args.limit)
     ref = make_reference(cfg.reference)
-    report = torque_feasibility(params, ref, gains, bounds)
+    report = torque_feasibility(params, ref, gains, bounds, t_end=cfg.horizon)
     _write_feasibility(run, report)
     with open(run.emit("report.txt"), "w") as fh:
         fh.write(f"scenario = {cfg.name}\n")

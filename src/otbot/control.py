@@ -22,7 +22,6 @@ from .references import PlanReference, ReferenceTrajectory
 from .simulate import (  # the disturbance types are re-exported from here
     ControlSequence,
     DisturbanceSchedule,
-    FeedbackLaw,
     ForcePulse,
     SimTrajectory,
     simulate_robot,
@@ -30,6 +29,8 @@ from .simulate import (  # the disturbance types are re-exported from here
 )
 
 DEFAULT_TORQUE_LIMIT = 50.0
+# grid rate [Hz] of the feasibility check's feedforward rollout
+FEASIBILITY_RATE = 100.0
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,28 @@ def computed_torque(
     return ControlInput(u=u_traj + u_corr, u_traj=u_traj, u_corr=u_corr)
 
 
+class FeedbackLaw:
+    """The computed-torque law as data: row k of ``reference`` is (p_d, dp_d,
+    ddp_d) at ``boundaries[k]``; ``gains=None`` is feedforward. A robot rollout
+    evaluates it on its own parameters at instant k, by :meth:`command` or in C
+    to the same bits, holds the torque and fills row k of ``u_traj`` and ``u_corr``."""
+
+    def __init__(self, boundaries: np.ndarray, reference: np.ndarray, gains: Gains | None):
+        self.boundaries, self.gains = boundaries, gains
+        self.t0, self.end_time = float(boundaries[0]), float(boundaries[-1])
+        self.reference = np.ascontiguousarray(reference, dtype=float)
+        if self.reference.shape != (len(boundaries), 9):
+            raise ValueError(f"need one reference row of 9 per instant, got {self.reference.shape}")
+        self.u_traj, self.u_corr = np.empty((len(boundaries), 3)), np.empty((len(boundaries), 3))
+
+    def command(self, params: RobotParams, k: int, x: np.ndarray) -> np.ndarray:
+        """The torque at the k-th instant from the state ``x``, by :func:`computed_torque`."""
+        # the row's three 3-vectors are (p_d, dp_d, ddp_d)
+        command = computed_torque(params, RobotState(q=x[:6], dq=x[6:]), self.reference[k].reshape(3, 3), self.gains)
+        self.u_traj[k], self.u_corr[k] = command.u_traj, command.u_corr
+        return command.u
+
+
 @dataclass
 class TrackingResult:
     """Closed-loop (or feedforward) run sampled on the control grid."""
@@ -146,39 +169,14 @@ def closed_loop_simulate(
     n = whole_periods(t_end, control_rate)
     if n is None:
         raise ValueError("t_end must be a whole number of control periods")
-    dt = 1.0 / control_rate
-    p_ref, v_ref, a_ref, u_traj, u_corr = (np.empty((n + 1, 3)) for _ in range(5))
-    k = 0
-
-    def law(t, x):
-        nonlocal k
-        sample = ref.sample(t)
-        command = computed_torque(params, RobotState(q=x[:6], dq=x[6:]), sample, gains)
-        p_ref[k], v_ref[k], a_ref[k] = sample
-        u_traj[k] = command.u_traj
-        u_corr[k] = command.u_corr
-        k += 1
-        return command.u
-
+    grid = (1.0 / control_rate) * np.arange(n + 1)
+    law = FeedbackLaw(grid, np.column_stack(ref.sample(grid)), gains)
     if not isinstance(state0, RobotState):
         state0 = RobotState.from_vector(state0)
-    traj = simulate_robot(
-        params,
-        state0,
-        FeedbackLaw(dt * np.arange(n + 1), law),
-        disturbances=disturbances,
-        options=options,
-    )
-    return TrackingResult(
-        trajectory=traj,
-        p_ref=p_ref,
-        v_ref=v_ref,
-        a_ref=a_ref,
-        e_p=traj.states[:, 0:3] - p_ref,
-        e_v=traj.states[:, 6:9] - v_ref,
-        u_traj=u_traj,
-        u_corr=u_corr,
-    )
+    traj = simulate_robot(params, state0, law, disturbances=disturbances, options=options)
+    p_ref, v_ref, a_ref = (law.reference[:, i : i + 3] for i in (0, 3, 6))
+    e_p, e_v = traj.states[:, 0:3] - p_ref, traj.states[:, 6:9] - v_ref
+    return TrackingResult(traj, p_ref, v_ref, a_ref, e_p, e_v, law.u_traj, law.u_corr)
 
 
 def reference_start_state(params: RobotParams, ref: ReferenceTrajectory) -> RobotState:
@@ -285,7 +283,7 @@ def torque_feasibility(
     ref: ReferenceTrajectory,
     gains: Gains,
     bounds: TorqueBounds | None = None,
-    rate: float = 100.0,
+    rate: float = FEASIBILITY_RATE,
     t_end: float | None = None,
 ) -> FeasibilityReport:
     """Interval certificate that tracking torques stay inside actuator limits.
@@ -298,25 +296,15 @@ def torque_feasibility(
     """
     bounds = bounds or TorqueBounds.symmetric()
     roll = feedforward_rollout(params, ref, rate=rate, t_end=t_end)
-    states = roll.trajectory.states
-    n = len(roll.trajectory.times)
-
-    lo = np.empty((n, 3))
-    hi = np.empty((n, 3))
-    nominal = np.empty((n, 3))
-    mbars = np.empty((n, 3, 3))
-    cbars = np.empty((n, 3, 3))
+    models = [task_space_model(params, x[:6], x[6:]) for x in roll.trajectory.states]
+    mbars = np.array([mbar for mbar, _ in models])
+    cbars = np.array([cbar for _, cbar in models])
     feedback = bounds.position_box.scale(-gains.kp) + bounds.velocity_box.scale(-gains.kv)
-    for k in range(n):
-        mbar, cbar = task_space_model(params, states[k, :6], states[k, 6:])
-        mbars[k] = mbar
-        cbars[k] = cbar
-        corr = matvec(mbar, feedback)
-        traj = matvec(cbar, bounds.velocity_box + roll.v_ref[k]) + mbar @ roll.a_ref[k]
-        total = corr + traj
-        lo[k] = total.lo
-        hi[k] = total.hi
-        nominal[k] = mbar @ roll.a_ref[k] + cbar @ roll.v_ref[k]
+    # stacked matmul gives each sample's ``mbar @ a_ref[k]`` bit for bit
+    mbar_a = (mbars @ roll.a_ref[:, :, None])[:, :, 0]
+    total = matvec(mbars, feedback) + (matvec(cbars, bounds.velocity_box + roll.v_ref) + mbar_a)
+    lo, hi = total.lo, total.hi
+    nominal = mbar_a + (cbars @ roll.v_ref[:, :, None])[:, :, 0]
 
     margin = float(np.minimum(bounds.limits.hi - hi, lo - bounds.limits.lo).min())
     return FeasibilityReport(

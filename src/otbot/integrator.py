@@ -227,7 +227,7 @@ def advance_segment(
             break
         clipped = h_next >= remaining
         h = remaining if clipped else h_next
-        if h < _TIME_RESOLUTION * max(1.0, abs(t)):
+        if not h >= _TIME_RESOLUTION * max(1.0, abs(t)):  # a NaN step underflows too
             raise IntegrationError(
                 f"step size underflow at t = {t:.6e} (h = {h:.3e}, "
                 f"{stats.rejected} rejected steps so far)",

@@ -86,10 +86,12 @@ class Interval:
 def matvec(matrix, box: Interval) -> Interval:
     """Hull of ``matrix @ v`` for v in the box (matrix is a point matrix).
 
-    Each output component is a sum of scalar products, so the exact hull
-    follows from the sum and constant-product rules.
+    Stacked (n, 3, 3) matrices give the hulls of each ``matrix[k] @ v``, over
+    one box or each of n boxes. Each output component is a sum of scalar
+    products, so the exact hull follows from the sum and constant-product rules.
     """
     a = np.asarray(matrix, dtype=float)
-    lo_term = np.where(a >= 0.0, box.lo, box.hi)
-    hi_term = np.where(a >= 0.0, box.hi, box.lo)
-    return Interval((a * lo_term).sum(axis=1), (a * hi_term).sum(axis=1))
+    lo, hi = box.lo[..., None, :], box.hi[..., None, :]
+    lo_term = np.where(a >= 0.0, lo, hi)
+    hi_term = np.where(a >= 0.0, hi, lo)
+    return Interval((a * lo_term).sum(axis=-1), (a * hi_term).sum(axis=-1))

@@ -17,12 +17,21 @@ from .simulate import SimTrajectory
 
 
 class ReferenceTrajectory:
-    """Base: subclasses define ``horizon`` and ``sample``."""
+    """Base: subclasses define ``horizon`` and ``_sample``."""
 
     horizon: float
 
-    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
+    def sample(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p_d, dp_d, ddp_d) at a time as 3-vectors, or at a 1-D array of
+        times as (n, 3) arrays whose row k is, bit for bit, that at ``t[k]``."""
+        times = np.asarray(t, dtype=float)
+        p, v, a = self._sample(np.atleast_1d(times))
+        return (p, v, a) if times.ndim else (p[0], v[0], a[0])
+
+
+def _planar(xy: np.ndarray) -> np.ndarray:
+    """(n, 3) rows (x, y, 0) from (n, 2) rows (x, y)."""
+    return np.column_stack([xy, np.zeros(len(xy))])
 
 
 @dataclass
@@ -53,15 +62,15 @@ class CorridorReference(ReferenceTrajectory):
     def goal_time(self) -> float:
         return 5 * self.leg_time
 
-    def sample(self, t: float):
-        ddp = np.zeros(3)
-        if t >= self.goal_time:
-            goal = self._starts[-1] + self._dirs[-1] * self.leg_length
-            return np.array([goal[0], goal[1], 0.0]), np.zeros(3), ddp
-        k = min(int(t / self.leg_time), 4)
-        xy = self._starts[k] + self._dirs[k] * self.speed * (t - k * self.leg_time)
+    def _sample(self, t):
+        k = np.minimum((t / self.leg_time).astype(int), 4)
+        xy = self._starts[k] + self._dirs[k] * self.speed * (t - k * self.leg_time)[:, None]
         v = self._dirs[k] * self.speed
-        return np.array([xy[0], xy[1], 0.0]), np.array([v[0], v[1], 0.0]), ddp
+        # the goal pose is held once reached
+        done = t >= self.goal_time
+        xy[done] = self._starts[-1] + self._dirs[-1] * self.leg_length
+        v[done] = 0.0
+        return _planar(xy), _planar(v), np.zeros((len(t), 3))
 
 
 @dataclass
@@ -97,34 +106,29 @@ class Figure8Reference(ReferenceTrajectory):
         ]
         self._cum = np.cumsum([seg[1] for seg in self._segments])
 
-    def sample(self, t: float):
-        s = (self.speed * t) % self.path_length
-        k = int(np.searchsorted(self._cum, s, side="right"))
-        k = min(k, len(self._segments) - 1)
-        s0 = 0.0 if k == 0 else self._cum[k - 1]
-        kind, _, data = self._segments[k]
-        ds = s - s0
+    def _sample(self, t):
+        s = np.remainder(self.speed * t, self.path_length)
+        k = np.minimum(np.searchsorted(self._cum, s, side="right"), len(self._segments) - 1)
+        ds = s - np.where(k == 0, 0.0, self._cum[k - 1])
         v = self.speed
-        if kind == "line":
-            start, u = data
-            xy = start + u * ds
-            return (
-                np.array([xy[0], xy[1], 0.0]),
-                np.array([v * u[0], v * u[1], 0.0]),
-                np.zeros(3),
-            )
-        centre, psi0, turn = data
-        r = self.radius
-        psi = psi0 + turn * ds / r
-        c, sn = math.cos(psi), math.sin(psi)
-        xy = centre + r * np.array([c, sn])
-        vel = v * turn * np.array([-sn, c])
-        acc = -(v * v / r) * np.array([c, sn])
-        return (
-            np.array([xy[0], xy[1], 0.0]),
-            np.array([vel[0], vel[1], 0.0]),
-            np.array([acc[0], acc[1], 0.0]),
-        )
+        xy, vel, acc = (np.zeros((len(t), 2)) for _ in range(3))
+        for i, (kind, _, data) in enumerate(self._segments):
+            on = np.flatnonzero(k == i)
+            if kind == "line":
+                start, u = data
+                xy[on] = start + u * ds[on, None]
+                vel[on] = (v * u[0], v * u[1])
+                continue
+            centre, psi0, turn = data
+            r = self.radius
+            psi = psi0 + turn * ds[on] / r
+            # libm's bits, element by element, as for a single time
+            angles = psi.tolist()
+            c, sn = (np.fromiter(map(fn, angles), float, len(angles)) for fn in (math.cos, math.sin))
+            xy[on] = centre + r * np.column_stack([c, sn])
+            vel[on] = v * turn * np.column_stack([-sn, c])
+            acc[on] = -(v * v / r) * np.column_stack([c, sn])
+        return _planar(xy), _planar(vel), _planar(acc)
 
 
 @dataclass
@@ -135,9 +139,10 @@ class HarmonicReference(ReferenceTrajectory):
     frequency: tuple[float, float, float] = (0.2, 0.3, 0.25)  # Hz
     horizon: float = 10.0
 
-    def sample(self, t: float):
+    def _sample(self, t):
         a = np.asarray(self.amplitude)
         w = 2.0 * math.pi * np.asarray(self.frequency)
+        t = t[:, None]
         # sin ramps from zero position and zero acceleration at t = 0
         return (
             a * np.sin(w * t),
@@ -181,10 +186,9 @@ class PlanReference(ReferenceTrajectory):
         self._a = a
         self.horizon = float(times[-1] - times[0])
 
-    def sample(self, t: float):
-        k = int(math.floor((t - self._t0) / self._dt))
-        k = min(max(k, 0), len(self._p) - 2)
-        tau = (t - self._t0) - k * self._dt
+    def _sample(self, t):
+        k = np.clip(np.floor((t - self._t0) / self._dt).astype(int), 0, len(self._p) - 2)
+        tau = ((t - self._t0) - k * self._dt)[:, None]
         a = self._a[k]
         v = self._v[k] + a * tau
         p = self._p[k] + self._v[k] * tau + 0.5 * a * tau * tau

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .control import FEASIBILITY_RATE, reference_start_state
 from .dynamics import RobotState, admissible_state, inverse_dynamics, admissible_acceleration
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
@@ -105,8 +106,6 @@ class ScenarioConfig:
             return RobotState.rest(self.q0.copy())
         if ref is None:
             raise ConfigError(f"{self.path}: velocity = reference needs a reference")
-        from .control import reference_start_state
-
         return reference_start_state(self.params, ref)
 
     def validate(self) -> None:
@@ -120,8 +119,9 @@ class ScenarioConfig:
             raise ConfigError(f"{self.path}: torques mode needs a [torques] section")
         if self.mode == "controller" and self.reference is None:
             raise ConfigError(f"{self.path}: controller mode needs a reference")
-        if self.mode == "controller":
-            make_reference(self.reference)
+        # a controller runs for its horizon (the cli checks it against the
+        # [control] rate, which --rate overrides); an unknown reference raises
+        ref_horizon = make_reference(self.reference).horizon if self.mode == "controller" else None
         if self.velocity not in ("rest", "reference"):
             raise ConfigError(f"{self.path}: velocity must be rest or reference")
         for key, value in (
@@ -142,6 +142,19 @@ class ScenarioConfig:
             what = "shorter than one period" if round(self.horizon * hold_rate) < 1 else "not whole periods"
             raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is {what} "
                               f"of [{self.mode}] rate {hold_rate!r} Hz")
+        if ref_horizon is not None and not self.horizon <= ref_horizon:
+            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s runs past the "
+                              f"{ref_horizon!r} s of the {self.reference} reference")
+        if ref_horizon is not None and whole_periods(self.horizon, FEASIBILITY_RATE) is None:
+            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is not whole "
+                              f"periods of the {FEASIBILITY_RATE!r} Hz feasibility grid")
+        for kind in self.sensors:
+            needs = {"encoder": "a shaft axis", "imu": "the whole robot"}.get(kind)
+            if needs is None:
+                raise ConfigError(f"{self.path}: [sensors] unknown sensor kind {kind!r} (imu or encoder)")
+            if (kind == "encoder") != (self.mode == "shaft"):
+                raise ConfigError(f"{self.path}: [sensors] {kind} needs {needs}, "
+                                  f"which a {self.mode} scenario does not have")
 
 
 def _floats(text: str) -> np.ndarray:

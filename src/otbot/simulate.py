@@ -2,8 +2,9 @@
 
 Inputs are zero-order held. They come either from a torque sequence (open
 loop) or from a feedback law evaluated at each control instant (closed
-loop). The integrator is never allowed to step across a hold boundary, an
-output sample time or a disturbance on/off edge, so every recorded sample is
+loop: ``otbot.control.FeedbackLaw``, the computed-torque law as data). The
+integrator is never allowed to step across a hold boundary, an output
+sample time or a disturbance on/off edge, so every recorded sample is
 an exact step endpoint and no dense-output interpolation is needed.
 
 Recorded derivatives follow the right-continuous convention: the derivative
@@ -18,13 +19,16 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import RobotState, state_derivative
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment, initial_step
 from .params import PARAM_FIELDS, RobotParams
+
+if TYPE_CHECKING:  # control imports this module
+    from .control import FeedbackLaw
 
 TRAJECTORY_COLUMNS = (
     "t",
@@ -79,27 +83,6 @@ class ControlSequence:
     @property
     def end_time(self) -> float:
         return self.t0 + self.dt * len(self.samples)
-
-
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """Input computed from the state: ``law(t, x)`` at each of ``boundaries``.
-
-    ``x`` is the state as an ndarray and the law returns the input as an
-    ndarray, held until the next instant. It is called once per instant, in
-    time order, the last instant included.
-    """
-
-    boundaries: np.ndarray
-    law: Callable[[float, np.ndarray], np.ndarray]
-
-    @property
-    def t0(self) -> float:
-        return float(self.boundaries[0])
-
-    @property
-    def end_time(self) -> float:
-        return float(self.boundaries[-1])
 
 
 @dataclass(frozen=True)
@@ -200,7 +183,8 @@ def integrate(
     integrator's contract (``t`` a float, ``y`` a list of floats, a sequence
     of floats returned) and may not depend on ``t``. The input is a
     ``ControlSequence`` row (open loop) or the value of a ``FeedbackLaw`` at
-    its latest instant (closed loop). The pivot force comes from
+    its latest instant (closed loop): ``law.command(params, k, x)`` at the
+    k-th instant, on the robot model's own ``params``. The pivot force comes from
     ``disturbances``, read once per segment, so it is constant over each
     step; the model of a shaft ignores it.
 
@@ -215,8 +199,8 @@ def integrate(
     of being evaluated again; the results are the same bits either way. The
     derivative recorded at the end follows the same rule.
 
-    A robot model (one with ``robot_params``) runs this loop in C where that
-    loads (:func:`_compiled_rollout`), to the same bits.
+    A robot model (one with ``params``) runs this loop, the law included,
+    in C where that loads (:func:`_compiled_rollout`), to the same bits.
     """
     opts = options or IntegratorOptions()
     schedule = disturbances or DisturbanceSchedule()
@@ -238,28 +222,30 @@ def integrate(
     # boundaries merged onto a nearby output time could otherwise pick the
     # neighbouring interval's value
     inside = np.append(0.5 * (events[:-1] + events[1:]), events[-1])
-    if isinstance(controls, FeedbackLaw):
-        held = None
-        on_start[0] = True
-    else:
+    if isinstance(controls, ControlSequence):
         idx = np.searchsorted(controls.boundaries, inside, side="right") - 1
-        held = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)]
+        held, law = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)], None
+    else:
+        held, law = None, controls
+        if not on_start[0]:  # the law's k-th instant reads its k-th row
+            raise ValueError("a feedback law needs a control instant at the start of the span")
 
     x = np.asarray(x0, dtype=float).copy()
-    if getattr(model, "robot_params", None) is not None and (held is None or held.shape[1] == 3):
+    params = getattr(model, "params", None)
+    if params is not None and (held is None or held.shape[1] == 3):
         kernel = _robot_kernel()
         robot_rollouts["python" if kernel is None else "c"] += 1
         if kernel is not None:
             return _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break,
-                                     held, schedule.force_at(inside), controls)
+                                     held, schedule.force_at(inside), law)
     times = events[on_out]
     states = np.empty((len(times), len(x)))
     derivs = np.empty_like(states)
-    inputs = None
+    inputs = np.empty((len(times), 3 if held is None else held.shape[1]))
     stats = IntegratorStats()
     h = opts.first_step
     last_bits = None
-    row = 0
+    row = instant = 0
     # the flags are iterated as arrays and the times converted one at a
     # time, so no per-event Python objects outlive their event
     for i, (t, out, start, brk) in enumerate(zip(map(float, events), on_out, on_start, on_break)):
@@ -268,7 +254,8 @@ def integrate(
         if held is not None:
             u = held[i]
         elif start:
-            u = np.asarray(controls.law(t, x), dtype=float)
+            u = law.command(params, instant, x)
+            instant += 1
         # compared bit for bit, so that 0.0 and -0.0 count as different holds
         bits = u.tobytes()
         if bits != last_bits or brk:
@@ -277,8 +264,6 @@ def integrate(
             stats.fevals += 1
             last_bits = bits
         if out:
-            if inputs is None:
-                inputs = np.empty((len(times), len(u)))
             states[row] = x
             derivs[row] = k1
             inputs[row] = u
@@ -306,48 +291,52 @@ def _robot_kernel():
     return _ckernel.load()
 
 
-def _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break, held, forces, controls):
+def _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break, held, forces, law):
     """:func:`integrate`'s loop for the robot on ``robot_rollout`` (``_dp5_robot.c``),
-    a feedback law called here at each control instant.
+    the feedback ``law`` included.
 
     Where the C stops, Python guesses the first step, raises the exception
-    of a hold or a segment, or advances a segment past a zero error scale;
-    then the C resumes. The struct belongs to this rollout: rollouts may run
-    on threads, and the foreign call releases the GIL."""
-    from ._ckernel import Rollout
+    of a law instant, a hold or a segment, or advances a segment past a zero
+    error scale; then the C resumes. The struct belongs to this rollout:
+    rollouts may run on threads, and the foreign call releases the GIL."""
+    from ._ckernel import FEEDBACK, FEEDFORWARD, Rollout
 
-    run, ddot = kernel
+    run, ddot, dgemv = kernel
     n = len(events)
-    law = controls.law if held is None else None
-    starts = [0] if law is None else np.flatnonzero(on_start).tolist()
-    held = np.empty((n, 3)) if law is not None else held
     states = np.empty((int(on_out.sum()), 12))
     derivs, inputs = np.empty_like(states), np.empty((len(states), 3))
-    tables = (events, on_out, on_break, held, forces, states, derivs, inputs)
-    c = Rollout(*(a.ctypes.data for a in tables), ddot, opts.rtol, opts.atol, opts.max_step,
-                opts.first_step or 0.0, math.inf, 0.0, n, opts.first_step is None)
-    c.blk[:14] = model.robot_params
+    rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
+    held = np.empty((n, 3)) if law is not None else held
+    tables = (events, on_out, on_start, on_break, held, forces, states, derivs, inputs, *rows)
+    c = Rollout(*(None if a is None else a.ctypes.data for a in tables), ddot, dgemv,
+                opts.rtol, opts.atol, opts.max_step, opts.first_step or 0.0, math.inf, 0.0, n,
+                opts.first_step is None)
+    c.blk[:14] = [getattr(model.params, name) for name in PARAM_FIELDS]
+    if law is not None:
+        c.law = FEEDFORWARD if law.gains is None else FEEDBACK
+        if law.gains is not None:
+            c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
     cx, ck1 = np.ctypeslib.as_array(c.x), np.ctypeslib.as_array(c.k1)
     cx[:] = x
-    for i, j in zip(starts, starts[1:] + [n]):
-        if law is not None:
-            held[i:j] = np.asarray(law(float(events[i]), cx.copy()), dtype=float)
-        while run(c, i, j):
-            i, t = c.event, float(events[c.event])
-            f = model(c.blk[14:17], c.blk[17:])
-            if not c.resume:  # at the hold of event i
-                f(t, cx.tolist())  # raises where the C stopped
-                raise AssertionError(f"the compiled rhs stopped at t = {t!r}, where Python does not")
-            if c.guess:  # the first step, from the first hold
-                c.h, c.guess = initial_step(f, t, cx, ck1, opts.rtol, opts.atol), 0
-                c.fevals += 1
-                continue
-            stats = IntegratorStats(*(getattr(c, name) for name in _STATS))
-            cx[:], ck1[:], c.h = advance_segment(f, t, float(events[i + 1]), cx.copy(), opts, stats,
-                                                 h_start=c.h, k1=ck1.tolist())
-            for name in _STATS:
-                setattr(c, name, getattr(stats, name))
-            c.resume, i = 0, i + 1
+    i = 0
+    while run(c, i, n):
+        i, t = c.event, float(events[c.event])
+        f = model(c.blk[14:17], c.blk[17:])
+        if not c.resume:  # at the law or the hold of event i; each raises where the C stopped
+            if law is not None and on_start[i]:
+                law.command(model.params, c.instant, cx.copy())
+            f(t, cx.tolist())
+            raise AssertionError(f"the compiled loop stopped at t = {t!r}, where Python does not")
+        if c.guess:  # the first step, from the first hold
+            c.h, c.guess = initial_step(f, t, cx, ck1, opts.rtol, opts.atol), 0
+            c.fevals += 1
+            continue
+        stats = IntegratorStats(*(getattr(c, name) for name in _STATS))
+        cx[:], ck1[:], c.h = advance_segment(f, t, float(events[i + 1]), cx.copy(), opts, stats,
+                                             h_start=c.h, k1=ck1.tolist())
+        for name in _STATS:
+            setattr(c, name, getattr(stats, name))
+        c.resume, i = 0, i + 1
     stats = {name: getattr(c, name) for name in _STATS}
     return SimTrajectory(times=events[on_out], states=states, controls=inputs, derivs=derivs, stats=stats)
 
@@ -380,8 +369,8 @@ def simulate_robot(
 
 
 def _robot_model(params: RobotParams):
-    """``model(u, force)`` of :func:`integrate` for the robot, with the parameters in
-    ``PARAM_FIELDS`` order as ``model.robot_params`` for the compiled loop."""
+    """``model(u, force)`` of :func:`integrate` for the robot, with the parameters
+    as ``model.params`` for a feedback law and the compiled loop."""
 
     def model(u, force):
         def f(t, y):
@@ -389,7 +378,7 @@ def _robot_model(params: RobotParams):
 
         return f
 
-    model.robot_params = [getattr(params, name) for name in PARAM_FIELDS]
+    model.params = params
     return model
 
 

@@ -2,9 +2,10 @@
 
 ``robot_rollout`` (``src/otbot/_dp5_robot.c``) must roll the robot out to
 the same times, states, derivatives, controls and counters as the Python
-engine of ``otbot.simulate.integrate``, hand every segment where Python
-raises back to it, and leave every rollout unchanged where it cannot be
-loaded. Its ``dp5_robot_attempt`` must give the same bits as the generated
+engine of ``otbot.simulate.integrate``, under held torques and under the
+computed-torque law (with the same reference rows, ``u_traj`` and
+``u_corr``), hand every law instant, hold or segment where Python raises
+back to it, and leave every rollout unchanged where it cannot be loaded. Its ``dp5_robot_attempt`` must give the same bits as the generated
 Python kernel. ``format_rows`` (``src/otbot/_csv_format.cpp``) must spell
 every double as ``repr`` does, so ``write_csv`` writes the same bytes with
 it and without it.
@@ -25,15 +26,21 @@ import pytest
 
 from otbot import _ckernel, simulate
 from otbot.cli import main
-from otbot.control import closed_loop_simulate, tune_gains
+from otbot.control import (
+    closed_loop_simulate,
+    feedforward_rollout,
+    reference_start_state,
+    track_planned_trajectory,
+    tune_gains,
+)
 from otbot.dynamics import RobotState, admissible_state
 from otbot.integrator import IntegrationError, IntegratorOptions, _error_norm, _step_kernel
 from otbot.params import PARAM_FIELDS, nominal_params
-from otbot.references import HarmonicReference
+from otbot.references import CorridorReference, Figure8Reference, HarmonicReference
+from otbot.scenarios import build_plan
 from otbot.simulate import (
     ControlSequence,
     DisturbanceSchedule,
-    FeedbackLaw,
     ForcePulse,
     _csv_formatter,
     _robot_kernel,
@@ -49,7 +56,7 @@ def compiled():
     """``dp5_robot_attempt`` of the compiled library, bound here; the test is
     skipped where the rollout loop cannot be loaded."""
     if _robot_kernel() is None:
-        pytest.skip("no working C compiler (cc) or no scipy-openblas ddot in numpy: "
+        pytest.skip("no working C compiler (cc) or no scipy-openblas ddot and dgemv in numpy: "
                     "the compiled rollout loop cannot be loaded")
     path = _ckernel.build(_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS)
     attempt = ctypes.CDLL(str(path)).dp5_robot_attempt
@@ -244,7 +251,7 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
 def test_the_loop_resumes_after_segments_advanced_in_python(compiled, monkeypatch):
     """Every third segment stops in C as a zero error scale would, runs in
     Python and the C resumes after it: the rollouts stay the same."""
-    run, ddot = _robot_kernel()
+    run, ddot, dgemv = _robot_kernel()
     stops = []
 
     def stopping(c, i, j):
@@ -275,7 +282,7 @@ def test_the_loop_resumes_after_segments_advanced_in_python(compiled, monkeypatc
                 closed_loop_simulate(p, state, HarmonicReference(horizon=0.2), tune_gains(1.0)).trajectory)
 
     plain = rollouts()
-    monkeypatch.setattr(simulate, "_robot_kernel", lambda: (stopping, ddot))
+    monkeypatch.setattr(simulate, "_robot_kernel", lambda: (stopping, ddot, dgemv))
     resumed = rollouts()
     assert len(stops) > 20
     monkeypatch.setattr(simulate, "_robot_kernel", lambda: None)
@@ -348,31 +355,110 @@ def test_max_and_first_step_roll_out_the_same(compiled, monkeypatch, options):
         lambda: simulate_robot(nominal_params(), state, controls, options=options), monkeypatch))
 
 
-def test_a_feedback_law_sees_the_same_calls_on_both_engines(compiled, monkeypatch):
+def _assert_same_tracking(c, py):
+    """The same tracking run bit for bit, law rows included, or the same exception."""
+    if isinstance(py, Exception):
+        _assert_same(c, py)
+        return
+    assert not isinstance(c, Exception), c
+    _assert_same(c.trajectory, py.trajectory)
+    for name in ("p_ref", "v_ref", "a_ref", "e_p", "e_v", "u_traj", "u_corr"):
+        a, b = getattr(c, name), getattr(py, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _figure8_with_pulses():
     p = nominal_params()
-    calls = []
+    ref = Figure8Reference()
+    instant = 1e-3 * np.arange(2001)  # the control grid of closed_loop_simulate
+    pulses = DisturbanceSchedule((
+        ForcePulse(instant[250], instant[400], fy=-150.0),  # on control instants
+        ForcePulse(np.nextafter(instant[500], math.inf), np.nextafter(instant[650], -math.inf), fx=200.0),
+        ForcePulse(np.nextafter(instant[1600], -math.inf), instant[1800] + 4e-4, fx=-350.0),
+    ))
+    # the lead-in straight, then the first arc from t = 1.34 s
+    return closed_loop_simulate(p, reference_start_state(p, ref), ref, tune_gains(3.0),
+                                disturbances=pulses, t_end=2.0)
 
-    def law(t, x):
-        calls.append((t, x.tobytes()))
-        # -0.0 after the tenth instant: a new hold in bits only
-        return np.array([5.0 * math.sin(t), -3.0 * x[6], 0.0 if len(calls) < 10 else -0.0])
 
-    laws = FeedbackLaw(np.arange(21) * 0.01, law)
-    pulses = DisturbanceSchedule((ForcePulse(0.033, 0.12, fx=30.0),))
-    state = _start(np.random.default_rng(11))
+def _corridor():
+    # legs of 0.5 s, so the run turns two corners, from rest
+    ref = CorridorReference(leg_length=0.3)
+    return closed_loop_simulate(nominal_params().replace(bw=0.0, bp=0.0), RobotState.rest(), ref,
+                                tune_gains(3.0), t_end=1.2)
 
-    def run():
-        calls.clear()
-        traj = simulate_robot(p, state, laws, disturbances=pulses, output_times=np.arange(41) / 200.0)
-        return traj, list(calls)
 
-    (c, c_calls), (py, py_calls) = _on_both(run, monkeypatch)
-    assert len(c_calls) == 21 and c_calls == py_calls
-    _assert_same(c, py)
-    ref = HarmonicReference(horizon=0.5)
-    _assert_same(*_on_both(
-        lambda: closed_loop_simulate(p, _start(np.random.default_rng(12)), ref, tune_gains(1.0)).trajectory,
-        monkeypatch))
+def _plan():
+    p = nominal_params()
+    plan = build_plan(p, horizon=1.0, rate=50.0, reference=HarmonicReference(horizon=1.0))
+    return track_planned_trajectory(p, plan, tune_gains(1.0))
+
+
+def _feedforward():
+    return feedforward_rollout(nominal_params(), Figure8Reference(), rate=100.0, t_end=2.0)
+
+
+@pytest.mark.parametrize("run", [_figure8_with_pulses, _corridor, _plan, _feedforward],
+                         ids=["figure8-pulses", "corridor", "plan", "feedforward"])
+def test_a_feedback_law_rolls_out_the_same_on_both_engines(compiled, monkeypatch, run):
+    _assert_same_tracking(*_on_both(run, monkeypatch))
+
+
+# dgemv with 64-bit integers, as the compiled loop calls it
+_DGEMV = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                          ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                          ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64)
+
+
+def test_feedforward_holds_a_negative_zero_u_traj_as_zero(compiled, monkeypatch):
+    """Without feedback u is ``u_traj + np.zeros(3)``, so a -0.0 in u_traj
+    is held as 0.0. numpy's dgemv gives 0.0 at rest; one that turns its
+    zeros into -0.0 makes the case."""
+    run, ddot, dgemv = _robot_kernel()
+    numpy_dgemv = _DGEMV(dgemv)
+
+    @_DGEMV
+    def negative_zeros(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy):
+        numpy_dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
+        out = (ctypes.c_double * m).from_address(y)
+        for i in range(m):
+            out[i] = -0.0 if out[i] == 0.0 else out[i]
+
+    # at rest on a reference at rest: every product is zero
+    ref = HarmonicReference(amplitude=(0.0, 0.0, 0.0), horizon=0.05)
+
+    def rollout():
+        return closed_loop_simulate(nominal_params(), RobotState.rest(), ref, None, control_rate=100.0)
+
+    py = rollout()
+    monkeypatch.setattr(simulate, "_robot_kernel",
+                        lambda: (run, ddot, ctypes.cast(negative_zeros, ctypes.c_void_p).value))
+    c = rollout()
+    assert (c.u_traj == 0.0).all() and np.signbit(c.u_traj).all()
+    assert not np.signbit(py.u_traj).any()
+    assert c.trajectory.controls.tobytes() == py.trajectory.controls.tobytes()
+    assert not np.signbit(c.trajectory.controls).any()
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"l1": 0.0}, ZeroDivisionError),
+        ({"r": 0.0}, ZeroDivisionError),
+        ({"l2": 0.0}, ZeroDivisionError),
+        ({"alpha": math.inf}, ValueError),
+    ],
+    ids=["l1-zero", "r-zero", "l2-zero", "alpha-inf"],
+)
+def test_a_law_that_stops_in_c_raises_the_python_exception(compiled, monkeypatch, change, error):
+    p = nominal_params().as_dict()
+    p.update({k: v for k, v in change.items() if k in p})
+    q = np.array([0.1, 0.2, change.get("alpha", 0.3), 0.0, 0.0, 0.1])
+    x0 = RobotState(q=q, dq=np.zeros(6))
+    c, py = _on_both(lambda: closed_loop_simulate(SimpleNamespace(**p), x0, HarmonicReference(horizon=0.01),
+                                                  tune_gains(1.0)), monkeypatch)
+    assert isinstance(py, error)
+    _assert_same_tracking(c, py)
 
 
 def test_forced_fallback_gives_the_same_rollout(compiled, request):
@@ -394,27 +480,44 @@ def test_forced_fallback_gives_the_same_rollout(compiled, request):
     _assert_same(c, py)
 
 
-@pytest.mark.parametrize("missing", ["ddot", "compiler"])
+@pytest.mark.parametrize("missing", ["ddot", "dgemv", "compiler"])
 def test_a_missing_ddot_or_compiler_runs_python_with_the_same_bytes(compiled, tmp_path, monkeypatch,
                                                                     missing):
-    argv = ["simulate", "--torques", "6,-10,6", "--duration", "0.3", "--rate", "50"]
-    assert main(argv + ["--out", str(tmp_path / "c")]) == 0
-    if missing == "ddot":
-        monkeypatch.setattr(_ckernel, "DDOT", "no_such_blas_symbol")
-        assert _ckernel.numpy_ddot() is None
-    else:
+    # a 1 s figure-8 lap with one pulse: the closed loop and the feasibility pass
+    bundled = Path(_ckernel.__file__).with_name("scenarios")
+    text = (bundled / "figure8.cfg").read_text().replace("horizon = 18", "horizon = 1")
+    text = text.replace("file = nominal.cfg", f"file = {bundled / 'nominal.cfg'}")
+    text = text.split("pulse1")[0] + "pulse1 = 0.2, 0.4, 0, -150\n"
+    (tmp_path / "short.cfg").write_text(text)
+    runs = {
+        "simulate": ["simulate", "--torques", "6,-10,6", "--duration", "0.3", "--rate", "50"],
+        "control": ["control", "--scenario", str(tmp_path / "short.cfg")],
+    }
+
+    def run_all(engine):
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / engine / name)]) == 0
+
+    run_all("c")
+    if missing == "compiler":
         monkeypatch.setattr(_ckernel, "COMPILER", str(tmp_path / "no-such-cc"))
+    else:
+        monkeypatch.setattr(_ckernel, missing.upper(), "no_such_blas_symbol")
+        assert _ckernel.numpy_blas() is None
     _robot_kernel.cache_clear()
     try:
-        assert main(argv + ["--out", str(tmp_path / "python")]) == 0
+        run_all("python")
     finally:
         monkeypatch.undo()
         _robot_kernel.cache_clear()
-    kernels = [json.loads((tmp_path / run / "manifest.json").read_text())["integrator"]["kernel"]
-               for run in ("c", "python")]
-    assert kernels == ["c", "python"]
-    c, py = ((tmp_path / run / "trajectory.csv").read_bytes() for run in ("c", "python"))
-    assert c == py
+    for name in runs:
+        c, py = (tmp_path / engine / name for engine in ("c", "python"))
+        kernels = [json.loads((d / "manifest.json").read_text())["integrator"]["kernel"] for d in (c, py)]
+        assert kernels == ["c", "python"]
+        files = sorted(f.name for f in c.glob("*.csv"))
+        assert files == sorted(f.name for f in py.glob("*.csv")) and files
+        for f in files:
+            assert (c / f).read_bytes() == (py / f).read_bytes(), (name, f)
 
 
 def _check_build_fallbacks(library, load, compiler, tmp_path, monkeypatch):

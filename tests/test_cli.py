@@ -335,6 +335,30 @@ class TestControl:
         assert "use the simulate subcommand" in capsys.readouterr().err
 
 
+    def test_a_controller_scenario_runs_for_its_horizon(self, tmp_path):
+        """horizon = 5 in a copy of corridor.cfg: the first 5 s of the bundled run."""
+        bundled = Path(otbot.__file__).with_name("scenarios")
+        text = (bundled / "corridor.cfg").read_text()
+        (tmp_path / "short.cfg").write_text(text.replace("horizon = 30", "horizon = 5"))
+        shutil.copy(bundled / "nominal.cfg", tmp_path)
+        runs = {}
+        for name, scenario in (("full", "corridor"), ("short", str(tmp_path / "short.cfg"))):
+            for command in ("control", "check-torques"):
+                out = tmp_path / name / command
+                assert main([command, "--scenario", scenario, "--out", str(out)]) == 0
+                runs[name, command] = out
+        rows = {"trajectory.csv": 5001, "errors.csv": 5001, "reference.csv": 5001,
+                "torques.csv": 5001, "feasibility.csv": 501}
+        for command in ("control", "check-torques"):
+            for table, n in rows.items():
+                if command == "check-torques" and table != "feasibility.csv":
+                    continue
+                full, short = ((runs[name, command] / table).read_bytes().splitlines(True)
+                               for name in ("full", "short"))
+                assert len(short) == n + 1 and short == full[: n + 1], (command, table)
+                assert short[-1].startswith(b"5.0,")
+
+
 class TestCheckTorques:
     def test_figure8_fits_inside_a_wider_limit(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -377,6 +401,11 @@ class TestBadNumericFlags:
         "torques-horizon-short.cfg": ("chassis-excitation", "horizon = 3", "horizon = 0.001"),
         "horizon-inf.cfg": ("chassis-excitation", "horizon = 3", "horizon = inf"),
         "torques-horizon-fraction.cfg": ("chassis-excitation", "horizon = 3", "horizon = 3.015"),
+        "horizon-past-reference.cfg": ("corridor", "horizon = 30", "horizon = 30.5"),
+        "horizon-off-feasibility-grid.cfg": ("figure8", "horizon = 18", "horizon = 5.005"),
+        "sensor-gyro.cfg": ("chassis-excitation", "imu = 13.73e-3", "gyro = 0.1"),
+        "sensor-encoder-on-robot.cfg": ("chassis-excitation", "imu = 13.73e-3", "encoder = 0.1"),
+        "sensor-imu-on-shaft.cfg": ("wheel-spin", "encoder = 0.01", "imu = 0.01"),
     }
 
     @pytest.mark.parametrize(
@@ -428,6 +457,16 @@ class TestBadNumericFlags:
              "--window 0.015 s is not a whole number of 100.0 Hz sample periods"),
             (["simulate", "--scenario", "torques-horizon-fraction.cfg"],
              "torques-horizon-fraction.cfg: [scenario] horizon 3.015 s is not whole periods of [torques] rate"),
+            (["control", "--scenario", "horizon-past-reference.cfg"],
+             "horizon-past-reference.cfg: [scenario] horizon 30.5 s runs past the 30.0 s"),
+            (["check-torques", "--scenario", "horizon-off-feasibility-grid.cfg"],
+             "horizon-off-feasibility-grid.cfg: [scenario] horizon 5.005 s is not whole periods"),
+            (["simulate", "--scenario", "sensor-gyro.cfg"],
+             "sensor-gyro.cfg: [sensors] unknown sensor kind 'gyro'"),
+            (["simulate", "--scenario", "sensor-encoder-on-robot.cfg"],
+             "sensor-encoder-on-robot.cfg: [sensors] encoder needs a shaft axis"),
+            (["simulate", "--scenario", "sensor-imu-on-shaft.cfg"],
+             "sensor-imu-on-shaft.cfg: [sensors] imu needs the whole robot"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -442,7 +481,9 @@ class TestBadNumericFlags:
              "negative-environment-seed", "negative-identify-seed", "fractional-control-periods",
              "plan-fractional-control-periods", "duration-under-one-period", "window-under-one-sample",
              "fractional-duration-periods", "fractional-window-periods",
-             "scenario-fractional-torques-horizon"],
+             "scenario-fractional-torques-horizon", "scenario-horizon-past-reference",
+             "scenario-horizon-off-feasibility-grid", "scenario-unknown-sensor-kind",
+             "scenario-encoder-without-shaft", "scenario-imu-on-shaft"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")

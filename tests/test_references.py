@@ -171,3 +171,39 @@ class TestPlanReference:
         times[3] += 2e-3
         with pytest.raises(ValueError, match="uniform"):
             PlanReference(SimTrajectory(times=times, states=good.states, controls=good.controls))
+
+
+def _around(times):
+    """Each time and the doubles one ulp below and above it."""
+    times = np.asarray(times, dtype=float)
+    return np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf)])
+
+
+def _figure8_joins(ref):
+    # the segment joins and the lap end, where the modulo wraps
+    return np.append(ref._cum, ref.path_length) / ref.speed
+
+
+def _sampling_cases():
+    corridor = CorridorReference()
+    figure8 = Figure8Reference()
+    plan = PlanReference(_plan_from(HarmonicReference()))
+    return [
+        (corridor, corridor.leg_time * np.arange(1, 6)),  # the corners and the goal
+        (figure8, _figure8_joins(figure8)),
+        (HarmonicReference(), np.array([0.0, 2.5, 5.0])),
+        (plan, np.arange(201) / 100.0),  # the plan's grid points
+    ]
+
+
+@pytest.mark.parametrize("ref, edges", _sampling_cases(), ids=["corridor", "figure8", "harmonic", "plan"])
+def test_an_array_of_times_samples_each_time_bit_for_bit(ref, edges):
+    # the 1 kHz control grid, then the edges and their neighbours
+    grid = 1e-3 * np.arange(int(round(ref.horizon * 1000.0)) + 1)
+    times = np.concatenate([grid, _around(edges)])
+    table = ref.sample(times)
+    assert [column.shape for column in table] == [(len(times), 3)] * 3
+    for k, t in enumerate(times.tolist()):
+        for column, value in zip(table, ref.sample(t)):
+            assert value.shape == (3,)
+            assert column[k].tobytes() == value.tobytes(), (k, t)

@@ -1,9 +1,16 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import otbot
 
 from otbot.dynamics import RobotState, constraint_violation, state_derivative
 from otbot.integrator import IntegratorOptions, IntegratorStats, advance_segment
@@ -74,6 +81,36 @@ def test_simulation_is_deterministic():
     b = simulate_robot(p, RobotState.rest(), chassis_controls(duration=0.4))
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.times, b.times)
+
+
+def test_a_nan_step_raises_an_integration_error_on_both_engines():
+    """atol = 0 at rest gives 0/0 error scales, so the first step is guessed
+    as NaN; it must underflow, not loop for ever. Run in a child process so
+    that a loop for ever fails here at its timeout."""
+    code = textwrap.dedent("""
+        import math
+        from otbot import simulate
+        from otbot.dynamics import RobotState
+        from otbot.integrator import IntegrationError, IntegratorOptions
+        from otbot.params import nominal_params
+        from otbot.simulate import ControlSequence, simulate_robot
+
+        controls = ControlSequence.constant([6, -10, 6], 0.1, 100)
+        for engine in ("c", "python"):
+            if engine == "python":
+                simulate._robot_kernel = lambda: None
+            try:
+                simulate_robot(nominal_params(), RobotState.rest(), controls,
+                               options=IntegratorOptions(atol=0.0))
+            except IntegrationError as exc:
+                print(engine, exc.t, math.isnan(exc.h))
+    """)
+    src = str(Path(otbot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["c 0.0 True", "python 0.0 True", ""]
 
 
 def test_output_times_subset_is_honoured():
