@@ -259,10 +259,10 @@ _STATE_ARGS = {
     "dth": "({x}[8] - {x}[11])",
 }
 
-# Nonzero statuses: where the Python kernel raises, divides by zero in the
-# error norm or finds the step underflowing, and where the first step is to
-# be guessed (integrator.initial_step); the caller goes on in Python.
-_ZERO_DIVISOR, _INFINITE_ANGLE, _ZERO_SCALE, _UNDERFLOW, _FIRST_STEP = 1, 2, 3, 4, 5
+# Nonzero statuses, each where the Python engine raises: a zero divisor, sin
+# or cos of an infinite angle, a step underflow. The caller reruns the
+# rollout in Python, which raises there.
+_ZERO_DIVISOR, _INFINITE_ANGLE, _UNDERFLOW = 1, 2, 3
 
 _C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 # names a generated local may not take: the C functions' arguments and the
@@ -455,16 +455,14 @@ _C_SIGNATURE = (
 )
 
 # The ratio vector of integrator._error_norm: e / (atol + rtol * max(|y|,
-# |y_new|)) with the NaN of either side propagated; a zero scale is where
-# Python divides by zero.
+# |y_new|)) with the NaN of either side propagated. A zero scale gives an
+# inf or a NaN, so the norm is non-finite where Python's is inf.
 _RATIO = [
     "/* error ratios; the caller reduces them to the norm */",
     "for (int j = 0; j < 12; j++) {",
     "    const double a = fabs(y[j]);",
     "    const double b = fabs(y_new[j]);",
-    "    const double scale = (atol + (rtol * ((a > b || a != a) ? a : b)));",
-    f"    if (scale == 0.0) return {_ZERO_SCALE};",
-    "    ratio[j] = (e[j] / scale);",
+    "    ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));",
     "}",
     "return 0;",
 ]
@@ -494,7 +492,7 @@ def _loop() -> str:
                      "NONFINITE_FACTOR", "TIME_RESOLUTION")
     )
     return (_LOOP.replace("@CONSTANTS@", constants)
-            .replace("@UNDERFLOW@", str(_UNDERFLOW)).replace("@FIRST_STEP@", str(_FIRST_STEP))
+            .replace("@UNDERFLOW@", str(_UNDERFLOW))
             .replace("@FEEDBACK@", str(_ckernel.FEEDBACK)))
 
 
@@ -527,8 +525,8 @@ static int same_bits(const double *a, const double *b)
 }
 
 /* integrator.advance_segment from t to t1 on the hold in r->blk, from
-   r->x, r->k1 and r->h. On success these and the counts move on; on a
-   nonzero status nothing in r has changed. */
+   r->x, r->k1 and r->h: these and the counts move on, or a nonzero status
+   returns. */
 static int advance(struct rollout *r, double t, double t1)
 {
     const ddot_t ddot = (ddot_t)r->ddot;
@@ -595,8 +593,7 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
 /* control.computed_torque at the state r->x and the reference row
    r->instant: the torque into u and the row r->instant of u_traj and
    u_corr, with every operation in numpy's order; u_corr is zero without
-   feedback. A nonzero status is where the task-space model raises in
-   Python. */
+   feedback. A nonzero status is where the task-space model raises. */
 static int computed_torque(struct rollout *r, double *u)
 {
     const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
@@ -621,52 +618,39 @@ static int computed_torque(struct rollout *r, double *u)
     return 0;
 }
 
-/* Events [i, j) of simulate.integrate: at each event the law at a control
-   instant (or the torques held from the last one), the hold (a fresh
-   first stage where the torque bits change or a disturbance edge lies),
-   the output row, then the segment to the next event. Returns 0, or the
-   status that stopped it at r->event: before the law or the hold
-   (r->resume 0) or before the segment (r->resume 1). A call with
-   r->resume 1 starts at the segment. */
+/* Events [i, j) of simulate.integrate: at each event the segment from the
+   one before it (none at event 0), the law at a control instant (or the
+   torques held from the last one), the hold (a fresh first stage where the
+   torque bits change or a disturbance edge lies), then the output row.
+   Returns 0, or the status of where Python raises. */
 int robot_rollout(struct rollout *r, long i, long j)
 {
     const double *events = r->events, *forces = r->forces;
     const unsigned char *out = r->out, *start = r->start, *brk = r->brk;
     double *held = r->held, *states = r->states, *derivs = r->derivs, *controls = r->controls;
+    int s;
     for (long e = i; e < j; e++) {
         double *u = held + 3 * e;
         const int instant = r->law && start[e];
-        r->event = e;
-        if (!r->resume) {
-            if (instant) {
-                const int s = computed_torque(r, u);
-                if (s) return s;
-            } else if (r->law) {
-                copy(u, u - 3, 3);
-            }
-            if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
-                double k1[12];
-                copy(r->blk + 14, u, 3);
-                copy(r->blk + 17, forces + 2 * e, 2);
-                const int s = robot_rhs(r->blk, r->x, k1);
-                if (s) return s;
-                copy(r->k1, k1, 12);
-                r->fevals += 1;
-            }
-            r->instant += instant;
-            if (out[e]) {
-                copy(states + 12 * r->row, r->x, 12);
-                copy(derivs + 12 * r->row, r->k1, 12);
-                copy(controls + 3 * r->row, u, 3);
-                r->row += 1;
-            }
+        if (e > 0 && (s = advance(r, events[e - 1], events[e]))) return s;
+        if (instant) {
+            if ((s = computed_torque(r, u))) return s;
+        } else if (r->law) {
+            copy(u, u - 3, 3);
         }
-        if (e + 1 == r->n) break;
-        r->resume = 1;
-        if (r->guess) return @FIRST_STEP@;
-        const int s = advance(r, events[e], events[e + 1]);
-        if (s) return s;
-        r->resume = 0;
+        if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
+            copy(r->blk + 14, u, 3);
+            copy(r->blk + 17, forces + 2 * e, 2);
+            if ((s = robot_rhs(r->blk, r->x, r->k1))) return s;
+            r->fevals += 1;
+        }
+        r->instant += instant;
+        if (out[e]) {
+            copy(states + 12 * r->row, r->x, 12);
+            copy(derivs + 12 * r->row, r->k1, 12);
+            copy(controls + 3 * r->row, u, 3);
+            r->row += 1;
+        }
     }
     return 0;
 }
@@ -694,10 +678,9 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         "// task_space_model is that of otbot._task_space on the same parameters.",
         "// Every value is bit for bit what the Python code computes; the error",
         "// norm and the law's products reduce through the BLAS ddot and dgemv",
-        "// that numpy calls. A nonzero status",
-        f"// stops the loop where Python goes on: {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of",
-        f"// an infinite angle, {_ZERO_SCALE} a zero error scale, {_UNDERFLOW} a step underflow, {_FIRST_STEP} the",
-        "// first step to be guessed.",
+        "// that numpy calls. A nonzero status stops the loop where Python raises:",
+        f"// {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of an infinite angle, {_UNDERFLOW} a step",
+        "// underflow.",
         "",
         "#include <math.h>",
         "",

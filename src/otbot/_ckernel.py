@@ -50,18 +50,16 @@ FEEDFORWARD, FEEDBACK = 1, 2
 class Rollout(ctypes.Structure):
     """One robot rollout, ``struct rollout`` of ``robot_rollout``: the numpy
     tables (a feedback law's too) and BLAS routines as addresses, the tolerances
-    and step cap ``h_max``, what the C moves on (the step ``h``, ``guess`` where
-    it is yet to be guessed, the counts, the output row, the law's ``instant``,
-    where it stopped, the hold ``blk``, state ``x``, first stage ``k1``), the law."""
+    and step cap ``h_max``, what the C moves on (the step ``h``, the counts, the
+    output row, the law's ``instant``, the hold ``blk``, state ``x``, first
+    stage ``k1``), the law."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
             "events", "out", "start", "brk", "held", "forces", "states", "derivs", "controls",
             "reference", "u_traj", "u_corr", "ddot", "dgemv")),
         *((name, ctypes.c_double) for name in ("rtol", "atol", "h_max", "h", "min_step", "max_step")),
-        *((name, ctypes.c_long) for name in (
-            "n", "guess", "accepted", "rejected", "fevals", "row", "instant", "event", "resume",
-            "law")),
+        *((name, ctypes.c_long) for name in ("accepted", "rejected", "fevals", "row", "instant", "law")),
         ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),
         ("kp", ctypes.c_double * 3), ("kv", ctypes.c_double * 3),
     ]
@@ -126,8 +124,9 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
 def load():
     """``(robot_rollout, ddot, dgemv)``, or None where the library or numpy's BLAS is missing.
 
-    ``robot_rollout(r, i, j)`` advances the events ``[i, j)`` of the
-    :class:`Rollout` ``r``, whose ``ddot`` and ``dgemv`` fields are these.
+    ``robot_rollout(r, i, j)`` runs the events ``[i, j)`` of the
+    :class:`Rollout` ``r``, whose ``ddot`` and ``dgemv`` fields are these, and
+    returns 0, or nonzero where the Python engine raises.
     """
     blas = numpy_blas()
     path = None if blas is None else build(SOURCE, COMPILER, FLAGS)

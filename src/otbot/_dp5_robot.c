@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: dcb52e7df51fac9534d41953f923f33a52fe9163acd120d9c6efe13648bb9d7f
+// generator sha256: be0f2c783d41437cc5dfe1f837616ce90d64cce8398f8c022ae301978f479311
 // sympy 1.14.0
 //
 // The robot's rollout loop: robot_rollout runs the event loop of
@@ -15,10 +15,9 @@
 // task_space_model is that of otbot._task_space on the same parameters.
 // Every value is bit for bit what the Python code computes; the error
 // norm and the law's products reduce through the BLAS ddot and dgemv
-// that numpy calls. A nonzero status
-// stops the loop where Python goes on: 1 a zero divisor, 2 sin or cos of
-// an infinite angle, 3 a zero error scale, 4 a step underflow, 5 the
-// first step to be guessed.
+// that numpy calls. A nonzero status stops the loop where Python raises:
+// 1 a zero divisor, 2 sin or cos of an infinite angle, 3 a step
+// underflow.
 
 #include <math.h>
 
@@ -43,15 +42,11 @@ struct rollout {
     double h;
     double min_step;
     double max_step;
-    long n;
-    long guess;
     long accepted;
     long rejected;
     long fevals;
     long row;
     long instant;
-    long event;
-    long resume;
     long law;
     double blk[19];
     double x[12];
@@ -453,9 +448,7 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     for (int j = 0; j < 12; j++) {
         const double a = fabs(y[j]);
         const double b = fabs(y_new[j]);
-        const double scale = (atol + (rtol * ((a > b || a != a) ? a : b)));
-        if (scale == 0.0) return 3;
-        ratio[j] = (e[j] / scale);
+        ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));
     }
     return 0;
 }
@@ -493,8 +486,8 @@ static int same_bits(const double *a, const double *b)
 }
 
 /* integrator.advance_segment from t to t1 on the hold in r->blk, from
-   r->x, r->k1 and r->h. On success these and the counts move on; on a
-   nonzero status nothing in r has changed. */
+   r->x, r->k1 and r->h: these and the counts move on, or a nonzero status
+   returns. */
 static int advance(struct rollout *r, double t, double t1)
 {
     const ddot_t ddot = (ddot_t)r->ddot;
@@ -514,7 +507,7 @@ static int advance(struct rollout *r, double t, double t1)
         const int clipped = h_next >= remaining;
         const double h = clipped ? remaining : h_next;
         /* written so that a NaN step underflows too */
-        if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return 4;
+        if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return 3;
         const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
                                         y[!now], k[!now], ratio);
         if (s) return s;
@@ -561,8 +554,7 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
 /* control.computed_torque at the state r->x and the reference row
    r->instant: the torque into u and the row r->instant of u_traj and
    u_corr, with every operation in numpy's order; u_corr is zero without
-   feedback. A nonzero status is where the task-space model raises in
-   Python. */
+   feedback. A nonzero status is where the task-space model raises. */
 static int computed_torque(struct rollout *r, double *u)
 {
     const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
@@ -587,52 +579,39 @@ static int computed_torque(struct rollout *r, double *u)
     return 0;
 }
 
-/* Events [i, j) of simulate.integrate: at each event the law at a control
-   instant (or the torques held from the last one), the hold (a fresh
-   first stage where the torque bits change or a disturbance edge lies),
-   the output row, then the segment to the next event. Returns 0, or the
-   status that stopped it at r->event: before the law or the hold
-   (r->resume 0) or before the segment (r->resume 1). A call with
-   r->resume 1 starts at the segment. */
+/* Events [i, j) of simulate.integrate: at each event the segment from the
+   one before it (none at event 0), the law at a control instant (or the
+   torques held from the last one), the hold (a fresh first stage where the
+   torque bits change or a disturbance edge lies), then the output row.
+   Returns 0, or the status of where Python raises. */
 int robot_rollout(struct rollout *r, long i, long j)
 {
     const double *events = r->events, *forces = r->forces;
     const unsigned char *out = r->out, *start = r->start, *brk = r->brk;
     double *held = r->held, *states = r->states, *derivs = r->derivs, *controls = r->controls;
+    int s;
     for (long e = i; e < j; e++) {
         double *u = held + 3 * e;
         const int instant = r->law && start[e];
-        r->event = e;
-        if (!r->resume) {
-            if (instant) {
-                const int s = computed_torque(r, u);
-                if (s) return s;
-            } else if (r->law) {
-                copy(u, u - 3, 3);
-            }
-            if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
-                double k1[12];
-                copy(r->blk + 14, u, 3);
-                copy(r->blk + 17, forces + 2 * e, 2);
-                const int s = robot_rhs(r->blk, r->x, k1);
-                if (s) return s;
-                copy(r->k1, k1, 12);
-                r->fevals += 1;
-            }
-            r->instant += instant;
-            if (out[e]) {
-                copy(states + 12 * r->row, r->x, 12);
-                copy(derivs + 12 * r->row, r->k1, 12);
-                copy(controls + 3 * r->row, u, 3);
-                r->row += 1;
-            }
+        if (e > 0 && (s = advance(r, events[e - 1], events[e]))) return s;
+        if (instant) {
+            if ((s = computed_torque(r, u))) return s;
+        } else if (r->law) {
+            copy(u, u - 3, 3);
         }
-        if (e + 1 == r->n) break;
-        r->resume = 1;
-        if (r->guess) return 5;
-        const int s = advance(r, events[e], events[e + 1]);
-        if (s) return s;
-        r->resume = 0;
+        if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
+            copy(r->blk + 14, u, 3);
+            copy(r->blk + 17, forces + 2 * e, 2);
+            if ((s = robot_rhs(r->blk, r->x, r->k1))) return s;
+            r->fevals += 1;
+        }
+        r->instant += instant;
+        if (out[e]) {
+            copy(states + 12 * r->row, r->x, 12);
+            copy(derivs + 12 * r->row, r->k1, 12);
+            copy(controls + 3 * r->row, u, 3);
+            r->row += 1;
+        }
     }
     return 0;
 }

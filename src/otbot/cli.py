@@ -47,11 +47,13 @@ from .scenarios import (
     ConfigError,
     _bundle_dir,
     ensure_plan,
+    float_list,
     load_scenario,
     make_reference,
     plan_path,
     scenario_listing,
 )
+from .references import plan_step
 from .sensors import SensorModel
 from .sensors import sample_sensors
 from .simulate import (
@@ -187,16 +189,11 @@ def _check_number(flag: str, value: float, allow_zero: bool = False) -> None:
         raise ConfigError(f"{flag} must be a finite {kind} number, got {value!r}")
 
 
-def _parse_torques(text: str) -> np.ndarray:
-    try:
-        torques = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"--torques needs three comma-separated numbers, got {text!r}") from None
-    if torques.shape != (3,):
-        raise ConfigError("--torques needs exactly three comma-separated values")
-    if not np.all(np.isfinite(torques)):
-        raise ConfigError(f"--torques values must be finite, got {text!r}")
-    return torques
+def _read_plan(path: Path):
+    """A plan file, its time grid checked as the plan reference needs it."""
+    plan = trajectory_from_csv(path)
+    plan_step(plan.times, f"{path}: plan")
+    return plan
 
 
 def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
@@ -238,7 +235,7 @@ def _cmd_simulate(args) -> int:
     if not args.scenario:
         if args.torques is None or args.duration is None:
             raise ConfigError("simulate needs either --scenario or both --torques and --duration")
-        torques = _parse_torques(args.torques)
+        torques = float_list(args.torques, 3, "--torques")
         _check_number("--duration", args.duration)
         _check_number("--rate", args.rate)
         if whole_periods(args.duration, args.rate) is None:
@@ -409,7 +406,7 @@ def _cmd_control(args) -> int:
         plan_file = Path(args.plan) if args.plan else plan_path(cfg, out)
         # a plan on disk is read now; a generated one is written after the checks
         if args.plan or plan_file.exists():
-            plan = run.config(plan_file, trajectory_from_csv, None)
+            plan = run.config(plan_file, _read_plan, None)
     else:
         ref = make_reference(cfg.reference)
     # the run lasts the scenario's horizon, or that of a plan read from disk
@@ -422,7 +419,7 @@ def _cmd_control(args) -> int:
         )
     if cfg.mode == "plan":
         if plan is None:
-            plan = run.config(ensure_plan(cfg, run.directory()), trajectory_from_csv, None)
+            plan = run.config(ensure_plan(cfg, run.directory()), _read_plan, None)
         if plan_file.parent == out and plan_file.name not in run.files:
             run.files.append(plan_file.name)
 

@@ -18,7 +18,7 @@ from .dynamics import RobotState, admissible_state, task_space_model
 from .integrator import IntegratorOptions
 from .interval import Interval, matvec
 from .params import RobotParams
-from .references import PlanReference, ReferenceTrajectory
+from .references import PlanReference, ReferenceTrajectory, plan_step
 from .simulate import (  # the disturbance types are re-exported from here
     ControlSequence,
     DisturbanceSchedule,
@@ -224,10 +224,7 @@ def track_planned_trajectory(
 def open_loop_replay(params: RobotParams, plan: SimTrajectory) -> SimTrajectory:
     """Re-run the planned torque sequence blind from the plan's first state."""
     times = plan.times
-    dt = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9):
-        raise ValueError("plan grid must be uniform")
-    controls = ControlSequence(t0=float(times[0]), dt=dt, samples=plan.controls[:-1])
+    controls = ControlSequence(t0=float(times[0]), dt=plan_step(times), samples=plan.controls[:-1])
     return simulate_robot(
         params,
         RobotState.from_vector(plan.states[0]),

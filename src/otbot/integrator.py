@@ -22,7 +22,7 @@ This module is the oracle of the robot's compiled rollout loop
 (``robot_rollout`` in ``_dp5_robot.c``, driven by ``otbot.simulate``). The
 C runs :func:`advance_segment`'s step control with this tableau and these
 constants and reduces its norm through the ``ddot`` that numpy calls; a
-segment where it stops is advanced here.
+rollout where it stops, which is where this module raises, is rerun here.
 """
 
 from __future__ import annotations

@@ -151,6 +151,16 @@ class HarmonicReference(ReferenceTrajectory):
         )
 
 
+def plan_step(times, source: str = "plan") -> float:
+    """The step of a plan's uniform, increasing grid of three or more times; errors name ``source``."""
+    if len(times) < 3:
+        raise ValueError(f"{source} needs at least three samples")
+    dt = float(times[1] - times[0])
+    if not (dt > 0.0 and np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9)):
+        raise ValueError(f"{source} grid must be uniform and increasing")
+    return dt
+
+
 class PlanReference(ReferenceTrajectory):
     """Reference rebuilt from a planned state sequence on a uniform grid.
 
@@ -163,11 +173,7 @@ class PlanReference(ReferenceTrajectory):
 
     def __init__(self, plan: SimTrajectory):
         times = plan.times
-        if len(times) < 3:
-            raise ValueError("plan needs at least three samples")
-        dt = float(times[1] - times[0])
-        if not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9):
-            raise ValueError("plan grid must be uniform")
+        dt = plan_step(times)
 
         p = plan.states[:, 0:3]
         v = np.empty_like(p)

@@ -3,7 +3,8 @@
 A scenario file is flat INI: a [scenario] section with name/mode/horizon,
 then mode-specific sections. Keys are case-sensitive, and a key that its
 section does not define is an error; [sensors] and [disturbances] name
-their own keys. Modes:
+their own keys. A section that the scenario's mode does not read is an
+error too (see ``SECTION_KEYS``). Modes:
 
 * ``shaft``      one motor shaft under constant torque (bench test)
 * ``torques``    whole robot open loop under held torques
@@ -44,17 +45,20 @@ BUNDLED_SCENARIOS = (
     "figure8",
 )
 
-# the keys each section may set; None leaves the key names to the file
+MODES = ("shaft", "torques", "controller", "plan")
+
+# the keys each section may set (None leaves the key names to the file) and
+# the modes that read it; a plan scenario does not read [control] reference
 SECTION_KEYS = {
-    "scenario": ("name", "mode", "description", "horizon", "seed"),
-    "params": ("file", *PARAM_FIELDS),
-    "initial": ("q", "velocity"),
-    "torques": ("values", "rate"),
-    "shaft": ("axis", "torque", "rate"),
-    "control": ("reference", "t_stab", "rate"),
-    "plan": ("file", "rate", "mass_error"),
-    "sensors": None,
-    "disturbances": None,
+    "scenario": (("name", "mode", "description", "horizon", "seed"), MODES),
+    "params": (("file", *PARAM_FIELDS), MODES),
+    "initial": (("q", "velocity"), ("torques", "controller")),
+    "torques": (("values", "rate"), ("torques",)),
+    "shaft": (("axis", "torque", "rate"), ("shaft",)),
+    "control": (("reference", "t_stab", "rate"), ("controller", "plan")),
+    "plan": (("file", "rate", "mass_error"), ("plan",)),
+    "sensors": (None, ("shaft", "torques")),
+    "disturbances": (None, ("controller",)),
 }
 
 
@@ -109,7 +113,7 @@ class ScenarioConfig:
         return reference_start_state(self.params, ref)
 
     def validate(self) -> None:
-        if self.mode not in ("shaft", "torques", "controller", "plan"):
+        if self.mode not in MODES:
             raise ConfigError(f"{self.path}: unknown mode {self.mode!r}")
         if self.seed < 0:
             raise ConfigError(f"{self.path}: seed must be a non-negative integer, got {self.seed}")
@@ -137,6 +141,11 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{self.path}: {key} must be a finite positive number, got {value!r}"
                 )
+        if not math.isfinite(self.shaft_torque):
+            raise ConfigError(f"{self.path}: [shaft] torque must be finite, got {self.shaft_torque!r}")
+        if not (math.isfinite(self.plan_mass_error) and self.plan_mass_error > -1.0):
+            raise ConfigError(f"{self.path}: [plan] mass_error must be finite and above -1, "
+                              f"got {self.plan_mass_error!r}")
         hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate}.get(self.mode)
         if hold_rate is not None and whole_periods(self.horizon, hold_rate) is None:
             what = "shorter than one period" if round(self.horizon * hold_rate) < 1 else "not whole periods"
@@ -148,17 +157,27 @@ class ScenarioConfig:
         if ref_horizon is not None and whole_periods(self.horizon, FEASIBILITY_RATE) is None:
             raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is not whole "
                               f"periods of the {FEASIBILITY_RATE!r} Hz feasibility grid")
-        for kind in self.sensors:
+        for kind, sigma in self.sensors.items():
             needs = {"encoder": "a shaft axis", "imu": "the whole robot"}.get(kind)
             if needs is None:
                 raise ConfigError(f"{self.path}: [sensors] unknown sensor kind {kind!r} (imu or encoder)")
             if (kind == "encoder") != (self.mode == "shaft"):
                 raise ConfigError(f"{self.path}: [sensors] {kind} needs {needs}, "
                                   f"which a {self.mode} scenario does not have")
+            if not 0.0 <= sigma < math.inf:
+                raise ConfigError(f"{self.path}: [sensors] {kind} must be finite and non-negative, "
+                                  f"got {sigma!r}")
 
 
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(part) for part in text.split(",")])
+def float_list(text: str, count: int, what: str) -> np.ndarray:
+    """The ``count`` finite comma-separated numbers of ``text``; a ConfigError names ``what``."""
+    try:
+        values = np.array([float(part) for part in text.split(",")])
+    except ValueError:
+        values = None
+    if values is None or values.shape != (count,) or not np.isfinite(values).all():
+        raise ConfigError(f"{what} needs {count} values, comma-separated and finite, got {text!r}")
+    return values
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
@@ -173,22 +192,27 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if "scenario" not in ini:
         raise ConfigError(f"{path}: missing [scenario] section")
+    mode = ini["scenario"].get("mode", "")
     for section in ini.sections():
         if section not in SECTION_KEYS:
             raise ConfigError(
                 f"{path}: unknown section [{section}] (expected one of {', '.join(SECTION_KEYS)})"
             )
-        keys = SECTION_KEYS[section]
+        keys, modes = SECTION_KEYS[section]
         for key in ini[section] if keys is not None else ():
             if key not in keys:
                 raise ConfigError(
                     f"{path}: [{section}] unknown key {key!r} (expected one of {', '.join(keys)})"
                 )
+        if mode in MODES and mode not in modes:
+            raise ConfigError(f"{path}: a {mode} scenario does not read [{section}]")
+    if mode == "plan" and ini.has_option("control", "reference"):
+        raise ConfigError(f"{path}: a plan scenario does not read [control] reference")
     base = ini["scenario"]
     try:
         cfg = ScenarioConfig(
             name=base.get("name", path.stem),
-            mode=base.get("mode", ""),
+            mode=mode,
             horizon=base.getfloat("horizon", 0.0),
             seed=base.getint("seed", 0),
             description=base.get("description", ""),
@@ -205,15 +229,11 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         if "initial" in ini:
             sect = ini["initial"]
             if sect.get("q"):
-                cfg.q0 = _floats(sect["q"])
-                if cfg.q0.shape != (6,):
-                    raise ConfigError(f"{path}: initial q needs 6 values")
+                cfg.q0 = float_list(sect["q"], 6, f"{path}: [initial] q")
             cfg.velocity = sect.get("velocity", "rest")
 
         if "torques" in ini:
-            cfg.torques = _floats(ini["torques"]["values"])
-            if cfg.torques.shape != (3,):
-                raise ConfigError(f"{path}: torques need 3 values")
+            cfg.torques = float_list(ini["torques"]["values"], 3, f"{path}: [torques] values")
             cfg.torque_rate = ini["torques"].getfloat("rate", 100.0)
 
         if "shaft" in ini:
@@ -241,12 +261,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
         if "disturbances" in ini:
             pulses = []
-            for key in ini["disturbances"]:
-                vals = _floats(ini["disturbances"][key])
-                if vals.shape != (4,):
-                    raise ConfigError(
-                        f"{path}: disturbance {key} needs t_on, t_off, fx, fy"
-                    )
+            for key, text in ini["disturbances"].items():
+                vals = float_list(text, 4, f"{path}: [disturbances] {key} (t_on, t_off, fx, fy)")
                 pulses.append(ForcePulse(vals[0], vals[1], fx=vals[2], fy=vals[3]))
             cfg.disturbances = DisturbanceSchedule(pulses=tuple(pulses))
     except ConfigError:

@@ -199,8 +199,8 @@ def integrate(
     of being evaluated again; the results are the same bits either way. The
     derivative recorded at the end follows the same rule.
 
-    A robot model (one with ``params``) runs this loop, the law included,
-    in C where that loads (:func:`_compiled_rollout`), to the same bits.
+    A robot model (one with ``params``) runs this loop, the law included, in C
+    to the same bits (:func:`_compiled_rollout`); where the C stops, it runs here.
     """
     opts = options or IntegratorOptions()
     schedule = disturbances or DisturbanceSchedule()
@@ -236,8 +236,10 @@ def integrate(
         kernel = _robot_kernel()
         robot_rollouts["python" if kernel is None else "c"] += 1
         if kernel is not None:
-            return _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break,
+            traj = _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break,
                                      held, schedule.force_at(inside), law)
+            if traj is not None:
+                return traj
     times = events[on_out]
     states = np.empty((len(times), len(x)))
     derivs = np.empty_like(states)
@@ -293,50 +295,36 @@ def _robot_kernel():
 
 def _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break, held, forces, law):
     """:func:`integrate`'s loop for the robot on ``robot_rollout`` (``_dp5_robot.c``),
-    the feedback ``law`` included.
+    the feedback ``law`` included, or None where the C stops, which is where
+    Python raises.
 
-    Where the C stops, Python guesses the first step, raises the exception
-    of a law instant, a hold or a segment, or advances a segment past a zero
-    error scale; then the C resumes. The struct belongs to this rollout:
-    rollouts may run on threads, and the foreign call releases the GIL."""
+    The C runs event 0, Python guesses the first step from its hold, and the
+    C runs the other events. The struct belongs to this rollout: rollouts may
+    run on threads, and the foreign call releases the GIL."""
     from ._ckernel import FEEDBACK, FEEDFORWARD, Rollout
 
     run, ddot, dgemv = kernel
-    n = len(events)
     states = np.empty((int(on_out.sum()), 12))
     derivs, inputs = np.empty_like(states), np.empty((len(states), 3))
     rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
-    held = np.empty((n, 3)) if law is not None else held
+    held = np.empty((len(events), 3)) if law is not None else held
     tables = (events, on_out, on_start, on_break, held, forces, states, derivs, inputs, *rows)
     c = Rollout(*(None if a is None else a.ctypes.data for a in tables), ddot, dgemv,
-                opts.rtol, opts.atol, opts.max_step, opts.first_step or 0.0, math.inf, 0.0, n,
-                opts.first_step is None)
+                opts.rtol, opts.atol, opts.max_step, opts.first_step or 0.0, math.inf, 0.0)
     c.blk[:14] = [getattr(model.params, name) for name in PARAM_FIELDS]
     if law is not None:
         c.law = FEEDFORWARD if law.gains is None else FEEDBACK
         if law.gains is not None:
             c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
-    cx, ck1 = np.ctypeslib.as_array(c.x), np.ctypeslib.as_array(c.k1)
-    cx[:] = x
-    i = 0
-    while run(c, i, n):
-        i, t = c.event, float(events[c.event])
-        f = model(c.blk[14:17], c.blk[17:])
-        if not c.resume:  # at the law or the hold of event i; each raises where the C stopped
-            if law is not None and on_start[i]:
-                law.command(model.params, c.instant, cx.copy())
-            f(t, cx.tolist())
-            raise AssertionError(f"the compiled loop stopped at t = {t!r}, where Python does not")
-        if c.guess:  # the first step, from the first hold
-            c.h, c.guess = initial_step(f, t, cx, ck1, opts.rtol, opts.atol), 0
-            c.fevals += 1
-            continue
-        stats = IntegratorStats(*(getattr(c, name) for name in _STATS))
-        cx[:], ck1[:], c.h = advance_segment(f, t, float(events[i + 1]), cx.copy(), opts, stats,
-                                             h_start=c.h, k1=ck1.tolist())
-        for name in _STATS:
-            setattr(c, name, getattr(stats, name))
-        c.resume, i = 0, i + 1
+    np.ctypeslib.as_array(c.x)[:] = x
+    if run(c, 0, 1):
+        return None
+    if opts.first_step is None and len(events) > 1:  # from the hold of event 0
+        c.h = initial_step(model(c.blk[14:17], c.blk[17:]), float(events[0]), x, c.k1[:],
+                           opts.rtol, opts.atol)
+        c.fevals += 1
+    if run(c, 1, len(events)):
+        return None
     stats = {name: getattr(c, name) for name in _STATS}
     return SimTrajectory(times=events[on_out], states=states, controls=inputs, derivs=derivs, stats=stats)
 

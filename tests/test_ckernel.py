@@ -4,9 +4,10 @@
 the same times, states, derivatives, controls and counters as the Python
 engine of ``otbot.simulate.integrate``, under held torques and under the
 computed-torque law (with the same reference rows, ``u_traj`` and
-``u_corr``), hand every law instant, hold or segment where Python raises
-back to it, and leave every rollout unchanged where it cannot be loaded. Its ``dp5_robot_attempt`` must give the same bits as the generated
-Python kernel. ``format_rows`` (``src/otbot/_csv_format.cpp``) must spell
+``u_corr``), stop where Python raises, so that Python reruns the rollout and
+raises there, and leave every rollout unchanged where it cannot be loaded.
+Its ``dp5_robot_attempt`` must give the same bits as the generated Python
+kernel. ``format_rows`` (``src/otbot/_csv_format.cpp``) must spell
 every double as ``repr`` does, so ``write_csv`` writes the same bytes with
 it and without it.
 """
@@ -235,11 +236,11 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
     f = _robot_model(p)([0.0, 0.0, 0.0], [0.0, 0.0])
     y = [0.0] * 12
     k1 = f(0.0, y)
-    assert _c_attempt(compiled, p, [0.0] * 3, [0.0] * 2, y, k1, 1e-3, 1e-9, 0.0)[0] != 0
+    status, _, _, ratio = _c_attempt(compiled, p, [0.0] * 3, [0.0] * 2, y, k1, 1e-3, 1e-9, 0.0)
+    assert status == 0 and not np.isfinite(ratio).any()
     y_new, _, err = _step_kernel(12)(f, 0.0, 1e-3, y, k1)
     assert _error_norm(err, y, y_new, 1e-9, 0.0) == math.inf
-    # the rollout hands the segment to Python, which rejects every attempt
-    # until the step underflows
+    # both loops reject every attempt until the step underflows
     controls = ControlSequence.constant([0.0, 0.0, 0.0], 0.05, 100.0)
     options = IntegratorOptions(atol=0.0, first_step=1e-3)
     c, py = _on_both(lambda: simulate_robot(p, RobotState.rest(), controls, options=options),
@@ -248,28 +249,18 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
     _assert_same(c, py)
 
 
-def test_the_loop_resumes_after_segments_advanced_in_python(compiled, monkeypatch):
-    """Every third segment stops in C as a zero error scale would, runs in
-    Python and the C resumes after it: the rollouts stay the same."""
+@pytest.mark.parametrize("stop", [0, 1, 17])
+def test_a_rollout_the_c_stops_is_rerun_in_python(compiled, monkeypatch, stop):
+    """A loop that stops at event ``stop``, as it does where Python raises,
+    gives the oracle's rollouts, open loop and under a feedback law."""
     run, ddot, dgemv = _robot_kernel()
     stops = []
 
     def stopping(c, i, j):
-        if c.resume:  # the segment of event i, then the events after it
-            status = run(c, i, i + 1)
-            if status:
-                return status
-            i += 1
-        for e in range(i, j):
-            if e % 3 == 2 and e + 1 < c.n:
-                n, c.n = c.n, e + 1  # the hold at e is the last the C does
-                status = run(c, i, e + 1)
-                c.n = n
-                if not status:
-                    c.event, c.resume = e, 1
-                    stops.append(e)
-                return status or 3
-        return run(c, i, j)
+        if not i <= stop < j:
+            return run(c, i, j)
+        stops.append(stop)
+        return run(c, i, stop) or 1
 
     rng = np.random.default_rng(13)
     controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 30))
@@ -279,16 +270,15 @@ def test_the_loop_resumes_after_segments_advanced_in_python(compiled, monkeypatc
     def rollouts():
         p = nominal_params()
         return (simulate_robot(p, state, controls, disturbances=pulses),
-                closed_loop_simulate(p, state, HarmonicReference(horizon=0.2), tune_gains(1.0)).trajectory)
+                closed_loop_simulate(p, state, HarmonicReference(horizon=0.2), tune_gains(1.0)))
 
-    plain = rollouts()
     monkeypatch.setattr(simulate, "_robot_kernel", lambda: (stopping, ddot, dgemv))
-    resumed = rollouts()
-    assert len(stops) > 20
+    rerun = rollouts()
+    assert stops == [stop, stop]
     monkeypatch.setattr(simulate, "_robot_kernel", lambda: None)
-    for plain_traj, resumed_traj, oracle in zip(plain, resumed, rollouts()):
-        _assert_same(plain_traj, oracle)
-        _assert_same(resumed_traj, oracle)
+    oracle = rollouts()
+    _assert_same(rerun[0], oracle[0])
+    _assert_same_tracking(rerun[1], oracle[1])
 
 
 def _holds(rng, n):

@@ -17,7 +17,7 @@ from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
 from otbot.params import nominal_params, save_params
-from otbot.simulate import _csv_formatter, _robot_kernel, trajectory_from_csv
+from otbot.simulate import TRAJECTORY_COLUMNS, _csv_formatter, _robot_kernel, trajectory_from_csv
 
 MANIFEST_KEYS = {
     "tool",
@@ -152,7 +152,7 @@ class TestSimulate:
             ["simulate", "--torques", "6,-10", "--duration", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 2
-        assert "three comma-separated" in capsys.readouterr().err
+        assert "--torques needs 3 values" in capsys.readouterr().err
 
     def test_unknown_scenario_names_the_alternatives(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "spiral", "--out", str(tmp_path / "x")]) == 2
@@ -375,11 +375,19 @@ class TestCheckTorques:
         assert "controller scenario" in capsys.readouterr().err
 
 
+def _plan_text(*times) -> str:
+    """A plan file at rest on the given times."""
+    return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(f"{t!r}" + ",0.0" * 15 + "\n" for t in times)
+
+
 class TestBadNumericFlags:
     """Bad numbers exit 2 with one line naming the flag and write no --out."""
 
-    # gain files that cases below name, written next to --out
-    KEY_FILES = {"zero.kv": "t_stab = 0\n", "negative.kv": "t_stab = -1\n", "nan.kv": "t_stab = nan\n"}
+    # gain and plan files that cases below name, written next to --out
+    KEY_FILES = {
+        "zero.kv": "t_stab = 0\n", "negative.kv": "t_stab = -1\n", "nan.kv": "t_stab = nan\n",
+        "two-rows.csv": _plan_text(0.0, 0.01), "uneven.csv": _plan_text(0.0, 0.01, 0.03, 0.04),
+    }
     # scenario files that cases below name: a bundled scenario with one line
     # changed, written next to --out with the parameter file it refers to
     SCENARIO_FILES = {
@@ -406,6 +414,18 @@ class TestBadNumericFlags:
         "sensor-gyro.cfg": ("chassis-excitation", "imu = 13.73e-3", "gyro = 0.1"),
         "sensor-encoder-on-robot.cfg": ("chassis-excitation", "imu = 13.73e-3", "encoder = 0.1"),
         "sensor-imu-on-shaft.cfg": ("wheel-spin", "encoder = 0.01", "imu = 0.01"),
+        "sensor-sigma-nan.cfg": ("chassis-excitation", "imu = 13.73e-3", "imu = nan"),
+        "sensor-sigma-negative.cfg": ("wheel-spin", "encoder = 0.01", "encoder = -1"),
+        "pulse-on-torques.cfg": ("chassis-excitation", "[sensors]",
+                                 "[disturbances]\npulse1 = 0.5, 1.0, 500, 0\n[sensors]"),
+        "imu-on-controller.cfg": ("corridor", "rate = 1000", "rate = 1000\n[sensors]\nimu = 0.01"),
+        "reference-in-plan.cfg": ("plan-tracking", "t_stab = 3", "t_stab = 3\nreference = corridor"),
+        "torques-nan.cfg": ("chassis-excitation", "values = 6, -10, 6", "values = 6, nan, 6"),
+        "shaft-torque-inf.cfg": ("wheel-spin", "torque = 6", "torque = inf"),
+        "initial-q-nan.cfg": ("corridor", "q = 0, 0, 0, 0, 0, 0", "q = 0, 0, nan, 0, 0, 0"),
+        "pulse-nan.cfg": ("figure8", "pulse1 = 4, 5, 0, -150", "pulse1 = 4, 5, nan, -150"),
+        "mass-error-nan.cfg": ("plan-tracking", "mass_error = 0.05", "mass_error = nan"),
+        "mass-error-minus-one.cfg": ("plan-tracking", "mass_error = 0.05", "mass_error = -1"),
     }
 
     @pytest.mark.parametrize(
@@ -467,6 +487,26 @@ class TestBadNumericFlags:
              "sensor-encoder-on-robot.cfg: [sensors] encoder needs a shaft axis"),
             (["simulate", "--scenario", "sensor-imu-on-shaft.cfg"],
              "sensor-imu-on-shaft.cfg: [sensors] imu needs the whole robot"),
+            (["simulate", "--scenario", "sensor-sigma-nan.cfg"], "sensor-sigma-nan.cfg: [sensors] imu"),
+            (["simulate", "--scenario", "sensor-sigma-negative.cfg"],
+             "sensor-sigma-negative.cfg: [sensors] encoder must be finite and non-negative"),
+            (["simulate", "--scenario", "pulse-on-torques.cfg"],
+             "pulse-on-torques.cfg: a torques scenario does not read [disturbances]"),
+            (["control", "--scenario", "imu-on-controller.cfg"],
+             "imu-on-controller.cfg: a controller scenario does not read [sensors]"),
+            (["control", "--scenario", "reference-in-plan.cfg"],
+             "reference-in-plan.cfg: a plan scenario does not read [control] reference"),
+            (["simulate", "--scenario", "torques-nan.cfg"], "torques-nan.cfg: [torques] values needs 3"),
+            (["simulate", "--scenario", "shaft-torque-inf.cfg"], "shaft-torque-inf.cfg: [shaft] torque"),
+            (["control", "--scenario", "initial-q-nan.cfg"], "initial-q-nan.cfg: [initial] q needs 6"),
+            (["control", "--scenario", "pulse-nan.cfg"], "pulse-nan.cfg: [disturbances] pulse1"),
+            (["control", "--scenario", "mass-error-nan.cfg"], "mass-error-nan.cfg: [plan] mass_error"),
+            (["control", "--scenario", "mass-error-minus-one.cfg"],
+             "mass-error-minus-one.cfg: [plan] mass_error"),
+            (["control", "--scenario", "plan", "--plan", "two-rows.csv"],
+             "two-rows.csv: plan needs at least three samples"),
+            (["control", "--scenario", "plan", "--plan", "uneven.csv"],
+             "uneven.csv: plan grid must be uniform"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -483,7 +523,11 @@ class TestBadNumericFlags:
              "fractional-duration-periods", "fractional-window-periods",
              "scenario-fractional-torques-horizon", "scenario-horizon-past-reference",
              "scenario-horizon-off-feasibility-grid", "scenario-unknown-sensor-kind",
-             "scenario-encoder-without-shaft", "scenario-imu-on-shaft"],
+             "scenario-encoder-without-shaft", "scenario-imu-on-shaft",
+             "scenario-nan-sensor-sigma", "scenario-negative-sensor-sigma", "scenario-pulse-on-torques", "scenario-imu-on-controller", "scenario-reference-in-plan",
+             "scenario-nan-torque", "scenario-inf-shaft-torque", "scenario-nan-initial-q",
+             "scenario-nan-pulse", "scenario-nan-mass-error", "scenario-mass-error-minus-one",
+             "plan-two-rows", "plan-uneven-grid"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")

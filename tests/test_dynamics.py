@@ -323,6 +323,15 @@ def test_generated_task_space_module_matches_its_generator():
         assert header[2].startswith(f"{comment} sympy ")
 
 
+def test_generator_check_finds_both_files_up_to_date():
+    # regenerates in memory: also catches a hand edit of the C body and a
+    # _ckernel.Rollout field that the C struct does not have
+    pytest.importorskip("sympy")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "gen_task_space.py"), "--check"],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_runtime_does_not_import_sympy():
     code = "import sys, otbot.cli; sys.exit('sympy' in sys.modules)"
     src = str(Path(otbot._task_space.__file__).resolve().parents[1])
