@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -46,11 +45,15 @@ from .params import load_params, nominal_params, read_kv
 from .scenarios import (
     ConfigError,
     _bundle_dir,
+    checked,
     ensure_plan,
     float_list,
     load_scenario,
     make_reference,
+    natural,
+    non_negative,
     plan_path,
+    positive,
     scenario_listing,
 )
 from .references import plan_step
@@ -153,10 +156,6 @@ class _Run:
         os.replace(tmp, self.out / "manifest.json")
 
 
-def _positive(key: str, value: float) -> str | None:
-    return None if value > 0.0 else "must be positive"
-
-
 def _guess_check(params):
     """``read_kv`` check of a --guess file: every guess inside the fit bounds.
 
@@ -182,13 +181,6 @@ def _guess_check(params):
     return check
 
 
-def _check_number(flag: str, value: float, allow_zero: bool = False) -> None:
-    """Reject a non-finite, negative (or zero) numeric flag as a config error."""
-    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
-        kind = "non-negative" if allow_zero else "positive"
-        raise ConfigError(f"{flag} must be a finite {kind} number, got {value!r}")
-
-
 def _read_plan(path: Path):
     """A plan file, its time grid checked as the plan reference needs it."""
     plan = trajectory_from_csv(path)
@@ -208,9 +200,7 @@ def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"OTBOT_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    return checked(source, seed, natural)
 
 
 def _scenario(run: _Run, name: str, params_file: str | None, modes, hint: str):
@@ -232,15 +222,19 @@ def _write_sensor_csv(run: _Run, name: str, record) -> None:
 
 def _cmd_simulate(args) -> int:
     # flags are checked before _Run creates --out, so a bad call leaves nothing
-    if not args.scenario:
+    if args.scenario:
+        for flag in ("torques", "duration", "rate"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} does not apply to --scenario, which sets its own")
+    else:
         if args.torques is None or args.duration is None:
             raise ConfigError("simulate needs either --scenario or both --torques and --duration")
         torques = float_list(args.torques, 3, "--torques")
-        _check_number("--duration", args.duration)
-        _check_number("--rate", args.rate)
-        if whole_periods(args.duration, args.rate) is None:
+        checked("--duration", args.duration, positive)
+        rate = checked("--rate", 100.0 if args.rate is None else args.rate, positive)
+        if whole_periods(args.duration, rate) is None:
             raise ConfigError(f"--duration {args.duration!r} s is not a whole number of "
-                              f"periods of --rate {args.rate!r} Hz")
+                              f"periods of --rate {rate!r} Hz")
     out = Path(args.out)
     run = _Run("simulate", out)
 
@@ -274,8 +268,8 @@ def _cmd_simulate(args) -> int:
             _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     else:
         params = run.config(args.params, load_params, nominal_params())
-        controls = ControlSequence.constant(torques, args.duration, args.rate)
-        grid = np.arange(int(round(args.duration * args.rate)) + 1) / args.rate
+        controls = ControlSequence.constant(torques, args.duration, rate)
+        grid = np.arange(int(round(args.duration * rate)) + 1) / rate
         traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
         trajectory_to_csv(traj, run.emit("trajectory.csv"))
 
@@ -314,9 +308,8 @@ def _fit_data_csv(run: _Run, name: str, candidate: dict, fixed, exp) -> None:
 def _cmd_identify(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
-    if args.sweep < 0:
-        raise ConfigError(f"--sweep must be a non-negative integer, got {args.sweep}")
-    _check_number("--window", args.window)
+    checked("--sweep", args.sweep, natural)
+    checked("--window", args.window, positive)
     if whole_periods(args.window, SAMPLE_RATE) is None:
         raise ConfigError(f"--window {args.window!r} s is not a whole number of "
                           f"{SAMPLE_RATE!r} Hz sample periods")
@@ -388,14 +381,16 @@ def _write_feasibility(run: _Run, report) -> None:
 
 def _cmd_control(args) -> int:
     if args.rate is not None:
-        _check_number("--rate", args.rate)
+        checked("--rate", args.rate, positive)
     out = Path(args.out)
     run = _Run("control", out)
     name = args.scenario if args.scenario != "plan" else "plan-tracking"
     cfg, params = _scenario(
         run, name, args.params, ("controller", "plan"), "use the simulate subcommand"
     )
-    gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",), _positive), {})
+    if args.plan and cfg.mode != "plan":
+        raise ConfigError(f"--plan needs a plan scenario; {cfg.name!r} is a {cfg.mode} scenario")
+    gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",), lambda k, v: positive(v)), {})
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
     rate = cfg.loop_rate if args.rate is None else args.rate
@@ -458,7 +453,7 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_check_torques(args) -> int:
-    _check_number("--limit", args.limit, allow_zero=True)
+    checked("--limit", args.limit, non_negative)
     out = Path(args.out)
     run = _Run("check-torques", out)
     cfg, params = _scenario(
@@ -503,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--params", help="robot parameter file")
     p_sim.add_argument("--torques", help="three comma-separated motor torques")
     p_sim.add_argument("--duration", type=float, help="run length in seconds")
-    p_sim.add_argument("--rate", type=float, default=100.0, help="control grid rate [Hz]")
+    p_sim.add_argument("--rate", type=float, help="control grid rate [Hz] of --torques (default 100)")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)

@@ -1,10 +1,11 @@
 """Scenario configs: parsing, validation, and the bundled set.
 
 A scenario file is flat INI: a [scenario] section with name/mode/horizon,
-then mode-specific sections. Keys are case-sensitive, and a key that its
-section does not define is an error; [sensors] and [disturbances] name
-their own keys. A section that the scenario's mode does not read is an
-error too (see ``SECTION_KEYS``). Modes:
+then mode-specific sections. ``SCHEMA`` is the one table of its keys: what
+each sets, how it is read and checked, and the modes that read it. Keys are
+case-sensitive; a key that its section does not define, or that the
+scenario's mode does not read, is an error. [sensors] and [disturbances]
+name their own keys. Modes:
 
 * ``shaft``      one motor shaft under constant torque (bench test)
 * ``torques``    whole robot open loop under held torques
@@ -20,6 +21,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,12 +30,7 @@ from .dynamics import RobotState, admissible_state, inverse_dynamics, admissible
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
 from .params import PARAM_FIELDS, RobotParams, load_params, nominal_params
-from .references import (
-    CorridorReference,
-    Figure8Reference,
-    HarmonicReference,
-    ReferenceTrajectory,
-)
+from .references import CorridorReference, Figure8Reference, HarmonicReference, ReferenceTrajectory
 from .simulate import DisturbanceSchedule, ForcePulse, SimTrajectory, trajectory_to_csv, whole_periods
 
 BUNDLED_SCENARIOS = (
@@ -46,20 +43,7 @@ BUNDLED_SCENARIOS = (
 )
 
 MODES = ("shaft", "torques", "controller", "plan")
-
-# the keys each section may set (None leaves the key names to the file) and
-# the modes that read it; a plan scenario does not read [control] reference
-SECTION_KEYS = {
-    "scenario": (("name", "mode", "description", "horizon", "seed"), MODES),
-    "params": (("file", *PARAM_FIELDS), MODES),
-    "initial": (("q", "velocity"), ("torques", "controller")),
-    "torques": (("values", "rate"), ("torques",)),
-    "shaft": (("axis", "torque", "rate"), ("shaft",)),
-    "control": (("reference", "t_stab", "rate"), ("controller", "plan")),
-    "plan": (("file", "rate", "mass_error"), ("plan",)),
-    "sensors": (None, ("shaft", "torques")),
-    "disturbances": (None, ("controller",)),
-}
+REFERENCES = {"corridor": CorridorReference, "figure8": Figure8Reference, "harmonic": HarmonicReference}
 
 
 class ConfigError(Exception):
@@ -67,14 +51,119 @@ class ConfigError(Exception):
 
 
 def make_reference(name: str) -> ReferenceTrajectory:
-    table = {
-        "corridor": CorridorReference,
-        "figure8": Figure8Reference,
-        "harmonic": HarmonicReference,
-    }
-    if name not in table:
-        raise ConfigError(f"unknown reference {name!r} (choose from {sorted(table)})")
-    return table[name]()
+    if name not in REFERENCES:
+        raise ConfigError(f"unknown reference {name!r} (choose from {sorted(REFERENCES)})")
+    return REFERENCES[name]()
+
+
+# checks: what is wrong with a value, or None; ``checked`` words the error
+def positive(value) -> str | None:
+    return None if math.isfinite(value) and value > 0.0 else "must be a finite positive number"
+
+
+def non_negative(value) -> str | None:
+    return None if math.isfinite(value) and value >= 0.0 else "must be finite and non-negative"
+
+
+def natural(value: int) -> str | None:
+    return None if value >= 0 else "must be a non-negative integer"
+
+
+def _finite(value) -> str | None:
+    return None if math.isfinite(value) else "must be finite"
+
+
+def _above_minus_one(value) -> str | None:
+    return None if math.isfinite(value) and value > -1.0 else "must be finite and above -1"
+
+
+def _one_of(*choices: str):
+    return lambda value: None if value in choices else f"must be one of {', '.join(choices)}"
+
+
+def checked(what: str, value, check):
+    """``value``, or a ConfigError naming ``what`` if ``check`` (if any) finds it wrong."""
+    problem = check(value) if check is not None else None
+    if problem:
+        raise ConfigError(f"{what} {problem}, got {value!r}")
+    return value
+
+
+def float_list(text: str, count: int, what: str) -> np.ndarray:
+    """The ``count`` finite comma-separated numbers of ``text``; a ConfigError names ``what``."""
+    try:
+        values = np.array([float(part) for part in text.split(",")])
+    except ValueError:
+        values = None
+    if values is None or values.shape != (count,) or not np.isfinite(values).all():
+        raise ConfigError(f"{what} needs {count} values, comma-separated and finite, got {text!r}")
+    return values
+
+
+# readers: read(text, what, folder) is the value of a key's text; ``what``
+# names the key in errors, ``folder`` holds the scenario file
+def _typed(convert, noun: str):
+    def read(text: str, what: str, folder: Path):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"{what} must be {noun}, got {text!r}") from None
+
+    return read
+
+
+_text, _number, _integer = _typed(str, "text"), _typed(float, "a number"), _typed(int, "an integer")
+
+
+def _floats(count: int):
+    return lambda text, what, folder: float_list(text, count, what)
+
+
+def _pulse(text: str, what: str, folder: Path) -> ForcePulse:
+    t_on, t_off, fx, fy = float_list(text, 4, f"{what} (t_on, t_off, fx, fy)")
+    return ForcePulse(t_on, t_off, fx=fx, fy=fy)
+
+
+@dataclass(frozen=True)
+class Key:
+    """A ``SCHEMA`` row: the ``ScenarioConfig`` field a key sets (a ``RobotParams``
+    one for [params]), its reader and check, the modes that read it, and whether
+    they need it. Key ``*`` stands for the keys a section names; they fill a dict."""
+
+    field: str
+    read: Callable
+    check: Callable | None = None
+    modes: tuple[str, ...] = MODES
+    required: bool = False
+
+
+_TRACKING, _SENSED, _ROBOT = ("controller", "plan"), ("shaft", "torques"), ("torques", "controller")
+SCHEMA = {
+    ("scenario", "name"): Key("name", _text),
+    ("scenario", "mode"): Key("mode", _text, _one_of(*MODES), required=True),
+    ("scenario", "description"): Key("description", _text),
+    ("scenario", "horizon"): Key("horizon", _number, positive, required=True),
+    ("scenario", "seed"): Key("seed", _integer, natural),
+    ("params", "file"): Key("params", lambda text, what, folder: load_params(folder / text)),
+    **{("params", name): Key(name, _number, _finite) for name in PARAM_FIELDS},
+    ("initial", "q"): Key("q0", _floats(6), None, _ROBOT),
+    ("initial", "velocity"): Key("velocity", _text, _one_of("rest", "reference"), _ROBOT),
+    ("torques", "values"): Key("torques", _floats(3), None, ("torques",), True),
+    ("torques", "rate"): Key("torque_rate", _number, positive, ("torques",)),
+    ("shaft", "axis"): Key("axis", _text, _one_of("wheel", "platform"), ("shaft",), True),
+    ("shaft", "torque"): Key("shaft_torque", _number, _finite, ("shaft",)),
+    ("shaft", "rate"): Key("shaft_rate", _number, positive, ("shaft",)),
+    ("control", "reference"): Key("reference", _text, _one_of(*REFERENCES), ("controller",), True),
+    ("control", "t_stab"): Key("t_stab", _number, positive, _TRACKING),
+    ("control", "rate"): Key("loop_rate", _number, positive, _TRACKING),
+    ("plan", "file"): Key("plan_file", lambda text, what, folder: folder / text, None, ("plan",)),
+    ("plan", "rate"): Key("plan_rate", _number, positive, ("plan",)),
+    ("plan", "mass_error"): Key("plan_mass_error", _number, _above_minus_one, ("plan",)),
+    ("sensors", "rate"): Key("sensor_rate", _number, positive, _SENSED),
+    ("sensors", "*"): Key("sensors", _number, non_negative, _SENSED),
+    ("disturbances", "*"): Key("disturbances", _pulse, None, ("controller",)),
+}
+SECTIONS = tuple(dict.fromkeys(section for section, _ in SCHEMA))
 
 
 @dataclass
@@ -113,71 +202,28 @@ class ScenarioConfig:
         return reference_start_state(self.params, ref)
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"{self.path}: unknown mode {self.mode!r}")
-        if self.seed < 0:
-            raise ConfigError(f"{self.path}: seed must be a non-negative integer, got {self.seed}")
-        if self.mode == "shaft" and self.axis not in ("wheel", "platform"):
-            raise ConfigError(f"{self.path}: shaft mode needs axis = wheel | platform")
-        if self.mode == "torques" and self.torques is None:
-            raise ConfigError(f"{self.path}: torques mode needs a [torques] section")
-        if self.mode == "controller" and self.reference is None:
-            raise ConfigError(f"{self.path}: controller mode needs a reference")
-        # a controller runs for its horizon (the cli checks it against the
-        # [control] rate, which --rate overrides); an unknown reference raises
-        ref_horizon = make_reference(self.reference).horizon if self.mode == "controller" else None
-        if self.velocity not in ("rest", "reference"):
-            raise ConfigError(f"{self.path}: velocity must be rest or reference")
-        for key, value in (
-            ("[scenario] horizon", self.horizon),
-            ("[control] t_stab", self.t_stab),
-            ("[control] rate", self.loop_rate),
-            ("[torques] rate", self.torque_rate),
-            ("[shaft] rate", self.shaft_rate),
-            ("[plan] rate", self.plan_rate),
-            ("[sensors] rate", self.sensor_rate),
-        ):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(
-                    f"{self.path}: {key} must be a finite positive number, got {value!r}"
-                )
-        if not math.isfinite(self.shaft_torque):
-            raise ConfigError(f"{self.path}: [shaft] torque must be finite, got {self.shaft_torque!r}")
-        if not (math.isfinite(self.plan_mass_error) and self.plan_mass_error > -1.0):
-            raise ConfigError(f"{self.path}: [plan] mass_error must be finite and above -1, "
-                              f"got {self.plan_mass_error!r}")
+        """The checks that join keys; ``SCHEMA`` checks each key alone."""
         hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate}.get(self.mode)
         if hold_rate is not None and whole_periods(self.horizon, hold_rate) is None:
             what = "shorter than one period" if round(self.horizon * hold_rate) < 1 else "not whole periods"
             raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is {what} "
                               f"of [{self.mode}] rate {hold_rate!r} Hz")
+        # a controller runs for its horizon (the cli checks it against the
+        # [control] rate, which --rate overrides)
+        ref_horizon = make_reference(self.reference).horizon if self.mode == "controller" else None
         if ref_horizon is not None and not self.horizon <= ref_horizon:
             raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s runs past the "
                               f"{ref_horizon!r} s of the {self.reference} reference")
         if ref_horizon is not None and whole_periods(self.horizon, FEASIBILITY_RATE) is None:
             raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is not whole "
                               f"periods of the {FEASIBILITY_RATE!r} Hz feasibility grid")
-        for kind, sigma in self.sensors.items():
+        for kind in self.sensors:
             needs = {"encoder": "a shaft axis", "imu": "the whole robot"}.get(kind)
             if needs is None:
                 raise ConfigError(f"{self.path}: [sensors] unknown sensor kind {kind!r} (imu or encoder)")
             if (kind == "encoder") != (self.mode == "shaft"):
                 raise ConfigError(f"{self.path}: [sensors] {kind} needs {needs}, "
                                   f"which a {self.mode} scenario does not have")
-            if not 0.0 <= sigma < math.inf:
-                raise ConfigError(f"{self.path}: [sensors] {kind} must be finite and non-negative, "
-                                  f"got {sigma!r}")
-
-
-def float_list(text: str, count: int, what: str) -> np.ndarray:
-    """The ``count`` finite comma-separated numbers of ``text``; a ConfigError names ``what``."""
-    try:
-        values = np.array([float(part) for part in text.split(",")])
-    except ValueError:
-        values = None
-    if values is None or values.shape != (count,) or not np.isfinite(values).all():
-        raise ConfigError(f"{what} needs {count} values, comma-separated and finite, got {text!r}")
-    return values
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
@@ -192,84 +238,41 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if "scenario" not in ini:
         raise ConfigError(f"{path}: missing [scenario] section")
+    # the mode picks the keys the file may set, so it is read first
     mode = ini["scenario"].get("mode", "")
+    checked(f"{path}: [scenario] mode", mode, SCHEMA["scenario", "mode"].check)
+    fields: dict = {"name": path.stem, "path": path}
     for section in ini.sections():
-        if section not in SECTION_KEYS:
-            raise ConfigError(
-                f"{path}: unknown section [{section}] (expected one of {', '.join(SECTION_KEYS)})"
-            )
-        keys, modes = SECTION_KEYS[section]
-        for key in ini[section] if keys is not None else ():
-            if key not in keys:
-                raise ConfigError(
-                    f"{path}: [{section}] unknown key {key!r} (expected one of {', '.join(keys)})"
-                )
-        if mode in MODES and mode not in modes:
-            raise ConfigError(f"{path}: a {mode} scenario does not read [{section}]")
-    if mode == "plan" and ini.has_option("control", "reference"):
-        raise ConfigError(f"{path}: a plan scenario does not read [control] reference")
-    base = ini["scenario"]
+        if section not in SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{section}] (expected one of {', '.join(SECTIONS)})")
+        for key, text in ini[section].items():
+            row = SCHEMA.get((section, key)) or SCHEMA.get((section, "*"))
+            if row is None:
+                keys = ", ".join(k for s, k in SCHEMA if s == section)
+                raise ConfigError(f"{path}: [{section}] unknown key {key!r} (expected one of {keys})")
+            if mode not in row.modes:
+                raise ConfigError(f"{path}: a {mode} scenario does not read [{section}] {key}")
+            what = f"{path}: [{section}] {key}"
+            try:
+                value = row.read(text, what, path.parent)
+            except (ValueError, OSError) as exc:
+                raise ConfigError(f"{what}: {exc}") from exc
+            checked(what, value, row.check)
+            if (section, key) in SCHEMA:
+                fields[row.field] = value
+            else:
+                fields.setdefault(row.field, {})[key] = value
+    for (section, key), row in SCHEMA.items():
+        if row.required and mode in row.modes and row.field not in fields:
+            raise ConfigError(f"{path}: a {mode} scenario needs [{section}] {key}")
+    overrides = {name: fields.pop(name) for name in PARAM_FIELDS if name in fields}
+    if "disturbances" in fields:
+        fields["disturbances"] = DisturbanceSchedule(pulses=tuple(fields["disturbances"].values()))
+    cfg = ScenarioConfig(**fields)
     try:
-        cfg = ScenarioConfig(
-            name=base.get("name", path.stem),
-            mode=mode,
-            horizon=base.getfloat("horizon", 0.0),
-            seed=base.getint("seed", 0),
-            description=base.get("description", ""),
-            path=path,
-        )
-
-        if "params" in ini:
-            sect = dict(ini["params"])
-            file_ref = sect.pop("file", None)
-            params = load_params(path.parent / file_ref) if file_ref else nominal_params()
-            overrides = {key: float(val) for key, val in sect.items()}
-            cfg.params = params.replace(**overrides) if overrides else params
-
-        if "initial" in ini:
-            sect = ini["initial"]
-            if sect.get("q"):
-                cfg.q0 = float_list(sect["q"], 6, f"{path}: [initial] q")
-            cfg.velocity = sect.get("velocity", "rest")
-
-        if "torques" in ini:
-            cfg.torques = float_list(ini["torques"]["values"], 3, f"{path}: [torques] values")
-            cfg.torque_rate = ini["torques"].getfloat("rate", 100.0)
-
-        if "shaft" in ini:
-            cfg.axis = ini["shaft"].get("axis")
-            cfg.shaft_torque = ini["shaft"].getfloat("torque", 0.0)
-            cfg.shaft_rate = ini["shaft"].getfloat("rate", 100.0)
-
-        if "control" in ini:
-            sect = ini["control"]
-            cfg.reference = sect.get("reference", cfg.reference)
-            cfg.t_stab = sect.getfloat("t_stab", 3.0)
-            cfg.loop_rate = sect.getfloat("rate", 1000.0)
-
-        if "plan" in ini:
-            sect = ini["plan"]
-            if sect.get("file"):
-                cfg.plan_file = path.parent / sect["file"]
-            cfg.plan_rate = sect.getfloat("rate", 100.0)
-            cfg.plan_mass_error = sect.getfloat("mass_error", 0.05)
-
-        if "sensors" in ini:
-            sect = dict(ini["sensors"])
-            cfg.sensor_rate = float(sect.pop("rate", 100.0))
-            cfg.sensors = {kind: float(sigma) for kind, sigma in sect.items()}
-
-        if "disturbances" in ini:
-            pulses = []
-            for key, text in ini["disturbances"].items():
-                vals = float_list(text, 4, f"{path}: [disturbances] {key} (t_on, t_off, fx, fy)")
-                pulses.append(ForcePulse(vals[0], vals[1], fx=vals[2], fy=vals[3]))
-            cfg.disturbances = DisturbanceSchedule(pulses=tuple(pulses))
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, OSError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
+        cfg.params = cfg.params.replace(**overrides) if overrides else cfg.params
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [params] {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -281,18 +284,16 @@ def _bundle_dir() -> Path:
 def bundled_scenario_path(name: str) -> Path:
     path = _bundle_dir() / f"{name}.cfg"
     if not path.exists():
-        raise ConfigError(
-            f"unknown scenario {name!r} (bundled: {', '.join(BUNDLED_SCENARIOS)})"
-        )
+        raise ConfigError(f"unknown scenario {name!r} (bundled: {', '.join(BUNDLED_SCENARIOS)})")
     return path
 
 
 def load_scenario(name_or_path: str | Path) -> ScenarioConfig:
-    """Accept a bundled scenario name or a path to a scenario file."""
-    candidate = Path(name_or_path)
-    if candidate.suffix == ".cfg" or candidate.exists():
-        return parse_scenario(candidate)
-    return parse_scenario(bundled_scenario_path(str(name_or_path)))
+    """A bundled scenario by its bare name (no directory, no ``.cfg``), else a scenario file."""
+    text = str(name_or_path)
+    if Path(text).name == text and not text.endswith(".cfg"):
+        return parse_scenario(bundled_scenario_path(text))
+    return parse_scenario(text)
 
 
 def scenario_listing() -> str:

@@ -426,6 +426,10 @@ class TestBadNumericFlags:
         "pulse-nan.cfg": ("figure8", "pulse1 = 4, 5, 0, -150", "pulse1 = 4, 5, nan, -150"),
         "mass-error-nan.cfg": ("plan-tracking", "mass_error = 0.05", "mass_error = nan"),
         "mass-error-minus-one.cfg": ("plan-tracking", "mass_error = 0.05", "mass_error = -1"),
+        "rate-word.cfg": ("corridor", "rate = 1000", "rate = fast"),
+        "seed-fraction.cfg": ("chassis-excitation", "seed = 1", "seed = 1.5"),
+        "params-word.cfg": ("corridor", "bw = 0", "bw = slow"),
+        "params-negative-mass.cfg": ("corridor", "bp = 0", "bp = 0\nmc = -1"),
     }
 
     @pytest.mark.parametrize(
@@ -451,7 +455,7 @@ class TestBadNumericFlags:
             (["simulate", "--scenario", "sensor-rate-inf.cfg"], "sensor-rate-inf.cfg: [sensors] rate"),
             (["control", "--scenario", "plan-rate-negative.cfg"], "plan-rate-negative.cfg: [plan] rate"),
             (["control", "--scenario", "rate-fraction.cfg"], "rate-fraction.cfg: [control] rate"),
-            (["simulate", "--scenario", "seed-negative.cfg"], "seed-negative.cfg: seed"),
+            (["simulate", "--scenario", "seed-negative.cfg"], "seed-negative.cfg: [scenario] seed"),
             (["control", "--scenario", "params-lowercase.cfg"],
              "params-lowercase.cfg: [params] unknown key 'ic'"),
             (["control", "--scenario", "params-bogus.cfg"], "params-bogus.cfg: [params] unknown key 'bogus'"),
@@ -507,6 +511,19 @@ class TestBadNumericFlags:
              "two-rows.csv: plan needs at least three samples"),
             (["control", "--scenario", "plan", "--plan", "uneven.csv"],
              "uneven.csv: plan grid must be uniform"),
+            (["control", "--scenario", "corridor", "--plan", "nonexist.csv", "--rate", "100"],
+             "--plan needs a plan scenario"),
+            (["simulate", "--scenario", "chassis-excitation", "--torques", "1,2,3"], "--torques"),
+            (["simulate", "--scenario", "chassis-excitation", "--duration", "0.5"], "--duration"),
+            (["simulate", "--scenario", "wheel-spin", "--rate", "100"], "--rate"),
+            (["control", "--scenario", "rate-word.cfg"],
+             "rate-word.cfg: [control] rate must be a number, got 'fast'"),
+            (["simulate", "--scenario", "seed-fraction.cfg"],
+             "seed-fraction.cfg: [scenario] seed must be an integer, got '1.5'"),
+            (["control", "--scenario", "params-word.cfg"],
+             "params-word.cfg: [params] bw must be a number, got 'slow'"),
+            (["control", "--scenario", "params-negative-mass.cfg"],
+             "params-negative-mass.cfg: [params] mc must be positive"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -527,7 +544,10 @@ class TestBadNumericFlags:
              "scenario-nan-sensor-sigma", "scenario-negative-sensor-sigma", "scenario-pulse-on-torques", "scenario-imu-on-controller", "scenario-reference-in-plan",
              "scenario-nan-torque", "scenario-inf-shaft-torque", "scenario-nan-initial-q",
              "scenario-nan-pulse", "scenario-nan-mass-error", "scenario-mass-error-minus-one",
-             "plan-two-rows", "plan-uneven-grid"],
+             "plan-two-rows", "plan-uneven-grid", "plan-file-on-controller",
+             "torques-with-scenario", "duration-with-scenario", "rate-with-scenario",
+             "scenario-word-rate", "scenario-fractional-seed", "scenario-word-param",
+             "scenario-negative-param"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")

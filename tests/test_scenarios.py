@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,10 @@ from otbot.references import (
 )
 from otbot.scenarios import (
     BUNDLED_SCENARIOS,
+    MODES,
+    SCHEMA,
     ConfigError,
+    ScenarioConfig,
     build_plan,
     bundled_scenario_path,
     ensure_plan,
@@ -71,6 +78,18 @@ def test_load_scenario_accepts_paths(tmp_path):
     by_path = load_scenario(bundled_scenario_path("corridor"))
     assert by_path.name == by_name.name
     assert by_path.params == by_name.params
+
+
+def test_a_bare_bundled_name_ignores_the_working_directory(tmp_path, monkeypatch):
+    # an earlier run's output directory, named after the scenario it ran
+    (tmp_path / "corridor").mkdir()
+    (tmp_path / "corridor" / "report.txt").write_text("scenario = corridor\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = load_scenario("corridor")
+    assert cfg.path == bundled_scenario_path("corridor")
+    assert cfg.mode == "controller"
+    with pytest.raises(ConfigError, match="scenario file not found"):
+        load_scenario("./corridor.cfg")
 
 
 def test_missing_file_names_the_path():
@@ -209,3 +228,45 @@ def test_ensure_plan_generates_then_reuses(tmp_path):
     again = ensure_plan(cfg, tmp_path)
     assert again == path
     assert path.read_text() == first
+
+
+def _readme_key_table() -> dict:
+    """README's scenario key table: (section, key) -> (default cell, modes)."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | default | check | modes |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section, keys, default, _, modes = (cell.strip() for cell in line.strip("|").split("|"))
+        modes = MODES if modes == "all" else tuple(m.strip("`") for m in modes.split(", "))
+        for key in keys.split(" (")[0].split(", "):
+            rows[section.strip("`"), key.strip("`")] = (default, modes)
+    return rows
+
+
+def test_readme_key_table_lists_the_schema():
+    table = _readme_key_table()
+    assert list(table) == list(SCHEMA)
+    defaults = {}
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.default is not dataclasses.MISSING:
+            defaults[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            defaults[f.name] = f.default_factory()
+    folder = bundled_scenario_path("corridor").parent
+    for (section, key), (cell, modes) in table.items():
+        row = SCHEMA[section, key]
+        assert modes == row.modes, (section, key)
+        assert (cell == "required") == row.required, (section, key)
+        if row.field not in {f.name for f in dataclasses.fields(ScenarioConfig)}:
+            assert section == "params" and cell == "the `file`'s value"
+        elif cell.startswith("`"):
+            # a default written as a value reads back to the field's default
+            value = row.read(re.match(r"`([^`]*)`", cell).group(1), "README", folder)
+            assert np.array_equal(value, defaults[row.field]) if isinstance(value, np.ndarray) \
+                else value == defaults[row.field], (section, key)
+        else:
+            # no value: the field has no default, or one that holds nothing
+            default = defaults.get(row.field)
+            assert not default or default == type(default)(), (section, key)
