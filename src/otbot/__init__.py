@@ -13,7 +13,7 @@ from .params import RobotParams, load_params, nominal_params
 from .dynamics import RobotState, inverse_dynamics, forward_dynamics, state_derivative
 from .model import constraint_jacobian, fik_matrix, iik_matrix, lambda_delta
 from .simulate import ControlSequence, SimTrajectory, simulate_robot, simulate_shaft
-from .identify import run_pipeline, identify_basic, identify_chassis, identify_platform
+from .identify import FITS, run_pipeline
 from .control import Gains, tune_gains, computed_torque, closed_loop_simulate
 
 __all__ = [
@@ -33,10 +33,8 @@ __all__ = [
     "SimTrajectory",
     "simulate_robot",
     "simulate_shaft",
+    "FITS",
     "run_pipeline",
-    "identify_basic",
-    "identify_chassis",
-    "identify_platform",
     "Gains",
     "tune_gains",
     "computed_torque",

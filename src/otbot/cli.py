@@ -28,11 +28,9 @@ from .control import (
     tune_gains,
 )
 from .identify import (
-    BASIC_GUESS,
-    CHASSIS_GUESS,
     FIT_TOLERANCE,
+    GUESS,
     SAMPLE_RATE,
-    FitOptions,
     parameter_bounds,
     platform_guess,
     predict_outputs,
@@ -73,10 +71,6 @@ from .simulate import (
 )
 
 
-# keys a --guess file may set: the initial guesses of steps 1 and 2, and the
-# relative deviation of the step-3 guess from the truth
-GUESS_KEYS = (*BASIC_GUESS, *CHASSIS_GUESS, "deviation")
-
 # output channels of each sensor kind, in the column order of its records
 SENSOR_CHANNELS = {"imu": ("accel_x", "accel_y", "angular_rate"), "encoder": ("rate",)}
 XYA = ("x", "y", "alpha")  # task coordinates
@@ -92,12 +86,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _writable_dir(flag: str, path: str | Path) -> Path:
+    """``path`` if it is a directory that can be written, or one that can be made."""
+    p = Path(path)
+    nearest = next(d for d in (p, *p.parents) if d.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK)):
+        raise ConfigError(f"{flag} {path}: {nearest} is not a writable directory")
+    return p
+
+
 class _Run:
     """Collects emitted files and writes the manifest at the end."""
 
     def __init__(self, command: str, out_dir: Path):
         self.command = command
-        self.out = out_dir
+        self.out = _writable_dir("--out", out_dir)
         # tolerances of the rollouts; a run that fits adds its fits' as "fit"
         options = IntegratorOptions()
         self.tolerances: dict = {"rtol": options.rtol, "atol": options.atol}
@@ -229,6 +232,8 @@ def _cmd_simulate(args) -> int:
     else:
         if args.torques is None or args.duration is None:
             raise ConfigError("simulate needs either --scenario or both --torques and --duration")
+        if args.seed is not None:
+            raise ConfigError("--seed does not apply to --torques, which samples no sensor")
         torques = float_list(args.torques, 3, "--torques")
         checked("--duration", args.duration, positive)
         rate = checked("--rate", 100.0 if args.rate is None else args.rate, positive)
@@ -280,29 +285,34 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- identify
 
 
-def _report_estimate(fh, label: str, est, truth: dict[str, float], guesses: dict[str, float]) -> None:
-    fh.write(f"[{label}]\n")
-    fh.write(f"converged = {est.converged}\n")
-    fh.write(f"iterations = {est.iterations}\n")
-    fh.write(f"loss = {format_float(est.loss)}\n")
-    for name, value in zip(est.names, est.values):
-        err = abs(value - truth[name])
-        fh.write(
-            f"{name}: guess {format_float(guesses[name])} -> estimate {format_float(value)} "
-            f"(true {format_float(truth[name])}, abs error {format_float(err)})\n"
-        )
+def _report_step(fh, step: str, fits, truth: dict[str, float]) -> None:
+    """One ``[step<step>]`` section of the report: the losses and iterations
+    of the step's fits summed, then each fitted parameter."""
+    ests = [f.estimate for f in fits]
+    fh.write(f"[step{step}]\n")
+    fh.write(f"converged = {all(e.converged for e in ests)}\n")
+    fh.write(f"iterations = {sum(e.iterations for e in ests)}\n")
+    fh.write(f"loss = {format_float(sum(e.loss for e in ests))}\n")
+    for f in fits:
+        for name, value in zip(f.estimate.names, f.estimate.values):
+            err = abs(value - truth[name])
+            fh.write(
+                f"{name}: guess {format_float(f.guess[name])} -> estimate {format_float(value)} "
+                f"(true {format_float(truth[name])}, abs error {format_float(err)})\n"
+            )
     fh.write("\n")
 
 
-def _fit_data_csv(run: _Run, name: str, candidate: dict, fixed, exp) -> None:
-    pred = predict_outputs(candidate, fixed, exp, IntegratorOptions())
+def _fit_data_csv(run: _Run, fit) -> None:
+    exp = fit.experiment
+    pred = predict_outputs(fit.estimate.as_dict(), fit.held, exp, IntegratorOptions())
     n = len(exp.record.times)
     meas = exp.record.values.reshape(n, -1)
     # each measured channel next to its prediction
     pairs = np.stack([meas, pred], axis=2).reshape(n, -1)
     channels = SENSOR_CHANNELS[exp.record.kind]
     header = ["time", *(f"{kind}_{c}" for c in channels for kind in ("measured", "predicted"))]
-    write_csv(run.emit(name), header, [exp.record.times, pairs])
+    write_csv(run.emit(f"fit_{fit.row.record}.csv"), header, [exp.record.times, pairs])
 
 
 def _cmd_identify(args) -> int:
@@ -316,42 +326,34 @@ def _cmd_identify(args) -> int:
     run = _Run("identify", Path(args.out))
     run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
     params = run.config(args.params, load_params, nominal_params())
-    guesses = run.config(
-        args.guess, lambda p: read_kv(p, GUESS_KEYS, _guess_check(params)), {}
-    )
+    guesses = run.config(args.guess, lambda p: read_kv(p, GUESS, _guess_check(params)), {})
     seed = _resolve_seed(args.seed)
     run.seeds["base"] = seed
-    options = FitOptions(jobs=args.jobs)
     # a single step holds the other steps' parameters at the --params values
     steps = ("1", "2", "3") if args.step == "all" else (args.step,)
-    result = run_pipeline(params, seed, guesses, args.window, options, steps)
+    fits = run_pipeline(params, seed, guesses, args.window, args.jobs, steps).values()
     cells = []
-    if result.step3 is not None and args.sweep > 0:
+    if "3" in steps and args.sweep > 0:
         deviations = (0.05, 0.10, 0.15, 0.20, 0.25)
-        cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window, options)
+        cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window, args.jobs)
     truth = {**params.as_dict(), "Ip0": params.Ip}
 
+    by_step: dict[str, list] = {}
+    for f in fits:
+        by_step.setdefault(f.row.step, []).append(f)
+        _fit_data_csv(run, f)
     with open(run.emit("report.txt"), "w") as fh:
-        for label, est in result.estimates.items():
-            _report_estimate(fh, label, est, truth, result.guesses[label])
+        for step, step_fits in by_step.items():
+            _report_step(fh, step, step_fits, truth)
     with open(run.emit("estimates.csv"), "w") as fh:
         fh.write("step,name,guess,estimate,true,abs_error\n")
-        for label, est in result.estimates.items():
-            for name in est.names:
-                guess, value, true = result.guesses[label][name], est[name], truth[name]
+        for f in fits:
+            for name in f.row.names:
+                guess, value, true = f.guess[name], f.estimate[name], truth[name]
                 fh.write(
-                    f"{label},{name},{format_float(guess)},{format_float(value)},"
+                    f"step{f.row.step},{name},{format_float(guess)},{format_float(value)},"
                     f"{format_float(true)},{format_float(abs(value - true))}\n"
                 )
-    exps = result.experiments
-    if result.step1 is not None:
-        for shaft, (inertia, damping) in (("wheel", ("Ia", "bw")), ("platform", ("Ip0", "bp"))):
-            candidate = {"inertia": result.step1[inertia], "damping": result.step1[damping]}
-            _fit_data_csv(run, f"fit_step1_{shaft}.csv", candidate, {}, exps[shaft])
-    if result.step2 is not None:
-        _fit_data_csv(run, "fit_step2.csv", result.step2.as_dict(), result.known2, exps["step2"])
-    if result.step3 is not None:
-        _fit_data_csv(run, "fit_step3.csv", result.step3.as_dict(), result.known3, exps["step3"])
     if cells:
         keys = list(cells[0])
         write_csv(run.emit("sweep.csv"), keys, [np.array([float(c[k]) for c in cells]) for k in keys])
@@ -476,9 +478,9 @@ def _cmd_check_torques(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
+    target = args.export and _writable_dir("--export", args.export)
     print(scenario_listing())
-    if args.export:
-        target = Path(args.export)
+    if target:
         target.mkdir(parents=True, exist_ok=True)
         for path in sorted(_bundle_dir().glob("*.cfg")):
             shutil.copy(path, target / path.name)

@@ -2,8 +2,8 @@
 
 The plant is excited with held torques, sensors record noisy outputs, and a
 bounded trust-region least-squares solver adjusts a parameter subset until
-the simulated outputs match the record. Identification runs in three steps,
-each fixing everything estimated before it:
+the simulated outputs match the record. ``FITS`` lists the fits in chain
+order, each holding fixed everything fitted before it:
 
 1. basic: wheel and platform driven as isolated shafts, encoder rate
    output, fits (Ia, bw) and (Ip0, bp);
@@ -42,18 +42,17 @@ from .simulate import ControlSequence, simulate_robot, simulate_shaft
 IMU_SIGMA = 13.73e-3
 
 SAMPLE_RATE = 100.0
-
-WHEEL_TORQUE = 6.0
-WHEEL_DURATION = 0.5
-PLATFORM_TORQUE = 6.0
-PLATFORM_DURATION = 1.5
 CHASSIS_TORQUES = (6.0, -10.0, 6.0)
-CHASSIS_DURATION = 3.0
 PLATFORM_WINDOW = 1.0
 
-BASIC_GUESS = {"Ia": 0.01, "bw": 0.09, "Ip0": 1.11, "bp": 0.12}
-CHASSIS_GUESS = {"mc": 54.57, "Ic": 0.65, "xB": -0.07, "yB": 0.25}
-PLATFORM_DEVIATION = 0.25
+# Initial guesses of the shaft and chassis fits, and the relative deviation
+# of the working-platform guess from the truth (see platform_guess)
+GUESS = {"Ia": 0.01, "bw": 0.09, "Ip0": 1.11, "bp": 0.12,
+         "mc": 54.57, "Ic": 0.65, "xB": -0.07, "yB": 0.25, "deviation": 0.25}
+
+# The RobotParams field of a fitted name that differs from it: step 1
+# reports the platform shaft's inertia as Ip0, step 3 refits it as Ip
+_FIELD = {"Ip0": "Ip"}
 
 _BOUNDS_BY_KIND = {
     "mass": (1e-3, 1e4),
@@ -68,10 +67,8 @@ _PARAM_KIND = {
     "Ip": "inertia",
     "Ip0": "inertia",
     "Ia": "inertia",
-    "inertia": "inertia",
     "bw": "friction",
     "bp": "friction",
-    "damping": "friction",
     "xB": "com",
     "yB": "com",
     "xF": "com",
@@ -89,6 +86,42 @@ XTOL = 1e-10
 FD_STEP = 1e-6
 
 
+@dataclass(frozen=True)
+class Fit:
+    """One fit of the identification chain: how its record is made, what it fits.
+
+    ``record`` names the fit (and its ``fit_<record>.csv``); ``step`` is
+    the ``identify --step`` that runs it. ``shaft`` names the RobotParams
+    inertia and damping fields of an isolated shaft; None drives the whole
+    robot from rest. ``torques`` are held for ``duration`` seconds (None:
+    the platform window) and sampled by a ``sensor`` of noise ``sigma`` at
+    noise seed ``seed + seed_offset``. ``names`` are the fitted parameters
+    as reported.
+    """
+
+    record: str
+    step: str
+    shaft: tuple[str, str] | None
+    torques: tuple[float, ...]
+    duration: float | None
+    sensor: str
+    sigma: float
+    seed_offset: int
+    names: tuple[str, ...]
+
+
+# Both wheels are taken as identical, so the one wheel fit covers both.
+FITS = {
+    row.record: row
+    for row in (
+        Fit("step1_wheel", "1", ("Ia", "bw"), (6.0,), 0.5, "encoder", ENCODER_SIGMA, 0, ("Ia", "bw")),
+        Fit("step1_platform", "1", ("Ip", "bp"), (6.0,), 1.5, "encoder", ENCODER_SIGMA, 0, ("Ip0", "bp")),
+        Fit("step2", "2", None, CHASSIS_TORQUES, 3.0, "imu", IMU_SIGMA, 1, ("mc", "Ic", "xB", "yB")),
+        Fit("step3", "3", None, CHASSIS_TORQUES, None, "imu", IMU_SIGMA, 2, ("mp", "Ip", "xF", "yF")),
+    )
+}
+
+
 def parameter_bounds(names) -> tuple[np.ndarray, np.ndarray]:
     """Box bounds for a named parameter subset, by physical kind."""
     pairs = [_BOUNDS_BY_KIND[_PARAM_KIND[n]] for n in names]
@@ -100,24 +133,22 @@ def parameter_bounds(names) -> tuple[np.ndarray, np.ndarray]:
 class Experiment:
     """One excitation run: initial state, commanded torques, recorded outputs.
 
-    ``x0`` is a RobotState for the full model or a length-2 array
-    (phi, dphi) for the isolated-shaft model. ``sensor_model`` is the
-    noise-free copy used to predict outputs.
+    ``shaft`` names the RobotParams inertia and damping fields of an
+    isolated-shaft record, which starts at rest; otherwise ``x0`` is the
+    robot's initial RobotState. ``sensor_model`` is the noise-free copy
+    used to predict outputs.
     """
 
-    x0: object
+    x0: RobotState | None
     controls: ControlSequence
     record: SensorRecord
     sensor_model: SensorModel
+    shaft: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
         t_lo, t_hi = self.record.times[0], self.record.times[-1]
         if abs(t_lo - self.controls.t0) > 1e-9 or abs(t_hi - self.controls.end_time) > 1e-9:
             raise ValueError("record and controls must cover the same time window")
-
-    @property
-    def is_shaft(self) -> bool:
-        return not isinstance(self.x0, RobotState)
 
 
 @dataclass
@@ -139,110 +170,68 @@ class ParamEstimate:
 
 
 @dataclass
-class FitOptions:
-    """Trust-region solver settings.
+class FitRun:
+    """One fit of a pipeline run: its row, its record, the parameters it
+    held fixed, its initial guess and its estimate."""
 
-    The residual Jacobian is scipy's forward finite difference ("2-point")
-    with relative step ``FD_STEP``; ``jobs`` > 1 evaluates its columns from
-    a thread pool. The differences are the same either way, so ``jobs``
-    changes only the wall time, never the estimates.
-    """
-
-    jobs: int = 1
-
-
-@dataclass
-class IdentPipelineResult:
-    """Estimates of the steps that ran, what each step held fixed, and its data.
-
-    ``step1``-``step3`` are ``None`` for a step that did not run; ``guesses``
-    holds each step's initial guess by step label. ``experiments`` holds
-    the records the fits ran on, keyed ``wheel``, ``platform`` (step 1),
-    ``step2`` and ``step3``; ``known2`` and ``known3`` are the full
-    parameter sets held by steps 2 and 3.
-    """
-
-    step1: ParamEstimate | None
-    step2: ParamEstimate | None
-    step3: ParamEstimate | None
-    guesses: dict[str, dict[str, float]]
-    experiments: dict[str, Experiment]
-    known2: RobotParams
-    known3: RobotParams
-
-    @property
-    def estimates(self) -> dict[str, ParamEstimate]:
-        """The estimates of the steps that ran, by step label."""
-        steps = {"step1": self.step1, "step2": self.step2, "step3": self.step3}
-        return {label: est for label, est in steps.items() if est is not None}
+    row: Fit
+    experiment: Experiment
+    held: RobotParams
+    guess: dict[str, float]
+    estimate: ParamEstimate
 
 
-# ---------------------------------------------------------------------------
-# Experiment construction
-
-
-def wheel_experiment(params: RobotParams, seed: int | None = 0, sigma: float = ENCODER_SIGMA) -> Experiment:
-    """Constant torque on one wheel shaft, encoder rate record."""
-    controls = ControlSequence.constant(WHEEL_TORQUE, WHEEL_DURATION, SAMPLE_RATE)
-    traj = simulate_shaft(params.Ia, params.bw, controls)
-    model = SensorModel(kind="encoder", sigma=sigma, rate=SAMPLE_RATE, axis=1)
-    record = sample_sensors(traj, model, seed=seed)
-    return Experiment(x0=np.zeros(2), controls=controls, record=record, sensor_model=model)
-
-
-def platform_shaft_experiment(params: RobotParams, seed: int | None = 0, sigma: float = ENCODER_SIGMA) -> Experiment:
-    """Constant torque on the pivot shaft, encoder rate record."""
-    controls = ControlSequence.constant(PLATFORM_TORQUE, PLATFORM_DURATION, SAMPLE_RATE)
-    traj = simulate_shaft(params.Ip, params.bp, controls)
-    model = SensorModel(kind="encoder", sigma=sigma, rate=SAMPLE_RATE, axis=1)
-    record = sample_sensors(traj, model, seed=seed)
-    return Experiment(x0=np.zeros(2), controls=controls, record=record, sensor_model=model)
-
-
-def chassis_experiment(
+def experiment(
+    row: Fit,
     params: RobotParams,
     seed: int | None = 0,
-    duration: float = CHASSIS_DURATION,
-    sigma: float = IMU_SIGMA,
+    window: float = PLATFORM_WINDOW,
+    sigma: float | None = None,
 ) -> Experiment:
-    """Full robot from rest under constant torques, inertial-unit record.
+    """The record of ``row`` on the plant ``params`` at noise seed ``seed``.
 
-    The same construction serves the working-platform step with a shorter
-    ``duration``.
+    ``window`` is the length of a record the row gives no duration;
+    ``sigma`` overrides the row's sensor noise.
     """
-    controls = ControlSequence.constant(CHASSIS_TORQUES, duration, SAMPLE_RATE)
-    state0 = RobotState(q=np.zeros(6), dq=np.zeros(6))
-    traj = simulate_robot(params, state0, controls)
-    model = SensorModel(kind="imu", sigma=sigma, rate=SAMPLE_RATE)
+    duration = window if row.duration is None else row.duration
+    controls = ControlSequence.constant(row.torques, duration, SAMPLE_RATE)
+    if row.shaft:
+        x0, traj = None, simulate_shaft(*(getattr(params, f) for f in row.shaft), controls)
+    else:
+        x0 = RobotState.rest()
+        traj = simulate_robot(params, x0, controls)
+    model = SensorModel(kind=row.sensor, sigma=row.sigma if sigma is None else sigma,
+                        rate=SAMPLE_RATE, axis=1 if row.shaft else None)
     record = sample_sensors(traj, model, seed=seed)
-    return Experiment(x0=state0, controls=controls, record=record, sensor_model=model)
+    return Experiment(x0=x0, controls=controls, record=record, sensor_model=model, shaft=row.shaft)
 
 
 # ---------------------------------------------------------------------------
 # Loss
 
 
-def predict_outputs(candidate: dict, fixed, exp: Experiment, options: IntegratorOptions) -> np.ndarray:
-    """Noise-free sensor outputs of the candidate model on the record grid."""
-    model = exp.sensor_model
-    if exp.is_shaft:
-        merged = {**(fixed or {}), **candidate}
+def predict_outputs(candidate: dict, fixed: RobotParams, exp: Experiment,
+                    options: IntegratorOptions) -> np.ndarray:
+    """Noise-free sensor outputs of the candidate model on the record grid.
+
+    ``candidate`` maps fitted names to values; every other parameter is
+    held at ``fixed``.
+    """
+    values = {_FIELD.get(n, n): v for n, v in candidate.items()}
+    if exp.shaft:
+        inertia, damping = (values.get(f, getattr(fixed, f)) for f in exp.shaft)
         traj = simulate_shaft(
-            merged["inertia"],
-            merged["damping"],
-            exp.controls,
-            options=options,
-            output_times=exp.record.times,
+            inertia, damping, exp.controls, options=options, output_times=exp.record.times
         )
     else:
-        params = fixed.replace(**candidate)
         traj = simulate_robot(
-            params,
+            fixed.replace(**values),
             exp.x0,
             exp.controls,
             options=options,
             output_times=exp.record.times,
         )
+    model = exp.sensor_model
     if model.kind == "imu":
         return imu_truth(traj)
     return traj.states[:, model.axis][:, None]
@@ -250,7 +239,7 @@ def predict_outputs(candidate: dict, fixed, exp: Experiment, options: Integrator
 
 def prediction_error(
     candidate: dict,
-    fixed,
+    fixed: RobotParams,
     exp: Experiment,
     options: IntegratorOptions | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -282,7 +271,7 @@ def fit_trust_region(
     residual_fn,
     p0,
     bounds=None,
-    options: FitOptions | None = None,
+    jobs: int = 1,
     names: tuple[str, ...] | None = None,
 ) -> ParamEstimate:
     """Minimize ``sum(residual_fn(p)**2)`` inside box bounds.
@@ -290,9 +279,11 @@ def fit_trust_region(
     Bounded trust-region reflective least squares; terminates on relative
     loss decrease (FTOL), step size (XTOL) or the iteration cap. The
     returned loss never exceeds the loss at ``p0``; running out of
-    iterations is reported as ``converged=False``.
+    iterations is reported as ``converged=False``. The Jacobian is scipy's
+    forward finite difference ("2-point") with relative step ``FD_STEP``;
+    ``jobs`` > 1 evaluates its columns from a thread pool. The differences
+    are the same either way, so ``jobs`` changes only the wall time.
     """
-    opts = options or FitOptions()
     p0 = np.asarray(p0, dtype=float)
     names = names or tuple(f"p{i}" for i in range(len(p0)))
 
@@ -316,8 +307,8 @@ def fit_trust_region(
         gtol=1e-14,
         max_nfev=MAX_ITER * (len(p0) + 1),
     )
-    if opts.jobs > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             result = least_squares(residual_fn, p0, workers=pool.map, **kwargs)
     else:
         result = least_squares(residual_fn, p0, **kwargs)
@@ -332,71 +323,21 @@ def fit_trust_region(
     )
 
 
-# ---------------------------------------------------------------------------
-# The three steps
+def fit(exp: Experiment, fixed: RobotParams, names, guess: dict, jobs: int = 1) -> ParamEstimate:
+    """Fit ``names`` to the record of ``exp`` from ``guess``, the rest held at ``fixed``.
 
+    The guess may be far off (an unknown load), so non-convergence is
+    reported via the estimate rather than raised.
+    """
 
-def _fit_subset(exp: Experiment, fixed, names, guess_values, options) -> ParamEstimate:
     def residual(p):
         return prediction_error(dict(zip(names, p)), fixed, exp, FIT_TOLERANCE)[1]
 
-    return fit_trust_region(residual, guess_values, parameter_bounds(names), options, names)
+    return fit_trust_region(residual, [guess[n] for n in names], parameter_bounds(names), jobs, names)
 
 
-def identify_basic(
-    wheel_exp: Experiment,
-    platform_exp: Experiment,
-    guesses: dict | None = None,
-    options: FitOptions | None = None,
-) -> ParamEstimate:
-    """Step 1: two independent shaft fits for (Ia, bw) and (Ip0, bp).
-
-    Both wheels are taken as identical, so the single wheel fit covers both.
-    """
-    g = {**BASIC_GUESS, **(guesses or {})}
-    shaft_names = ("inertia", "damping")
-    wheel = _fit_subset(wheel_exp, {}, shaft_names, [g["Ia"], g["bw"]], options)
-    plat = _fit_subset(platform_exp, {}, shaft_names, [g["Ip0"], g["bp"]], options)
-    return ParamEstimate(
-        names=("Ia", "bw", "Ip0", "bp"),
-        values=np.array([wheel.values[0], wheel.values[1], plat.values[0], plat.values[1]]),
-        loss=wheel.loss + plat.loss,
-        iterations=wheel.iterations + plat.iterations,
-        converged=wheel.converged and plat.converged,
-        message=f"wheel: {wheel.message}; platform: {plat.message}",
-    )
-
-
-def identify_chassis(
-    exp: Experiment,
-    known: RobotParams,
-    guess: dict | None = None,
-    options: FitOptions | None = None,
-) -> ParamEstimate:
-    """Step 2: fit (mc, Ic, xB, yB) against an inertial-unit record.
-
-    ``known`` supplies the geometry, the shaft parameters and the unloaded
-    platform; its chassis entries are ignored.
-    """
-    g = {**CHASSIS_GUESS, **(guess or {})}
-    names = ("mc", "Ic", "xB", "yB")
-    return _fit_subset(exp, known, names, [g[n] for n in names], options)
-
-
-def identify_platform(
-    exp: Experiment,
-    known: RobotParams,
-    guess: dict,
-    options: FitOptions | None = None,
-) -> ParamEstimate:
-    """Step 3: fit the working-platform set (mp, Ip, xF, yF).
-
-    ``known`` carries everything from steps 1 and 2; the platform entries
-    of ``known`` are ignored. The guess may be far off (unknown load), so
-    non-convergence is reported via the estimate rather than raised.
-    """
-    names = ("mp", "Ip", "xF", "yF")
-    return _fit_subset(exp, known, names, [guess[n] for n in names], options)
+# ---------------------------------------------------------------------------
+# The chain
 
 
 def platform_guess(deviation: float, mp0: float, Ip0: float) -> dict:
@@ -417,33 +358,31 @@ def sensitivity_sweep(
     seeds,
     true_params: RobotParams,
     window: float = PLATFORM_WINDOW,
-    options: FitOptions | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
-    """Re-run the platform step across guess deviations and noise seeds.
+    """Re-run the ``step3`` fit across guess deviations and noise seeds.
 
     Every cell fits a ``window``-second record with everything but the
     platform held at ``true_params``. Returns one row per (deviation, seed)
     cell with the absolute estimate errors against ``true_params`` and the
     convergence flag. Individual non-convergences are recorded, not raised.
     """
-    rows = []
+    row = FITS["step3"]
+    cells = []
     for deviation in deviations:
         guess = platform_guess(deviation, mp0=true_params.mp, Ip0=true_params.Ip)
         for seed in seeds:
-            exp = chassis_experiment(true_params, seed=seed, duration=window)
-            est = identify_platform(exp, true_params, guess, options)
-            rows.append(
+            exp = experiment(row, true_params, seed, window)
+            est = fit(exp, true_params, row.names, guess, jobs)
+            cells.append(
                 {
                     "deviation": float(deviation),
                     "seed": int(seed),
-                    "err_mp": abs(est["mp"] - true_params.mp),
-                    "err_Ip": abs(est["Ip"] - true_params.Ip),
-                    "err_xF": abs(est["xF"] - true_params.xF),
-                    "err_yF": abs(est["yF"] - true_params.yF),
+                    **{f"err_{n}": abs(est[n] - getattr(true_params, n)) for n in row.names},
                     "converged": bool(est.converged),
                 }
             )
-    return rows
+    return cells
 
 
 def run_pipeline(
@@ -451,46 +390,29 @@ def run_pipeline(
     seed: int = 0,
     guesses: dict | None = None,
     platform_window: float = PLATFORM_WINDOW,
-    options: FitOptions | None = None,
+    jobs: int = 1,
     steps: tuple[str, ...] = ("1", "2", "3"),
-) -> IdentPipelineResult:
-    """The named steps in order, each consuming the earlier estimates.
+) -> dict[str, FitRun]:
+    """The fits of the named steps in ``FITS`` order, each holding the earlier estimates.
 
-    ``true_params`` drives the simulated plant; records at the three steps
-    use ``seed``, ``seed + 1`` and ``seed + 2``. ``guesses`` may override
-    the initial guesses of steps 1 and 2 and the step-3 ``deviation``. A
-    step left out holds its parameters at ``true_params``.
+    ``true_params`` drives the simulated plant; a record's noise seed is
+    ``seed`` plus its row's offset. ``guesses`` may override ``GUESS``. A
+    fit left out holds its parameters at ``true_params``. Returns the fits
+    that ran by record name.
     """
-    g = {**BASIC_GUESS, **CHASSIS_GUESS, "deviation": PLATFORM_DEVIATION, **(guesses or {})}
-    g1, g2 = ({n: g[n] for n in group} for group in (BASIC_GUESS, CHASSIS_GUESS))
-    step1 = step2 = step3 = None
-    experiments = {}
+    g = {**GUESS, **(guesses or {})}
     # Unloaded platform: mass is known from its data sheet, inertia from
     # step 1, and its centre sits on the pivot axis.
-    known2 = true_params.replace(xF=0.0, yF=0.0)
-    if "1" in steps:
-        experiments["wheel"] = wheel_experiment(true_params, seed=seed)
-        experiments["platform"] = platform_shaft_experiment(true_params, seed=seed)
-        step1 = identify_basic(experiments["wheel"], experiments["platform"], g1, options)
-        known2 = known2.replace(Ia=step1["Ia"], bw=step1["bw"], bp=step1["bp"], Ip=step1["Ip0"])
-
-    known3 = known2
-    if "2" in steps:
-        experiments["step2"] = chassis_experiment(true_params, seed=seed + 1)
-        step2 = identify_chassis(experiments["step2"], known2, g2, options)
-        known3 = known2.replace(**step2.as_dict())
-
-    g3 = platform_guess(g["deviation"], mp0=true_params.mp, Ip0=known2.Ip)
-    if "3" in steps:
-        experiments["step3"] = chassis_experiment(true_params, seed=seed + 2, duration=platform_window)
-        step3 = identify_platform(experiments["step3"], known3, g3, options)
-
-    return IdentPipelineResult(
-        step1=step1,
-        step2=step2,
-        step3=step3,
-        guesses={"step1": g1, "step2": g2, "step3": g3},
-        experiments=experiments,
-        known2=known2,
-        known3=known3,
-    )
+    held = true_params.replace(xF=0.0, yF=0.0)
+    runs = {}
+    for row in FITS.values():
+        if row.step not in steps:
+            continue
+        # the working-platform guess starts from the platform held so far
+        pool = {**g, **platform_guess(g["deviation"], mp0=held.mp, Ip0=held.Ip)}
+        guess = {n: pool[n] for n in row.names}
+        exp = experiment(row, true_params, seed + row.seed_offset, platform_window)
+        est = fit(exp, held, row.names, guess, jobs)
+        runs[row.record] = FitRun(row, exp, held, guess, est)
+        held = held.replace(**{_FIELD.get(n, n): v for n, v in est.as_dict().items()})
+    return runs

@@ -29,19 +29,7 @@ from otbot.dynamics import (
     inverse_dynamics,
     inverse_dynamics_conventional,
 )
-from otbot.identify import (
-    BASIC_GUESS,
-    CHASSIS_GUESS,
-    FitOptions,
-    chassis_experiment,
-    identify_basic,
-    identify_chassis,
-    identify_platform,
-    platform_guess,
-    platform_shaft_experiment,
-    sensitivity_sweep,
-    wheel_experiment,
-)
+from otbot.identify import FITS, GUESS, experiment, fit, platform_guess, sensitivity_sweep
 from otbot.model import (
     constraint_jacobian,
     coriolis_matrix,
@@ -52,8 +40,6 @@ from otbot.model import (
 )
 from otbot.scenarios import build_plan, load_scenario, make_reference
 from otbot.simulate import ControlSequence, simulate_shaft
-
-OPTS = FitOptions()
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -199,12 +185,9 @@ def test_criterion_05_friction_and_inertia_identification(params):
     t0 = time.perf_counter()
     errs = []
     for seed in range(10):
-        est = identify_basic(
-            wheel_experiment(params, seed=seed),
-            platform_shaft_experiment(params, seed=seed),
-            BASIC_GUESS,
-            OPTS,
-        )
+        est = {}
+        for row in (FITS["step1_wheel"], FITS["step1_platform"]):
+            est.update(fit(experiment(row, params, seed), params, row.names, GUESS).as_dict())
         errs.append(
             [
                 abs(est["bw"] - params.bw),
@@ -228,9 +211,10 @@ def test_criterion_05_friction_and_inertia_identification(params):
 def test_criterion_06_chassis_identification(params):
     t0 = time.perf_counter()
     known = params.replace(xF=0.0, yF=0.0)
+    row = FITS["step2"]
     errs = []
     for seed in range(10):
-        est = identify_chassis(chassis_experiment(params, seed=seed), known, CHASSIS_GUESS, OPTS)
+        est = fit(experiment(row, params, seed), known, row.names, GUESS)
         errs.append(
             [
                 abs(est["mc"] - params.mc),
@@ -253,11 +237,12 @@ def test_criterion_06_chassis_identification(params):
 
 def test_criterion_07_platform_reidentification_under_load(params):
     t0 = time.perf_counter()
-    est = identify_platform(
-        chassis_experiment(params, seed=1, duration=1.0),
+    row = FITS["step3"]
+    est = fit(
+        experiment(row, params, seed=1, window=1.0),
         params,
+        row.names,
         platform_guess(0.25, params.mp, params.Ip),
-        OPTS,
     )
     errs = np.array(
         [
@@ -272,7 +257,6 @@ def test_criterion_07_platform_reidentification_under_load(params):
         deviations=(0.05, 0.10, 0.15, 0.20, 0.25),
         seeds=range(2),
         true_params=params,
-        options=OPTS,
     )
     frac = float(np.mean([cell["converged"] for cell in cells]))
     took = time.perf_counter() - t0

@@ -287,6 +287,21 @@ class TestIdentify:
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "step, files",
+        [
+            ("1", {"fit_step1_wheel.csv", "fit_step1_platform.csv"}),
+            ("2", {"fit_step2.csv"}),
+            ("3", {"fit_step3.csv"}),
+        ],
+    )
+    def test_a_step_writes_the_fit_files_of_its_fits(self, tmp_path, step, files):
+        out = tmp_path / "id"
+        argv = ["identify", "--step", step, "--sweep", "0", "--window", "0.2", "--out", str(out)]
+        assert main(argv) == 0
+        assert {p.name for p in out.glob("fit_*.csv")} == files
+        assert set(manifest(out)["files"]) == {"report.txt", "estimates.csv", *files}
+
     def test_guess_file_takes_the_keys_of_every_step(self, tmp_path):
         guess = tmp_path / "guess.cfg"
         guess.write_text("Ia = 0.02\nmc = 60\ndeviation = 0.1\n")
@@ -516,6 +531,8 @@ class TestBadNumericFlags:
             (["simulate", "--scenario", "chassis-excitation", "--torques", "1,2,3"], "--torques"),
             (["simulate", "--scenario", "chassis-excitation", "--duration", "0.5"], "--duration"),
             (["simulate", "--scenario", "wheel-spin", "--rate", "100"], "--rate"),
+            (["simulate", "--torques", "1,2,3", "--duration", "0.1", "--seed", "-4"],
+             "--seed does not apply to --torques"),
             (["control", "--scenario", "rate-word.cfg"],
              "rate-word.cfg: [control] rate must be a number, got 'fast'"),
             (["simulate", "--scenario", "seed-fraction.cfg"],
@@ -546,6 +563,7 @@ class TestBadNumericFlags:
              "scenario-nan-pulse", "scenario-nan-mass-error", "scenario-mass-error-minus-one",
              "plan-two-rows", "plan-uneven-grid", "plan-file-on-controller",
              "torques-with-scenario", "duration-with-scenario", "rate-with-scenario",
+             "seed-with-torques",
              "scenario-word-rate", "scenario-fractional-seed", "scenario-word-param",
              "scenario-negative-param"],
     )
@@ -571,6 +589,25 @@ class TestBadNumericFlags:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--torques", "1,2,3", "--duration", "0.1", "--out", "FILE"], "--out FILE"),
+            (["identify", "--step", "1", "--sweep", "0", "--out", "FILE/sub"], "--out FILE/sub"),
+            (["scenarios", "--export", "FILE"], "--export FILE"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "export-is-a-file"],
+    )
+    def test_a_file_where_a_directory_goes_exits_two(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        Path("FILE").write_text("kept\n")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert flag in captured.err
+        assert Path("FILE").read_text() == "kept\n"
 
 
 class TestKernelInManifest:
