@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Generate ``src/otbot/_task_space.py``, the closed-form task-space model,
-and ``src/otbot/_dp5_robot.c``, the robot's rollout loop in C.
+and ``src/otbot/_dp5_robot.c``, the rollout loop of the robot and a shaft in C.
 
 The task-space model of ``otbot.dynamics`` is
 
@@ -15,15 +15,18 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
-The C rhs, the C task-space model and the C Dormand-Prince attempt are
-translated from the syntax tree of the generated ``accelerations``,
-``task_space_model`` and ``otbot.integrator._step_source(12)``, every
-operation kept in the Python order and fully parenthesised, so they compute
-the same bits as the Python code (see ``otbot._ckernel`` for the compiler
-flags that this needs). The rollout loop around them, with the
+The C rhs of the robot, the C task-space model and the robot's C
+Dormand-Prince attempt are translated from the syntax tree of the generated
+``accelerations``, ``task_space_model`` and
+``otbot.integrator._step_source(12)``; the shaft's rhs and attempt from
+``otbot.simulate.shaft_derivative`` and ``_step_source(2)``. Every
+operation is kept in the Python order and fully parenthesised, so they
+compute the same bits as the Python code (see ``otbot._ckernel`` for the
+compiler flags that this needs). The rollout loop around them, with the
 computed-torque law of ``otbot.control.computed_torque``, is written out
-below; its step-control constants are printed from ``otbot.integrator`` and
-its struct from ``otbot._ckernel.Rollout``, so ``--check`` sees any drift.
+below; its step-control constants are printed from ``otbot.integrator``,
+its struct from ``otbot._ckernel.Rollout`` and its model table from
+``otbot._ckernel.MODELS``, so ``--check`` sees any drift.
 
     python scripts/gen_task_space.py           # rewrite both files
     python scripts/gen_task_space.py --check   # exit 1 if either is out of date
@@ -39,6 +42,7 @@ import ast
 import ctypes
 import difflib
 import hashlib
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -55,7 +59,7 @@ TARGET = ROOT / "src" / "otbot" / "_task_space.py"
 C_TARGET = ROOT / "src" / "otbot" / "_dp5_robot.c"
 sys.path.insert(0, str(ROOT / "src"))
 
-from otbot import _ckernel, dynamics, integrator, model  # noqa: E402
+from otbot import _ckernel, dynamics, integrator, model, simulate  # noqa: E402
 from otbot.params import PARAM_FIELDS  # noqa: E402
 
 INDENT = "    "
@@ -246,6 +250,7 @@ def render(generator_sha256: str) -> str:
 _BLOCK = {name: i for i, name in enumerate(
     [*(f"p.{name}" for name in PARAM_FIELDS), "u0", "u1", "u2", "fx", "fy"])}
 assert len(_BLOCK) == dict(_ckernel.Rollout._fields_)["blk"]._length_
+_ROBOT, _SHAFT = (_ckernel.MODELS[_ckernel.MODEL_INDEX[name]] for name in ("robot", "shaft"))
 
 # The arguments of ``accelerations`` as dynamics.state_derivative passes
 # them, from the 12-state x = (q, dq): q[2], q[2] - q[5], dq[0], dq[1],
@@ -296,6 +301,9 @@ class _CExpr:
             return self.rename(node.id)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             return self.rename(f"{node.value.id}.{node.attr}")
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int):
+            return f"{self.rename(node.value.id)}[{node.slice.value}]"
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return f"(-{self(node.operand)})"
         if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
@@ -394,6 +402,28 @@ def _rhs_function(accel: ast.FunctionDef) -> list[str]:
     return _c_function(accel, signature, store)
 
 
+def _shaft_function() -> list[str]:
+    """``shaft_rhs``: k = f(x) of simulate.shaft_derivative on the hold in
+    blk (its parameters, then the torque), as C."""
+    fn = _function_def(inspect.getsource(simulate), "shaft_derivative")
+    *params, state, torque = [a.arg for a in fn.args.args]
+    if len(params) != _SHAFT.params or _SHAFT.inputs != 1:
+        raise ValueError("shaft_derivative does not match _ckernel.MODELS")
+    names = {**{p: f"blk[{i}]" for i, p in enumerate(params)}, torque: f"blk[{len(params)}]",
+             state: "x"}
+
+    def rename(name):
+        if name not in names:
+            raise ValueError(f"unbound name {name!r} in {fn.name}")
+        return names[name]
+
+    (ret,) = [stmt for stmt in fn.body if isinstance(stmt, ast.Return)]
+    to_c = _CExpr(rename)
+    lines = [line for j, e in enumerate(ret.value.elts) for line in to_c.statement(f"k[{j}]", e)]
+    signature = "static int shaft_rhs(const double *blk, const double *x, double *k)"
+    return [signature, "{"] + [INDENT + line for line in lines + ["return 0;"]] + ["}"]
+
+
 def _model_function(model_fn: ast.FunctionDef) -> list[str]:
     """``task_space_model``: Mbar and Cbar at x, row by row into m and c, as C."""
 
@@ -414,9 +444,10 @@ def _vector_name(name: str) -> str:
     raise ValueError(f"unexpected name {name!r} in the step source")
 
 
-def _attempt_body() -> list[str]:
-    """The DP5 attempt of integrator._step_source(12), calling robot_rhs."""
-    step = _function_def(integrator._step_source(12), "step")
+def _attempt_body(m: _ckernel.Model) -> list[str]:
+    """The DP5 attempt of integrator._step_source(n) for the model ``m`` of
+    n states, calling its rhs."""
+    step = _function_def(integrator._step_source(m.states), "step")
     to_c = _CExpr(_vector_name)
     lines: list[str] = []
     for stmt in step.body:
@@ -437,7 +468,7 @@ def _attempt_body() -> list[str]:
             else:
                 x = state.id
                 lines.append(f"/* stage {out[1:]}, at the new state */")
-            lines.append(f"if ((s = robot_rhs(blk, {x}, {out}))) return s;")
+            lines.append(f"if ((s = {m.name}_rhs(blk, {x}, {out}))) return s;")
         elif isinstance(value, ast.List):  # y_new or the error vector
             vector = {"y_new": "y_new", "err": "e"}[target.id]
             lines.append(f"/* {'fifth-order solution' if vector == 'y_new' else 'error estimate'} */")
@@ -448,24 +479,53 @@ def _attempt_body() -> list[str]:
     return lines
 
 
-_C_SIGNATURE = (
-    "int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,\n"
-    "                      const double *y, const double *k1,\n"
-    "                      double *y_new, double *k7, double *ratio)"
-)
+def _attempt_function(m: _ckernel.Model) -> list[str]:
+    """``dp5_<name>_attempt``: one DP5 attempt of the model ``m``, then the
+    ratio vector of integrator._error_norm: e / (atol + rtol * max(|y|,
+    |y_new|)) with the NaN of either side propagated. A zero scale gives an
+    inf or a NaN, so the norm is non-finite where Python's is inf."""
+    n = m.states
+    signature = (
+        f"int dp5_{m.name}_attempt(const double *blk, double h, double rtol, double atol,\n"
+        "                      const double *y, const double *k1,\n"
+        "                      double *y_new, double *k7, double *ratio)"
+    )
+    body = [f"double ys[{n}], k2[{n}], k3[{n}], k4[{n}], k5[{n}], k6[{n}], e[{n}];", "int s;"]
+    body += _attempt_body(m) + [
+        "/* error ratios; the caller reduces them to the norm */",
+        f"for (int j = 0; j < {n}; j++) {{",
+        "    const double a = fabs(y[j]);",
+        "    const double b = fabs(y_new[j]);",
+        "    ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));",
+        "}",
+        "return 0;",
+    ]
+    return [signature, "{"] + [INDENT + line for line in body] + ["}"]
 
-# The ratio vector of integrator._error_norm: e / (atol + rtol * max(|y|,
-# |y_new|)) with the NaN of either side propagated. A zero scale gives an
-# inf or a NaN, so the norm is non-finite where Python's is inf.
-_RATIO = [
-    "/* error ratios; the caller reduces them to the norm */",
-    "for (int j = 0; j < 12; j++) {",
-    "    const double a = fabs(y[j]);",
-    "    const double b = fabs(y_new[j]);",
-    "    ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));",
-    "}",
-    "return 0;",
-]
+
+def _model_table() -> list[str]:
+    """``MODELS``, the C of _ckernel.MODELS with each model's rhs and attempt."""
+    fields = dict(_ckernel.Rollout._fields_)
+    rows = []
+    for m in _ckernel.MODELS:
+        if m.states > fields["x"]._length_ or m.params + m.inputs + m.forces > fields["blk"]._length_:
+            raise ValueError(f"the model {m.name!r} does not fit struct rollout")
+        rows.append(f"{{{m.states}, {m.params}, {m.inputs}, {m.forces}, {m.name}_rhs, dp5_{m.name}_attempt}},")
+    return [
+        "/* The models of otbot._ckernel.MODELS, which struct rollout's model",
+        "   indexes: the state size, the widths of the parameters, the held input",
+        "   and the pivot force in blk, the rhs and the DP5 attempt. */",
+        "struct model {",
+        INDENT + "long states, params, inputs, forces;",
+        INDENT + "int (*rhs)(const double *blk, const double *x, double *k);",
+        INDENT + "int (*attempt)(const double *blk, double h, double rtol, double atol, const double *y,",
+        INDENT + "               const double *k1, double *y_new, double *k7, double *ratio);",
+        "};",
+        "",
+        "static const struct model MODELS[] = {",
+        *(INDENT + row for row in rows),
+        "};",
+    ]
 
 
 def _struct() -> list[str]:
@@ -492,6 +552,7 @@ def _loop() -> str:
                      "NONFINITE_FACTOR", "TIME_RESOLUTION")
     )
     return (_LOOP.replace("@CONSTANTS@", constants)
+            .replace("@MAX_STATES@", str(dict(_ckernel.Rollout._fields_)["x"]._length_))
             .replace("@UNDERFLOW@", str(_UNDERFLOW))
             .replace("@FEEDBACK@", str(_ckernel.FEEDBACK)))
 
@@ -509,34 +570,35 @@ typedef void (*dgemv_t)(int, int, long long, long long, double, const double *, 
 static double py_min(double a, double b) { return b < a ? b : a; }
 static double py_max(double a, double b) { return b > a ? b : a; }
 
-static void copy(double *to, const double *from, int n)
+static void copy(double *to, const double *from, long n)
 {
-    for (int c = 0; c < n; c++) to[c] = from[c];
+    for (long c = 0; c < n; c++) to[c] = from[c];
 }
 
-/* 1 where the torques a and b are the same bits: 0.0 and -0.0 differ */
-static int same_bits(const double *a, const double *b)
+/* 1 where the inputs a and b are the same n bit patterns: 0.0 and -0.0 differ */
+static int same_bits(const double *a, const double *b, long n)
 {
-    for (int c = 0; c < 3; c++) {
+    for (long c = 0; c < n; c++) {
         union { double d; unsigned long long bits; } p = {a[c]}, q = {b[c]};
         if (p.bits != q.bits) return 0;
     }
     return 1;
 }
 
-/* integrator.advance_segment from t to t1 on the hold in r->blk, from
-   r->x, r->k1 and r->h: these and the counts move on, or a nonzero status
-   returns. */
-static int advance(struct rollout *r, double t, double t1)
+/* integrator.advance_segment of the model m from t to t1 on the hold in
+   r->blk, from r->x, r->k1 and r->h: these and the counts move on, or a
+   nonzero status returns. */
+static int advance(struct rollout *r, const struct model *m, double t, double t1)
 {
     const ddot_t ddot = (ddot_t)r->ddot;
-    double y[2][12], k[2][12], ratio[12];
+    const long n = m->states;
+    double y[2][@MAX_STATES@], k[2][@MAX_STATES@], ratio[@MAX_STATES@];
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
     double min_step = r->min_step, max_step = r->max_step;
     double h_next = py_min(r->h, r->h_max);
-    copy(y[0], r->x, 12);
-    copy(k[0], r->k1, 12);
+    copy(y[0], r->x, n);
+    copy(k[0], r->k1, n);
     while (t < t1) {
         const double remaining = t1 - t;
         if (remaining <= TIME_RESOLUTION * py_max(1.0, fabs(t1))) {
@@ -547,10 +609,9 @@ static int advance(struct rollout *r, double t, double t1)
         const double h = clipped ? remaining : h_next;
         /* written so that a NaN step underflows too */
         if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return @UNDERFLOW@;
-        const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
-                                        y[!now], k[!now], ratio);
+        const int s = m->attempt(r->blk, h, r->rtol, r->atol, y[now], k[now], y[!now], k[!now], ratio);
         if (s) return s;
-        const double norm = sqrt(ddot(12, ratio, 1, ratio, 1) / 12.0);
+        const double norm = sqrt(ddot(n, ratio, 1, ratio, 1) / (double)n);
         fevals += 6;
         if (!isfinite(norm)) {
             rejected += 1;
@@ -572,8 +633,8 @@ static int advance(struct rollout *r, double t, double t1)
             h_next = h * py_max(MIN_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
         }
     }
-    copy(r->x, y[now], 12);
-    copy(r->k1, k[now], 12);
+    copy(r->x, y[now], n);
+    copy(r->k1, k[now], n);
     r->h = h_next;
     r->accepted = accepted;
     r->rejected = rejected;
@@ -590,8 +651,8 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
     ((dgemv_t)r->dgemv)(101, 111, 3, 3, 1.0, a, 3, v, 1, 0.0, y, 1);
 }
 
-/* control.computed_torque at the state r->x and the reference row
-   r->instant: the torque into u and the row r->instant of u_traj and
+/* control.computed_torque of the robot at the state r->x and the reference
+   row r->instant: the torque into u and the row r->instant of u_traj and
    u_corr, with every operation in numpy's order; u_corr is zero without
    feedback. A nonzero status is where the task-space model raises. */
 static int computed_torque(struct rollout *r, double *u)
@@ -618,37 +679,41 @@ static int computed_torque(struct rollout *r, double *u)
     return 0;
 }
 
-/* Events [i, j) of simulate.integrate: at each event the segment from the
-   one before it (none at event 0), the law at a control instant (or the
-   torques held from the last one), the hold (a fresh first stage where the
-   torque bits change or a disturbance edge lies), then the output row.
-   Returns 0, or the status of where Python raises. */
-int robot_rollout(struct rollout *r, long i, long j)
+/* Events [i, j) of simulate.integrate for the model r->model: at each event
+   the segment from the one before it (none at event 0), the law at a
+   control instant (or the torques held from the last one; the robot's
+   only), the hold (a fresh first stage where the input bits change or a
+   disturbance edge lies), then the output row. Returns 0, or the status of
+   where Python raises. */
+int rollout(struct rollout *r, long i, long j)
 {
+    const struct model *m = &MODELS[r->model];
+    const long n = m->states, nu = m->inputs, nf = m->forces;
+    double *const hold = r->blk + m->params;
     const double *events = r->events, *forces = r->forces;
     const unsigned char *out = r->out, *start = r->start, *brk = r->brk;
     double *held = r->held, *states = r->states, *derivs = r->derivs, *controls = r->controls;
     int s;
     for (long e = i; e < j; e++) {
-        double *u = held + 3 * e;
+        double *u = held + nu * e;
         const int instant = r->law && start[e];
-        if (e > 0 && (s = advance(r, events[e - 1], events[e]))) return s;
+        if (e > 0 && (s = advance(r, m, events[e - 1], events[e]))) return s;
         if (instant) {
             if ((s = computed_torque(r, u))) return s;
         } else if (r->law) {
-            copy(u, u - 3, 3);
+            copy(u, u - nu, nu);
         }
-        if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
-            copy(r->blk + 14, u, 3);
-            copy(r->blk + 17, forces + 2 * e, 2);
-            if ((s = robot_rhs(r->blk, r->x, r->k1))) return s;
+        if (e == 0 || brk[e] || !same_bits(u, u - nu, nu)) {
+            copy(hold, u, nu);
+            copy(hold + nu, forces + nf * e, nf);
+            if ((s = m->rhs(r->blk, r->x, r->k1))) return s;
             r->fevals += 1;
         }
         r->instant += instant;
         if (out[e]) {
-            copy(states + 12 * r->row, r->x, 12);
-            copy(derivs + 12 * r->row, r->k1, 12);
-            copy(controls + 3 * r->row, u, 3);
+            copy(states + n * r->row, r->x, n);
+            copy(derivs + n * r->row, r->k1, n);
+            copy(controls + nu * r->row, u, nu);
             r->row += 1;
         }
     }
@@ -665,17 +730,20 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         f"// generator sha256: {generator_sha256}",
         f"// sympy {sp.__version__}",
         "//",
-        "// The robot's rollout loop: robot_rollout runs the event loop of",
-        "// otbot.simulate.integrate, with the computed-torque law of",
-        "// otbot.control.computed_torque at each control instant, and the step",
-        "// control of otbot.integrator.advance_segment on a struct rollout (the",
-        "// fields of otbot._ckernel.Rollout). dp5_robot_attempt is one",
+        "// The rollout loop of the robot and of an isolated shaft: rollout runs",
+        "// the event loop of otbot.simulate.integrate, with the computed-torque law",
+        "// of otbot.control.computed_torque at each control instant (the robot's",
+        "// only), and the step control of otbot.integrator.advance_segment on a",
+        "// struct rollout (the fields of otbot._ckernel.Rollout), for the model",
+        "// of its MODELS row (otbot._ckernel.MODELS). dp5_robot_attempt is one",
         "// Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of",
         "// otbot.dynamics.state_derivative (robot_rhs, from the accelerations of",
         "// otbot._task_space) under the held torques and pivot force in blk:",
         f"// the parameters ({', '.join(PARAM_FIELDS[:7])},",
         f"// {', '.join(PARAM_FIELDS[7:])}), u0, u1, u2, fx, fy; the law's",
         "// task_space_model is that of otbot._task_space on the same parameters.",
+        "// dp5_shaft_attempt is the same attempt of otbot.simulate.shaft_derivative",
+        "// (shaft_rhs) with blk holding the inertia, the damping and the torque.",
         "// Every value is bit for bit what the Python code computes; the error",
         "// norm and the law's products reduce through the BLAS ddot and dgemv",
         "// that numpy calls. A nonzero status stops the loop where Python raises:",
@@ -685,11 +753,10 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         "#include <math.h>",
         "",
     ]
-    attempt = ["double ys[12], k2[12], k3[12], k4[12], k5[12], k6[12], e[12];", "int s;"]
-    attempt += _attempt_body() + _RATIO
     lines = (
         header + _struct() + [""] + _rhs_function(accel) + [""] + _model_function(model_fn) + [""]
-        + [_C_SIGNATURE, "{"] + [INDENT + line for line in attempt] + ["}", ""]
+        + _attempt_function(_ROBOT) + [""] + _shaft_function() + [""] + _attempt_function(_SHAFT)
+        + [""] + _model_table() + [""]
     )
     return "\n".join(lines) + "\n" + _loop()
 

@@ -2,9 +2,10 @@
 
 Two libraries are compiled on first use, never at import:
 
-- ``_dp5_robot.c``, the robot's rollout loop, with the system C compiler
-  (``cc``). ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
-  and add a separately rounded double operation, in the source's order;
+- ``_dp5_robot.c``, the rollout loop of the robot and of a shaft (the
+  :data:`MODELS`), with the system C compiler (``cc``).
+  ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply and add a
+  separately rounded double operation, in the source's order;
   ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and ``sqrt`` as calls into
   the libm that Python calls, with no fused ``sincos``. The error norm
   reduces through the ``ddot`` that numpy calls, and the computed-torque
@@ -17,7 +18,8 @@ Two libraries are compiled on first use, never at import:
   so it writes the same bytes as the Python loop.
 
 A library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
-under the SHA-256 of its source and flags. It is written to a temporary
+under the SHA-256 of its source and flags, so the first run after the
+source changes compiles it once. It is written to a temporary
 name and moved into place, so concurrent processes may build it at once.
 Where the cache directory cannot be written, it is built into a temporary
 directory of this process. Without a working compiler a loader returns
@@ -33,6 +35,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_dp5_robot.c")
@@ -42,24 +45,35 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin", "-shared"
 # 64-bit-integer scipy-openblas build
 DDOT = "scipy_cblas_ddot64_"
 DGEMV = "scipy_cblas_dgemv64_"
-# Rollout.law: 0 for held torque rows, else the computed-torque law without
-# or with feedback
+# Rollout.law: 0 for held input rows, else the computed-torque law (robot
+# only) without or with feedback
 FEEDFORWARD, FEEDBACK = 1, 2
 
 
+# The models of ``rollout``, which Rollout.model indexes: the name (its rhs
+# is <name>_rhs and its DP5 attempt dp5_<name>_attempt in the C), the state
+# size, and the widths of the parameters, the held input and the pivot force
+# that make up its hold blk, in that order. The shaft is
+# simulate.shaft_derivative on (inertia, damping) and one torque.
+Model = namedtuple("Model", "name states params inputs forces")
+MODELS = (Model("robot", 12, 14, 3, 2), Model("shaft", 2, 2, 1, 0))
+MODEL_INDEX = {m.name: i for i, m in enumerate(MODELS)}
+
+
 class Rollout(ctypes.Structure):
-    """One robot rollout, ``struct rollout`` of ``robot_rollout``: the numpy
-    tables (a feedback law's too) and BLAS routines as addresses, the tolerances
-    and step cap ``h_max``, what the C moves on (the step ``h``, the counts, the
+    """One rollout, ``struct rollout`` of ``rollout``: the numpy tables (a
+    feedback law's too) and BLAS routines as addresses, the tolerances and
+    step cap ``h_max``, what the C moves on (the step ``h``, the counts, the
     output row, the law's ``instant``, the hold ``blk``, state ``x``, first
-    stage ``k1``), the law."""
+    stage ``k1``), the law and the model (an index of :data:`MODELS`)."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
             "events", "out", "start", "brk", "held", "forces", "states", "derivs", "controls",
             "reference", "u_traj", "u_corr", "ddot", "dgemv")),
         *((name, ctypes.c_double) for name in ("rtol", "atol", "h_max", "h", "min_step", "max_step")),
-        *((name, ctypes.c_long) for name in ("accepted", "rejected", "fevals", "row", "instant", "law")),
+        *((name, ctypes.c_long) for name in (
+            "accepted", "rejected", "fevals", "row", "instant", "law", "model")),
         ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),
         ("kp", ctypes.c_double * 3), ("kv", ctypes.c_double * 3),
     ]
@@ -122,17 +136,17 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
 
 
 def load():
-    """``(robot_rollout, ddot, dgemv)``, or None where the library or numpy's BLAS is missing.
+    """``(rollout, ddot, dgemv)``, or None where the library or numpy's BLAS is missing.
 
-    ``robot_rollout(r, i, j)`` runs the events ``[i, j)`` of the
-    :class:`Rollout` ``r``, whose ``ddot`` and ``dgemv`` fields are these, and
-    returns 0, or nonzero where the Python engine raises.
+    ``rollout(r, i, j)`` runs the events ``[i, j)`` of the :class:`Rollout`
+    ``r``, whose ``ddot`` and ``dgemv`` fields are these, and returns 0, or
+    nonzero where the Python engine raises.
     """
     blas = numpy_blas()
     path = None if blas is None else build(SOURCE, COMPILER, FLAGS)
     if path is None:
         return None
-    run = ctypes.CDLL(str(path)).robot_rollout
+    run = ctypes.CDLL(str(path)).rollout
     run.argtypes = [ctypes.POINTER(Rollout), ctypes.c_long, ctypes.c_long]
     run.restype = ctypes.c_int
     return run, *blas

@@ -1,18 +1,21 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: be0f2c783d41437cc5dfe1f837616ce90d64cce8398f8c022ae301978f479311
+// generator sha256: 8cc7b5bc4eba91a7f45a13a7fb300fffe7ed0239a147883bde53c10a4c215903
 // sympy 1.14.0
 //
-// The robot's rollout loop: robot_rollout runs the event loop of
-// otbot.simulate.integrate, with the computed-torque law of
-// otbot.control.computed_torque at each control instant, and the step
-// control of otbot.integrator.advance_segment on a struct rollout (the
-// fields of otbot._ckernel.Rollout). dp5_robot_attempt is one
+// The rollout loop of the robot and of an isolated shaft: rollout runs
+// the event loop of otbot.simulate.integrate, with the computed-torque law
+// of otbot.control.computed_torque at each control instant (the robot's
+// only), and the step control of otbot.integrator.advance_segment on a
+// struct rollout (the fields of otbot._ckernel.Rollout), for the model
+// of its MODELS row (otbot._ckernel.MODELS). dp5_robot_attempt is one
 // Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of
 // otbot.dynamics.state_derivative (robot_rhs, from the accelerations of
 // otbot._task_space) under the held torques and pivot force in blk:
 // the parameters (l1, l2, r, xB, yB, xF, yF,
 // mc, mp, Ic, Ip, Ia, bw, bp), u0, u1, u2, fx, fy; the law's
 // task_space_model is that of otbot._task_space on the same parameters.
+// dp5_shaft_attempt is the same attempt of otbot.simulate.shaft_derivative
+// (shaft_rhs) with blk holding the inertia, the damping and the torque.
 // Every value is bit for bit what the Python code computes; the error
 // norm and the law's products reduce through the BLAS ddot and dgemv
 // that numpy calls. A nonzero status stops the loop where Python raises:
@@ -48,6 +51,7 @@ struct rollout {
     long row;
     long instant;
     long law;
+    long model;
     double blk[19];
     double x[12];
     double k1[12];
@@ -453,6 +457,72 @@ int dp5_robot_attempt(const double *blk, double h, double rtol, double atol,
     return 0;
 }
 
+static int shaft_rhs(const double *blk, const double *x, double *k)
+{
+    k[0] = x[1];
+    if (blk[0] == 0.0) return 1;
+    k[1] = ((blk[2] - (blk[1] * x[1])) / blk[0]);
+    return 0;
+}
+
+int dp5_shaft_attempt(const double *blk, double h, double rtol, double atol,
+                      const double *y, const double *k1,
+                      double *y_new, double *k7, double *ratio)
+{
+    double ys[2], k2[2], k3[2], k4[2], k5[2], k6[2], e[2];
+    int s;
+    /* stage 2 */
+    ys[0] = (y[0] + (h * (0.2 * k1[0])));
+    ys[1] = (y[1] + (h * (0.2 * k1[1])));
+    if ((s = shaft_rhs(blk, ys, k2))) return s;
+    /* stage 3 */
+    ys[0] = (y[0] + (h * ((0.075 * k1[0]) + (0.225 * k2[0]))));
+    ys[1] = (y[1] + (h * ((0.075 * k1[1]) + (0.225 * k2[1]))));
+    if ((s = shaft_rhs(blk, ys, k3))) return s;
+    /* stage 4 */
+    ys[0] = (y[0] + (h * (((0.9777777777777777 * k1[0]) + ((-3.7333333333333334) * k2[0])) + (3.5555555555555554 * k3[0]))));
+    ys[1] = (y[1] + (h * (((0.9777777777777777 * k1[1]) + ((-3.7333333333333334) * k2[1])) + (3.5555555555555554 * k3[1]))));
+    if ((s = shaft_rhs(blk, ys, k4))) return s;
+    /* stage 5 */
+    ys[0] = (y[0] + (h * ((((2.9525986892242035 * k1[0]) + ((-11.595793324188385) * k2[0])) + (9.822892851699436 * k3[0])) + ((-0.2908093278463649) * k4[0]))));
+    ys[1] = (y[1] + (h * ((((2.9525986892242035 * k1[1]) + ((-11.595793324188385) * k2[1])) + (9.822892851699436 * k3[1])) + ((-0.2908093278463649) * k4[1]))));
+    if ((s = shaft_rhs(blk, ys, k5))) return s;
+    /* stage 6 */
+    ys[0] = (y[0] + (h * (((((2.8462752525252526 * k1[0]) + ((-10.757575757575758) * k2[0])) + (8.906422717743473 * k3[0])) + (0.2784090909090909 * k4[0])) + ((-0.2735313036020583) * k5[0]))));
+    ys[1] = (y[1] + (h * (((((2.8462752525252526 * k1[1]) + ((-10.757575757575758) * k2[1])) + (8.906422717743473 * k3[1])) + (0.2784090909090909 * k4[1])) + ((-0.2735313036020583) * k5[1]))));
+    if ((s = shaft_rhs(blk, ys, k6))) return s;
+    /* fifth-order solution */
+    y_new[0] = (y[0] + (h * (((((0.09114583333333333 * k1[0]) + (0.44923629829290207 * k3[0])) + (0.6510416666666666 * k4[0])) + ((-0.322376179245283) * k5[0])) + (0.13095238095238096 * k6[0]))));
+    y_new[1] = (y[1] + (h * (((((0.09114583333333333 * k1[1]) + (0.44923629829290207 * k3[1])) + (0.6510416666666666 * k4[1])) + ((-0.322376179245283) * k5[1])) + (0.13095238095238096 * k6[1]))));
+    /* stage 7, at the new state */
+    if ((s = shaft_rhs(blk, y_new, k7))) return s;
+    /* error estimate */
+    e[0] = (h * ((((((0.0012326388888888888 * k1[0]) + ((-0.0042527702905061394) * k3[0])) + (0.03697916666666667 * k4[0])) + ((-0.05086379716981132) * k5[0])) + (0.0419047619047619 * k6[0])) + ((-0.025) * k7[0])));
+    e[1] = (h * ((((((0.0012326388888888888 * k1[1]) + ((-0.0042527702905061394) * k3[1])) + (0.03697916666666667 * k4[1])) + ((-0.05086379716981132) * k5[1])) + (0.0419047619047619 * k6[1])) + ((-0.025) * k7[1])));
+    /* error ratios; the caller reduces them to the norm */
+    for (int j = 0; j < 2; j++) {
+        const double a = fabs(y[j]);
+        const double b = fabs(y_new[j]);
+        ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));
+    }
+    return 0;
+}
+
+/* The models of otbot._ckernel.MODELS, which struct rollout's model
+   indexes: the state size, the widths of the parameters, the held input
+   and the pivot force in blk, the rhs and the DP5 attempt. */
+struct model {
+    long states, params, inputs, forces;
+    int (*rhs)(const double *blk, const double *x, double *k);
+    int (*attempt)(const double *blk, double h, double rtol, double atol, const double *y,
+                   const double *k1, double *y_new, double *k7, double *ratio);
+};
+
+static const struct model MODELS[] = {
+    {12, 14, 3, 2, robot_rhs, dp5_robot_attempt},
+    {2, 2, 1, 0, shaft_rhs, dp5_shaft_attempt},
+};
+
 /* BLAS ddot and dgemv with 64-bit integers: numpy's dot of two float64
    vectors and its (3, 3) @ (3,) */
 typedef double (*ddot_t)(long long, const double *, long long, const double *, long long);
@@ -470,34 +540,35 @@ static const double TIME_RESOLUTION = 1e-14;
 static double py_min(double a, double b) { return b < a ? b : a; }
 static double py_max(double a, double b) { return b > a ? b : a; }
 
-static void copy(double *to, const double *from, int n)
+static void copy(double *to, const double *from, long n)
 {
-    for (int c = 0; c < n; c++) to[c] = from[c];
+    for (long c = 0; c < n; c++) to[c] = from[c];
 }
 
-/* 1 where the torques a and b are the same bits: 0.0 and -0.0 differ */
-static int same_bits(const double *a, const double *b)
+/* 1 where the inputs a and b are the same n bit patterns: 0.0 and -0.0 differ */
+static int same_bits(const double *a, const double *b, long n)
 {
-    for (int c = 0; c < 3; c++) {
+    for (long c = 0; c < n; c++) {
         union { double d; unsigned long long bits; } p = {a[c]}, q = {b[c]};
         if (p.bits != q.bits) return 0;
     }
     return 1;
 }
 
-/* integrator.advance_segment from t to t1 on the hold in r->blk, from
-   r->x, r->k1 and r->h: these and the counts move on, or a nonzero status
-   returns. */
-static int advance(struct rollout *r, double t, double t1)
+/* integrator.advance_segment of the model m from t to t1 on the hold in
+   r->blk, from r->x, r->k1 and r->h: these and the counts move on, or a
+   nonzero status returns. */
+static int advance(struct rollout *r, const struct model *m, double t, double t1)
 {
     const ddot_t ddot = (ddot_t)r->ddot;
+    const long n = m->states;
     double y[2][12], k[2][12], ratio[12];
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
     double min_step = r->min_step, max_step = r->max_step;
     double h_next = py_min(r->h, r->h_max);
-    copy(y[0], r->x, 12);
-    copy(k[0], r->k1, 12);
+    copy(y[0], r->x, n);
+    copy(k[0], r->k1, n);
     while (t < t1) {
         const double remaining = t1 - t;
         if (remaining <= TIME_RESOLUTION * py_max(1.0, fabs(t1))) {
@@ -508,10 +579,9 @@ static int advance(struct rollout *r, double t, double t1)
         const double h = clipped ? remaining : h_next;
         /* written so that a NaN step underflows too */
         if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return 3;
-        const int s = dp5_robot_attempt(r->blk, h, r->rtol, r->atol, y[now], k[now],
-                                        y[!now], k[!now], ratio);
+        const int s = m->attempt(r->blk, h, r->rtol, r->atol, y[now], k[now], y[!now], k[!now], ratio);
         if (s) return s;
-        const double norm = sqrt(ddot(12, ratio, 1, ratio, 1) / 12.0);
+        const double norm = sqrt(ddot(n, ratio, 1, ratio, 1) / (double)n);
         fevals += 6;
         if (!isfinite(norm)) {
             rejected += 1;
@@ -533,8 +603,8 @@ static int advance(struct rollout *r, double t, double t1)
             h_next = h * py_max(MIN_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
         }
     }
-    copy(r->x, y[now], 12);
-    copy(r->k1, k[now], 12);
+    copy(r->x, y[now], n);
+    copy(r->k1, k[now], n);
     r->h = h_next;
     r->accepted = accepted;
     r->rejected = rejected;
@@ -551,8 +621,8 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
     ((dgemv_t)r->dgemv)(101, 111, 3, 3, 1.0, a, 3, v, 1, 0.0, y, 1);
 }
 
-/* control.computed_torque at the state r->x and the reference row
-   r->instant: the torque into u and the row r->instant of u_traj and
+/* control.computed_torque of the robot at the state r->x and the reference
+   row r->instant: the torque into u and the row r->instant of u_traj and
    u_corr, with every operation in numpy's order; u_corr is zero without
    feedback. A nonzero status is where the task-space model raises. */
 static int computed_torque(struct rollout *r, double *u)
@@ -579,37 +649,41 @@ static int computed_torque(struct rollout *r, double *u)
     return 0;
 }
 
-/* Events [i, j) of simulate.integrate: at each event the segment from the
-   one before it (none at event 0), the law at a control instant (or the
-   torques held from the last one), the hold (a fresh first stage where the
-   torque bits change or a disturbance edge lies), then the output row.
-   Returns 0, or the status of where Python raises. */
-int robot_rollout(struct rollout *r, long i, long j)
+/* Events [i, j) of simulate.integrate for the model r->model: at each event
+   the segment from the one before it (none at event 0), the law at a
+   control instant (or the torques held from the last one; the robot's
+   only), the hold (a fresh first stage where the input bits change or a
+   disturbance edge lies), then the output row. Returns 0, or the status of
+   where Python raises. */
+int rollout(struct rollout *r, long i, long j)
 {
+    const struct model *m = &MODELS[r->model];
+    const long n = m->states, nu = m->inputs, nf = m->forces;
+    double *const hold = r->blk + m->params;
     const double *events = r->events, *forces = r->forces;
     const unsigned char *out = r->out, *start = r->start, *brk = r->brk;
     double *held = r->held, *states = r->states, *derivs = r->derivs, *controls = r->controls;
     int s;
     for (long e = i; e < j; e++) {
-        double *u = held + 3 * e;
+        double *u = held + nu * e;
         const int instant = r->law && start[e];
-        if (e > 0 && (s = advance(r, events[e - 1], events[e]))) return s;
+        if (e > 0 && (s = advance(r, m, events[e - 1], events[e]))) return s;
         if (instant) {
             if ((s = computed_torque(r, u))) return s;
         } else if (r->law) {
-            copy(u, u - 3, 3);
+            copy(u, u - nu, nu);
         }
-        if (e == 0 || brk[e] || !same_bits(u, u - 3)) {
-            copy(r->blk + 14, u, 3);
-            copy(r->blk + 17, forces + 2 * e, 2);
-            if ((s = robot_rhs(r->blk, r->x, r->k1))) return s;
+        if (e == 0 || brk[e] || !same_bits(u, u - nu, nu)) {
+            copy(hold, u, nu);
+            copy(hold + nu, forces + nf * e, nf);
+            if ((s = m->rhs(r->blk, r->x, r->k1))) return s;
             r->fevals += 1;
         }
         r->instant += instant;
         if (out[e]) {
-            copy(states + 12 * r->row, r->x, 12);
-            copy(derivs + 12 * r->row, r->k1, 12);
-            copy(controls + 3 * r->row, u, 3);
+            copy(states + n * r->row, r->x, n);
+            copy(derivs + n * r->row, r->k1, n);
+            copy(controls + nu * r->row, u, nu);
             r->row += 1;
         }
     }

@@ -61,7 +61,7 @@ from .simulate import (
     ControlSequence,
     csv_tables,
     format_float,
-    robot_rollouts,
+    engine_rollouts,
     simulate_robot,
     simulate_shaft,
     trajectory_from_csv,
@@ -108,20 +108,20 @@ class _Run:
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         self.t0 = time.perf_counter()
-        self.c_rollouts = robot_rollouts["c"]
+        self.c_rollouts = engine_rollouts["c"]
         self.c_tables = csv_tables["c"]
 
-    def config(self, path: str | Path | None, reader, default):
-        """``reader(path)`` of a file named on the command line, or ``default``.
+    def config(self, flag: str, path: str | Path | None, reader, default):
+        """``reader(path)`` of the file named by ``flag``, or ``default``.
 
-        The file is recorded for the manifest; a missing or malformed file
-        is a configuration error.
+        The file is recorded for the manifest; a missing or malformed file,
+        or a directory in its place, is a configuration error.
         """
         if path is None:
             return default
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"file not found: {p}")
+        if not p.is_file():
+            raise ConfigError(f"{flag} {p}: {'not a file' if p.exists() else 'file not found'}")
         try:
             value = reader(p)
         except ValueError as exc:
@@ -146,8 +146,8 @@ class _Run:
             "seeds": self.seeds,
             "integrator": {
                 **self.tolerances,
-                # the engine the robot rollouts ran on: the C loop or Python
-                "kernel": "c" if robot_rollouts["c"] > self.c_rollouts else "python",
+                # the engine the rollouts (robot and shaft) ran on: the C loop or Python
+                "kernel": "c" if engine_rollouts["c"] > self.c_rollouts else "python",
             },
             # the formatter that wrote the run's CSV tables
             "csv": "c" if csv_tables["c"] > self.c_tables else "python",
@@ -212,7 +212,7 @@ def _scenario(run: _Run, name: str, params_file: str | None, modes, hint: str):
     run.configs.append(cfg.path)
     if cfg.mode not in modes:
         raise ConfigError(f"scenario {cfg.name!r} is a {cfg.mode} scenario; {hint}")
-    return cfg, run.config(params_file, load_params, cfg.params)
+    return cfg, run.config("--params", params_file, load_params, cfg.params)
 
 
 def _write_sensor_csv(run: _Run, name: str, record) -> None:
@@ -272,7 +272,7 @@ def _cmd_simulate(args) -> int:
                                 axis=1 if shaft else None)
             _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     else:
-        params = run.config(args.params, load_params, nominal_params())
+        params = run.config("--params", args.params, load_params, nominal_params())
         controls = ControlSequence.constant(torques, args.duration, rate)
         grid = np.arange(int(round(args.duration * rate)) + 1) / rate
         traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
@@ -325,8 +325,9 @@ def _cmd_identify(args) -> int:
                           f"{SAMPLE_RATE!r} Hz sample periods")
     run = _Run("identify", Path(args.out))
     run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
-    params = run.config(args.params, load_params, nominal_params())
-    guesses = run.config(args.guess, lambda p: read_kv(p, GUESS, _guess_check(params)), {})
+    params = run.config("--params", args.params, load_params, nominal_params())
+    guesses = run.config("--guess", args.guess,
+                         lambda p: read_kv(p, GUESS, _guess_check(params)), {})
     seed = _resolve_seed(args.seed)
     run.seeds["base"] = seed
     # a single step holds the other steps' parameters at the --params values
@@ -392,7 +393,8 @@ def _cmd_control(args) -> int:
     )
     if args.plan and cfg.mode != "plan":
         raise ConfigError(f"--plan needs a plan scenario; {cfg.name!r} is a {cfg.mode} scenario")
-    gains_kv = run.config(args.gains, lambda p: read_kv(p, ("t_stab",), lambda k, v: positive(v)), {})
+    gains_kv = run.config("--gains", args.gains,
+                          lambda p: read_kv(p, ("t_stab",), lambda k, v: positive(v)), {})
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
     rate = cfg.loop_rate if args.rate is None else args.rate
@@ -401,9 +403,10 @@ def _cmd_control(args) -> int:
     plan = None
     if cfg.mode == "plan":
         plan_file = Path(args.plan) if args.plan else plan_path(cfg, out)
+        plan_source = "--plan" if args.plan else f"{cfg.path}: [plan] file"
         # a plan on disk is read now; a generated one is written after the checks
         if args.plan or plan_file.exists():
-            plan = run.config(plan_file, _read_plan, None)
+            plan = run.config(plan_source, plan_file, _read_plan, None)
     else:
         ref = make_reference(cfg.reference)
     # the run lasts the scenario's horizon, or that of a plan read from disk
@@ -416,7 +419,7 @@ def _cmd_control(args) -> int:
         )
     if cfg.mode == "plan":
         if plan is None:
-            plan = run.config(ensure_plan(cfg, run.directory()), _read_plan, None)
+            plan = run.config(plan_source, ensure_plan(cfg, run.directory()), _read_plan, None)
         if plan_file.parent == out and plan_file.name not in run.files:
             run.files.append(plan_file.name)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -35,7 +35,8 @@ from .sensors import (
     imu_truth,
     sample_sensors,
 )
-from .simulate import ControlSequence, simulate_robot, simulate_shaft
+from .simulate import (ControlSequence, EventPlan, integrate, robot_model, shaft_model,
+                       simulate_robot, simulate_shaft)
 
 # Noise level of the inertial-unit experiments (density 1.37e-3 per root-Hz
 # at 100 Hz, as printed on the unit's sheet).
@@ -54,26 +55,11 @@ GUESS = {"Ia": 0.01, "bw": 0.09, "Ip0": 1.11, "bp": 0.12,
 # reports the platform shaft's inertia as Ip0, step 3 refits it as Ip
 _FIELD = {"Ip0": "Ip"}
 
-_BOUNDS_BY_KIND = {
-    "mass": (1e-3, 1e4),
-    "inertia": (1e-6, 1e4),
-    "friction": (0.0, 1e3),
-    "com": (-1.0, 1.0),
-}
-_PARAM_KIND = {
-    "mc": "mass",
-    "mp": "mass",
-    "Ic": "inertia",
-    "Ip": "inertia",
-    "Ip0": "inertia",
-    "Ia": "inertia",
-    "bw": "friction",
-    "bp": "friction",
-    "xB": "com",
-    "yB": "com",
-    "xF": "com",
-    "yF": "com",
-}
+# Box bounds of each fitted parameter, by its physical kind
+_MASS, _INERTIA, _FRICTION, _COM = (1e-3, 1e4), (1e-6, 1e4), (0.0, 1e3), (-1.0, 1.0)
+_BOUNDS = {"mc": _MASS, "mp": _MASS, "Ic": _INERTIA, "Ip": _INERTIA, "Ip0": _INERTIA,
+           "Ia": _INERTIA, "bw": _FRICTION, "bp": _FRICTION, "xB": _COM, "yB": _COM, "xF": _COM,
+           "yF": _COM}
 
 # Integrator tolerance of every rollout a fit makes
 FIT_TOLERANCE = IntegratorOptions(rtol=1e-8, atol=1e-11)
@@ -124,31 +110,33 @@ FITS = {
 
 def parameter_bounds(names) -> tuple[np.ndarray, np.ndarray]:
     """Box bounds for a named parameter subset, by physical kind."""
-    pairs = [_BOUNDS_BY_KIND[_PARAM_KIND[n]] for n in names]
-    lo, hi = zip(*pairs)
+    lo, hi = zip(*(_BOUNDS[n] for n in names))
     return np.array(lo), np.array(hi)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One excitation run: initial state, commanded torques, recorded outputs.
+    """One excitation run from rest: commanded torques, recorded outputs.
 
     ``shaft`` names the RobotParams inertia and damping fields of an
-    isolated-shaft record, which starts at rest; otherwise ``x0`` is the
-    robot's initial RobotState. ``sensor_model`` is the noise-free copy
-    used to predict outputs.
+    isolated-shaft record; None is the whole robot. ``sensor_model`` is the
+    noise-free copy used to predict outputs. ``plan`` is the event plan of
+    the controls on the record grid, built once and shared by every rollout
+    of a fit.
     """
 
-    x0: RobotState | None
     controls: ControlSequence
     record: SensorRecord
     sensor_model: SensorModel
     shaft: tuple[str, str] | None = None
+    plan: EventPlan = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t_lo, t_hi = self.record.times[0], self.record.times[-1]
         if abs(t_lo - self.controls.t0) > 1e-9 or abs(t_hi - self.controls.end_time) > 1e-9:
             raise ValueError("record and controls must cover the same time window")
+        span = (self.controls.t0, self.controls.end_time)
+        object.__setattr__(self, "plan", EventPlan(span, self.controls, self.record.times))
 
 
 @dataclass
@@ -196,14 +184,13 @@ def experiment(
     duration = window if row.duration is None else row.duration
     controls = ControlSequence.constant(row.torques, duration, SAMPLE_RATE)
     if row.shaft:
-        x0, traj = None, simulate_shaft(*(getattr(params, f) for f in row.shaft), controls)
+        traj = simulate_shaft(*(getattr(params, f) for f in row.shaft), controls)
     else:
-        x0 = RobotState.rest()
-        traj = simulate_robot(params, x0, controls)
+        traj = simulate_robot(params, RobotState.rest(), controls)
     model = SensorModel(kind=row.sensor, sigma=row.sigma if sigma is None else sigma,
                         rate=SAMPLE_RATE, axis=1 if row.shaft else None)
     record = sample_sensors(traj, model, seed=seed)
-    return Experiment(x0=x0, controls=controls, record=record, sensor_model=model, shaft=row.shaft)
+    return Experiment(controls=controls, record=record, sensor_model=model, shaft=row.shaft)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +205,10 @@ def predict_outputs(candidate: dict, fixed: RobotParams, exp: Experiment,
     held at ``fixed``.
     """
     values = {_FIELD.get(n, n): v for n, v in candidate.items()}
-    if exp.shaft:
-        inertia, damping = (values.get(f, getattr(fixed, f)) for f in exp.shaft)
-        traj = simulate_shaft(
-            inertia, damping, exp.controls, options=options, output_times=exp.record.times
-        )
-    else:
-        traj = simulate_robot(
-            fixed.replace(**values),
-            exp.x0,
-            exp.controls,
-            options=options,
-            output_times=exp.record.times,
-        )
+    plant = (shaft_model(*(values.get(f, getattr(fixed, f)) for f in exp.shaft)) if exp.shaft
+             else robot_model(fixed.replace(**values)))
+    # from rest: the shaft's (angle, rate) or the robot's (q, dq)
+    traj = integrate(plant, np.zeros(2 if exp.shaft else 12), exp.plan, options)
     model = exp.sensor_model
     if model.kind == "imu":
         return imu_truth(traj)

@@ -18,8 +18,8 @@ norm reduces its ratios with numpy's dot, which is BLAS ``ddot``: a Python
 sum would change the last bit of the norm, and with it the step sizes, on
 about a fifth of the steps.
 
-This module is the oracle of the robot's compiled rollout loop
-(``robot_rollout`` in ``_dp5_robot.c``, driven by ``otbot.simulate``). The
+This module is the oracle of the compiled rollout loop of the robot and a
+shaft (``rollout`` in ``_dp5_robot.c``, driven by ``otbot.simulate``). The
 C runs :func:`advance_segment`'s step control with this tableau and these
 constants and reduces its norm through the ``ddot`` that numpy calls; a
 rollout where it stops, which is where this module raises, is rerun here.

@@ -60,10 +60,9 @@ class RobotParams:
         for name in ("bw", "bp"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in dataclasses.asdict(self):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name in PARAM_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def replace(self, **changes: float) -> "RobotParams":
         return dataclasses.replace(self, **changes)

@@ -5,7 +5,13 @@ loop) or from a feedback law evaluated at each control instant (closed
 loop: ``otbot.control.FeedbackLaw``, the computed-torque law as data). The
 integrator is never allowed to step across a hold boundary, an output
 sample time or a disturbance on/off edge, so every recorded sample is
-an exact step endpoint and no dense-output interpolation is needed.
+an exact step endpoint and no dense-output interpolation is needed. Those
+boundaries and what is held from each make a read-only :class:`EventPlan`,
+built once for every rollout of one record (``otbot.identify``) or on the
+spot for a single rollout (:func:`simulate_robot`, :func:`simulate_shaft`).
+Robot and shaft rollouts run in the generated C loop of ``_dp5_robot.c``
+(see ``otbot._ckernel``) to the same bits as the Python engine here, which
+is their oracle and the fallback where no compiler is found.
 
 Recorded derivatives follow the right-continuous convention: the derivative
 stored at a grid time is evaluated with the input and the pivot force that
@@ -146,111 +152,118 @@ class SimTrajectory:
 _EVENT_MERGE_TOL = 1e-9
 
 
-def _event_times(t0: float, t_end: float, output_times, instants, edges):
-    """Sorted, merged step boundaries as an array and, per boundary, whether
-    an output time, a control instant and a disturbance edge lie on it."""
-    lo, hi = t0 - _EVENT_MERGE_TOL, t_end + _EVENT_MERGE_TOL
-    groups = [g[(g > lo) & (g < hi)] for g in (output_times, instants, np.array(edges, float))]
-    raw = np.unique(np.concatenate([[t0, t_end], *groups]))
-    marks = []
-    for g in groups:
-        marks.append(np.zeros(len(raw), dtype=bool))
-        marks[-1][np.searchsorted(raw, g)] = True
-    # a boundary starts wherever the gap to the previous time exceeds the tolerance
-    starts = np.flatnonzero(np.diff(raw, prepend=-np.inf) > _EVENT_MERGE_TOL)
-    events = raw[starts]
-    # keep the output-grid spelling so requested samples match exactly
-    outs = np.flatnonzero(marks[0])
-    merged, first = np.unique(np.searchsorted(starts, outs, side="right") - 1, return_index=True)
-    events[merged] = raw[outs[first]]
-    flags = (np.logical_or.reduceat(m, starts) for m in marks)
-    return events, *flags
+class EventPlan:
+    """The step boundaries of rollouts over ``t_span`` under ``controls``,
+    sampled at ``output_times`` (default: the control grid in t_span and
+    its ends), with the pivot forces of ``disturbances``.
+
+    Output times, control instants and disturbance edges are all hard step
+    boundaries, ``events``; times within ``_EVENT_MERGE_TOL`` of each other
+    are one boundary, spelled as the output time among them. Per boundary,
+    ``out``, ``start`` and ``brk`` flag an output time, a control instant and
+    a disturbance edge, ``held`` is the input row held from it (None under
+    a feedback ``law``) and ``forces`` the pivot force (fx, fy); ``times``
+    are the output times. The tables are read-only: one plan serves any
+    number of rollouts on any threads, each writing only its own buffers.
+    """
+
+    def __init__(self, t_span, controls: ControlSequence | FeedbackLaw, output_times=None,
+                 disturbances: DisturbanceSchedule | None = None):
+        schedule = disturbances or DisturbanceSchedule()
+        t0, t_end = float(t_span[0]), float(t_span[1])
+        if not t_end > t0:
+            raise ValueError(f"empty time span {t_span}")
+        if output_times is None:
+            mask = (controls.boundaries > t0) & (controls.boundaries < t_end)
+            output_times = np.concatenate([[t0], controls.boundaries[mask], [t_end]])
+        else:
+            output_times = np.asarray(sorted(set(float(t) for t in output_times)))
+        lo, hi = t0 - _EVENT_MERGE_TOL, t_end + _EVENT_MERGE_TOL
+        if output_times[0] < lo or output_times[-1] > hi:
+            raise ValueError("output times fall outside the integration span")
+        groups = [g[(g > lo) & (g < hi)]
+                  for g in (output_times, controls.boundaries, np.array(schedule.edges(), float))]
+        raw = np.unique(np.concatenate([[t0, t_end], *groups]))
+        marks = []
+        for g in groups:
+            marks.append(np.zeros(len(raw), dtype=bool))
+            marks[-1][np.searchsorted(raw, g)] = True
+        # a boundary starts wherever the gap to the previous time exceeds the tolerance
+        starts = np.flatnonzero(np.diff(raw, prepend=-np.inf) > _EVENT_MERGE_TOL)
+        events = raw[starts]
+        # keep the output-grid spelling so requested samples match exactly
+        outs = np.flatnonzero(marks[0])
+        merged, first = np.unique(np.searchsorted(starts, outs, side="right") - 1,
+                                  return_index=True)
+        events[merged] = raw[outs[first]]
+        out, start, brk = (np.logical_or.reduceat(m, starts) for m in marks)
+
+        # inputs and forces are read inside each segment (and at the end):
+        # boundaries merged onto a nearby output time could otherwise pick the
+        # neighbouring interval's value
+        inside = np.append(0.5 * (events[:-1] + events[1:]), events[-1])
+        if isinstance(controls, ControlSequence):
+            idx = np.searchsorted(controls.boundaries, inside, side="right") - 1
+            held, law = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)], None
+        else:
+            held, law = None, controls
+            if not start[0]:  # the law's k-th instant reads its k-th row
+                raise ValueError("a feedback law needs a control instant at the start of the span")
+        self.events, self.out, self.start, self.brk, self.held, self.law = (
+            events, out, start, brk, held, law)
+        self.forces, self.times = schedule.force_at(inside), events[out]
+        for table in (events, out, start, brk, self.forces, self.times, held):
+            if table is not None:
+                table.flags.writeable = False
 
 
 def integrate(
-    model,
-    x0,
-    t_span,
-    controls: ControlSequence | FeedbackLaw,
-    options: IntegratorOptions | None = None,
-    output_times=None,
-    disturbances: DisturbanceSchedule | None = None,
+    model, x0, plan: EventPlan, options: IntegratorOptions | None = None
 ) -> SimTrajectory:
-    """Adaptively integrate dx/dt = f(t, x) under held inputs over t_span.
+    """Adaptively integrate dx/dt = f(t, x) from ``x0`` over the events of
+    ``plan``, the hard step boundaries, so every output sample is an exact
+    step endpoint.
 
     ``model(u, force)`` returns the rhs ``f(t, y)`` for a held input ``u``
     and pivot force ``force``, both lists of floats; ``f`` follows the
     integrator's contract (``t`` a float, ``y`` a list of floats, a sequence
-    of floats returned) and may not depend on ``t``. The input is a
-    ``ControlSequence`` row (open loop) or the value of a ``FeedbackLaw`` at
-    its latest instant (closed loop): ``law.command(params, k, x)`` at the
-    k-th instant, on the robot model's own ``params``. The pivot force comes from
-    ``disturbances``, read once per segment, so it is constant over each
-    step; the model of a shaft ignores it.
+    of floats returned) and may not depend on ``t``. The input is the plan's
+    held row (open loop) or the value of its ``FeedbackLaw`` at the latest
+    instant (closed loop): ``law.command(params, k, x)`` at the k-th instant,
+    on the robot model's own ``params``. The pivot force is the plan's, so
+    it is constant over each step; the model of a shaft ignores it.
 
-    output_times defaults to the control grid covered by t_span (plus the
-    endpoints). Output times, control instants and disturbance edges all
-    become hard step boundaries.
-
-    Each segment's first stage is the derivative at its start. When a
+    Each segment's first stage is the derivative at its start. Where a
     segment holds the same input bits as the one before it and no
-    disturbance edge lies at its start, that derivative is the previous
-    segment's end derivative (same state, same rhs), so it is reused instead
-    of being evaluated again; the results are the same bits either way. The
+    disturbance edge lies at its start, that is the previous segment's end
+    derivative (same state, same rhs), reused to the same bits. The
     derivative recorded at the end follows the same rule.
 
-    A robot model (one with ``params``) runs this loop, the law included, in C
-    to the same bits (:func:`_compiled_rollout`); where the C stops, it runs here.
+    A model of :func:`robot_model` or :func:`shaft_model` (one with a
+    ``kind``) runs this loop, a law included, in C to the same bits
+    (:func:`_compiled_rollout`); where the C stops, it runs here.
     """
     opts = options or IntegratorOptions()
-    schedule = disturbances or DisturbanceSchedule()
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t0:
-        raise ValueError(f"empty time span {t_span}")
-    if output_times is None:
-        mask = (controls.boundaries > t0) & (controls.boundaries < t_end)
-        output_times = np.concatenate([[t0], controls.boundaries[mask], [t_end]])
-    else:
-        output_times = np.asarray(sorted(set(float(t) for t in output_times)))
-        if output_times[0] < t0 - _EVENT_MERGE_TOL or output_times[-1] > t_end + _EVENT_MERGE_TOL:
-            raise ValueError("output times fall outside the integration span")
-
-    events, on_out, on_start, on_break = _event_times(
-        t0, t_end, output_times, controls.boundaries, schedule.edges()
-    )
-    # inputs and forces are read inside each segment (and at the end):
-    # boundaries merged onto a nearby output time could otherwise pick the
-    # neighbouring interval's value
-    inside = np.append(0.5 * (events[:-1] + events[1:]), events[-1])
-    if isinstance(controls, ControlSequence):
-        idx = np.searchsorted(controls.boundaries, inside, side="right") - 1
-        held, law = controls.samples[np.clip(idx, 0, len(controls.samples) - 1)], None
-    else:
-        held, law = None, controls
-        if not on_start[0]:  # the law's k-th instant reads its k-th row
-            raise ValueError("a feedback law needs a control instant at the start of the span")
-
     x = np.asarray(x0, dtype=float).copy()
-    params = getattr(model, "params", None)
-    if params is not None and (held is None or held.shape[1] == 3):
-        kernel = _robot_kernel()
-        robot_rollouts["python" if kernel is None else "c"] += 1
-        if kernel is not None:
-            traj = _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break,
-                                     held, schedule.force_at(inside), law)
-            if traj is not None:
-                return traj
-    times = events[on_out]
-    states = np.empty((len(times), len(x)))
+    law, held, params = plan.law, plan.held, getattr(model, "params", None)
+    # the output buffers belong to this rollout (rollouts of a plan may run on threads)
+    states = np.empty((len(plan.times), len(x)))
     derivs = np.empty_like(states)
-    inputs = np.empty((len(times), 3 if held is None else held.shape[1]))
+    inputs = np.empty((len(states), 3 if held is None else held.shape[1]))
+    kernel = _rollout_kernel() if hasattr(model, "kind") else None
+    engine_rollouts["python" if kernel is None else "c"] += 1
+    if kernel is not None:
+        stats = _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs)
+        if stats is not None:
+            return SimTrajectory(plan.times.copy(), states, inputs, derivs, stats)
     stats = IntegratorStats()
     h = opts.first_step
     last_bits = None
     row = instant = 0
     # the flags are iterated as arrays and the times converted one at a
     # time, so no per-event Python objects outlive their event
-    for i, (t, out, start, brk) in enumerate(zip(map(float, events), on_out, on_start, on_break)):
+    flags = zip(map(float, plan.events), plan.out, plan.start, plan.brk)
+    for i, (t, out, start, brk) in enumerate(flags):
         if i:
             x, k1, h = advance_segment(f, t_prev, t, x, opts, stats, h_start=h, k1=k1)
         if held is not None:
@@ -261,7 +274,7 @@ def integrate(
         # compared bit for bit, so that 0.0 and -0.0 count as different holds
         bits = u.tobytes()
         if bits != last_bits or brk:
-            f = model(u.tolist(), schedule.force_at(inside[i]).tolist())
+            f = model(u.tolist(), plan.forces[i].tolist())
             k1 = f(t, x.tolist())
             stats.fevals += 1
             last_bits = bits
@@ -272,61 +285,65 @@ def integrate(
             row += 1
         t_prev = t
 
-    return SimTrajectory(
-        times=times, states=states, controls=inputs, derivs=derivs, stats=asdict(stats)
-    )
+    return SimTrajectory(plan.times.copy(), states, inputs, derivs, asdict(stats))
 
 
-# Robot rollouts run by each engine in this process ("c" or "python"); a
-# run's manifest names the one that ran its robot rollouts.
-robot_rollouts = {"c": 0, "python": 0}
+# Rollouts run by each engine in this process ("c" or "python"); a run's
+# manifest names the one that ran its rollouts.
+engine_rollouts = {"c": 0, "python": 0}
 
 # the IntegratorStats counts, fields of _ckernel.Rollout by the same names
 _STATS = [f.name for f in fields(IntegratorStats)]
 
 
 @functools.cache
-def _robot_kernel():
+def _rollout_kernel():
     """The compiled rollout loop (``otbot._ckernel.load``), or None."""
     from . import _ckernel
 
     return _ckernel.load()
 
 
-def _compiled_rollout(kernel, model, x, opts, events, on_out, on_start, on_break, held, forces, law):
-    """:func:`integrate`'s loop for the robot on ``robot_rollout`` (``_dp5_robot.c``),
-    the feedback ``law`` included, or None where the C stops, which is where
-    Python raises.
+def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
+    """:func:`integrate`'s loop on ``rollout`` (``_dp5_robot.c``) for the
+    model's ``kind`` of ``_ckernel.MODELS``, a feedback law included, into
+    the given output buffers: the stats, or None where the C stops, which is
+    where Python raises, or where the model and plan do not fit the C.
 
     The C runs event 0, Python guesses the first step from its hold, and the
-    C runs the other events. The struct belongs to this rollout: rollouts may
-    run on threads, and the foreign call releases the GIL."""
-    from ._ckernel import FEEDBACK, FEEDFORWARD, Rollout
+    C runs the other events. The struct belongs to this rollout: the foreign
+    call releases the GIL."""
+    from ._ckernel import FEEDBACK, FEEDFORWARD, MODEL_INDEX, MODELS, Rollout
 
+    index = MODEL_INDEX[model.kind]
+    m, law = MODELS[index], plan.law
+    fits = (states.shape[1], inputs.shape[1]) == (m.states, m.inputs)
+    if not fits or (law is not None and m.name != "robot"):
+        return None
     run, ddot, dgemv = kernel
-    states = np.empty((int(on_out.sum()), 12))
-    derivs, inputs = np.empty_like(states), np.empty((len(states), 3))
     rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
-    held = np.empty((len(events), 3)) if law is not None else held
-    tables = (events, on_out, on_start, on_break, held, forces, states, derivs, inputs, *rows)
+    held = np.empty((len(plan.events), m.inputs)) if law is not None else plan.held
+    tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, states, derivs,
+              inputs, *rows)
     c = Rollout(*(None if a is None else a.ctypes.data for a in tables), ddot, dgemv,
                 opts.rtol, opts.atol, opts.max_step, opts.first_step or 0.0, math.inf, 0.0)
-    c.blk[:14] = [getattr(model.params, name) for name in PARAM_FIELDS]
+    c.model = index
+    c.blk[: m.params] = model.block
     if law is not None:
         c.law = FEEDFORWARD if law.gains is None else FEEDBACK
         if law.gains is not None:
             c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
-    np.ctypeslib.as_array(c.x)[:] = x
+    c.x[: m.states] = x.tolist()
     if run(c, 0, 1):
         return None
-    if opts.first_step is None and len(events) > 1:  # from the hold of event 0
-        c.h = initial_step(model(c.blk[14:17], c.blk[17:]), float(events[0]), x, c.k1[:],
-                           opts.rtol, opts.atol)
+    if opts.first_step is None and len(plan.events) > 1:  # from the hold of event 0
+        u = m.params + m.inputs
+        f = model(c.blk[m.params : u], c.blk[u : u + m.forces])
+        c.h = initial_step(f, float(plan.events[0]), x, c.k1[: m.states], opts.rtol, opts.atol)
         c.fevals += 1
-    if run(c, 1, len(events)):
+    if run(c, 1, len(plan.events)):
         return None
-    stats = {name: getattr(c, name) for name in _STATS}
-    return SimTrajectory(times=events[on_out], states=states, controls=inputs, derivs=derivs, stats=stats)
+    return {name: getattr(c, name) for name in _STATS}
 
 
 def simulate_robot(
@@ -342,23 +359,18 @@ def simulate_robot(
 
     ``disturbances`` is a schedule of planar force pulses on the pivot; each
     pulse edge is a step boundary, and the force is read once per segment
-    (see :func:`integrate`).
+    (see :class:`EventPlan`).
     """
 
-    return integrate(
-        _robot_model(params),
-        state0.as_vector(),
-        (controls.t0, controls.end_time if t_end is None else t_end),
-        controls,
-        options=options,
-        output_times=output_times,
-        disturbances=disturbances,
-    )
+    t_span = (controls.t0, controls.end_time if t_end is None else t_end)
+    plan = EventPlan(t_span, controls, output_times, disturbances)
+    return integrate(robot_model(params), state0.as_vector(), plan, options)
 
 
-def _robot_model(params: RobotParams):
-    """``model(u, force)`` of :func:`integrate` for the robot, with the parameters
-    as ``model.params`` for a feedback law and the compiled loop."""
+def robot_model(params: RobotParams):
+    """``model(u, force)`` of :func:`integrate` for the robot: its parameters as
+    ``model.params`` for a feedback law, and as the ``block`` of the
+    compiled loop's ``kind`` "robot"."""
 
     def model(u, force):
         def f(t, y):
@@ -366,7 +378,8 @@ def _robot_model(params: RobotParams):
 
         return f
 
-    model.params = params
+    model.params, model.kind = params, "robot"
+    model.block = [getattr(params, name) for name in PARAM_FIELDS]
     return model
 
 
@@ -375,14 +388,10 @@ def shaft_derivative(inertia: float, damping: float, x: list, u: float) -> list:
     return [x[1], (u - damping * x[1]) / inertia]
 
 
-def simulate_shaft(
-    inertia: float,
-    damping: float,
-    controls: ControlSequence,
-    options: IntegratorOptions | None = None,
-    output_times=None,
-) -> SimTrajectory:
-    """Rollout of the isolated-shaft model used by the basic identification step."""
+def shaft_model(inertia: float, damping: float):
+    """``model(u, force)`` of :func:`integrate` for an isolated shaft, which
+    ignores the force; (inertia, damping) is the ``block`` of the compiled
+    loop's ``kind`` "shaft"."""
     # the fitter hands in numpy scalars; float arithmetic keeps the stages floats
     inertia, damping = float(inertia), float(damping)
 
@@ -394,14 +403,20 @@ def simulate_shaft(
 
         return f
 
-    return integrate(
-        model,
-        np.zeros(2),
-        (controls.t0, controls.end_time),
-        controls,
-        options=options,
-        output_times=output_times,
-    )
+    model.kind, model.block = "shaft", [inertia, damping]
+    return model
+
+
+def simulate_shaft(
+    inertia: float,
+    damping: float,
+    controls: ControlSequence,
+    options: IntegratorOptions | None = None,
+    output_times=None,
+) -> SimTrajectory:
+    """Rollout of the isolated-shaft model used by the basic identification step."""
+    plan = EventPlan((controls.t0, controls.end_time), controls, output_times)
+    return integrate(shaft_model(inertia, damping), np.zeros(2), plan, options)
 
 
 def format_float(v: float) -> str:

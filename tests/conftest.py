@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 from otbot import _ckernel
 from otbot.dynamics import admissible_state
 from otbot.params import nominal_params
-from otbot.simulate import _csv_formatter, _robot_kernel
+from otbot.simulate import _csv_formatter, _rollout_kernel
 
 settings.register_profile(
     "numerics",
@@ -31,15 +31,15 @@ def params_nf():
 def python_kernel(monkeypatch):
     """Force the Python fallbacks: the C builder finds no compiler.
 
-    The robot then rolls out on the Python integrator and CSV rows are
-    joined from ``repr`` in Python.
+    Robot and shaft rollouts then run on the Python integrator and CSV
+    rows are joined from ``repr`` in Python.
     """
     monkeypatch.setattr(_ckernel, "build", lambda *library: None)
-    _robot_kernel.cache_clear()
+    _rollout_kernel.cache_clear()
     _csv_formatter.cache_clear()
     yield
     monkeypatch.undo()
-    _robot_kernel.cache_clear()
+    _rollout_kernel.cache_clear()
     _csv_formatter.cache_clear()
 
 

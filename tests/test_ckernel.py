@@ -1,15 +1,15 @@
 """The compiled parts of otbot against the Python code, their oracle.
 
-``robot_rollout`` (``src/otbot/_dp5_robot.c``) must roll the robot out to
-the same times, states, derivatives, controls and counters as the Python
-engine of ``otbot.simulate.integrate``, under held torques and under the
-computed-torque law (with the same reference rows, ``u_traj`` and
-``u_corr``), stop where Python raises, so that Python reruns the rollout and
-raises there, and leave every rollout unchanged where it cannot be loaded.
-Its ``dp5_robot_attempt`` must give the same bits as the generated Python
-kernel. ``format_rows`` (``src/otbot/_csv_format.cpp``) must spell
-every double as ``repr`` does, so ``write_csv`` writes the same bytes with
-it and without it.
+``rollout`` (``src/otbot/_dp5_robot.c``) must roll the robot and a shaft
+out to the same times, states, derivatives, controls and counters as the
+Python engine of ``otbot.simulate.integrate``, the robot under held torques
+and under the computed-torque law (with the same reference rows, ``u_traj``
+and ``u_corr``), stop where Python raises, so that Python reruns the rollout
+and raises there, and leave every rollout unchanged where it cannot be
+loaded. Its ``dp5_robot_attempt`` and ``dp5_shaft_attempt`` must give the
+same bits as the generated Python kernels. ``format_rows``
+(``src/otbot/_csv_format.cpp``) must spell every double as ``repr`` does,
+so ``write_csv`` writes the same bytes with it and without it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from otbot.control import (
     tune_gains,
 )
 from otbot.dynamics import RobotState, admissible_state
+from otbot.identify import FITS, FIT_TOLERANCE, experiment, prediction_error
 from otbot.integrator import IntegrationError, IntegratorOptions, _error_norm, _step_kernel
 from otbot.params import PARAM_FIELDS, nominal_params
 from otbot.references import CorridorReference, Figure8Reference, HarmonicReference
@@ -42,28 +43,42 @@ from otbot.scenarios import build_plan
 from otbot.simulate import (
     ControlSequence,
     DisturbanceSchedule,
+    EventPlan,
     ForcePulse,
     _csv_formatter,
-    _robot_kernel,
-    _robot_model,
+    _rollout_kernel,
     integrate,
+    robot_model,
+    shaft_model,
     simulate_robot,
+    simulate_shaft,
     write_csv,
 )
 
 
-@pytest.fixture
-def compiled():
-    """``dp5_robot_attempt`` of the compiled library, bound here; the test is
+def _attempt(name):
+    """``dp5_<name>_attempt`` of the compiled library, bound here; the test is
     skipped where the rollout loop cannot be loaded."""
-    if _robot_kernel() is None:
+    if _rollout_kernel() is None:
         pytest.skip("no working C compiler (cc) or no scipy-openblas ddot and dgemv in numpy: "
                     "the compiled rollout loop cannot be loaded")
     path = _ckernel.build(_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS)
-    attempt = ctypes.CDLL(str(path)).dp5_robot_attempt
+    attempt = getattr(ctypes.CDLL(str(path)), f"dp5_{name}_attempt")
     attempt.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 5
     attempt.restype = ctypes.c_int
     return attempt
+
+
+@pytest.fixture
+def compiled():
+    """``dp5_robot_attempt``; the test is skipped where the loop cannot be loaded."""
+    return _attempt("robot")
+
+
+@pytest.fixture
+def compiled_shaft():
+    """``dp5_shaft_attempt``; the test is skipped where the loop cannot be loaded."""
+    return _attempt("shaft")
 
 
 @pytest.fixture
@@ -111,16 +126,21 @@ def _c_attempt(attempt, p, u, force, y, k1, h, rtol, atol):
     return status, rows[2], rows[3], rows[4]
 
 
+def _ddot():
+    """numpy's own ddot, as the compiled loop calls it."""
+    return ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                            ctypes.c_void_p, ctypes.c_int64)(_rollout_kernel()[1])
+
+
 def test_compiled_attempt_equals_the_python_kernel(compiled):
     step = _step_kernel(12)
-    ddot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                            ctypes.c_void_p, ctypes.c_int64)(_robot_kernel()[1])
+    ddot = _ddot()
     rng = np.random.default_rng(7)
     for _ in range(3000):
         p = _params(rng)
         u = rng.uniform(-40.0, 40.0, 3).tolist()
         force = (rng.uniform(-80.0, 80.0, 2) * rng.integers(2)).tolist()
-        f = _robot_model(p)(u, force)
+        f = robot_model(p)(u, force)
         y = _state(rng)
         k1 = f(0.0, y)
         h = float(10.0 ** rng.uniform(-6.0, -0.5))
@@ -149,13 +169,13 @@ def _outcome(run):
 
 def _on_both(run, monkeypatch):
     """``run()`` on the compiled loop, then on the Python engine."""
-    before = dict(simulate.robot_rollouts)
+    before = dict(simulate.engine_rollouts)
     c = _outcome(run)
-    assert simulate.robot_rollouts["c"] > before["c"]
+    assert simulate.engine_rollouts["c"] > before["c"]
     with monkeypatch.context() as m:
-        m.setattr(simulate, "_robot_kernel", lambda: None)
+        m.setattr(simulate, "_rollout_kernel", lambda: None)
         py = _outcome(run)
-    assert simulate.robot_rollouts["python"] > before["python"]
+    assert simulate.engine_rollouts["python"] > before["python"]
     return c, py
 
 
@@ -199,12 +219,12 @@ def test_where_python_raises_the_compiled_attempt_stops_and_python_raises(
     k1 = [0.0] * 12
     assert _c_attempt(compiled, p, u, force, y, k1, 1e-3, 1e-9, 1e-12)[0] != 0
     with pytest.raises(error):
-        _step_kernel(12)(_robot_model(p)(u, force), 0.0, 1e-3, y, k1)
+        _step_kernel(12)(robot_model(p)(u, force), 0.0, 1e-3, y, k1)
     # the rollout stops in C at its first hold and raises in Python
     controls = ControlSequence(t0=0.0, dt=0.01, samples=[u])
     pulses = DisturbanceSchedule((ForcePulse(0.0, 1.0, fx=force[0]),))
-    c, py = _on_both(lambda: integrate(_robot_model(p), y, (0.0, 0.01), controls,
-                                       disturbances=pulses), monkeypatch)
+    plan = EventPlan((0.0, 0.01), controls, disturbances=pulses)
+    c, py = _on_both(lambda: integrate(robot_model(p), y, plan), monkeypatch)
     assert isinstance(py, error)
     _assert_same(c, py)
 
@@ -214,8 +234,8 @@ def test_a_stage_that_raises_hands_its_segment_to_python(compiled, monkeypatch):
     y = [0.0] * 8 + [1.7e308] + [0.0] * 3
     controls = ControlSequence(t0=0.0, dt=50.0, samples=[[1.0, 2.0, 3.0]] * 2)
     options = IntegratorOptions(first_step=10.0)
-    c, py = _on_both(lambda: integrate(_robot_model(nominal_params()), y, (0.0, 100.0), controls,
-                                       options=options), monkeypatch)
+    plan = EventPlan((0.0, 100.0), controls)
+    c, py = _on_both(lambda: integrate(robot_model(nominal_params()), y, plan, options), monkeypatch)
     assert isinstance(py, ValueError)
     _assert_same(c, py)
 
@@ -233,7 +253,7 @@ def test_a_step_underflow_raises_the_same_integration_error(compiled, monkeypatc
 def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkeypatch):
     # at rest, unforced, with atol = 0: every scale is zero
     p = nominal_params()
-    f = _robot_model(p)([0.0, 0.0, 0.0], [0.0, 0.0])
+    f = robot_model(p)([0.0, 0.0, 0.0], [0.0, 0.0])
     y = [0.0] * 12
     k1 = f(0.0, y)
     status, _, _, ratio = _c_attempt(compiled, p, [0.0] * 3, [0.0] * 2, y, k1, 1e-3, 1e-9, 0.0)
@@ -253,7 +273,7 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
 def test_a_rollout_the_c_stops_is_rerun_in_python(compiled, monkeypatch, stop):
     """A loop that stops at event ``stop``, as it does where Python raises,
     gives the oracle's rollouts, open loop and under a feedback law."""
-    run, ddot, dgemv = _robot_kernel()
+    run, ddot, dgemv = _rollout_kernel()
     stops = []
 
     def stopping(c, i, j):
@@ -272,10 +292,10 @@ def test_a_rollout_the_c_stops_is_rerun_in_python(compiled, monkeypatch, stop):
         return (simulate_robot(p, state, controls, disturbances=pulses),
                 closed_loop_simulate(p, state, HarmonicReference(horizon=0.2), tune_gains(1.0)))
 
-    monkeypatch.setattr(simulate, "_robot_kernel", lambda: (stopping, ddot, dgemv))
+    monkeypatch.setattr(simulate, "_rollout_kernel", lambda: (stopping, ddot, dgemv))
     rerun = rollouts()
     assert stops == [stop, stop]
-    monkeypatch.setattr(simulate, "_robot_kernel", lambda: None)
+    monkeypatch.setattr(simulate, "_rollout_kernel", lambda: None)
     oracle = rollouts()
     _assert_same(rerun[0], oracle[0])
     _assert_same_tracking(rerun[1], oracle[1])
@@ -404,7 +424,7 @@ def test_feedforward_holds_a_negative_zero_u_traj_as_zero(compiled, monkeypatch)
     """Without feedback u is ``u_traj + np.zeros(3)``, so a -0.0 in u_traj
     is held as 0.0. numpy's dgemv gives 0.0 at rest; one that turns its
     zeros into -0.0 makes the case."""
-    run, ddot, dgemv = _robot_kernel()
+    run, ddot, dgemv = _rollout_kernel()
     numpy_dgemv = _DGEMV(dgemv)
 
     @_DGEMV
@@ -421,7 +441,7 @@ def test_feedforward_holds_a_negative_zero_u_traj_as_zero(compiled, monkeypatch)
         return closed_loop_simulate(nominal_params(), RobotState.rest(), ref, None, control_rate=100.0)
 
     py = rollout()
-    monkeypatch.setattr(simulate, "_robot_kernel",
+    monkeypatch.setattr(simulate, "_rollout_kernel",
                         lambda: (run, ddot, ctypes.cast(negative_zeros, ctypes.c_void_p).value))
     c = rollout()
     assert (c.u_traj == 0.0).all() and np.signbit(c.u_traj).all()
@@ -451,6 +471,117 @@ def test_a_law_that_stops_in_c_raises_the_python_exception(compiled, monkeypatch
     _assert_same_tracking(c, py)
 
 
+# ---------------------------------------------------------------- the shaft
+
+
+def _c_shaft_attempt(attempt, inertia, damping, u, y, k1, h, rtol, atol):
+    """(status, y_new, k7, ratio) of one compiled shaft attempt."""
+    blk = np.array([inertia, damping, u])
+    rows = np.zeros((5, 2))
+    rows[0], rows[1] = y, k1
+    status = attempt(blk.ctypes.data, h, rtol, atol, *(row.ctypes.data for row in rows))
+    return status, rows[2], rows[3], rows[4]
+
+
+def test_compiled_shaft_attempt_equals_the_python_kernel(compiled_shaft):
+    step = _step_kernel(2)
+    ddot = _ddot()
+    rng = np.random.default_rng(17)
+    for _ in range(20000):
+        # inertias across the fit bounds; torques of 0.0 and -0.0 among them
+        inertia = float(10.0 ** rng.uniform(-6.0, 4.0))
+        damping = float(rng.choice([0.0, rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(-6.0, 3.0)]))
+        u = float(rng.choice([0.0, -0.0, rng.uniform(-50.0, 50.0)]))
+        f = shaft_model(inertia, damping)([u], [])
+        y = (rng.uniform(-1e3, 1e3, 2) * rng.integers(2, size=2)).tolist()
+        k1 = f(0.0, y)
+        h = float(10.0 ** rng.uniform(-9.0, 0.0))
+        rtol, atol = float(10.0 ** rng.uniform(-11.0, -5.0)), float(10.0 ** rng.uniform(-14.0, -8.0))
+
+        status, c_y, c_k7, ratio = _c_shaft_attempt(compiled_shaft, inertia, damping, u, y, k1, h,
+                                                    rtol, atol)
+        y_new, k7, err = step(f, 0.0, h, y, k1)
+        assert status == 0
+        assert c_y.tolist() == y_new and c_k7.tolist() == k7
+        # the loop's norm over 2-vectors: numpy's own ddot, called from C
+        norm = math.sqrt(ddot(2, ratio.ctypes.data, 1, ratio.ctypes.data, 1) / 2)
+        assert norm == _error_norm(err, y, y_new, rtol, atol)
+
+
+def _shaft_holds(rng, n):
+    """n one-torque rows: repeats, 0.0 against -0.0, and random values."""
+    rows = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0, 6.0], n), rng.uniform(-10.0, 10.0, n))
+    for k in np.flatnonzero(rng.random(n - 1) < 0.3) + 1:
+        rows[k] = rows[k - 1]
+    return rows[:, None]
+
+
+def test_random_shafts_roll_out_the_same_on_both_engines(compiled_shaft, monkeypatch):
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        inertia, damping = float(10.0 ** rng.uniform(-3.0, 2.0)), float(rng.uniform(0.0, 1.0))
+        controls = ControlSequence(t0=0.0, dt=0.01, samples=_shaft_holds(rng, 30))
+        _assert_same(*_on_both(lambda: simulate_shaft(inertia, damping, controls, FIT_TOLERANCE),
+                               monkeypatch))
+
+
+@pytest.mark.parametrize("inertia", [1e-6, 1e4], ids=["lower-bound", "upper-bound"])
+def test_shafts_at_the_fit_bounds_roll_out_the_same(compiled_shaft, monkeypatch, inertia):
+    controls = ControlSequence(t0=0.0, dt=0.01, samples=_shaft_holds(np.random.default_rng(4), 10))
+    _assert_same(*_on_both(lambda: simulate_shaft(inertia, 0.12, controls, FIT_TOLERANCE), monkeypatch))
+
+
+@pytest.mark.parametrize("record", ["step1_wheel", "step1_platform"])
+def test_step1_records_roll_out_the_same_on_both_engines(compiled_shaft, monkeypatch, record):
+    """The record, a fit rollout on the record's plan and its loss."""
+    row, p = FITS[record], nominal_params()
+    exp = experiment(row, p, seed=0)
+    inertia, damping = (1.3 * getattr(p, f) for f in row.shaft)
+    guess = dict(zip(row.names, (inertia, damping)))
+
+    def run():
+        truth = simulate_shaft(*(getattr(p, f) for f in row.shaft), exp.controls)
+        fit = integrate(shaft_model(inertia, damping), np.zeros(2), exp.plan, FIT_TOLERANCE)
+        return truth, fit, prediction_error(guess, p, exp, FIT_TOLERANCE)
+
+    c, py = _on_both(run, monkeypatch)
+    _assert_same(c[0], py[0])
+    _assert_same(c[1], py[1])
+    assert c[2][0] == py[2][0] and c[2][1].tobytes() == py[2][1].tobytes()
+
+
+@pytest.mark.parametrize("inertia", [0.0, -0.0], ids=["zero", "negative-zero"])
+def test_a_zero_inertia_stops_the_c_and_raises_in_python(compiled_shaft, monkeypatch, inertia):
+    assert _c_shaft_attempt(compiled_shaft, inertia, 0.1, 6.0, [0.0, 0.0], [0.0, 1.0], 1e-3,
+                            1e-9, 1e-12)[0] == 1
+    controls = ControlSequence.constant([6.0], 0.5, 100.0)
+    c, py = _on_both(lambda: simulate_shaft(inertia, 0.1, controls), monkeypatch)
+    assert isinstance(py, ZeroDivisionError)
+    _assert_same(c, py)
+    # a fit scores such a candidate inf, with the C loaded
+    exp = experiment(FITS["step1_wheel"], nominal_params(), seed=0)
+    before = dict(simulate.engine_rollouts)
+    loss, res = prediction_error({"Ia": inertia, "bw": 0.1}, nominal_params(), exp, FIT_TOLERANCE)
+    assert loss == math.inf and np.isinf(res).all() and len(res) == len(exp.record.times)
+    assert simulate.engine_rollouts["c"] == before["c"] + 1
+
+
+def test_the_forced_fallback_runs_the_shaft_in_python(compiled_shaft, request):
+    controls = ControlSequence.constant([6.0], 0.5, 100.0)
+
+    def rollout():
+        before = dict(simulate.engine_rollouts)
+        traj = simulate_shaft(0.0104, 0.18, controls)
+        return traj, {k: simulate.engine_rollouts[k] - before[k] for k in before}
+
+    c, c_ran = rollout()
+    assert c_ran == {"c": 1, "python": 0}
+    request.getfixturevalue("python_kernel")
+    py, py_ran = rollout()
+    assert py_ran == {"c": 0, "python": 1}
+    _assert_same(c, py)
+
+
 def test_forced_fallback_gives_the_same_rollout(compiled, request):
     p = nominal_params()
     state = admissible_state(p, np.array([0.1, -0.2, 0.3, 0.0, 0.0, 0.2]), dp=np.array([0.2, -0.1, 0.3]))
@@ -458,9 +589,9 @@ def test_forced_fallback_gives_the_same_rollout(compiled, request):
     pulses = DisturbanceSchedule((ForcePulse(0.123, 0.3, fx=40.0, fy=-25.0),))
 
     def rollout():
-        before = dict(simulate.robot_rollouts)
+        before = dict(simulate.engine_rollouts)
         traj = simulate_robot(p, state, controls, disturbances=pulses)
-        return traj, {k: simulate.robot_rollouts[k] - before[k] for k in before}
+        return traj, {k: simulate.engine_rollouts[k] - before[k] for k in before}
 
     c, c_ran = rollout()
     assert c_ran == {"c": 1, "python": 0}
@@ -494,12 +625,12 @@ def test_a_missing_ddot_or_compiler_runs_python_with_the_same_bytes(compiled, tm
     else:
         monkeypatch.setattr(_ckernel, missing.upper(), "no_such_blas_symbol")
         assert _ckernel.numpy_blas() is None
-    _robot_kernel.cache_clear()
+    _rollout_kernel.cache_clear()
     try:
         run_all("python")
     finally:
         monkeypatch.undo()
-        _robot_kernel.cache_clear()
+        _rollout_kernel.cache_clear()
     for name in runs:
         c, py = (tmp_path / engine / name for engine in ("c", "python"))
         kernels = [json.loads((d / "manifest.json").read_text())["integrator"]["kernel"] for d in (c, py)]

@@ -17,7 +17,7 @@ from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
 from otbot.params import nominal_params, save_params
-from otbot.simulate import TRAJECTORY_COLUMNS, _csv_formatter, _robot_kernel, trajectory_from_csv
+from otbot.simulate import TRAJECTORY_COLUMNS, _csv_formatter, _rollout_kernel, trajectory_from_csv
 
 MANIFEST_KEYS = {
     "tool",
@@ -91,8 +91,8 @@ class TestSimulate:
         assert all(len(h) == 64 for h in m["config_sha256"].values())
         assert isinstance(m["wall_clock_s"], float)
         assert {"rtol", "atol", "kernel"} == set(m["integrator"])
-        # shafts run on the Python kernel; only robot rollouts have a C one
-        assert m["integrator"]["kernel"] == "python"
+        # shafts run on the compiled loop too, where it can be loaded
+        assert m["integrator"]["kernel"] == ("python" if _rollout_kernel() is None else "c")
 
     def test_robot_scenario_records_trajectory_and_imu(self, tmp_path):
         out = tmp_path / "run"
@@ -274,8 +274,9 @@ class TestIdentify:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--step", "1"], ["--step", "3", "--window", "0.2", "--sweep", "0"]],
-        ids=["shafts", "platform"],
+        [["--step", "1"], ["--step", "3", "--window", "0.2", "--sweep", "0"],
+         ["--step", "all", "--sweep", "0"]],
+        ids=["shafts", "platform", "chain"],
     )
     def test_jobs_leave_every_artifact_byte_identical(self, tmp_path, argv):
         outs = []
@@ -541,6 +542,10 @@ class TestBadNumericFlags:
              "params-word.cfg: [params] bw must be a number, got 'slow'"),
             (["control", "--scenario", "params-negative-mass.cfg"],
              "params-negative-mass.cfg: [params] mc must be positive"),
+            (["identify", "--step", "1", "--params", "DIR"], "--params"),
+            (["identify", "--step", "1", "--guess", "DIR"], "--guess"),
+            (["control", "--scenario", "corridor", "--gains", "DIR"], "--gains"),
+            (["control", "--scenario", "plan", "--plan", "DIR"], "--plan"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -565,7 +570,8 @@ class TestBadNumericFlags:
              "torques-with-scenario", "duration-with-scenario", "rate-with-scenario",
              "seed-with-torques",
              "scenario-word-rate", "scenario-fractional-seed", "scenario-word-param",
-             "scenario-negative-param"],
+             "scenario-negative-param", "params-directory", "guess-directory", "gains-directory",
+             "plan-directory"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")
@@ -575,6 +581,9 @@ class TestBadNumericFlags:
         for i, arg in enumerate(argv):
             if arg in self.KEY_FILES:
                 (tmp_path / arg).write_text(self.KEY_FILES[arg])
+                argv[i] = str(tmp_path / arg)
+            if arg == "DIR":  # a directory where a file goes
+                (tmp_path / arg).mkdir(exist_ok=True)
                 argv[i] = str(tmp_path / arg)
             if arg in self.SCENARIO_FILES:
                 name, line, changed = self.SCENARIO_FILES[arg]
@@ -589,6 +598,8 @@ class TestBadNumericFlags:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
         assert not out.exists()
+        if "DIR" in argv:
+            assert err.endswith(f"{flag} {tmp_path / 'DIR'}: not a file\n")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -611,18 +622,20 @@ class TestBadNumericFlags:
 
 
 class TestKernelInManifest:
-    """The manifest names the engine the robot rollouts ran on and the
-    formatter that wrote the CSV tables."""
+    """The manifest names the engine the rollouts (robot and shaft) ran on and
+    the formatter that wrote the CSV tables."""
 
     RUNS = [
         ["simulate", "--torques", "6,-10,6", "--duration", "0.2"],
         ["control", "--scenario", "corridor", "--rate", "50"],
         ["identify", "--step", "3", "--window", "0.2", "--sweep", "0"],
+        ["simulate", "--scenario", "wheel-spin"],
+        ["identify", "--step", "1"],
     ]
 
-    @pytest.mark.parametrize("argv", RUNS, ids=["simulate", "control", "identify"])
+    @pytest.mark.parametrize("argv", RUNS, ids=["simulate", "control", "identify", "shaft", "shaft-fits"])
     def test_compiled_kernel(self, tmp_path, argv):
-        expected = "python" if _robot_kernel() is None else "c"
+        expected = "python" if _rollout_kernel() is None else "c"
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         m = manifest(tmp_path / "run")
         assert m["integrator"]["kernel"] == expected
@@ -632,6 +645,10 @@ class TestKernelInManifest:
         assert main(self.RUNS[0] + ["--out", str(tmp_path / "run")]) == 0
         m = manifest(tmp_path / "run")
         assert m["integrator"]["kernel"] == "python" and m["csv"] == "python"
+
+    def test_forced_fallback_runs_shafts_in_python(self, tmp_path, python_kernel):
+        assert main(self.RUNS[3] + ["--out", str(tmp_path / "run")]) == 0
+        assert manifest(tmp_path / "run")["integrator"]["kernel"] == "python"
 
     def test_python_rows_write_the_same_csv_bytes(self, tmp_path, monkeypatch):
         if _csv_formatter() is None:

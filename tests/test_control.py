@@ -28,7 +28,7 @@ from otbot.integrator import IntegratorOptions
 from otbot.interval import Interval
 from otbot.references import CorridorReference, HarmonicReference
 from otbot.scenarios import build_plan
-from otbot.simulate import ControlSequence, _robot_model, integrate, simulate_robot
+from otbot.simulate import ControlSequence, EventPlan, simulate_robot
 
 
 class TestGainTuning:
@@ -277,14 +277,14 @@ class TestTrackingLoop:
                 t_end=1.50049,
             )
 
-    def test_a_feedback_law_needs_a_row_per_instant_and_an_instant_at_the_start(self, params_nf):
+    def test_a_feedback_law_needs_a_row_per_instant_and_an_instant_at_the_start(self):
         grid = 0.01 * np.arange(11)
         with pytest.raises(ValueError, match="one reference row of 9 per instant"):
             FeedbackLaw(grid, np.zeros((10, 9)), tune_gains(3.0))
         # an instant before the first one would read past the reference table
         law = FeedbackLaw(grid[1:], np.zeros((10, 9)), tune_gains(3.0))
         with pytest.raises(ValueError, match="control instant at the start"):
-            integrate(_robot_model(params_nf), np.zeros(12), (0.0, 0.1), law)
+            EventPlan((0.0, 0.1), law)
 
     def test_recorded_torques_keep_the_split(self, corridor_1k):
         res = corridor_1k

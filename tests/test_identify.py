@@ -131,8 +131,7 @@ def test_experiment_window_mismatch_rejected(params):
         kind="encoder",
     )
     with pytest.raises(ValueError, match="window"):
-        Experiment(x0=np.zeros(2), controls=exp.controls, record=short,
-                   sensor_model=exp.sensor_model)
+        Experiment(controls=exp.controls, record=short, sensor_model=exp.sensor_model)
 
 
 def test_prediction_error_vanishes_at_the_truth(params):

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import otbot
-
+from otbot import simulate
 from otbot.dynamics import RobotState, constraint_violation, state_derivative
 from otbot.integrator import IntegratorOptions, IntegratorStats, advance_segment
 from otbot.model import holonomic_residual
@@ -20,7 +21,11 @@ from otbot.simulate import (
     TRAJECTORY_COLUMNS,
     ControlSequence,
     DisturbanceSchedule,
+    EventPlan,
     ForcePulse,
+    integrate,
+    robot_model,
+    shaft_model,
     simulate_robot,
     simulate_shaft,
     trajectory_from_csv,
@@ -98,7 +103,7 @@ def test_a_nan_step_raises_an_integration_error_on_both_engines():
         controls = ControlSequence.constant([6, -10, 6], 0.1, 100)
         for engine in ("c", "python"):
             if engine == "python":
-                simulate._robot_kernel = lambda: None
+                simulate._rollout_kernel = lambda: None
             try:
                 simulate_robot(nominal_params(), RobotState.rest(), controls,
                                options=IntegratorOptions(atol=0.0))
@@ -137,6 +142,77 @@ def test_output_grid_one_ulp_off_the_hold_grid():
     traj = simulate_shaft(1.04e-2, 0.18, controls, output_times=grid)
     np.testing.assert_array_equal(traj.times, grid)
     assert np.all(np.isfinite(traj.states))
+
+
+def _use_engine(monkeypatch, engine):
+    """Run rollouts on the compiled loop ("c", skipped where it cannot be
+    loaded) or on the Python engine ("python")."""
+    if engine == "python":
+        monkeypatch.setattr(simulate, "_rollout_kernel", lambda: None)
+    elif simulate._rollout_kernel() is None:
+        pytest.skip("the compiled rollout loop cannot be loaded")
+
+
+def _plan_cases():
+    """(model of a scale k, start, plan) of a robot under a pulse and of a
+    shaft whose torques switch between 0.0 and -0.0, 0.2 s each."""
+    p = nominal_params()
+    pulses = DisturbanceSchedule((ForcePulse(0.055, 0.12, fx=30.0),))
+    robot = ControlSequence.constant([6.0, -10.0, 6.0], 0.2, 100.0)
+    shaft = ControlSequence(t0=0.0, dt=0.01, samples=[[6.0], [0.0], [-0.0], [-3.0]] * 5)
+    grid = np.arange(41) / 200.0
+    return [
+        (lambda k: robot_model(p.replace(mc=p.mc * k, xB=0.01 * k)), RobotState.rest().as_vector(),
+         lambda: EventPlan((0.0, 0.2), robot, grid, pulses)),
+        (lambda k: shaft_model(0.0104 * k, 0.18 * k), np.zeros(2),
+         lambda: EventPlan((0.0, 0.2), shaft, grid)),
+    ]
+
+
+def _assert_same_rollout(a, b):
+    for name in ("times", "states", "derivs", "controls"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_the_tenth_rollout_of_a_plan_equals_a_fresh_rollout(monkeypatch, engine):
+    """Rollouts of other parameters on one plan leave it as it was: the tenth
+    rollout equals a rollout on a plan of its own, bit for bit."""
+    _use_engine(monkeypatch, engine)
+    before = simulate.engine_rollouts[engine]
+    for model, x0, make_plan in _plan_cases():
+        plan = make_plan()
+        names = ("events", "out", "start", "brk", "held", "forces", "times")
+        tables = {name: getattr(plan, name).copy() for name in names}
+        for k in (1.5, 0.7, 2.0, 1.1, 0.9, 1.3, 0.8, 1.7, 0.6):
+            integrate(model(k), x0, plan)
+        _assert_same_rollout(integrate(model(1.0), x0, plan), integrate(model(1.0), x0, make_plan()))
+        for name, table in tables.items():
+            assert not getattr(plan, name).flags.writeable
+            assert getattr(plan, name).tobytes() == table.tobytes(), name
+    assert simulate.engine_rollouts[engine] == before + 2 * 11
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_threads_rolling_out_on_one_plan_get_the_serial_rollouts(monkeypatch, engine):
+    """More threads than cores, switching often, each rollout on the one
+    shared plan: every result equals the serial rollout of its parameters."""
+    _use_engine(monkeypatch, engine)
+    scales = (0.6, 0.8, 1.0, 1.3, 1.7, 2.0)
+    for model, x0, make_plan in _plan_cases():
+        plan = make_plan()
+        serial = [integrate(model(k), x0, plan) for k in scales]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(integrate, model(k), x0, plan) for k in scales * 4]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, traj in enumerate(results):
+            _assert_same_rollout(traj, serial[i % len(scales)])
 
 
 def test_shaft_matches_closed_form():
