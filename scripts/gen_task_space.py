@@ -596,7 +596,7 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
     double min_step = r->min_step, max_step = r->max_step;
-    double h_next = py_min(r->h, r->h_max);
+    double h_next = r->h;
     copy(y[0], r->x, n);
     copy(k[0], r->k1, n);
     while (t < t1) {
@@ -626,7 +626,7 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
             now = !now; /* FSAL */
             const double factor = norm == 0.0
                 ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
-            const double grown = py_min(h * factor, r->h_max);
+            const double grown = h * factor;
             h_next = clipped ? py_max(h_next, grown) : grown;
         } else {
             rejected += 1;

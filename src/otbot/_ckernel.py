@@ -23,13 +23,15 @@ source changes compiles it once. It is written to a temporary
 name and moved into place, so concurrent processes may build it at once.
 Where the cache directory cannot be written, it is built into a temporary
 directory of this process. Without a working compiler a loader returns
-None and the Python code runs instead.
+None and the Python code runs instead. Each loader runs once per process,
+so what it returns picks the engine of all its rollouts or tables.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -62,16 +64,16 @@ MODEL_INDEX = {m.name: i for i, m in enumerate(MODELS)}
 
 class Rollout(ctypes.Structure):
     """One rollout, ``struct rollout`` of ``rollout``: the numpy tables (a
-    feedback law's too) and BLAS routines as addresses, the tolerances and
-    step cap ``h_max``, what the C moves on (the step ``h``, the counts, the
-    output row, the law's ``instant``, the hold ``blk``, state ``x``, first
-    stage ``k1``), the law and the model (an index of :data:`MODELS`)."""
+    feedback law's too) and BLAS routines as addresses, the tolerances, what
+    the C moves on (the step ``h``, the counts, the output row, the law's
+    ``instant``, the hold ``blk``, state ``x``, first stage ``k1``), the law
+    and the model (an index of :data:`MODELS`)."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
             "events", "out", "start", "brk", "held", "forces", "states", "derivs", "controls",
             "reference", "u_traj", "u_corr", "ddot", "dgemv")),
-        *((name, ctypes.c_double) for name in ("rtol", "atol", "h_max", "h", "min_step", "max_step")),
+        *((name, ctypes.c_double) for name in ("rtol", "atol", "h", "min_step", "max_step")),
         *((name, ctypes.c_long) for name in (
             "accepted", "rejected", "fevals", "row", "instant", "law", "model")),
         ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),
@@ -135,6 +137,7 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
     return None
 
 
+@functools.cache
 def load():
     """``(rollout, ddot, dgemv)``, or None where the library or numpy's BLAS is missing.
 
@@ -170,6 +173,7 @@ def numpy_blas() -> tuple[int, int] | None:
     return None
 
 
+@functools.cache
 def load_formatter():
     """The ``format_rows`` function of the CSV formatter, or None.
 

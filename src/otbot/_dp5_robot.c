@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: 8cc7b5bc4eba91a7f45a13a7fb300fffe7ed0239a147883bde53c10a4c215903
+// generator sha256: 3da7d084be0180379840c60eeeb6a91fb679495e5c138c09b33ce6ab5ed5c1fb
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs
@@ -41,7 +41,6 @@ struct rollout {
     void *dgemv;
     double rtol;
     double atol;
-    double h_max;
     double h;
     double min_step;
     double max_step;
@@ -566,7 +565,7 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
     double min_step = r->min_step, max_step = r->max_step;
-    double h_next = py_min(r->h, r->h_max);
+    double h_next = r->h;
     copy(y[0], r->x, n);
     copy(k[0], r->k1, n);
     while (t < t1) {
@@ -596,7 +595,7 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
             now = !now; /* FSAL */
             const double factor = norm == 0.0
                 ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
-            const double grown = py_min(h * factor, r->h_max);
+            const double grown = h * factor;
             h_next = clipped ? py_max(h_next, grown) : grown;
         } else {
             rejected += 1;

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _ckernel
 from .control import (
     TorqueBounds,
     closed_loop_simulate,
@@ -46,6 +46,7 @@ from .scenarios import (
     checked,
     ensure_plan,
     float_list,
+    frequency,
     load_scenario,
     make_reference,
     natural,
@@ -59,9 +60,7 @@ from .sensors import SensorModel
 from .sensors import sample_sensors
 from .simulate import (
     ControlSequence,
-    csv_tables,
     format_float,
-    engine_rollouts,
     simulate_robot,
     simulate_shaft,
     trajectory_from_csv,
@@ -108,8 +107,6 @@ class _Run:
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         self.t0 = time.perf_counter()
-        self.c_rollouts = engine_rollouts["c"]
-        self.c_tables = csv_tables["c"]
 
     def config(self, flag: str, path: str | Path | None, reader, default):
         """``reader(path)`` of the file named by ``flag``, or ``default``.
@@ -146,11 +143,12 @@ class _Run:
             "seeds": self.seeds,
             "integrator": {
                 **self.tolerances,
-                # the engine the rollouts (robot and shaft) ran on: the C loop or Python
-                "kernel": "c" if engine_rollouts["c"] > self.c_rollouts else "python",
+                # the engine the rollouts (robot and shaft) ran on: the C loop
+                # where it loaded, else Python
+                "kernel": "python" if _ckernel.load() is None else "c",
             },
             # the formatter that wrote the run's CSV tables
-            "csv": "c" if csv_tables["c"] > self.c_tables else "python",
+            "csv": "python" if _ckernel.load_formatter() is None else "c",
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
             "files": sorted(self.files),
         }
@@ -236,7 +234,7 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--seed does not apply to --torques, which samples no sensor")
         torques = float_list(args.torques, 3, "--torques")
         checked("--duration", args.duration, positive)
-        rate = checked("--rate", 100.0 if args.rate is None else args.rate, positive)
+        rate = checked("--rate", 100.0 if args.rate is None else args.rate, frequency)
         if whole_periods(args.duration, rate) is None:
             raise ConfigError(f"--duration {args.duration!r} s is not a whole number of "
                               f"periods of --rate {rate!r} Hz")
@@ -384,7 +382,7 @@ def _write_feasibility(run: _Run, report) -> None:
 
 def _cmd_control(args) -> int:
     if args.rate is not None:
-        checked("--rate", args.rate, positive)
+        checked("--rate", args.rate, frequency)
     out = Path(args.out)
     run = _Run("control", out)
     name = args.scenario if args.scenario != "plan" else "plan-tracking"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RobotState, admissible_state, task_space_model
-from .integrator import IntegratorOptions
 from .interval import Interval, matvec
 from .params import RobotParams
 from .references import PlanReference, ReferenceTrajectory, plan_step
@@ -156,7 +155,6 @@ def closed_loop_simulate(
     control_rate: float = 1000.0,
     disturbances: DisturbanceSchedule | None = None,
     t_end: float | None = None,
-    options: IntegratorOptions | None = None,
 ) -> TrackingResult:
     """Track ``ref`` with the computed-torque law under zero-order hold.
 
@@ -173,7 +171,7 @@ def closed_loop_simulate(
     law = FeedbackLaw(grid, np.column_stack(ref.sample(grid)), gains)
     if not isinstance(state0, RobotState):
         state0 = RobotState.from_vector(state0)
-    traj = simulate_robot(params, state0, law, disturbances=disturbances, options=options)
+    traj = simulate_robot(params, state0, law, disturbances=disturbances)
     p_ref, v_ref, a_ref = (law.reference[:, i : i + 3] for i in (0, 3, 6))
     e_p, e_v = traj.states[:, 0:3] - p_ref, traj.states[:, 6:9] - v_ref
     return TrackingResult(traj, p_ref, v_ref, a_ref, e_p, e_v, law.u_traj, law.u_corr)

@@ -79,8 +79,6 @@ class IntegrationError(RuntimeError):
 class IntegratorOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_step: float = math.inf
-    first_step: float | None = None
 
 
 @dataclass
@@ -212,7 +210,6 @@ def advance_segment(
         stats.fevals += 1
     else:
         h_next = h_start
-    h_next = min(h_next, opts.max_step)
     step = _step_kernel(len(y0))
     y = y0.tolist()
     if isinstance(k1, np.ndarray):
@@ -250,7 +247,7 @@ def advance_segment(
             t = t1 if clipped else t + h
             y, k1 = y_new, k7  # FSAL
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)
-            grown = min(h * factor, opts.max_step)
+            grown = h * factor
             # a clipped step can be arbitrarily short (end-of-segment sliver);
             # growing from it would poison the carried suggestion
             h_next = max(h_next, grown) if clipped else grown

@@ -31,7 +31,8 @@ from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
 from .params import PARAM_FIELDS, RobotParams, load_params, nominal_params
 from .references import CorridorReference, Figure8Reference, HarmonicReference, ReferenceTrajectory
-from .simulate import DisturbanceSchedule, ForcePulse, SimTrajectory, trajectory_to_csv, whole_periods
+from .simulate import (_EVENT_MERGE_TOL, DisturbanceSchedule, ForcePulse, SimTrajectory,
+                       trajectory_to_csv, whole_periods)
 
 BUNDLED_SCENARIOS = (
     "wheel-spin",
@@ -59,6 +60,13 @@ def make_reference(name: str) -> ReferenceTrajectory:
 # checks: what is wrong with a value, or None; ``checked`` words the error
 def positive(value) -> str | None:
     return None if math.isfinite(value) and value > 0.0 else "must be a finite positive number"
+
+
+# a rate [Hz] needs a period longer than the time resolution of a rollout's
+# events, within which two times are one instant (a larger rate cannot be run)
+def frequency(value) -> str | None:
+    return positive(value) or (None if 1.0 / value > _EVENT_MERGE_TOL
+                               else f"must have a period above {_EVENT_MERGE_TOL!r} s")
 
 
 def non_negative(value) -> str | None:
@@ -149,17 +157,17 @@ SCHEMA = {
     ("initial", "q"): Key("q0", _floats(6), None, _ROBOT),
     ("initial", "velocity"): Key("velocity", _text, _one_of("rest", "reference"), _ROBOT),
     ("torques", "values"): Key("torques", _floats(3), None, ("torques",), True),
-    ("torques", "rate"): Key("torque_rate", _number, positive, ("torques",)),
+    ("torques", "rate"): Key("torque_rate", _number, frequency, ("torques",)),
     ("shaft", "axis"): Key("axis", _text, _one_of("wheel", "platform"), ("shaft",), True),
     ("shaft", "torque"): Key("shaft_torque", _number, _finite, ("shaft",)),
-    ("shaft", "rate"): Key("shaft_rate", _number, positive, ("shaft",)),
+    ("shaft", "rate"): Key("shaft_rate", _number, frequency, ("shaft",)),
     ("control", "reference"): Key("reference", _text, _one_of(*REFERENCES), ("controller",), True),
     ("control", "t_stab"): Key("t_stab", _number, positive, _TRACKING),
-    ("control", "rate"): Key("loop_rate", _number, positive, _TRACKING),
+    ("control", "rate"): Key("loop_rate", _number, frequency, _TRACKING),
     ("plan", "file"): Key("plan_file", lambda text, what, folder: folder / text, None, ("plan",)),
-    ("plan", "rate"): Key("plan_rate", _number, positive, ("plan",)),
+    ("plan", "rate"): Key("plan_rate", _number, frequency, ("plan",)),
     ("plan", "mass_error"): Key("plan_mass_error", _number, _above_minus_one, ("plan",)),
-    ("sensors", "rate"): Key("sensor_rate", _number, positive, _SENSED),
+    ("sensors", "rate"): Key("sensor_rate", _number, frequency, _SENSED),
     ("sensors", "*"): Key("sensors", _number, non_negative, _SENSED),
     ("disturbances", "*"): Key("disturbances", _pulse, None, ("controller",)),
 }
@@ -230,7 +238,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    ini = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # text is read verbatim (no % interpolation), and [DEFAULT] is no special section
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     ini.optionxform = str  # keep the case of keys such as Ic and xB
     try:
         ini.read(path)

@@ -21,7 +21,6 @@ start there (the final sample uses the input held at the end).
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -29,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _ckernel
 from .dynamics import RobotState, state_derivative
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment, initial_step
 from .params import PARAM_FIELDS, RobotParams
@@ -177,7 +177,7 @@ class EventPlan:
             mask = (controls.boundaries > t0) & (controls.boundaries < t_end)
             output_times = np.concatenate([[t0], controls.boundaries[mask], [t_end]])
         else:
-            output_times = np.asarray(sorted(set(float(t) for t in output_times)))
+            output_times = np.unique(np.asarray(output_times, dtype=float))
         lo, hi = t0 - _EVENT_MERGE_TOL, t_end + _EVENT_MERGE_TOL
         if output_times[0] < lo or output_times[-1] > hi:
             raise ValueError("output times fall outside the integration span")
@@ -241,7 +241,8 @@ def integrate(
 
     A model of :func:`robot_model` or :func:`shaft_model` (one with a
     ``kind``) runs this loop, a law included, in C to the same bits
-    (:func:`_compiled_rollout`); where the C stops, it runs here.
+    (:func:`_compiled_rollout`) wherever ``_ckernel.load`` loads it; where
+    the C stops, it runs here, which is where Python raises.
     """
     opts = options or IntegratorOptions()
     x = np.asarray(x0, dtype=float).copy()
@@ -250,14 +251,13 @@ def integrate(
     states = np.empty((len(plan.times), len(x)))
     derivs = np.empty_like(states)
     inputs = np.empty((len(states), 3 if held is None else held.shape[1]))
-    kernel = _rollout_kernel() if hasattr(model, "kind") else None
-    engine_rollouts["python" if kernel is None else "c"] += 1
+    kernel = _ckernel.load() if hasattr(model, "kind") else None
     if kernel is not None:
         stats = _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs)
         if stats is not None:
             return SimTrajectory(plan.times.copy(), states, inputs, derivs, stats)
     stats = IntegratorStats()
-    h = opts.first_step
+    h = None
     last_bits = None
     row = instant = 0
     # the flags are iterated as arrays and the times converted one at a
@@ -288,20 +288,8 @@ def integrate(
     return SimTrajectory(plan.times.copy(), states, inputs, derivs, asdict(stats))
 
 
-# Rollouts run by each engine in this process ("c" or "python"); a run's
-# manifest names the one that ran its rollouts.
-engine_rollouts = {"c": 0, "python": 0}
-
 # the IntegratorStats counts, fields of _ckernel.Rollout by the same names
 _STATS = [f.name for f in fields(IntegratorStats)]
-
-
-@functools.cache
-def _rollout_kernel():
-    """The compiled rollout loop (``otbot._ckernel.load``), or None."""
-    from . import _ckernel
-
-    return _ckernel.load()
 
 
 def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
@@ -313,10 +301,8 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
     The C runs event 0, Python guesses the first step from its hold, and the
     C runs the other events. The struct belongs to this rollout: the foreign
     call releases the GIL."""
-    from ._ckernel import FEEDBACK, FEEDFORWARD, MODEL_INDEX, MODELS, Rollout
-
-    index = MODEL_INDEX[model.kind]
-    m, law = MODELS[index], plan.law
+    index = _ckernel.MODEL_INDEX[model.kind]
+    m, law = _ckernel.MODELS[index], plan.law
     fits = (states.shape[1], inputs.shape[1]) == (m.states, m.inputs)
     if not fits or (law is not None and m.name != "robot"):
         return None
@@ -325,18 +311,18 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
     held = np.empty((len(plan.events), m.inputs)) if law is not None else plan.held
     tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, states, derivs,
               inputs, *rows)
-    c = Rollout(*(None if a is None else a.ctypes.data for a in tables), ddot, dgemv,
-                opts.rtol, opts.atol, opts.max_step, opts.first_step or 0.0, math.inf, 0.0)
+    c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), ddot, dgemv,
+                         opts.rtol, opts.atol, 0.0, math.inf, 0.0)
     c.model = index
     c.blk[: m.params] = model.block
     if law is not None:
-        c.law = FEEDFORWARD if law.gains is None else FEEDBACK
+        c.law = _ckernel.FEEDFORWARD if law.gains is None else _ckernel.FEEDBACK
         if law.gains is not None:
             c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
     c.x[: m.states] = x.tolist()
     if run(c, 0, 1):
         return None
-    if opts.first_step is None and len(plan.events) > 1:  # from the hold of event 0
+    if len(plan.events) > 1:  # from the hold of event 0
         u = m.params + m.inputs
         f = model(c.blk[m.params : u], c.blk[u : u + m.forces])
         c.h = initial_step(f, float(plan.events[0]), x, c.k1[: m.states], opts.rtol, opts.atol)
@@ -424,20 +410,8 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-# Tables written by each CSV formatter in this process ("c" or "python"); a
-# run's manifest names the one that wrote its tables.
-csv_tables = {"c": 0, "python": 0}
-
 # Rows spelled per call of the compiled formatter
 _BLOCK_ROWS = 1024
-
-
-@functools.cache
-def _csv_formatter():
-    """The compiled CSV formatter (``otbot._ckernel.load_formatter``), or None."""
-    from . import _ckernel
-
-    return _ckernel.load_formatter()
 
 
 def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
@@ -452,18 +426,15 @@ def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
     """
     table = np.ascontiguousarray(np.column_stack(columns), dtype=np.float64)
     eol = line_end.encode()
-    format_rows = _csv_formatter()
-    csv_tables["python" if format_rows is None else "c"] += 1
+    format_rows = _ckernel.load_formatter()
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + eol)
         if format_rows is None:
             for row in table:
                 fh.write(",".join(map(repr, row.tolist())).encode() + eol)
             return
-        from ._ckernel import CELL_BYTES
-
         cols = table.shape[1]
-        out = np.empty(_BLOCK_ROWS * (CELL_BYTES * cols + len(eol)), dtype=np.uint8)
+        out = np.empty(_BLOCK_ROWS * (_ckernel.CELL_BYTES * cols + len(eol)), dtype=np.uint8)
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
             n = format_rows(block.ctypes.data, len(block), cols, eol, len(eol),

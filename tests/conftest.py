@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, settings
 from otbot import _ckernel
 from otbot.dynamics import admissible_state
 from otbot.params import nominal_params
-from otbot.simulate import _csv_formatter, _rollout_kernel
 
 settings.register_profile(
     "numerics",
@@ -35,12 +34,31 @@ def python_kernel(monkeypatch):
     rows are joined from ``repr`` in Python.
     """
     monkeypatch.setattr(_ckernel, "build", lambda *library: None)
-    _rollout_kernel.cache_clear()
-    _csv_formatter.cache_clear()
+    _ckernel.load.cache_clear()
+    _ckernel.load_formatter.cache_clear()
     yield
     monkeypatch.undo()
-    _rollout_kernel.cache_clear()
-    _csv_formatter.cache_clear()
+    _ckernel.load.cache_clear()
+    _ckernel.load_formatter.cache_clear()
+
+
+def spy_runs(monkeypatch) -> list | None:
+    """The events ``(i, j)`` of each call of the compiled loop's ``run``
+    (``_ckernel.load()``), recorded from now on through ``monkeypatch``;
+    None where the loop cannot be loaded. A rollout on the C calls it
+    twice: event 0, then the rest."""
+    kernel = _ckernel.load()
+    if kernel is None:
+        return None
+    run, ddot, dgemv = kernel
+    calls = []
+
+    def spy(c, i, j):
+        calls.append((i, j))
+        return run(c, i, j)
+
+    monkeypatch.setattr(_ckernel, "load", lambda: (spy, ddot, dgemv))
+    return calls
 
 
 def random_q(rng: np.random.Generator) -> np.ndarray:

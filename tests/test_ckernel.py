@@ -18,6 +18,8 @@ import ctypes
 import fnmatch
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from otbot import _ckernel, simulate
+from conftest import spy_runs
+from otbot import _ckernel, integrator, simulate
 from otbot.cli import main
 from otbot.control import (
     closed_loop_simulate,
@@ -45,8 +48,6 @@ from otbot.simulate import (
     DisturbanceSchedule,
     EventPlan,
     ForcePulse,
-    _csv_formatter,
-    _rollout_kernel,
     integrate,
     robot_model,
     shaft_model,
@@ -59,7 +60,7 @@ from otbot.simulate import (
 def _attempt(name):
     """``dp5_<name>_attempt`` of the compiled library, bound here; the test is
     skipped where the rollout loop cannot be loaded."""
-    if _rollout_kernel() is None:
+    if _ckernel.load() is None:
         pytest.skip("no working C compiler (cc) or no scipy-openblas ddot and dgemv in numpy: "
                     "the compiled rollout loop cannot be loaded")
     path = _ckernel.build(_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS)
@@ -84,7 +85,7 @@ def compiled_shaft():
 @pytest.fixture
 def formatter():
     """The compiled CSV formatter; the test is skipped where it cannot be built."""
-    run = _csv_formatter()
+    run = _ckernel.load_formatter()
     if run is None:
         pytest.skip(
             "no working C++ compiler (c++ with floating-point std::to_chars): "
@@ -129,7 +130,7 @@ def _c_attempt(attempt, p, u, force, y, k1, h, rtol, atol):
 def _ddot():
     """numpy's own ddot, as the compiled loop calls it."""
     return ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                            ctypes.c_void_p, ctypes.c_int64)(_rollout_kernel()[1])
+                            ctypes.c_void_p, ctypes.c_int64)(_ckernel.load()[1])
 
 
 def test_compiled_attempt_equals_the_python_kernel(compiled):
@@ -169,14 +170,21 @@ def _outcome(run):
 
 def _on_both(run, monkeypatch):
     """``run()`` on the compiled loop, then on the Python engine."""
-    before = dict(simulate.engine_rollouts)
-    c = _outcome(run)
-    assert simulate.engine_rollouts["c"] > before["c"]
     with monkeypatch.context() as m:
-        m.setattr(simulate, "_rollout_kernel", lambda: None)
+        runs = spy_runs(m)
+        c = _outcome(run)
+    assert runs
+    with monkeypatch.context() as m:
+        m.setattr(_ckernel, "load", lambda: None)
         py = _outcome(run)
-    assert simulate.engine_rollouts["python"] > before["python"]
     return c, py
+
+
+def _first_step(monkeypatch, h):
+    """Make ``h`` the first step of every rollout on both engines, in place
+    of the guess of ``initial_step``."""
+    for module in (integrator, simulate):
+        monkeypatch.setattr(module, "initial_step", lambda *args: h)
 
 
 def _assert_same(c, py):
@@ -233,9 +241,9 @@ def test_a_stage_that_raises_hands_its_segment_to_python(compiled, monkeypatch):
     # the first hold is finite; a huge first step drives stage 2's angle to inf
     y = [0.0] * 8 + [1.7e308] + [0.0] * 3
     controls = ControlSequence(t0=0.0, dt=50.0, samples=[[1.0, 2.0, 3.0]] * 2)
-    options = IntegratorOptions(first_step=10.0)
+    _first_step(monkeypatch, 10.0)
     plan = EventPlan((0.0, 100.0), controls)
-    c, py = _on_both(lambda: integrate(robot_model(nominal_params()), y, plan, options), monkeypatch)
+    c, py = _on_both(lambda: integrate(robot_model(nominal_params()), y, plan), monkeypatch)
     assert isinstance(py, ValueError)
     _assert_same(c, py)
 
@@ -262,7 +270,8 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
     assert _error_norm(err, y, y_new, 1e-9, 0.0) == math.inf
     # both loops reject every attempt until the step underflows
     controls = ControlSequence.constant([0.0, 0.0, 0.0], 0.05, 100.0)
-    options = IntegratorOptions(atol=0.0, first_step=1e-3)
+    options = IntegratorOptions(atol=0.0)
+    _first_step(monkeypatch, 1e-3)
     c, py = _on_both(lambda: simulate_robot(p, RobotState.rest(), controls, options=options),
                      monkeypatch)
     assert isinstance(py, IntegrationError) and py.rejected > 0
@@ -273,7 +282,7 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
 def test_a_rollout_the_c_stops_is_rerun_in_python(compiled, monkeypatch, stop):
     """A loop that stops at event ``stop``, as it does where Python raises,
     gives the oracle's rollouts, open loop and under a feedback law."""
-    run, ddot, dgemv = _rollout_kernel()
+    run, ddot, dgemv = _ckernel.load()
     stops = []
 
     def stopping(c, i, j):
@@ -292,10 +301,10 @@ def test_a_rollout_the_c_stops_is_rerun_in_python(compiled, monkeypatch, stop):
         return (simulate_robot(p, state, controls, disturbances=pulses),
                 closed_loop_simulate(p, state, HarmonicReference(horizon=0.2), tune_gains(1.0)))
 
-    monkeypatch.setattr(simulate, "_rollout_kernel", lambda: (stopping, ddot, dgemv))
+    monkeypatch.setattr(_ckernel, "load", lambda: (stopping, ddot, dgemv))
     rerun = rollouts()
     assert stops == [stop, stop]
-    monkeypatch.setattr(simulate, "_rollout_kernel", lambda: None)
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
     oracle = rollouts()
     _assert_same(rerun[0], oracle[0])
     _assert_same_tracking(rerun[1], oracle[1])
@@ -350,19 +359,6 @@ def test_output_grids_with_ulp_near_merges_roll_out_the_same(compiled, monkeypat
     state = _start(rng)
     _assert_same(*_on_both(
         lambda: simulate_robot(nominal_params(), state, controls, output_times=grid), monkeypatch))
-
-
-@pytest.mark.parametrize("options", [
-    IntegratorOptions(max_step=2e-3),
-    IntegratorOptions(first_step=5e-4),
-    IntegratorOptions(rtol=1e-6, atol=1e-9, max_step=4e-3, first_step=1e-2),
-], ids=["max-step", "first-step", "both-loose"])
-def test_max_and_first_step_roll_out_the_same(compiled, monkeypatch, options):
-    rng = np.random.default_rng(10)
-    controls = ControlSequence(t0=0.0, dt=0.01, samples=_holds(rng, 20))
-    state = _start(rng)
-    _assert_same(*_on_both(
-        lambda: simulate_robot(nominal_params(), state, controls, options=options), monkeypatch))
 
 
 def _assert_same_tracking(c, py):
@@ -424,7 +420,7 @@ def test_feedforward_holds_a_negative_zero_u_traj_as_zero(compiled, monkeypatch)
     """Without feedback u is ``u_traj + np.zeros(3)``, so a -0.0 in u_traj
     is held as 0.0. numpy's dgemv gives 0.0 at rest; one that turns its
     zeros into -0.0 makes the case."""
-    run, ddot, dgemv = _rollout_kernel()
+    run, ddot, dgemv = _ckernel.load()
     numpy_dgemv = _DGEMV(dgemv)
 
     @_DGEMV
@@ -441,7 +437,7 @@ def test_feedforward_holds_a_negative_zero_u_traj_as_zero(compiled, monkeypatch)
         return closed_loop_simulate(nominal_params(), RobotState.rest(), ref, None, control_rate=100.0)
 
     py = rollout()
-    monkeypatch.setattr(simulate, "_rollout_kernel",
+    monkeypatch.setattr(_ckernel, "load",
                         lambda: (run, ddot, ctypes.cast(negative_zeros, ctypes.c_void_p).value))
     c = rollout()
     assert (c.u_traj == 0.0).all() and np.signbit(c.u_traj).all()
@@ -560,45 +556,37 @@ def test_a_zero_inertia_stops_the_c_and_raises_in_python(compiled_shaft, monkeyp
     _assert_same(c, py)
     # a fit scores such a candidate inf, with the C loaded
     exp = experiment(FITS["step1_wheel"], nominal_params(), seed=0)
-    before = dict(simulate.engine_rollouts)
+    runs = spy_runs(monkeypatch)
     loss, res = prediction_error({"Ia": inertia, "bw": 0.1}, nominal_params(), exp, FIT_TOLERANCE)
     assert loss == math.inf and np.isinf(res).all() and len(res) == len(exp.record.times)
-    assert simulate.engine_rollouts["c"] == before["c"] + 1
+    assert runs == [(0, 1)]  # the C stops at its first derivative
 
 
-def test_the_forced_fallback_runs_the_shaft_in_python(compiled_shaft, request):
-    controls = ControlSequence.constant([6.0], 0.5, 100.0)
-
-    def rollout():
-        before = dict(simulate.engine_rollouts)
-        traj = simulate_shaft(0.0104, 0.18, controls)
-        return traj, {k: simulate.engine_rollouts[k] - before[k] for k in before}
-
-    c, c_ran = rollout()
-    assert c_ran == {"c": 1, "python": 0}
+def _c_then_forced_fallback(rollout, monkeypatch, request):
+    """``rollout()``, one rollout, on the compiled loop, then under the
+    ``python_kernel`` fixture, where the loop does not load."""
+    with monkeypatch.context() as m:
+        runs = spy_runs(m)
+        c = rollout()
+    assert runs is not None and len(runs) == 2
     request.getfixturevalue("python_kernel")
-    py, py_ran = rollout()
-    assert py_ran == {"c": 0, "python": 1}
-    _assert_same(c, py)
+    assert _ckernel.load() is None
+    return c, rollout()
 
 
-def test_forced_fallback_gives_the_same_rollout(compiled, request):
+def test_the_forced_fallback_runs_the_shaft_in_python(compiled_shaft, monkeypatch, request):
+    controls = ControlSequence.constant([6.0], 0.5, 100.0)
+    _assert_same(*_c_then_forced_fallback(lambda: simulate_shaft(0.0104, 0.18, controls),
+                                          monkeypatch, request))
+
+
+def test_forced_fallback_gives_the_same_rollout(compiled, monkeypatch, request):
     p = nominal_params()
     state = admissible_state(p, np.array([0.1, -0.2, 0.3, 0.0, 0.0, 0.2]), dp=np.array([0.2, -0.1, 0.3]))
     controls = ControlSequence(t0=0.0, dt=0.01, samples=np.random.default_rng(3).uniform(-10.0, 10.0, (60, 3)))
     pulses = DisturbanceSchedule((ForcePulse(0.123, 0.3, fx=40.0, fy=-25.0),))
-
-    def rollout():
-        before = dict(simulate.engine_rollouts)
-        traj = simulate_robot(p, state, controls, disturbances=pulses)
-        return traj, {k: simulate.engine_rollouts[k] - before[k] for k in before}
-
-    c, c_ran = rollout()
-    assert c_ran == {"c": 1, "python": 0}
-    request.getfixturevalue("python_kernel")
-    py, py_ran = rollout()
-    assert py_ran == {"c": 0, "python": 1}
-    _assert_same(c, py)
+    _assert_same(*_c_then_forced_fallback(
+        lambda: simulate_robot(p, state, controls, disturbances=pulses), monkeypatch, request))
 
 
 @pytest.mark.parametrize("missing", ["ddot", "dgemv", "compiler"])
@@ -625,12 +613,12 @@ def test_a_missing_ddot_or_compiler_runs_python_with_the_same_bytes(compiled, tm
     else:
         monkeypatch.setattr(_ckernel, missing.upper(), "no_such_blas_symbol")
         assert _ckernel.numpy_blas() is None
-    _rollout_kernel.cache_clear()
+    _ckernel.load.cache_clear()
     try:
         run_all("python")
     finally:
         monkeypatch.undo()
-        _rollout_kernel.cache_clear()
+        _ckernel.load.cache_clear()
     for name in runs:
         c, py = (tmp_path / engine / name for engine in ("c", "python"))
         kernels = [json.loads((d / "manifest.json").read_text())["integrator"]["kernel"] for d in (c, py)]
@@ -641,8 +629,9 @@ def test_a_missing_ddot_or_compiler_runs_python_with_the_same_bytes(compiled, tm
             assert (c / f).read_bytes() == (py / f).read_bytes(), (name, f)
 
 
-def _check_build_fallbacks(library, load, compiler, tmp_path, monkeypatch):
-    """``build(*library)`` and ``load`` around caches and a failing ``compiler``."""
+def _check_build_fallbacks(library, loader, compiler, tmp_path, monkeypatch):
+    """``build(*library)`` and ``loader`` around caches and a failing ``compiler``."""
+    load = loader.__wrapped__  # past the loader's cache of this process
     # a cache path below a regular file cannot be created
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "file" / "otbot")
@@ -678,6 +667,17 @@ def test_formatter_build_falls_back_to_a_process_directory_and_to_python(
 ):
     library = (_ckernel.FORMATTER_SOURCE, _ckernel.CXX, _ckernel.CXX_FLAGS)
     _check_build_fallbacks(library, _ckernel.load_formatter, "CXX", tmp_path, monkeypatch)
+
+
+def test_importing_the_cli_compiles_nothing(tmp_path):
+    # the libraries are built on a first rollout or table, never at import
+    src = str(Path(_ckernel.__file__).resolve().parents[1])
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(cache)}
+    proc = subprocess.run([sys.executable, "-c", "import otbot.cli"], env=env, cwd=tmp_path)
+    assert proc.returncode == 0
+    assert list(cache.iterdir()) == []
 
 
 def test_sources_sit_next_to_the_module_and_ship_as_package_data():

@@ -17,7 +17,7 @@ from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
 from otbot.params import nominal_params, save_params
-from otbot.simulate import TRAJECTORY_COLUMNS, _csv_formatter, _rollout_kernel, trajectory_from_csv
+from otbot.simulate import TRAJECTORY_COLUMNS, trajectory_from_csv
 
 MANIFEST_KEYS = {
     "tool",
@@ -92,7 +92,7 @@ class TestSimulate:
         assert isinstance(m["wall_clock_s"], float)
         assert {"rtol", "atol", "kernel"} == set(m["integrator"])
         # shafts run on the compiled loop too, where it can be loaded
-        assert m["integrator"]["kernel"] == ("python" if _rollout_kernel() is None else "c")
+        assert m["integrator"]["kernel"] == ("python" if _ckernel.load() is None else "c")
 
     def test_robot_scenario_records_trajectory_and_imu(self, tmp_path):
         out = tmp_path / "run"
@@ -446,6 +446,9 @@ class TestBadNumericFlags:
         "seed-fraction.cfg": ("chassis-excitation", "seed = 1", "seed = 1.5"),
         "params-word.cfg": ("corridor", "bw = 0", "bw = slow"),
         "params-negative-mass.cfg": ("corridor", "bp = 0", "bp = 0\nmc = -1"),
+        "torque-rate-huge.cfg": ("chassis-excitation", "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 1e300"),
+        "sensor-rate-huge.cfg": ("chassis-excitation", "e-3\nrate = 100", "e-3\nrate = 1e300"),
+        "default-section.cfg": ("chassis-excitation", "[scenario]", "[DEFAULT]\nseed = 3\n\n[scenario]"),
     }
 
     @pytest.mark.parametrize(
@@ -546,6 +549,15 @@ class TestBadNumericFlags:
             (["identify", "--step", "1", "--guess", "DIR"], "--guess"),
             (["control", "--scenario", "corridor", "--gains", "DIR"], "--gains"),
             (["control", "--scenario", "plan", "--plan", "DIR"], "--plan"),
+            # rates whose periods no rollout can resolve, far past what an array can count
+            (["simulate", "--torques", "1,2,3", "--duration", "0.01", "--rate", "1e300"],
+             "--rate must have a period above 1e-09 s"),
+            (["simulate", "--scenario", "torque-rate-huge.cfg"],
+             "torque-rate-huge.cfg: [torques] rate must have a period above"),
+            (["simulate", "--scenario", "sensor-rate-huge.cfg"],
+             "sensor-rate-huge.cfg: [sensors] rate must have a period above"),
+            (["simulate", "--scenario", "default-section.cfg"],
+             "default-section.cfg: unknown section [DEFAULT]"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -571,7 +583,8 @@ class TestBadNumericFlags:
              "seed-with-torques",
              "scenario-word-rate", "scenario-fractional-seed", "scenario-word-param",
              "scenario-negative-param", "params-directory", "guess-directory", "gains-directory",
-             "plan-directory"],
+             "plan-directory", "huge-rate", "scenario-huge-torque-rate", "scenario-huge-sensor-rate",
+             "scenario-default-section"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")
@@ -635,11 +648,11 @@ class TestKernelInManifest:
 
     @pytest.mark.parametrize("argv", RUNS, ids=["simulate", "control", "identify", "shaft", "shaft-fits"])
     def test_compiled_kernel(self, tmp_path, argv):
-        expected = "python" if _rollout_kernel() is None else "c"
+        expected = "python" if _ckernel.load() is None else "c"
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         m = manifest(tmp_path / "run")
         assert m["integrator"]["kernel"] == expected
-        assert m["csv"] == ("python" if _csv_formatter() is None else "c")
+        assert m["csv"] == ("python" if _ckernel.load_formatter() is None else "c")
 
     def test_forced_fallback(self, tmp_path, python_kernel):
         assert main(self.RUNS[0] + ["--out", str(tmp_path / "run")]) == 0
@@ -651,19 +664,14 @@ class TestKernelInManifest:
         assert manifest(tmp_path / "run")["integrator"]["kernel"] == "python"
 
     def test_python_rows_write_the_same_csv_bytes(self, tmp_path, monkeypatch):
-        if _csv_formatter() is None:
+        if _ckernel.load_formatter() is None:
             pytest.skip("no working C++ compiler: the CSV formatter cannot be built")
         argv = ["control", "--scenario", "corridor"]
         assert main(argv + ["--out", str(tmp_path / "c")]) == 0
         assert manifest(tmp_path / "c")["csv"] == "c"
         # the formatter cannot be built; the DP5 attempt stays loaded
         monkeypatch.setattr(_ckernel, "load_formatter", lambda: None)
-        _csv_formatter.cache_clear()
-        try:
-            assert main(argv + ["--out", str(tmp_path / "python")]) == 0
-        finally:
-            monkeypatch.undo()
-            _csv_formatter.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / "python")]) == 0
         assert manifest(tmp_path / "python")["csv"] == "python"
         names = sorted(p.name for p in (tmp_path / "c").glob("*.csv"))
         assert len(names) == 5

@@ -24,7 +24,6 @@ from otbot.control import (
     tune_gains,
 )
 from otbot.dynamics import RobotState, admissible_state, constraint_violation, forward_dynamics
-from otbot.integrator import IntegratorOptions
 from otbot.interval import Interval
 from otbot.references import CorridorReference, HarmonicReference
 from otbot.scenarios import build_plan
@@ -335,19 +334,6 @@ class TestTrackingLoop:
         assert n == 200
         assert (stats["accepted"], stats["rejected"]) == (n + 1, 0)
         assert stats["fevals"] == 7 * n + 1 + 1 + 6 == 1408
-
-    def test_first_step_option_replaces_the_step_guess(self, params_nf):
-        # A first step of one period: no guess, no extra step, so the run
-        # costs seven fevals per period plus the derivative at the last sample.
-        rest = RobotState(q=np.zeros(6), dq=np.zeros(6))
-        res = closed_loop_simulate(
-            params_nf, rest, CorridorReference(), tune_gains(3.0), control_rate=1000.0,
-            t_end=0.2, options=IntegratorOptions(first_step=1e-3),
-        )
-        stats = res.trajectory.stats
-        n = len(res.trajectory.times) - 1
-        assert (stats["accepted"], stats["rejected"]) == (n, 0) == (200, 0)
-        assert stats["fevals"] == 7 * n + 1 == 1401
 
     def test_pulse_edge_inside_a_period_opens_one_more_segment(self, params_nf):
         # Each pulse edge strictly inside a period splits it: the second

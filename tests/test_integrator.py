@@ -40,15 +40,24 @@ def test_adaptive_error_tracks_tolerance():
     assert errors == sorted(errors, reverse=True)
 
 
+def _fixed_steps(rhs, y, h, steps, opts):
+    """``steps`` steps of h from t = 0, each a segment of its own, so each
+    is one step of exactly h; the state, the end derivative and the stats."""
+    stats, k1 = IntegratorStats(), None
+    for i in range(steps):
+        y, k1, _ = advance_segment(rhs, i * h, (i + 1) * h, y, opts, stats, h_start=h, k1=k1)
+    return y, k1, stats
+
+
 def test_fixed_step_order():
-    # Pin the step with max_step = first_step and tolerances too loose to ever
+    # Pin the step with one-step segments and tolerances too loose to ever
     # reject; halving the step should then shrink the error by about 2^5.
     errors = []
     for h in (0.2, 0.1, 0.05, 0.025):
-        opts = IntegratorOptions(rtol=1e6, atol=1e6, max_step=h, first_step=h)
-        y, stats = _solve(opts)
-        errors.append(abs(y - EXACT_AT_2))
-        assert stats.rejected == 0
+        steps = round(2.0 / h)
+        y, _, stats = _fixed_steps(_rhs, np.array([1.0]), h, steps, IntegratorOptions(rtol=1e6, atol=1e6))
+        errors.append(abs(float(y[0]) - EXACT_AT_2))
+        assert (stats.accepted, stats.rejected) == (steps, 0)
         assert stats.max_step == pytest.approx(h)
     for coarse, fine in zip(errors, errors[1:]):
         assert 16.0 < coarse / fine < 48.0
@@ -82,9 +91,8 @@ def test_step_landing_one_ulp_short_of_boundary_finishes():
     # absorbed, not integrated (it is narrower than the underflow threshold).
     stats = IntegratorStats()
     h = np.nextafter(1.0, 0.0)
-    opts = IntegratorOptions(max_step=h)
     y, _, _ = advance_segment(
-        lambda t, y: [0.0] * len(y), 0.0, 1.0, np.array([3.0]), opts, stats, h_start=h
+        lambda t, y: [0.0] * len(y), 0.0, 1.0, np.array([3.0]), IntegratorOptions(), stats, h_start=h
     )
     assert y[0] == 3.0
     assert stats.accepted == 1
@@ -200,11 +208,10 @@ def test_float_list_steps_equal_the_numpy_stepper_bit_for_bit(n):
     # generated kernel must reproduce the ndarray arithmetic exactly.
     rng = np.random.default_rng(21)
     h, steps = 2.0**-4, 8
-    opts = IntegratorOptions(rtol=1e6, atol=1e6, max_step=h, first_step=h)
+    opts = IntegratorOptions(rtol=1e6, atol=1e6)
     for _ in range(30):
         rhs, x0 = _bit_for_bit_case(n, rng)
-        stats = IntegratorStats()
-        y, k_end, _ = advance_segment(rhs, 0.0, steps * h, x0, opts, stats, h_start=h)
+        y, k_end, stats = _fixed_steps(rhs, x0, h, steps, opts)
         y_ref, k_ref = _numpy_dp5(lambda t, x: np.array(rhs(t, x)), 0.0, x0, h, steps)
         assert (stats.accepted, stats.rejected, stats.fevals) == (steps, 0, 6 * steps + 1)
         assert y.shape == (n,)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,16 @@ def test_params_file_with_overrides(tmp_path):
     # keys keep their case, so the mixed-case parameters can be overridden too
     assert (cfg.params.Ic, cfg.params.xB) == (1.5, -0.1)
     assert cfg.params.l1 == 0.25
+
+
+def test_scenario_text_is_read_verbatim(tmp_path):
+    # no % interpolation: a percent sign is text like any other
+    bundled = bundled_scenario_path("corridor")
+    text = re.sub(r"description = .*", "description = 100% speed", bundled.read_text())
+    shutil.copy(bundled.with_name("nominal.cfg"), tmp_path)
+    cfg = parse_scenario(_write_scenario(tmp_path, text))
+    assert cfg.description == "100% speed"
+    assert cfg.params == load_scenario("corridor").params
 
 
 def test_initial_state_rest_and_reference():

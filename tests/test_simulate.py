@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import otbot
-from otbot import simulate
+from conftest import spy_runs
+from otbot import _ckernel
 from otbot.dynamics import RobotState, constraint_violation, state_derivative
+from otbot.identify import FITS, experiment
 from otbot.integrator import IntegratorOptions, IntegratorStats, advance_segment
 from otbot.model import holonomic_residual
 from otbot.params import nominal_params
@@ -94,7 +96,7 @@ def test_a_nan_step_raises_an_integration_error_on_both_engines():
     that a loop for ever fails here at its timeout."""
     code = textwrap.dedent("""
         import math
-        from otbot import simulate
+        from otbot import _ckernel
         from otbot.dynamics import RobotState
         from otbot.integrator import IntegrationError, IntegratorOptions
         from otbot.params import nominal_params
@@ -103,7 +105,7 @@ def test_a_nan_step_raises_an_integration_error_on_both_engines():
         controls = ControlSequence.constant([6, -10, 6], 0.1, 100)
         for engine in ("c", "python"):
             if engine == "python":
-                simulate._rollout_kernel = lambda: None
+                _ckernel.load = lambda: None
             try:
                 simulate_robot(nominal_params(), RobotState.rest(), controls,
                                options=IntegratorOptions(atol=0.0))
@@ -146,11 +148,15 @@ def test_output_grid_one_ulp_off_the_hold_grid():
 
 def _use_engine(monkeypatch, engine):
     """Run rollouts on the compiled loop ("c", skipped where it cannot be
-    loaded) or on the Python engine ("python")."""
+    loaded) or on the Python engine ("python"); the events of each call of
+    the loop's ``run`` from now on (see ``spy_runs``)."""
     if engine == "python":
-        monkeypatch.setattr(simulate, "_rollout_kernel", lambda: None)
-    elif simulate._rollout_kernel() is None:
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+        return []
+    runs = spy_runs(monkeypatch)
+    if runs is None:
         pytest.skip("the compiled rollout loop cannot be loaded")
+    return runs
 
 
 def _plan_cases():
@@ -179,8 +185,7 @@ def _assert_same_rollout(a, b):
 def test_the_tenth_rollout_of_a_plan_equals_a_fresh_rollout(monkeypatch, engine):
     """Rollouts of other parameters on one plan leave it as it was: the tenth
     rollout equals a rollout on a plan of its own, bit for bit."""
-    _use_engine(monkeypatch, engine)
-    before = simulate.engine_rollouts[engine]
+    runs = _use_engine(monkeypatch, engine)
     for model, x0, make_plan in _plan_cases():
         plan = make_plan()
         names = ("events", "out", "start", "brk", "held", "forces", "times")
@@ -191,7 +196,15 @@ def test_the_tenth_rollout_of_a_plan_equals_a_fresh_rollout(monkeypatch, engine)
         for name, table in tables.items():
             assert not getattr(plan, name).flags.writeable
             assert getattr(plan, name).tobytes() == table.tobytes(), name
-    assert simulate.engine_rollouts[engine] == before + 2 * 11
+    # two calls of the loop per rollout on the C
+    assert len(runs) == (2 * 2 * 11 if engine == "c" else 0)
+    # the plans of the fits' records equal those of their grids as sorted sets of floats
+    for row in FITS.values():
+        exp = experiment(row, nominal_params())
+        grid = np.asarray(sorted(set(exp.record.times.tolist())))
+        spelled = EventPlan((exp.controls.t0, exp.controls.end_time), exp.controls, grid)
+        for name in names:
+            assert getattr(exp.plan, name).tobytes() == getattr(spelled, name).tobytes(), name
 
 
 @pytest.mark.parametrize("engine", ["c", "python"])
