@@ -3,16 +3,16 @@
 Two libraries are compiled on first use, never at import:
 
 - ``_dp5_robot.c``, the rollout loop of the robot and of a shaft (the
-  :data:`MODELS`), with the system C compiler (``cc``).
-  ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply and add a
-  separately rounded double operation, in the source's order;
+  :data:`MODELS`), first-step guess included, with the system C compiler
+  (``cc``). ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
+  and add a separately rounded double operation, in the source's order;
   ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and ``sqrt`` as calls into
   the libm that Python calls, with no fused ``sincos``. The error norm
-  reduces through the ``ddot`` that numpy calls, and the computed-torque
-  law's three (3, 3) @ (3,) products through its ``dgemv``
-  (:func:`numpy_blas`). So the loop, the law included, computes the same
-  bits as the Python engine; where numpy has no such ``ddot`` or ``dgemv``
-  (another BLAS), the Python engine runs.
+  reduces through the ``ddot`` that numpy calls, the computed-torque law's
+  three (3, 3) @ (3,) products through its ``dgemv`` (:func:`numpy_blas`),
+  and the guess's means in numpy's pairwise order. So the loop computes the
+  same bits as the Python engine; where numpy has no such ``ddot`` or
+  ``dgemv`` (another BLAS), the Python engine runs.
 - ``_csv_format.cpp``, the CSV formatter, with the system C++ compiler
   (``c++ -O2 -std=c++17``): ``std::to_chars`` gives the digits of ``repr``,
   so it writes the same bytes as the Python loop.
@@ -142,8 +142,8 @@ def load():
     """``(rollout, ddot, dgemv)``, or None where the library or numpy's BLAS is missing.
 
     ``rollout(r, i, j)`` runs the events ``[i, j)`` of the :class:`Rollout`
-    ``r``, whose ``ddot`` and ``dgemv`` fields are these, and returns 0, or
-    nonzero where the Python engine raises.
+    ``r``, whose ``ddot`` and ``dgemv`` fields are these (from event 0 on, it
+    guesses the first step), and returns 0, or nonzero where Python raises.
     """
     blas = numpy_blas()
     path = None if blas is None else build(SOURCE, COMPILER, FLAGS)

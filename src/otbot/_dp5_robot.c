@@ -1,13 +1,15 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: 3da7d084be0180379840c60eeeb6a91fb679495e5c138c09b33ce6ab5ed5c1fb
+// generator sha256: b7c69099ce6b1cef57ac8c9109275dfb94c12e08253791058ea531e7af87919f
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs
 // the event loop of otbot.simulate.integrate, with the computed-torque law
 // of otbot.control.computed_torque at each control instant (the robot's
-// only), and the step control of otbot.integrator.advance_segment on a
-// struct rollout (the fields of otbot._ckernel.Rollout), for the model
-// of its MODELS row (otbot._ckernel.MODELS). dp5_robot_attempt is one
+// only), the first-step guess of otbot.integrator.initial_step
+// (first_step) and the step control of otbot.integrator.advance_segment
+// on a struct rollout (the fields of otbot._ckernel.Rollout), for the
+// model of its MODELS row (otbot._ckernel.MODELS), so that one call
+// runs a whole rollout. dp5_robot_attempt is one
 // Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of
 // otbot.dynamics.state_derivative (robot_rhs, from the accelerations of
 // otbot._task_space) under the held torques and pivot force in blk:
@@ -18,7 +20,8 @@
 // (shaft_rhs) with blk holding the inertia, the damping and the torque.
 // Every value is bit for bit what the Python code computes; the error
 // norm and the law's products reduce through the BLAS ddot and dgemv
-// that numpy calls. A nonzero status stops the loop where Python raises:
+// that numpy calls, and the guess's means in numpy's pairwise order.
+// A nonzero status stops the loop where Python raises:
 // 1 a zero divisor, 2 sin or cos of an infinite angle, 3 a step
 // underflow.
 
@@ -554,6 +557,69 @@ static int same_bits(const double *a, const double *b, long n)
     return 1;
 }
 
+/* numpy's add.reduce of the n (at most 12) doubles a, its pairwise sum:
+   below 8 terms from the left, else eight interleaved partial sums added
+   as a tree, then the terms left over (numpy's order up to 128 terms) */
+static double pairwise_sum(const double *a, long n)
+{
+    if (n < 8) {
+        double sum = 0.0;
+        for (long c = 0; c < n; c++) sum += a[c];
+        return sum;
+    }
+    double r[8];
+    long c;
+    copy(r, a, 8);
+    for (c = 8; c < n - n % 8; c += 8)
+        for (int q = 0; q < 8; q++) r[q] += a[c + q];
+    double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; c < n; c++) sum += a[c];
+    return sum;
+}
+
+/* math.sqrt(np.mean((v / scale) ** 2)) of integrator.initial_step */
+static double rms(const double *v, const double *scale, long n)
+{
+    double sq[12];
+    for (long c = 0; c < n; c++) {
+        const double q = v[c] / scale[c];
+        sq[c] = q * q;
+    }
+    return sqrt(pairwise_sum(sq, n) / (double)n);
+}
+
+/* integrator.initial_step, Hairer's guess of the first step, from the state
+   r->x and its derivative r->k1 under the hold in r->blk: the guess into
+   r->h and its second derivative counted in r->fevals, or the status where
+   Python raises (the rhs's, or a zero divisor at d2 / h0 or at
+   0.01 / max(d1, d2)). */
+int first_step(struct rollout *r)
+{
+    const struct model *m = &MODELS[r->model];
+    const long n = m->states;
+    double scale[12], y1[12], f1[12];
+    for (long c = 0; c < n; c++) scale[c] = r->atol + (r->rtol * fabs(r->x[c]));
+    const double d0 = rms(r->x, scale, n), d1 = rms(r->k1, scale, n);
+    const double h0 = (d0 < 1e-05 || d1 < 1e-05) ? 1e-06 : ((0.01 * d0) / d1);
+    for (long c = 0; c < n; c++) y1[c] = r->x[c] + (h0 * r->k1[c]);
+    const int s = m->rhs(r->blk, y1, f1);
+    if (s) return s;
+    for (long c = 0; c < n; c++) f1[c] = f1[c] - r->k1[c];
+    if (h0 == 0.0) return 1;
+    const double d2 = rms(f1, scale, n) / h0;
+    double h1;
+    if (d1 <= 1e-15 && d2 <= 1e-15) {
+        h1 = py_max(1e-06, h0 * 0.001);
+    } else {
+        const double d = py_max(d1, d2);
+        if (d == 0.0) return 1;
+        h1 = pow(0.01 / d, 0.2);
+    }
+    r->h = py_min(100.0 * h0, h1);
+    r->fevals += 1;
+    return 0;
+}
+
 /* integrator.advance_segment of the model m from t to t1 on the hold in
    r->blk, from r->x, r->k1 and r->h: these and the counts move on, or a
    nonzero status returns. */
@@ -649,7 +715,8 @@ static int computed_torque(struct rollout *r, double *u)
 }
 
 /* Events [i, j) of simulate.integrate for the model r->model: at each event
-   the segment from the one before it (none at event 0), the law at a
+   the segment from the one before it (none at event 0; a call that ran
+   event 0 first guesses the first step from its hold), the law at a
    control instant (or the torques held from the last one; the robot's
    only), the hold (a fresh first stage where the input bits change or a
    disturbance edge lies), then the output row. Returns 0, or the status of
@@ -666,6 +733,7 @@ int rollout(struct rollout *r, long i, long j)
     for (long e = i; e < j; e++) {
         double *u = held + nu * e;
         const int instant = r->law && start[e];
+        if (e == 1 && i == 0 && (s = first_step(r))) return s;
         if (e > 0 && (s = advance(r, m, events[e - 1], events[e]))) return s;
         if (instant) {
             if ((s = computed_torque(r, u))) return s;

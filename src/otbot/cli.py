@@ -44,6 +44,7 @@ from .scenarios import (
     ConfigError,
     _bundle_dir,
     checked,
+    countable,
     ensure_plan,
     float_list,
     frequency,
@@ -235,6 +236,7 @@ def _cmd_simulate(args) -> int:
         torques = float_list(args.torques, 3, "--torques")
         checked("--duration", args.duration, positive)
         rate = checked("--rate", 100.0 if args.rate is None else args.rate, frequency)
+        checked("--duration", args.duration, countable(rate))
         if whole_periods(args.duration, rate) is None:
             raise ConfigError(f"--duration {args.duration!r} s is not a whole number of "
                               f"periods of --rate {rate!r} Hz")

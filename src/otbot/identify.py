@@ -248,37 +248,28 @@ def prediction_error(
 def fit_trust_region(
     residual_fn,
     p0,
-    bounds=None,
+    bounds=(-np.inf, np.inf),
     jobs: int = 1,
     names: tuple[str, ...] | None = None,
 ) -> ParamEstimate:
     """Minimize ``sum(residual_fn(p)**2)`` inside box bounds.
 
     Bounded trust-region reflective least squares; terminates on relative
-    loss decrease (FTOL), step size (XTOL) or the iteration cap. The
-    returned loss never exceeds the loss at ``p0``; running out of
-    iterations is reported as ``converged=False``. The Jacobian is scipy's
-    forward finite difference ("2-point") with relative step ``FD_STEP``;
-    ``jobs`` > 1 evaluates its columns from a thread pool. The differences
-    are the same either way, so ``jobs`` changes only the wall time.
+    loss decrease (FTOL), step size (XTOL) or the iteration cap. The loss
+    at ``p0`` must be finite (scipy raises ValueError), and the returned loss
+    never exceeds it; running out of iterations is reported as
+    ``converged=False``. The Jacobian is scipy's forward finite difference
+    ("2-point") with relative step ``FD_STEP``; ``jobs`` > 1 evaluates its
+    columns from a thread pool. The differences are the same either way,
+    so ``jobs`` changes only the wall time.
     """
     p0 = np.asarray(p0, dtype=float)
     names = names or tuple(f"p{i}" for i in range(len(p0)))
 
-    f0 = np.asarray(residual_fn(p0), dtype=float)
-    if not np.all(np.isfinite(f0)):
-        raise ValueError("residuals are not finite at the initial guess")
-
-    if bounds is None:
-        lb = np.full(len(p0), -np.inf)
-        ub = np.full(len(p0), np.inf)
-    else:
-        lb, ub = (np.asarray(b, dtype=float) for b in bounds)
-
     kwargs = dict(
         jac="2-point",
         diff_step=FD_STEP,
-        bounds=(lb, ub),
+        bounds=bounds,
         method="trf",
         ftol=FTOL,
         xtol=XTOL,

@@ -31,7 +31,7 @@ from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
 from .params import PARAM_FIELDS, RobotParams, load_params, nominal_params
 from .references import CorridorReference, Figure8Reference, HarmonicReference, ReferenceTrajectory
-from .simulate import (_EVENT_MERGE_TOL, DisturbanceSchedule, ForcePulse, SimTrajectory,
+from .simulate import (_EVENT_MERGE_TOL, MAX_PERIODS, DisturbanceSchedule, ForcePulse, SimTrajectory,
                        trajectory_to_csv, whole_periods)
 
 BUNDLED_SCENARIOS = (
@@ -67,6 +67,12 @@ def positive(value) -> str | None:
 def frequency(value) -> str | None:
     return positive(value) or (None if 1.0 / value > _EVENT_MERGE_TOL
                                else f"must have a period above {_EVENT_MERGE_TOL!r} s")
+
+
+# the check that a duration [s] holds no more periods of ``rate`` than a run can count
+def countable(rate: float):
+    return lambda value: (None if value * rate <= MAX_PERIODS
+                          else f"must hold at most {MAX_PERIODS} periods of {rate!r} Hz")
 
 
 def non_negative(value) -> str | None:
@@ -211,6 +217,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """The checks that join keys; ``SCHEMA`` checks each key alone."""
+        fastest = max(self.shaft_rate, self.torque_rate, self.loop_rate, self.plan_rate, self.sensor_rate)
+        checked(f"{self.path}: [scenario] horizon", self.horizon, countable(fastest))
         hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate}.get(self.mode)
         if hold_rate is not None and whole_periods(self.horizon, hold_rate) is None:
             what = "shorter than one period" if round(self.horizon * hold_rate) < 1 else "not whole periods"

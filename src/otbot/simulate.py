@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _ckernel
 from .dynamics import RobotState, state_derivative
-from .integrator import IntegratorOptions, IntegratorStats, advance_segment, initial_step
+from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .params import PARAM_FIELDS, RobotParams
 
 if TYPE_CHECKING:  # control imports this module
@@ -56,9 +56,13 @@ TRAJECTORY_COLUMNS = (
 )
 
 
+# float64 counts whole numbers exactly up to 2**53, and a run no more periods
+MAX_PERIODS = 2**53
+
+
 def whole_periods(duration: float, rate: float) -> int | None:
-    """The periods of ``rate`` in ``duration``, or None where not a positive whole number."""
-    n = round(duration * rate)
+    """The periods of ``rate`` in ``duration``, or None where not a whole number from 1 to MAX_PERIODS."""
+    n = round(duration * rate) if duration * rate <= MAX_PERIODS else 0
     return n if n >= 1 and math.isclose(n * (1.0 / rate), duration, rel_tol=0.0, abs_tol=1e-9) else None
 
 
@@ -165,6 +169,8 @@ class EventPlan:
     a feedback ``law``) and ``forces`` the pivot force (fx, fy); ``times``
     are the output times. The tables are read-only: one plan serves any
     number of rollouts on any threads, each writing only its own buffers.
+    ``template``, the ``_ckernel.Rollout`` of an open-loop plan's tables,
+    is built by its first compiled rollout and copied by each one.
     """
 
     def __init__(self, t_span, controls: ControlSequence | FeedbackLaw, output_times=None,
@@ -212,6 +218,7 @@ class EventPlan:
         self.events, self.out, self.start, self.brk, self.held, self.law = (
             events, out, start, brk, held, law)
         self.forces, self.times = schedule.force_at(inside), events[out]
+        self.template = None
         for table in (events, out, start, brk, self.forces, self.times, held):
             if table is not None:
                 table.flags.writeable = False
@@ -298,36 +305,32 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
     the given output buffers: the stats, or None where the C stops, which is
     where Python raises, or where the model and plan do not fit the C.
 
-    The C runs event 0, Python guesses the first step from its hold, and the
-    C runs the other events. The struct belongs to this rollout: the foreign
-    call releases the GIL."""
+    One call runs every event, the first-step guess included, on a copy of
+    the plan's ``template``, or under a law on a struct with held rows of its
+    own. The copy belongs to this rollout: the foreign call releases the GIL."""
     index = _ckernel.MODEL_INDEX[model.kind]
     m, law = _ckernel.MODELS[index], plan.law
     fits = (states.shape[1], inputs.shape[1]) == (m.states, m.inputs)
     if not fits or (law is not None and m.name != "robot"):
         return None
-    run, ddot, dgemv = kernel
-    rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
-    held = np.empty((len(plan.events), m.inputs)) if law is not None else plan.held
-    tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, states, derivs,
-              inputs, *rows)
-    c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), ddot, dgemv,
-                         opts.rtol, opts.atol, 0.0, math.inf, 0.0)
-    c.model = index
-    c.blk[: m.params] = model.block
+    run, *blas = kernel
+    c = plan.template
+    if law is not None or c is None or [c.ddot, c.dgemv] != blas:
+        held = plan.held if law is None else np.empty((len(plan.events), m.inputs))
+        rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
+        tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, None, None, None, *rows)
+        c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), *blas, min_step=math.inf)
+        plan.template = c if law is None else None
+    c = _ckernel.Rollout.from_buffer_copy(c)
     if law is not None:
         c.law = _ckernel.FEEDFORWARD if law.gains is None else _ckernel.FEEDBACK
         if law.gains is not None:
             c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
+    c.states, c.derivs, c.controls = (a.ctypes.data for a in (states, derivs, inputs))
+    c.rtol, c.atol, c.model = opts.rtol, opts.atol, index
+    c.blk[: m.params] = model.block
     c.x[: m.states] = x.tolist()
-    if run(c, 0, 1):
-        return None
-    if len(plan.events) > 1:  # from the hold of event 0
-        u = m.params + m.inputs
-        f = model(c.blk[m.params : u], c.blk[u : u + m.forces])
-        c.h = initial_step(f, float(plan.events[0]), x, c.k1[: m.states], opts.rtol, opts.atol)
-        c.fevals += 1
-    if run(c, 1, len(plan.events)):
+    if run(c, 0, len(plan.events)):
         return None
     return {name: getattr(c, name) for name in _STATS}
 

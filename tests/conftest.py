@@ -46,7 +46,7 @@ def spy_runs(monkeypatch) -> list | None:
     """The events ``(i, j)`` of each call of the compiled loop's ``run``
     (``_ckernel.load()``), recorded from now on through ``monkeypatch``;
     None where the loop cannot be loaded. A rollout on the C calls it
-    twice: event 0, then the rest."""
+    once, for all its events."""
     kernel = _ckernel.load()
     if kernel is None:
         return None

@@ -182,9 +182,26 @@ def _on_both(run, monkeypatch):
 
 def _first_step(monkeypatch, h):
     """Make ``h`` the first step of every rollout on both engines, in place
-    of the guess of ``initial_step``."""
-    for module in (integrator, simulate):
-        monkeypatch.setattr(module, "initial_step", lambda *args: h)
+    of the guess of ``initial_step``, and return the statuses of the C calls
+    that took it, from now on. The C guesses only in a call that starts at
+    event 0 and runs past it, so each rollout runs event 0 in one call and,
+    from ``h``, the rest in another."""
+    monkeypatch.setattr(integrator, "initial_step", lambda *args: h)
+    run, ddot, dgemv = _ckernel.load()
+    statuses = []
+
+    def preset(c, i, j):
+        if i > 0 or j <= 1:
+            return run(c, i, j)
+        status = run(c, 0, 1)
+        if status:
+            return status
+        c.h, c.fevals = h, c.fevals + 1
+        statuses.append(run(c, 1, j))
+        return statuses[-1]
+
+    monkeypatch.setattr(_ckernel, "load", lambda: (preset, ddot, dgemv))
+    return statuses
 
 
 def _assert_same(c, py):
@@ -241,11 +258,12 @@ def test_a_stage_that_raises_hands_its_segment_to_python(compiled, monkeypatch):
     # the first hold is finite; a huge first step drives stage 2's angle to inf
     y = [0.0] * 8 + [1.7e308] + [0.0] * 3
     controls = ControlSequence(t0=0.0, dt=50.0, samples=[[1.0, 2.0, 3.0]] * 2)
-    _first_step(monkeypatch, 10.0)
+    statuses = _first_step(monkeypatch, 10.0)
     plan = EventPlan((0.0, 100.0), controls)
     c, py = _on_both(lambda: integrate(robot_model(nominal_params()), y, plan), monkeypatch)
     assert isinstance(py, ValueError)
     _assert_same(c, py)
+    assert statuses == [2]  # the C took the step and stopped at the infinite angle
 
 
 def test_a_step_underflow_raises_the_same_integration_error(compiled, monkeypatch):
@@ -271,11 +289,12 @@ def test_a_zero_error_scale_is_an_infinite_norm_on_both_kernels(compiled, monkey
     # both loops reject every attempt until the step underflows
     controls = ControlSequence.constant([0.0, 0.0, 0.0], 0.05, 100.0)
     options = IntegratorOptions(atol=0.0)
-    _first_step(monkeypatch, 1e-3)
+    statuses = _first_step(monkeypatch, 1e-3)
     c, py = _on_both(lambda: simulate_robot(p, RobotState.rest(), controls, options=options),
                      monkeypatch)
     assert isinstance(py, IntegrationError) and py.rejected > 0
     _assert_same(c, py)
+    assert statuses == [3]  # the C took the step and stopped at the underflow
 
 
 @pytest.mark.parametrize("stop", [0, 1, 17])
@@ -559,7 +578,136 @@ def test_a_zero_inertia_stops_the_c_and_raises_in_python(compiled_shaft, monkeyp
     runs = spy_runs(monkeypatch)
     loss, res = prediction_error({"Ia": inertia, "bw": 0.1}, nominal_params(), exp, FIT_TOLERANCE)
     assert loss == math.inf and np.isinf(res).all() and len(res) == len(exp.record.times)
-    assert runs == [(0, 1)]  # the C stops at its first derivative
+    assert runs == [(0, len(exp.plan.events))]  # one C call, which stops at its first derivative
+
+
+# ---------------------------------------------------------------- the first-step guess
+
+
+@pytest.fixture
+def c_guess(compiled):
+    """``first_step`` of the compiled library: ``guess(kind, blk, x, k1, rtol,
+    atol)`` is its (status, h, fevals) on a fresh struct of the model
+    ``kind`` holding the block, the state and its first stage."""
+    path = _ckernel.build(_ckernel.SOURCE, _ckernel.COMPILER, _ckernel.FLAGS)
+    first_step = ctypes.CDLL(str(path)).first_step
+    first_step.argtypes = [ctypes.POINTER(_ckernel.Rollout)]
+    first_step.restype = ctypes.c_int
+
+    def guess(kind, blk, x, k1, rtol, atol):
+        c = _ckernel.Rollout(rtol=rtol, atol=atol, model=_ckernel.MODEL_INDEX[kind])
+        c.blk[: len(blk)], c.x[: len(x)], c.k1[: len(k1)] = blk, x, k1
+        return first_step(c), c.h, c.fevals
+
+    return guess
+
+
+# the status of first_step where initial_step raises
+_GUESS_STATUS = {ZeroDivisionError: 1, ValueError: 2}
+
+
+def _assert_same_guess(c_guess, kind, blk, f, x, rtol, atol, k1=None):
+    """``first_step`` gives ``initial_step``'s guess from ``x`` and ``k1``
+    (default ``f(0, x)``) bit for bit, or stops where it raises; returns
+    the guess's h0, the time of its second rhs call, and the outcome."""
+    k1 = f(0.0, x) if k1 is None else k1
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return f(t, y)
+
+    with np.errstate(all="ignore"):
+        py = _outcome(lambda: integrator.initial_step(rhs, 0.0, x, k1, rtol, atol))
+    status, h, fevals = c_guess(kind, blk, x, k1, rtol, atol)
+    if isinstance(py, Exception):
+        assert status == _GUESS_STATUS[type(py)], (py, x, blk)
+    else:
+        assert (status, fevals) == (0, 1)
+        assert h == py or (math.isnan(h) and math.isnan(py)), (h, py, x, blk)
+    return (calls[0] if calls else None), py
+
+
+def _summed_in_order(v, scale) -> bool:
+    """Whether the mean of (v / scale) ** 2 summed from the left differs from numpy's."""
+    sq = ((np.asarray(v) / scale) ** 2).tolist()
+    total = 0.0
+    for q in sq:
+        total += q
+    return total / len(sq) != float(np.mean(np.asarray(sq)))
+
+
+def test_the_guess_of_the_c_equals_initial_step_on_robot_states(c_guess):
+    rng = np.random.default_rng(23)
+    h0s, reordered = set(), 0
+    for trial in range(3000):
+        p = _params(rng)
+        # every fifth at rest, every tenth without torques or force too
+        u = [0.0] * 3 if trial % 10 == 0 else rng.uniform(-40.0, 40.0, 3).tolist()
+        force = [0.0] * 2 if trial % 10 == 0 else (rng.uniform(-80.0, 80.0, 2) * rng.integers(2)).tolist()
+        x = [0.0] * 12 if trial % 5 == 0 else _state(rng)
+        rtol, atol = float(10.0 ** rng.uniform(-11.0, -5.0)), float(10.0 ** rng.uniform(-14.0, -8.0))
+        blk = [getattr(p, name) for name in PARAM_FIELDS] + u + force
+        f = robot_model(p)(u, force)
+        h0s.add(_assert_same_guess(c_guess, "robot", blk, f, x, rtol, atol)[0] == 1e-6)
+        scale = atol + rtol * np.abs(x)
+        reordered += _summed_in_order(x, scale) or _summed_in_order(f(0.0, x), scale)
+    assert h0s == {True, False}  # both branches of h0
+    assert reordered > 100  # states where a sum from the left has other bits
+
+
+def test_the_guess_of_the_c_equals_initial_step_on_shafts(c_guess):
+    rng = np.random.default_rng(29)
+    h0s = set()
+    for _ in range(20000):
+        inertia = float(10.0 ** rng.uniform(-6.0, 4.0))
+        damping = float(rng.choice([0.0, rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(-6.0, 3.0)]))
+        u = float(rng.choice([0.0, -0.0, rng.uniform(-50.0, 50.0)]))
+        x = (rng.uniform(-1e3, 1e3, 2) * rng.integers(2, size=2)).tolist()
+        rtol, atol = float(10.0 ** rng.uniform(-11.0, -5.0)), float(10.0 ** rng.uniform(-14.0, -8.0))
+        f = shaft_model(inertia, damping)([u], [])
+        h0s.add(_assert_same_guess(c_guess, "shaft", [inertia, damping, u], f, x, rtol, atol)[0] == 1e-6)
+    assert h0s == {True, False}
+
+
+@pytest.mark.parametrize(
+    "shaft, x, atol, expected",
+    [
+        # at rest with zero torque: d1 = d2 = 0, so h1 = max(1e-6, h0 * 1e-3)
+        ((0.0104, 0.18, 0.0), [0.0, 0.0], 1e-12, 1e-6),
+        # an infinite first stage and a NaN second (0 * inf): h1 = (0.01 / inf) ** 0.2
+        ((1e-300, 0.0, 1e300), [0.0, 0.0], 1e-12, 0.0),
+        # every scale infinite: d1 = 0 and a NaN d2, so 0.01 / max(d1, d2) divides by 0
+        ((1e-300, 1.0, 1e-10), [0.0, 0.0], math.inf, ZeroDivisionError),
+        # an infinite first stage away from rest: h0 = 0, so d2 / h0 divides by 0
+        ((1e-300, 0.0, 1e300), [1.0, 0.0], 1e-12, ZeroDivisionError),
+    ],
+    ids=["rest", "nan-second-stage", "zero-max-of-d1-d2", "zero-h0"],
+)
+def test_the_guess_of_the_c_takes_initial_steps_branches(c_guess, shaft, x, atol, expected):
+    inertia, damping, u = shaft
+    f = shaft_model(inertia, damping)([u], [])
+    outcome = _assert_same_guess(c_guess, "shaft", list(shaft), f, x, 1e-9, atol)[1]
+    assert outcome == expected if isinstance(expected, float) else isinstance(outcome, expected)
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        # at rest, so h0 = 1e-6: the second stage's angle is 1e-6 * inf
+        ([0.0] * 12, ValueError),
+        # away from rest, so h0 = 0.01 * d0 / inf = 0: d2 / h0 divides by 0
+        ([0.1] * 12, ZeroDivisionError),
+    ],
+    ids=["infinite-angle", "zero-h0"],
+)
+def test_the_guess_of_the_c_stops_where_initial_step_raises(c_guess, x, error):
+    # a first stage with an infinite heading rate, as a caller may pass it
+    p, u, force = nominal_params(), [1.0, 2.0, 3.0], [0.0, 0.0]
+    blk = [getattr(p, name) for name in PARAM_FIELDS] + u + force
+    k1 = [0.0, 0.0, math.inf] + [0.0] * 9
+    f = robot_model(p)(u, force)
+    assert isinstance(_assert_same_guess(c_guess, "robot", blk, f, x, 1e-9, 1e-12, k1)[1], error)
 
 
 def _c_then_forced_fallback(rollout, monkeypatch, request):
@@ -568,7 +716,7 @@ def _c_then_forced_fallback(rollout, monkeypatch, request):
     with monkeypatch.context() as m:
         runs = spy_runs(m)
         c = rollout()
-    assert runs is not None and len(runs) == 2
+    assert runs is not None and len(runs) == 1
     request.getfixturevalue("python_kernel")
     assert _ckernel.load() is None
     return c, rollout()

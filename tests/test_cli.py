@@ -449,6 +449,9 @@ class TestBadNumericFlags:
         "torque-rate-huge.cfg": ("chassis-excitation", "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 1e300"),
         "sensor-rate-huge.cfg": ("chassis-excitation", "e-3\nrate = 100", "e-3\nrate = 1e300"),
         "default-section.cfg": ("chassis-excitation", "[scenario]", "[DEFAULT]\nseed = 3\n\n[scenario]"),
+        "torques-horizon-huge.cfg": ("chassis-excitation", "horizon = 3", "horizon = 1e300"),
+        "shaft-horizon-huge.cfg": ("wheel-spin", "horizon = 0.5", "horizon = 1e300"),
+        "plan-horizon-huge.cfg": ("plan-tracking", "horizon = 10", "horizon = 1e300"),
     }
 
     @pytest.mark.parametrize(
@@ -558,6 +561,19 @@ class TestBadNumericFlags:
              "sensor-rate-huge.cfg: [sensors] rate must have a period above"),
             (["simulate", "--scenario", "default-section.cfg"],
              "default-section.cfg: unknown section [DEFAULT]"),
+            # run lengths of more periods than a run can count, which numpy refuses to allocate
+            (["simulate", "--torques", "1,2,3", "--duration", "1e300"],
+             "--duration must hold at most 9007199254740992 periods of 100.0 Hz, got 1e+300"),
+            (["simulate", "--torques", "1,2,3", "--duration", "1e12", "--rate", "1e6"],
+             "--duration must hold at most 9007199254740992 periods of 1000000.0 Hz"),
+            (["simulate", "--scenario", "torques-horizon-huge.cfg"],
+             "torques-horizon-huge.cfg: [scenario] horizon must hold at most 9007199254740992 periods"),
+            (["simulate", "--scenario", "shaft-horizon-huge.cfg"],
+             "shaft-horizon-huge.cfg: [scenario] horizon must hold at most"),
+            (["control", "--scenario", "plan-horizon-huge.cfg"],
+             "plan-horizon-huge.cfg: [scenario] horizon must hold at most"),
+            (["identify", "--step", "3", "--window", "1e308"],
+             "--window 1e+308 s is not a whole number of 100.0 Hz sample periods"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -584,7 +600,9 @@ class TestBadNumericFlags:
              "scenario-word-rate", "scenario-fractional-seed", "scenario-word-param",
              "scenario-negative-param", "params-directory", "guess-directory", "gains-directory",
              "plan-directory", "huge-rate", "scenario-huge-torque-rate", "scenario-huge-sensor-rate",
-             "scenario-default-section"],
+             "scenario-default-section", "huge-duration", "duration-too-many-periods",
+             "scenario-huge-torques-horizon", "scenario-huge-shaft-horizon", "scenario-huge-plan-horizon",
+             "huge-window"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         bundled = Path(otbot.__file__).with_name("scenarios")

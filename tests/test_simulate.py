@@ -196,8 +196,8 @@ def test_the_tenth_rollout_of_a_plan_equals_a_fresh_rollout(monkeypatch, engine)
         for name, table in tables.items():
             assert not getattr(plan, name).flags.writeable
             assert getattr(plan, name).tobytes() == table.tobytes(), name
-    # two calls of the loop per rollout on the C
-    assert len(runs) == (2 * 2 * 11 if engine == "c" else 0)
+    # one call of the loop per rollout on the C
+    assert len(runs) == (2 * 11 if engine == "c" else 0)
     # the plans of the fits' records equal those of their grids as sorted sets of floats
     for row in FITS.values():
         exp = experiment(row, nominal_params())
