@@ -659,7 +659,6 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
     double y[2][@MAX_STATES@], k[2][@MAX_STATES@], ratio[@MAX_STATES@];
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
-    double min_step = r->min_step, max_step = r->max_step;
     double h_next = r->h;
     copy(y[0], r->x, n);
     copy(k[0], r->k1, n);
@@ -684,8 +683,6 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
         }
         if (norm <= 1.0) {
             accepted += 1;
-            if (h < min_step) min_step = h;
-            if (h > max_step) max_step = h;
             t = clipped ? t1 : t + h;
             now = !now; /* FSAL */
             const double factor = norm == 0.0
@@ -703,8 +700,6 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
     r->accepted = accepted;
     r->rejected = rejected;
     r->fevals = fevals;
-    r->min_step = min_step;
-    r->max_step = max_step;
     return 0;
 }
 

@@ -73,7 +73,7 @@ class Rollout(ctypes.Structure):
         *((name, ctypes.c_void_p) for name in (
             "events", "out", "start", "brk", "held", "forces", "states", "derivs", "controls",
             "reference", "u_traj", "u_corr", "ddot", "dgemv")),
-        *((name, ctypes.c_double) for name in ("rtol", "atol", "h", "min_step", "max_step")),
+        *((name, ctypes.c_double) for name in ("rtol", "atol", "h")),
         *((name, ctypes.c_long) for name in (
             "accepted", "rejected", "fevals", "row", "instant", "law", "model")),
         ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),

@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: b7c69099ce6b1cef57ac8c9109275dfb94c12e08253791058ea531e7af87919f
+// generator sha256: 84cfe076d256e981c88c3a020212d3210425270a44bbeecf8c192509c0fc44e4
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs
@@ -45,8 +45,6 @@ struct rollout {
     double rtol;
     double atol;
     double h;
-    double min_step;
-    double max_step;
     long accepted;
     long rejected;
     long fevals;
@@ -630,7 +628,6 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
     double y[2][12], k[2][12], ratio[12];
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
-    double min_step = r->min_step, max_step = r->max_step;
     double h_next = r->h;
     copy(y[0], r->x, n);
     copy(k[0], r->k1, n);
@@ -655,8 +652,6 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
         }
         if (norm <= 1.0) {
             accepted += 1;
-            if (h < min_step) min_step = h;
-            if (h > max_step) max_step = h;
             t = clipped ? t1 : t + h;
             now = !now; /* FSAL */
             const double factor = norm == 0.0
@@ -674,8 +669,6 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
     r->accepted = accepted;
     r->rejected = rejected;
     r->fevals = fevals;
-    r->min_step = min_step;
-    r->max_step = max_step;
     return 0;
 }
 

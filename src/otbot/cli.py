@@ -44,14 +44,13 @@ from .scenarios import (
     ConfigError,
     _bundle_dir,
     checked,
-    countable,
     ensure_plan,
     float_list,
-    frequency,
     load_scenario,
     make_reference,
     natural,
     non_negative,
+    periods,
     plan_path,
     positive,
     scenario_listing,
@@ -66,7 +65,6 @@ from .simulate import (
     simulate_shaft,
     trajectory_from_csv,
     trajectory_to_csv,
-    whole_periods,
     write_csv,
 )
 
@@ -234,12 +232,8 @@ def _cmd_simulate(args) -> int:
         if args.seed is not None:
             raise ConfigError("--seed does not apply to --torques, which samples no sensor")
         torques = float_list(args.torques, 3, "--torques")
-        checked("--duration", args.duration, positive)
-        rate = checked("--rate", 100.0 if args.rate is None else args.rate, frequency)
-        checked("--duration", args.duration, countable(rate))
-        if whole_periods(args.duration, rate) is None:
-            raise ConfigError(f"--duration {args.duration!r} s is not a whole number of "
-                              f"periods of --rate {rate!r} Hz")
+        rate = 100.0 if args.rate is None else args.rate
+        n = periods("--duration", args.duration, "--rate", rate)
     out = Path(args.out)
     run = _Run("simulate", out)
 
@@ -249,7 +243,9 @@ def _cmd_simulate(args) -> int:
         )
         seed = _resolve_seed(args.seed, cfg.seed)
         run.seeds["scenario"] = seed
-        grid = np.arange(int(round(cfg.horizon * cfg.sensor_rate)) + 1) / cfg.sensor_rate
+        n = periods(f"{cfg.path}: [scenario] horizon", cfg.horizon,
+                    f"{cfg.path}: [sensors] rate", cfg.sensor_rate)
+        grid = np.arange(n + 1) / cfg.sensor_rate
         shaft = cfg.mode == "shaft"
         if shaft:
             inertia, damping = (
@@ -274,7 +270,7 @@ def _cmd_simulate(args) -> int:
     else:
         params = run.config("--params", args.params, load_params, nominal_params())
         controls = ControlSequence.constant(torques, args.duration, rate)
-        grid = np.arange(int(round(args.duration * rate)) + 1) / rate
+        grid = np.arange(n + 1) / rate
         traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
         trajectory_to_csv(traj, run.emit("trajectory.csv"))
 
@@ -319,10 +315,7 @@ def _cmd_identify(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     checked("--sweep", args.sweep, natural)
-    checked("--window", args.window, positive)
-    if whole_periods(args.window, SAMPLE_RATE) is None:
-        raise ConfigError(f"--window {args.window!r} s is not a whole number of "
-                          f"{SAMPLE_RATE!r} Hz sample periods")
+    periods("--window", args.window, "the sample rate", SAMPLE_RATE)
     run = _Run("identify", Path(args.out))
     run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
     params = run.config("--params", args.params, load_params, nominal_params())
@@ -383,8 +376,6 @@ def _write_feasibility(run: _Run, report) -> None:
 
 
 def _cmd_control(args) -> int:
-    if args.rate is not None:
-        checked("--rate", args.rate, frequency)
     out = Path(args.out)
     run = _Run("control", out)
     name = args.scenario if args.scenario != "plan" else "plan-tracking"
@@ -409,14 +400,11 @@ def _cmd_control(args) -> int:
             plan = run.config(plan_source, plan_file, _read_plan, None)
     else:
         ref = make_reference(cfg.reference)
-    # the run lasts the scenario's horizon, or that of a plan read from disk
-    horizon = cfg.horizon if plan is None else float(plan.times[-1] - plan.times[0])
-    # the tracking loop runs a whole number of control periods
-    if whole_periods(horizon, rate) is None:
-        source = "--rate" if args.rate is not None else f"{cfg.path}: [control] rate"
-        raise ConfigError(
-            f"{source} {rate!r} Hz does not split the {horizon!r} s horizon into whole periods"
-        )
+    # the run lasts the scenario's horizon, or that of a plan read from disk,
+    # a whole number of control periods
+    run_length = ((f"{cfg.path}: [scenario] horizon", cfg.horizon) if plan is None
+                  else (f"{plan_file}: plan", float(plan.times[-1] - plan.times[0])))
+    periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
     if cfg.mode == "plan":
         if plan is None:
             plan = run.config(plan_source, ensure_plan(cfg, run.directory()), _read_plan, None)
@@ -432,10 +420,10 @@ def _cmd_control(args) -> int:
             x0 = cfg.initial_state(ref)
             result = closed_loop_simulate(
                 params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances,
-                t_end=horizon,
+                t_end=cfg.horizon,
             )
             _write_tracking_outputs(run, result)
-            feas = torque_feasibility(params, ref, gains, t_end=horizon)
+            feas = torque_feasibility(params, ref, gains, t_end=cfg.horizon)
             _write_feasibility(run, feas)
             ep = np.linalg.norm(result.e_p[:, :2], axis=1)
             fh.write(f"peak_position_error = {format_float(ep.max())}\n")

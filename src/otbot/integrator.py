@@ -86,8 +86,6 @@ class IntegratorStats:
     accepted: int = 0
     rejected: int = 0
     fevals: int = 0
-    min_step: float = math.inf
-    max_step: float = 0.0
 
 
 def _error_norm(err, y0, y1, rtol: float, atol: float) -> float:
@@ -243,7 +241,6 @@ def advance_segment(
             continue
         if norm <= 1.0:
             stats.accepted += 1
-            stats.min_step, stats.max_step = min(stats.min_step, h), max(stats.max_step, h)
             t = t1 if clipped else t + h
             y, k1 = y_new, k7  # FSAL
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**_ORDER_EXPONENT)

@@ -69,12 +69,6 @@ def frequency(value) -> str | None:
                                else f"must have a period above {_EVENT_MERGE_TOL!r} s")
 
 
-# the check that a duration [s] holds no more periods of ``rate`` than a run can count
-def countable(rate: float):
-    return lambda value: (None if value * rate <= MAX_PERIODS
-                          else f"must hold at most {MAX_PERIODS} periods of {rate!r} Hz")
-
-
 def non_negative(value) -> str | None:
     return None if math.isfinite(value) and value >= 0.0 else "must be finite and non-negative"
 
@@ -101,6 +95,18 @@ def checked(what: str, value, check):
     if problem:
         raise ConfigError(f"{what} {problem}, got {value!r}")
     return value
+
+
+def periods(what: str, length: float, rate_what: str, rate: float) -> int:
+    """The periods of ``rate`` [Hz] in ``length`` [s], which a run needs a whole
+    number of, from 1 to MAX_PERIODS; a ConfigError names ``what`` and ``rate_what``."""
+    checked(what, length, positive)
+    checked(rate_what, rate, frequency)
+    n = whole_periods(length, rate)
+    if n is None:
+        raise ConfigError(f"{what} {length!r} s holds {length * rate!r} periods of {rate_what} {rate!r} Hz, "
+                          f"not a whole number from 1 to {MAX_PERIODS}")
+    return n
 
 
 def float_list(text: str, count: int, what: str) -> np.ndarray:
@@ -217,22 +223,21 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """The checks that join keys; ``SCHEMA`` checks each key alone."""
-        fastest = max(self.shaft_rate, self.torque_rate, self.loop_rate, self.plan_rate, self.sensor_rate)
-        checked(f"{self.path}: [scenario] horizon", self.horizon, countable(fastest))
-        hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate}.get(self.mode)
-        if hold_rate is not None and whole_periods(self.horizon, hold_rate) is None:
-            what = "shorter than one period" if round(self.horizon * hold_rate) < 1 else "not whole periods"
-            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is {what} "
-                              f"of [{self.mode}] rate {hold_rate!r} Hz")
-        # a controller runs for its horizon (the cli checks it against the
-        # [control] rate, which --rate overrides)
-        ref_horizon = make_reference(self.reference).horizon if self.mode == "controller" else None
-        if ref_horizon is not None and not self.horizon <= ref_horizon:
-            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s runs past the "
-                              f"{ref_horizon!r} s of the {self.reference} reference")
-        if ref_horizon is not None and whole_periods(self.horizon, FEASIBILITY_RATE) is None:
-            raise ConfigError(f"{self.path}: [scenario] horizon {self.horizon!r} s is not whole "
-                              f"periods of the {FEASIBILITY_RATE!r} Hz feasibility grid")
+        # the run is whole periods of each rate it holds or samples at; a
+        # tracking run's [control] rate, which --rate overrides, is the cli's
+        horizon = f"{self.path}: [scenario] horizon"
+        hold_rate = {"shaft": self.shaft_rate, "torques": self.torque_rate,
+                     "plan": self.plan_rate}.get(self.mode)
+        if hold_rate is not None:
+            periods(horizon, self.horizon, f"{self.path}: [{self.mode}] rate", hold_rate)
+        if self.mode in _SENSED:
+            periods(horizon, self.horizon, f"{self.path}: [sensors] rate", self.sensor_rate)
+        if self.mode == "controller":
+            ref_horizon = make_reference(self.reference).horizon
+            if not self.horizon <= ref_horizon:
+                raise ConfigError(f"{horizon} {self.horizon!r} s runs past the "
+                                  f"{ref_horizon!r} s of the {self.reference} reference")
+            periods(horizon, self.horizon, "the feasibility grid", FEASIBILITY_RATE)
         for kind in self.sensors:
             needs = {"encoder": "a shaft axis", "imu": "the whole robot"}.get(kind)
             if needs is None:

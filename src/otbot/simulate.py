@@ -319,7 +319,7 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
         held = plan.held if law is None else np.empty((len(plan.events), m.inputs))
         rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
         tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, None, None, None, *rows)
-        c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), *blas, min_step=math.inf)
+        c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), *blas)
         plan.template = c if law is None else None
     c = _ckernel.Rollout.from_buffer_copy(c)
     if law is not None:
@@ -463,7 +463,15 @@ def trajectory_from_csv(path: str | Path) -> SimTrajectory:
         header = next(reader)
         if tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header!r}")
-        rows = np.array([[float(v) for v in row] for row in reader])
+        try:
+            rows = np.array([[float(v) for v in row] for row in reader])
+        except ValueError as exc:  # a cell that is no number, or rows of uneven width
+            raise ValueError(f"{path}: {exc}") from None
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
+    if rows.shape[1] != len(TRAJECTORY_COLUMNS):
+        raise ValueError(f"{path}: rows of {rows.shape[1]} cells under {len(TRAJECTORY_COLUMNS)} columns")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: the row on line {bad[0] + 2} holds a value that is not finite")
     return SimTrajectory(times=rows[:, 0], states=rows[:, 1:13], controls=rows[:, 13:16])

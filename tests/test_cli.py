@@ -396,6 +396,34 @@ def _plan_text(*times) -> str:
     return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(f"{t!r}" + ",0.0" * 15 + "\n" for t in times)
 
 
+def _write_inputs(tmp_path, argv, key_files, scenario_files) -> list[str]:
+    """``argv`` with each name of ``key_files`` (its text) or ``scenario_files``
+    written to ``tmp_path`` and replaced by its path, and ``DIR`` made there a
+    directory where a file goes. A scenario file is a bundled scenario with
+    lines changed, ``(name, line, changed, ...)``, next to the parameter file
+    it refers to."""
+    bundled = Path(otbot.__file__).with_name("scenarios")
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        path = tmp_path / arg
+        if arg in key_files:
+            path.write_text(key_files[arg])
+        elif arg == "DIR":
+            path.mkdir(exist_ok=True)
+        elif arg in scenario_files:
+            name, *edits = scenario_files[arg]
+            text = (bundled / f"{name}.cfg").read_text()
+            for line, changed in zip(edits[::2], edits[1::2]):
+                assert text.count(line) == 1
+                text = text.replace(line, changed)
+            path.write_text(text)
+            shutil.copy(bundled / "nominal.cfg", tmp_path)
+        else:
+            continue
+        argv[i] = str(path)
+    return argv
+
+
 class TestBadNumericFlags:
     """Bad numbers exit 2 with one line naming the flag and write no --out."""
 
@@ -403,6 +431,10 @@ class TestBadNumericFlags:
     KEY_FILES = {
         "zero.kv": "t_stab = 0\n", "negative.kv": "t_stab = -1\n", "nan.kv": "t_stab = nan\n",
         "two-rows.csv": _plan_text(0.0, 0.01), "uneven.csv": _plan_text(0.0, 0.01, 0.03, 0.04),
+        "nan-state.csv": _plan_text(0.0, 0.01, 0.02).replace("0.01,0.0,", "0.01,nan,"),
+        "inf-torque.csv": _plan_text(0.0, 0.01, 0.02).replace("0.0\n0.02", "inf\n0.02"),
+        "word-cell.csv": _plan_text(0.0, 0.01, 0.02).replace("0.01,0.0,", "0.01,fast,"),
+        "short-rows.csv": _plan_text(0.0, 0.01, 0.02).replace(",0.0\n", "\n"),
     }
     # scenario files that cases below name: a bundled scenario with one line
     # changed, written next to --out with the parameter file it refers to
@@ -486,9 +518,9 @@ class TestBadNumericFlags:
             (["control", "--scenario", "section-typo.cfg"], "section-typo.cfg: unknown section [contrl]"),
             (["simulate", "--scenario", "shaft-rate-zero.cfg"], "shaft-rate-zero.cfg: [shaft] rate"),
             (["simulate", "--scenario", "shaft-horizon-short.cfg"],
-             "shaft-horizon-short.cfg: [scenario] horizon 0.001 s is shorter than one period of [shaft] rate"),
+             "shaft-horizon-short.cfg: [scenario] horizon 0.001 s holds 0.1 periods of"),
             (["simulate", "--scenario", "torques-horizon-short.cfg"],
-             "torques-horizon-short.cfg: [scenario] horizon 0.001 s is shorter than one period of [torques] rate"),
+             "torques-horizon-short.cfg: [scenario] horizon 0.001 s holds 0.1 periods of"),
             (["simulate", "--scenario", "horizon-inf.cfg"], "horizon-inf.cfg: [scenario] horizon"),
             (["simulate", "--scenario", "chassis-excitation", "--seed", "-1"], "--seed"),
             (["OTBOT_SEED=-3", "simulate", "--scenario", "wheel-spin"], "OTBOT_SEED"),
@@ -498,15 +530,16 @@ class TestBadNumericFlags:
             (["simulate", "--torques", "1,2,3", "--duration", "0.001", "--rate", "100"], "--duration"),
             (["identify", "--step", "3", "--window", "0.004"], "--window"),
             (["simulate", "--torques", "1,2,3", "--duration", "0.015", "--rate", "100"],
-             "--duration 0.015 s is not a whole number of periods of --rate 100.0 Hz"),
+             "--duration 0.015 s holds 1.5 periods of --rate 100.0 Hz, not a whole number from 1 to"),
             (["identify", "--step", "3", "--window", "0.015"],
-             "--window 0.015 s is not a whole number of 100.0 Hz sample periods"),
+             "--window 0.015 s holds 1.5 periods of the sample rate 100.0 Hz, not a whole number"),
             (["simulate", "--scenario", "torques-horizon-fraction.cfg"],
-             "torques-horizon-fraction.cfg: [scenario] horizon 3.015 s is not whole periods of [torques] rate"),
+             "torques-horizon-fraction.cfg: [scenario] horizon 3.015 s holds 301.5 periods of"),
             (["control", "--scenario", "horizon-past-reference.cfg"],
              "horizon-past-reference.cfg: [scenario] horizon 30.5 s runs past the 30.0 s"),
             (["check-torques", "--scenario", "horizon-off-feasibility-grid.cfg"],
-             "horizon-off-feasibility-grid.cfg: [scenario] horizon 5.005 s is not whole periods"),
+             "horizon-off-feasibility-grid.cfg: [scenario] horizon 5.005 s holds 500.5 periods of the "
+             "feasibility grid 100.0 Hz"),
             (["simulate", "--scenario", "sensor-gyro.cfg"],
              "sensor-gyro.cfg: [sensors] unknown sensor kind 'gyro'"),
             (["simulate", "--scenario", "sensor-encoder-on-robot.cfg"],
@@ -563,17 +596,28 @@ class TestBadNumericFlags:
              "default-section.cfg: unknown section [DEFAULT]"),
             # run lengths of more periods than a run can count, which numpy refuses to allocate
             (["simulate", "--torques", "1,2,3", "--duration", "1e300"],
-             "--duration must hold at most 9007199254740992 periods of 100.0 Hz, got 1e+300"),
+             "--duration 1e+300 s holds 1e+302 periods of --rate 100.0 Hz, not a whole number from 1 to "
+             "9007199254740992"),
             (["simulate", "--torques", "1,2,3", "--duration", "1e12", "--rate", "1e6"],
-             "--duration must hold at most 9007199254740992 periods of 1000000.0 Hz"),
+             "--duration 1000000000000.0 s holds 1e+18 periods of --rate 1000000.0 Hz"),
             (["simulate", "--scenario", "torques-horizon-huge.cfg"],
-             "torques-horizon-huge.cfg: [scenario] horizon must hold at most 9007199254740992 periods"),
+             "torques-horizon-huge.cfg: [scenario] horizon 1e+300 s holds 1e+302 periods of"),
             (["simulate", "--scenario", "shaft-horizon-huge.cfg"],
-             "shaft-horizon-huge.cfg: [scenario] horizon must hold at most"),
+             "shaft-horizon-huge.cfg: [scenario] horizon 1e+300 s holds"),
             (["control", "--scenario", "plan-horizon-huge.cfg"],
-             "plan-horizon-huge.cfg: [scenario] horizon must hold at most"),
+             "plan-horizon-huge.cfg: [scenario] horizon 1e+300 s holds"),
             (["identify", "--step", "3", "--window", "1e308"],
-             "--window 1e+308 s is not a whole number of 100.0 Hz sample periods"),
+             "--window 1e+308 s holds inf periods of the sample rate 100.0 Hz"),
+            # a plan cell that is no finite number, or a row of the wrong width, caught where
+            # the plan is read
+            (["control", "--scenario", "plan", "--plan", "nan-state.csv"],
+             "nan-state.csv: the row on line 3 holds a value that is not finite"),
+            (["control", "--scenario", "plan", "--plan", "inf-torque.csv"],
+             "inf-torque.csv: the row on line 3 holds a value that is not finite"),
+            (["control", "--scenario", "plan", "--plan", "word-cell.csv"],
+             "word-cell.csv: could not convert string to float: 'fast'"),
+            (["control", "--scenario", "plan", "--plan", "short-rows.csv"],
+             "short-rows.csv: rows of 15 cells under 16 columns"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -602,27 +646,14 @@ class TestBadNumericFlags:
              "plan-directory", "huge-rate", "scenario-huge-torque-rate", "scenario-huge-sensor-rate",
              "scenario-default-section", "huge-duration", "duration-too-many-periods",
              "scenario-huge-torques-horizon", "scenario-huge-shaft-horizon", "scenario-huge-plan-horizon",
-             "huge-window"],
+             "huge-window", "plan-nan-state", "plan-inf-torque", "plan-word-cell",
+             "plan-short-rows"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
-        bundled = Path(otbot.__file__).with_name("scenarios")
         argv = list(argv)
         if argv[0].startswith("OTBOT_SEED="):
             monkeypatch.setenv("OTBOT_SEED", argv.pop(0).partition("=")[2])
-        for i, arg in enumerate(argv):
-            if arg in self.KEY_FILES:
-                (tmp_path / arg).write_text(self.KEY_FILES[arg])
-                argv[i] = str(tmp_path / arg)
-            if arg == "DIR":  # a directory where a file goes
-                (tmp_path / arg).mkdir(exist_ok=True)
-                argv[i] = str(tmp_path / arg)
-            if arg in self.SCENARIO_FILES:
-                name, line, changed = self.SCENARIO_FILES[arg]
-                text = (bundled / f"{name}.cfg").read_text()
-                assert text.count(line) == 1
-                (tmp_path / arg).write_text(text.replace(line, changed))
-                shutil.copy(bundled / "nominal.cfg", tmp_path)
-                argv[i] = str(tmp_path / arg)
+        argv = _write_inputs(tmp_path, argv, self.KEY_FILES, self.SCENARIO_FILES)
         out = tmp_path / "run"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -650,6 +681,74 @@ class TestBadNumericFlags:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert flag in captured.err
         assert Path("FILE").read_text() == "kept\n"
+
+
+class TestRunLength:
+    """A run is a whole number of periods of every rate it uses: each (length,
+    rate) pair that misses exits 2 with one line naming both, and no --out."""
+
+    PLAN_FILES = {"plan.csv": _plan_text(0.0, 0.01, 0.02, 0.03)}
+    SCENARIO_FILES = {
+        "shaft-horizon.cfg": ("wheel-spin", "horizon = 0.5", "horizon = 0.505"),
+        "shaft-sensors.cfg": ("wheel-spin", "encoder = 0.01\nrate = 100", "encoder = 0.01\nrate = 3"),
+        "torques-horizon.cfg": ("chassis-excitation", "horizon = 3", "horizon = 3.015"),
+        # the torques hold whole periods, the sensor grid does not
+        "torques-sensors-past.cfg": ("chassis-excitation", "horizon = 3", "horizon = 1.1",
+                                     "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 10",
+                                     "e-3\nrate = 100", "e-3\nrate = 5"),
+        "torques-sensors-short.cfg": ("chassis-excitation", "horizon = 3", "horizon = 1.05",
+                                      "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 20",
+                                      "e-3\nrate = 100", "e-3\nrate = 7"),
+        "plan-horizon.cfg": ("plan-tracking", "horizon = 10", "horizon = 1.015"),
+        "controller-horizon.cfg": ("figure8", "horizon = 18", "horizon = 5.005"),
+        "control-rate.cfg": ("corridor", "rate = 1000", "rate = 0.45"),
+    }
+
+    @pytest.mark.parametrize(
+        "argv, length, rate",
+        [
+            (["simulate", "--torques", "1,2,3", "--duration", "0.015", "--rate", "100"],
+             "--duration 0.015 s", "--rate 100.0 Hz"),
+            (["simulate", "--scenario", "shaft-horizon.cfg"],
+             "shaft-horizon.cfg: [scenario] horizon 0.505 s", "shaft-horizon.cfg: [shaft] rate 100.0 Hz"),
+            (["simulate", "--scenario", "shaft-sensors.cfg"],
+             "shaft-sensors.cfg: [scenario] horizon 0.5 s", "shaft-sensors.cfg: [sensors] rate 3.0 Hz"),
+            (["simulate", "--scenario", "torques-horizon.cfg"],
+             "torques-horizon.cfg: [scenario] horizon 3.015 s", "torques-horizon.cfg: [torques] rate 100.0 Hz"),
+            (["simulate", "--scenario", "torques-sensors-past.cfg"],
+             "torques-sensors-past.cfg: [scenario] horizon 1.1 s",
+             "torques-sensors-past.cfg: [sensors] rate 5.0 Hz"),
+            (["simulate", "--scenario", "torques-sensors-short.cfg"],
+             "torques-sensors-short.cfg: [scenario] horizon 1.05 s",
+             "torques-sensors-short.cfg: [sensors] rate 7.0 Hz"),
+            (["control", "--scenario", "plan-horizon.cfg"],
+             "plan-horizon.cfg: [scenario] horizon 1.015 s", "plan-horizon.cfg: [plan] rate 100.0 Hz"),
+            (["check-torques", "--scenario", "controller-horizon.cfg"],
+             "controller-horizon.cfg: [scenario] horizon 5.005 s", "the feasibility grid 100.0 Hz"),
+            (["control", "--scenario", "corridor", "--rate", "0.45"],
+             "corridor.cfg: [scenario] horizon 30.0 s", "--rate 0.45 Hz"),
+            (["control", "--scenario", "control-rate.cfg"],
+             "control-rate.cfg: [scenario] horizon 30.0 s", "control-rate.cfg: [control] rate 0.45 Hz"),
+            (["control", "--scenario", "plan", "--rate", "0.45"],
+             "plan-tracking.cfg: [scenario] horizon 10.0 s", "--rate 0.45 Hz"),
+            (["control", "--scenario", "plan", "--plan", "plan.csv", "--rate", "40"],
+             "plan.csv: plan 0.03 s", "--rate 40.0 Hz"),
+            (["identify", "--step", "3", "--window", "0.015"], "--window 0.015 s", "the sample rate 100.0 Hz"),
+        ],
+        ids=["duration-rate", "shaft-horizon-rate", "shaft-horizon-sensor-rate", "torques-horizon-rate",
+             "torques-horizon-sensor-rate-past-end", "torques-horizon-sensor-rate-short",
+             "plan-horizon-rate", "controller-horizon-feasibility-grid", "horizon-control-rate-flag",
+             "horizon-control-rate", "plan-horizon-control-rate-flag", "plan-file-control-rate-flag",
+             "window-sample-rate"],
+    )
+    def test_a_fractional_length_names_both_sources(self, tmp_path, capsys, argv, length, rate):
+        argv = _write_inputs(tmp_path, argv, self.PLAN_FILES, self.SCENARIO_FILES)
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{length} holds " in err and f"{rate}, not a whole number from 1 to" in err
+        assert not out.exists()
 
 
 class TestKernelInManifest:

@@ -1,0 +1,37 @@
+"""Smoke runs of the scripts in ``scripts/``, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import otbot
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``scripts/<name>`` run with ``args``, importing the package under test."""
+    src = str(Path(otbot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_quick_experiments_then_transient_summary(tmp_path):
+    runs = tmp_path / "runs"
+    proc = _script("run_all_experiments.py", "--quick", "--out", str(runs), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # each run the script names ("+ otbot ... --out DIR") left its directory
+    named = [line.rpartition("--out ")[2] for line in proc.stdout.splitlines() if line.startswith("+ otbot ")]
+    expected = ("wheel-spin", "platform-spin", "chassis-excitation", "corridor", "figure8",
+                "plan-tracking", "torque-check")
+    assert named == [str(runs / name) for name in expected]
+    assert sorted(p.name for p in runs.iterdir()) == sorted(expected)
+    assert all((runs / name / "manifest.json").is_file() for name in expected)
+
+    proc = _script("transient_summary.py", str(runs / "corridor"), "--onsets", "0,5", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[0] == "onset"
+    assert [float(row.split()[0]) for row in rows] == [0.0, 5.0]
