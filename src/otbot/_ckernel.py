@@ -13,9 +13,9 @@ Two libraries are compiled on first use, never at import:
   and the guess's means in numpy's pairwise order. So the loop computes the
   same bits as the Python engine; where numpy has no such ``ddot`` or
   ``dgemv`` (another BLAS), the Python engine runs.
-- ``_csv_format.cpp``, the CSV formatter, with the system C++ compiler
-  (``c++ -O2 -std=c++17``): ``std::to_chars`` gives the digits of ``repr``,
-  so it writes the same bytes as the Python loop.
+- ``_csv_format.c``, the CSV formatter, with the same compiler (``-O2``):
+  Schubfach's shortest round-trip digits, laid out as ``repr`` lays them
+  out, so it writes the same bytes as the Python loop.
 
 A library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
 under the SHA-256 of its source and flags, so the first run after the
@@ -64,15 +64,16 @@ MODEL_INDEX = {m.name: i for i, m in enumerate(MODELS)}
 
 class Rollout(ctypes.Structure):
     """One rollout, ``struct rollout`` of ``rollout``: the numpy tables (a
-    feedback law's too) and BLAS routines as addresses, the tolerances, what
-    the C moves on (the step ``h``, the counts, the output row, the law's
-    ``instant``, the hold ``blk``, state ``x``, first stage ``k1``), the law
-    and the model (an index of :data:`MODELS`)."""
+    feedback law's too, its ``mbar`` and ``cbar`` rows NULL where it keeps
+    none) and BLAS routines as addresses, the tolerances, what the C moves on
+    (the step ``h``, the counts, the output row, the law's ``instant``, the
+    hold ``blk``, state ``x``, first stage ``k1``), the law and the model (an
+    index of :data:`MODELS`)."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
             "events", "out", "start", "brk", "held", "forces", "states", "derivs", "controls",
-            "reference", "u_traj", "u_corr", "ddot", "dgemv")),
+            "reference", "u_traj", "u_corr", "mbar", "cbar", "ddot", "dgemv")),
         *((name, ctypes.c_double) for name in ("rtol", "atol", "h")),
         *((name, ctypes.c_long) for name in (
             "accepted", "rejected", "fevals", "row", "instant", "law", "model")),
@@ -81,9 +82,8 @@ class Rollout(ctypes.Structure):
     ]
 
 
-FORMATTER_SOURCE = Path(__file__).with_name("_csv_format.cpp")
-CXX = "c++"
-CXX_FLAGS = ("-O2", "-std=c++17", "-shared", "-fPIC")
+FORMATTER_SOURCE = Path(__file__).with_name("_csv_format.c")
+FORMATTER_FLAGS = ("-O2", "-shared", "-fPIC")
 # The most bytes one double and its separator take ("-2.2250738585072014e-308,"):
 # a buffer of rows * (CELL_BYTES * cols + n_eol) bytes holds any table.
 CELL_BYTES = 25
@@ -183,13 +183,10 @@ def load_formatter():
     ``size`` is less than ``rows * (CELL_BYTES * cols + n_eol)``; see the
     source's header.
     """
-    path = build(FORMATTER_SOURCE, CXX, CXX_FLAGS)
+    path = build(FORMATTER_SOURCE, COMPILER, FORMATTER_FLAGS)
     if path is None:
         return None
-    try:
-        format_rows = ctypes.CDLL(str(path)).format_rows
-    except OSError:  # e.g. an older libstdc++ already loaded into this process
-        return None
+    format_rows = ctypes.CDLL(str(path)).format_rows
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p,
                             ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
     format_rows.restype = ctypes.c_long

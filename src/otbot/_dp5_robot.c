@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: 84cfe076d256e981c88c3a020212d3210425270a44bbeecf8c192509c0fc44e4
+// generator sha256: bc3469b4b19d8c77afb8edf3bfbf8fc5c342a6b5bb4ad04f33915f6e904f15f5
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs
@@ -40,6 +40,8 @@ struct rollout {
     void *reference;
     void *u_traj;
     void *u_corr;
+    void *mbar;
+    void *cbar;
     void *ddot;
     void *dgemv;
     double rtol;
@@ -682,7 +684,9 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
 /* control.computed_torque of the robot at the state r->x and the reference
    row r->instant: the torque into u and the row r->instant of u_traj and
    u_corr, with every operation in numpy's order; u_corr is zero without
-   feedback. A nonzero status is where the task-space model raises. */
+   feedback. Where r->mbar and r->cbar are set, the task-space model goes
+   into their row r->instant too. A nonzero status is where the task-space
+   model raises. */
 static int computed_torque(struct rollout *r, double *u)
 {
     const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
@@ -691,6 +695,10 @@ static int computed_torque(struct rollout *r, double *u)
     double mbar[9], cbar[9], a[3] = {0.0}, b[3] = {0.0}, w[3];
     const int s = task_space_model(r->blk, x, mbar, cbar);
     if (s) return s;
+    if (r->mbar) {
+        copy((double *)r->mbar + 9 * r->instant, mbar, 9);
+        copy((double *)r->cbar + 9 * r->instant, cbar, 9);
+    }
     matvec(r, mbar, ref + 6, a);
     matvec(r, cbar, x + 6, b);
     for (int c = 0; c < 3; c++) {

@@ -21,8 +21,11 @@ from .references import PlanReference, ReferenceTrajectory, plan_step
 from .simulate import (  # the disturbance types are re-exported from here
     ControlSequence,
     DisturbanceSchedule,
+    EventPlan,
     ForcePulse,
     SimTrajectory,
+    integrate,
+    robot_model,
     simulate_robot,
     whole_periods,
 )
@@ -77,11 +80,14 @@ def tune_gains(t_stab=3.0) -> Gains:
 
 @dataclass(frozen=True)
 class ControlInput:
-    """Torque command split into trajectory and correction parts (u = sum)."""
+    """Torque command split into trajectory and correction parts (u = sum),
+    with the task-space model (Mbar, Cbar) it was computed from."""
 
     u: np.ndarray
     u_traj: np.ndarray
     u_corr: np.ndarray
+    mbar: np.ndarray
+    cbar: np.ndarray
 
 
 def computed_torque(
@@ -108,34 +114,43 @@ def computed_torque(
         e_p = q[:3] - p_d
         e_v = dp - dp_d
         u_corr = mbar @ (-gains.kp * e_p - gains.kv * e_v)
-    return ControlInput(u=u_traj + u_corr, u_traj=u_traj, u_corr=u_corr)
+    return ControlInput(u=u_traj + u_corr, u_traj=u_traj, u_corr=u_corr, mbar=mbar, cbar=cbar)
 
 
 class FeedbackLaw:
     """The computed-torque law as data: row k of ``reference`` is (p_d, dp_d,
     ddp_d) at ``boundaries[k]``; ``gains=None`` is feedforward. A robot rollout
     evaluates it on its own parameters at instant k, by :meth:`command` or in C
-    to the same bits, holds the torque and fills row k of ``u_traj`` and ``u_corr``."""
+    to the same bits, holds the torque and fills row k of ``u_traj`` and
+    ``u_corr``, and with ``keep_model`` row k of ``mbar`` and ``cbar``, the
+    (3, 3) task-space matrices the torque came from (None without)."""
 
-    def __init__(self, boundaries: np.ndarray, reference: np.ndarray, gains: Gains | None):
+    def __init__(self, boundaries: np.ndarray, reference: np.ndarray, gains: Gains | None,
+                 keep_model: bool = False):
         self.boundaries, self.gains = boundaries, gains
         self.t0, self.end_time = float(boundaries[0]), float(boundaries[-1])
         self.reference = np.ascontiguousarray(reference, dtype=float)
-        if self.reference.shape != (len(boundaries), 9):
+        n = len(boundaries)
+        if self.reference.shape != (n, 9):
             raise ValueError(f"need one reference row of 9 per instant, got {self.reference.shape}")
-        self.u_traj, self.u_corr = np.empty((len(boundaries), 3)), np.empty((len(boundaries), 3))
+        self.u_traj, self.u_corr = np.empty((n, 3)), np.empty((n, 3))
+        self.mbar, self.cbar = (np.empty((n, 3, 3)), np.empty((n, 3, 3))) if keep_model else (None, None)
 
     def command(self, params: RobotParams, k: int, x: np.ndarray) -> np.ndarray:
         """The torque at the k-th instant from the state ``x``, by :func:`computed_torque`."""
         # the row's three 3-vectors are (p_d, dp_d, ddp_d)
         command = computed_torque(params, RobotState(q=x[:6], dq=x[6:]), self.reference[k].reshape(3, 3), self.gains)
         self.u_traj[k], self.u_corr[k] = command.u_traj, command.u_corr
+        if self.mbar is not None:
+            self.mbar[k], self.cbar[k] = command.mbar, command.cbar
         return command.u
 
 
 @dataclass
 class TrackingResult:
-    """Closed-loop (or feedforward) run sampled on the control grid."""
+    """Closed-loop (or feedforward) run sampled on the control grid: row k of
+    every table is the k-th control instant, ``mbar`` and ``cbar`` (the law's,
+    None unless it kept them) included."""
 
     trajectory: SimTrajectory
     p_ref: np.ndarray
@@ -145,6 +160,8 @@ class TrackingResult:
     e_v: np.ndarray
     u_traj: np.ndarray
     u_corr: np.ndarray
+    mbar: np.ndarray | None = None
+    cbar: np.ndarray | None = None
 
 
 def closed_loop_simulate(
@@ -155,6 +172,7 @@ def closed_loop_simulate(
     control_rate: float = 1000.0,
     disturbances: DisturbanceSchedule | None = None,
     t_end: float | None = None,
+    keep_model: bool = False,
 ) -> TrackingResult:
     """Track ``ref`` with the computed-torque law under zero-order hold.
 
@@ -162,19 +180,25 @@ def closed_loop_simulate(
     ``gains=None`` applies the trajectory part alone (pure feedforward).
     Disturbance pulses act as planar forces on the pivot and their
     switching instants are integration breakpoints, never stepped across.
+    With ``keep_model`` the result holds the task-space matrices the law
+    computed at each instant.
     """
     t_end = ref.horizon if t_end is None else float(t_end)
     n = whole_periods(t_end, control_rate)
     if n is None:
         raise ValueError("t_end must be a whole number of control periods")
     grid = (1.0 / control_rate) * np.arange(n + 1)
-    law = FeedbackLaw(grid, np.column_stack(ref.sample(grid)), gains)
+    law = FeedbackLaw(grid, np.column_stack(ref.sample(grid)), gains, keep_model)
     if not isinstance(state0, RobotState):
         state0 = RobotState.from_vector(state0)
-    traj = simulate_robot(params, state0, law, disturbances=disturbances)
+    plan = EventPlan((law.t0, law.end_time), law, disturbances=disturbances)
+    # every output is a control instant and every instant an output, so the
+    # law's row k belongs to the k-th output state
+    assert np.array_equal(plan.out, plan.start)
+    traj = integrate(robot_model(params), state0.as_vector(), plan)
     p_ref, v_ref, a_ref = (law.reference[:, i : i + 3] for i in (0, 3, 6))
     e_p, e_v = traj.states[:, 0:3] - p_ref, traj.states[:, 6:9] - v_ref
-    return TrackingResult(traj, p_ref, v_ref, a_ref, e_p, e_v, law.u_traj, law.u_corr)
+    return TrackingResult(traj, p_ref, v_ref, a_ref, e_p, e_v, law.u_traj, law.u_corr, law.mbar, law.cbar)
 
 
 def reference_start_state(params: RobotParams, ref: ReferenceTrajectory) -> RobotState:
@@ -195,10 +219,11 @@ def feedforward_rollout(
 
     Starts on the reference. The applied torque is the feedforward term
     evaluated along the simulated motion, which is the nominal run the
-    feasibility check linearises about.
+    feasibility check linearises about; the result keeps the task-space
+    matrices of every instant for it.
     """
     state0 = reference_start_state(params, ref)
-    return closed_loop_simulate(params, state0, ref, None, control_rate=rate, t_end=t_end)
+    return closed_loop_simulate(params, state0, ref, None, control_rate=rate, t_end=t_end, keep_model=True)
 
 
 def track_planned_trajectory(
@@ -291,9 +316,8 @@ def torque_feasibility(
     """
     bounds = bounds or TorqueBounds.symmetric()
     roll = feedforward_rollout(params, ref, rate=rate, t_end=t_end)
-    models = [task_space_model(params, x[:6], x[6:]) for x in roll.trajectory.states]
-    mbars = np.array([mbar for mbar, _ in models])
-    cbars = np.array([cbar for _, cbar in models])
+    # the matrices the law computed at each output state
+    mbars, cbars = roll.mbar, roll.cbar
     feedback = bounds.position_box.scale(-gains.kp) + bounds.velocity_box.scale(-gains.kv)
     # stacked matmul gives each sample's ``mbar @ a_ref[k]`` bit for bit
     mbar_a = (mbars @ roll.a_ref[:, :, None])[:, :, 0]

@@ -49,29 +49,46 @@ class RobotParams:
         # Stored as Python floats: the closed-form dynamics does scalar
         # arithmetic on these fields, which is several times slower on the
         # numpy scalars a least-squares solver hands to replace().
-        for name in PARAM_FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("l1", "l2", "r"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("mc", "mp", "Ic", "Ip", "Ia"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("bw", "bp"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in PARAM_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _set_checked(self, {name: getattr(self, name) for name in PARAM_FIELDS})
 
     def replace(self, **changes: float) -> "RobotParams":
-        return dataclasses.replace(self, **changes)
+        """A copy with ``changes``, which alone are cast and checked: the
+        rest are this instance's, already valid."""
+        unknown = changes.keys() - _FIELDS
+        if unknown:
+            raise TypeError(f"RobotParams has no field {sorted(unknown)[0]!r}")
+        new = object.__new__(RobotParams)
+        new.__dict__.update(self.__dict__)
+        _set_checked(new, changes)
+        return new
 
     def as_dict(self) -> dict[str, float]:
         return dataclasses.asdict(self)
 
 
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(RobotParams))
+
+
+def _set_checked(params: RobotParams, values: dict) -> None:
+    """Set the fields in ``values`` on ``params`` as floats, once checked:
+    lengths, masses and inertias positive, frictions non-negative, all
+    finite, in that order, each group in PARAM_FIELDS order."""
+    cast = {name: float(values[name]) for name in PARAM_FIELDS if name in values}
+    for name, value in cast.items():
+        if name in _POSITIVE and not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    for name, value in cast.items():
+        if name in _NON_NEGATIVE and value < 0.0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    for name, value in cast.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    params.__dict__.update(cast)  # what object.__setattr__ does, field by field
+
+
+_FIELDS = frozenset(PARAM_FIELDS)
+_POSITIVE = {"l1", "l2", "r", "mc", "mp", "Ic", "Ip", "Ia"}
+_NON_NEGATIVE = {"bw", "bp"}
 
 
 def read_kv(path: str | Path, keys, check=None) -> dict[str, float]:

@@ -317,7 +317,7 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
     c = plan.template
     if law is not None or c is None or [c.ddot, c.dgemv] != blas:
         held = plan.held if law is None else np.empty((len(plan.events), m.inputs))
-        rows = (None,) * 3 if law is None else (law.reference, law.u_traj, law.u_corr)
+        rows = (None,) * 5 if law is None else (law.reference, law.u_traj, law.u_corr, law.mbar, law.cbar)
         tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, None, None, None, *rows)
         c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), *blas)
         plan.template = c if law is None else None

@@ -7,9 +7,10 @@ and under the computed-torque law (with the same reference rows, ``u_traj``
 and ``u_corr``), stop where Python raises, so that Python reruns the rollout
 and raises there, and leave every rollout unchanged where it cannot be
 loaded. Its ``dp5_robot_attempt`` and ``dp5_shaft_attempt`` must give the
-same bits as the generated Python kernels. ``format_rows``
-(``src/otbot/_csv_format.cpp``) must spell every double as ``repr`` does,
-so ``write_csv`` writes the same bytes with it and without it.
+same bits as the generated Python kernels, and ``struct rollout`` must have
+the fields of ``_ckernel.Rollout``. ``format_rows``
+(``src/otbot/_csv_format.c``) must spell every double as ``repr`` does, so
+``write_csv`` writes the same bytes with it and without it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import fnmatch
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,8 +90,7 @@ def formatter():
     run = _ckernel.load_formatter()
     if run is None:
         pytest.skip(
-            "no working C++ compiler (c++ with floating-point std::to_chars): "
-            "the CSV formatter cannot be built"
+            "no working C compiler (cc with unsigned __int128): the CSV formatter cannot be built"
         )
     return run
 
@@ -813,8 +814,19 @@ def test_build_falls_back_to_a_process_directory_and_to_python(compiled, tmp_pat
 def test_formatter_build_falls_back_to_a_process_directory_and_to_python(
     formatter, tmp_path, monkeypatch
 ):
-    library = (_ckernel.FORMATTER_SOURCE, _ckernel.CXX, _ckernel.CXX_FLAGS)
-    _check_build_fallbacks(library, _ckernel.load_formatter, "CXX", tmp_path, monkeypatch)
+    library = (_ckernel.FORMATTER_SOURCE, _ckernel.COMPILER, _ckernel.FORMATTER_FLAGS)
+    _check_build_fallbacks(library, _ckernel.load_formatter, "COMPILER", tmp_path, monkeypatch)
+
+
+def test_the_c_struct_has_the_fields_of_the_rollout_structure():
+    # struct rollout of the generated C and _ckernel.Rollout, field by field
+    text = _ckernel.SOURCE.read_text()
+    body = text[text.index("struct rollout {") :]
+    body = body[len("struct rollout {") : body.index("};")]
+    c_types = {ctypes.c_void_p: "void *", ctypes.c_double: "double ", ctypes.c_long: "long "}
+    expected = [f"{c_types[t]}{name};" if t in c_types else f"double {name}[{t._length_}];"
+                for name, t in _ckernel.Rollout._fields_]
+    assert [line.strip() for line in body.strip().splitlines()] == expected
 
 
 def test_importing_the_cli_compiles_nothing(tmp_path):
@@ -888,6 +900,38 @@ def test_formatter_spells_the_edge_cases_as_repr(formatter):
     spelled = _spelled(formatter, table, b"\n")
     assert spelled == _repr_rows(table, "\n")
     assert b"-0.0\n" in spelled and b"-nan" not in spelled
+
+
+def test_formatter_spells_powers_of_ten_and_their_neighbours_as_repr(formatter):
+    # the decimal exponent steps at each power of ten; Schubfach's scaling too
+    values = np.concatenate([_bits_around(float(f"1e{k}"), 1000) for k in range(-323, 309)])
+    values = values[np.isfinite(values)]  # above 1e308 lies inf
+    table = np.concatenate([values, -values]).reshape(-1, 8)
+    assert _spelled(formatter, table, b"\n") == _repr_rows(table, "\n")
+
+
+def test_formatter_spells_integers_as_repr(formatter):
+    # the integer path: every double below 2**53 that is a whole number
+    values = np.concatenate([np.arange(10**6 + 1), 2**53 + np.arange(-1000, 1001)]).astype(np.float64)
+    table = values.reshape(-1, 2)
+    assert _spelled(formatter, table, b"\n") == _repr_rows(table, "\n")
+
+
+def test_formatter_powers_of_ten_are_the_rounded_up_128_bit_scalings():
+    # entry k of POW10 is ceil(10^k / 2^e), e = floor(log2 10^k) - 127, for k in [-292, 324]
+    text = _ckernel.FORMATTER_SOURCE.read_text()
+    body = text[text.index("POW10[][2] = {"):]
+    body = body[: body.index("};")]
+    entries = [(int(hi, 16) << 64 | int(lo, 16), int(k))
+               for hi, lo, k in re.findall(r"\{0x([0-9A-F]{16}), 0x([0-9A-F]{16})\}, // (-?\d+)", body)]
+    assert [k for _, k in entries] == list(range(-292, 325))
+    for g, k in entries:
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        log2 = num.bit_length() - 1 if k >= 0 else -((den - 1).bit_length())  # floor(log2 10^k)
+        e = log2 - 127
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
+        assert g == -(-num // den), k
+        assert 2**127 <= g < 2**128, k
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["LF", "CRLF"])

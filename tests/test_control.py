@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import otbot._task_space
 from conftest import random_admissible
+from otbot import _ckernel
+from otbot.cli import main
 from otbot.control import (
     DisturbanceSchedule,
     FeedbackLaw,
@@ -23,9 +26,15 @@ from otbot.control import (
     transient_metrics,
     tune_gains,
 )
-from otbot.dynamics import RobotState, admissible_state, constraint_violation, forward_dynamics
+from otbot.dynamics import (
+    RobotState,
+    admissible_state,
+    constraint_violation,
+    forward_dynamics,
+    task_space_model,
+)
 from otbot.interval import Interval
-from otbot.references import CorridorReference, HarmonicReference
+from otbot.references import CorridorReference, Figure8Reference, HarmonicReference
 from otbot.scenarios import build_plan
 from otbot.simulate import ControlSequence, EventPlan, simulate_robot
 
@@ -253,6 +262,51 @@ class TestTorqueFeasibility:
             gaps.append(np.concatenate([u.min(axis=0) - rep.lo[k], rep.hi[k] - u.max(axis=0)]))
         assert outside < 0.0
         assert np.min(gaps) < 1.0
+
+    @pytest.mark.parametrize("engine", ["c", "python"])
+    def test_the_matrices_are_the_task_space_model_at_each_rollout_state(self, params, engine, request):
+        # the law's own Mbar and Cbar, from the C or from computed_torque, read back
+        if engine == "python":
+            request.getfixturevalue("python_kernel")
+        rep = torque_feasibility(params, Figure8Reference(), tune_gains(3.0), t_end=2.0)
+        roll = feedforward_rollout(params, Figure8Reference(), t_end=2.0)
+        assert rep.mbar.shape == rep.cbar.shape == (len(rep.times), 3, 3) == (201, 3, 3)
+        for k, x in enumerate(roll.trajectory.states):
+            mbar, cbar = task_space_model(params, x[:6], x[6:])
+            assert_array_equal(rep.mbar[k], mbar)
+            assert_array_equal(rep.cbar[k], cbar)
+
+    def test_a_compiled_figure8_run_evaluates_no_task_space_model_in_python(self, tmp_path, monkeypatch):
+        if _ckernel.load() is None:
+            pytest.skip("the compiled rollout loop cannot be loaded")
+        calls = []
+        evaluate = otbot._task_space.task_space_model
+        monkeypatch.setattr(otbot._task_space, "task_space_model",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        assert main(["control", "--scenario", "figure8", "--out", str(tmp_path / "out")]) == 0
+        assert calls == []
+
+    def test_only_the_feasibility_law_keeps_its_matrices(self, params, monkeypatch):
+        # the 1 kHz tracking law hands the C no rows; the 100 Hz feasibility law 1801 of each
+        kernel = _ckernel.load()
+        if kernel is None:
+            pytest.skip("the compiled rollout loop cannot be loaded")
+        run, *blas = kernel
+        rows = []
+
+        def spy(c, i, j):
+            rows.append((c.mbar, c.cbar))
+            return run(c, i, j)
+
+        monkeypatch.setattr(_ckernel, "load", lambda: (spy, *blas))
+        ref, gains = Figure8Reference(), tune_gains(3.0)
+        state0 = reference_start_state(params, ref)
+        tracking = closed_loop_simulate(params, state0, ref, gains, control_rate=1000.0, t_end=18.0)
+        assert tracking.mbar is None and tracking.cbar is None
+        rep = torque_feasibility(params, ref, gains, t_end=18.0)
+        assert rows[0] == (None, None)
+        assert rows[1] == (rep.mbar.ctypes.data, rep.cbar.ctypes.data)
+        assert rep.mbar.shape == rep.cbar.shape == (1801, 3, 3)
 
     def test_error_boxes_must_contain_zero(self):
         with pytest.raises(ValueError, match="must contain zero"):

@@ -45,6 +45,39 @@ def test_rejects_nonfinite():
         nominal_params().replace(xB=np.nan)
 
 
+def _constructed(**changes) -> RobotParams:
+    return RobotParams(**{**nominal_params().as_dict(), **changes})
+
+
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+@pytest.mark.parametrize("value", [0.0, -0.1, -np.inf, np.inf, np.nan])
+def test_replace_raises_what_the_constructor_raises(field, value):
+    # replace checks only the changed fields; every invalid value still
+    # raises, with the constructor's message
+    try:
+        expected = _constructed(**{field: value})
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            nominal_params().replace(**{field: np.float64(value)})
+        assert str(got.value) == str(exc)
+    else:  # a valid value, e.g. a zero offset
+        assert nominal_params().replace(**{field: value}) == expected
+
+
+def test_replace_reports_the_first_bad_field_as_the_constructor_does():
+    changes = {"bp": -1.0, "xB": np.nan, "Ia": 0.0, "r": np.inf}
+    for make in (nominal_params().replace, _constructed):
+        with pytest.raises(ValueError, match=r"^Ia must be positive, got 0\.0$"):
+            make(**changes)
+
+
+def test_replace_casts_to_float_and_rejects_unknown_fields():
+    q = nominal_params().replace(mc=np.float64(100.0), xB=np.int64(0))
+    assert type(q.mc) is float and type(q.xB) is float and q.xB == 0.0
+    with pytest.raises(TypeError, match="wheelbase"):
+        nominal_params().replace(wheelbase=0.5)
+
+
 def test_file_round_trip(tmp_path):
     p = nominal_params().replace(xF=0.03, yF=-0.01, mp=146.95)
     path = tmp_path / "robot.cfg"
