@@ -15,18 +15,19 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
-The C rhs of the robot, the C task-space model and the robot's C
-Dormand-Prince attempt are translated from the syntax tree of the generated
-``accelerations``, ``task_space_model`` and
-``otbot.integrator._step_source(12)``; the shaft's rhs and attempt from
-``otbot.simulate.shaft_derivative`` and ``_step_source(2)``. Every
-operation is kept in the Python order and fully parenthesised, so they
-compute the same bits as the Python code (see ``otbot._ckernel`` for the
-compiler flags that this needs). The rollout loop around them, with the
-computed-torque law of ``otbot.control.computed_torque`` and the first-step
-guess of ``otbot.integrator.initial_step``, is written out below; its step-control constants are printed from ``otbot.integrator``,
-its struct from ``otbot._ckernel.Rollout`` and its model table from
-``otbot._ckernel.MODELS``, so ``--check`` sees any drift.
+Every generated C function passes through one translator of a parsed
+float function (``_translate``): the robot's rhs and C task-space model from
+the generated ``accelerations`` and ``task_space_model``, the shaft's rhs
+from ``otbot.simulate.shaft_derivative`` and each Dormand-Prince attempt
+from ``otbot.integrator._step_source(n)``. Every operation is kept in the
+Python order and fully parenthesised, so they compute the same bits as the
+Python code (see ``otbot._ckernel`` for the compiler flags that this needs).
+The rollout loop around them, with the computed-torque law of
+``otbot.control.computed_torque`` and the first-step guess of
+``otbot.integrator.initial_step``, is written out below; its step-control
+constants are printed from ``otbot.integrator``, its struct from
+``otbot._ckernel.Rollout`` and its model table from ``otbot._ckernel.MODELS``,
+so ``--check`` sees any drift.
 
     python scripts/gen_task_space.py           # rewrite both files
     python scripts/gen_task_space.py --check   # exit 1 if either is out of date
@@ -156,12 +157,7 @@ def _prologue(exprs) -> list[str]:
     return [f"{name} = p.{name}" for name in _params_used(exprs)] + _TRIG
 
 
-_TRIG = [
-    "ca = cos(alpha)",
-    "sa = sin(alpha)",
-    "ct = cos(theta)",
-    "st = sin(theta)",
-]
+_TRIG = ["ca = cos(alpha)", "sa = sin(alpha)", "ct = cos(theta)", "st = sin(theta)"]
 
 # Explicit 3x3 solve Mbar ddp = b by cofactors.
 _SOLVE = [
@@ -206,11 +202,8 @@ def render(generator_sha256: str) -> str:
         f"({', '.join(mnames)}), ({', '.join(cnames)})",
     )
 
-    dx, dy, da = sp.symbols("dx dy da")
-    u = sp.symbols("u0 u1 u2")
-    fx, fy = sp.symbols("fx fy")
-    dp = sp.Matrix([dx, dy, da])
-    rhs = sp.Matrix(u) - cbar * dp + fik.T * sp.Matrix([fx, fy, 0])
+    dp = sp.Matrix(sp.symbols("dx dy da"))
+    rhs = sp.Matrix(sp.symbols("u0 u1 u2")) - cbar * dp + fik.T * sp.Matrix([*sp.symbols("fx fy"), 0])
     ddp = sp.Matrix(sp.symbols("ddx ddy dda"))
     ddphi = iik * ddp + diik * dp
     head = _prologue(mbar_entries + list(rhs) + list(ddphi)) + _block(
@@ -255,14 +248,8 @@ _ROBOT, _SHAFT = (_ckernel.MODELS[_ckernel.MODEL_INDEX[name]] for name in ("robo
 # The arguments of ``accelerations`` as dynamics.state_derivative passes
 # them, from the 12-state x = (q, dq): q[2], q[2] - q[5], dq[0], dq[1],
 # dq[2], dq[2] - dq[5].
-_STATE_ARGS = {
-    "alpha": "{x}[2]",
-    "theta": "({x}[2] - {x}[5])",
-    "dx": "{x}[6]",
-    "dy": "{x}[7]",
-    "da": "{x}[8]",
-    "dth": "({x}[8] - {x}[11])",
-}
+_STATE_ARGS = {"alpha": "x[2]", "theta": "(x[2] - x[5])", "dx": "x[6]", "dy": "x[7]", "da": "x[8]",
+               "dth": "(x[8] - x[11])"}
 
 # Nonzero statuses, each where the Python engine raises: a zero divisor, sin
 # or cos of an infinite angle, a step underflow. The caller reruns the
@@ -270,26 +257,34 @@ _STATE_ARGS = {
 _ZERO_DIVISOR, _INFINITE_ANGLE, _UNDERFLOW = 1, 2, 3
 
 _C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-# names a generated local may not take: the C functions' arguments and the
-# Bessel functions that math.h declares
-_C_RESERVED = {"blk", "x", "k", "m", "c", "y0", "y1", "yn", "j0", "j1", "jn"}
+# names a generated local may not take: the C functions' arguments, the
+# stage state and status, and the Bessel functions that math.h declares
+_C_RESERVED = {"blk", "x", "k", "m", "c", "ys", "s", "y0", "y1", "yn", "j0", "j1", "jn"}
+# the comment above a vector literal of the step source
+_VECTOR_COMMENTS = {"y_new": "fifth-order solution", "err": "error estimate"}
 
 
 class _CExpr:
     """C spelling of the float arithmetic of the generated Python.
 
     Every operation becomes one parenthesised C operation on doubles, in
-    the order the Python evaluates it; integer literals become doubles.
-    A division by a non-constant and a sin or cos first emit, into
-    ``checks``, the test for the value on which Python raises; a variable
-    is tested once per instance.
+    the order the Python evaluates it; integer literals become doubles and
+    a name its spelling in ``names``. A division by a non-constant and a
+    sin or cos first emit, into ``checks``, the test for the value on which
+    Python raises; a variable is tested once per instance.
     """
 
-    def __init__(self, rename):
-        self.rename = rename
+    def __init__(self, names: dict[str, str], where: str):
+        self.names = names
+        self.where = where
         self.checks: list[str] = []
         self.checked: set[str] = set()
         self.temporaries = 0
+
+    def name(self, name: str) -> str:
+        if name not in self.names:
+            raise ValueError(f"unbound name {name!r} in {self.where}")
+        return self.names[name]
 
     def __call__(self, node) -> str:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
@@ -298,12 +293,12 @@ class _CExpr:
                 raise ValueError(f"non-finite literal {node.value!r}")
             return repr(value)
         if isinstance(node, ast.Name):
-            return self.rename(node.id)
+            return self.name(node.id)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            return self.rename(f"{node.value.id}.{node.attr}")
+            return self.name(f"{node.value.id}.{node.attr}")
         if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
                 and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int):
-            return f"{self.rename(node.value.id)}[{node.slice.value}]"
+            return f"{self.name(node.value.id)}[{node.slice.value}]"
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return f"(-{self(node.operand)})"
         if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
@@ -334,11 +329,14 @@ class _CExpr:
         self.checks.append(f"const double {name} = {text};")
         return name
 
-    def statement(self, target: str, node) -> list[str]:
-        """Lines that compute ``node`` into ``target``, checks first."""
-        self.checks = []
-        text = self(node)
-        return self.checks + [f"{target} = {text};"]
+    def statements(self, target, nodes) -> list[str]:
+        """Lines that compute node j into ``target(j)``, each one's checks first."""
+        lines = []
+        for j, node in enumerate(nodes):
+            self.checks = []
+            text = self(node)
+            lines += self.checks + [f"{target(j)} = {text};"]
+        return lines
 
 
 def _function_def(source: str, name: str) -> ast.FunctionDef:
@@ -347,59 +345,89 @@ def _function_def(source: str, name: str) -> ast.FunctionDef:
 
 
 def _values(node) -> list:
-    """The leaves of a returned tuple, nested tuples flattened in order."""
-    if isinstance(node, ast.Tuple):
+    """The leaves of a returned tuple or list, nested ones flattened in order."""
+    if isinstance(node, (ast.Tuple, ast.List)):
         return [leaf for e in node.elts for leaf in _values(e)]
     return [node]
 
 
-def _c_function(fn: ast.FunctionDef, signature: str, store) -> list[str]:
-    """C of a generated float function of ``p`` and the state arguments
-    (read from ``x``) or the hold's torques and force (read from ``blk``):
-    its statements in order, then ``store(values)``, the lines that store
-    the returned values."""
-    args = [a.arg for a in fn.args.args[1:]]
-    lines = [
-        f"const double {a} = {_STATE_ARGS[a].format(x='x') if a in _STATE_ARGS else f'blk[{_BLOCK[a]}]'};"
-        for a in args
-    ]
-    locals_ = set(args)
+def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None) -> list[str]:
+    """The statements of the float function ``fn`` as C, in its order.
 
-    def rename(name):
-        if name in _BLOCK and "." in name:
-            return f"blk[{_BLOCK[name]}]"
-        if name not in locals_:
-            raise ValueError(f"unbound name {name!r} in {fn.name}")
-        return name
-
-    to_c = _CExpr(rename)
+    ``names`` spells its free names: scalars, vectors ``v`` (read as
+    ``v[j]``), parameters ``p.<field>`` and a stage's rhs ``f``. It takes the
+    docstring, ``name = expr`` (a new C local), ``v_0, ..., v_n = v`` (names
+    of v's components), a vector literal ``v = [...]``, a stage ``k = f(t +
+    c h, y)`` or ``k_0, ..., k_n = f(...)`` (a literal y first goes into
+    ``ys``) and the return, whose j-th value goes into ``store(j)``.
+    """
+    names = dict(names)
+    to_c = _CExpr(names, fn.name)
+    lines: list[str] = []
     for stmt in fn.body:
         if isinstance(stmt, ast.Expr):  # the docstring
             continue
-        if isinstance(stmt, ast.Assign):
-            (target,) = stmt.targets
-            if target.id in _C_RESERVED or target.id in locals_ or target.id.startswith("tmp"):
-                raise ValueError(f"local {target.id!r} cannot be a C local here")
-            lines += to_c.statement(f"const double {target.id}", stmt.value)
-            locals_.add(target.id)
-        elif isinstance(stmt, ast.Return):
-            lines += store([to_c(e) for e in _values(stmt.value)])
-            lines.append("return 0;")
-        else:
+        if isinstance(stmt, ast.Return):  # without a store, the values stay where they are
+            lines += to_c.statements(store, _values(stmt.value)) if store else []
+            continue
+        if not isinstance(stmt, ast.Assign):
             raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
-    return [signature, "{"] + [INDENT + line for line in lines] + ["}"]
+        (target,) = stmt.targets
+        value = stmt.value
+        split = isinstance(target, ast.Tuple)
+        vector = target.elts[0].id.rpartition("_")[0] if split else target.id
+        if isinstance(value, ast.Call) and len(value.args) == 2:  # a stage f(t, y)
+            y = value.args[1]
+            if isinstance(y, ast.List):
+                lines += [f"/* stage {vector[1:]} */", *to_c.statements("ys[{}]".format, y.elts)]
+            else:
+                lines.append(f"/* stage {vector[1:]}, at the new state */")
+            x = "ys" if isinstance(y, ast.List) else to_c(y)
+            lines.append(f"if ((s = {to_c(value.func)}(blk, {x}, {to_c.name(vector)}))) return s;")
+        elif isinstance(value, ast.List):
+            lines.append(f"/* {_VECTOR_COMMENTS.get(vector, vector)} */")
+            lines += to_c.statements(f"{to_c.name(vector)}[{{}}]".format, value.elts)
+        elif split and isinstance(value, ast.Name):
+            vector = value.id
+        elif split:
+            raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
+        elif vector in _C_RESERVED or vector in names or vector.startswith("tmp"):
+            raise ValueError(f"local {vector!r} cannot be a C local here")
+        else:
+            lines += to_c.statements(lambda _: f"const double {vector}", [value])
+            names[vector] = vector
+        if split:  # v_j is the component j of the vector
+            names.update((e.id, f"{to_c.name(vector)}[{j}]") for j, e in enumerate(target.elts))
+    return lines
+
+
+def _c_function(signature: str, body: list[str]) -> list[str]:
+    return [signature, "{"] + [INDENT + line for line in body + ["return 0;"]] + ["}"]
+
+
+def _generated_function(fn: ast.FunctionDef, signature: str, store) -> list[str]:
+    """C of a float function of ``_task_space``: its arguments after ``p``
+    read from the state ``x`` or the hold ``blk``, then its statements."""
+    args = [a.arg for a in fn.args.args[1:]]
+    head = [f"const double {a} = {_STATE_ARGS.get(a) or f'blk[{_BLOCK[a]}]'};" for a in args]
+    names = {**{name: f"blk[{i}]" for name, i in _BLOCK.items() if "." in name},
+             **{a: a for a in args}, "x": "x"}
+    return _c_function(signature, head + _translate(fn, names, store))
 
 
 def _rhs_function(accel: ast.FunctionDef) -> list[str]:
     """``robot_rhs``: k = f(x) for the robot on the hold in blk, as C."""
-
-    def store(values):
-        # state_derivative returns (dq, ddq)
-        return [f"k[{j}] = x[{j + 6}];" for j in range(6)] + [
-            f"k[{j + 6}] = {v};" for j, v in enumerate(values)]
-
+    # state_derivative returns [*dq, *accelerations(...)], dq = x[6:]
+    ret = accel.body[-1]
+    ret.value = ast.Tuple([*(ast.parse(f"x[{j}]", mode="eval").body for j in range(6, 12)), ret.value])
     signature = "static int robot_rhs(const double *blk, const double *x, double *k)"
-    return _c_function(accel, signature, store)
+    return _generated_function(accel, signature, "k[{}]".format)
+
+
+def _model_function(model_fn: ast.FunctionDef) -> list[str]:
+    """``task_space_model``: Mbar and Cbar at x, row by row into m and c, as C."""
+    signature = "static int task_space_model(const double *blk, const double *x, double *m, double *c)"
+    return _generated_function(model_fn, signature, lambda j: f"{'mc'[j // 9]}[{j % 9}]")
 
 
 def _shaft_function() -> list[str]:
@@ -411,96 +439,35 @@ def _shaft_function() -> list[str]:
         raise ValueError("shaft_derivative does not match _ckernel.MODELS")
     names = {**{p: f"blk[{i}]" for i, p in enumerate(params)}, torque: f"blk[{len(params)}]",
              state: "x"}
-
-    def rename(name):
-        if name not in names:
-            raise ValueError(f"unbound name {name!r} in {fn.name}")
-        return names[name]
-
-    (ret,) = [stmt for stmt in fn.body if isinstance(stmt, ast.Return)]
-    to_c = _CExpr(rename)
-    lines = [line for j, e in enumerate(ret.value.elts) for line in to_c.statement(f"k[{j}]", e)]
     signature = "static int shaft_rhs(const double *blk, const double *x, double *k)"
-    return [signature, "{"] + [INDENT + line for line in lines + ["return 0;"]] + ["}"]
-
-
-def _model_function(model_fn: ast.FunctionDef) -> list[str]:
-    """``task_space_model``: Mbar and Cbar at x, row by row into m and c, as C."""
-
-    def store(values):
-        return [f"{'mc'[j // 9]}[{j % 9}] = {v};" for j, v in enumerate(values)]
-
-    signature = "static int task_space_model(const double *blk, const double *x, double *m, double *c)"
-    return _c_function(model_fn, signature, store)
-
-
-def _vector_name(name: str) -> str:
-    """``y_3`` -> ``y[3]``, ``k2_5`` -> ``k2[5]``, ``h`` -> ``h``."""
-    stem, _, index = name.rpartition("_")
-    if stem in ("y", "k1", "k2", "k3", "k4", "k5", "k6", "k7") and index.isdigit():
-        return f"{stem}[{index}]"
-    if name == "h":
-        return name
-    raise ValueError(f"unexpected name {name!r} in the step source")
-
-
-def _attempt_body(m: _ckernel.Model) -> list[str]:
-    """The DP5 attempt of integrator._step_source(n) for the model ``m`` of
-    n states, calling its rhs."""
-    step = _function_def(integrator._step_source(m.states), "step")
-    to_c = _CExpr(_vector_name)
-    lines: list[str] = []
-    for stmt in step.body:
-        if isinstance(stmt, ast.Return):
-            continue
-        (target,) = stmt.targets
-        value = stmt.value
-        if isinstance(target, ast.Tuple) and isinstance(value, ast.Name):
-            continue  # unpacking a vector into components
-        if isinstance(value, ast.Call):  # a stage: k_i = f(t + c h, state)
-            _, state = value.args
-            out = target.elts[0].id.split("_")[0] if isinstance(target, ast.Tuple) else target.id
-            x = "ys"
-            if isinstance(state, ast.List):
-                lines.append(f"/* stage {out[1:]} */")
-                for j, e in enumerate(state.elts):
-                    lines += to_c.statement(f"ys[{j}]", e)
-            else:
-                x = state.id
-                lines.append(f"/* stage {out[1:]}, at the new state */")
-            lines.append(f"if ((s = {m.name}_rhs(blk, {x}, {out}))) return s;")
-        elif isinstance(value, ast.List):  # y_new or the error vector
-            vector = {"y_new": "y_new", "err": "e"}[target.id]
-            lines.append(f"/* {'fifth-order solution' if vector == 'y_new' else 'error estimate'} */")
-            for j, e in enumerate(value.elts):
-                lines += to_c.statement(f"{vector}[{j}]", e)
-        else:
-            raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
-    return lines
+    return _c_function(signature, _translate(fn, names, "k[{}]".format))
 
 
 def _attempt_function(m: _ckernel.Model) -> list[str]:
-    """``dp5_<name>_attempt``: one DP5 attempt of the model ``m``, then the
-    ratio vector of integrator._error_norm: e / (atol + rtol * max(|y|,
-    |y_new|)) with the NaN of either side propagated. A zero scale gives an
-    inf or a NaN, so the norm is non-finite where Python's is inf."""
+    """``dp5_<name>_attempt``: the DP5 attempt of integrator._step_source(n)
+    for the model ``m`` of n states, calling its rhs, then the ratio vector
+    of integrator._error_norm: e / (atol + rtol * max(|y|, |y_new|)) with
+    the NaN of either side propagated. A zero scale gives an inf or a NaN,
+    so the norm is non-finite where Python's is inf."""
     n = m.states
     signature = (
         f"int dp5_{m.name}_attempt(const double *blk, double h, double rtol, double atol,\n"
         "                      const double *y, const double *k1,\n"
         "                      double *y_new, double *k7, double *ratio)"
     )
+    vectors = ("h", "y", "y_new", *(f"k{i}" for i in range(1, 8)))
+    names = {**{v: v for v in vectors}, "err": "e", "f": f"{m.name}_rhs"}
+    step = _function_def(integrator._step_source(n), "step")
     body = [f"double ys[{n}], k2[{n}], k3[{n}], k4[{n}], k5[{n}], k6[{n}], e[{n}];", "int s;"]
-    body += _attempt_body(m) + [
+    body += _translate(step, names) + [
         "/* error ratios; the caller reduces them to the norm */",
         f"for (int j = 0; j < {n}; j++) {{",
         "    const double a = fabs(y[j]);",
         "    const double b = fabs(y_new[j]);",
         "    ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));",
         "}",
-        "return 0;",
     ]
-    return [signature, "{"] + [INDENT + line for line in body] + ["}"]
+    return _c_function(signature, body)
 
 
 def _model_table() -> list[str]:
@@ -530,12 +497,11 @@ def _model_table() -> list[str]:
 
 def _struct() -> list[str]:
     """``struct rollout``, field by field from _ckernel.Rollout."""
+    scalars = {ctypes.c_void_p: "void *", ctypes.c_long: "long ", ctypes.c_double: "double "}
     lines = []
     for name, ctype in _ckernel.Rollout._fields_:
-        if ctype is ctypes.c_void_p:
-            lines.append(f"void *{name};")
-        elif ctype in (ctypes.c_long, ctypes.c_double):
-            lines.append(f"{'long' if ctype is ctypes.c_long else 'double'} {name};")
+        if ctype in scalars:
+            lines.append(f"{scalars[ctype]}{name};")
         elif getattr(ctype, "_type_", None) is ctypes.c_double:
             lines.append(f"double {name}[{ctype._length_}];")
         else:

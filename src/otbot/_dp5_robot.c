@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: bc3469b4b19d8c77afb8edf3bfbf8fc5c342a6b5bb4ad04f33915f6e904f15f5
+// generator sha256: f84ae2696f427b21ab85ee3e7298e02e11e0d1c031ceee48bee1ed3a2b24db7f
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs

@@ -52,8 +52,8 @@ from .scenarios import (
     non_negative,
     periods,
     plan_path,
-    positive,
     scenario_listing,
+    stabilisation_time,
 )
 from .references import plan_step
 from .sensors import SensorModel
@@ -385,7 +385,7 @@ def _cmd_control(args) -> int:
     if args.plan and cfg.mode != "plan":
         raise ConfigError(f"--plan needs a plan scenario; {cfg.name!r} is a {cfg.mode} scenario")
     gains_kv = run.config("--gains", args.gains,
-                          lambda p: read_kv(p, ("t_stab",), lambda k, v: positive(v)), {})
+                          lambda p: read_kv(p, ("t_stab",), lambda k, v: stabilisation_time(v)), {})
     t_stab = gains_kv.get("t_stab", cfg.t_stab)
     gains = tune_gains(t_stab)
     rate = cfg.loop_rate if args.rate is None else args.rate

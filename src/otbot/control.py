@@ -54,14 +54,6 @@ class Gains:
         if np.any(kp <= 0.0) or np.any(kv <= 0.0):
             raise ValueError("gains must be positive")
 
-    @property
-    def Kp(self) -> np.ndarray:
-        return np.diag(self.kp)
-
-    @property
-    def Kv(self) -> np.ndarray:
-        return np.diag(self.kv)
-
 
 def tune_gains(t_stab=3.0) -> Gains:
     """Place the error poles from a stabilisation time, one per axis or shared.

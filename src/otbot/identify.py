@@ -337,11 +337,12 @@ def sensitivity_sweep(
     convergence flag. Individual non-convergences are recorded, not raised.
     """
     row = FITS["step3"]
+    # a record depends on its seed only, so every deviation fits the same ones
+    records = [(seed, experiment(row, true_params, seed, window)) for seed in seeds]
     cells = []
     for deviation in deviations:
         guess = platform_guess(deviation, mp0=true_params.mp, Ip0=true_params.Ip)
-        for seed in seeds:
-            exp = experiment(row, true_params, seed, window)
+        for seed, exp in records:
             est = fit(exp, true_params, row.names, guess, jobs)
             cells.append(
                 {

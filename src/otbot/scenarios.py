@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import FEASIBILITY_RATE, reference_start_state
+from .control import FEASIBILITY_RATE, reference_start_state, tune_gains
 from .dynamics import RobotState, admissible_state, inverse_dynamics, admissible_acceleration
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .model import lambda_delta
@@ -81,8 +81,21 @@ def _finite(value) -> str | None:
     return None if math.isfinite(value) else "must be finite"
 
 
-def _above_minus_one(value) -> str | None:
-    return None if math.isfinite(value) and value > -1.0 else "must be finite and above -1"
+# a planner's chassis mass is (1 + mass_error) times the true one: from none to twice it
+def _mass_error(value) -> str | None:
+    return None if -1.0 < value <= 1.0 else "must be above -1 and at most 1"
+
+
+# a stabilisation time [s] whose gains (tune_gains) a run can use
+def stabilisation_time(value) -> str | None:
+    try:
+        with np.errstate(over="ignore"):
+            gains = tune_gains(value)
+        usable = all(np.finfo(float).tiny <= g < math.inf for g in (*gains.kp, *gains.kv))
+    except ValueError:  # not positive, or a gain that underflows to 0
+        usable = False
+    return None if usable else ("must be positive with finite, normal gains "
+                                "kp = 160 / t_stab**2, kv = 44 / t_stab")
 
 
 def _one_of(*choices: str):
@@ -97,15 +110,22 @@ def checked(what: str, value, check):
     return value
 
 
+# the most periods of one rate that a run holds: its tables have a row per
+# period, and 10**7 rows of a 12-state trajectory and its derivative are 1.9 GB
+MAX_ROWS = 10**7
+
+
 def periods(what: str, length: float, rate_what: str, rate: float) -> int:
     """The periods of ``rate`` [Hz] in ``length`` [s], which a run needs a whole
-    number of, from 1 to MAX_PERIODS; a ConfigError names ``what`` and ``rate_what``."""
+    number of, from 1 to MAX_ROWS; a ConfigError names ``what`` and ``rate_what``."""
     checked(what, length, positive)
     checked(rate_what, rate, frequency)
     n = whole_periods(length, rate)
+    held = f"{what} {length!r} s holds {length * rate!r} periods of {rate_what} {rate!r} Hz"
     if n is None:
-        raise ConfigError(f"{what} {length!r} s holds {length * rate!r} periods of {rate_what} {rate!r} Hz, "
-                          f"not a whole number from 1 to {MAX_PERIODS}")
+        raise ConfigError(f"{held}, not a whole number from 1 to {MAX_PERIODS}")
+    if n > MAX_ROWS:
+        raise ConfigError(f"{held}, more than the {MAX_ROWS} that a run may hold")
     return n
 
 
@@ -174,11 +194,11 @@ SCHEMA = {
     ("shaft", "torque"): Key("shaft_torque", _number, _finite, ("shaft",)),
     ("shaft", "rate"): Key("shaft_rate", _number, frequency, ("shaft",)),
     ("control", "reference"): Key("reference", _text, _one_of(*REFERENCES), ("controller",), True),
-    ("control", "t_stab"): Key("t_stab", _number, positive, _TRACKING),
+    ("control", "t_stab"): Key("t_stab", _number, stabilisation_time, _TRACKING),
     ("control", "rate"): Key("loop_rate", _number, frequency, _TRACKING),
     ("plan", "file"): Key("plan_file", lambda text, what, folder: folder / text, None, ("plan",)),
     ("plan", "rate"): Key("plan_rate", _number, frequency, ("plan",)),
-    ("plan", "mass_error"): Key("plan_mass_error", _number, _above_minus_one, ("plan",)),
+    ("plan", "mass_error"): Key("plan_mass_error", _number, _mass_error, ("plan",)),
     ("sensors", "rate"): Key("sensor_rate", _number, frequency, _SENSED),
     ("sensors", "*"): Key("sensors", _number, non_negative, _SENSED),
     ("disturbances", "*"): Key("disturbances", _pulse, None, ("controller",)),

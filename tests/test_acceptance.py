@@ -274,7 +274,7 @@ def test_criterion_08_gain_tuning_values():
     g = tune_gains(3.0)
     printed_ok = f"{g.kp[0]:.3f}" == "17.778" and f"{g.kv[0]:.3f}" == "14.667"
     a = np.block(
-        [[np.zeros((3, 3)), np.eye(3)], [-g.Kp, -g.Kv]]
+        [[np.zeros((3, 3)), np.eye(3)], [-np.diag(g.kp), -np.diag(g.kv)]]
     )
     eig = np.linalg.eigvals(a)
     w_imag = np.abs(eig.imag).max()

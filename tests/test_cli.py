@@ -430,6 +430,7 @@ class TestBadNumericFlags:
     # gain and plan files that cases below name, written next to --out
     KEY_FILES = {
         "zero.kv": "t_stab = 0\n", "negative.kv": "t_stab = -1\n", "nan.kv": "t_stab = nan\n",
+        "huge.kv": "# gains that underflow to 0\nt_stab = 1e300\n",
         "two-rows.csv": _plan_text(0.0, 0.01), "uneven.csv": _plan_text(0.0, 0.01, 0.03, 0.04),
         "nan-state.csv": _plan_text(0.0, 0.01, 0.02).replace("0.01,0.0,", "0.01,nan,"),
         "inf-torque.csv": _plan_text(0.0, 0.01, 0.02).replace("0.0\n0.02", "inf\n0.02"),
@@ -484,6 +485,12 @@ class TestBadNumericFlags:
         "torques-horizon-huge.cfg": ("chassis-excitation", "horizon = 3", "horizon = 1e300"),
         "shaft-horizon-huge.cfg": ("wheel-spin", "horizon = 0.5", "horizon = 1e300"),
         "plan-horizon-huge.cfg": ("plan-tracking", "horizon = 10", "horizon = 1e300"),
+        "torques-horizon-1e9.cfg": ("chassis-excitation", "horizon = 3", "horizon = 1e9"),
+        "shaft-horizon-1e9.cfg": ("wheel-spin", "horizon = 0.5", "horizon = 1e9"),
+        "plan-horizon-1e9.cfg": ("plan-tracking", "horizon = 10", "horizon = 1e9"),
+        "mass-error-huge.cfg": ("plan-tracking", "horizon = 10", "horizon = 1",
+                                "mass_error = 0.05", "mass_error = 1e300"),
+        "t-stab-huge.cfg": ("corridor", "t_stab = 3", "t_stab = 1e300"),
     }
 
     @pytest.mark.parametrize(
@@ -618,6 +625,28 @@ class TestBadNumericFlags:
              "word-cell.csv: could not convert string to float: 'fast'"),
             (["control", "--scenario", "plan", "--plan", "short-rows.csv"],
              "short-rows.csv: rows of 15 cells under 16 columns"),
+            # run lengths that count but whose tables no run can allocate (a row bound)
+            (["simulate", "--torques", "1,2,3", "--duration", "1e9"],
+             "--duration 1000000000.0 s holds 100000000000.0 periods of --rate 100.0 Hz, more than the "
+             "10000000 that a run may hold"),
+            (["simulate", "--scenario", "torques-horizon-1e9.cfg"],
+             "torques-horizon-1e9.cfg: [scenario] horizon 1000000000.0 s holds 100000000000.0 periods of"),
+            (["simulate", "--scenario", "shaft-horizon-1e9.cfg"],
+             "shaft-horizon-1e9.cfg: [scenario] horizon 1000000000.0 s holds"),
+            (["control", "--scenario", "plan-horizon-1e9.cfg"],
+             "plan-horizon-1e9.cfg: [scenario] horizon 1000000000.0 s holds"),
+            (["identify", "--step", "3", "--sweep", "0", "--window", "1e8"],
+             "--window 100000000.0 s holds 10000000000.0 periods of the sample rate 100.0 Hz, more than"),
+            # a planner mass that overflows the plan's torques
+            (["control", "--scenario", "mass-error-huge.cfg"],
+             "mass-error-huge.cfg: [plan] mass_error must be above -1 and at most 1, got 1e+300"),
+            # stabilisation times whose gains underflow to 0
+            (["control", "--scenario", "corridor", "--gains", "huge.kv"],
+             "huge.kv:2: t_stab must be positive with finite, normal gains"),
+            (["control", "--scenario", "t-stab-huge.cfg"],
+             "t-stab-huge.cfg: [control] t_stab must be positive with finite, normal gains"),
+            (["check-torques", "--scenario", "t-stab-huge.cfg"],
+             "t-stab-huge.cfg: [control] t_stab must be positive with finite, normal gains"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -647,7 +676,10 @@ class TestBadNumericFlags:
              "scenario-default-section", "huge-duration", "duration-too-many-periods",
              "scenario-huge-torques-horizon", "scenario-huge-shaft-horizon", "scenario-huge-plan-horizon",
              "huge-window", "plan-nan-state", "plan-inf-torque", "plan-word-cell",
-             "plan-short-rows"],
+             "plan-short-rows", "duration-too-many-rows", "scenario-torques-horizon-too-many-rows",
+             "scenario-shaft-horizon-too-many-rows", "scenario-plan-horizon-too-many-rows",
+             "window-too-many-rows", "scenario-huge-mass-error", "huge-t-stab", "scenario-huge-t-stab",
+             "check-torques-scenario-huge-t-stab"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         argv = list(argv)

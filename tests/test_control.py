@@ -73,11 +73,6 @@ class TestGainTuning:
         with pytest.raises(ValueError, match="positive"):
             tune_gains(0.0)
 
-    def test_gain_matrices_are_diagonal(self):
-        g = tune_gains(3.0)
-        assert_array_equal(g.Kp, np.diag(g.kp))
-        assert_array_equal(g.Kv, np.diag(g.kv))
-
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="per task coordinate"):
             Gains(kp=np.ones(2), kv=np.ones(2), poles=np.zeros((3, 2)))

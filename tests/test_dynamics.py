@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -338,6 +341,33 @@ def test_generator_check_finds_both_files_up_to_date():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "gen_task_space.py"), "--check"],
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_generator_translator_refuses_what_the_c_cannot_hold(monkeypatch):
+    # every generated C function passes through one translator; these are its refusals
+    pytest.importorskip("sympy")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("gen_task_space", ROOT / "scripts" / "gen_task_space.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    cases = {
+        "k = a * 2.0": "local 'k' cannot be a C local here",  # a C argument
+        "tmp0 = a": "local 'tmp0' cannot be a C local here",  # a check's temporary
+        "a = 1.0": "local 'a' cannot be a C local here",  # bound already
+        "b = q + a": "unbound name 'q' in g",
+        "b = a ** 2": "no C translation for 'a ** 2'",
+        "b, c = a + 1.0": "no C translation for 'b, c = a + 1.0'",
+        "a += 1.0": "no C translation for 'a += 1.0'",
+    }
+    for statement, message in cases.items():
+        fn = ast.parse(f"def g(p, a):\n    {statement}\n").body[0]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen._translate(fn, {"a": "a"}, "k[{}]".format)
+    # a division and a sin test their operands once, and each returned value goes to its store
+    fn = ast.parse("def g(p, a):\n    b = sin(a + 1.0) / a\n    return [b, a / a]\n").body[0]
+    assert gen._translate(fn, {"a": "a"}, "k[{}]".format) == [
+        "const double tmp0 = (a + 1.0);", "if (isinf(tmp0)) return 2;", "if (a == 0.0) return 1;",
+        "const double b = (sin(tmp0) / a);", "k[0] = b;", "k[1] = (a / a);"]
 
 
 def test_runtime_does_not_import_sympy():

@@ -317,6 +317,27 @@ def test_sweep_fits_records_of_the_given_window(monkeypatch, params):
     assert ends == [pytest.approx(0.2)] * 2
 
 
+def test_sweep_builds_each_seeds_record_once(monkeypatch, params):
+    built, fitted = [], []
+    real_experiment, real_fit = identify.experiment, identify.fit
+
+    def counted(row, true_params, seed, window):
+        built.append(seed)
+        return real_experiment(row, true_params, seed, window)
+
+    def recorded(exp, fixed, names, guess, jobs=1):
+        fitted.append(exp)
+        return real_fit(exp, fixed, names, guess, jobs)
+
+    monkeypatch.setattr(identify, "experiment", counted)
+    monkeypatch.setattr(identify, "fit", recorded)
+    rows = sensitivity_sweep((0.05, 0.25), range(2), params, window=0.2)
+    assert built == [0, 1]
+    assert [(row["deviation"], row["seed"]) for row in rows] == [(0.05, 0), (0.05, 1), (0.25, 0), (0.25, 1)]
+    # every deviation fits the same record of a seed
+    assert all(a is b for a, b in zip(fitted[:2], fitted[2:]))
+
+
 # --- the README's table of the fits -------------------------------------------
 
 

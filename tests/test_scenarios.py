@@ -26,6 +26,7 @@ from otbot.scenarios import (
     make_reference,
     parse_scenario,
     scenario_listing,
+    stabilisation_time,
 )
 
 
@@ -126,6 +127,26 @@ def test_torques_mode_requires_torques(tmp_path):
     body = "[scenario]\nmode = torques\nhorizon = 1\n"
     with pytest.raises(ConfigError, match="torques"):
         parse_scenario(_write_scenario(tmp_path, body))
+
+
+def test_stabilisation_time_needs_finite_normal_gains():
+    # kp = 160 / t_stab**2 is finite from about 9.4e-154 s and normal up to about 8.5e154 s
+    for t_stab in (3.0, 1e-153, 8e154):
+        assert stabilisation_time(t_stab) is None
+    for t_stab in (0.0, -1.0, float("nan"), float("inf"), 5e-324, 1e-154, 9e154, 1e300):
+        assert stabilisation_time(t_stab), t_stab
+
+
+@pytest.mark.parametrize("mass_error, ok", [(-0.9999999999999999, True), (1.0, True),
+                                             (-1.0, False), (1.0000000000000002, False)])
+def test_plan_mass_error_lies_in_minus_one_to_one(tmp_path, mass_error, ok):
+    body = f"[scenario]\nmode = plan\nhorizon = 1\n[plan]\nmass_error = {mass_error!r}\n"
+    path = _write_scenario(tmp_path, body)
+    if ok:
+        assert parse_scenario(path).plan_mass_error == mass_error
+    else:
+        with pytest.raises(ConfigError, match=r"\[plan\] mass_error must be above -1 and at most 1"):
+            parse_scenario(path)
 
 
 def test_controller_mode_requires_known_reference(tmp_path):

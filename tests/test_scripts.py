@@ -35,3 +35,16 @@ def test_quick_experiments_then_transient_summary(tmp_path):
     header, *rows = proc.stdout.splitlines()
     assert header.split()[0] == "onset"
     assert [float(row.split()[0]) for row in rows] == [0.0, 5.0]
+
+
+def test_count_lines_prints_the_tracked_sizes(tmp_path):
+    proc = _script("count_lines.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    head, *lines = proc.stdout.splitlines()
+    modules = {line.split()[0]: int(line.split()[1]) for line in lines if line.startswith("  ")}
+    package = Path(otbot.__file__).parent
+    assert sorted(modules) == sorted(p.stem for p in package.glob("*.py") if p.stem != "_task_space")
+    assert head == f"src/otbot hand-written Python, without _task_space.py: {sum(modules.values())}"
+    others = [line.partition(":")[0] for line in lines if not line.startswith("  ")]
+    assert others == ["scripts/gen_task_space.py", "src/otbot/_csv_format.c (hand-written C)",
+                      "src/otbot/_dp5_robot.c (generated C)"]
