@@ -4,7 +4,7 @@
 A Python count is of the non-blank lines that are not ``#`` comments
 (docstrings count); a C count is of all its lines. The package's Python is
 counted without the generated ``_task_space.py``, with its modules largest
-first.
+first; the generated module is counted on a line of its own.
 
     python scripts/count_lines.py
 """
@@ -31,6 +31,7 @@ def main() -> int:
     for name, count in sorted(modules.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {name} {count}")
     print(f"{GENERATOR.relative_to(ROOT)}: {code_lines(GENERATOR)}")
+    print(f"src/otbot/_task_space.py (generated Python): {code_lines(PACKAGE / '_task_space.py')}")
     for name, kind in (("_csv_format.c", "hand-written"), ("_dp5_robot.c", "generated")):
         print(f"src/otbot/{name} ({kind} C): {len((PACKAGE / name).read_text().splitlines())} lines")
     return 0

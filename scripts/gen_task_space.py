@@ -15,11 +15,20 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
+The generated module also holds ``robot_sensitivity`` and
+``shaft_sensitivity``, the rhs of a state and its sensitivities to the
+fitted parameters: a forward-mode (tangent) transform (``_Tangent``) of the
+parsed robot rhs (the body of ``accelerations``) and of
+``otbot.simulate.shaft_derivative``, over the lanes of their
+``otbot._ckernel.MODELS`` rows.
+
 Every generated C function passes through one translator of a parsed
 float function (``_translate``): the robot's rhs and C task-space model from
 the generated ``accelerations`` and ``task_space_model``, the shaft's rhs
-from ``otbot.simulate.shaft_derivative`` and each Dormand-Prince attempt
-from ``otbot.integrator._step_source(n)``. Every operation is kept in the
+from ``otbot.simulate.shaft_derivative``, the sensitivity rhs from the
+generated ``robot_sensitivity`` and ``shaft_sensitivity`` (two lanes to a
+``lanes2`` vector) and each Dormand-Prince attempt from
+``otbot.integrator._step_source(n)``. Every operation is kept in the
 Python order and fully parenthesised, so they compute the same bits as the
 Python code (see ``otbot._ckernel`` for the compiler flags that this needs).
 The rollout loop around them, with the computed-torque law of
@@ -40,12 +49,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import ctypes
 import difflib
 import hashlib
 import inspect
+import itertools
 import math
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -177,12 +189,244 @@ _SOLVE = [
 ]
 
 
+# The tangent of the solve by its cofactors: d(ddp) = Mbar^-1 (db - dMbar ddp),
+# through the r_i = (db - dMbar ddp)_i; d(v) is the tangent of v.
+_SOLVE_TANGENT = {
+    **{f"r{i}": f"d(b{i}) - (d(m{i}0) * ddx + d(m{i}1) * ddy + d(m{i}2) * dda)" for i in range(3)},
+    **{v: f"(a{i}0 * d(r0) + a{i}1 * d(r1) + a{i}2 * d(r2)) * inv_det"
+       for i, v in enumerate(("ddx", "ddy", "dda"))},
+}
+
+
 def _function(signature: str, doc: str, body: list[str], result: str) -> list[str]:
     return (
         [f"def {signature}:", f'{INDENT}"""{doc}"""']
         + [INDENT + line for line in body]
         + [f"{INDENT}return {result}", "", ""]
     )
+
+
+# ---------------------------------------------------------------- tangents
+
+# The robot parameters that identification fits (otbot.identify.FITS, the
+# chassis and the platform step), in the order of their seed rows.
+_SEEDED = ("mc", "Ic", "xB", "yB", "mp", "Ip", "xF", "yF")
+
+
+def _load(name: str) -> ast.Name:
+    return ast.Name(name, ast.Load())
+
+
+def _assign(name: str, value: ast.expr) -> ast.Assign:
+    return ast.Assign([ast.Name(name, ast.Store())], value, lineno=0)
+
+
+class _Tangent:
+    """Forward-mode (tangent) transform of the straight-line float function ``fn``.
+
+    Each value v gets ``lanes`` tangents ``v_d<l>``, its derivatives along
+    lane l. The seeds are leaves: the state component ``x[j]`` (j below
+    ``size``) has the tangent ``x[size + lanes * j + l]``, its sensitivity,
+    and the parameter spelled ``s`` (``p.mc``, ``inertia``) of ``seeds[s] =
+    k`` the tangent ``dp[lanes * k + l]``; every other leaf is constant.
+    Every operation with a nonzero tangent is named (``w<n>`` unless it
+    assigns a local), so the primal statements compute the same operations
+    in the same order, and the tangent statements follow them all, by the
+    rules of +, -, *, /, negation, sin and cos, or for a local of ``rules``
+    by its rule, in which ``d(v)`` is the tangent of v. A tangent that no
+    returned value needs is left out. The function returns its values, then
+    their tangents, value by value.
+    """
+
+    def __init__(self, fn: ast.FunctionDef, lanes: int, size: int, seeds: dict[str, int],
+                 rules: dict[str, str] | None = None):
+        self.fn, self.lanes, self.size, self.seeds = fn, lanes, size, seeds
+        self.rules = {name: ast.parse(rule, mode="eval").body for name, rule in (rules or {}).items()}
+        self.primal: list[ast.stmt] = []
+        self.tangent: list[tuple[str, ast.expr]] = []
+        self.d: dict[str, list[ast.expr]] = {}
+        self.names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        # the sin and cos the function already takes of a name, by (function, name)
+        self.trig = {(s.value.func.id, s.value.args[0].id): s.targets[0].id for s in fn.body
+                     if isinstance(s, ast.Assign) and isinstance(s.value, ast.Call)
+                     and isinstance(s.value.args[0], ast.Name)}
+        self.count = 0
+
+    def fresh(self) -> str:
+        while f"w{self.count}" in self.names:
+            self.count += 1
+        self.count += 1
+        return f"w{self.count - 1}"
+
+    def lanes_of(self, vector: str, start: int) -> list[ast.expr]:
+        """``vector[start + l]`` in each lane l."""
+        return [ast.parse(f"{vector}[{start + l}]", mode="eval").body for l in range(self.lanes)]
+
+    def leaf(self, node) -> list[ast.expr] | None:
+        text = ast.unparse(node)
+        if isinstance(node, ast.Name) and node.id in self.d:
+            return self.d[node.id]
+        if text in self.seeds:
+            return self.lanes_of("dp", self.lanes * self.seeds[text])
+        if isinstance(node, ast.Subscript) and text.startswith("x["):
+            return self.lanes_of("x", self.size + self.lanes * node.slice.value)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Constant)):
+            return None
+        raise ValueError(f"no tangent for {text!r}")
+
+    def expr(self, node, target: str | None = None):
+        """(the primal of ``node``, its lane tangents or None where they are zero)."""
+        if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
+            children = [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            children = [node.operand]
+        elif isinstance(node, ast.Call) and node.func.id in ("sin", "cos") and len(node.args) == 1:
+            children = node.args
+        else:
+            return node, self.leaf(node)
+        operands = [self.expr(child) for child in children]
+        values = [v for v, _ in operands]
+        value = (ast.BinOp(values[0], node.op, values[1]) if isinstance(node, ast.BinOp)
+                 else ast.UnaryOp(node.op, values[0]) if isinstance(node, ast.UnaryOp)
+                 else ast.Call(node.func, values, []))
+        if all(d is None for _, d in operands):
+            return value, None
+        name = target or self.fresh()
+        self.primal.append(_assign(name, value))
+        rows = [self._rule(node, _load(name), [(v, d and d[l]) for v, d in operands])
+                for l in range(self.lanes)]
+        return _load(name), self._tangents(name, rows)
+
+    def _tangents(self, name: str, rows: list[ast.expr]) -> list[ast.expr]:
+        self.d[name] = [_load(f"{name}_d{l}") for l in range(self.lanes)]
+        self.tangent += [(f"{name}_d{l}", row) for l, row in enumerate(rows)]
+        return self.d[name]
+
+    def _by_rule(self, name: str) -> list[ast.expr]:
+        """The tangent of the local ``name`` by its rule."""
+        if name not in self.d:
+            rows = []
+            for l in range(self.lanes):
+                row = copy.deepcopy(self.rules[name])
+                for node in ast.walk(row):
+                    for field, child in ast.iter_fields(node):
+                        if isinstance(child, ast.Call) and child.func.id == "d":
+                            v = child.args[0].id
+                            setattr(node, field, (self.d.get(v) or self._by_rule(v))[l])
+                rows.append(row)
+            self._tangents(name, rows)
+        return self.d[name]
+
+    def _other(self, func: str, arg: ast.expr) -> ast.expr:
+        """The primal sin (or cos) of ``arg``: the function's own, or a new one."""
+        key = (func, ast.unparse(arg))
+        if key not in self.trig:
+            self.trig[key] = self.fresh()
+            self.primal.append(_assign(self.trig[key], ast.Call(_load(func), [arg], [])))
+        return _load(self.trig[key])
+
+    def _rule(self, node, q, operands) -> ast.expr:
+        """The tangent of ``node``, whose value is ``q``, in one lane from
+        its operands' (value, tangent), the tangent None where it is zero."""
+        def op(x, o, y):
+            return ast.BinOp(x, o(), y)
+
+        def neg(x):
+            return ast.UnaryOp(ast.USub(), x)
+
+        (a, da), (b, db) = operands[0], (operands[1:] or [(None, None)])[0]
+        if isinstance(node, ast.UnaryOp):
+            return neg(da)
+        if isinstance(node, ast.Call):
+            if node.func.id == "sin":
+                return op(self._other("cos", a), ast.Mult, da)
+            return op(neg(self._other("sin", a)), ast.Mult, da)
+        kind = type(node.op)
+        if kind in (ast.Add, ast.Sub):
+            if da is None:
+                return db if kind is ast.Add else neg(db)
+            return da if db is None else op(da, kind, db)
+        if kind is ast.Mult:
+            if da is None:
+                return op(a, ast.Mult, db)
+            return op(da, ast.Mult, b) if db is None else op(op(da, ast.Mult, b), ast.Add, op(a, ast.Mult, db))
+        # (a / b)' = (da - q db) / b
+        if db is None:
+            return op(da, ast.Div, b)
+        top = neg(op(q, ast.Mult, db)) if da is None else op(da, ast.Sub, op(q, ast.Mult, db))
+        return op(top, ast.Div, b)
+
+    def function(self, name: str, doc: str) -> list[str]:
+        """Python source of the transform, ``name``: ``dp`` joins the
+        arguments of ``fn`` before the state ``x``."""
+        for stmt in self.fn.body:
+            if isinstance(stmt, ast.Expr):
+                continue
+            if isinstance(stmt, ast.Return):
+                values = [self.expr(v) for v in _values(stmt.value)]
+                continue
+            (target,) = stmt.targets
+            if target.id in self.rules:
+                self.primal.append(stmt)
+                self._by_rule(target.id)
+                continue
+            value, d = self.expr(stmt.value, target.id)
+            if not (isinstance(value, ast.Name) and value.id == target.id):
+                self.primal.append(_assign(target.id, value))
+                if d is not None:  # a seed under a local name
+                    self.d[target.id] = d
+        out = [v for v, _ in values] + [ast.Constant(0.0) if d is None else d[l]
+                                        for _, d in values for l in range(self.lanes)]
+        needed = {n.id for e in out for n in ast.walk(e) if isinstance(n, ast.Name)}
+        kept = []
+        for target, row in reversed(self.tangent):
+            if target in needed:
+                kept.append(_assign(target, row))
+                needed |= {n.id for n in ast.walk(row) if isinstance(n, ast.Name)}
+        args = [a.arg for a in self.fn.args.args]
+        args.insert(args.index("x"), "dp")
+        body = [ast.unparse(s) for s in self.primal + kept[::-1]]
+        values = textwrap.fill(", ".join(ast.unparse(e) for e in out) + ",", 88,
+                               initial_indent=2 * INDENT, subsequent_indent=2 * INDENT)
+        return _function(f"{name}({', '.join(args)})", doc, body, f"(\n{values}\n{INDENT})")
+
+
+def _robot_rhs(accel: ast.FunctionDef) -> ast.FunctionDef:
+    """``robot_rhs(p, x, u0, u1, u2, fx, fy)``: dynamics.state_derivative on
+    the 12-state x, the body of ``accelerations`` after its arguments."""
+    head = "".join(f"    {a.arg} = {_STATE_ARGS[a.arg]}\n" for a in accel.args.args if a.arg in _STATE_ARGS)
+    fn = ast.parse(f"def robot_rhs(p, x, u0, u1, u2, fx, fy):\n{head}").body[0]
+    values = [*(ast.parse(f"x[{j}]", mode="eval").body for j in range(6, 12)), *_values(accel.body[-1].value)]
+    fn.body += [s for s in accel.body[:-1] if not isinstance(s, ast.Expr)]
+    fn.body.append(ast.Return(ast.Tuple(values, ast.Load())))
+    return fn
+
+
+def _tangent_functions(accel: ast.FunctionDef) -> list[str]:
+    """``robot_sensitivity`` and ``shaft_sensitivity``, the sensitivity
+    models of _ckernel.MODELS (their lanes from there), as Python."""
+    shaft = _function_def(inspect.getsource(simulate), "shaft_derivative")
+    shaft_params = [a.arg for a in shaft.args.args[:2]]
+    plain = {  # rhs, its states, its seeded parameters and their doc, its tangent rules
+        "robot": (_robot_rhs(accel), 12, [f"p.{n}" for n in _SEEDED], "the parameter SEEDED[k]",
+                  "dynamics.state_derivative", _SOLVE_TANGENT),
+        "shaft": (shaft, 2, shaft_params, f"the k-th of ({', '.join(shaft_params)})",
+                  "simulate.shaft_derivative", None),
+    }
+    lines = []
+    for m in _ckernel.MODELS:
+        if not m.lanes:
+            continue
+        fn, n, seeded, which, rhs, rules = plain[m.name.removesuffix("_sensitivity")]
+        doc = (f"{rhs} of x[:{n}] and its tangents, in {m.lanes} lanes.\n\n"
+               f"x[{n} + {m.lanes} * i + l] is the sensitivity of x[i] in lane l; {which} moves in "
+               f"lane l by dp[{m.lanes} * k + l]. Returns the {n} values, then the {n * m.lanes} "
+               "tangents, value by value.")
+        paragraphs = [textwrap.fill(par, 76 - len(INDENT)) for par in doc.split("\n\n")]
+        doc = ("\n\n".join(paragraphs) + "\n").replace("\n", "\n" + INDENT).replace(INDENT + "\n", "\n")
+        tangent = _Tangent(fn, m.lanes, n, {s: k for k, s in enumerate(seeded)}, rules)
+        lines += tangent.function(m.name, doc)
+    return lines
 
 
 def render(generator_sha256: str) -> str:
@@ -227,23 +471,24 @@ def render(generator_sha256: str) -> str:
         "the platform angle alpha, the chassis heading theta = alpha - phi_p, the",
         "task velocity (dx, dy, da), the heading rate dth = da - dphi_p, the",
         "torques (u0, u1, u2) and the pivot force (fx, fy).",
+        "",
+        "robot_sensitivity and shaft_sensitivity are the rhs of a robot or shaft",
+        "state x and its sensitivities, the tangent transform of the rhs: the",
+        "same operations on x, then the derivatives of the rhs in each lane.",
         '"""',
         "",
         "from math import cos, sin",
         "",
+        "# the robot parameters a sensitivity lane can follow, by seed row",
+        f"SEEDED = {_SEEDED!r}",
+        "",
         "",
     ]
-    return "\n".join(header + model_fn + accel_fn).rstrip("\n") + "\n"
+    tangents = _tangent_functions(_function_def("\n".join(accel_fn), "accelerations"))
+    return "\n".join(header + model_fn + accel_fn + tangents).rstrip("\n") + "\n"
 
 
 # ---------------------------------------------------------------- C rollout
-
-# Index in the block that the C rhs reads (the ``blk`` of _ckernel.Rollout):
-# the parameters in PARAM_FIELDS order, the held torques, then the pivot force.
-_BLOCK = {name: i for i, name in enumerate(
-    [*(f"p.{name}" for name in PARAM_FIELDS), "u0", "u1", "u2", "fx", "fy"])}
-assert len(_BLOCK) == dict(_ckernel.Rollout._fields_)["blk"]._length_
-_ROBOT, _SHAFT = (_ckernel.MODELS[_ckernel.MODEL_INDEX[name]] for name in ("robot", "shaft"))
 
 # The arguments of ``accelerations`` as dynamics.state_derivative passes
 # them, from the 12-state x = (q, dq): q[2], q[2] - q[5], dq[0], dq[1],
@@ -280,6 +525,8 @@ class _CExpr:
         self.checks: list[str] = []
         self.checked: set[str] = set()
         self.temporaries = 0
+        # the C vector of a pair of lane values, by their names
+        self.vectors: dict[tuple[str, str], str] = {}
 
     def name(self, name: str) -> str:
         if name not in self.names:
@@ -302,13 +549,7 @@ class _CExpr:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return f"(-{self(node.operand)})"
         if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
-            left = self(node.left)
-            right = self(node.right)
-            if isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
-                if not isinstance(node.right, ast.Name):
-                    right = self._temporary(right)
-                self._check(right, f"{right} == 0.0", _ZERO_DIVISOR)
-            return f"({left} {_C_OPS[type(node.op)]} {right})"
+            return self._binary(node, self(node.left), self(node.right))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("sin", "cos") and len(node.args) == 1):
             arg = self(node.args[0])
@@ -317,6 +558,34 @@ class _CExpr:
             self._check(arg, f"isinf({arg})", _INFINITE_ANGLE)
             return f"{node.func.id}({arg})"
         raise ValueError(f"no C translation for {ast.unparse(node)!r}")
+
+    def _binary(self, node: ast.BinOp, left: str, right: str) -> str:
+        if isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
+            if not isinstance(node.right, ast.Name):
+                right = self._temporary(right)
+            self._check(right, f"{right} == 0.0", _ZERO_DIVISOR)
+        return f"({left} {_C_OPS[type(node.op)]} {right})"
+
+    def pair(self, a, b) -> str:
+        """C of the lanes a and b, the next lane of a, as one ``lanes2``
+        vector: the two trees agree but in their lane leaves, a pair of
+        names in ``vectors`` or of neighbouring entries ``v[j]``, ``v[j + 1]``;
+        what agrees is a scalar in both lanes."""
+        if ast.dump(a) == ast.dump(b):
+            return self(a)
+        if isinstance(a, ast.Name) and isinstance(b, ast.Name) and (a.id, b.id) in self.vectors:
+            return self.vectors[a.id, b.id]
+        if (isinstance(a, ast.Subscript) and isinstance(b, ast.Subscript) and ast.unparse(a.value) ==
+                ast.unparse(b.value) and b.slice.value == a.slice.value + 1):
+            v = self.name(a.value.id)
+            return f"(lanes2){{{v}[{a.slice.value}], {v}[{b.slice.value}]}}"
+        if isinstance(a, ast.UnaryOp) and isinstance(b, ast.UnaryOp) and isinstance(a.op, ast.USub):
+            return f"(-{self.pair(a.operand, b.operand)})"
+        if (isinstance(a, ast.BinOp) and isinstance(b, ast.BinOp) and type(a.op) is type(b.op)
+                and type(a.op) in _C_OPS and not (isinstance(a.op, ast.Div)
+                                                  and ast.dump(a.right) != ast.dump(b.right))):
+            return self._binary(a, self.pair(a.left, b.left), self.pair(a.right, b.right))
+        raise ValueError(f"lanes {ast.unparse(a)!r} and {ast.unparse(b)!r} do not pair in {self.where}")
 
     def _check(self, name: str, condition: str, status: int) -> None:
         if name not in self.checked:
@@ -351,7 +620,7 @@ def _values(node) -> list:
     return [node]
 
 
-def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None) -> list[str]:
+def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None, lanes: int = 0) -> list[str]:
     """The statements of the float function ``fn`` as C, in its order.
 
     ``names`` spells its free names: scalars, vectors ``v`` (read as
@@ -359,13 +628,21 @@ def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None) -> list[s
     docstring, ``name = expr`` (a new C local), ``v_0, ..., v_n = v`` (names
     of v's components), a vector literal ``v = [...]``, a stage ``k = f(t +
     c h, y)`` or ``k_0, ..., k_n = f(...)`` (a literal y first goes into
-    ``ys``) and the return, whose j-th value goes into ``store(j)``.
+    ``ys``) and the return, whose j-th value goes into ``store(j)``. With
+    ``lanes``, the tangents ``v_d0, ..., v_d<lanes - 1>`` of _Tangent, each
+    pair of lanes becomes one ``lanes2`` vector ``v_d01``, ``v_d23``: the
+    same operations on the same doubles, two at a time.
     """
     names = dict(names)
     to_c = _CExpr(names, fn.name)
     lines: list[str] = []
-    for stmt in fn.body:
+    statements = iter(fn.body)
+    for stmt in statements:
         if isinstance(stmt, ast.Expr):  # the docstring
+            continue
+        if lanes and isinstance(stmt, ast.Assign) and stmt.targets[0].id.endswith("_d0"):
+            group = [stmt, *itertools.islice(statements, lanes - 1)]
+            lines += _lane_pairs(to_c, [(s.targets[0].id, s.value) for s in group])
             continue
         if isinstance(stmt, ast.Return):  # without a store, the values stay where they are
             lines += to_c.statements(store, _values(stmt.value)) if store else []
@@ -379,14 +656,14 @@ def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None) -> list[s
         if isinstance(value, ast.Call) and len(value.args) == 2:  # a stage f(t, y)
             y = value.args[1]
             if isinstance(y, ast.List):
-                lines += [f"/* stage {vector[1:]} */", *to_c.statements("ys[{}]".format, y.elts)]
+                lines += [f"/* stage {vector[1:]} */", *_components(to_c, "ys", y.elts)]
             else:
                 lines.append(f"/* stage {vector[1:]}, at the new state */")
             x = "ys" if isinstance(y, ast.List) else to_c(y)
             lines.append(f"if ((s = {to_c(value.func)}(blk, {x}, {to_c.name(vector)}))) return s;")
         elif isinstance(value, ast.List):
             lines.append(f"/* {_VECTOR_COMMENTS.get(vector, vector)} */")
-            lines += to_c.statements(f"{to_c.name(vector)}[{{}}]".format, value.elts)
+            lines += _components(to_c, to_c.name(vector), value.elts)
         elif split and isinstance(value, ast.Name):
             vector = value.id
         elif split:
@@ -401,54 +678,72 @@ def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None) -> list[s
     return lines
 
 
+def _components(to_c: _CExpr, vector: str, elts: list) -> list[str]:
+    """C of the vector literal ``vector = [e_0, ..., e_n]``: one loop over j
+    where each e_j is e_0 on the components j in place of 0, else each one."""
+    texts = to_c.statements(f"{vector}[{{}}]".format, elts)
+    n = len(elts)
+    template = texts[0].replace("[0]", "[j]")
+    if n > 1 and texts == [template.replace("[j]", f"[{j}]") for j in range(n)]:
+        return [f"for (int j = 0; j < {n}; j++) {template}"]
+    return texts
+
+
+def _lane_pairs(to_c: _CExpr, group: list[tuple[str, ast.expr]]) -> list[str]:
+    """C of the lanes ``v_d<l> = e_l`` of one tangent, two lanes to a vector."""
+    lines = []
+    for (a, ea), (b, eb) in zip(group[::2], group[1::2]):
+        if a.rpartition("_d")[0] != b.rpartition("_d")[0] or int(b[-1]) != int(a[-1]) + 1:
+            raise ValueError(f"{a!r} and {b!r} are not two lanes of one tangent")
+        vector = f"{a}{b[-1]}"
+        to_c.checks = []
+        text = to_c.pair(ea, eb)
+        lines += to_c.checks + [f"const lanes2 {vector} = {text};"]
+        to_c.vectors[a, b] = vector
+        to_c.names.update({a: f"{vector}[0]", b: f"{vector}[1]"})
+    return lines
+
+
 def _c_function(signature: str, body: list[str]) -> list[str]:
     return [signature, "{"] + [INDENT + line for line in body + ["return 0;"]] + ["}"]
 
 
-def _generated_function(fn: ast.FunctionDef, signature: str, store) -> list[str]:
-    """C of a float function of ``_task_space``: its arguments after ``p``
-    read from the state ``x`` or the hold ``blk``, then its statements."""
-    args = [a.arg for a in fn.args.args[1:]]
-    head = [f"const double {a} = {_STATE_ARGS.get(a) or f'blk[{_BLOCK[a]}]'};" for a in args]
-    names = {**{name: f"blk[{i}]" for name, i in _BLOCK.items() if "." in name},
-             **{a: a for a in args}, "x": "x"}
-    return _c_function(signature, head + _translate(fn, names, store))
-
-
-def _rhs_function(accel: ast.FunctionDef) -> list[str]:
-    """``robot_rhs``: k = f(x) for the robot on the hold in blk, as C."""
-    # state_derivative returns [*dq, *accelerations(...)], dq = x[6:]
-    ret = accel.body[-1]
-    ret.value = ast.Tuple([*(ast.parse(f"x[{j}]", mode="eval").body for j in range(6, 12)), ret.value])
-    signature = "static int robot_rhs(const double *blk, const double *x, double *k)"
-    return _generated_function(accel, signature, "k[{}]".format)
+def _rhs_function(fn: ast.FunctionDef, m: _ckernel.Model) -> list[str]:
+    """``<m.name>_rhs``: k = fn(...) on the state ``x`` and the hold in blk,
+    as C. blk holds fn's parameters (those of ``p`` in PARAM_FIELDS order),
+    then the seeds ``dp`` of its lanes, then its arguments after ``x``: the
+    held input and the pivot force."""
+    args = [a.arg for a in fn.args.args]
+    rest = args[args.index("x") + 1 :]
+    params = ([f"p.{name}" for name in PARAM_FIELDS] if args[0] == "p"
+              else [a for a in args[: args.index("x")] if a != "dp"])
+    seeds = m.lanes * (len(_SEEDED) if args[0] == "p" else len(params))
+    if (m.params, m.inputs + m.forces, m.lanes > 0) != (len(params) + seeds, len(rest), "dp" in args):
+        raise ValueError(f"{fn.name} does not match the model {m.name!r} of _ckernel.MODELS")
+    names = {**{a: f"blk[{i}]" for i, a in enumerate(params)},
+             **{a: f"blk[{m.params + i}]" for i, a in enumerate(rest)}, "x": "x", "dp": "dp"}
+    head = [f"const double *const dp = blk + {len(params)};"] if m.lanes else []
+    signature = f"static int {m.name}_rhs(const double *blk, const double *x, double *k)"
+    return _c_function(signature, head + _translate(fn, names, "k[{}]".format, m.lanes))
 
 
 def _model_function(model_fn: ast.FunctionDef) -> list[str]:
     """``task_space_model``: Mbar and Cbar at x, row by row into m and c, as C."""
+    args = [a.arg for a in model_fn.args.args[1:]]
+    head = [f"const double {a} = {_STATE_ARGS[a]};" for a in args]
+    names = {**{f"p.{name}": f"blk[{i}]" for i, name in enumerate(PARAM_FIELDS)}, **{a: a for a in args},
+             "x": "x"}
     signature = "static int task_space_model(const double *blk, const double *x, double *m, double *c)"
-    return _generated_function(model_fn, signature, lambda j: f"{'mc'[j // 9]}[{j % 9}]")
-
-
-def _shaft_function() -> list[str]:
-    """``shaft_rhs``: k = f(x) of simulate.shaft_derivative on the hold in
-    blk (its parameters, then the torque), as C."""
-    fn = _function_def(inspect.getsource(simulate), "shaft_derivative")
-    *params, state, torque = [a.arg for a in fn.args.args]
-    if len(params) != _SHAFT.params or _SHAFT.inputs != 1:
-        raise ValueError("shaft_derivative does not match _ckernel.MODELS")
-    names = {**{p: f"blk[{i}]" for i, p in enumerate(params)}, torque: f"blk[{len(params)}]",
-             state: "x"}
-    signature = "static int shaft_rhs(const double *blk, const double *x, double *k)"
-    return _c_function(signature, _translate(fn, names, "k[{}]".format))
+    return _c_function(signature, head + _translate(model_fn, names, lambda j: f"{'mc'[j // 9]}[{j % 9}]"))
 
 
 def _attempt_function(m: _ckernel.Model) -> list[str]:
     """``dp5_<name>_attempt``: the DP5 attempt of integrator._step_source(n)
     for the model ``m`` of n states, calling its rhs, then the ratio vector
-    of integrator._error_norm: e / (atol + rtol * max(|y|, |y_new|)) with
-    the NaN of either side propagated. A zero scale gives an inf or a NaN,
-    so the norm is non-finite where Python's is inf."""
+    of integrator._error_norm over the states ahead of the sensitivities:
+    e / (atol + rtol * max(|y|, |y_new|)) with the NaN of either side
+    propagated. A zero scale gives an inf or a NaN, so the norm is
+    non-finite where Python's is inf."""
     n = m.states
     signature = (
         f"int dp5_{m.name}_attempt(const double *blk, double h, double rtol, double atol,\n"
@@ -461,7 +756,7 @@ def _attempt_function(m: _ckernel.Model) -> list[str]:
     body = [f"double ys[{n}], k2[{n}], k3[{n}], k4[{n}], k5[{n}], k6[{n}], e[{n}];", "int s;"]
     body += _translate(step, names) + [
         "/* error ratios; the caller reduces them to the norm */",
-        f"for (int j = 0; j < {n}; j++) {{",
+        f"for (int j = 0; j < {n // (m.lanes + 1)}; j++) {{",
         "    const double a = fabs(y[j]);",
         "    const double b = fabs(y_new[j]);",
         "    ratio[j] = (e[j] / (atol + (rtol * ((a > b || a != a) ? a : b))));",
@@ -477,13 +772,15 @@ def _model_table() -> list[str]:
     for m in _ckernel.MODELS:
         if m.states > fields["x"]._length_ or m.params + m.inputs + m.forces > fields["blk"]._length_:
             raise ValueError(f"the model {m.name!r} does not fit struct rollout")
-        rows.append(f"{{{m.states}, {m.params}, {m.inputs}, {m.forces}, {m.name}_rhs, dp5_{m.name}_attempt}},")
+        rows.append(f"{{{m.states}, {m.params}, {m.inputs}, {m.forces}, {m.lanes}, {m.name}_rhs, "
+                    f"dp5_{m.name}_attempt}},")
     return [
         "/* The models of otbot._ckernel.MODELS, which struct rollout's model",
-        "   indexes: the state size, the widths of the parameters, the held input",
-        "   and the pivot force in blk, the rhs and the DP5 attempt. */",
+        "   indexes: the state size, the widths of the parameters (seeds",
+        "   included), the held input and the pivot force in blk, the",
+        "   sensitivity lanes, the rhs and the DP5 attempt. */",
         "struct model {",
-        INDENT + "long states, params, inputs, forces;",
+        INDENT + "long states, params, inputs, forces, lanes;",
         INDENT + "int (*rhs)(const double *blk, const double *x, double *k);",
         INDENT + "int (*attempt)(const double *blk, double h, double rtol, double atol, const double *y,",
         INDENT + "               const double *k1, double *y_new, double *k7, double *ratio);",
@@ -584,24 +881,25 @@ static double rms(const double *v, const double *scale, long n)
 }
 
 /* integrator.initial_step, Hairer's guess of the first step, from the state
-   r->x and its derivative r->k1 under the hold in r->blk: the guess into
-   r->h and its second derivative counted in r->fevals, or the status where
-   Python raises (the rhs's, or a zero divisor at d2 / h0 or at
+   r->x and its derivative r->k1 under the hold in r->blk, weighing the ne
+   states ahead of the sensitivities: the guess into r->h and its second
+   derivative counted in r->fevals, or the status where Python raises (the
+   rhs's, a step underflow where h0 is 0, or a zero divisor at
    0.01 / max(d1, d2)). */
 int first_step(struct rollout *r)
 {
     const struct model *m = &MODELS[r->model];
-    const long n = m->states;
+    const long n = m->states, ne = n / (m->lanes + 1);
     double scale[@MAX_STATES@], y1[@MAX_STATES@], f1[@MAX_STATES@];
-    for (long c = 0; c < n; c++) scale[c] = r->atol + (r->rtol * fabs(r->x[c]));
-    const double d0 = rms(r->x, scale, n), d1 = rms(r->k1, scale, n);
+    for (long c = 0; c < ne; c++) scale[c] = r->atol + (r->rtol * fabs(r->x[c]));
+    const double d0 = rms(r->x, scale, ne), d1 = rms(r->k1, scale, ne);
     const double h0 = (d0 < 1e-05 || d1 < 1e-05) ? 1e-06 : ((0.01 * d0) / d1);
     for (long c = 0; c < n; c++) y1[c] = r->x[c] + (h0 * r->k1[c]);
     const int s = m->rhs(r->blk, y1, f1);
     if (s) return s;
-    for (long c = 0; c < n; c++) f1[c] = f1[c] - r->k1[c];
-    if (h0 == 0.0) return @ZERO_DIVISOR@;
-    const double d2 = rms(f1, scale, n) / h0;
+    for (long c = 0; c < ne; c++) f1[c] = f1[c] - r->k1[c];
+    if (h0 == 0.0) return @UNDERFLOW@;
+    const double d2 = rms(f1, scale, ne) / h0;
     double h1;
     if (d1 <= 1e-15 && d2 <= 1e-15) {
         h1 = py_max(1e-06, h0 * 0.001);
@@ -616,12 +914,13 @@ int first_step(struct rollout *r)
 }
 
 /* integrator.advance_segment of the model m from t to t1 on the hold in
-   r->blk, from r->x, r->k1 and r->h: these and the counts move on, or a
-   nonzero status returns. */
+   r->blk, from r->x, r->k1 and r->h, the error norm over the ne states
+   ahead of the sensitivities: these and the counts move on, or a nonzero
+   status returns. */
 static int advance(struct rollout *r, const struct model *m, double t, double t1)
 {
     const ddot_t ddot = (ddot_t)r->ddot;
-    const long n = m->states;
+    const long n = m->states, ne = n / (m->lanes + 1);
     double y[2][@MAX_STATES@], k[2][@MAX_STATES@], ratio[@MAX_STATES@];
     int now = 0;
     long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
@@ -640,7 +939,7 @@ static int advance(struct rollout *r, const struct model *m, double t, double t1
         if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return @UNDERFLOW@;
         const int s = m->attempt(r->blk, h, r->rtol, r->atol, y[now], k[now], y[!now], k[!now], ratio);
         if (s) return s;
-        const double norm = sqrt(ddot(n, ratio, 1, ratio, 1) / (double)n);
+        const double norm = sqrt(ddot(ne, ratio, 1, ratio, 1) / (double)ne);
         fevals += 6;
         if (!isfinite(norm)) {
             rejected += 1;
@@ -779,6 +1078,11 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         "// task_space_model is that of otbot._task_space on the same parameters.",
         "// dp5_shaft_attempt is the same attempt of otbot.simulate.shaft_derivative",
         "// (shaft_rhs) with blk holding the inertia, the damping and the torque.",
+        "// The _sensitivity models step a state and its sensitivities together:",
+        "// their rhs are robot_sensitivity and shaft_sensitivity of",
+        "// otbot._task_space, with the seeds of the lanes in blk after the",
+        "// parameters, and only the leading states weigh in the error norm and",
+        "// the guess, so those states take the steps of the plain model.",
         "// Every value is bit for bit what the Python code computes; the error",
         "// norm and the law's products reduce through the BLAS ddot and dgemv",
         "// that numpy calls, and the guess's means in numpy's pairwise order.",
@@ -788,12 +1092,20 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         "",
         "#include <math.h>",
         "",
+        "/* two sensitivity lanes, one SSE2 register on x86-64 */",
+        "typedef double lanes2 __attribute__((vector_size(16)));",
+        "",
     ]
-    lines = (
-        header + _struct() + [""] + _rhs_function(accel) + [""] + _model_function(model_fn) + [""]
-        + _attempt_function(_ROBOT) + [""] + _shaft_function() + [""] + _attempt_function(_SHAFT)
-        + [""] + _model_table() + [""]
-    )
+    rhs = {"robot": _robot_rhs(accel),
+           "shaft": _function_def(inspect.getsource(simulate), "shaft_derivative"),
+           **{m.name: _function_def(python_source, m.name) for m in _ckernel.MODELS if m.lanes}}
+    lines = header + _struct() + [""]
+    for m in _ckernel.MODELS:
+        lines += _rhs_function(rhs[m.name], m) + [""]
+        if m.name == "robot":
+            lines += _model_function(model_fn) + [""]
+        lines += _attempt_function(m) + [""]
+    lines += _model_table() + [""]
     return "\n".join(lines) + "\n" + _loop()
 
 

@@ -4,15 +4,18 @@ Two libraries are compiled on first use, never at import:
 
 - ``_dp5_robot.c``, the rollout loop of the robot and of a shaft (the
   :data:`MODELS`), first-step guess included, with the system C compiler
-  (``cc``). ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
-  and add a separately rounded double operation, in the source's order;
-  ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and ``sqrt`` as calls into
-  the libm that Python calls, with no fused ``sincos``. The error norm
-  reduces through the ``ddot`` that numpy calls, the computed-torque law's
-  three (3, 3) @ (3,) products through its ``dgemv`` (:func:`numpy_blas`),
-  and the guess's means in numpy's pairwise order. So the loop computes the
-  same bits as the Python engine; where numpy has no such ``ddot`` or
-  ``dgemv`` (another BLAS), the Python engine runs.
+  (``cc``); the models with sensitivity lanes carry the derivatives of the
+  state in the fitted parameters along, two lanes to a GCC vector of two
+  doubles. ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
+  and add a separately rounded double operation, in the source's order, a
+  vector's per lane; ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and
+  ``sqrt`` as calls into the libm that Python calls, with no fused
+  ``sincos``. The error norm reduces through the ``ddot`` that numpy
+  calls, the computed-torque law's three (3, 3) @ (3,) products through its
+  ``dgemv`` (:func:`numpy_blas`), and the guess's means in numpy's pairwise
+  order. So the loop computes the same bits as the Python engine; where
+  numpy has no such ``ddot`` or ``dgemv`` (another BLAS), the Python engine
+  runs.
 - ``_csv_format.c``, the CSV formatter, with the same compiler (``-O2``):
   Schubfach's shortest round-trip digits, laid out as ``repr`` lays them
   out, so it writes the same bytes as the Python loop.
@@ -54,11 +57,19 @@ FEEDFORWARD, FEEDBACK = 1, 2
 
 # The models of ``rollout``, which Rollout.model indexes: the name (its rhs
 # is <name>_rhs and its DP5 attempt dp5_<name>_attempt in the C), the state
-# size, and the widths of the parameters, the held input and the pivot force
-# that make up its hold blk, in that order. The shaft is
-# simulate.shaft_derivative on (inertia, damping) and one torque.
-Model = namedtuple("Model", "name states params inputs forces")
-MODELS = (Model("robot", 12, 14, 3, 2), Model("shaft", 2, 2, 1, 0))
+# size, the widths of the parameters, the held input and the pivot force
+# that make up its hold blk, in that order, and the sensitivity lanes. The
+# shaft is simulate.shaft_derivative on (inertia, damping) and one torque.
+# A model with lanes L steps the n states of its plain model and their
+# sensitivities to L parameters, n * (1 + L) in all (the rhs of
+# _task_space.robot_sensitivity or shaft_sensitivity); the seeds of its
+# lanes follow the parameters in blk, and only the first n states weigh in
+# the error norm and the first-step guess, so they take the plain model's
+# steps to the same bits.
+Model = namedtuple("Model", "name states params inputs forces lanes")
+MODELS = (Model("robot", 12, 14, 3, 2, 0), Model("shaft", 2, 2, 1, 0, 0),
+          Model("robot_sensitivity", 60, 14 + 8 * 4, 3, 2, 4),
+          Model("shaft_sensitivity", 6, 2 + 2 * 2, 1, 0, 2))
 MODEL_INDEX = {m.name: i for i, m in enumerate(MODELS)}
 
 
@@ -77,7 +88,7 @@ class Rollout(ctypes.Structure):
         *((name, ctypes.c_double) for name in ("rtol", "atol", "h")),
         *((name, ctypes.c_long) for name in (
             "accepted", "rejected", "fevals", "row", "instant", "law", "model")),
-        ("blk", ctypes.c_double * 19), ("x", ctypes.c_double * 12), ("k1", ctypes.c_double * 12),
+        ("blk", ctypes.c_double * 51), ("x", ctypes.c_double * 60), ("k1", ctypes.c_double * 60),
         ("kp", ctypes.c_double * 3), ("kv", ctypes.c_double * 3),
     ]
 

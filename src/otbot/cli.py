@@ -325,11 +325,11 @@ def _cmd_identify(args) -> int:
     run.seeds["base"] = seed
     # a single step holds the other steps' parameters at the --params values
     steps = ("1", "2", "3") if args.step == "all" else (args.step,)
-    fits = run_pipeline(params, seed, guesses, args.window, args.jobs, steps).values()
+    fits = run_pipeline(params, seed, guesses, args.window, steps).values()
     cells = []
     if "3" in steps and args.sweep > 0:
         deviations = (0.05, 0.10, 0.15, 0.20, 0.25)
-        cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window, args.jobs)
+        cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window)
     truth = {**params.as_dict(), "Ip0": params.Ip}
 
     by_step: dict[str, list] = {}
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--params", help="true plant parameter file (defaults to nominal)")
     p_id.add_argument("--guess", help="initial-guess overrides, key = value")
     p_id.add_argument("--seed", type=int, default=None)
-    p_id.add_argument("--jobs", type=int, default=1, help="threads for the Jacobian columns (estimates do not depend on it)")
+    p_id.add_argument("--jobs", type=int, default=1, help="accepted for old command lines; has no effect")
     p_id.add_argument("--sweep", type=int, default=2,
                       help="seeds for the step-3 sensitivity sweep (0 disables)")
     p_id.add_argument("--window", type=float, default=1.0,

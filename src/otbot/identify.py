@@ -13,18 +13,21 @@ order, each holding fixed everything fitted before it:
    (mp, Ip, xF, yF) of the platform plus whatever load it carries.
 
 Losses are unweighted sums of squared output residuals. Each parameter
-subset is fitted once, its rollouts at one integrator tolerance.
+subset is fitted once, its rollouts at one integrator tolerance. Each
+residual evaluation of a fit is one rollout of the state and its
+sensitivities to the fitted parameters, which also gives the exact
+Jacobian of the residuals (see :func:`fit`).
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import _ckernel, _task_space
 from .dynamics import RobotState
 from .integrator import IntegrationError, IntegratorOptions
 from .params import RobotParams
@@ -32,6 +35,7 @@ from .sensors import (
     ENCODER_SIGMA,
     SensorModel,
     SensorRecord,
+    imu_sensitivity,
     imu_truth,
     sample_sensors,
 )
@@ -64,12 +68,10 @@ _BOUNDS = {"mc": _MASS, "mp": _MASS, "Ic": _INERTIA, "Ip": _INERTIA, "Ip0": _INE
 # Integrator tolerance of every rollout a fit makes
 FIT_TOLERANCE = IntegratorOptions(rtol=1e-8, atol=1e-11)
 
-# Trust-region settings: iteration cap, relative loss and step tolerances,
-# and the relative step of the forward-difference Jacobian
+# Trust-region settings: iteration cap, relative loss and step tolerances
 MAX_ITER = 200
 FTOL = 1e-10
 XTOL = 1e-10
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -198,21 +200,45 @@ def experiment(
 
 
 def predict_outputs(candidate: dict, fixed: RobotParams, exp: Experiment,
-                    options: IntegratorOptions) -> np.ndarray:
+                    options: IntegratorOptions, sensitivities: bool = False):
     """Noise-free sensor outputs of the candidate model on the record grid.
 
     ``candidate`` maps fitted names to values; every other parameter is
-    held at ``fixed``.
+    held at ``fixed``. With ``sensitivities``, the rollout carries the
+    sensitivities of the state to the candidate's parameters, lane l to
+    its l-th name, and this returns ``(outputs, derivatives)``: the same
+    outputs to the bit, and their derivatives, one column of the last axis
+    per name.
     """
     values = {_FIELD.get(n, n): v for n, v in candidate.items()}
-    plant = (shaft_model(*(values.get(f, getattr(fixed, f)) for f in exp.shaft)) if exp.shaft
-             else robot_model(fixed.replace(**values)))
-    # from rest: the shaft's (angle, rate) or the robot's (q, dq)
-    traj = integrate(plant, np.zeros(2 if exp.shaft else 12), exp.plan, options)
+    seeds = _seeds(exp.shaft, tuple(values)) if sensitivities else None
+    plant = (shaft_model(*(values.get(f, getattr(fixed, f)) for f in exp.shaft), seeds) if exp.shaft
+             else robot_model(fixed.replace(**values), seeds))
+    # from rest: the shaft's (angle, rate) or the robot's (q, dq), with zero sensitivities
+    n, lanes = 2 if exp.shaft else 12, plant.lanes
+    traj = integrate(plant, np.zeros(n * (1 + lanes)), exp.plan, options)
     model = exp.sensor_model
     if model.kind == "imu":
-        return imu_truth(traj)
-    return traj.states[:, model.axis][:, None]
+        outputs = imu_truth(traj)
+        derivatives = imu_sensitivity(traj, lanes, outputs) if lanes else None
+    else:
+        outputs = traj.states[:, model.axis][:, None]
+        derivatives = traj.states[:, None, n + lanes * model.axis : n + lanes * (model.axis + 1)]
+    if not sensitivities:
+        return outputs
+    return outputs, derivatives[..., : len(values)]
+
+
+@functools.cache
+def _seeds(shaft: tuple[str, str] | None, fields: tuple[str, ...]) -> tuple[float, ...]:
+    """The ``dp`` of a rollout whose lane l follows ``fields[l]``: a 1 in
+    its row of the shaft's (inertia, damping) or of ``_task_space.SEEDED``."""
+    rows = shaft or _task_space.SEEDED
+    kind = _ckernel.MODEL_INDEX["shaft_sensitivity" if shaft else "robot_sensitivity"]
+    seeds = np.zeros((len(rows), _ckernel.MODELS[kind].lanes))
+    for lane, name in enumerate(fields):
+        seeds[rows.index(name), lane] = 1.0
+    return tuple(seeds.ravel().tolist())
 
 
 def prediction_error(
@@ -220,25 +246,30 @@ def prediction_error(
     fixed: RobotParams,
     exp: Experiment,
     options: IntegratorOptions | None = None,
-) -> tuple[float, np.ndarray]:
-    """Sum of squared output residuals of a candidate parameter subset.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Sum of squared output residuals of a candidate parameter subset, the
+    residuals and their Jacobian, from one rollout of the state and its
+    sensitivities to the candidate's parameters.
 
-    Returns ``(epsilon, residuals)`` with one residual entry per scalar
-    output per sample. A candidate whose rollout cannot be integrated, or
-    whose model divides by zero on the way (the rhs works on Python floats,
-    which raise where numpy gave inf), gets ``epsilon = inf`` and all-inf
-    residuals, which a trust-region solver treats as a rejected step rather
-    than an error.
+    Returns ``(epsilon, residuals, jacobian)`` with one residual entry per
+    scalar output per sample and one Jacobian row per residual, a column per
+    name. A candidate whose rollout cannot be integrated, or whose model
+    divides by zero on the way (the rhs works on Python floats, which raise
+    where numpy gave inf), gets ``epsilon = inf``, all-inf residuals and a
+    zero Jacobian, which a trust-region solver treats as a rejected step
+    rather than an error.
     """
     opts = options or IntegratorOptions()
     meas = exp.record.values
     meas = meas if meas.ndim == 2 else meas[:, None]
+    res, jacobian = np.full(meas.size, np.inf), np.zeros((meas.size, len(candidate)))
     try:
-        pred = predict_outputs(candidate, fixed, exp, opts)
+        pred, derivatives = predict_outputs(candidate, fixed, exp, opts, sensitivities=True)
     except (IntegrationError, ArithmeticError):
-        return math.inf, np.full(meas.size, np.inf)
-    res = (meas - pred).ravel()
-    return float(res @ res), res
+        pass
+    else:
+        res, jacobian = (meas - pred).ravel(), -derivatives.reshape(jacobian.shape)
+    return float(res @ res), res, jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -249,38 +280,33 @@ def fit_trust_region(
     residual_fn,
     p0,
     bounds=(-np.inf, np.inf),
-    jobs: int = 1,
     names: tuple[str, ...] | None = None,
 ) -> ParamEstimate:
-    """Minimize ``sum(residual_fn(p)**2)`` inside box bounds.
+    """Minimize ``sum(r**2)`` inside box bounds, where ``residual_fn(p)``
+    returns ``(r, J)``: the residuals and their Jacobian at p.
 
     Bounded trust-region reflective least squares; terminates on relative
     loss decrease (FTOL), step size (XTOL) or the iteration cap. The loss
     at ``p0`` must be finite (scipy raises ValueError), and the returned loss
     never exceeds it; running out of iterations is reported as
-    ``converged=False``. The Jacobian is scipy's forward finite difference
-    ("2-point") with relative step ``FD_STEP``; ``jobs`` > 1 evaluates its
-    columns from a thread pool. The differences are the same either way,
-    so ``jobs`` changes only the wall time.
+    ``converged=False``. The solver asks for the Jacobian only at the point
+    it evaluated last, so each point costs one call of ``residual_fn``.
     """
     p0 = np.asarray(p0, dtype=float)
     names = names or tuple(f"p{i}" for i in range(len(p0)))
+    last = {}
 
-    kwargs = dict(
-        jac="2-point",
-        diff_step=FD_STEP,
-        bounds=bounds,
-        method="trf",
-        ftol=FTOL,
-        xtol=XTOL,
-        gtol=1e-14,
-        max_nfev=MAX_ITER * (len(p0) + 1),
-    )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            result = least_squares(residual_fn, p0, workers=pool.map, **kwargs)
-    else:
-        result = least_squares(residual_fn, p0, **kwargs)
+    def residuals(p):
+        last["p"], (r, last["jac"]) = p.copy(), residual_fn(p)
+        return r
+
+    def jacobian(p):
+        if not np.array_equal(p, last["p"]):
+            residuals(p)
+        return last["jac"]
+
+    result = least_squares(residuals, p0, jac=jacobian, bounds=bounds, method="trf", ftol=FTOL,
+                           xtol=XTOL, gtol=1e-14, max_nfev=MAX_ITER * (len(p0) + 1))
 
     return ParamEstimate(
         names=names,
@@ -292,17 +318,20 @@ def fit_trust_region(
     )
 
 
-def fit(exp: Experiment, fixed: RobotParams, names, guess: dict, jobs: int = 1) -> ParamEstimate:
+def fit(exp: Experiment, fixed: RobotParams, names, guess: dict) -> ParamEstimate:
     """Fit ``names`` to the record of ``exp`` from ``guess``, the rest held at ``fixed``.
 
-    The guess may be far off (an unknown load), so non-convergence is
-    reported via the estimate rather than raised.
+    Each point of the solver is one rollout of the state and its
+    sensitivities (:func:`prediction_error`), so the residuals and their
+    Jacobian come together, the Jacobian exact to rounding. The guess may
+    be far off (an unknown load), so non-convergence is reported via the
+    estimate rather than raised.
     """
 
     def residual(p):
-        return prediction_error(dict(zip(names, p)), fixed, exp, FIT_TOLERANCE)[1]
+        return prediction_error(dict(zip(names, p)), fixed, exp, FIT_TOLERANCE)[1:]
 
-    return fit_trust_region(residual, [guess[n] for n in names], parameter_bounds(names), jobs, names)
+    return fit_trust_region(residual, [guess[n] for n in names], parameter_bounds(names), names)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +356,6 @@ def sensitivity_sweep(
     seeds,
     true_params: RobotParams,
     window: float = PLATFORM_WINDOW,
-    jobs: int = 1,
 ) -> list[dict]:
     """Re-run the ``step3`` fit across guess deviations and noise seeds.
 
@@ -343,7 +371,7 @@ def sensitivity_sweep(
     for deviation in deviations:
         guess = platform_guess(deviation, mp0=true_params.mp, Ip0=true_params.Ip)
         for seed, exp in records:
-            est = fit(exp, true_params, row.names, guess, jobs)
+            est = fit(exp, true_params, row.names, guess)
             cells.append(
                 {
                     "deviation": float(deviation),
@@ -360,7 +388,6 @@ def run_pipeline(
     seed: int = 0,
     guesses: dict | None = None,
     platform_window: float = PLATFORM_WINDOW,
-    jobs: int = 1,
     steps: tuple[str, ...] = ("1", "2", "3"),
 ) -> dict[str, FitRun]:
     """The fits of the named steps in ``FITS`` order, each holding the earlier estimates.
@@ -382,7 +409,7 @@ def run_pipeline(
         pool = {**g, **platform_guess(g["deviation"], mp0=held.mp, Ip0=held.Ip)}
         guess = {n: pool[n] for n in row.names}
         exp = experiment(row, true_params, seed + row.seed_offset, platform_window)
-        est = fit(exp, held, row.names, guess, jobs)
+        est = fit(exp, held, row.names, guess)
         runs[row.record] = FitRun(row, exp, held, guess, est)
         held = held.replace(**{_FIELD.get(n, n): v for n, v in est.as_dict().items()})
     return runs

@@ -160,17 +160,26 @@ def _step_kernel(n: int):
     return namespace["step"]
 
 
-def initial_step(f, t0: float, y0, f0, rtol: float, atol: float) -> float:
-    """Cheap two-evaluation guess of a sensible first step (Hairer's rule)."""
+def initial_step(f, t0: float, y0, f0, rtol: float, atol: float, error_states: int | None = None) -> float:
+    """Cheap two-evaluation guess of a sensible first step (Hairer's rule),
+    weighing the first ``error_states`` states (default all).
+
+    A guess h0 of 0 (a first stage that overflows) is a step size underflow.
+    Overflows give infs and NaNs without a warning, as in the compiled guess.
+    """
     y0 = np.asarray(y0, dtype=float)
     f0 = np.asarray(f0, dtype=float)
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(f(t0 + h0, y1.tolist()), dtype=float)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    n = error_states
+    with np.errstate(all="ignore"):
+        scale = atol + rtol * np.abs(y0[:n])
+        d0 = math.sqrt(float(np.mean((y0[:n] / scale) ** 2)))
+        d1 = math.sqrt(float(np.mean((f0[:n] / scale) ** 2)))
+        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        f1 = np.asarray(f(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
+        if h0 == 0.0:
+            raise IntegrationError(f"step size underflow at t = {t0:.6e} (first step guess h = 0)",
+                                   t=t0, h=h0, rejected=0)
+        d2 = math.sqrt(float(np.mean(((f1[:n] - f0[:n]) / scale) ** 2))) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -187,11 +196,15 @@ def advance_segment(
     stats: IntegratorStats,
     h_start: float | None = None,
     k1=None,
+    error_states: int | None = None,
 ):
     """Integrate y' = f(t, y) from t0 to exactly t1 (t1 > t0).
 
     ``y0`` is an ndarray; ``k1``, if given, is f(t0, y0) as an ndarray or a
-    float sequence. Returns (y(t1), k_end, h_next): y(t1) as an ndarray,
+    float sequence. Only the first ``error_states`` states (default all)
+    weigh in the error norm and the first-step guess; the rest (the
+    sensitivities of an augmented model) ride along on their steps.
+    Returns (y(t1), k_end, h_next): y(t1) as an ndarray,
     k_end = f(t1, y(t1)) as returned by THIS segment's rhs (left limit at a
     control boundary) and h_next, the unclipped step-size suggestion to
     carry into the next segment.
@@ -204,11 +217,12 @@ def advance_segment(
         k1 = f(t, y0.tolist())
         stats.fevals += 1
     if h_start is None:
-        h_next = initial_step(f, t, y0, k1, rtol, atol)
+        h_next = initial_step(f, t, y0, k1, rtol, atol, error_states)
         stats.fevals += 1
     else:
         h_next = h_start
     step = _step_kernel(len(y0))
+    n = error_states
     y = y0.tolist()
     if isinstance(k1, np.ndarray):
         k1 = k1.tolist()
@@ -232,7 +246,7 @@ def advance_segment(
             )
 
         y_new, k7, err = step(f, t, h, y, k1)
-        norm = _error_norm(err, y, y_new, rtol, atol)
+        norm = _error_norm(err[:n], y[:n], y_new[:n], rtol, atol)
         stats.fevals += 6
 
         if not math.isfinite(norm):

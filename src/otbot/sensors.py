@@ -80,6 +80,25 @@ def imu_truth(traj: SimTrajectory) -> np.ndarray:
     return np.column_stack([ax, ay, dalpha])
 
 
+def imu_sensitivity(traj: SimTrajectory, lanes: int, out: np.ndarray) -> np.ndarray:
+    """Derivatives of the outputs ``out`` = :func:`imu_truth` along a
+    trajectory of the robot's state and its sensitivities in ``lanes``
+    lanes (the states of ``simulate.robot_model`` with seeds), one
+    (3, lanes) block per sample: the chain rule through the platform angle,
+    whose sensitivity turns the rotation, and the sensitivities of the
+    recorded accelerations."""
+
+    def sensitivity(table, i):  # the lanes of state i
+        return table[:, 12 + lanes * i : 12 + lanes * (i + 1)]
+
+    alpha = traj.states[:, 2:3]
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    d_alpha, d_ax, d_ay = sensitivity(traj.states, 2), sensitivity(traj.derivs, 6), sensitivity(traj.derivs, 7)
+    d_x = out[:, 1:2] * d_alpha + ca * d_ax + sa * d_ay
+    d_y = -out[:, 0:1] * d_alpha - sa * d_ax + ca * d_ay
+    return np.stack([d_x, d_y, sensitivity(traj.states, 8)], axis=1)
+
+
 def sample_sensors(traj: SimTrajectory, model: SensorModel, seed: int | None = None) -> SensorRecord:
     """Sample a sensor along a trajectory; duration*rate + 1 samples."""
     idx = _grid_indices(traj, model.rate)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _ckernel
+from . import _ckernel, _task_space
 from .dynamics import RobotState, state_derivative
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .params import PARAM_FIELDS, RobotParams
@@ -246,6 +246,11 @@ def integrate(
     derivative (same state, same rhs), reused to the same bits. The
     derivative recorded at the end follows the same rule.
 
+    A model with sensitivity ``lanes`` (one given seeds) carries the
+    sensitivities of its states after them in ``x0``: only the leading
+    ``len(x0) // (1 + lanes)`` states weigh in the error norm and the
+    first-step guess, so those take the plain model's steps to the bit.
+
     A model of :func:`robot_model` or :func:`shaft_model` (one with a
     ``kind``) runs this loop, a law included, in C to the same bits
     (:func:`_compiled_rollout`) wherever ``_ckernel.load`` loads it; where
@@ -254,6 +259,7 @@ def integrate(
     opts = options or IntegratorOptions()
     x = np.asarray(x0, dtype=float).copy()
     law, held, params = plan.law, plan.held, getattr(model, "params", None)
+    error_states = len(x) // (1 + getattr(model, "lanes", 0))
     # the output buffers belong to this rollout (rollouts of a plan may run on threads)
     states = np.empty((len(plan.times), len(x)))
     derivs = np.empty_like(states)
@@ -272,7 +278,7 @@ def integrate(
     flags = zip(map(float, plan.events), plan.out, plan.start, plan.brk)
     for i, (t, out, start, brk) in enumerate(flags):
         if i:
-            x, k1, h = advance_segment(f, t_prev, t, x, opts, stats, h_start=h, k1=k1)
+            x, k1, h = advance_segment(f, t_prev, t, x, opts, stats, h, k1, error_states)
         if held is not None:
             u = held[i]
         elif start:
@@ -356,20 +362,29 @@ def simulate_robot(
     return integrate(robot_model(params), state0.as_vector(), plan, options)
 
 
-def robot_model(params: RobotParams):
+def robot_model(params: RobotParams, seeds=None):
     """``model(u, force)`` of :func:`integrate` for the robot: its parameters as
     ``model.params`` for a feedback law, and as the ``block`` of the
-    compiled loop's ``kind`` "robot"."""
+    compiled loop's ``kind`` "robot".
+
+    With ``seeds``, the ``dp`` of ``_task_space.robot_sensitivity``, the
+    model of the 12 states and their sensitivities (``kind``
+    "robot_sensitivity")."""
 
     def model(u, force):
-        def f(t, y):
-            return state_derivative(params, y, u, force)
+        if seeds is None:
+            def f(t, y):
+                return state_derivative(params, y, u, force)
+        else:
+            (u0, u1, u2), (fx, fy) = u, force
+
+            def f(t, y):
+                return _task_space.robot_sensitivity(params, seeds, y, u0, u1, u2, fx, fy)
 
         return f
 
-    model.params, model.kind = params, "robot"
-    model.block = [getattr(params, name) for name in PARAM_FIELDS]
-    return model
+    model.params = params
+    return _kind(model, "robot", [getattr(params, name) for name in PARAM_FIELDS], seeds)
 
 
 def shaft_derivative(inertia: float, damping: float, x: list, u: float) -> list:
@@ -377,22 +392,39 @@ def shaft_derivative(inertia: float, damping: float, x: list, u: float) -> list:
     return [x[1], (u - damping * x[1]) / inertia]
 
 
-def shaft_model(inertia: float, damping: float):
+def shaft_model(inertia: float, damping: float, seeds=None):
     """``model(u, force)`` of :func:`integrate` for an isolated shaft, which
     ignores the force; (inertia, damping) is the ``block`` of the compiled
-    loop's ``kind`` "shaft"."""
+    loop's ``kind`` "shaft".
+
+    With ``seeds``, the ``dp`` of ``_task_space.shaft_sensitivity``, the
+    model of the 2 states and their sensitivities (``kind``
+    "shaft_sensitivity")."""
     # the fitter hands in numpy scalars; float arithmetic keeps the stages floats
     inertia, damping = float(inertia), float(damping)
 
     def model(u, force):
         torque = u[0]
-
-        def f(t, y):
-            return shaft_derivative(inertia, damping, y, torque)
+        if seeds is None:
+            def f(t, y):
+                return shaft_derivative(inertia, damping, y, torque)
+        else:
+            def f(t, y):
+                return _task_space.shaft_sensitivity(inertia, damping, seeds, y, torque)
 
         return f
 
-    model.kind, model.block = "shaft", [inertia, damping]
+    return _kind(model, "shaft", [inertia, damping], seeds)
+
+
+def _kind(model, kind: str, block: list, seeds):
+    """``model`` as the compiled loop's ``kind``, or with ``seeds`` its
+    "_sensitivity" model, with its ``block`` (the seeds after the
+    parameters) and the ``lanes`` of _ckernel.MODELS, whose states
+    :func:`integrate` leaves out of the error norm."""
+    model.kind = kind if seeds is None else f"{kind}_sensitivity"
+    model.block = block + list(seeds or [])
+    model.lanes = _ckernel.MODELS[_ckernel.MODEL_INDEX[model.kind]].lanes
     return model
 
 

@@ -337,6 +337,17 @@ class TestControl:
         # the generated plan is hashed alongside the scenario file
         assert any(key.endswith("plan.csv") for key in m["config_sha256"])
 
+    def test_a_huge_torque_in_the_first_plan_row_is_one_error_line(self, tmp_path, capsys):
+        # away from rest, the first derivative overflows and the guess of the
+        # first step is 0: a step size underflow, as in any later row
+        plan = tmp_path / "plan.csv"
+        rows = [f"{t!r},0.5,0.25" + ",0.0" * 12 + f",{tau!r}" for t, tau in ((0.0, 1e300), (0.01, 0.0), (0.02, 0.0))]
+        plan.write_text(",".join(TRAJECTORY_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        code = main(["control", "--scenario", "plan", "--plan", str(plan), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: step size underflow at t = 0.000000e+00 (first step guess h = 0)"]
+
     def test_missing_plan_file_is_a_config_error(self, tmp_path, capsys):
         code = main(
             ["control", "--scenario", "plan", "--plan", str(tmp_path / "ghost.csv"),

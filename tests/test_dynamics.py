@@ -42,6 +42,7 @@ from otbot.model import (
     mass_matrix,
 )
 from otbot.params import nominal_params
+from otbot.simulate import shaft_derivative
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -322,6 +323,38 @@ def test_closed_form_task_space_model_matches_the_matrix_composition(p, q, dp):
     assert _rel_err(cbar, cbar_ref) <= 1e-12
 
 
+def test_the_sensitivity_rhs_are_the_derivatives_of_the_rhs():
+    # robot_sensitivity and shaft_sensitivity: the rhs to the bit, then its
+    # derivative along each lane's state sensitivity and parameter seeds
+    rng = np.random.default_rng(3)
+    seeded = otbot._task_space.SEEDED
+    for _ in range(4):
+        p = nominal_params().replace(xF=rng.uniform(-0.1, 0.1), yF=rng.uniform(-0.1, 0.1))
+        x, s, dp = rng.uniform(-1.0, 1.0, 12), rng.uniform(-1.0, 1.0, 48), rng.uniform(-1.0, 1.0, 32)
+        u, f = rng.uniform(-5.0, 5.0, 3).tolist(), rng.uniform(-5.0, 5.0, 2).tolist()
+        out = otbot._task_space.robot_sensitivity(p, dp.tolist(), [*x, *s], *u, *f)
+        assert list(out[:12]) == state_derivative(p, x.tolist(), u, f)
+        for lane in range(4):
+            def rhs(eps):
+                moved = p.replace(**{n: getattr(p, n) + eps * dp[4 * k + lane] for k, n in enumerate(seeded)})
+                return np.array(state_derivative(moved, (x + eps * s[lane::4]).tolist(), u, f))
+
+            central = (rhs(1e-6) - rhs(-1e-6)) / 2e-6
+            tangent = np.array(out[12 + lane :: 4])
+            assert np.max(np.abs(tangent - central)) <= 1e-6 * np.max(np.abs(central)), lane
+        inertia, damping = rng.uniform(0.01, 2.0, 2)
+        y, dp = rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, 4)
+        out = otbot._task_space.shaft_sensitivity(inertia, damping, dp.tolist(), y.tolist(), 3.0)
+        assert list(out[:2]) == shaft_derivative(inertia, damping, y[:2].tolist(), 3.0)
+        for lane in range(2):
+            def shaft(eps):
+                return np.array(shaft_derivative(inertia + eps * dp[lane], damping + eps * dp[2 + lane],
+                                                 (y[:2] + eps * y[2 + lane :: 2]).tolist(), 3.0))
+
+            central = (shaft(1e-6) - shaft(-1e-6)) / 2e-6
+            assert np.max(np.abs(np.array(out[2 + lane :: 2]) - central)) <= 1e-6 * np.max(np.abs(central))
+
+
 def test_generated_task_space_module_matches_its_generator():
     # The headers pin the generator by hash; a stale module or C file means
     # `python scripts/gen_task_space.py` was not rerun after an edit.
@@ -363,6 +396,17 @@ def test_generator_translator_refuses_what_the_c_cannot_hold(monkeypatch):
         fn = ast.parse(f"def g(p, a):\n    {statement}\n").body[0]
         with pytest.raises(ValueError, match=re.escape(message)):
             gen._translate(fn, {"a": "a"}, "k[{}]".format)
+    # the lanes of a tangent pair into vectors, and a refusal where they do not
+    fn = ast.parse("def g(p, a, x):\n    b_d0 = a * x[2]\n    b_d1 = a * x[3]\n    return [b_d0, b_d1]\n").body[0]
+    assert gen._translate(fn, {"a": "a", "x": "x"}, "k[{}]".format, lanes=2) == [
+        "const lanes2 b_d01 = (a * (lanes2){x[2], x[3]});", "k[0] = b_d01[0];", "k[1] = b_d01[1];"]
+    fn = ast.parse("def g(p, a, x):\n    b_d0 = a * x[2]\n    b_d1 = x[3] * a\n").body[0]
+    with pytest.raises(ValueError, match="do not pair"):
+        gen._translate(fn, {"a": "a", "x": "x"}, lanes=2)
+    # a vector literal whose components differ only in their index is one loop
+    fn = ast.parse("def g(p, a):\n    y_0, y_1 = a\n    v = [y_0 * 2.0, y_1 * 2.0]\n").body[0]
+    assert gen._translate(fn, {"a": "a", "v": "v"}) == [
+        "/* v */", "for (int j = 0; j < 2; j++) v[j] = (a[j] * 2.0);"]
     # a division and a sin test their operands once, and each returned value goes to its store
     fn = ast.parse("def g(p, a):\n    b = sin(a + 1.0) / a\n    return [b, a / a]\n").body[0]
     assert gen._translate(fn, {"a": "a"}, "k[{}]".format) == [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otbot import identify
+from conftest import spy_runs
+from otbot import _ckernel, identify
 from otbot.identify import (
     FITS,
+    FIT_TOLERANCE,
     GUESS,
     PLATFORM_WINDOW,
     Experiment,
@@ -48,7 +51,7 @@ def shaft_fits(params, seed=0, sigma=None, guesses=None) -> ParamEstimate:
 def test_linear_problem_converges_immediately():
     a = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
     target = a @ np.array([1.0, 2.0])
-    est = fit_trust_region(lambda p: a @ p - target, [0.0, 0.0])
+    est = fit_trust_region(lambda p: (a @ p - target, a), [0.0, 0.0])
     np.testing.assert_allclose(est.values, [1.0, 2.0], atol=1e-9)
     assert est.converged
     assert est.iterations <= 4
@@ -57,7 +60,7 @@ def test_linear_problem_converges_immediately():
 
 def test_rosenbrock_valley():
     def residual(p):
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]), np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
 
     est = fit_trust_region(residual, [-1.2, 1.0])
     np.testing.assert_allclose(est.values, [1.0, 1.0], atol=1e-8)
@@ -65,38 +68,26 @@ def test_rosenbrock_valley():
 
 
 def test_bounds_clip_the_estimate():
-    est = fit_trust_region(lambda p: p - 5.0, [1.0], bounds=([0.0], [2.0]))
+    est = fit_trust_region(lambda p: (p - 5.0, np.eye(1)), [1.0], bounds=([0.0], [2.0]))
     assert est.values[0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_threaded_jacobian_matches_serial(params):
-    # A nonlinear shaft fit, where finite differences are inexact: threads
-    # may only change the wall time, never the estimates or the evaluations.
-    exp = experiment(FITS["step1_wheel"], params, seed=0)
-    names = ("Ia", "bw")
-    bounds = parameter_bounds(names)
+def test_each_point_costs_one_residual_call():
+    # the solver's Jacobian at a point is the one its residual call returned
+    calls = []
 
-    def fit_with(jobs):
-        calls = []
+    def residual(p):
+        calls.append(p.copy())
+        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]), np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
 
-        def residual(p):
-            calls.append(None)
-            return prediction_error(dict(zip(names, p)), params, exp)[1]
-
-        est = fit_trust_region(residual, [0.01, 0.09], bounds, jobs, names)
-        return est, len(calls)
-
-    (serial, serial_calls), (threaded, threaded_calls) = fit_with(1), fit_with(2)
-    assert serial.iterations > 2
-    assert (threaded.values == serial.values).all()
-    assert threaded.loss == serial.loss
-    assert (threaded.iterations, threaded_calls) == (serial.iterations, serial_calls)
+    est = fit_trust_region(residual, [-1.2, 1.0])
+    assert est.iterations > 2
+    assert len({tuple(p) for p in calls}) == len(calls)
 
 
 def test_non_finite_initial_residual_raises():
-    # scipy differentiates the inf residual before it raises
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
-        fit_trust_region(lambda p: np.array([math.inf]), [1.0])
+        fit_trust_region(lambda p: (np.array([math.inf]), np.zeros((1, 1))), [1.0])
 
 
 def test_param_estimate_lookup():
@@ -137,7 +128,7 @@ def test_experiment_window_mismatch_rejected(params):
 
 def test_prediction_error_vanishes_at_the_truth(params):
     exp = experiment(FITS["step1_wheel"], params, sigma=0.0)
-    loss, res = prediction_error({"Ia": params.Ia, "bw": params.bw}, params, exp)
+    loss, res, _ = prediction_error({"Ia": params.Ia, "bw": params.bw}, params, exp)
     assert loss < 1e-15
     assert np.max(np.abs(res)) < 1e-8
 
@@ -145,9 +136,10 @@ def test_prediction_error_vanishes_at_the_truth(params):
 def test_unintegrable_candidate_scores_infinite(params):
     exp = experiment(FITS["step1_wheel"], params, sigma=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        loss, res = prediction_error({"Ia": 0.0, "bw": params.bw}, params, exp)
+        loss, res, jac = prediction_error({"Ia": 0.0, "bw": params.bw}, params, exp)
     assert math.isinf(loss)
     assert np.all(np.isinf(res))
+    assert not jac.any()
 
 
 # --- shaft step --------------------------------------------------------------
@@ -273,9 +265,9 @@ def test_pipeline_fits_each_subset_once(monkeypatch, params):
     fitted = []
     real_fit = identify.fit_trust_region
 
-    def counted_fit(residual_fn, p0, bounds=None, jobs=1, names=None):
+    def counted_fit(residual_fn, p0, bounds=None, names=None):
         fitted.append(names)
-        return real_fit(residual_fn, p0, bounds, jobs, names)
+        return real_fit(residual_fn, p0, bounds, names)
 
     monkeypatch.setattr(identify, "fit_trust_region", counted_fit)
     run_pipeline(params, seed=0, platform_window=0.5)
@@ -307,9 +299,9 @@ def test_sweep_fits_records_of_the_given_window(monkeypatch, params):
     ends = []
     real_fit = identify.fit
 
-    def recorded(exp, fixed, names, guess, jobs=1):
+    def recorded(exp, fixed, names, guess):
         ends.append(exp.controls.end_time)
-        return real_fit(exp, fixed, names, guess, jobs)
+        return real_fit(exp, fixed, names, guess)
 
     monkeypatch.setattr(identify, "fit", recorded)
     rows = sensitivity_sweep((0.05, 0.25), range(1), params, window=0.2)
@@ -325,9 +317,9 @@ def test_sweep_builds_each_seeds_record_once(monkeypatch, params):
         built.append(seed)
         return real_experiment(row, true_params, seed, window)
 
-    def recorded(exp, fixed, names, guess, jobs=1):
+    def recorded(exp, fixed, names, guess):
         fitted.append(exp)
-        return real_fit(exp, fixed, names, guess, jobs)
+        return real_fit(exp, fixed, names, guess)
 
     monkeypatch.setattr(identify, "experiment", counted)
     monkeypatch.setattr(identify, "fit", recorded)
@@ -371,3 +363,82 @@ def test_readme_fit_table_lists_the_fits():
         assert seed == "`--seed`" + (f" + {row.seed_offset}" if row.seed_offset else ""), row.record
         assert tuple(re.findall(r"`(\w+)`", fitted)) == row.names, row.record
     assert records == list(FITS)
+
+
+# --- exact Jacobians from the sensitivities ------------------------------------
+
+
+def _record(name, params, seed=0, window=PLATFORM_WINDOW, duration=None):
+    """The record of a fit row, its duration shortened where given."""
+    row = FITS[name] if duration is None else dataclasses.replace(FITS[name], duration=duration)
+    return row, experiment(row, params, seed, window)
+
+
+@pytest.mark.parametrize("name", ["step1_wheel", "step1_platform", "step2", "step3"])
+def test_the_sensitivity_jacobian_matches_central_differences(params, name):
+    row, exp = _record(name, params, seed=1)
+    truth = {n: getattr(params, identify._FIELD.get(n, n)) for n in row.names}
+    guess = {n: GUESS.get(n, platform_guess(0.25, params.mp, params.Ip).get(n)) for n in row.names}
+    for point in (truth, guess):
+        _, _, jac = prediction_error(point, params, exp, FIT_TOLERANCE)
+        for k, n in enumerate(row.names):
+            h = 1e-4 * max(abs(point[n]), 0.1)
+            up, down = ({**point, n: point[n] + s * h} for s in (1.0, -1.0))
+            central = (prediction_error(up, params, exp, FIT_TOLERANCE)[1]
+                       - prediction_error(down, params, exp, FIT_TOLERANCE)[1]) / (2.0 * h)
+            assert np.max(np.abs(jac[:, k] - central)) <= 1e-6 * np.max(np.abs(central)), (n, point)
+
+
+@pytest.mark.parametrize("name, duration", [("step1_wheel", None), ("step2", 0.2), ("step3", None)])
+def test_the_c_and_python_engines_give_the_same_jacobians_and_estimates(params, name, duration, request):
+    row, exp = _record(name, params, seed=2, window=0.2, duration=duration)
+    guess = {n: GUESS.get(n, platform_guess(0.25, params.mp, params.Ip).get(n)) for n in row.names}
+    if _ckernel.load() is None:
+        pytest.skip("the compiled rollout loop cannot be loaded")
+
+    def run():
+        error = prediction_error(guess, params, exp, FIT_TOLERANCE)
+        return error, fit(exp, params, row.names, guess)
+
+    (c_loss, c_res, c_jac), c_est = run()
+    request.getfixturevalue("python_kernel")
+    (py_loss, py_res, py_jac), py_est = run()
+    assert c_loss == py_loss and (c_res == py_res).all() and (c_jac == py_jac).all()
+    assert (c_est.values == py_est.values).all() and c_est.loss == py_est.loss
+    assert c_est.iterations == py_est.iterations
+
+
+def test_the_chain_fits_take_few_rollouts(monkeypatch, params):
+    runs = spy_runs(monkeypatch)
+    if runs is None:
+        pytest.skip("the compiled rollout loop cannot be loaded")
+    counts, real_fit = {}, identify.fit
+
+    def counted(exp, fixed, names, guess):
+        before = len(runs)
+        est = real_fit(exp, fixed, names, guess)
+        counts[names] = len(runs) - before
+        return est
+
+    monkeypatch.setattr(identify, "fit", counted)
+    run_pipeline(params, seed=0)
+    # one rollout per point of the solver: the Jacobian comes with the residuals
+    assert counts[FITS["step2"].names] <= 25
+    assert counts[FITS["step3"].names] <= 70
+
+
+@pytest.mark.parametrize("name", ["step2", "step3"])
+def test_estimates_do_not_hang_on_the_last_bit_of_a_held_parameter(params, name):
+    # criterion 06's and 07's fits: a held parameter one ulp away moves the
+    # rollouts at rounding level, and so the estimates no more than that
+    row = FITS[name]
+    held = params.replace(xF=0.0, yF=0.0) if name == "step2" else params
+    guess = ({n: GUESS[n] for n in row.names} if name == "step2"
+             else platform_guess(0.25, params.mp, params.Ip))
+    for seed in (1, 2, 3):
+        exp = experiment(row, params, seed)
+        base = fit(exp, held, row.names, guess).values
+        for field in ("l1", "r"):
+            moved = held.replace(**{field: np.nextafter(getattr(held, field), np.inf)})
+            values = fit(exp, moved, row.names, guess).values
+            assert np.all(np.abs(values - base) <= 1e-9 * np.maximum(np.abs(base), 1e-3)), (seed, field)

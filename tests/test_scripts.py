@@ -46,5 +46,5 @@ def test_count_lines_prints_the_tracked_sizes(tmp_path):
     assert sorted(modules) == sorted(p.stem for p in package.glob("*.py") if p.stem != "_task_space")
     assert head == f"src/otbot hand-written Python, without _task_space.py: {sum(modules.values())}"
     others = [line.partition(":")[0] for line in lines if not line.startswith("  ")]
-    assert others == ["scripts/gen_task_space.py", "src/otbot/_csv_format.c (hand-written C)",
-                      "src/otbot/_dp5_robot.c (generated C)"]
+    assert others == ["scripts/gen_task_space.py", "src/otbot/_task_space.py (generated Python)",
+                      "src/otbot/_csv_format.c (hand-written C)", "src/otbot/_dp5_robot.c (generated C)"]

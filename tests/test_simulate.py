@@ -13,7 +13,7 @@ import pytest
 
 import otbot
 from conftest import spy_runs
-from otbot import _ckernel
+from otbot import _ckernel, _task_space
 from otbot.dynamics import RobotState, constraint_violation, state_derivative
 from otbot.identify import FITS, experiment
 from otbot.integrator import IntegratorOptions, IntegratorStats, advance_segment
@@ -96,7 +96,7 @@ def test_a_nan_step_raises_an_integration_error_on_both_engines():
     that a loop for ever fails here at its timeout."""
     code = textwrap.dedent("""
         import math
-        from otbot import _ckernel
+        from otbot import _ckernel, _task_space
         from otbot.dynamics import RobotState
         from otbot.integrator import IntegrationError, IntegratorOptions
         from otbot.params import nominal_params
@@ -226,6 +226,30 @@ def test_threads_rolling_out_on_one_plan_get_the_serial_rollouts(monkeypatch, en
             sys.setswitchinterval(interval)
         for i, traj in enumerate(results):
             _assert_same_rollout(traj, serial[i % len(scales)])
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_the_states_of_an_augmented_rollout_are_the_plain_rollouts(monkeypatch, engine):
+    """A model with sensitivity lanes steps its leading states with the
+    plain model's steps: they, their derivatives and the counts equal the
+    plain rollout's bit for bit, whatever the seeds."""
+    _use_engine(monkeypatch, engine)
+    rng = np.random.default_rng(7)
+    p = nominal_params()
+    for (model, x0, make_plan), rows in zip(_plan_cases(), (len(_task_space.SEEDED), 2)):
+        lanes = 4 if len(x0) == 12 else 2
+        seeds = rng.uniform(-2.0, 2.0, rows * lanes).tolist()
+        plain = model(1.0)
+        augmented = (robot_model(p.replace(mc=p.mc, xB=0.01), seeds) if len(x0) == 12
+                     else shaft_model(0.0104, 0.18, seeds))
+        a = integrate(plain, x0, make_plan())
+        b = integrate(augmented, np.zeros(len(x0) * (1 + lanes)), make_plan())
+        n = len(x0)
+        assert b.states.shape[1] == n * (1 + lanes)
+        for name in ("states", "derivs"):
+            assert getattr(b, name)[:, :n].tobytes() == getattr(a, name).tobytes(), name
+        assert b.controls.tobytes() == a.controls.tobytes()
+        assert b.stats == a.stats
 
 
 def test_shaft_matches_closed_form():
