@@ -105,6 +105,8 @@ class _Run:
         self.configs: list[Path] = []
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
+        # per fit of an identify run: its solver's stop rule and counts
+        self.fits: dict[str, dict] = {}
         self.t0 = time.perf_counter()
 
     def config(self, flag: str, path: str | Path | None, reader, default):
@@ -140,6 +142,7 @@ class _Run:
             "command": self.command,
             "config_sha256": {str(p): _sha256(p) for p in self.configs if p.exists()},
             "seeds": self.seeds,
+            "fits": self.fits,
             "integrator": {
                 **self.tolerances,
                 # the engine the rollouts (robot and shaft) ran on: the C loop
@@ -336,6 +339,8 @@ def _cmd_identify(args) -> int:
     for f in fits:
         by_step.setdefault(f.row.step, []).append(f)
         _fit_data_csv(run, f)
+        run.fits[f.row.record] = {"stop": f.estimate.message, "jacobians": f.estimate.iterations,
+                                  "residual_evals": f.estimate.evaluations}
     with open(run.emit("report.txt"), "w") as fh:
         for step, step_fits in by_step.items():
             _report_step(fh, step, step_fits, truth)

@@ -1,9 +1,9 @@
 """Grey-box parameter identification by prediction-error minimization.
 
 The plant is excited with held torques, sensors record noisy outputs, and a
-bounded trust-region least-squares solver adjusts a parameter subset until
-the simulated outputs match the record. ``FITS`` lists the fits in chain
-order, each holding fixed everything fitted before it:
+bounded Levenberg-Marquardt solver on numpy alone adjusts a parameter subset
+until the simulated outputs match the record. ``FITS`` lists the fits in
+chain order, each holding fixed everything fitted before it:
 
 1. basic: wheel and platform driven as isolated shafts, encoder rate
    output, fits (Ia, bw) and (Ip0, bp);
@@ -25,7 +25,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import _ckernel, _task_space
 from .dynamics import RobotState
@@ -68,10 +67,14 @@ _BOUNDS = {"mc": _MASS, "mp": _MASS, "Ic": _INERTIA, "Ip": _INERTIA, "Ip0": _INE
 # Integrator tolerance of every rollout a fit makes
 FIT_TOLERANCE = IntegratorOptions(rtol=1e-8, atol=1e-11)
 
-# Trust-region settings: iteration cap, relative loss and step tolerances
+# Solver settings: evaluation cap per parameter, relative loss and step
+# tolerances, scaled-gradient tolerance and the initial damping relative to
+# the scaled curvature
 MAX_ITER = 200
 FTOL = 1e-10
 XTOL = 1e-10
+GTOL = 1e-14
+DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,7 @@ class ParamEstimate:
     iterations: int
     converged: bool
     message: str = ""
+    evaluations: int = 0
 
     def as_dict(self) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.names, self.values)}
@@ -256,8 +260,8 @@ def prediction_error(
     name. A candidate whose rollout cannot be integrated, or whose model
     divides by zero on the way (the rhs works on Python floats, which raise
     where numpy gave inf), gets ``epsilon = inf``, all-inf residuals and a
-    zero Jacobian, which a trust-region solver treats as a rejected step
-    rather than an error.
+    zero Jacobian, which the solver treats as a rejected step rather than an
+    error.
     """
     opts = options or IntegratorOptions()
     meas = exp.record.values
@@ -276,46 +280,67 @@ def prediction_error(
 # Solver
 
 
-def fit_trust_region(
-    residual_fn,
-    p0,
-    bounds=(-np.inf, np.inf),
-    names: tuple[str, ...] | None = None,
-) -> ParamEstimate:
+def fit_trust_region(residual_fn, p0, bounds=(-np.inf, np.inf),
+                     names: tuple[str, ...] | None = None) -> ParamEstimate:
     """Minimize ``sum(r**2)`` inside box bounds, where ``residual_fn(p)``
     returns ``(r, J)``: the residuals and their Jacobian at p.
 
-    Bounded trust-region reflective least squares; terminates on relative
-    loss decrease (FTOL), step size (XTOL) or the iteration cap. The loss
-    at ``p0`` must be finite (scipy raises ValueError), and the returned loss
-    never exceeds it; running out of iterations is reported as
-    ``converged=False``. The solver asks for the Jacobian only at the point
-    it evaluated last, so each point costs one call of ``residual_fn``.
+    Bounded Levenberg-Marquardt (Moré 1978): each step solves the damped
+    normal equations ``(JᵀJ + mu D²) h = -Jᵀr``, D the running maximum of
+    the column norms of J, and mu follows the ratio of actual to predicted
+    decrease (Nielsen's rule). A parameter whose step leaves the box stops
+    on its bound, and the others are solved again with that step fixed (the
+    active set). Non-finite trial residuals reject a step. Stops on FTOL,
+    XTOL or GTOL, named in ``message``, or unconverged after ``MAX_ITER *
+    (len(p0) + 1)`` calls of ``residual_fn``, one per point
+    (``evaluations``); ``iterations`` counts the Jacobians used. The loss at
+    ``p0`` must be finite (else ValueError); the loss returned is no higher.
     """
-    p0 = np.asarray(p0, dtype=float)
-    names = names or tuple(f"p{i}" for i in range(len(p0)))
-    last = {}
-
-    def residuals(p):
-        last["p"], (r, last["jac"]) = p.copy(), residual_fn(p)
-        return r
-
-    def jacobian(p):
-        if not np.array_equal(p, last["p"]):
-            residuals(p)
-        return last["jac"]
-
-    result = least_squares(residuals, p0, jac=jacobian, bounds=bounds, method="trf", ftol=FTOL,
-                           xtol=XTOL, gtol=1e-14, max_nfev=MAX_ITER * (len(p0) + 1))
-
-    return ParamEstimate(
-        names=names,
-        values=result.x,
-        loss=float(np.sum(result.fun**2)),
-        iterations=int(result.njev if result.njev is not None else result.nfev),
-        converged=bool(result.status > 0),
-        message=str(result.message),
-    )
+    p = np.asarray(p0, dtype=float)
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    r, jac = residual_fn(p)
+    loss = float(r @ r)
+    if not np.isfinite(loss):
+        raise ValueError("Residuals are not finite in the initial point")
+    evaluations, used, scale, damping, growth, stop = 1, 1, np.zeros_like(p), DAMPING, 2.0, None
+    while stop is None and evaluations < MAX_ITER * (len(p) + 1):
+        grad, hess = jac.T @ r, jac.T @ jac
+        scale = np.maximum(scale, np.sqrt(np.diag(hess)))
+        d = np.where(scale > 0.0, scale, 1.0)
+        if np.all(np.abs(grad) < GTOL * d):
+            stop = "gtol: the scaled gradient vanished"
+            break
+        # the active set: a parameter whose step leaves the box stops on its
+        # bound (one on a bound stays there), and the second pass solves the
+        # others again with that step fixed
+        step, solving = np.zeros_like(p), np.ones(len(p), dtype=bool)
+        for _ in range(2):
+            s = np.ix_(solving, solving)
+            step[solving] = np.linalg.solve(hess[s] + damping * np.diag(d[solving] ** 2),
+                                            -grad[solving] - hess[np.ix_(solving, ~solving)] @ step[~solving])
+            crossed = solving & ((p + step < lo) | (p + step > hi))
+            step[crossed] = np.clip(p + step, lo, hi)[crossed] - p[crossed]
+            solving &= ~crossed
+        trial = np.clip(p + step, lo, hi)
+        step = trial - p
+        r_new, jac_new = residual_fn(trial)
+        evaluations += 1
+        new = float(r_new @ r_new)
+        predicted = -(2.0 * grad @ step + step @ hess @ step)
+        # the gain ratio: -inf or nan, so a rejection, where the trial's residuals are not finite
+        gain = (loss - new) / predicted if predicted > 0.0 else -1.0
+        if np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(p)):
+            stop = "xtol: the step fell below XTOL of the parameters"
+        if gain > 0.0:
+            if loss - new < FTOL * loss:
+                stop = "ftol: the loss fell by less than FTOL of itself"
+            p, r, jac, loss = trial, r_new, jac_new, new
+            used += stop is None
+            damping, growth = damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+        else:
+            damping, growth = damping * growth, growth * 2.0
+    return ParamEstimate(names or tuple(f"p{i}" for i in range(len(p))), p, loss, used, stop is not None,
+                         stop or "the evaluation cap was reached", evaluations)
 
 
 def fit(exp: Experiment, fixed: RobotParams, names, guess: dict) -> ParamEstimate:

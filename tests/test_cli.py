@@ -24,6 +24,7 @@ MANIFEST_KEYS = {
     "command",
     "config_sha256",
     "seeds",
+    "fits",
     "integrator",
     "csv",
     "wall_clock_s",
@@ -216,6 +217,34 @@ class TestIdentify:
         # the fit CSVs pair each measured channel with its prediction
         header = (out / "fit_step1_wheel.csv").read_text().splitlines()[0]
         assert header == "time,measured_rate,predicted_rate"
+
+    def test_the_manifest_records_each_fits_stop_rule_and_counts(self, tmp_path):
+        out = tmp_path / "id"
+        assert main(["identify", "--step", "all", "--sweep", "0", "--seed", "0", "--out", str(out)]) == 0
+        fits = manifest(out)["fits"]
+        assert list(fits) == ["step1_wheel", "step1_platform", "step2", "step3"]
+        for record in fits.values():
+            assert set(record) == {"stop", "jacobians", "residual_evals"}
+            assert record["stop"].split(":")[0] in {"ftol", "xtol", "gtol"}
+            assert 1 <= record["jacobians"] <= record["residual_evals"]
+        # the report's iterations of a step are its fits' Jacobians
+        report = (out / "report.txt").read_text()
+        assert f"iterations = {fits['step2']['jacobians']}\n" in report
+        # a run without fits records none
+        assert main(["simulate", "--scenario", "wheel-spin", "--out", str(tmp_path / "sim")]) == 0
+        assert manifest(tmp_path / "sim")["fits"] == {}
+
+    def test_a_far_guess_ends_on_the_mass_bound_at_the_loss_of_scipys_fit(self, tmp_path):
+        # the chassis guess on the corners of its centre-of-mass box drives mc
+        # onto its upper bound; scipy's trust region ended there at this loss
+        guess = tmp_path / "guess.cfg"
+        guess.write_text("xB = 1.0\nyB = -1.0\n")
+        out = tmp_path / "id"
+        assert main(["identify", "--step", "2", "--guess", str(guess), "--out", str(out)]) == 0
+        report = dict(line.split(" = ") for line in (out / "report.txt").read_text().splitlines() if " = " in line)
+        assert float(report["loss"]) == pytest.approx(133.80461198729543, rel=1e-9)
+        assert (out / "estimates.csv").read_text().splitlines()[1].split(",")[:4] == ["step2", "mc", "54.57", "10000.0"]
+        assert manifest(out)["fits"]["step2"]["residual_evals"] <= 50
 
     def test_guess_file_must_parse(self, tmp_path, capsys):
         bad = tmp_path / "guess.cfg"
@@ -867,6 +896,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "corridor" in proc.stdout
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # a fresh interpreter: scipy is a test dependency only
+        package_root = str(Path(otbot.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+        code = """if True:
+            import sys
+            from otbot.cli import main
+            assert "scipy" not in sys.modules, "import otbot.cli"
+            for i, argv in enumerate([
+                ["identify", "--step", "all", "--sweep", "0"], ["control", "--scenario", "figure8"],
+                ["simulate", "--scenario", "chassis-excitation"], ["check-torques", "--scenario", "corridor"],
+            ]):
+                assert main([*argv, "--out", f"run{i}"]) == 0, argv
+                assert "scipy" not in sys.modules, argv
+            assert main(["scenarios"]) == 0
+            assert "scipy" not in sys.modules, "scenarios"
+        """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(shutil.which("otbot") is None, reason="otbot console script not installed")
     def test_console_script_on_path(self):
