@@ -9,12 +9,6 @@ tracking layer in :mod:`otbot.control`. ``otbot.cli`` fronts all of it.
 
 __version__ = "0.1.0"
 
-# numpy imports these on first use: numpy.random at the first noise draw,
-# numpy.ma inside the first np.unique. Importing them with the package keeps
-# that one-time cost (about 25 ms) out of the first command a process runs.
-import numpy.ma  # noqa: F401
-import numpy.random  # noqa: F401
-
 from .params import RobotParams, load_params, nominal_params
 from .dynamics import RobotState, inverse_dynamics, forward_dynamics, state_derivative
 from .model import constraint_jacobian, fik_matrix, iik_matrix, lambda_delta

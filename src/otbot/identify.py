@@ -285,14 +285,13 @@ def fit_trust_region(residual_fn, p0, bounds=(-np.inf, np.inf),
     """Minimize ``sum(r**2)`` inside box bounds, where ``residual_fn(p)``
     returns ``(r, J)``: the residuals and their Jacobian at p.
 
-    Bounded Levenberg-Marquardt (Moré 1978): each step solves the damped
-    normal equations ``(JᵀJ + mu D²) h = -Jᵀr``, D the running maximum of
-    the column norms of J, and mu follows the ratio of actual to predicted
-    decrease (Nielsen's rule). A parameter whose step leaves the box stops
-    on its bound, and the others are solved again with that step fixed (the
-    active set). Non-finite trial residuals reject a step. Stops on FTOL,
-    XTOL or GTOL, named in ``message``, or unconverged after ``MAX_ITER *
-    (len(p0) + 1)`` calls of ``residual_fn``, one per point
+    Bounded Levenberg-Marquardt (Moré 1978): steps solve ``(JᵀJ + mu D²) h
+    = -Jᵀr``, D the running maximum of J's column norms, mu set by the gain
+    ratio (Nielsen's rule). The active set holds on its bound a parameter
+    whose gradient, or step, leaves the box, and frees one whose model
+    gradient turns inward. Non-finite trial residuals reject a step. Stops on
+    FTOL, XTOL or GTOL, named in ``message``, or unconverged after
+    ``MAX_ITER * (len(p0) + 1)`` calls of ``residual_fn``, one per point
     (``evaluations``); ``iterations`` counts the Jacobians used. The loss at
     ``p0`` must be finite (else ValueError); the loss returned is no higher.
     """
@@ -307,32 +306,34 @@ def fit_trust_region(residual_fn, p0, bounds=(-np.inf, np.inf),
         grad, hess = jac.T @ r, jac.T @ jac
         scale = np.maximum(scale, np.sqrt(np.diag(hess)))
         d = np.where(scale > 0.0, scale, 1.0)
-        if np.all(np.abs(grad) < GTOL * d):
+        # held: the bound a parameter is held on, nan where it is free
+        held = np.where((p <= lo) & (grad > 0.0) | (p >= hi) & (grad < 0.0), p, np.nan)
+        if np.all(~np.isnan(held) | (np.abs(grad) < GTOL * d)):
             stop = "gtol: the scaled gradient vanished"
             break
-        # the active set: a parameter whose step leaves the box stops on its
-        # bound (one on a bound stays there), and the second pass solves the
-        # others again with that step fixed
-        step, solving = np.zeros_like(p), np.ones(len(p), dtype=bool)
-        for _ in range(2):
-            s = np.ix_(solving, solving)
-            step[solving] = np.linalg.solve(hess[s] + damping * np.diag(d[solving] ** 2),
-                                            -grad[solving] - hess[np.ix_(solving, ~solving)] @ step[~solving])
-            crossed = solving & ((p + step < lo) | (p + step > hi))
-            step[crossed] = np.clip(p + step, lo, hi)[crossed] - p[crossed]
-            solving &= ~crossed
+        a = hess + damping * np.diag(d**2)
+        for _ in range(3 * len(p)):
+            free, step = np.isnan(held), np.nan_to_num(held - p)
+            step[free] = np.linalg.solve(a[np.ix_(free, free)], -grad[free] - a[np.ix_(free, ~free)] @ step[~free])
+            out, pull = free & ((p + step < lo) | (p + step > hi)), grad + a @ step
+            inward = ~free & ((held <= lo) & (pull < 0.0) | (held >= hi) & (pull > 0.0))
+            if not (out.any() or inward.any()):
+                break
+            held = np.where(out, np.clip(p + step, lo, hi), held) if out.any() else np.where(inward, np.nan, held)
         trial = np.clip(p + step, lo, hi)
         step = trial - p
+        # a step this short is not worth its rollout
+        if np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(p)):
+            stop = "xtol: the step fell below XTOL of the parameters"
+            break
         r_new, jac_new = residual_fn(trial)
         evaluations += 1
         new = float(r_new @ r_new)
         predicted = -(2.0 * grad @ step + step @ hess @ step)
         # the gain ratio: -inf or nan, so a rejection, where the trial's residuals are not finite
         gain = (loss - new) / predicted if predicted > 0.0 else -1.0
-        if np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(p)):
-            stop = "xtol: the step fell below XTOL of the parameters"
         if gain > 0.0:
-            if loss - new < FTOL * loss:
+            if max(loss - new, predicted) < FTOL * loss:
                 stop = "ftol: the loss fell by less than FTOL of itself"
             p, r, jac, loss = trial, r_new, jac_new, new
             used += stop is None

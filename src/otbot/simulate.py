@@ -183,13 +183,15 @@ class EventPlan:
             mask = (controls.boundaries > t0) & (controls.boundaries < t_end)
             output_times = np.concatenate([[t0], controls.boundaries[mask], [t_end]])
         else:
-            output_times = np.unique(np.asarray(output_times, dtype=float))
+            output_times = np.sort(np.asarray(output_times, dtype=float))
         lo, hi = t0 - _EVENT_MERGE_TOL, t_end + _EVENT_MERGE_TOL
         if output_times[0] < lo or output_times[-1] > hi:
             raise ValueError("output times fall outside the integration span")
         groups = [g[(g > lo) & (g < hi)]
                   for g in (output_times, controls.boundaries, np.array(schedule.edges(), float))]
-        raw = np.unique(np.concatenate([[t0, t_end], *groups]))
+        # the distinct times, sorted: np.unique would import numpy.ma on its first call
+        raw = np.sort(np.concatenate([[t0, t_end], *groups]))
+        raw = raw[np.diff(raw, prepend=np.nan) != 0.0]
         marks = []
         for g in groups:
             marks.append(np.zeros(len(raw), dtype=bool))

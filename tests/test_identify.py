@@ -87,6 +87,33 @@ def test_a_parameter_started_on_its_bound_stays_there_while_the_other_converges(
     assert est.evaluations <= 6
 
 
+@pytest.mark.parametrize("start", [[0.0, 0.0], [0.5, 0.5]])
+def test_two_bounds_crossed_at_once_end_at_the_constrained_optimum(start):
+    # r = J (p - a) with JᵀJ = [[1, -0.9], [-0.9, 1]], a = (-1, -0.5) and p >= 0:
+    # the Newton step leaves the box in both coordinates, yet on p0 = 0 the
+    # gradient in p1 points into the box, and the optimum is (0, 0.4)
+    jac = np.linalg.cholesky(np.array([[1.0, -0.9], [-0.9, 1.0]])).T
+    est = fit_trust_region(lambda p: (jac @ (p + [1.0, 0.5]), jac), start, bounds=([0.0, 0.0], [np.inf, np.inf]))
+    assert est.converged
+    assert est.values[0] == 0.0
+    assert est.values[1] == pytest.approx(0.4, abs=1e-9)
+    assert est.loss == pytest.approx(0.19, abs=1e-12)
+
+
+def test_a_fit_held_on_its_bounds_stops_without_another_call():
+    # on p = 2 the gradient points out of the box, so no zero step is tried
+    calls = []
+
+    def residual(p):
+        calls.append(p.copy())
+        return p - 5.0, np.eye(1)
+
+    est = fit_trust_region(residual, [1.0], bounds=([0.0], [2.0]))
+    assert est.values[0] == 2.0 and est.converged
+    assert est.message.startswith("gtol")
+    assert est.evaluations == len(calls) == 2
+
+
 def test_non_finite_trial_residuals_reject_the_step():
     # the model cannot be integrated past p = 2, short of the optimum at 3
     def residual(p):
