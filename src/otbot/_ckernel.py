@@ -16,9 +16,9 @@ Two libraries are compiled on first use, never at import:
   order. So the loop computes the same bits as the Python engine; where
   numpy has no such ``ddot`` or ``dgemv`` (another BLAS), the Python engine
   runs.
-- ``_csv_format.c``, the CSV formatter, with the same compiler (``-O2``):
-  Schubfach's shortest round-trip digits, laid out as ``repr`` lays them
-  out, so it writes the same bytes as the Python loop.
+- ``_csv_format.c``, the CSV formatter (``-O2``): Schubfach's shortest
+  round-trip digits in ``repr``'s layout, the bytes of the Python loop, on
+  128-bit powers of ten built here from their definition when it loads.
 
 A library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
 under the SHA-256 of its source and flags, so the first run after the
@@ -192,13 +192,25 @@ def load_formatter():
     row-major float64 table at address ``x`` into the ``size`` bytes at
     address ``out`` and returns the number of bytes written, or -1 where
     ``size`` is less than ``rows * (CELL_BYTES * cols + n_eol)``; see the
-    source's header.
+    source's header. Its first argument in C, bound here, is the table of
+    :func:`pow10_scaling` as (hi, lo) halves over the k the library exports.
     """
     path = build(FORMATTER_SOURCE, COMPILER, FORMATTER_FLAGS)
     if path is None:
         return None
-    format_rows = ctypes.CDLL(str(path)).format_rows
-    format_rows.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p,
-                            ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
+    lib = ctypes.CDLL(str(path))
+    k_min, k_max = (ctypes.c_int.in_dll(lib, name).value for name in ("POW10_K_MIN", "POW10_K_MAX"))
+    table = (ctypes.c_uint64 * 2 * (k_max - k_min + 1))(
+        *(divmod(pow10_scaling(k), 1 << 64) for k in range(k_min, k_max + 1)))
+    format_rows = lib.format_rows
+    format_rows.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                            ctypes.c_char_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
     format_rows.restype = ctypes.c_long
-    return format_rows
+    return functools.partial(format_rows, table)
+
+
+def pow10_scaling(k: int) -> int:
+    """``ceil(10**k / 2**e)``, e = floor(log2 10**k) - 127: 10**k scaled into [2**127, 2**128)."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    e = num.bit_length() - den.bit_length() - (k < 0) - 127  # 10**-k is no power of two
+    return -(-(num << max(-e, 0)) // (den << max(e, 0)))

@@ -549,10 +549,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (IntegrationError, ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
+        # a numerical failure: a rollout that cannot go on, or a model that
+        # divides by zero or overflows on the parameters it was given
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -168,9 +168,9 @@ class EventPlan:
     a disturbance edge, ``held`` is the input row held from it (None under
     a feedback ``law``) and ``forces`` the pivot force (fx, fy); ``times``
     are the output times. The tables are read-only: one plan serves any
-    number of rollouts on any threads, each writing only its own buffers.
-    ``template``, the ``_ckernel.Rollout`` of an open-loop plan's tables,
-    is built by its first compiled rollout and copied by each one.
+    number of rollouts, each writing only its own buffers, and ``template``,
+    the ``_ckernel.Rollout`` of an open-loop plan's tables, built by its
+    first compiled rollout and copied by each one, points into them.
     """
 
     def __init__(self, t_span, controls: ControlSequence | FeedbackLaw, output_times=None,
@@ -262,7 +262,7 @@ def integrate(
     x = np.asarray(x0, dtype=float).copy()
     law, held, params = plan.law, plan.held, getattr(model, "params", None)
     error_states = len(x) // (1 + getattr(model, "lanes", 0))
-    # the output buffers belong to this rollout (rollouts of a plan may run on threads)
+    # the output buffers belong to this rollout; its plan serves others too
     states = np.empty((len(plan.times), len(x)))
     derivs = np.empty_like(states)
     inputs = np.empty((len(states), 3 if held is None else held.shape[1]))
@@ -315,7 +315,8 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
 
     One call runs every event, the first-step guess included, on a copy of
     the plan's ``template``, or under a law on a struct with held rows of its
-    own. The copy belongs to this rollout: the foreign call releases the GIL."""
+    own. The copy belongs to this rollout, since the C writes into it; the
+    template points into the plan's tables and serves its next rollouts."""
     index = _ckernel.MODEL_INDEX[model.kind]
     m, law = _ckernel.MODELS[index], plan.law
     fits = (states.shape[1], inputs.shape[1]) == (m.states, m.inputs)

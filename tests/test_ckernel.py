@@ -20,9 +20,9 @@ import fnmatch
 import json
 import math
 import os
-import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -918,21 +918,24 @@ def test_formatter_spells_integers_as_repr(formatter):
     assert _spelled(formatter, table, b"\n") == _repr_rows(table, "\n")
 
 
-def test_formatter_powers_of_ten_are_the_rounded_up_128_bit_scalings():
-    # entry k of POW10 is ceil(10^k / 2^e), e = floor(log2 10^k) - 127, for k in [-292, 324]
-    text = _ckernel.FORMATTER_SOURCE.read_text()
-    body = text[text.index("POW10[][2] = {"):]
-    body = body[: body.index("};")]
-    entries = [(int(hi, 16) << 64 | int(lo, 16), int(k))
-               for hi, lo, k in re.findall(r"\{0x([0-9A-F]{16}), 0x([0-9A-F]{16})\}, // (-?\d+)", body)]
-    assert [k for _, k in entries] == list(range(-292, 325))
-    for g, k in entries:
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        log2 = num.bit_length() - 1 if k >= 0 else -((den - 1).bit_length())  # floor(log2 10^k)
-        e = log2 - 127
-        num, den = (num, den << e) if e >= 0 else (num << -e, den)
-        assert g == -(-num // den), k
+def test_formatter_powers_of_ten_are_the_rounded_up_128_bit_scalings(formatter):
+    # row k - k_min of the table load_formatter binds is g = ceil(10^k / 2^e),
+    # e = floor(log2 10^k) - 127, for the k the library exports
+    lib = ctypes.CDLL(str(_ckernel.build(_ckernel.FORMATTER_SOURCE, _ckernel.COMPILER,
+                                         _ckernel.FORMATTER_FLAGS)))
+    k_min, k_max = (ctypes.c_int.in_dll(lib, name).value for name in ("POW10_K_MIN", "POW10_K_MAX"))
+    # to_decimal reads row -floor_log10_pow2(q, closer_below) - k_min for the
+    # exponent q of a double; closer_below only on normals above the smallest
+    reads = {-((q * 1262611 - 524031 * closer) >> 22)
+             for q in range(-1074, 972) for closer in ((0, 1) if q > -1074 else (0,))}
+    assert reads == set(range(k_min, k_max + 1))
+    table = formatter.args[0]
+    assert len(table) == k_max - k_min + 1
+    for k, (hi, lo) in zip(range(k_min, k_max + 1), table):
+        g = hi << 64 | lo
+        e = ((k * 1741647) >> 19) - 127  # the C's floor_log2_pow10(k) - 127
         assert 2**127 <= g < 2**128, k
+        assert (g - 1) * Fraction(2) ** e < Fraction(10) ** k <= g * Fraction(2) ** e, k
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["LF", "CRLF"])

@@ -432,6 +432,27 @@ class TestCheckTorques:
         assert "controller scenario" in capsys.readouterr().err
 
 
+class TestDegenerateParams:
+    """Tiny but valid masses and inertias, on which the model's mass matrix
+    is singular in floating point: a numerical failure, not a bad input."""
+
+    @pytest.mark.parametrize("engine", ["c", "python"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--torques", "1,2,3", "--duration", "0.1"],
+        ["check-torques", "--scenario", "figure8"],
+    ], ids=["simulate", "check-torques"])
+    def test_a_zero_determinant_exits_one_with_one_line(self, tmp_path, capsys, request, argv, engine):
+        if engine == "python":
+            request.getfixturevalue("python_kernel")
+        tiny = tmp_path / "tiny.cfg"
+        save_params(nominal_params().replace(mc=1e-300, mp=1e-300, Ic=1e-300, Ip=1e-300, Ia=1e-300),
+                    tiny)
+        code = main([*argv, "--params", str(tiny), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def _plan_text(*times) -> str:
     """A plan file at rest on the given times."""
     return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(f"{t!r}" + ",0.0" * 15 + "\n" for t in times)
