@@ -267,8 +267,7 @@ def _cmd_simulate(args) -> int:
             trajectory_to_csv(traj, run.emit("trajectory.csv"))
         for kind, sigma in cfg.sensors.items():
             # a shaft's encoder reads its rate
-            model = SensorModel(kind=kind, sigma=sigma, rate=cfg.sensor_rate,
-                                axis=1 if shaft else None)
+            model = SensorModel(kind=kind, sigma=sigma, axis=1 if shaft else None)
             _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     else:
         params = run.config("--params", args.params, load_params, nominal_params())
@@ -305,10 +304,8 @@ def _report_step(fh, step: str, fits, truth: dict[str, float]) -> None:
 def _fit_data_csv(run: _Run, fit) -> None:
     exp = fit.experiment
     pred = predict_outputs(fit.estimate.as_dict(), fit.held, exp, IntegratorOptions())
-    n = len(exp.record.times)
-    meas = exp.record.values.reshape(n, -1)
     # each measured channel next to its prediction
-    pairs = np.stack([meas, pred], axis=2).reshape(n, -1)
+    pairs = np.stack([exp.record.values, pred], axis=2).reshape(len(pred), -1)
     channels = SENSOR_CHANNELS[exp.record.kind]
     header = ["time", *(f"{kind}_{c}" for c in channels for kind in ("measured", "predicted"))]
     write_csv(run.emit(f"fit_{fit.row.record}.csv"), header, [exp.record.times, pairs])
@@ -375,6 +372,12 @@ def _write_tracking_outputs(run: _Run, result) -> None:
               [t, traj.controls, result.u_traj, result.u_corr])
 
 
+def _write_report(run: _Run, entries: dict) -> None:
+    """``report.txt``: one ``key = value`` line per entry."""
+    with open(run.emit("report.txt"), "w") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in entries.items())
+
+
 def _write_feasibility(run: _Run, report) -> None:
     write_csv(run.emit("feasibility.csv"), ["time", *_prefix_suffix(("lo", "hi", "nom"), RLP)],
               [report.times, report.lo, report.hi, report.nominal])
@@ -416,36 +419,33 @@ def _cmd_control(args) -> int:
         if plan_file.parent == out and plan_file.name not in run.files:
             run.files.append(plan_file.name)
 
-    with open(run.emit("report.txt"), "w") as fh:
-        fh.write(f"scenario = {cfg.name}\n")
-        fh.write(f"kp = {gains.kp[0]:.3f}\nkv = {gains.kv[0]:.3f}\n")
-        fh.write(f"poles = {format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}\n")
-
-        if cfg.mode == "controller":
-            x0 = cfg.initial_state(ref)
-            result = closed_loop_simulate(
-                params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances,
-                t_end=cfg.horizon,
-            )
-            _write_tracking_outputs(run, result)
-            feas = torque_feasibility(params, ref, gains, t_end=cfg.horizon)
-            _write_feasibility(run, feas)
-            ep = np.linalg.norm(result.e_p[:, :2], axis=1)
-            fh.write(f"peak_position_error = {format_float(ep.max())}\n")
-            fh.write(f"peak_alpha_error = {format_float(np.abs(result.e_p[:, 2]).max())}\n")
-            fh.write(f"feasible = {feas.ok}\n")
-            fh.write(f"feasibility_margin = {format_float(feas.worst_margin)}\n")
-        else:
-            result = track_planned_trajectory(params, plan, gains, control_rate=rate)
-            _write_tracking_outputs(run, result)
-            replay = open_loop_replay(params, plan)
-            trajectory_to_csv(replay, run.emit("replay.csv"))
-            drift = np.linalg.norm(replay.states[:, 0:2] - plan.states[:, 0:2], axis=1)
-            ep = np.linalg.norm(result.e_p[:, :2], axis=1)
-            fh.write(f"open_loop_drift_max = {format_float(drift.max())}\n")
-            fh.write(f"open_loop_drift_final = {format_float(drift[-1])}\n")
-            fh.write(f"closed_loop_position_error_max = {format_float(ep.max())}\n")
-
+    report = {"scenario": cfg.name, "kp": f"{gains.kp[0]:.3f}", "kv": f"{gains.kv[0]:.3f}",
+              "poles": f"{format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}"}
+    if cfg.mode == "controller":
+        x0 = cfg.initial_state(ref)
+        result = closed_loop_simulate(
+            params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances,
+            t_end=cfg.horizon,
+        )
+        _write_tracking_outputs(run, result)
+        feas = torque_feasibility(params, ref, gains, t_end=cfg.horizon)
+        _write_feasibility(run, feas)
+        ep = np.linalg.norm(result.e_p[:, :2], axis=1)
+        report.update(peak_position_error=format_float(ep.max()),
+                      peak_alpha_error=format_float(np.abs(result.e_p[:, 2]).max()),
+                      feasible=feas.ok, feasibility_margin=format_float(feas.worst_margin))
+    else:
+        result = track_planned_trajectory(params, plan, gains, control_rate=rate)
+        _write_tracking_outputs(run, result)
+        replay = open_loop_replay(params, plan)
+        trajectory_to_csv(replay, run.emit("replay.csv"))
+        drift = np.linalg.norm(replay.states[:, 0:2] - plan.states[:, 0:2], axis=1)
+        ep = np.linalg.norm(result.e_p[:, :2], axis=1)
+        report.update(open_loop_drift_max=format_float(drift.max()),
+                      open_loop_drift_final=format_float(drift[-1]),
+                      closed_loop_position_error_max=format_float(ep.max()))
+    # written once every computation has returned, so a failed run leaves no report
+    _write_report(run, report)
     run.finish()
     return 0
 
@@ -462,12 +462,9 @@ def _cmd_check_torques(args) -> int:
     ref = make_reference(cfg.reference)
     report = torque_feasibility(params, ref, gains, bounds, t_end=cfg.horizon)
     _write_feasibility(run, report)
-    with open(run.emit("report.txt"), "w") as fh:
-        fh.write(f"scenario = {cfg.name}\n")
-        fh.write(f"torque_limit = {format_float(args.limit)}\n")
-        fh.write(f"feasible = {report.ok}\n")
-        fh.write(f"worst_margin = {format_float(report.worst_margin)}\n")
-        fh.write(f"note = {report.note}\n")
+    _write_report(run, {"scenario": cfg.name, "torque_limit": format_float(args.limit),
+                        "feasible": report.ok, "worst_margin": format_float(report.worst_margin),
+                        "note": report.note})
     run.finish()
     print("feasible" if report.ok else "infeasible")
     return 0

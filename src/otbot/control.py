@@ -130,8 +130,11 @@ class FeedbackLaw:
 
     def command(self, params: RobotParams, k: int, x: np.ndarray) -> np.ndarray:
         """The torque at the k-th instant from the state ``x``, by :func:`computed_torque`."""
-        # the row's three 3-vectors are (p_d, dp_d, ddp_d)
-        command = computed_torque(params, RobotState(q=x[:6], dq=x[6:]), self.reference[k].reshape(3, 3), self.gains)
+        # the row's three 3-vectors are (p_d, dp_d, ddp_d); an overflow shows, as from
+        # the C, in the rollout that holds the torque, not as a numpy warning
+        with np.errstate(all="ignore"):
+            command = computed_torque(params, RobotState(q=x[:6], dq=x[6:]), self.reference[k].reshape(3, 3),
+                                      self.gains)
         self.u_traj[k], self.u_corr[k] = command.u_traj, command.u_corr
         if self.mbar is not None:
             self.mbar[k], self.cbar[k] = command.mbar, command.cbar

@@ -27,19 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _ckernel, _task_space
-from .dynamics import RobotState
 from .integrator import IntegrationError, IntegratorOptions
 from .params import RobotParams
-from .sensors import (
-    ENCODER_SIGMA,
-    SensorModel,
-    SensorRecord,
-    imu_sensitivity,
-    imu_truth,
-    sample_sensors,
-)
-from .simulate import (ControlSequence, EventPlan, integrate, robot_model, shaft_model,
-                       simulate_robot, simulate_shaft)
+from .sensors import ENCODER_SIGMA, SensorModel, SensorRecord, outputs, sample_sensors
+from .simulate import ControlSequence, EventPlan, SimTrajectory, integrate, robot_model, shaft_model
 
 # Noise level of the inertial-unit experiments (density 1.37e-3 per root-Hz
 # at 100 Hz, as printed on the unit's sheet).
@@ -123,25 +114,18 @@ def parameter_bounds(names) -> tuple[np.ndarray, np.ndarray]:
 class Experiment:
     """One excitation run from rest: commanded torques, recorded outputs.
 
+    ``plan`` is the event plan of the controls, sampled at every control
+    instant and the end, built once: it made the record and serves every
+    rollout of a fit. ``sensor_model`` is the sensor that recorded it.
     ``shaft`` names the RobotParams inertia and damping fields of an
-    isolated-shaft record; None is the whole robot. ``sensor_model`` is the
-    noise-free copy used to predict outputs. ``plan`` is the event plan of
-    the controls on the record grid, built once and shared by every rollout
-    of a fit.
+    isolated-shaft record; None is the whole robot.
     """
 
     controls: ControlSequence
+    plan: EventPlan = field(repr=False)
     record: SensorRecord
     sensor_model: SensorModel
     shaft: tuple[str, str] | None = None
-    plan: EventPlan = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        t_lo, t_hi = self.record.times[0], self.record.times[-1]
-        if abs(t_lo - self.controls.t0) > 1e-9 or abs(t_hi - self.controls.end_time) > 1e-9:
-            raise ValueError("record and controls must cover the same time window")
-        span = (self.controls.t0, self.controls.end_time)
-        object.__setattr__(self, "plan", EventPlan(span, self.controls, self.record.times))
 
 
 @dataclass
@@ -182,21 +166,20 @@ def experiment(
     window: float = PLATFORM_WINDOW,
     sigma: float | None = None,
 ) -> Experiment:
-    """The record of ``row`` on the plant ``params`` at noise seed ``seed``.
+    """The record of ``row`` on the plant ``params`` at noise seed ``seed``:
+    the outputs a fit predicts at ``params``, at the integrator's default
+    tolerance, plus noise.
 
     ``window`` is the length of a record the row gives no duration;
     ``sigma`` overrides the row's sensor noise.
     """
     duration = window if row.duration is None else row.duration
     controls = ControlSequence.constant(row.torques, duration, SAMPLE_RATE)
-    if row.shaft:
-        traj = simulate_shaft(*(getattr(params, f) for f in row.shaft), controls)
-    else:
-        traj = simulate_robot(params, RobotState.rest(), controls)
+    plan = EventPlan((controls.t0, controls.end_time), controls)
     model = SensorModel(kind=row.sensor, sigma=row.sigma if sigma is None else sigma,
-                        rate=SAMPLE_RATE, axis=1 if row.shaft else None)
-    record = sample_sensors(traj, model, seed=seed)
-    return Experiment(controls=controls, record=record, sensor_model=model, shaft=row.shaft)
+                        axis=1 if row.shaft else None)
+    traj, _ = _from_rest({}, params, row.shaft, plan, IntegratorOptions())
+    return Experiment(controls, plan, sample_sensors(traj, model, seed), model, row.shaft)
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +199,25 @@ def predict_outputs(candidate: dict, fixed: RobotParams, exp: Experiment,
     """
     values = {_FIELD.get(n, n): v for n, v in candidate.items()}
     seeds = _seeds(exp.shaft, tuple(values)) if sensitivities else None
-    plant = (shaft_model(*(values.get(f, getattr(fixed, f)) for f in exp.shaft), seeds) if exp.shaft
-             else robot_model(fixed.replace(**values), seeds))
-    # from rest: the shaft's (angle, rate) or the robot's (q, dq), with zero sensitivities
-    n, lanes = 2 if exp.shaft else 12, plant.lanes
-    traj = integrate(plant, np.zeros(n * (1 + lanes)), exp.plan, options)
-    model = exp.sensor_model
-    if model.kind == "imu":
-        outputs = imu_truth(traj)
-        derivatives = imu_sensitivity(traj, lanes, outputs) if lanes else None
-    else:
-        outputs = traj.states[:, model.axis][:, None]
-        derivatives = traj.states[:, None, n + lanes * model.axis : n + lanes * (model.axis + 1)]
+    traj, lanes = _from_rest(values, fixed, exp.shaft, exp.plan, options, seeds)
     if not sensitivities:
-        return outputs
-    return outputs, derivatives[..., : len(values)]
+        return outputs(traj, exp.sensor_model)
+    pred, derivatives = outputs(traj, exp.sensor_model, lanes)
+    return pred, derivatives[..., : len(values)]
+
+
+def _from_rest(values: dict, fixed: RobotParams, shaft: tuple[str, str] | None, plan: EventPlan,
+               options: IntegratorOptions, seeds=None) -> tuple[SimTrajectory, int]:
+    """The rollout on ``plan`` from rest of the isolated ``shaft``, or of the
+    whole robot where None, with the RobotParams fields ``values`` and the
+    rest of ``fixed``; with ``seeds`` (see :func:`_seeds`), of its states
+    and their sensitivities, zero at the start. Returns the trajectory and
+    its number of sensitivity lanes."""
+    plant = (shaft_model(*(values.get(f, getattr(fixed, f)) for f in shaft), seeds) if shaft
+             else robot_model(fixed.replace(**values), seeds))
+    # the shaft's (angle, rate) or the robot's (q, dq)
+    n = 2 if shaft else 12
+    return integrate(plant, np.zeros(n * (1 + plant.lanes)), plan, options), plant.lanes
 
 
 @functools.cache
@@ -265,7 +252,6 @@ def prediction_error(
     """
     opts = options or IntegratorOptions()
     meas = exp.record.values
-    meas = meas if meas.ndim == 2 else meas[:, None]
     res, jacobian = np.full(meas.size, np.inf), np.zeros((meas.size, len(candidate)))
     try:
         pred, derivatives = predict_outputs(candidate, fixed, exp, opts, sensitivities=True)

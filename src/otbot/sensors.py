@@ -1,10 +1,11 @@
 """Sensor models: joint encoders and a platform-mounted inertial unit.
 
-Ground truth is taken from the simulated trajectory (states plus the
-forward-dynamics accelerations recorded at the sample instants), never from
-numerical differencing of samples. Noise is additive white Gaussian with a
-configurable standard deviation, drawn from a seeded generator so records
-are reproducible.
+:func:`outputs` maps a trajectory to the noise-free outputs at its own
+sample times, taken from its states and the forward-dynamics accelerations
+recorded there, never from numerical differencing of samples. A record
+(:func:`sample_sensors`) adds white Gaussian noise of a given standard
+deviation to them, drawn from a seeded generator so records are
+reproducible; a fit's prediction is the same map without noise.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ ENCODER_SIGMA = 0.01  # rad/s, rate-encoder noise used by the shaft experiments
 
 @dataclass(frozen=True)
 class SensorModel:
-    """What is measured, how often, and how noisily.
+    """What is measured and how noisily.
 
     kind "encoder": the rate of one state coordinate (``axis`` indexes the
     state vector; e.g. 1 for the isolated-shaft model's dphi).
@@ -31,7 +32,6 @@ class SensorModel:
 
     kind: str
     sigma: float
-    rate: float = 100.0
     axis: int | None = None
 
     def __post_init__(self) -> None:
@@ -45,27 +45,11 @@ class SensorModel:
 
 @dataclass
 class SensorRecord:
-    """Noisy samples on a uniform grid: values[k] measured at times[k]."""
+    """Noisy outputs: values[k], one column per channel, measured at times[k]."""
 
     times: np.ndarray
     values: np.ndarray
-    sigma: float
-    seed: int | None
     kind: str
-
-
-def _grid_indices(traj: SimTrajectory, rate: float) -> np.ndarray:
-    t0, t_end = traj.times[0], traj.times[-1]
-    n = int(round((t_end - t0) * rate))
-    wanted = t0 + np.arange(n + 1) / rate
-    idx = np.searchsorted(traj.times, wanted)
-    idx = np.clip(idx, 0, len(traj.times) - 1)
-    if not np.allclose(traj.times[idx], wanted, rtol=0.0, atol=1e-9):
-        raise ValueError(
-            "trajectory samples are not aligned with the requested sensor grid; "
-            "simulate with output_times on that grid first"
-        )
-    return idx
 
 
 def imu_truth(traj: SimTrajectory) -> np.ndarray:
@@ -99,21 +83,26 @@ def imu_sensitivity(traj: SimTrajectory, lanes: int, out: np.ndarray) -> np.ndar
     return np.stack([d_x, d_y, sensitivity(traj.states, 8)], axis=1)
 
 
+def outputs(traj: SimTrajectory, model: SensorModel, lanes: int = 0):
+    """Noise-free outputs of ``model`` along ``traj``, one row per sample.
+
+    With ``lanes``, ``traj`` carries the sensitivities of its states in
+    that many lanes (``simulate.integrate``), and this returns ``(outputs,
+    derivatives)``, one (channels, lanes) block of derivatives per sample.
+    """
+    if model.kind == "imu":
+        out = imu_truth(traj)
+        return (out, imu_sensitivity(traj, lanes, out)) if lanes else out
+    axis, n = model.axis, traj.states.shape[1] // (1 + lanes)
+    out = traj.states[:, axis : axis + 1]
+    return (out, traj.states[:, None, n + lanes * axis : n + lanes * (axis + 1)]) if lanes else out
+
+
 def sample_sensors(traj: SimTrajectory, model: SensorModel, seed: int | None = None) -> SensorRecord:
-    """Sample a sensor along a trajectory; duration*rate + 1 samples."""
-    idx = _grid_indices(traj, model.rate)
-    if model.kind == "encoder":
-        truth = traj.states[idx, model.axis]
-    else:
-        truth = imu_truth(traj)[idx]
-    values = truth.astype(float, copy=True)
+    """A record of ``model`` at the trajectory's own times: :func:`outputs`
+    plus noise of ``model.sigma`` from generator seed ``seed``."""
+    values = outputs(traj, model).astype(float, copy=True)
     if model.sigma > 0.0:
         rng = np.random.default_rng(seed)
         values += model.sigma * rng.standard_normal(values.shape)
-    return SensorRecord(
-        times=traj.times[idx].copy(),
-        values=values,
-        sigma=model.sigma,
-        seed=seed,
-        kind=model.kind,
-    )
+    return SensorRecord(times=traj.times.copy(), values=values, kind=model.kind)

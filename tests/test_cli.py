@@ -378,6 +378,24 @@ class TestControl:
         assert capsys.readouterr().err.splitlines() == [
             "error: step size underflow at t = 0.000000e+00 (first step guess h = 0)"]
 
+    @pytest.mark.parametrize("engine", ["c", "python"])
+    def test_gains_that_blow_up_the_loop_leave_one_error_line_and_no_report(
+        self, tmp_path, capsys, recwarn, request, engine
+    ):
+        # t_stab = 1e-12 gives kp = 1.6e26: the correction overflows and the
+        # rollout ends in a step size underflow, a numerical failure
+        if engine == "python":
+            request.getfixturevalue("python_kernel")
+        gains = tmp_path / "gains.cfg"
+        gains.write_text("t_stab = 1e-12\n")
+        out = tmp_path / "x"
+        code = main(["control", "--scenario", "corridor", "--gains", str(gains), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: step size underflow") and err.count("\n") == 1, err
+        assert [str(w.message) for w in recwarn] == []
+        assert not out.exists()
+
     def test_missing_plan_file_is_a_config_error(self, tmp_path, capsys):
         code = main(
             ["control", "--scenario", "plan", "--plan", str(tmp_path / "ghost.csv"),
