@@ -7,10 +7,14 @@ counted without the generated ``_task_space.py``, with its modules largest
 first; the generated module is counted on a line of its own.
 
     python scripts/count_lines.py
+
+Output cut short by the reader (``count_lines.py | head -1``) ends the
+script quietly.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -38,4 +42,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # raises no second BrokenPipeError (the Python docs' SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -51,7 +51,6 @@ from .scenarios import (
     natural,
     non_negative,
     periods,
-    plan_path,
     scenario_listing,
     stabilisation_time,
 )
@@ -384,8 +383,7 @@ def _write_feasibility(run: _Run, report) -> None:
 
 
 def _cmd_control(args) -> int:
-    out = Path(args.out)
-    run = _Run("control", out)
+    run = _Run("control", Path(args.out))
     name = args.scenario if args.scenario != "plan" else "plan-tracking"
     cfg, params = _scenario(
         run, name, args.params, ("controller", "plan"), "use the simulate subcommand"
@@ -401,23 +399,21 @@ def _cmd_control(args) -> int:
     run.seeds["scenario"] = seed
     plan = None
     if cfg.mode == "plan":
-        plan_file = Path(args.plan) if args.plan else plan_path(cfg, out)
-        plan_source = "--plan" if args.plan else f"{cfg.path}: [plan] file"
-        # a plan on disk is read now; a generated one is written after the checks
-        if args.plan or plan_file.exists():
-            plan = run.config(plan_source, plan_file, _read_plan, None)
+        plan_file = Path(args.plan) if args.plan else cfg.plan_file
+        # a named plan is read now; one to generate is built after the checks
+        if args.plan or (plan_file is not None and plan_file.exists()):
+            plan = run.config("--plan" if args.plan else f"{cfg.path}: [plan] file", plan_file, _read_plan, None)
     else:
         ref = make_reference(cfg.reference)
-    # the run lasts the scenario's horizon, or that of a plan read from disk,
+    # the run lasts the scenario's horizon, or that of a named plan,
     # a whole number of control periods
     run_length = ((f"{cfg.path}: [scenario] horizon", cfg.horizon) if plan is None
                   else (f"{plan_file}: plan", float(plan.times[-1] - plan.times[0])))
     periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
-    if cfg.mode == "plan":
-        if plan is None:
-            plan = run.config(plan_source, ensure_plan(cfg, run.directory()), _read_plan, None)
-        if plan_file.parent == out and plan_file.name not in run.files:
-            run.files.append(plan_file.name)
+    if cfg.mode == "plan" and plan is None:
+        plan_file = ensure_plan(cfg, run.directory())
+        # an output of the run, and a file it reads (so its hash is recorded)
+        plan = run.config("--out", run.emit(plan_file.name), _read_plan, None)
 
     report = {"scenario": cfg.name, "kp": f"{gains.kp[0]:.3f}", "kv": f"{gains.kv[0]:.3f}",
               "poles": f"{format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}"}

@@ -240,9 +240,9 @@ def track_planned_trajectory(
 
 
 def open_loop_replay(params: RobotParams, plan: SimTrajectory) -> SimTrajectory:
-    """Re-run the planned torque sequence blind from the plan's first state."""
-    times = plan.times
-    controls = ControlSequence(t0=float(times[0]), dt=plan_step(times), samples=plan.controls[:-1])
+    """Re-run the planned torque sequence blind from the plan's first state, at t = 0."""
+    times = plan.times - plan.times[0]
+    controls = ControlSequence(t0=0.0, dt=plan_step(times), samples=plan.controls[:-1])
     return simulate_robot(
         params,
         RobotState.from_vector(plan.states[0]),

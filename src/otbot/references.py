@@ -162,7 +162,7 @@ def plan_step(times, source: str = "plan") -> float:
 
 
 class PlanReference(ReferenceTrajectory):
-    """Reference rebuilt from a planned state sequence on a uniform grid.
+    """Reference rebuilt from a planned state sequence on a uniform grid, from t = 0 at its first sample.
 
     Velocity references come from central differences of the position
     samples (one-sided at the ends) and accelerations from second central
@@ -185,7 +185,6 @@ class PlanReference(ReferenceTrajectory):
         a[0] = a[1]
         a[-1] = a[-2]
 
-        self._t0 = float(times[0])
         self._dt = dt
         self._p = p
         self._v = v
@@ -193,8 +192,8 @@ class PlanReference(ReferenceTrajectory):
         self.horizon = float(times[-1] - times[0])
 
     def _sample(self, t):
-        k = np.clip(np.floor((t - self._t0) / self._dt).astype(int), 0, len(self._p) - 2)
-        tau = ((t - self._t0) - k * self._dt)[:, None]
+        k = np.clip(np.floor(t / self._dt).astype(int), 0, len(self._p) - 2)
+        tau = (t - k * self._dt)[:, None]
         a = self._a[k]
         v = self._v[k] + a * tau
         p = self._p[k] + self._v[k] * tau + 0.5 * a * tau * tau

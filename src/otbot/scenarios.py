@@ -392,23 +392,16 @@ def build_plan(
     return SimTrajectory(times=times, states=states, controls=controls)
 
 
-def plan_path(cfg: ScenarioConfig, out_dir: Path) -> Path:
-    """Where the scenario's plan is: its own file, else that name in ``out_dir``."""
-    target = cfg.plan_file
-    if target is not None and target.exists():
-        return target
-    return out_dir / (target.name if target is not None else "plan.csv")
-
-
 def ensure_plan(cfg: ScenarioConfig, out_dir: Path) -> Path:
-    """Resolve the scenario's plan file (see :func:`plan_path`), generating it if absent."""
-    path = plan_path(cfg, out_dir)
-    if not path.exists():
-        plan = build_plan(
-            cfg.params,
-            horizon=cfg.horizon,
-            rate=cfg.plan_rate,
-            mass_error=cfg.plan_mass_error,
-        )
-        trajectory_to_csv(plan, path)
+    """The scenario's own plan file where it exists, else a plan built into ``out_dir`` under its name."""
+    if cfg.plan_file is not None and cfg.plan_file.exists():
+        return cfg.plan_file
+    path = out_dir / (cfg.plan_file.name if cfg.plan_file is not None else "plan.csv")
+    plan = build_plan(
+        cfg.params,
+        horizon=cfg.horizon,
+        rate=cfg.plan_rate,
+        mass_error=cfg.plan_mass_error,
+    )
+    trajectory_to_csv(plan, path)
     return path

@@ -499,9 +499,13 @@ def trajectory_from_csv(path: str | Path) -> SimTrajectory:
         if tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header!r}")
         try:
-            rows = np.array([[float(v) for v in row] for row in reader])
-        except ValueError as exc:  # a cell that is no number, or rows of uneven width
+            rows = [[float(v) for v in row] for row in reader]
+        except ValueError as exc:  # a cell that is no number
             raise ValueError(f"{path}: {exc}") from None
+    if len({len(row) for row in rows}) > 1:  # a short or long row, or a blank line
+        k = next(k for k, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"{path}: the row on line {k + 2} holds {len(rows[k])} cells under {len(header)} columns")
+    rows = np.array(rows)
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
     if rows.shape[1] != len(TRAJECTORY_COLUMNS):

@@ -17,7 +17,7 @@ from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
 from otbot.params import nominal_params, save_params
-from otbot.simulate import TRAJECTORY_COLUMNS, trajectory_from_csv
+from otbot.simulate import TRAJECTORY_COLUMNS, SimTrajectory, trajectory_from_csv, trajectory_to_csv
 
 MANIFEST_KEYS = {
     "tool",
@@ -367,6 +367,43 @@ class TestControl:
         # the generated plan is hashed alongside the scenario file
         assert any(key.endswith("plan.csv") for key in m["config_sha256"])
 
+    @staticmethod
+    def _short_plan_scenario(folder: Path, name: str, mass_error: str = "0.05") -> Path:
+        """The bundled plan scenario over 2 s with ``mass_error``, written to ``folder``."""
+        bundled = Path(otbot.__file__).with_name("scenarios")
+        text = (bundled / "plan-tracking.cfg").read_text()
+        text = text.replace("horizon = 10", "horizon = 2").replace("mass_error = 0.05", f"mass_error = {mass_error}")
+        shutil.copy(bundled / "nominal.cfg", folder)
+        (folder / name).write_text(text)
+        return folder / name
+
+    def test_a_plan_is_built_afresh_whatever_out_holds(self, tmp_path):
+        # two scenarios that differ only in the planner's mass error, run into
+        # one --out: the second run's plan is its own, not the one left there
+        small = self._short_plan_scenario(tmp_path, "small.cfg", "0.05")
+        large = self._short_plan_scenario(tmp_path, "large.cfg", "0.5")
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        for scenario, out in ((small, shared), (large, shared), (large, fresh)):
+            assert main(["control", "--scenario", str(scenario), "--out", str(out)]) == 0
+        for name in ("plan.csv", "replay.csv", "report.txt"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert manifest(shared)["config_sha256"] == {
+            key.replace(str(fresh), str(shared)): value for key, value in manifest(fresh)["config_sha256"].items()}
+
+    def test_a_plan_runs_from_its_first_sample_whatever_its_start_time(self, tmp_path):
+        scenario = self._short_plan_scenario(tmp_path, "short.cfg")
+        assert main(["control", "--scenario", str(scenario), "--out", str(tmp_path / "built")]) == 0
+        plan = trajectory_from_csv(tmp_path / "built" / "plan.csv")
+        shifted = tmp_path / "shifted.csv"
+        trajectory_to_csv(SimTrajectory(plan.times + 5.0, plan.states, plan.controls), shifted)
+        out = tmp_path / "run"
+        assert main(["control", "--scenario", str(scenario), "--plan", str(shifted), "--out", str(out)]) == 0
+        report = dict(line.split(" = ") for line in (out / "report.txt").read_text().splitlines())
+        assert float(report["closed_loop_position_error_max"]) < 1e-3
+        reference = np.loadtxt(out / "reference.csv", delimiter=",", skiprows=1, max_rows=1)
+        assert reference[0] == 0.0 and (reference[1:4] == plan.states[0, :3]).all()
+        assert trajectory_from_csv(out / "replay.csv").times[0] == 0.0
+
     def test_a_huge_torque_in_the_first_plan_row_is_one_error_line(self, tmp_path, capsys):
         # away from rest, the first derivative overflows and the guess of the
         # first step is 0: a step size underflow, as in any later row
@@ -471,6 +508,32 @@ class TestDegenerateParams:
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+class TestHugeParams:
+    """Huge but finite values, whose first derivative overflows: the first
+    step size underflows at t = 0, a numerical failure, not a bad input."""
+
+    @pytest.mark.parametrize("engine", ["c", "python"])
+    @pytest.mark.parametrize("case", ["bw-corridor", "shaft-torque"])
+    def test_a_huge_value_underflows_the_first_step(self, tmp_path, capsys, request, case, engine):
+        if engine == "python":
+            request.getfixturevalue("python_kernel")
+        if case == "bw-corridor":
+            params = tmp_path / "params.cfg"
+            save_params(nominal_params().replace(bw=1e300), params)
+            argv = ["control", "--scenario", "corridor", "--params", str(params)]
+        else:
+            bundled = Path(otbot.__file__).with_name("scenarios")
+            text = (bundled / "wheel-spin.cfg").read_text().replace("torque = 6", "torque = 1e300")
+            (tmp_path / "spin.cfg").write_text(text)
+            shutil.copy(bundled / "nominal.cfg", tmp_path)
+            argv = ["simulate", "--scenario", str(tmp_path / "spin.cfg")]
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: step size underflow at t = 0.000000e+00 (h = 0.000e+00, 0 rejected steps so far)"]
+        assert not out.exists()
+
+
 def _plan_text(*times) -> str:
     """A plan file at rest on the given times."""
     return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(f"{t!r}" + ",0.0" * 15 + "\n" for t in times)
@@ -516,6 +579,8 @@ class TestBadNumericFlags:
         "inf-torque.csv": _plan_text(0.0, 0.01, 0.02).replace("0.0\n0.02", "inf\n0.02"),
         "word-cell.csv": _plan_text(0.0, 0.01, 0.02).replace("0.01,0.0,", "0.01,fast,"),
         "short-rows.csv": _plan_text(0.0, 0.01, 0.02).replace(",0.0\n", "\n"),
+        "short-row.csv": _plan_text(0.0, 0.01, 0.02).replace("0.01" + ",0.0" * 15, "0.01" + ",0.0" * 14),
+        "blank-line.csv": _plan_text(0.0, 0.01, 0.02) + "\n",
     }
     # scenario files that cases below name: a bundled scenario with one line
     # changed, written next to --out with the parameter file it refers to
@@ -705,6 +770,10 @@ class TestBadNumericFlags:
              "word-cell.csv: could not convert string to float: 'fast'"),
             (["control", "--scenario", "plan", "--plan", "short-rows.csv"],
              "short-rows.csv: rows of 15 cells under 16 columns"),
+            (["control", "--scenario", "plan", "--plan", "short-row.csv"],
+             "short-row.csv: the row on line 3 holds 15 cells under 16 columns"),
+            (["control", "--scenario", "plan", "--plan", "blank-line.csv"],
+             "blank-line.csv: the row on line 5 holds 0 cells under 16 columns"),
             # run lengths that count but whose tables no run can allocate (a row bound)
             (["simulate", "--torques", "1,2,3", "--duration", "1e9"],
              "--duration 1000000000.0 s holds 100000000000.0 periods of --rate 100.0 Hz, more than the "
@@ -756,7 +825,8 @@ class TestBadNumericFlags:
              "scenario-default-section", "huge-duration", "duration-too-many-periods",
              "scenario-huge-torques-horizon", "scenario-huge-shaft-horizon", "scenario-huge-plan-horizon",
              "huge-window", "plan-nan-state", "plan-inf-torque", "plan-word-cell",
-             "plan-short-rows", "duration-too-many-rows", "scenario-torques-horizon-too-many-rows",
+             "plan-short-rows", "plan-short-row", "plan-trailing-blank-line",
+             "duration-too-many-rows", "scenario-torques-horizon-too-many-rows",
              "scenario-shaft-horizon-too-many-rows", "scenario-plan-horizon-too-many-rows",
              "window-too-many-rows", "scenario-huge-mass-error", "huge-t-stab", "scenario-huge-t-stab",
              "check-torques-scenario-huge-t-stab"],
