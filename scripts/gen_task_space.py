@@ -1014,8 +1014,8 @@ static int computed_torque(struct rollout *r, double *u)
    event 0 first guesses the first step from its hold), the law at a
    control instant (or the torques held from the last one; the robot's
    only), the hold (a fresh first stage where the input bits change or a
-   disturbance edge lies), then the output row. Returns 0, or the status of
-   where Python raises. */
+   disturbance edge lies), then the output row, its first stage left out
+   where derivs is NULL. Returns 0, or the status of where Python raises. */
 int rollout(struct rollout *r, long i, long j)
 {
     const struct model *m = &MODELS[r->model];
@@ -1044,7 +1044,7 @@ int rollout(struct rollout *r, long i, long j)
         r->instant += instant;
         if (out[e]) {
             copy(states + n * r->row, r->x, n);
-            copy(derivs + n * r->row, r->k1, n);
+            if (derivs) copy(derivs + n * r->row, r->k1, n);
             copy(controls + nu * r->row, u, nu);
             r->row += 1;
         }

@@ -82,7 +82,9 @@ static uint64_t to_decimal(const uint64_t (*pow10)[2], uint64_t bits, int *e)
     if (biased) {
         c = fraction | (1ull << 52);
         q = biased - 1075;
-        if (q <= 0 && q > -53 && (c & ((1ull << -q) - 1)) == 0) {  // an integer
+        // an integer: the three tests with no branch between them (the
+        // shift by -q & 63 is defined where q is out of range, and ignored)
+        if ((q <= 0) & (q > -53) & ((c & ((1ull << (-q & 63)) - 1)) == 0)) {
             *e = 0;
             return c >> -q;
         }
@@ -102,24 +104,18 @@ static uint64_t to_decimal(const uint64_t (*pow10)[2], uint64_t bits, int *e)
     const uint64_t vbr = round_to_odd(g, cbr << h);
     // the interval of decimals that round back, its ends in only where c is even
     const uint64_t lower = vbl + !even, upper = vbr - !even;
-    const uint64_t s = vb / 4;
-    if (s >= 10) {  // one digit fewer: a multiple of 10 in the interval
-        const uint64_t sp = s / 10;
-        const int u_in = lower <= 40 * sp, w_in = 40 * sp + 40 <= upper;
-        if (u_in != w_in) {
-            *e = k + 1;
-            return sp + w_in;
-        }
-    }
+    // every candidate is computed and one picked with no branch: which one
+    // wins depends on the digits, and a mispredicted branch costs more.
+    // One digit fewer where a multiple of 10 alone is in the interval:
+    const uint64_t s = vb / 4, sp = s / 10;
+    const int shorter = (s >= 10) & ((lower <= 40 * sp) != (40 * sp + 40 <= upper));
+    // else s or s + 1 where one alone is in, else the nearer, the even one on a tie
     const int u_in = lower <= 4 * s, w_in = 4 * s + 4 <= upper;
-    if (u_in != w_in) {
-        *e = k;
-        return s + w_in;
-    }
-    // both or neither of s and s + 1 in: the nearer, the even one on a tie
     const uint64_t mid = 4 * s + 2;
-    *e = k;
-    return s + (vb > mid || (vb == mid && (s & 1) != 0));
+    const int nearer_up = (vb > mid) | ((vb == mid) & (int)(s & 1));
+    const uint64_t m = s + (u_in != w_in ? w_in : nearer_up);
+    *e = k + shorter;
+    return shorter ? sp + (40 * sp + 40 <= upper) : m;
 }
 
 // m without its trailing zeros, counted into e

@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: 384c12efd333d0751621faed47a5bef00578c351e7ac8849ac74b3b310db2092
+// generator sha256: 80d3f3da7b0d3620ae61c627e8b3f696ab538354f7e6a9bd0c83f538cd087d77
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs
@@ -1631,8 +1631,8 @@ static int computed_torque(struct rollout *r, double *u)
    event 0 first guesses the first step from its hold), the law at a
    control instant (or the torques held from the last one; the robot's
    only), the hold (a fresh first stage where the input bits change or a
-   disturbance edge lies), then the output row. Returns 0, or the status of
-   where Python raises. */
+   disturbance edge lies), then the output row, its first stage left out
+   where derivs is NULL. Returns 0, or the status of where Python raises. */
 int rollout(struct rollout *r, long i, long j)
 {
     const struct model *m = &MODELS[r->model];
@@ -1661,7 +1661,7 @@ int rollout(struct rollout *r, long i, long j)
         r->instant += instant;
         if (out[e]) {
             copy(states + n * r->row, r->x, n);
-            copy(derivs + n * r->row, r->k1, n);
+            if (derivs) copy(derivs + n * r->row, r->k1, n);
             copy(controls + nu * r->row, u, nu);
             r->row += 1;
         }

@@ -359,6 +359,11 @@ def _cmd_identify(args) -> int:
 # ---------------------------------------------------------------- control
 
 
+# what a control run of a plan writes into --out
+_PLAN_RUN_OUTPUTS = ("trajectory.csv", "errors.csv", "reference.csv", "torques.csv", "replay.csv",
+                     "report.txt", "manifest.json")
+
+
 def _write_tracking_outputs(run: _Run, result) -> None:
     traj = result.trajectory
     trajectory_to_csv(traj, run.emit("trajectory.csv"))
@@ -411,6 +416,9 @@ def _cmd_control(args) -> int:
                   else (f"{plan_file}: plan", float(plan.times[-1] - plan.times[0])))
     periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
     if cfg.mode == "plan" and plan is None:
+        # the plan is built into --out under its file's name, which no output may take
+        if cfg.plan_file is not None and (name := cfg.plan_file.name) in _PLAN_RUN_OUTPUTS:
+            raise ConfigError(f"{cfg.path}: [plan] file {name}: the run writes its own {name} into --out")
         plan_file = ensure_plan(cfg, run.directory())
         # an output of the run, and a file it reads (so its hash is recorded)
         plan = run.config("--out", run.emit(plan_file.name), _read_plan, None)

@@ -134,7 +134,7 @@ class SimTrajectory:
 
     ``derivs[k] = f(times[k], states[k], controls[k])``; for the robot model
     its second half holds the generalised accelerations, which is what the
-    inertial sensor model consumes.
+    inertial sensor model consumes. None under a feedback law or read from a file.
     """
 
     times: np.ndarray
@@ -146,7 +146,7 @@ class SimTrajectory:
     @property
     def accelerations(self) -> np.ndarray:
         if self.derivs is None:
-            raise ValueError("trajectory was loaded without derivative data")
+            raise ValueError("the trajectory recorded no derivatives (a feedback law's, or a file's)")
         return self.derivs[:, 6:12]
 
 
@@ -248,6 +248,8 @@ def integrate(
     derivative (same state, same rhs), reused to the same bits. The
     derivative recorded at the end follows the same rule.
 
+    A rollout under a law records no derivatives (``derivs`` None).
+
     A model with sensitivity ``lanes`` (one given seeds) carries the
     sensitivities of its states after them in ``x0``: only the leading
     ``len(x0) // (1 + lanes)`` states weigh in the error norm and the
@@ -264,7 +266,7 @@ def integrate(
     error_states = len(x) // (1 + getattr(model, "lanes", 0))
     # the output buffers belong to this rollout; its plan serves others too
     states = np.empty((len(plan.times), len(x)))
-    derivs = np.empty_like(states)
+    derivs = np.empty_like(states) if law is None else None
     inputs = np.empty((len(states), 3 if held is None else held.shape[1]))
     kernel = _ckernel.load() if hasattr(model, "kind") else None
     if kernel is not None:
@@ -295,7 +297,8 @@ def integrate(
             last_bits = bits
         if out:
             states[row] = x
-            derivs[row] = k1
+            if derivs is not None:
+                derivs[row] = k1
             inputs[row] = u
             row += 1
         t_prev = t
@@ -310,8 +313,9 @@ _STATS = [f.name for f in fields(IntegratorStats)]
 def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
     """:func:`integrate`'s loop on ``rollout`` (``_dp5_robot.c``) for the
     model's ``kind`` of ``_ckernel.MODELS``, a feedback law included, into
-    the given output buffers: the stats, or None where the C stops, which is
-    where Python raises, or where the model and plan do not fit the C.
+    the given output buffers (``derivs`` None, NULL in the C, under a law):
+    the stats, or None where the C stops, which is where Python raises, or
+    where the model and plan do not fit the C.
 
     One call runs every event, the first-step guess included, on a copy of
     the plan's ``template``, or under a law on a struct with held rows of its
@@ -335,7 +339,7 @@ def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
         c.law = _ckernel.FEEDFORWARD if law.gains is None else _ckernel.FEEDBACK
         if law.gains is not None:
             c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
-    c.states, c.derivs, c.controls = (a.ctypes.data for a in (states, derivs, inputs))
+    c.states, c.derivs, c.controls = (None if a is None else a.ctypes.data for a in (states, derivs, inputs))
     c.rtol, c.atol, c.model = opts.rtol, opts.atol, index
     c.blk[: m.params] = model.block
     c.x[: m.states] = x.tolist()
@@ -457,25 +461,28 @@ def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
 
     The columns are cast to float64 (no caller passes a non-float table), and
     each double is written in its shortest exact spelling, the one ``repr``
-    gives (see :func:`format_float`). The compiled formatter spells blocks of
-    rows into one reusable buffer, so no text of the whole table is built.
-    Where it cannot be built, each row is joined from ``repr`` in Python, with
-    the same bytes. ``line_end`` ends every line as given.
+    gives (see :func:`format_float`). Blocks of rows are copied from the
+    columns into one reusable table, which the compiled formatter spells into
+    one reusable buffer: no copy or text of the whole table is made. Where it
+    cannot be built, Python joins the rows from ``repr``, with the same bytes.
+    ``line_end`` ends every line as given.
     """
-    table = np.ascontiguousarray(np.column_stack(columns), dtype=np.float64)
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    rows = len(columns[0])
+    assert all(len(c) == rows for c in columns), "the columns are not of equal length"
+    table = np.empty((min(rows, _BLOCK_ROWS), sum(c.shape[1] for c in columns)))
     eol = line_end.encode()
     format_rows = _ckernel.load_formatter()
+    out = np.empty(len(table) * (_ckernel.CELL_BYTES * table.shape[1] + len(eol)) if format_rows else 0, np.uint8)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + eol)
-        if format_rows is None:
-            for row in table:
-                fh.write(",".join(map(repr, row.tolist())).encode() + eol)
-            return
-        cols = table.shape[1]
-        out = np.empty(_BLOCK_ROWS * (_ckernel.CELL_BYTES * cols + len(eol)), dtype=np.uint8)
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            n = format_rows(block.ctypes.data, len(block), cols, eol, len(eol),
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = table[: min(_BLOCK_ROWS, rows - start)]
+            np.concatenate([c[start : start + len(block)] for c in columns], axis=1, out=block)
+            if format_rows is None:
+                fh.write(b"".join(",".join(map(repr, row)).encode() + eol for row in block.tolist()))
+                continue
+            n = format_rows(block.ctypes.data, len(block), block.shape[1], eol, len(eol),
                             out.ctypes.data, out.size)
             if n < 0:
                 raise RuntimeError(f"CSV formatter: {out.size} bytes cannot hold {len(block)} rows")

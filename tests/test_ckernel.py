@@ -206,7 +206,8 @@ def _first_step(monkeypatch, h):
 
 
 def _assert_same(c, py):
-    """The same trajectory bit for bit, or the same exception."""
+    """The same trajectory bit for bit (``derivs`` None on both, or both
+    recorded and the same), or the same exception."""
     if isinstance(py, Exception):
         assert type(c) is type(py) and str(c) == str(py), (c, py)
         if isinstance(py, IntegrationError):
@@ -215,6 +216,9 @@ def _assert_same(c, py):
     assert not isinstance(c, Exception), c
     for name in ("times", "states", "derivs", "controls"):
         a, b = getattr(c, name), getattr(py, name)
+        if a is None or b is None:
+            assert a is None and b is None, name
+            continue
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert c.stats == py.stats
 

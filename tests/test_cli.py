@@ -636,6 +636,8 @@ class TestBadNumericFlags:
         "mass-error-huge.cfg": ("plan-tracking", "horizon = 10", "horizon = 1",
                                 "mass_error = 0.05", "mass_error = 1e300"),
         "t-stab-huge.cfg": ("corridor", "t_stab = 3", "t_stab = 1e300"),
+        "plan-file-output.cfg": ("plan-tracking", "horizon = 10", "horizon = 2",
+                                 "file = plan.csv", "file = trajectory.csv"),
     }
 
     @pytest.mark.parametrize(
@@ -796,6 +798,9 @@ class TestBadNumericFlags:
              "t-stab-huge.cfg: [control] t_stab must be positive with finite, normal gains"),
             (["check-torques", "--scenario", "t-stab-huge.cfg"],
              "t-stab-huge.cfg: [control] t_stab must be positive with finite, normal gains"),
+            # a plan to build into --out under the name of one of the run's outputs
+            (["control", "--scenario", "plan-file-output.cfg"],
+             "plan-file-output.cfg: [plan] file trajectory.csv: the run writes its own trajectory.csv into --out"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -829,7 +834,7 @@ class TestBadNumericFlags:
              "duration-too-many-rows", "scenario-torques-horizon-too-many-rows",
              "scenario-shaft-horizon-too-many-rows", "scenario-plan-horizon-too-many-rows",
              "window-too-many-rows", "scenario-huge-mass-error", "huge-t-stab", "scenario-huge-t-stab",
-             "check-torques-scenario-huge-t-stab"],
+             "check-torques-scenario-huge-t-stab", "scenario-plan-file-named-like-an-output"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
         argv = list(argv)

@@ -31,6 +31,7 @@ from otbot.dynamics import (
     admissible_state,
     constraint_violation,
     forward_dynamics,
+    state_derivative,
     task_space_model,
 )
 from otbot.interval import Interval
@@ -401,9 +402,11 @@ class TestTrackingLoop:
     def test_open_loop_replay_of_the_recorded_torques_is_the_same_run(self, params):
         # One engine and one pivot-force convention: replaying the torques a
         # closed-loop run recorded, under the same pulse (switched on inside
-        # a control period), reproduces its states and derivatives bit for
-        # bit. Only the last derivative differs: the run evaluates the law
-        # once more at the end, the replay holds the last recorded torque.
+        # a control period), reproduces its states bit for bit, and its
+        # derivatives are the rhs at the run's states, torques and pulse
+        # force. The run records no derivatives (it ran under a law). Only
+        # the last derivative differs: the run evaluates the law once more
+        # at the end, the replay holds the last recorded torque.
         pulse = DisturbanceSchedule((ForcePulse(0.0505, 0.1, fx=20.0, fy=-10.0),))
         res = closed_loop_simulate(
             params, RobotState.rest(), CorridorReference(), tune_gains(3.0),
@@ -414,8 +417,25 @@ class TestTrackingLoop:
         replay = simulate_robot(params, RobotState.rest(), torques, disturbances=pulse)
         assert_array_equal(replay.times, run.times)
         assert (replay.states == run.states).all()
-        assert (replay.derivs[:-1] == run.derivs[:-1]).all()
-        assert (replay.derivs[-1] != run.derivs[-1]).any()
+        assert run.derivs is None
+        forces = pulse.force_at(run.times).tolist()
+        rhs = np.array([state_derivative(params, x, u, f)
+                        for x, u, f in zip(run.states.tolist(), run.controls.tolist(), forces)])
+        assert (replay.derivs[:-1] == rhs[:-1]).all()
+        assert (replay.derivs[-1] != rhs[-1]).any()
+
+    @pytest.mark.parametrize("engine", ["c", "python"])
+    def test_a_closed_loop_run_records_no_derivatives(self, params, engine, request):
+        # no reader of a run under a law reads its derivatives; neither engine keeps them
+        if engine == "python":
+            request.getfixturevalue("python_kernel")
+        elif _ckernel.load() is None:
+            pytest.skip("the compiled rollout loop cannot be loaded")
+        run = closed_loop_simulate(params, RobotState.rest(), CorridorReference(), tune_gains(3.0),
+                                   control_rate=1000.0, t_end=0.1).trajectory
+        assert run.derivs is None and run.states.shape == (101, 12)
+        with pytest.raises(ValueError, match="recorded no derivatives"):
+            run.accelerations
 
     def test_feedforward_alone_drifts_but_stays_close(self, params):
         res = feedforward_rollout(params, HarmonicReference(), rate=100.0, t_end=2.0)

@@ -48,3 +48,16 @@ def test_count_lines_prints_the_tracked_sizes(tmp_path):
     others = [line.partition(":")[0] for line in lines if not line.startswith("  ")]
     assert others == ["scripts/gen_task_space.py", "src/otbot/_task_space.py (generated Python)",
                       "src/otbot/_csv_format.c (hand-written C)", "src/otbot/_dp5_robot.c (generated C)"]
+
+
+def test_csv_cost_prints_each_table_of_a_short_figure8_lap(tmp_path):
+    proc = _script("csv_cost.py", "--horizon", "0.5", "--repeat", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    formatter, header, *rows, total = proc.stdout.splitlines()
+    assert formatter in ("formatter: c", "formatter: python")
+    assert header.split() == ["table", "rows", "cols", "ns/cell", "peak", "MB"]
+    shapes = {row.split()[0]: tuple(int(v) for v in row.split()[1:3]) for row in rows}
+    assert shapes == {"trajectory.csv": (501, 16), "errors.csv": (501, 7), "reference.csv": (501, 10),
+                      "torques.csv": (501, 10), "feasibility.csv": (51, 10)}
+    assert all(float(v) > 0 for row in rows for v in row.split()[3:])
+    assert total.split()[0] == "all" and total.endswith(" ms")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import otbot
 from conftest import spy_runs
-from otbot import _ckernel, _task_space
+from otbot import _ckernel, _task_space, simulate
 from otbot.dynamics import RobotState, constraint_violation, state_derivative
 from otbot.identify import FITS, experiment
 from otbot.integrator import IntegratorOptions, IntegratorStats, advance_segment
@@ -396,6 +397,29 @@ def test_csv_bytes(tmp_path):
 
     write_csv(path, ["a", "b"], [np.array([0.1, -0.0]), np.array([[1e300], [np.inf]])])
     assert path.read_bytes() == b"a,b\n0.1,1e+300\n-0.0,inf\n"
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_write_csv_holds_a_few_blocks_whatever_the_row_count(tmp_path, engine, request):
+    # tracemalloc sees numpy's buffers: the peak is the staged block and the
+    # text of its rows, never a copy of the whole table (12.8 MB at 100k rows)
+    if engine == "python":
+        request.getfixturevalue("python_kernel")
+    elif _ckernel.load_formatter() is None:  # built and loaded before the trace starts
+        pytest.skip("no working C compiler: the CSV formatter cannot be built")
+    cols, block_rows = 16, simulate._BLOCK_ROWS
+    block = block_rows * cols * (8 + _ckernel.CELL_BYTES)
+    peaks = []
+    # fewer rows in Python, whose traced rows are slow
+    for rows in (2 * block_rows, 100_000 if engine == "c" else 8 * block_rows):
+        columns = [np.arange(rows) * 1e-3, np.random.default_rng(0).standard_normal((rows, cols - 1))]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", [str(j) for j in range(cols)], columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 * block and peaks[1] < 1.05 * peaks[0], peaks
 
 
 def test_csv_rejects_foreign_schema(tmp_path):
