@@ -3,8 +3,8 @@
 
 A Python count is of the non-blank lines that are not ``#`` comments
 (docstrings count); a C count is of all its lines. The package's Python is
-counted without the generated ``_task_space.py``, with its modules largest
-first; the generated module is counted on a line of its own.
+counted without the generated modules (:data:`GENERATED`), with its modules
+largest first; each generated module is counted on a line of its own.
 
     python scripts/count_lines.py
 
@@ -21,6 +21,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "otbot"
 GENERATOR = ROOT / "scripts" / "gen_task_space.py"
+# the Python modules that GENERATOR writes
+GENERATED = ("_task_space.py", "_task_sensitivity.py")
 
 
 def code_lines(path: Path) -> int:
@@ -30,12 +32,13 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> int:
-    modules = {p.stem: code_lines(p) for p in PACKAGE.glob("*.py") if p.name != "_task_space.py"}
-    print(f"src/otbot hand-written Python, without _task_space.py: {sum(modules.values())}")
+    modules = {p.stem: code_lines(p) for p in PACKAGE.glob("*.py") if p.name not in GENERATED}
+    print(f"src/otbot hand-written Python, without the generated modules: {sum(modules.values())}")
     for name, count in sorted(modules.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {name} {count}")
     print(f"{GENERATOR.relative_to(ROOT)}: {code_lines(GENERATOR)}")
-    print(f"src/otbot/_task_space.py (generated Python): {code_lines(PACKAGE / '_task_space.py')}")
+    for name in GENERATED:
+        print(f"src/otbot/{name} (generated Python): {code_lines(PACKAGE / name)}")
     for name, kind in (("_csv_format.c", "hand-written"), ("_dp5_robot.c", "generated")):
         print(f"src/otbot/{name} ({kind} C): {len((PACKAGE / name).read_text().splitlines())} lines")
     return 0

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Generate ``src/otbot/_task_space.py``, the closed-form task-space model,
-and ``src/otbot/_dp5_robot.c``, the rollout loop of the robot and a shaft in C.
+``src/otbot/_task_sensitivity.py``, its state sensitivities, and
+``src/otbot/_dp5_robot.c``, the rollout loop of the robot and a shaft in C.
 
 The task-space model of ``otbot.dynamics`` is
 
@@ -15,12 +16,12 @@ float code after common-subexpression elimination. The generated module
 uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
 sympy; sympy is only needed to run this script.
 
-The generated module also holds ``robot_sensitivity`` and
-``shaft_sensitivity``, the rhs of a state and its sensitivities to the
-fitted parameters: a forward-mode (tangent) transform (``_Tangent``) of the
-parsed robot rhs (the body of ``accelerations``) and of
-``otbot.simulate.shaft_derivative``, over the lanes of their
-``otbot._ckernel.MODELS`` rows.
+The second module holds ``robot_sensitivity`` and ``shaft_sensitivity``,
+the rhs of a state and its sensitivities to the fitted parameters: a
+forward-mode (tangent) transform (``_Tangent``) of the parsed robot rhs (the
+body of ``accelerations``) and of ``otbot.simulate.shaft_derivative``, over
+the lanes of their ``otbot._ckernel.MODELS`` rows. Only the Python engine
+calls them, so they live apart and a compiled run never loads them.
 
 Every generated C function passes through one translator of a parsed
 float function (``_translate``): the robot's rhs and C task-space model from
@@ -38,10 +39,10 @@ constants are printed from ``otbot.integrator``, its struct from
 ``otbot._ckernel.Rollout`` and its model table from ``otbot._ckernel.MODELS``,
 so ``--check`` sees any drift.
 
-    python scripts/gen_task_space.py           # rewrite both files
-    python scripts/gen_task_space.py --check   # exit 1 if either is out of date
+    python scripts/gen_task_space.py           # rewrite the three files
+    python scripts/gen_task_space.py --check   # exit 1 if any is out of date
 
-Both headers record the SHA-256 of this file and the sympy version, so a
+Every header records the SHA-256 of this file and the sympy version, so a
 stale file is visible without sympy installed.
 """
 
@@ -69,6 +70,7 @@ from sympy.printing.pycode import PythonCodePrinter
 
 ROOT = Path(__file__).resolve().parent.parent
 TARGET = ROOT / "src" / "otbot" / "_task_space.py"
+SENSITIVITY_TARGET = ROOT / "src" / "otbot" / "_task_sensitivity.py"
 C_TARGET = ROOT / "src" / "otbot" / "_dp5_robot.c"
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -408,7 +410,7 @@ def _tangent_functions(accel: ast.FunctionDef) -> list[str]:
     shaft = _function_def(inspect.getsource(simulate), "shaft_derivative")
     shaft_params = [a.arg for a in shaft.args.args[:2]]
     plain = {  # rhs, its states, its seeded parameters and their doc, its tangent rules
-        "robot": (_robot_rhs(accel), 12, [f"p.{n}" for n in _SEEDED], "the parameter SEEDED[k]",
+        "robot": (_robot_rhs(accel), 12, [f"p.{n}" for n in _SEEDED], "the parameter _task_space.SEEDED[k]",
                   "dynamics.state_derivative", _SOLVE_TANGENT),
         "shaft": (shaft, 2, shaft_params, f"the k-th of ({', '.join(shaft_params)})",
                   "simulate.shaft_derivative", None),
@@ -429,7 +431,14 @@ def _tangent_functions(accel: ast.FunctionDef) -> list[str]:
     return lines
 
 
-def render(generator_sha256: str) -> str:
+def _stamp(comment: str, generator_sha256: str) -> list[str]:
+    """The first three lines of a generated file, ``comment`` its comment marker."""
+    return [f"{comment} Generated by scripts/gen_task_space.py; do not edit by hand.",
+            f"{comment} generator sha256: {generator_sha256}", f"{comment} sympy {sp.__version__}"]
+
+
+def render(generator_sha256: str) -> tuple[str, str]:
+    """The sources of ``_task_space.py`` and ``_task_sensitivity.py``."""
     mbar, cbar, fik, iik, diik = derive()
     mnames = [f"m{i}{j}" for i in range(3) for j in range(3)]
     cnames = [f"c{i}{j}" for i in range(3) for j in range(3)]
@@ -462,9 +471,7 @@ def render(generator_sha256: str) -> str:
     )
 
     header = [
-        "# Generated by scripts/gen_task_space.py; do not edit by hand.",
-        f"# generator sha256: {generator_sha256}",
-        f"# sympy {sp.__version__}",
+        *_stamp("#", generator_sha256),
         '"""Closed-form task-space model: Mbar, Cbar and the forward accelerations.',
         "",
         "Arguments are the parameter set p, read by attribute, and plain floats:",
@@ -472,9 +479,7 @@ def render(generator_sha256: str) -> str:
         "task velocity (dx, dy, da), the heading rate dth = da - dphi_p, the",
         "torques (u0, u1, u2) and the pivot force (fx, fy).",
         "",
-        "robot_sensitivity and shaft_sensitivity are the rhs of a robot or shaft",
-        "state x and its sensitivities, the tangent transform of the rhs: the",
-        "same operations on x, then the derivatives of the rhs in each lane.",
+        "The state sensitivities are in otbot._task_sensitivity.",
         '"""',
         "",
         "from math import cos, sin",
@@ -484,8 +489,23 @@ def render(generator_sha256: str) -> str:
         "",
         "",
     ]
+    sensitivity_header = [
+        *_stamp("#", generator_sha256),
+        '"""State sensitivities of the robot of otbot._task_space and of a shaft.',
+        "",
+        "robot_sensitivity and shaft_sensitivity are the rhs of a robot or shaft",
+        "state x and its sensitivities, the tangent transform of the rhs: the",
+        "same operations on x, then the derivatives of the rhs in each lane.",
+        "Only the Python engine calls them; the compiled loop has its own.",
+        '"""',
+        "",
+        "from math import cos, sin",
+        "",
+        "",
+    ]
     tangents = _tangent_functions(_function_def("\n".join(accel_fn), "accelerations"))
-    return "\n".join(header + model_fn + accel_fn + tangents).rstrip("\n") + "\n"
+    return tuple("\n".join(lines).rstrip("\n") + "\n"
+                 for lines in (header + model_fn + accel_fn, sensitivity_header + tangents))
 
 
 # ---------------------------------------------------------------- C rollout
@@ -1054,13 +1074,11 @@ int rollout(struct rollout *r, long i, long j)
 """
 
 
-def render_c(python_source: str, generator_sha256: str) -> str:
+def render_c(python_source: str, sensitivity_source: str, generator_sha256: str) -> str:
     accel = _function_def(python_source, "accelerations")
     model_fn = _function_def(python_source, "task_space_model")
     header = [
-        "// Generated by scripts/gen_task_space.py; do not edit by hand.",
-        f"// generator sha256: {generator_sha256}",
-        f"// sympy {sp.__version__}",
+        *_stamp("//", generator_sha256),
         "//",
         "// The rollout loop of the robot and of an isolated shaft: rollout runs",
         "// the event loop of otbot.simulate.integrate, with the computed-torque law",
@@ -1080,7 +1098,7 @@ def render_c(python_source: str, generator_sha256: str) -> str:
         "// (shaft_rhs) with blk holding the inertia, the damping and the torque.",
         "// The _sensitivity models step a state and its sensitivities together:",
         "// their rhs are robot_sensitivity and shaft_sensitivity of",
-        "// otbot._task_space, with the seeds of the lanes in blk after the",
+        "// otbot._task_sensitivity, with the seeds of the lanes in blk after the",
         "// parameters, and only the leading states weigh in the error norm and",
         "// the guess, so those states take the steps of the plain model.",
         "// Every value is bit for bit what the Python code computes; the error",
@@ -1098,7 +1116,7 @@ def render_c(python_source: str, generator_sha256: str) -> str:
     ]
     rhs = {"robot": _robot_rhs(accel),
            "shaft": _function_def(inspect.getsource(simulate), "shaft_derivative"),
-           **{m.name: _function_def(python_source, m.name) for m in _ckernel.MODELS if m.lanes}}
+           **{m.name: _function_def(sensitivity_source, m.name) for m in _ckernel.MODELS if m.lanes}}
     lines = header + _struct() + [""]
     for m in _ckernel.MODELS:
         lines += _rhs_function(rhs[m.name], m) + [""]
@@ -1119,8 +1137,9 @@ def main(argv=None) -> int:
                     help="regenerate in memory and exit 1 if a committed file differs")
     args = ap.parse_args(argv)
     digest = generator_sha256()
-    python_source = render(digest)
-    outputs = {TARGET: python_source, C_TARGET: render_c(python_source, digest)}
+    python_source, sensitivity_source = render(digest)
+    outputs = {TARGET: python_source, SENSITIVITY_TARGET: sensitivity_source,
+               C_TARGET: render_c(python_source, sensitivity_source, digest)}
     status = 0
     for target, text in outputs.items():
         name = target.relative_to(ROOT)

@@ -27,21 +27,28 @@ name and moved into place, so concurrent processes may build it at once.
 Where the cache directory cannot be written, it is built into a temporary
 directory of this process. Without a working compiler a loader returns
 None and the Python code runs instead. Each loader runs once per process,
-so what it returns picks the engine of all its rollouts or tables.
+so what it returns picks the engine of all its rollouts or tables. A warm
+cache imports no build tool, and :func:`sha256` hashes without OpenSSL.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
-import subprocess
-import tempfile
 from collections import namedtuple
 from pathlib import Path
+
+# CPython's builtin SHA-256 (3.12+, then 3.10/3.11): hashlib's maps OpenSSL's
+# libcrypto, several MB resident, for a few small hashes a process
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SOURCE = Path(__file__).with_name("_dp5_robot.c")
 COMPILER = "cc"
@@ -62,7 +69,7 @@ FEEDFORWARD, FEEDBACK = 1, 2
 # shaft is simulate.shaft_derivative on (inertia, damping) and one torque.
 # A model with lanes L steps the n states of its plain model and their
 # sensitivities to L parameters, n * (1 + L) in all (the rhs of
-# _task_space.robot_sensitivity or shaft_sensitivity); the seeds of its
+# _task_sensitivity.robot_sensitivity or shaft_sensitivity); the seeds of its
 # lanes follow the parameters in blk, and only the first n states weigh in
 # the error norm and the first-step guess, so they take the plain model's
 # steps to the same bits.
@@ -106,6 +113,9 @@ def cache_dir() -> Path:
 
 
 def _process_dir() -> Path:
+    import atexit
+    import tempfile
+
     path = tempfile.mkdtemp(prefix="otbot-")
     atexit.register(shutil.rmtree, path, True)
     return Path(path)
@@ -120,11 +130,14 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
     if exe is None:
         return None
     text = source.read_bytes()
-    key = hashlib.sha256(text + "\0".join(flags).encode()).hexdigest()
+    key = sha256(text + "\0".join(flags).encode()).hexdigest()
     name = f"{source.stem.lstrip('_')}-{key[:24]}.so"
     cached = cache_dir() / name
     if cached.is_file():
         return cached
+    import subprocess
+    import tempfile
+
     for directory in (cache_dir, _process_dir):
         try:
             target = directory() / name

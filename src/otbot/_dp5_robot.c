@@ -1,5 +1,5 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: 80d3f3da7b0d3620ae61c627e8b3f696ab538354f7e6a9bd0c83f538cd087d77
+// generator sha256: dd10d66cc7475c69c28e354373c6f9eddd554617a93727fe03bdf147abd45f8a
 // sympy 1.14.0
 //
 // The rollout loop of the robot and of an isolated shaft: rollout runs
@@ -20,7 +20,7 @@
 // (shaft_rhs) with blk holding the inertia, the damping and the torque.
 // The _sensitivity models step a state and its sensitivities together:
 // their rhs are robot_sensitivity and shaft_sensitivity of
-// otbot._task_space, with the seeds of the lanes in blk after the
+// otbot._task_sensitivity, with the seeds of the lanes in blk after the
 // parameters, and only the leading states weigh in the error norm and
 // the guess, so those states take the steps of the plain model.
 // Every value is bit for bit what the Python code computes; the error

@@ -1,5 +1,5 @@
 # Generated by scripts/gen_task_space.py; do not edit by hand.
-# generator sha256: 80d3f3da7b0d3620ae61c627e8b3f696ab538354f7e6a9bd0c83f538cd087d77
+# generator sha256: dd10d66cc7475c69c28e354373c6f9eddd554617a93727fe03bdf147abd45f8a
 # sympy 1.14.0
 """Closed-form task-space model: Mbar, Cbar and the forward accelerations.
 
@@ -8,9 +8,7 @@ the platform angle alpha, the chassis heading theta = alpha - phi_p, the
 task velocity (dx, dy, da), the heading rate dth = da - dphi_p, the
 torques (u0, u1, u2) and the pivot force (fx, fy).
 
-robot_sensitivity and shaft_sensitivity are the rhs of a robot or shaft
-state x and its sensitivities, the tangent transform of the rhs: the
-same operations on x, then the derivatives of the rhs in each lane.
+The state sensitivities are in otbot._task_sensitivity.
 """
 
 from math import cos, sin
@@ -245,1372 +243,3 @@ def accelerations(p, alpha, theta, dx, dy, da, dth, u0, u1, u2, fx, fy):
     ddphi_l = s9*(ddx*s10 - ddy*s11 + s10*s7 + s11*s6)
     ddphi_p = dda + ddx*s12 - ddy*s13 + s12*s7 + s13*s6
     return ddx, ddy, dda, ddphi_r, ddphi_l, ddphi_p
-
-
-def robot_sensitivity(p, dp, x, u0, u1, u2, fx, fy):
-    """dynamics.state_derivative of x[:12] and its tangents, in 4 lanes.
-
-    x[12 + 4 * i + l] is the sensitivity of x[i] in lane l; the parameter
-    SEEDED[k] moves in lane l by dp[4 * k + l]. Returns the 12 values, then
-    the 48 tangents, value by value.
-    """
-    alpha = x[2]
-    theta = x[2] - x[5]
-    dx = x[6]
-    dy = x[7]
-    da = x[8]
-    dth = x[8] - x[11]
-    l1 = p.l1
-    l2 = p.l2
-    r = p.r
-    xB = p.xB
-    yB = p.yB
-    xF = p.xF
-    yF = p.yF
-    mc = p.mc
-    mp = p.mp
-    Ic = p.Ic
-    Ip = p.Ip
-    Ia = p.Ia
-    bw = p.bw
-    bp = p.bp
-    ca = cos(alpha)
-    sa = sin(alpha)
-    ct = cos(theta)
-    st = sin(theta)
-    t0 = ct * l1
-    t1 = l2 * st
-    t2 = t0 - t1
-    t3 = 1 / r
-    t4 = t2 * t3
-    t5 = 1 / l1
-    t6 = Ia * t5
-    t7 = ct * l2
-    t8 = l1 * st
-    t9 = t7 - t8
-    t10 = r / l2
-    t11 = 1 / 2 * t10
-    w0 = mc + mp
-    t12 = t11 * w0
-    t13 = ca * yF
-    t14 = ct * yB
-    t15 = st * xB
-    t16 = sa * xF
-    w1 = mc * t14
-    w2 = mc * t15
-    w3 = w1 + w2
-    w4 = mp * t13
-    w5 = w3 + w4
-    w6 = mp * t16
-    t17 = w5 + w6
-    t18 = t11 * t17
-    t19 = t0 + t1
-    t20 = ct * xB
-    t21 = st * yB
-    t22 = t20 - t21
-    t23 = mc * t22
-    t24 = t19 * t23
-    t25 = t14 + t15
-    t26 = mc * t25
-    t27 = t26 * t9
-    w7 = xB * xB
-    w8 = yB * yB
-    w9 = w7 + w8
-    w10 = mc * w9
-    t28 = Ic + w10
-    t29 = t11 * t5
-    w11 = t24 - t27
-    w12 = w11 + t28
-    t30 = t29 * w12
-    t31 = t7 + t8
-    t32 = t3 * t6
-    t33 = ca * xF
-    t34 = sa * yF
-    w13 = mc * t20
-    w14 = mc * t21
-    w15 = w13 - w14
-    w16 = mp * t33
-    w17 = w15 + w16
-    w18 = mp * t34
-    t35 = w17 - w18
-    t36 = t11 * t35
-    w19 = xF * xF
-    w20 = yF * yF
-    w21 = w19 + w20
-    w22 = mp * w21
-    t37 = Ip + w22
-    w23 = t2 * t23
-    w24 = t26 * t31
-    w25 = w23 + w24
-    w26 = w25 + t28
-    t38 = t29 * w26
-    t39 = t13 + t16
-    t40 = t33 - t34
-    t41 = fy * t11
-    t42 = fx * t11
-    w27 = da * da
-    w28 = w27 * mp
-    t43 = w28 * t11
-    t44 = 2 * bw
-    t45 = dth * t31
-    t46 = 2 * Ia * t3
-    t47 = dth * t10
-    t48 = t28 * t47
-    t49 = ct * t48
-    w29 = ct * t22
-    w30 = st * t25
-    t50 = w29 - w30
-    t51 = -t50
-    t52 = mc * t47
-    t53 = t19 * t52
-    t54 = ct * t25
-    w31 = st * t22
-    t55 = w31 + t54
-    t56 = t52 * t9
-    t57 = 1 / 2 * t5
-    t58 = dx * t57
-    t59 = st * t48
-    w32 = st * t22
-    t60 = w32 + t54
-    t61 = dy * t57
-    t62 = t3 * t44
-    t63 = dth * t46
-    w33 = mc * t10
-    t64 = w33 * t45
-    t65 = t2 * t52
-    t66 = bp * t5
-    w34 = -st
-    w35 = w34 * t30
-    w36 = t12 * t9
-    w37 = w35 + w36
-    w38 = w37 - t18
-    w39 = t4 * t6
-    m00 = w38 + w39
-    w40 = ct * t30
-    w41 = t12 * t19
-    w42 = w40 + w41
-    w43 = t31 * t32
-    w44 = w42 + w43
-    m01 = w44 + t36
-    w45 = -t17
-    w46 = w45 * t9
-    w47 = t19 * t35
-    w48 = w46 + w47
-    w49 = w48 - t24
-    w50 = w49 + t27
-    w51 = w50 + t37
-    m02 = t11 * w51
-    w52 = st * t38
-    w53 = t12 * t31
-    w54 = w52 + w53
-    w55 = w54 + t18
-    w56 = t19 * t32
-    m10 = w55 + w56
-    w57 = -ct
-    w58 = w57 * t38
-    w59 = t12 * t2
-    w60 = w58 - w59
-    w61 = t32 * t9
-    w62 = w60 - w61
-    m11 = w62 - t36
-    w63 = mc * t2
-    w64 = w63 * t22
-    w65 = mc * t25
-    w66 = w65 * t31
-    w67 = w64 + w66
-    w68 = t17 * t31
-    w69 = w67 - w68
-    w70 = t2 * t35
-    w71 = w69 - w70
-    w72 = w71 - t37
-    m12 = t11 * w72
-    w73 = -mp
-    m20 = w73 * t39
-    m21 = mp * t40
-    m22 = t37
-    w74 = t19 * t41
-    w75 = t42 * t9
-    w76 = w74 + w75
-    w77 = t19 * t39
-    w78 = t40 * t9
-    w79 = w77 + w78
-    w80 = t43 * w79
-    w81 = w76 + w80
-    w82 = t4 * t44
-    w83 = t45 * t46
-    w84 = w82 - w83
-    w85 = w84 - t49
-    w86 = t51 * t53
-    w87 = w85 + w86
-    w88 = t55 * t56
-    w89 = w87 + w88
-    w90 = t58 * w89
-    w91 = w81 - w90
-    w92 = 2 * Ia * dth
-    w93 = w92 * t2
-    w94 = w93 * t3
-    w95 = 2 * bw * t3 * t31
-    w96 = w94 + w95
-    w97 = t50 * t56
-    w98 = w96 - w97
-    w99 = t53 * t60
-    w100 = w98 - w99
-    w101 = w100 - t59
-    w102 = t61 * w101
-    w103 = w91 - w102
-    b0 = w103 + u0
-    w104 = -t2
-    w105 = w104 * t41
-    w106 = t31 * t42
-    w107 = w105 + w106
-    w108 = -t2
-    w109 = w108 * t39
-    w110 = t31 * t40
-    w111 = w109 + w110
-    w112 = t43 * w111
-    w113 = w107 + w112
-    w114 = t19 * t62
-    w115 = w114 + t49
-    w116 = t51 * t65
-    w117 = w115 - w116
-    w118 = t55 * t64
-    w119 = w117 + w118
-    w120 = t63 * t9
-    w121 = w119 + w120
-    w122 = t58 * w121
-    w123 = w113 - w122
-    w124 = t19 * t63
-    w125 = t50 * t64
-    w126 = w124 - w125
-    w127 = w126 + t59
-    w128 = t60 * t65
-    w129 = w127 + w128
-    w130 = t62 * t9
-    w131 = w129 - w130
-    w132 = t61 * w131
-    w133 = w123 - w132
-    b1 = w133 + u1
-    w134 = -bp * da
-    w135 = ct * dy
-    w136 = w135 * t66
-    w137 = w134 + w136
-    w138 = dx * st
-    w139 = w138 * t66
-    w140 = w137 - w139
-    b2 = w140 + u2
-    w141 = m11 * m22
-    w142 = m12 * m21
-    a00 = w141 - w142
-    w143 = m02 * m21
-    w144 = m01 * m22
-    a01 = w143 - w144
-    w145 = m01 * m12
-    w146 = m02 * m11
-    a02 = w145 - w146
-    w147 = m12 * m20
-    w148 = m10 * m22
-    a10 = w147 - w148
-    w149 = m00 * m22
-    w150 = m02 * m20
-    a11 = w149 - w150
-    w151 = m02 * m10
-    w152 = m00 * m12
-    a12 = w151 - w152
-    w153 = m10 * m21
-    w154 = m11 * m20
-    a20 = w153 - w154
-    w155 = m01 * m20
-    w156 = m00 * m21
-    a21 = w155 - w156
-    w157 = m00 * m11
-    w158 = m01 * m10
-    a22 = w157 - w158
-    w159 = m00 * a00
-    w160 = m01 * a10
-    w161 = w159 + w160
-    w162 = m02 * a20
-    w163 = w161 + w162
-    inv_det = 1.0 / w163
-    ddx = (a00 * b0 + a01 * b1 + a02 * b2) * inv_det
-    ddy = (a10 * b0 + a11 * b1 + a12 * b2) * inv_det
-    dda = (a20 * b0 + a21 * b1 + a22 * b2) * inv_det
-    s0 = ct * l2
-    s1 = l1 * st
-    s2 = s0 + s1
-    s3 = ct * l1
-    s4 = l2 * st
-    s5 = s3 - s4
-    s6 = dth * dx
-    s7 = dth * dy
-    s8 = 1 / l1
-    s9 = s8 / r
-    s10 = s3 + s4
-    s11 = s0 - s1
-    s12 = s8 * st
-    s13 = ct * s8
-    w164 = ddx * s5
-    w165 = ddy * s2
-    w166 = w164 + w165
-    w167 = s2 * s6
-    w168 = w166 - w167
-    w169 = s5 * s7
-    w170 = w168 + w169
-    ddphi_r = s9 * w170
-    w171 = ddx * s10
-    w172 = ddy * s11
-    w173 = w171 - w172
-    w174 = s10 * s7
-    w175 = w173 + w174
-    w176 = s11 * s6
-    w177 = w175 + w176
-    ddphi_l = s9 * w177
-    w178 = ddx * s12
-    w179 = dda + w178
-    w180 = ddy * s13
-    w181 = w179 - w180
-    w182 = s12 * s7
-    w183 = w181 + w182
-    w184 = s13 * s6
-    ddphi_p = w183 + w184
-    theta_d0 = x[20] - x[32]
-    theta_d1 = x[21] - x[33]
-    theta_d2 = x[22] - x[34]
-    theta_d3 = x[23] - x[35]
-    dth_d0 = x[44] - x[56]
-    dth_d1 = x[45] - x[57]
-    dth_d2 = x[46] - x[58]
-    dth_d3 = x[47] - x[59]
-    ca_d0 = -sa * x[20]
-    ca_d1 = -sa * x[21]
-    ca_d2 = -sa * x[22]
-    ca_d3 = -sa * x[23]
-    sa_d0 = ca * x[20]
-    sa_d1 = ca * x[21]
-    sa_d2 = ca * x[22]
-    sa_d3 = ca * x[23]
-    ct_d0 = -st * theta_d0
-    ct_d1 = -st * theta_d1
-    ct_d2 = -st * theta_d2
-    ct_d3 = -st * theta_d3
-    st_d0 = ct * theta_d0
-    st_d1 = ct * theta_d1
-    st_d2 = ct * theta_d2
-    st_d3 = ct * theta_d3
-    t0_d0 = ct_d0 * l1
-    t0_d1 = ct_d1 * l1
-    t0_d2 = ct_d2 * l1
-    t0_d3 = ct_d3 * l1
-    t1_d0 = l2 * st_d0
-    t1_d1 = l2 * st_d1
-    t1_d2 = l2 * st_d2
-    t1_d3 = l2 * st_d3
-    t2_d0 = t0_d0 - t1_d0
-    t2_d1 = t0_d1 - t1_d1
-    t2_d2 = t0_d2 - t1_d2
-    t2_d3 = t0_d3 - t1_d3
-    t4_d0 = t2_d0 * t3
-    t4_d1 = t2_d1 * t3
-    t4_d2 = t2_d2 * t3
-    t4_d3 = t2_d3 * t3
-    t7_d0 = ct_d0 * l2
-    t7_d1 = ct_d1 * l2
-    t7_d2 = ct_d2 * l2
-    t7_d3 = ct_d3 * l2
-    t8_d0 = l1 * st_d0
-    t8_d1 = l1 * st_d1
-    t8_d2 = l1 * st_d2
-    t8_d3 = l1 * st_d3
-    t9_d0 = t7_d0 - t8_d0
-    t9_d1 = t7_d1 - t8_d1
-    t9_d2 = t7_d2 - t8_d2
-    t9_d3 = t7_d3 - t8_d3
-    w0_d0 = dp[0] + dp[16]
-    w0_d1 = dp[1] + dp[17]
-    w0_d2 = dp[2] + dp[18]
-    w0_d3 = dp[3] + dp[19]
-    t12_d0 = t11 * w0_d0
-    t12_d1 = t11 * w0_d1
-    t12_d2 = t11 * w0_d2
-    t12_d3 = t11 * w0_d3
-    t13_d0 = ca_d0 * yF + ca * dp[28]
-    t13_d1 = ca_d1 * yF + ca * dp[29]
-    t13_d2 = ca_d2 * yF + ca * dp[30]
-    t13_d3 = ca_d3 * yF + ca * dp[31]
-    t14_d0 = ct_d0 * yB + ct * dp[12]
-    t14_d1 = ct_d1 * yB + ct * dp[13]
-    t14_d2 = ct_d2 * yB + ct * dp[14]
-    t14_d3 = ct_d3 * yB + ct * dp[15]
-    t15_d0 = st_d0 * xB + st * dp[8]
-    t15_d1 = st_d1 * xB + st * dp[9]
-    t15_d2 = st_d2 * xB + st * dp[10]
-    t15_d3 = st_d3 * xB + st * dp[11]
-    t16_d0 = sa_d0 * xF + sa * dp[24]
-    t16_d1 = sa_d1 * xF + sa * dp[25]
-    t16_d2 = sa_d2 * xF + sa * dp[26]
-    t16_d3 = sa_d3 * xF + sa * dp[27]
-    w1_d0 = dp[0] * t14 + mc * t14_d0
-    w1_d1 = dp[1] * t14 + mc * t14_d1
-    w1_d2 = dp[2] * t14 + mc * t14_d2
-    w1_d3 = dp[3] * t14 + mc * t14_d3
-    w2_d0 = dp[0] * t15 + mc * t15_d0
-    w2_d1 = dp[1] * t15 + mc * t15_d1
-    w2_d2 = dp[2] * t15 + mc * t15_d2
-    w2_d3 = dp[3] * t15 + mc * t15_d3
-    w3_d0 = w1_d0 + w2_d0
-    w3_d1 = w1_d1 + w2_d1
-    w3_d2 = w1_d2 + w2_d2
-    w3_d3 = w1_d3 + w2_d3
-    w4_d0 = dp[16] * t13 + mp * t13_d0
-    w4_d1 = dp[17] * t13 + mp * t13_d1
-    w4_d2 = dp[18] * t13 + mp * t13_d2
-    w4_d3 = dp[19] * t13 + mp * t13_d3
-    w5_d0 = w3_d0 + w4_d0
-    w5_d1 = w3_d1 + w4_d1
-    w5_d2 = w3_d2 + w4_d2
-    w5_d3 = w3_d3 + w4_d3
-    w6_d0 = dp[16] * t16 + mp * t16_d0
-    w6_d1 = dp[17] * t16 + mp * t16_d1
-    w6_d2 = dp[18] * t16 + mp * t16_d2
-    w6_d3 = dp[19] * t16 + mp * t16_d3
-    t17_d0 = w5_d0 + w6_d0
-    t17_d1 = w5_d1 + w6_d1
-    t17_d2 = w5_d2 + w6_d2
-    t17_d3 = w5_d3 + w6_d3
-    t18_d0 = t11 * t17_d0
-    t18_d1 = t11 * t17_d1
-    t18_d2 = t11 * t17_d2
-    t18_d3 = t11 * t17_d3
-    t19_d0 = t0_d0 + t1_d0
-    t19_d1 = t0_d1 + t1_d1
-    t19_d2 = t0_d2 + t1_d2
-    t19_d3 = t0_d3 + t1_d3
-    t20_d0 = ct_d0 * xB + ct * dp[8]
-    t20_d1 = ct_d1 * xB + ct * dp[9]
-    t20_d2 = ct_d2 * xB + ct * dp[10]
-    t20_d3 = ct_d3 * xB + ct * dp[11]
-    t21_d0 = st_d0 * yB + st * dp[12]
-    t21_d1 = st_d1 * yB + st * dp[13]
-    t21_d2 = st_d2 * yB + st * dp[14]
-    t21_d3 = st_d3 * yB + st * dp[15]
-    t22_d0 = t20_d0 - t21_d0
-    t22_d1 = t20_d1 - t21_d1
-    t22_d2 = t20_d2 - t21_d2
-    t22_d3 = t20_d3 - t21_d3
-    t23_d0 = dp[0] * t22 + mc * t22_d0
-    t23_d1 = dp[1] * t22 + mc * t22_d1
-    t23_d2 = dp[2] * t22 + mc * t22_d2
-    t23_d3 = dp[3] * t22 + mc * t22_d3
-    t24_d0 = t19_d0 * t23 + t19 * t23_d0
-    t24_d1 = t19_d1 * t23 + t19 * t23_d1
-    t24_d2 = t19_d2 * t23 + t19 * t23_d2
-    t24_d3 = t19_d3 * t23 + t19 * t23_d3
-    t25_d0 = t14_d0 + t15_d0
-    t25_d1 = t14_d1 + t15_d1
-    t25_d2 = t14_d2 + t15_d2
-    t25_d3 = t14_d3 + t15_d3
-    t26_d0 = dp[0] * t25 + mc * t25_d0
-    t26_d1 = dp[1] * t25 + mc * t25_d1
-    t26_d2 = dp[2] * t25 + mc * t25_d2
-    t26_d3 = dp[3] * t25 + mc * t25_d3
-    t27_d0 = t26_d0 * t9 + t26 * t9_d0
-    t27_d1 = t26_d1 * t9 + t26 * t9_d1
-    t27_d2 = t26_d2 * t9 + t26 * t9_d2
-    t27_d3 = t26_d3 * t9 + t26 * t9_d3
-    w7_d0 = dp[8] * xB + xB * dp[8]
-    w7_d1 = dp[9] * xB + xB * dp[9]
-    w7_d2 = dp[10] * xB + xB * dp[10]
-    w7_d3 = dp[11] * xB + xB * dp[11]
-    w8_d0 = dp[12] * yB + yB * dp[12]
-    w8_d1 = dp[13] * yB + yB * dp[13]
-    w8_d2 = dp[14] * yB + yB * dp[14]
-    w8_d3 = dp[15] * yB + yB * dp[15]
-    w9_d0 = w7_d0 + w8_d0
-    w9_d1 = w7_d1 + w8_d1
-    w9_d2 = w7_d2 + w8_d2
-    w9_d3 = w7_d3 + w8_d3
-    w10_d0 = dp[0] * w9 + mc * w9_d0
-    w10_d1 = dp[1] * w9 + mc * w9_d1
-    w10_d2 = dp[2] * w9 + mc * w9_d2
-    w10_d3 = dp[3] * w9 + mc * w9_d3
-    t28_d0 = dp[4] + w10_d0
-    t28_d1 = dp[5] + w10_d1
-    t28_d2 = dp[6] + w10_d2
-    t28_d3 = dp[7] + w10_d3
-    w11_d0 = t24_d0 - t27_d0
-    w11_d1 = t24_d1 - t27_d1
-    w11_d2 = t24_d2 - t27_d2
-    w11_d3 = t24_d3 - t27_d3
-    w12_d0 = w11_d0 + t28_d0
-    w12_d1 = w11_d1 + t28_d1
-    w12_d2 = w11_d2 + t28_d2
-    w12_d3 = w11_d3 + t28_d3
-    t30_d0 = t29 * w12_d0
-    t30_d1 = t29 * w12_d1
-    t30_d2 = t29 * w12_d2
-    t30_d3 = t29 * w12_d3
-    t31_d0 = t7_d0 + t8_d0
-    t31_d1 = t7_d1 + t8_d1
-    t31_d2 = t7_d2 + t8_d2
-    t31_d3 = t7_d3 + t8_d3
-    t33_d0 = ca_d0 * xF + ca * dp[24]
-    t33_d1 = ca_d1 * xF + ca * dp[25]
-    t33_d2 = ca_d2 * xF + ca * dp[26]
-    t33_d3 = ca_d3 * xF + ca * dp[27]
-    t34_d0 = sa_d0 * yF + sa * dp[28]
-    t34_d1 = sa_d1 * yF + sa * dp[29]
-    t34_d2 = sa_d2 * yF + sa * dp[30]
-    t34_d3 = sa_d3 * yF + sa * dp[31]
-    w13_d0 = dp[0] * t20 + mc * t20_d0
-    w13_d1 = dp[1] * t20 + mc * t20_d1
-    w13_d2 = dp[2] * t20 + mc * t20_d2
-    w13_d3 = dp[3] * t20 + mc * t20_d3
-    w14_d0 = dp[0] * t21 + mc * t21_d0
-    w14_d1 = dp[1] * t21 + mc * t21_d1
-    w14_d2 = dp[2] * t21 + mc * t21_d2
-    w14_d3 = dp[3] * t21 + mc * t21_d3
-    w15_d0 = w13_d0 - w14_d0
-    w15_d1 = w13_d1 - w14_d1
-    w15_d2 = w13_d2 - w14_d2
-    w15_d3 = w13_d3 - w14_d3
-    w16_d0 = dp[16] * t33 + mp * t33_d0
-    w16_d1 = dp[17] * t33 + mp * t33_d1
-    w16_d2 = dp[18] * t33 + mp * t33_d2
-    w16_d3 = dp[19] * t33 + mp * t33_d3
-    w17_d0 = w15_d0 + w16_d0
-    w17_d1 = w15_d1 + w16_d1
-    w17_d2 = w15_d2 + w16_d2
-    w17_d3 = w15_d3 + w16_d3
-    w18_d0 = dp[16] * t34 + mp * t34_d0
-    w18_d1 = dp[17] * t34 + mp * t34_d1
-    w18_d2 = dp[18] * t34 + mp * t34_d2
-    w18_d3 = dp[19] * t34 + mp * t34_d3
-    t35_d0 = w17_d0 - w18_d0
-    t35_d1 = w17_d1 - w18_d1
-    t35_d2 = w17_d2 - w18_d2
-    t35_d3 = w17_d3 - w18_d3
-    t36_d0 = t11 * t35_d0
-    t36_d1 = t11 * t35_d1
-    t36_d2 = t11 * t35_d2
-    t36_d3 = t11 * t35_d3
-    w19_d0 = dp[24] * xF + xF * dp[24]
-    w19_d1 = dp[25] * xF + xF * dp[25]
-    w19_d2 = dp[26] * xF + xF * dp[26]
-    w19_d3 = dp[27] * xF + xF * dp[27]
-    w20_d0 = dp[28] * yF + yF * dp[28]
-    w20_d1 = dp[29] * yF + yF * dp[29]
-    w20_d2 = dp[30] * yF + yF * dp[30]
-    w20_d3 = dp[31] * yF + yF * dp[31]
-    w21_d0 = w19_d0 + w20_d0
-    w21_d1 = w19_d1 + w20_d1
-    w21_d2 = w19_d2 + w20_d2
-    w21_d3 = w19_d3 + w20_d3
-    w22_d0 = dp[16] * w21 + mp * w21_d0
-    w22_d1 = dp[17] * w21 + mp * w21_d1
-    w22_d2 = dp[18] * w21 + mp * w21_d2
-    w22_d3 = dp[19] * w21 + mp * w21_d3
-    t37_d0 = dp[20] + w22_d0
-    t37_d1 = dp[21] + w22_d1
-    t37_d2 = dp[22] + w22_d2
-    t37_d3 = dp[23] + w22_d3
-    w23_d0 = t2_d0 * t23 + t2 * t23_d0
-    w23_d1 = t2_d1 * t23 + t2 * t23_d1
-    w23_d2 = t2_d2 * t23 + t2 * t23_d2
-    w23_d3 = t2_d3 * t23 + t2 * t23_d3
-    w24_d0 = t26_d0 * t31 + t26 * t31_d0
-    w24_d1 = t26_d1 * t31 + t26 * t31_d1
-    w24_d2 = t26_d2 * t31 + t26 * t31_d2
-    w24_d3 = t26_d3 * t31 + t26 * t31_d3
-    w25_d0 = w23_d0 + w24_d0
-    w25_d1 = w23_d1 + w24_d1
-    w25_d2 = w23_d2 + w24_d2
-    w25_d3 = w23_d3 + w24_d3
-    w26_d0 = w25_d0 + t28_d0
-    w26_d1 = w25_d1 + t28_d1
-    w26_d2 = w25_d2 + t28_d2
-    w26_d3 = w25_d3 + t28_d3
-    t38_d0 = t29 * w26_d0
-    t38_d1 = t29 * w26_d1
-    t38_d2 = t29 * w26_d2
-    t38_d3 = t29 * w26_d3
-    t39_d0 = t13_d0 + t16_d0
-    t39_d1 = t13_d1 + t16_d1
-    t39_d2 = t13_d2 + t16_d2
-    t39_d3 = t13_d3 + t16_d3
-    t40_d0 = t33_d0 - t34_d0
-    t40_d1 = t33_d1 - t34_d1
-    t40_d2 = t33_d2 - t34_d2
-    t40_d3 = t33_d3 - t34_d3
-    w27_d0 = x[44] * da + da * x[44]
-    w27_d1 = x[45] * da + da * x[45]
-    w27_d2 = x[46] * da + da * x[46]
-    w27_d3 = x[47] * da + da * x[47]
-    w28_d0 = w27_d0 * mp + w27 * dp[16]
-    w28_d1 = w27_d1 * mp + w27 * dp[17]
-    w28_d2 = w27_d2 * mp + w27 * dp[18]
-    w28_d3 = w27_d3 * mp + w27 * dp[19]
-    t43_d0 = w28_d0 * t11
-    t43_d1 = w28_d1 * t11
-    t43_d2 = w28_d2 * t11
-    t43_d3 = w28_d3 * t11
-    t45_d0 = dth_d0 * t31 + dth * t31_d0
-    t45_d1 = dth_d1 * t31 + dth * t31_d1
-    t45_d2 = dth_d2 * t31 + dth * t31_d2
-    t45_d3 = dth_d3 * t31 + dth * t31_d3
-    t47_d0 = dth_d0 * t10
-    t47_d1 = dth_d1 * t10
-    t47_d2 = dth_d2 * t10
-    t47_d3 = dth_d3 * t10
-    t48_d0 = t28_d0 * t47 + t28 * t47_d0
-    t48_d1 = t28_d1 * t47 + t28 * t47_d1
-    t48_d2 = t28_d2 * t47 + t28 * t47_d2
-    t48_d3 = t28_d3 * t47 + t28 * t47_d3
-    t49_d0 = ct_d0 * t48 + ct * t48_d0
-    t49_d1 = ct_d1 * t48 + ct * t48_d1
-    t49_d2 = ct_d2 * t48 + ct * t48_d2
-    t49_d3 = ct_d3 * t48 + ct * t48_d3
-    w29_d0 = ct_d0 * t22 + ct * t22_d0
-    w29_d1 = ct_d1 * t22 + ct * t22_d1
-    w29_d2 = ct_d2 * t22 + ct * t22_d2
-    w29_d3 = ct_d3 * t22 + ct * t22_d3
-    w30_d0 = st_d0 * t25 + st * t25_d0
-    w30_d1 = st_d1 * t25 + st * t25_d1
-    w30_d2 = st_d2 * t25 + st * t25_d2
-    w30_d3 = st_d3 * t25 + st * t25_d3
-    t50_d0 = w29_d0 - w30_d0
-    t50_d1 = w29_d1 - w30_d1
-    t50_d2 = w29_d2 - w30_d2
-    t50_d3 = w29_d3 - w30_d3
-    t51_d0 = -t50_d0
-    t51_d1 = -t50_d1
-    t51_d2 = -t50_d2
-    t51_d3 = -t50_d3
-    t52_d0 = dp[0] * t47 + mc * t47_d0
-    t52_d1 = dp[1] * t47 + mc * t47_d1
-    t52_d2 = dp[2] * t47 + mc * t47_d2
-    t52_d3 = dp[3] * t47 + mc * t47_d3
-    t53_d0 = t19_d0 * t52 + t19 * t52_d0
-    t53_d1 = t19_d1 * t52 + t19 * t52_d1
-    t53_d2 = t19_d2 * t52 + t19 * t52_d2
-    t53_d3 = t19_d3 * t52 + t19 * t52_d3
-    t54_d0 = ct_d0 * t25 + ct * t25_d0
-    t54_d1 = ct_d1 * t25 + ct * t25_d1
-    t54_d2 = ct_d2 * t25 + ct * t25_d2
-    t54_d3 = ct_d3 * t25 + ct * t25_d3
-    w31_d0 = st_d0 * t22 + st * t22_d0
-    w31_d1 = st_d1 * t22 + st * t22_d1
-    w31_d2 = st_d2 * t22 + st * t22_d2
-    w31_d3 = st_d3 * t22 + st * t22_d3
-    t55_d0 = w31_d0 + t54_d0
-    t55_d1 = w31_d1 + t54_d1
-    t55_d2 = w31_d2 + t54_d2
-    t55_d3 = w31_d3 + t54_d3
-    t56_d0 = t52_d0 * t9 + t52 * t9_d0
-    t56_d1 = t52_d1 * t9 + t52 * t9_d1
-    t56_d2 = t52_d2 * t9 + t52 * t9_d2
-    t56_d3 = t52_d3 * t9 + t52 * t9_d3
-    t58_d0 = x[36] * t57
-    t58_d1 = x[37] * t57
-    t58_d2 = x[38] * t57
-    t58_d3 = x[39] * t57
-    t59_d0 = st_d0 * t48 + st * t48_d0
-    t59_d1 = st_d1 * t48 + st * t48_d1
-    t59_d2 = st_d2 * t48 + st * t48_d2
-    t59_d3 = st_d3 * t48 + st * t48_d3
-    w32_d0 = st_d0 * t22 + st * t22_d0
-    w32_d1 = st_d1 * t22 + st * t22_d1
-    w32_d2 = st_d2 * t22 + st * t22_d2
-    w32_d3 = st_d3 * t22 + st * t22_d3
-    t60_d0 = w32_d0 + t54_d0
-    t60_d1 = w32_d1 + t54_d1
-    t60_d2 = w32_d2 + t54_d2
-    t60_d3 = w32_d3 + t54_d3
-    t61_d0 = x[40] * t57
-    t61_d1 = x[41] * t57
-    t61_d2 = x[42] * t57
-    t61_d3 = x[43] * t57
-    t63_d0 = dth_d0 * t46
-    t63_d1 = dth_d1 * t46
-    t63_d2 = dth_d2 * t46
-    t63_d3 = dth_d3 * t46
-    w33_d0 = dp[0] * t10
-    w33_d1 = dp[1] * t10
-    w33_d2 = dp[2] * t10
-    w33_d3 = dp[3] * t10
-    t64_d0 = w33_d0 * t45 + w33 * t45_d0
-    t64_d1 = w33_d1 * t45 + w33 * t45_d1
-    t64_d2 = w33_d2 * t45 + w33 * t45_d2
-    t64_d3 = w33_d3 * t45 + w33 * t45_d3
-    t65_d0 = t2_d0 * t52 + t2 * t52_d0
-    t65_d1 = t2_d1 * t52 + t2 * t52_d1
-    t65_d2 = t2_d2 * t52 + t2 * t52_d2
-    t65_d3 = t2_d3 * t52 + t2 * t52_d3
-    w34_d0 = -st_d0
-    w34_d1 = -st_d1
-    w34_d2 = -st_d2
-    w34_d3 = -st_d3
-    w35_d0 = w34_d0 * t30 + w34 * t30_d0
-    w35_d1 = w34_d1 * t30 + w34 * t30_d1
-    w35_d2 = w34_d2 * t30 + w34 * t30_d2
-    w35_d3 = w34_d3 * t30 + w34 * t30_d3
-    w36_d0 = t12_d0 * t9 + t12 * t9_d0
-    w36_d1 = t12_d1 * t9 + t12 * t9_d1
-    w36_d2 = t12_d2 * t9 + t12 * t9_d2
-    w36_d3 = t12_d3 * t9 + t12 * t9_d3
-    w37_d0 = w35_d0 + w36_d0
-    w37_d1 = w35_d1 + w36_d1
-    w37_d2 = w35_d2 + w36_d2
-    w37_d3 = w35_d3 + w36_d3
-    w38_d0 = w37_d0 - t18_d0
-    w38_d1 = w37_d1 - t18_d1
-    w38_d2 = w37_d2 - t18_d2
-    w38_d3 = w37_d3 - t18_d3
-    w39_d0 = t4_d0 * t6
-    w39_d1 = t4_d1 * t6
-    w39_d2 = t4_d2 * t6
-    w39_d3 = t4_d3 * t6
-    m00_d0 = w38_d0 + w39_d0
-    m00_d1 = w38_d1 + w39_d1
-    m00_d2 = w38_d2 + w39_d2
-    m00_d3 = w38_d3 + w39_d3
-    w40_d0 = ct_d0 * t30 + ct * t30_d0
-    w40_d1 = ct_d1 * t30 + ct * t30_d1
-    w40_d2 = ct_d2 * t30 + ct * t30_d2
-    w40_d3 = ct_d3 * t30 + ct * t30_d3
-    w41_d0 = t12_d0 * t19 + t12 * t19_d0
-    w41_d1 = t12_d1 * t19 + t12 * t19_d1
-    w41_d2 = t12_d2 * t19 + t12 * t19_d2
-    w41_d3 = t12_d3 * t19 + t12 * t19_d3
-    w42_d0 = w40_d0 + w41_d0
-    w42_d1 = w40_d1 + w41_d1
-    w42_d2 = w40_d2 + w41_d2
-    w42_d3 = w40_d3 + w41_d3
-    w43_d0 = t31_d0 * t32
-    w43_d1 = t31_d1 * t32
-    w43_d2 = t31_d2 * t32
-    w43_d3 = t31_d3 * t32
-    w44_d0 = w42_d0 + w43_d0
-    w44_d1 = w42_d1 + w43_d1
-    w44_d2 = w42_d2 + w43_d2
-    w44_d3 = w42_d3 + w43_d3
-    m01_d0 = w44_d0 + t36_d0
-    m01_d1 = w44_d1 + t36_d1
-    m01_d2 = w44_d2 + t36_d2
-    m01_d3 = w44_d3 + t36_d3
-    w45_d0 = -t17_d0
-    w45_d1 = -t17_d1
-    w45_d2 = -t17_d2
-    w45_d3 = -t17_d3
-    w46_d0 = w45_d0 * t9 + w45 * t9_d0
-    w46_d1 = w45_d1 * t9 + w45 * t9_d1
-    w46_d2 = w45_d2 * t9 + w45 * t9_d2
-    w46_d3 = w45_d3 * t9 + w45 * t9_d3
-    w47_d0 = t19_d0 * t35 + t19 * t35_d0
-    w47_d1 = t19_d1 * t35 + t19 * t35_d1
-    w47_d2 = t19_d2 * t35 + t19 * t35_d2
-    w47_d3 = t19_d3 * t35 + t19 * t35_d3
-    w48_d0 = w46_d0 + w47_d0
-    w48_d1 = w46_d1 + w47_d1
-    w48_d2 = w46_d2 + w47_d2
-    w48_d3 = w46_d3 + w47_d3
-    w49_d0 = w48_d0 - t24_d0
-    w49_d1 = w48_d1 - t24_d1
-    w49_d2 = w48_d2 - t24_d2
-    w49_d3 = w48_d3 - t24_d3
-    w50_d0 = w49_d0 + t27_d0
-    w50_d1 = w49_d1 + t27_d1
-    w50_d2 = w49_d2 + t27_d2
-    w50_d3 = w49_d3 + t27_d3
-    w51_d0 = w50_d0 + t37_d0
-    w51_d1 = w50_d1 + t37_d1
-    w51_d2 = w50_d2 + t37_d2
-    w51_d3 = w50_d3 + t37_d3
-    m02_d0 = t11 * w51_d0
-    m02_d1 = t11 * w51_d1
-    m02_d2 = t11 * w51_d2
-    m02_d3 = t11 * w51_d3
-    w52_d0 = st_d0 * t38 + st * t38_d0
-    w52_d1 = st_d1 * t38 + st * t38_d1
-    w52_d2 = st_d2 * t38 + st * t38_d2
-    w52_d3 = st_d3 * t38 + st * t38_d3
-    w53_d0 = t12_d0 * t31 + t12 * t31_d0
-    w53_d1 = t12_d1 * t31 + t12 * t31_d1
-    w53_d2 = t12_d2 * t31 + t12 * t31_d2
-    w53_d3 = t12_d3 * t31 + t12 * t31_d3
-    w54_d0 = w52_d0 + w53_d0
-    w54_d1 = w52_d1 + w53_d1
-    w54_d2 = w52_d2 + w53_d2
-    w54_d3 = w52_d3 + w53_d3
-    w55_d0 = w54_d0 + t18_d0
-    w55_d1 = w54_d1 + t18_d1
-    w55_d2 = w54_d2 + t18_d2
-    w55_d3 = w54_d3 + t18_d3
-    w56_d0 = t19_d0 * t32
-    w56_d1 = t19_d1 * t32
-    w56_d2 = t19_d2 * t32
-    w56_d3 = t19_d3 * t32
-    m10_d0 = w55_d0 + w56_d0
-    m10_d1 = w55_d1 + w56_d1
-    m10_d2 = w55_d2 + w56_d2
-    m10_d3 = w55_d3 + w56_d3
-    w57_d0 = -ct_d0
-    w57_d1 = -ct_d1
-    w57_d2 = -ct_d2
-    w57_d3 = -ct_d3
-    w58_d0 = w57_d0 * t38 + w57 * t38_d0
-    w58_d1 = w57_d1 * t38 + w57 * t38_d1
-    w58_d2 = w57_d2 * t38 + w57 * t38_d2
-    w58_d3 = w57_d3 * t38 + w57 * t38_d3
-    w59_d0 = t12_d0 * t2 + t12 * t2_d0
-    w59_d1 = t12_d1 * t2 + t12 * t2_d1
-    w59_d2 = t12_d2 * t2 + t12 * t2_d2
-    w59_d3 = t12_d3 * t2 + t12 * t2_d3
-    w60_d0 = w58_d0 - w59_d0
-    w60_d1 = w58_d1 - w59_d1
-    w60_d2 = w58_d2 - w59_d2
-    w60_d3 = w58_d3 - w59_d3
-    w61_d0 = t32 * t9_d0
-    w61_d1 = t32 * t9_d1
-    w61_d2 = t32 * t9_d2
-    w61_d3 = t32 * t9_d3
-    w62_d0 = w60_d0 - w61_d0
-    w62_d1 = w60_d1 - w61_d1
-    w62_d2 = w60_d2 - w61_d2
-    w62_d3 = w60_d3 - w61_d3
-    m11_d0 = w62_d0 - t36_d0
-    m11_d1 = w62_d1 - t36_d1
-    m11_d2 = w62_d2 - t36_d2
-    m11_d3 = w62_d3 - t36_d3
-    w63_d0 = dp[0] * t2 + mc * t2_d0
-    w63_d1 = dp[1] * t2 + mc * t2_d1
-    w63_d2 = dp[2] * t2 + mc * t2_d2
-    w63_d3 = dp[3] * t2 + mc * t2_d3
-    w64_d0 = w63_d0 * t22 + w63 * t22_d0
-    w64_d1 = w63_d1 * t22 + w63 * t22_d1
-    w64_d2 = w63_d2 * t22 + w63 * t22_d2
-    w64_d3 = w63_d3 * t22 + w63 * t22_d3
-    w65_d0 = dp[0] * t25 + mc * t25_d0
-    w65_d1 = dp[1] * t25 + mc * t25_d1
-    w65_d2 = dp[2] * t25 + mc * t25_d2
-    w65_d3 = dp[3] * t25 + mc * t25_d3
-    w66_d0 = w65_d0 * t31 + w65 * t31_d0
-    w66_d1 = w65_d1 * t31 + w65 * t31_d1
-    w66_d2 = w65_d2 * t31 + w65 * t31_d2
-    w66_d3 = w65_d3 * t31 + w65 * t31_d3
-    w67_d0 = w64_d0 + w66_d0
-    w67_d1 = w64_d1 + w66_d1
-    w67_d2 = w64_d2 + w66_d2
-    w67_d3 = w64_d3 + w66_d3
-    w68_d0 = t17_d0 * t31 + t17 * t31_d0
-    w68_d1 = t17_d1 * t31 + t17 * t31_d1
-    w68_d2 = t17_d2 * t31 + t17 * t31_d2
-    w68_d3 = t17_d3 * t31 + t17 * t31_d3
-    w69_d0 = w67_d0 - w68_d0
-    w69_d1 = w67_d1 - w68_d1
-    w69_d2 = w67_d2 - w68_d2
-    w69_d3 = w67_d3 - w68_d3
-    w70_d0 = t2_d0 * t35 + t2 * t35_d0
-    w70_d1 = t2_d1 * t35 + t2 * t35_d1
-    w70_d2 = t2_d2 * t35 + t2 * t35_d2
-    w70_d3 = t2_d3 * t35 + t2 * t35_d3
-    w71_d0 = w69_d0 - w70_d0
-    w71_d1 = w69_d1 - w70_d1
-    w71_d2 = w69_d2 - w70_d2
-    w71_d3 = w69_d3 - w70_d3
-    w72_d0 = w71_d0 - t37_d0
-    w72_d1 = w71_d1 - t37_d1
-    w72_d2 = w71_d2 - t37_d2
-    w72_d3 = w71_d3 - t37_d3
-    m12_d0 = t11 * w72_d0
-    m12_d1 = t11 * w72_d1
-    m12_d2 = t11 * w72_d2
-    m12_d3 = t11 * w72_d3
-    w73_d0 = -dp[16]
-    w73_d1 = -dp[17]
-    w73_d2 = -dp[18]
-    w73_d3 = -dp[19]
-    m20_d0 = w73_d0 * t39 + w73 * t39_d0
-    m20_d1 = w73_d1 * t39 + w73 * t39_d1
-    m20_d2 = w73_d2 * t39 + w73 * t39_d2
-    m20_d3 = w73_d3 * t39 + w73 * t39_d3
-    m21_d0 = dp[16] * t40 + mp * t40_d0
-    m21_d1 = dp[17] * t40 + mp * t40_d1
-    m21_d2 = dp[18] * t40 + mp * t40_d2
-    m21_d3 = dp[19] * t40 + mp * t40_d3
-    w74_d0 = t19_d0 * t41
-    w74_d1 = t19_d1 * t41
-    w74_d2 = t19_d2 * t41
-    w74_d3 = t19_d3 * t41
-    w75_d0 = t42 * t9_d0
-    w75_d1 = t42 * t9_d1
-    w75_d2 = t42 * t9_d2
-    w75_d3 = t42 * t9_d3
-    w76_d0 = w74_d0 + w75_d0
-    w76_d1 = w74_d1 + w75_d1
-    w76_d2 = w74_d2 + w75_d2
-    w76_d3 = w74_d3 + w75_d3
-    w77_d0 = t19_d0 * t39 + t19 * t39_d0
-    w77_d1 = t19_d1 * t39 + t19 * t39_d1
-    w77_d2 = t19_d2 * t39 + t19 * t39_d2
-    w77_d3 = t19_d3 * t39 + t19 * t39_d3
-    w78_d0 = t40_d0 * t9 + t40 * t9_d0
-    w78_d1 = t40_d1 * t9 + t40 * t9_d1
-    w78_d2 = t40_d2 * t9 + t40 * t9_d2
-    w78_d3 = t40_d3 * t9 + t40 * t9_d3
-    w79_d0 = w77_d0 + w78_d0
-    w79_d1 = w77_d1 + w78_d1
-    w79_d2 = w77_d2 + w78_d2
-    w79_d3 = w77_d3 + w78_d3
-    w80_d0 = t43_d0 * w79 + t43 * w79_d0
-    w80_d1 = t43_d1 * w79 + t43 * w79_d1
-    w80_d2 = t43_d2 * w79 + t43 * w79_d2
-    w80_d3 = t43_d3 * w79 + t43 * w79_d3
-    w81_d0 = w76_d0 + w80_d0
-    w81_d1 = w76_d1 + w80_d1
-    w81_d2 = w76_d2 + w80_d2
-    w81_d3 = w76_d3 + w80_d3
-    w82_d0 = t4_d0 * t44
-    w82_d1 = t4_d1 * t44
-    w82_d2 = t4_d2 * t44
-    w82_d3 = t4_d3 * t44
-    w83_d0 = t45_d0 * t46
-    w83_d1 = t45_d1 * t46
-    w83_d2 = t45_d2 * t46
-    w83_d3 = t45_d3 * t46
-    w84_d0 = w82_d0 - w83_d0
-    w84_d1 = w82_d1 - w83_d1
-    w84_d2 = w82_d2 - w83_d2
-    w84_d3 = w82_d3 - w83_d3
-    w85_d0 = w84_d0 - t49_d0
-    w85_d1 = w84_d1 - t49_d1
-    w85_d2 = w84_d2 - t49_d2
-    w85_d3 = w84_d3 - t49_d3
-    w86_d0 = t51_d0 * t53 + t51 * t53_d0
-    w86_d1 = t51_d1 * t53 + t51 * t53_d1
-    w86_d2 = t51_d2 * t53 + t51 * t53_d2
-    w86_d3 = t51_d3 * t53 + t51 * t53_d3
-    w87_d0 = w85_d0 + w86_d0
-    w87_d1 = w85_d1 + w86_d1
-    w87_d2 = w85_d2 + w86_d2
-    w87_d3 = w85_d3 + w86_d3
-    w88_d0 = t55_d0 * t56 + t55 * t56_d0
-    w88_d1 = t55_d1 * t56 + t55 * t56_d1
-    w88_d2 = t55_d2 * t56 + t55 * t56_d2
-    w88_d3 = t55_d3 * t56 + t55 * t56_d3
-    w89_d0 = w87_d0 + w88_d0
-    w89_d1 = w87_d1 + w88_d1
-    w89_d2 = w87_d2 + w88_d2
-    w89_d3 = w87_d3 + w88_d3
-    w90_d0 = t58_d0 * w89 + t58 * w89_d0
-    w90_d1 = t58_d1 * w89 + t58 * w89_d1
-    w90_d2 = t58_d2 * w89 + t58 * w89_d2
-    w90_d3 = t58_d3 * w89 + t58 * w89_d3
-    w91_d0 = w81_d0 - w90_d0
-    w91_d1 = w81_d1 - w90_d1
-    w91_d2 = w81_d2 - w90_d2
-    w91_d3 = w81_d3 - w90_d3
-    w92_d0 = 2 * Ia * dth_d0
-    w92_d1 = 2 * Ia * dth_d1
-    w92_d2 = 2 * Ia * dth_d2
-    w92_d3 = 2 * Ia * dth_d3
-    w93_d0 = w92_d0 * t2 + w92 * t2_d0
-    w93_d1 = w92_d1 * t2 + w92 * t2_d1
-    w93_d2 = w92_d2 * t2 + w92 * t2_d2
-    w93_d3 = w92_d3 * t2 + w92 * t2_d3
-    w94_d0 = w93_d0 * t3
-    w94_d1 = w93_d1 * t3
-    w94_d2 = w93_d2 * t3
-    w94_d3 = w93_d3 * t3
-    w95_d0 = 2 * bw * t3 * t31_d0
-    w95_d1 = 2 * bw * t3 * t31_d1
-    w95_d2 = 2 * bw * t3 * t31_d2
-    w95_d3 = 2 * bw * t3 * t31_d3
-    w96_d0 = w94_d0 + w95_d0
-    w96_d1 = w94_d1 + w95_d1
-    w96_d2 = w94_d2 + w95_d2
-    w96_d3 = w94_d3 + w95_d3
-    w97_d0 = t50_d0 * t56 + t50 * t56_d0
-    w97_d1 = t50_d1 * t56 + t50 * t56_d1
-    w97_d2 = t50_d2 * t56 + t50 * t56_d2
-    w97_d3 = t50_d3 * t56 + t50 * t56_d3
-    w98_d0 = w96_d0 - w97_d0
-    w98_d1 = w96_d1 - w97_d1
-    w98_d2 = w96_d2 - w97_d2
-    w98_d3 = w96_d3 - w97_d3
-    w99_d0 = t53_d0 * t60 + t53 * t60_d0
-    w99_d1 = t53_d1 * t60 + t53 * t60_d1
-    w99_d2 = t53_d2 * t60 + t53 * t60_d2
-    w99_d3 = t53_d3 * t60 + t53 * t60_d3
-    w100_d0 = w98_d0 - w99_d0
-    w100_d1 = w98_d1 - w99_d1
-    w100_d2 = w98_d2 - w99_d2
-    w100_d3 = w98_d3 - w99_d3
-    w101_d0 = w100_d0 - t59_d0
-    w101_d1 = w100_d1 - t59_d1
-    w101_d2 = w100_d2 - t59_d2
-    w101_d3 = w100_d3 - t59_d3
-    w102_d0 = t61_d0 * w101 + t61 * w101_d0
-    w102_d1 = t61_d1 * w101 + t61 * w101_d1
-    w102_d2 = t61_d2 * w101 + t61 * w101_d2
-    w102_d3 = t61_d3 * w101 + t61 * w101_d3
-    w103_d0 = w91_d0 - w102_d0
-    w103_d1 = w91_d1 - w102_d1
-    w103_d2 = w91_d2 - w102_d2
-    w103_d3 = w91_d3 - w102_d3
-    b0_d0 = w103_d0
-    b0_d1 = w103_d1
-    b0_d2 = w103_d2
-    b0_d3 = w103_d3
-    w104_d0 = -t2_d0
-    w104_d1 = -t2_d1
-    w104_d2 = -t2_d2
-    w104_d3 = -t2_d3
-    w105_d0 = w104_d0 * t41
-    w105_d1 = w104_d1 * t41
-    w105_d2 = w104_d2 * t41
-    w105_d3 = w104_d3 * t41
-    w106_d0 = t31_d0 * t42
-    w106_d1 = t31_d1 * t42
-    w106_d2 = t31_d2 * t42
-    w106_d3 = t31_d3 * t42
-    w107_d0 = w105_d0 + w106_d0
-    w107_d1 = w105_d1 + w106_d1
-    w107_d2 = w105_d2 + w106_d2
-    w107_d3 = w105_d3 + w106_d3
-    w108_d0 = -t2_d0
-    w108_d1 = -t2_d1
-    w108_d2 = -t2_d2
-    w108_d3 = -t2_d3
-    w109_d0 = w108_d0 * t39 + w108 * t39_d0
-    w109_d1 = w108_d1 * t39 + w108 * t39_d1
-    w109_d2 = w108_d2 * t39 + w108 * t39_d2
-    w109_d3 = w108_d3 * t39 + w108 * t39_d3
-    w110_d0 = t31_d0 * t40 + t31 * t40_d0
-    w110_d1 = t31_d1 * t40 + t31 * t40_d1
-    w110_d2 = t31_d2 * t40 + t31 * t40_d2
-    w110_d3 = t31_d3 * t40 + t31 * t40_d3
-    w111_d0 = w109_d0 + w110_d0
-    w111_d1 = w109_d1 + w110_d1
-    w111_d2 = w109_d2 + w110_d2
-    w111_d3 = w109_d3 + w110_d3
-    w112_d0 = t43_d0 * w111 + t43 * w111_d0
-    w112_d1 = t43_d1 * w111 + t43 * w111_d1
-    w112_d2 = t43_d2 * w111 + t43 * w111_d2
-    w112_d3 = t43_d3 * w111 + t43 * w111_d3
-    w113_d0 = w107_d0 + w112_d0
-    w113_d1 = w107_d1 + w112_d1
-    w113_d2 = w107_d2 + w112_d2
-    w113_d3 = w107_d3 + w112_d3
-    w114_d0 = t19_d0 * t62
-    w114_d1 = t19_d1 * t62
-    w114_d2 = t19_d2 * t62
-    w114_d3 = t19_d3 * t62
-    w115_d0 = w114_d0 + t49_d0
-    w115_d1 = w114_d1 + t49_d1
-    w115_d2 = w114_d2 + t49_d2
-    w115_d3 = w114_d3 + t49_d3
-    w116_d0 = t51_d0 * t65 + t51 * t65_d0
-    w116_d1 = t51_d1 * t65 + t51 * t65_d1
-    w116_d2 = t51_d2 * t65 + t51 * t65_d2
-    w116_d3 = t51_d3 * t65 + t51 * t65_d3
-    w117_d0 = w115_d0 - w116_d0
-    w117_d1 = w115_d1 - w116_d1
-    w117_d2 = w115_d2 - w116_d2
-    w117_d3 = w115_d3 - w116_d3
-    w118_d0 = t55_d0 * t64 + t55 * t64_d0
-    w118_d1 = t55_d1 * t64 + t55 * t64_d1
-    w118_d2 = t55_d2 * t64 + t55 * t64_d2
-    w118_d3 = t55_d3 * t64 + t55 * t64_d3
-    w119_d0 = w117_d0 + w118_d0
-    w119_d1 = w117_d1 + w118_d1
-    w119_d2 = w117_d2 + w118_d2
-    w119_d3 = w117_d3 + w118_d3
-    w120_d0 = t63_d0 * t9 + t63 * t9_d0
-    w120_d1 = t63_d1 * t9 + t63 * t9_d1
-    w120_d2 = t63_d2 * t9 + t63 * t9_d2
-    w120_d3 = t63_d3 * t9 + t63 * t9_d3
-    w121_d0 = w119_d0 + w120_d0
-    w121_d1 = w119_d1 + w120_d1
-    w121_d2 = w119_d2 + w120_d2
-    w121_d3 = w119_d3 + w120_d3
-    w122_d0 = t58_d0 * w121 + t58 * w121_d0
-    w122_d1 = t58_d1 * w121 + t58 * w121_d1
-    w122_d2 = t58_d2 * w121 + t58 * w121_d2
-    w122_d3 = t58_d3 * w121 + t58 * w121_d3
-    w123_d0 = w113_d0 - w122_d0
-    w123_d1 = w113_d1 - w122_d1
-    w123_d2 = w113_d2 - w122_d2
-    w123_d3 = w113_d3 - w122_d3
-    w124_d0 = t19_d0 * t63 + t19 * t63_d0
-    w124_d1 = t19_d1 * t63 + t19 * t63_d1
-    w124_d2 = t19_d2 * t63 + t19 * t63_d2
-    w124_d3 = t19_d3 * t63 + t19 * t63_d3
-    w125_d0 = t50_d0 * t64 + t50 * t64_d0
-    w125_d1 = t50_d1 * t64 + t50 * t64_d1
-    w125_d2 = t50_d2 * t64 + t50 * t64_d2
-    w125_d3 = t50_d3 * t64 + t50 * t64_d3
-    w126_d0 = w124_d0 - w125_d0
-    w126_d1 = w124_d1 - w125_d1
-    w126_d2 = w124_d2 - w125_d2
-    w126_d3 = w124_d3 - w125_d3
-    w127_d0 = w126_d0 + t59_d0
-    w127_d1 = w126_d1 + t59_d1
-    w127_d2 = w126_d2 + t59_d2
-    w127_d3 = w126_d3 + t59_d3
-    w128_d0 = t60_d0 * t65 + t60 * t65_d0
-    w128_d1 = t60_d1 * t65 + t60 * t65_d1
-    w128_d2 = t60_d2 * t65 + t60 * t65_d2
-    w128_d3 = t60_d3 * t65 + t60 * t65_d3
-    w129_d0 = w127_d0 + w128_d0
-    w129_d1 = w127_d1 + w128_d1
-    w129_d2 = w127_d2 + w128_d2
-    w129_d3 = w127_d3 + w128_d3
-    w130_d0 = t62 * t9_d0
-    w130_d1 = t62 * t9_d1
-    w130_d2 = t62 * t9_d2
-    w130_d3 = t62 * t9_d3
-    w131_d0 = w129_d0 - w130_d0
-    w131_d1 = w129_d1 - w130_d1
-    w131_d2 = w129_d2 - w130_d2
-    w131_d3 = w129_d3 - w130_d3
-    w132_d0 = t61_d0 * w131 + t61 * w131_d0
-    w132_d1 = t61_d1 * w131 + t61 * w131_d1
-    w132_d2 = t61_d2 * w131 + t61 * w131_d2
-    w132_d3 = t61_d3 * w131 + t61 * w131_d3
-    w133_d0 = w123_d0 - w132_d0
-    w133_d1 = w123_d1 - w132_d1
-    w133_d2 = w123_d2 - w132_d2
-    w133_d3 = w123_d3 - w132_d3
-    b1_d0 = w133_d0
-    b1_d1 = w133_d1
-    b1_d2 = w133_d2
-    b1_d3 = w133_d3
-    w134_d0 = -bp * x[44]
-    w134_d1 = -bp * x[45]
-    w134_d2 = -bp * x[46]
-    w134_d3 = -bp * x[47]
-    w135_d0 = ct_d0 * dy + ct * x[40]
-    w135_d1 = ct_d1 * dy + ct * x[41]
-    w135_d2 = ct_d2 * dy + ct * x[42]
-    w135_d3 = ct_d3 * dy + ct * x[43]
-    w136_d0 = w135_d0 * t66
-    w136_d1 = w135_d1 * t66
-    w136_d2 = w135_d2 * t66
-    w136_d3 = w135_d3 * t66
-    w137_d0 = w134_d0 + w136_d0
-    w137_d1 = w134_d1 + w136_d1
-    w137_d2 = w134_d2 + w136_d2
-    w137_d3 = w134_d3 + w136_d3
-    w138_d0 = x[36] * st + dx * st_d0
-    w138_d1 = x[37] * st + dx * st_d1
-    w138_d2 = x[38] * st + dx * st_d2
-    w138_d3 = x[39] * st + dx * st_d3
-    w139_d0 = w138_d0 * t66
-    w139_d1 = w138_d1 * t66
-    w139_d2 = w138_d2 * t66
-    w139_d3 = w138_d3 * t66
-    w140_d0 = w137_d0 - w139_d0
-    w140_d1 = w137_d1 - w139_d1
-    w140_d2 = w137_d2 - w139_d2
-    w140_d3 = w137_d3 - w139_d3
-    b2_d0 = w140_d0
-    b2_d1 = w140_d1
-    b2_d2 = w140_d2
-    b2_d3 = w140_d3
-    r2_d0 = b2_d0 - (m20_d0 * ddx + m21_d0 * ddy + t37_d0 * dda)
-    r2_d1 = b2_d1 - (m20_d1 * ddx + m21_d1 * ddy + t37_d1 * dda)
-    r2_d2 = b2_d2 - (m20_d2 * ddx + m21_d2 * ddy + t37_d2 * dda)
-    r2_d3 = b2_d3 - (m20_d3 * ddx + m21_d3 * ddy + t37_d3 * dda)
-    r0_d0 = b0_d0 - (m00_d0 * ddx + m01_d0 * ddy + m02_d0 * dda)
-    r0_d1 = b0_d1 - (m00_d1 * ddx + m01_d1 * ddy + m02_d1 * dda)
-    r0_d2 = b0_d2 - (m00_d2 * ddx + m01_d2 * ddy + m02_d2 * dda)
-    r0_d3 = b0_d3 - (m00_d3 * ddx + m01_d3 * ddy + m02_d3 * dda)
-    r1_d0 = b1_d0 - (m10_d0 * ddx + m11_d0 * ddy + m12_d0 * dda)
-    r1_d1 = b1_d1 - (m10_d1 * ddx + m11_d1 * ddy + m12_d1 * dda)
-    r1_d2 = b1_d2 - (m10_d2 * ddx + m11_d2 * ddy + m12_d2 * dda)
-    r1_d3 = b1_d3 - (m10_d3 * ddx + m11_d3 * ddy + m12_d3 * dda)
-    ddx_d0 = (a00 * r0_d0 + a01 * r1_d0 + a02 * r2_d0) * inv_det
-    ddx_d1 = (a00 * r0_d1 + a01 * r1_d1 + a02 * r2_d1) * inv_det
-    ddx_d2 = (a00 * r0_d2 + a01 * r1_d2 + a02 * r2_d2) * inv_det
-    ddx_d3 = (a00 * r0_d3 + a01 * r1_d3 + a02 * r2_d3) * inv_det
-    ddy_d0 = (a10 * r0_d0 + a11 * r1_d0 + a12 * r2_d0) * inv_det
-    ddy_d1 = (a10 * r0_d1 + a11 * r1_d1 + a12 * r2_d1) * inv_det
-    ddy_d2 = (a10 * r0_d2 + a11 * r1_d2 + a12 * r2_d2) * inv_det
-    ddy_d3 = (a10 * r0_d3 + a11 * r1_d3 + a12 * r2_d3) * inv_det
-    dda_d0 = (a20 * r0_d0 + a21 * r1_d0 + a22 * r2_d0) * inv_det
-    dda_d1 = (a20 * r0_d1 + a21 * r1_d1 + a22 * r2_d1) * inv_det
-    dda_d2 = (a20 * r0_d2 + a21 * r1_d2 + a22 * r2_d2) * inv_det
-    dda_d3 = (a20 * r0_d3 + a21 * r1_d3 + a22 * r2_d3) * inv_det
-    s0_d0 = ct_d0 * l2
-    s0_d1 = ct_d1 * l2
-    s0_d2 = ct_d2 * l2
-    s0_d3 = ct_d3 * l2
-    s1_d0 = l1 * st_d0
-    s1_d1 = l1 * st_d1
-    s1_d2 = l1 * st_d2
-    s1_d3 = l1 * st_d3
-    s2_d0 = s0_d0 + s1_d0
-    s2_d1 = s0_d1 + s1_d1
-    s2_d2 = s0_d2 + s1_d2
-    s2_d3 = s0_d3 + s1_d3
-    s3_d0 = ct_d0 * l1
-    s3_d1 = ct_d1 * l1
-    s3_d2 = ct_d2 * l1
-    s3_d3 = ct_d3 * l1
-    s4_d0 = l2 * st_d0
-    s4_d1 = l2 * st_d1
-    s4_d2 = l2 * st_d2
-    s4_d3 = l2 * st_d3
-    s5_d0 = s3_d0 - s4_d0
-    s5_d1 = s3_d1 - s4_d1
-    s5_d2 = s3_d2 - s4_d2
-    s5_d3 = s3_d3 - s4_d3
-    s6_d0 = dth_d0 * dx + dth * x[36]
-    s6_d1 = dth_d1 * dx + dth * x[37]
-    s6_d2 = dth_d2 * dx + dth * x[38]
-    s6_d3 = dth_d3 * dx + dth * x[39]
-    s7_d0 = dth_d0 * dy + dth * x[40]
-    s7_d1 = dth_d1 * dy + dth * x[41]
-    s7_d2 = dth_d2 * dy + dth * x[42]
-    s7_d3 = dth_d3 * dy + dth * x[43]
-    s10_d0 = s3_d0 + s4_d0
-    s10_d1 = s3_d1 + s4_d1
-    s10_d2 = s3_d2 + s4_d2
-    s10_d3 = s3_d3 + s4_d3
-    s11_d0 = s0_d0 - s1_d0
-    s11_d1 = s0_d1 - s1_d1
-    s11_d2 = s0_d2 - s1_d2
-    s11_d3 = s0_d3 - s1_d3
-    s12_d0 = s8 * st_d0
-    s12_d1 = s8 * st_d1
-    s12_d2 = s8 * st_d2
-    s12_d3 = s8 * st_d3
-    s13_d0 = ct_d0 * s8
-    s13_d1 = ct_d1 * s8
-    s13_d2 = ct_d2 * s8
-    s13_d3 = ct_d3 * s8
-    w164_d0 = ddx_d0 * s5 + ddx * s5_d0
-    w164_d1 = ddx_d1 * s5 + ddx * s5_d1
-    w164_d2 = ddx_d2 * s5 + ddx * s5_d2
-    w164_d3 = ddx_d3 * s5 + ddx * s5_d3
-    w165_d0 = ddy_d0 * s2 + ddy * s2_d0
-    w165_d1 = ddy_d1 * s2 + ddy * s2_d1
-    w165_d2 = ddy_d2 * s2 + ddy * s2_d2
-    w165_d3 = ddy_d3 * s2 + ddy * s2_d3
-    w166_d0 = w164_d0 + w165_d0
-    w166_d1 = w164_d1 + w165_d1
-    w166_d2 = w164_d2 + w165_d2
-    w166_d3 = w164_d3 + w165_d3
-    w167_d0 = s2_d0 * s6 + s2 * s6_d0
-    w167_d1 = s2_d1 * s6 + s2 * s6_d1
-    w167_d2 = s2_d2 * s6 + s2 * s6_d2
-    w167_d3 = s2_d3 * s6 + s2 * s6_d3
-    w168_d0 = w166_d0 - w167_d0
-    w168_d1 = w166_d1 - w167_d1
-    w168_d2 = w166_d2 - w167_d2
-    w168_d3 = w166_d3 - w167_d3
-    w169_d0 = s5_d0 * s7 + s5 * s7_d0
-    w169_d1 = s5_d1 * s7 + s5 * s7_d1
-    w169_d2 = s5_d2 * s7 + s5 * s7_d2
-    w169_d3 = s5_d3 * s7 + s5 * s7_d3
-    w170_d0 = w168_d0 + w169_d0
-    w170_d1 = w168_d1 + w169_d1
-    w170_d2 = w168_d2 + w169_d2
-    w170_d3 = w168_d3 + w169_d3
-    ddphi_r_d0 = s9 * w170_d0
-    ddphi_r_d1 = s9 * w170_d1
-    ddphi_r_d2 = s9 * w170_d2
-    ddphi_r_d3 = s9 * w170_d3
-    w171_d0 = ddx_d0 * s10 + ddx * s10_d0
-    w171_d1 = ddx_d1 * s10 + ddx * s10_d1
-    w171_d2 = ddx_d2 * s10 + ddx * s10_d2
-    w171_d3 = ddx_d3 * s10 + ddx * s10_d3
-    w172_d0 = ddy_d0 * s11 + ddy * s11_d0
-    w172_d1 = ddy_d1 * s11 + ddy * s11_d1
-    w172_d2 = ddy_d2 * s11 + ddy * s11_d2
-    w172_d3 = ddy_d3 * s11 + ddy * s11_d3
-    w173_d0 = w171_d0 - w172_d0
-    w173_d1 = w171_d1 - w172_d1
-    w173_d2 = w171_d2 - w172_d2
-    w173_d3 = w171_d3 - w172_d3
-    w174_d0 = s10_d0 * s7 + s10 * s7_d0
-    w174_d1 = s10_d1 * s7 + s10 * s7_d1
-    w174_d2 = s10_d2 * s7 + s10 * s7_d2
-    w174_d3 = s10_d3 * s7 + s10 * s7_d3
-    w175_d0 = w173_d0 + w174_d0
-    w175_d1 = w173_d1 + w174_d1
-    w175_d2 = w173_d2 + w174_d2
-    w175_d3 = w173_d3 + w174_d3
-    w176_d0 = s11_d0 * s6 + s11 * s6_d0
-    w176_d1 = s11_d1 * s6 + s11 * s6_d1
-    w176_d2 = s11_d2 * s6 + s11 * s6_d2
-    w176_d3 = s11_d3 * s6 + s11 * s6_d3
-    w177_d0 = w175_d0 + w176_d0
-    w177_d1 = w175_d1 + w176_d1
-    w177_d2 = w175_d2 + w176_d2
-    w177_d3 = w175_d3 + w176_d3
-    ddphi_l_d0 = s9 * w177_d0
-    ddphi_l_d1 = s9 * w177_d1
-    ddphi_l_d2 = s9 * w177_d2
-    ddphi_l_d3 = s9 * w177_d3
-    w178_d0 = ddx_d0 * s12 + ddx * s12_d0
-    w178_d1 = ddx_d1 * s12 + ddx * s12_d1
-    w178_d2 = ddx_d2 * s12 + ddx * s12_d2
-    w178_d3 = ddx_d3 * s12 + ddx * s12_d3
-    w179_d0 = dda_d0 + w178_d0
-    w179_d1 = dda_d1 + w178_d1
-    w179_d2 = dda_d2 + w178_d2
-    w179_d3 = dda_d3 + w178_d3
-    w180_d0 = ddy_d0 * s13 + ddy * s13_d0
-    w180_d1 = ddy_d1 * s13 + ddy * s13_d1
-    w180_d2 = ddy_d2 * s13 + ddy * s13_d2
-    w180_d3 = ddy_d3 * s13 + ddy * s13_d3
-    w181_d0 = w179_d0 - w180_d0
-    w181_d1 = w179_d1 - w180_d1
-    w181_d2 = w179_d2 - w180_d2
-    w181_d3 = w179_d3 - w180_d3
-    w182_d0 = s12_d0 * s7 + s12 * s7_d0
-    w182_d1 = s12_d1 * s7 + s12 * s7_d1
-    w182_d2 = s12_d2 * s7 + s12 * s7_d2
-    w182_d3 = s12_d3 * s7 + s12 * s7_d3
-    w183_d0 = w181_d0 + w182_d0
-    w183_d1 = w181_d1 + w182_d1
-    w183_d2 = w181_d2 + w182_d2
-    w183_d3 = w181_d3 + w182_d3
-    w184_d0 = s13_d0 * s6 + s13 * s6_d0
-    w184_d1 = s13_d1 * s6 + s13 * s6_d1
-    w184_d2 = s13_d2 * s6 + s13 * s6_d2
-    w184_d3 = s13_d3 * s6 + s13 * s6_d3
-    ddphi_p_d0 = w183_d0 + w184_d0
-    ddphi_p_d1 = w183_d1 + w184_d1
-    ddphi_p_d2 = w183_d2 + w184_d2
-    ddphi_p_d3 = w183_d3 + w184_d3
-    return (
-        x[6], x[7], x[8], x[9], x[10], x[11], ddx, ddy, dda, ddphi_r, ddphi_l, ddphi_p,
-        x[36], x[37], x[38], x[39], x[40], x[41], x[42], x[43], x[44], x[45], x[46],
-        x[47], x[48], x[49], x[50], x[51], x[52], x[53], x[54], x[55], x[56], x[57],
-        x[58], x[59], ddx_d0, ddx_d1, ddx_d2, ddx_d3, ddy_d0, ddy_d1, ddy_d2, ddy_d3,
-        dda_d0, dda_d1, dda_d2, dda_d3, ddphi_r_d0, ddphi_r_d1, ddphi_r_d2, ddphi_r_d3,
-        ddphi_l_d0, ddphi_l_d1, ddphi_l_d2, ddphi_l_d3, ddphi_p_d0, ddphi_p_d1,
-        ddphi_p_d2, ddphi_p_d3,
-    )
-
-
-def shaft_sensitivity(inertia, damping, dp, x, u):
-    """simulate.shaft_derivative of x[:2] and its tangents, in 2 lanes.
-
-    x[2 + 2 * i + l] is the sensitivity of x[i] in lane l; the k-th of
-    (inertia, damping) moves in lane l by dp[2 * k + l]. Returns the 2
-    values, then the 4 tangents, value by value.
-    """
-    w0 = damping * x[1]
-    w1 = u - w0
-    w2 = w1 / inertia
-    w0_d0 = dp[2] * x[1] + damping * x[4]
-    w0_d1 = dp[3] * x[1] + damping * x[5]
-    w1_d0 = -w0_d0
-    w1_d1 = -w0_d1
-    w2_d0 = (w1_d0 - w2 * dp[0]) / inertia
-    w2_d1 = (w1_d1 - w2 * dp[1]) / inertia
-    return (
-        x[1], w2, x[4], x[5], w2_d0, w2_d1,
-    )

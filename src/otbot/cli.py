@@ -8,7 +8,6 @@ numerical failures at run time. Errors print as a single line on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -80,7 +79,7 @@ def _prefix_suffix(prefixes, suffixes) -> list[str]:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _ckernel.sha256(path.read_bytes()).hexdigest()
 
 
 def _writable_dir(flag: str, path: str | Path) -> Path:

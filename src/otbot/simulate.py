@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _ckernel, _task_space
+from . import _ckernel
 from .dynamics import RobotState, state_derivative
 from .integrator import IntegratorOptions, IntegratorStats, advance_segment
 from .params import PARAM_FIELDS, RobotParams
@@ -374,7 +374,7 @@ def robot_model(params: RobotParams, seeds=None):
     ``model.params`` for a feedback law, and as the ``block`` of the
     compiled loop's ``kind`` "robot".
 
-    With ``seeds``, the ``dp`` of ``_task_space.robot_sensitivity``, the
+    With ``seeds``, the ``dp`` of ``_task_sensitivity.robot_sensitivity``, the
     model of the 12 states and their sensitivities (``kind``
     "robot_sensitivity")."""
 
@@ -383,10 +383,13 @@ def robot_model(params: RobotParams, seeds=None):
             def f(t, y):
                 return state_derivative(params, y, u, force)
         else:
+            # only the Python engine runs this: a compiled run never loads the module
+            from . import _task_sensitivity
+
             (u0, u1, u2), (fx, fy) = u, force
 
             def f(t, y):
-                return _task_space.robot_sensitivity(params, seeds, y, u0, u1, u2, fx, fy)
+                return _task_sensitivity.robot_sensitivity(params, seeds, y, u0, u1, u2, fx, fy)
 
         return f
 
@@ -404,7 +407,7 @@ def shaft_model(inertia: float, damping: float, seeds=None):
     ignores the force; (inertia, damping) is the ``block`` of the compiled
     loop's ``kind`` "shaft".
 
-    With ``seeds``, the ``dp`` of ``_task_space.shaft_sensitivity``, the
+    With ``seeds``, the ``dp`` of ``_task_sensitivity.shaft_sensitivity``, the
     model of the 2 states and their sensitivities (``kind``
     "shaft_sensitivity")."""
     # the fitter hands in numpy scalars; float arithmetic keeps the stages floats
@@ -416,8 +419,10 @@ def shaft_model(inertia: float, damping: float, seeds=None):
             def f(t, y):
                 return shaft_derivative(inertia, damping, y, torque)
         else:
+            from . import _task_sensitivity
+
             def f(t, y):
-                return _task_space.shaft_sensitivity(inertia, damping, seeds, y, torque)
+                return _task_sensitivity.shaft_sensitivity(inertia, damping, seeds, y, torque)
 
         return f
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import fnmatch
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import spy_runs
 from otbot import _ckernel, integrator, simulate
@@ -821,6 +824,35 @@ def test_formatter_build_falls_back_to_a_process_directory_and_to_python(
 ):
     library = (_ckernel.FORMATTER_SOURCE, _ckernel.COMPILER, _ckernel.FORMATTER_FLAGS)
     _check_build_fallbacks(library, _ckernel.load_formatter, "COMPILER", tmp_path, monkeypatch)
+
+
+@given(st.binary(max_size=300))
+def test_the_builtin_sha256_is_hashlibs(data):
+    assert _ckernel.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_the_builtin_sha256_hashes_the_sources_and_scenarios_as_hashlib_does():
+    # the manifests' config_sha256 values of the bundled scenarios stay put
+    files = [_ckernel.SOURCE, _ckernel.FORMATTER_SOURCE,
+             *sorted((Path(_ckernel.__file__).parent / "scenarios").glob("*.cfg"))]
+    assert len(files) > 2
+    for path in files:
+        assert _ckernel.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("library", ["SOURCE", "FORMATTER_SOURCE"])
+def test_a_library_keeps_its_cached_name(library, tmp_path, monkeypatch):
+    # the name is keyed as hashlib keyed it, so a warm cache stays warm
+    source = getattr(_ckernel, library)
+    flags = _ckernel.FLAGS if library == "SOURCE" else _ckernel.FORMATTER_FLAGS
+    key = hashlib.sha256(source.read_bytes() + "\0".join(flags).encode()).hexdigest()
+    monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path)
+    (tmp_path / f"{source.stem.lstrip('_')}-{key[:24]}.so").write_bytes(b"")
+    built = _ckernel.build(source, _ckernel.COMPILER, flags)
+    if built is None:
+        pytest.skip("no C compiler: build looks up no cached library")
+    assert built == tmp_path / f"{source.stem.lstrip('_')}-{key[:24]}.so"
+    assert [p.name for p in tmp_path.iterdir()] == [built.name]
 
 
 def test_the_c_struct_has_the_fields_of_the_rollout_structure():

@@ -1012,10 +1012,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "corridor" in proc.stdout
 
-    def test_no_command_imports_scipy(self, tmp_path):
-        # a fresh interpreter: scipy is a test dependency only
+    @staticmethod
+    def _fresh(code, tmp_path):
+        """Run ``code`` in a fresh interpreter on the package under test."""
         package_root = str(Path(otbot.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # a fresh interpreter: scipy is a test dependency only
         code = """if True:
             import sys
             from otbot.cli import main
@@ -1029,8 +1035,44 @@ class TestEntryPoint:
             assert main(["scenarios"]) == 0
             assert "scipy" not in sys.modules, "scenarios"
         """
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env)
-        assert proc.returncode == 0, proc.stderr
+        self._fresh(code, tmp_path)
+
+    def test_a_command_loads_only_what_it_runs(self, tmp_path):
+        # no OpenSSL hash (_hashlib), no compile of the Python engine's
+        # sensitivities, and on a warm cache no build tool
+        built = [_ckernel.build(source, _ckernel.COMPILER, flags) for source, flags in (
+            (_ckernel.SOURCE, _ckernel.FLAGS), (_ckernel.FORMATTER_SOURCE, _ckernel.FORMATTER_FLAGS))]
+        warm = all(path is not None and path.parent == _ckernel.cache_dir() for path in built)
+        code = f"""if True:
+            import sys
+            from otbot import _ckernel
+            from otbot.cli import main
+            lean = {{"_hashlib", "otbot._task_sensitivity", *(["subprocess"] if {warm} else [])}}
+            assert not lean & set(sys.modules), "import otbot.cli"
+            for i, argv in enumerate([
+                ["control", "--scenario", "figure8"], ["check-torques", "--scenario", "corridor"],
+            ]):
+                assert main([*argv, "--out", f"run{{i}}"]) == 0, argv
+                assert not lean & set(sys.modules), (argv, lean & set(sys.modules))
+            assert main(["scenarios"]) == 0
+            assert not lean & set(sys.modules), "scenarios"
+            # a fit's noise draw imports hashlib (numpy.random imports secrets);
+            # only the Python engine runs the sensitivities
+            assert main(["identify", "--step", "1", "--out", "fit"]) == 0
+            assert ("otbot._task_sensitivity" in sys.modules) == (_ckernel.load() is None)
+        """
+        self._fresh(code, tmp_path)
+
+    def test_the_python_engine_loads_the_sensitivities_for_a_fit(self, tmp_path):
+        code = """if True:
+            import sys
+            from otbot import _ckernel
+            from otbot.cli import main
+            _ckernel.load = lambda: None
+            assert main(["identify", "--step", "1", "--out", "run"]) == 0
+            assert "otbot._task_sensitivity" in sys.modules
+        """
+        self._fresh(code, tmp_path)
 
     @pytest.mark.skipif(shutil.which("otbot") is None, reason="otbot console script not installed")
     def test_console_script_on_path(self):

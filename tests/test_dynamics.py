@@ -15,6 +15,7 @@ from conftest import random_admissible, random_q
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import otbot._task_sensitivity
 import otbot._task_space
 
 from otbot.dynamics import (
@@ -332,7 +333,7 @@ def test_the_sensitivity_rhs_are_the_derivatives_of_the_rhs():
         p = nominal_params().replace(xF=rng.uniform(-0.1, 0.1), yF=rng.uniform(-0.1, 0.1))
         x, s, dp = rng.uniform(-1.0, 1.0, 12), rng.uniform(-1.0, 1.0, 48), rng.uniform(-1.0, 1.0, 32)
         u, f = rng.uniform(-5.0, 5.0, 3).tolist(), rng.uniform(-5.0, 5.0, 2).tolist()
-        out = otbot._task_space.robot_sensitivity(p, dp.tolist(), [*x, *s], *u, *f)
+        out = otbot._task_sensitivity.robot_sensitivity(p, dp.tolist(), [*x, *s], *u, *f)
         assert list(out[:12]) == state_derivative(p, x.tolist(), u, f)
         for lane in range(4):
             def rhs(eps):
@@ -344,7 +345,7 @@ def test_the_sensitivity_rhs_are_the_derivatives_of_the_rhs():
             assert np.max(np.abs(tangent - central)) <= 1e-6 * np.max(np.abs(central)), lane
         inertia, damping = rng.uniform(0.01, 2.0, 2)
         y, dp = rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, 4)
-        out = otbot._task_space.shaft_sensitivity(inertia, damping, dp.tolist(), y.tolist(), 3.0)
+        out = otbot._task_sensitivity.shaft_sensitivity(inertia, damping, dp.tolist(), y.tolist(), 3.0)
         assert list(out[:2]) == shaft_derivative(inertia, damping, y[:2].tolist(), 3.0)
         for lane in range(2):
             def shaft(eps):
@@ -360,20 +361,23 @@ def test_generated_task_space_module_matches_its_generator():
     # `python scripts/gen_task_space.py` was not rerun after an edit.
     digest = hashlib.sha256((ROOT / "scripts" / "gen_task_space.py").read_bytes()).hexdigest()
     module = Path(otbot._task_space.__file__)
-    for path, comment in ((module, "#"), (module.with_name("_dp5_robot.c"), "//")):
+    for path, comment in ((module, "#"), (Path(otbot._task_sensitivity.__file__), "#"),
+                          (module.with_name("_dp5_robot.c"), "//")):
         header = path.read_text().splitlines()[:3]
         assert header[0] == f"{comment} Generated by scripts/gen_task_space.py; do not edit by hand."
         assert header[1] == f"{comment} generator sha256: {digest}"
         assert header[2].startswith(f"{comment} sympy ")
 
 
-def test_generator_check_finds_both_files_up_to_date():
+def test_generator_check_finds_every_generated_file_up_to_date():
     # regenerates in memory: also catches a hand edit of the C body and a
     # _ckernel.Rollout field that the C struct does not have
     pytest.importorskip("sympy")
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "gen_task_space.py"), "--check"],
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"src/otbot/{name} is up to date" for name in (
+        "_task_space.py", "_task_sensitivity.py", "_dp5_robot.c")]
 
 
 def test_generator_translator_refuses_what_the_c_cannot_hold(monkeypatch):
