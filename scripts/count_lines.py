@@ -4,7 +4,9 @@
 A Python count is of the non-blank lines that are not ``#`` comments
 (docstrings count); a C count is of all its lines. The package's Python is
 counted without the generated modules (:data:`GENERATED`), with its modules
-largest first; each generated module is counted on a line of its own.
+largest first; each generated module is counted on a line of its own, and
+so is the hand-written C that the generator carries (its ``_LOOP``), by
+non-blank lines.
 
     python scripts/count_lines.py
 
@@ -14,6 +16,7 @@ script quietly.
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 from pathlib import Path
@@ -31,12 +34,20 @@ def code_lines(path: Path) -> int:
                if line.strip() and not line.lstrip().startswith("#"))
 
 
+def loop_lines() -> int:
+    """The non-blank lines of the generator's hand-written C, its ``_LOOP`` string."""
+    loop = next(n.value.value for n in ast.parse(GENERATOR.read_text()).body
+                if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "_LOOP")
+    return sum(1 for line in loop.splitlines() if line.strip())
+
+
 def main() -> int:
     modules = {p.stem: code_lines(p) for p in PACKAGE.glob("*.py") if p.name not in GENERATED}
     print(f"src/otbot hand-written Python, without the generated modules: {sum(modules.values())}")
     for name, count in sorted(modules.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {name} {count}")
     print(f"{GENERATOR.relative_to(ROOT)}: {code_lines(GENERATOR)}")
+    print(f"{GENERATOR.relative_to(ROOT)} _LOOP (hand-written C): {loop_lines()}")
     for name in GENERATED:
         print(f"src/otbot/{name} (generated Python): {code_lines(PACKAGE / name)}")
     for name, kind in (("_csv_format.c", "hand-written"), ("_dp5_robot.c", "generated")):

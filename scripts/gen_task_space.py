@@ -9,35 +9,21 @@ The task-space model of ``otbot.dynamics`` is
 
 with Mbar = Delta^T M Lam, Cbar = Delta^T (M dLam + (C - Ef) Lam),
 Lam = [I; M_IIK], Delta = [M_FIK; I] and dLam = [0; dM_IIK]. This script
-evaluates ``otbot.model``'s ``mass_matrix``, ``coriolis_matrix``,
-``fik_matrix``, ``iik_matrix`` and ``iik_matrix_rate`` on sympy symbols,
-composes the products above once, and writes the entries as straight-line
-float code after common-subexpression elimination. The generated module
-uses the sin/cos pairs of alpha and theta = alpha - phi_p and never imports
-sympy; sympy is only needed to run this script.
+composes ``otbot.model``'s matrices on sympy symbols and writes the entries
+as straight-line float code after common-subexpression elimination, on the
+sin/cos pairs of alpha and theta = alpha - phi_p. The second module holds
+``robot_sensitivity`` and ``shaft_sensitivity``, the tangent transform
+(``_Tangent``) of the robot rhs and of ``otbot.simulate.shaft_derivative``
+over the lanes of their ``otbot._ckernel.MODELS`` rows.
 
-The second module holds ``robot_sensitivity`` and ``shaft_sensitivity``,
-the rhs of a state and its sensitivities to the fitted parameters: a
-forward-mode (tangent) transform (``_Tangent``) of the parsed robot rhs (the
-body of ``accelerations``) and of ``otbot.simulate.shaft_derivative``, over
-the lanes of their ``otbot._ckernel.MODELS`` rows. Only the Python engine
-calls them, so they live apart and a compiled run never loads them.
-
-Every generated C function passes through one translator of a parsed
-float function (``_translate``): the robot's rhs and C task-space model from
-the generated ``accelerations`` and ``task_space_model``, the shaft's rhs
-from ``otbot.simulate.shaft_derivative``, the sensitivity rhs from the
-generated ``robot_sensitivity`` and ``shaft_sensitivity`` (two lanes to a
-``lanes2`` vector) and each Dormand-Prince attempt from
-``otbot.integrator._step_source(n)``. Every operation is kept in the
-Python order and fully parenthesised, so they compute the same bits as the
-Python code (see ``otbot._ckernel`` for the compiler flags that this needs).
-The rollout loop around them, with the computed-torque law of
-``otbot.control.computed_torque`` and the first-step guess of
-``otbot.integrator.initial_step``, is written out below; its step-control
-constants are printed from ``otbot.integrator``, its struct from
-``otbot._ckernel.Rollout`` and its model table from ``otbot._ckernel.MODELS``,
-so ``--check`` sees any drift.
+Every generated C function passes through one translator of parsed Python
+(``_translate``), which keeps each operation in the Python order, so the C
+computes the same bits (``otbot._ckernel`` has the compiler flags this
+needs): each model's rhs, the task-space model, each Dormand-Prince attempt
+of ``otbot.integrator._step_source(n)``, and the first-step guess and step
+loop of ``otbot.integrator.initial_step`` and ``advance_segment`` with its
+constants. The event loop around them (``_LOOP``, with the computed-torque
+law) is written out below, its struct from ``otbot._ckernel.Rollout``.
 
     python scripts/gen_task_space.py           # rewrite the three files
     python scripts/gen_task_space.py --check   # exit 1 if any is out of date
@@ -50,6 +36,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
+import contextlib
 import copy
 import ctypes
 import difflib
@@ -81,16 +69,9 @@ INDENT = "    "
 PREC = PRECEDENCE["Mul"]
 
 
-class _SymbolicNumpy:
-    """The slice of numpy that otbot.model uses, on object arrays."""
-
-    @staticmethod
-    def zeros(shape):
-        return np.full(shape, sp.Integer(0), dtype=object)
-
-    @staticmethod
-    def array(rows):
-        return np.array(rows, dtype=object)
+# the slice of numpy that otbot.model uses, on object arrays
+_SYMBOLIC_NUMPY = SimpleNamespace(zeros=lambda shape: np.full(shape, sp.Integer(0), dtype=object),
+                                  array=lambda rows: np.array(rows, dtype=object))
 
 
 def _symbols():
@@ -107,7 +88,7 @@ def _symbols():
 def derive():
     """Symbolic Mbar, Cbar, M_IIK and dM_IIK from the model's own functions."""
     p, alpha, th, q, dq = _symbols()
-    with mock.patch.object(model, "math", sp), mock.patch.object(model, "np", _SymbolicNumpy):
+    with mock.patch.object(model, "math", sp), mock.patch.object(model, "np", _SYMBOLIC_NUMPY):
         m = sp.Matrix(model.mass_matrix(p, q))
         c = sp.Matrix(model.coriolis_matrix(p, q, dq))
         fik = sp.Matrix(model.fik_matrix(p, q))
@@ -227,17 +208,16 @@ class _Tangent:
     """Forward-mode (tangent) transform of the straight-line float function ``fn``.
 
     Each value v gets ``lanes`` tangents ``v_d<l>``, its derivatives along
-    lane l. The seeds are leaves: the state component ``x[j]`` (j below
-    ``size``) has the tangent ``x[size + lanes * j + l]``, its sensitivity,
-    and the parameter spelled ``s`` (``p.mc``, ``inertia``) of ``seeds[s] =
-    k`` the tangent ``dp[lanes * k + l]``; every other leaf is constant.
-    Every operation with a nonzero tangent is named (``w<n>`` unless it
-    assigns a local), so the primal statements compute the same operations
-    in the same order, and the tangent statements follow them all, by the
-    rules of +, -, *, /, negation, sin and cos, or for a local of ``rules``
-    by its rule, in which ``d(v)`` is the tangent of v. A tangent that no
-    returned value needs is left out. The function returns its values, then
-    their tangents, value by value.
+    lane l. The seeds are leaves: ``x[j]`` (j below ``size``) has the
+    tangent ``x[size + lanes * j + l]``, the parameter spelled ``s`` (``p.mc``,
+    ``inertia``) of ``seeds[s] = k`` the tangent ``dp[lanes * k + l]``; other
+    leaves are constant. Every operation with a nonzero tangent is named
+    (``w<n>`` unless it assigns a local), so the primal statements compute
+    the same operations in the same order; the tangent statements follow,
+    by the rules of +, -, *, /, negation, sin and cos, or for a local of
+    ``rules`` by its rule, in which ``d(v)`` is the tangent of v, and only
+    where a returned value needs them. The function returns its values,
+    then their tangents, value by value.
     """
 
     def __init__(self, fn: ast.FunctionDef, lanes: int, size: int, seeds: dict[str, int],
@@ -431,10 +411,10 @@ def _tangent_functions(accel: ast.FunctionDef) -> list[str]:
     return lines
 
 
-def _stamp(comment: str, generator_sha256: str) -> list[str]:
+def _stamp(comment: str, generator_sha256: str) -> str:
     """The first three lines of a generated file, ``comment`` its comment marker."""
-    return [f"{comment} Generated by scripts/gen_task_space.py; do not edit by hand.",
-            f"{comment} generator sha256: {generator_sha256}", f"{comment} sympy {sp.__version__}"]
+    return (f"{comment} Generated by scripts/gen_task_space.py; do not edit by hand.\n"
+            f"{comment} generator sha256: {generator_sha256}\n{comment} sympy {sp.__version__}")
 
 
 def render(generator_sha256: str) -> tuple[str, str]:
@@ -445,67 +425,56 @@ def render(generator_sha256: str) -> tuple[str, str]:
     mbar_entries = [mbar[i, j] for i in range(3) for j in range(3)]
     cbar_entries = [cbar[i, j] for i in range(3) for j in range(3)]
 
-    model_body = _prologue(mbar_entries + cbar_entries) + _block(
-        mbar_entries + cbar_entries, mnames + cnames
-    )
-    model_fn = _function(
-        "task_space_model(p, alpha, theta, da, dth)",
-        "Entries of Mbar and Cbar, row by row, as two 9-tuples.",
-        model_body,
-        f"({', '.join(mnames)}), ({', '.join(cnames)})",
-    )
+    model_body = _prologue(mbar_entries + cbar_entries) + _block(mbar_entries + cbar_entries, mnames + cnames)
+    model_fn = _function("task_space_model(p, alpha, theta, da, dth)",
+                         "Entries of Mbar and Cbar, row by row, as two 9-tuples.",
+                         model_body, f"({', '.join(mnames)}), ({', '.join(cnames)})")
 
     dp = sp.Matrix(sp.symbols("dx dy da"))
     rhs = sp.Matrix(sp.symbols("u0 u1 u2")) - cbar * dp + fik.T * sp.Matrix([*sp.symbols("fx fy"), 0])
     ddp = sp.Matrix(sp.symbols("ddx ddy dda"))
     ddphi = iik * ddp + diik * dp
-    head = _prologue(mbar_entries + list(rhs) + list(ddphi)) + _block(
-        mbar_entries + list(rhs), mnames + ["b0", "b1", "b2"]
-    )
+    head = (_prologue(mbar_entries + list(rhs) + list(ddphi))
+            + _block(mbar_entries + list(rhs), mnames + ["b0", "b1", "b2"]))
     tail = _block(list(ddphi), ["ddphi_r", "ddphi_l", "ddphi_p"], prefix="s")
-    accel_fn = _function(
-        "accelerations(p, alpha, theta, dx, dy, da, dth, u0, u1, u2, fx, fy)",
-        "(ddp, ddphi) under torques u and a pivot force (fx, fy), as a 6-tuple.",
-        head + _SOLVE + tail,
-        "ddx, ddy, dda, ddphi_r, ddphi_l, ddphi_p",
-    )
+    accel_fn = _function("accelerations(p, alpha, theta, dx, dy, da, dth, u0, u1, u2, fx, fy)",
+                         "(ddp, ddphi) under torques u and a pivot force (fx, fy), as a 6-tuple.",
+                         head + _SOLVE + tail, "ddx, ddy, dda, ddphi_r, ddphi_l, ddphi_p")
 
-    header = [
-        *_stamp("#", generator_sha256),
-        '"""Closed-form task-space model: Mbar, Cbar and the forward accelerations.',
-        "",
-        "Arguments are the parameter set p, read by attribute, and plain floats:",
-        "the platform angle alpha, the chassis heading theta = alpha - phi_p, the",
-        "task velocity (dx, dy, da), the heading rate dth = da - dphi_p, the",
-        "torques (u0, u1, u2) and the pivot force (fx, fy).",
-        "",
-        "The state sensitivities are in otbot._task_sensitivity.",
-        '"""',
-        "",
-        "from math import cos, sin",
-        "",
-        "# the robot parameters a sensitivity lane can follow, by seed row",
-        f"SEEDED = {_SEEDED!r}",
-        "",
-        "",
-    ]
-    sensitivity_header = [
-        *_stamp("#", generator_sha256),
-        '"""State sensitivities of the robot of otbot._task_space and of a shaft.',
-        "",
-        "robot_sensitivity and shaft_sensitivity are the rhs of a robot or shaft",
-        "state x and its sensitivities, the tangent transform of the rhs: the",
-        "same operations on x, then the derivatives of the rhs in each lane.",
-        "Only the Python engine calls them; the compiled loop has its own.",
-        '"""',
-        "",
-        "from math import cos, sin",
-        "",
-        "",
-    ]
+    header = f'''{_stamp("#", generator_sha256)}
+"""Closed-form task-space model: Mbar, Cbar and the forward accelerations.
+
+Arguments are the parameter set p, read by attribute, and plain floats:
+the platform angle alpha, the chassis heading theta = alpha - phi_p, the
+task velocity (dx, dy, da), the heading rate dth = da - dphi_p, the
+torques (u0, u1, u2) and the pivot force (fx, fy).
+
+The state sensitivities are in otbot._task_sensitivity.
+"""
+
+from math import cos, sin
+
+# the robot parameters a sensitivity lane can follow, by seed row
+SEEDED = {_SEEDED!r}
+
+
+'''
+    sensitivity_header = f'''{_stamp("#", generator_sha256)}
+"""State sensitivities of the robot of otbot._task_space and of a shaft.
+
+robot_sensitivity and shaft_sensitivity are the rhs of a robot or shaft
+state x and its sensitivities, the tangent transform of the rhs: the
+same operations on x, then the derivatives of the rhs in each lane.
+Only the Python engine calls them; the compiled loop has its own.
+"""
+
+from math import cos, sin
+
+
+'''
     tangents = _tangent_functions(_function_def("\n".join(accel_fn), "accelerations"))
-    return tuple("\n".join(lines).rstrip("\n") + "\n"
-                 for lines in (header + model_fn + accel_fn, sensitivity_header + tangents))
+    return tuple((head + "\n".join(lines)).rstrip("\n") + "\n"
+                 for head, lines in ((header, model_fn + accel_fn), (sensitivity_header, tangents)))
 
 
 # ---------------------------------------------------------------- C rollout
@@ -521,22 +490,32 @@ _STATE_ARGS = {"alpha": "x[2]", "theta": "(x[2] - x[5])", "dx": "x[6]", "dy": "x
 # rollout in Python, which raises there.
 _ZERO_DIVISOR, _INFINITE_ANGLE, _UNDERFLOW = 1, 2, 3
 
-_C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.And: "&&", ast.Or: "||",
+          ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
+# the calls the translator takes, each C with the bits of the Python
+_C_CALLS = {"sin": "sin", "cos": "cos", "abs": "fabs", "math.isfinite": "isfinite", "min": "py_min",
+            "max": "py_max", "_rms": "rms"}
 # names a generated local may not take: the C functions' arguments, the
-# stage state and status, and the Bessel functions that math.h declares
-_C_RESERVED = {"blk", "x", "k", "m", "c", "ys", "s", "y0", "y1", "yn", "j0", "j1", "jn"}
+# stage state and status, a loop's index and the Bessel functions that
+# math.h declares
+_C_RESERVED = {"blk", "x", "k", "m", "c", "ys", "s", "j", "y0", "y1", "yn", "j0", "j1", "jn"}
+_MAX_STATES = dict(_ckernel.Rollout._fields_)["x"]._length_
 # the comment above a vector literal of the step source
 _VECTOR_COMMENTS = {"y_new": "fifth-order solution", "err": "error estimate"}
 
 
 class _CExpr:
-    """C spelling of the float arithmetic of the generated Python.
+    """C spelling of float arithmetic and the tests on it.
 
-    Every operation becomes one parenthesised C operation on doubles, in
-    the order the Python evaluates it; integer literals become doubles and
-    a name its spelling in ``names``. A division by a non-constant and a
-    sin or cos first emit, into ``checks``, the test for the value on which
-    Python raises; a variable is tested once per instance.
+    Every operation becomes one parenthesised C operation, in the order the
+    Python evaluates it; integer literals become doubles, a name its
+    spelling in ``names`` and a call of _C_CALLS its C. A power takes a
+    constant exponent e, 0 < |e| < 1, which cannot overflow (a negative base,
+    where Python's power is complex, is the caller's to exclude). A division
+    by a non-constant, a negative power and a sin or cos first emit, into
+    ``checks``, the test for the value on which Python raises, once for a
+    variable until it is assigned or its block ends, and never under a
+    short circuit, where Python may not evaluate it.
     """
 
     def __init__(self, names: dict[str, str], where: str):
@@ -553,6 +532,9 @@ class _CExpr:
             raise ValueError(f"unbound name {name!r} in {self.where}")
         return self.names[name]
 
+    def refuse(self, node, why: str = "no C translation for") -> ValueError:
+        return ValueError(f"{self.where}, line {getattr(node, 'lineno', '?')}: {why} {ast.unparse(node)!r}")
+
     def __call__(self, node) -> str:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             value = float(node.value)
@@ -566,24 +548,38 @@ class _CExpr:
         if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
                 and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int):
             return f"{self.name(node.value.id)}[{node.slice.value}]"
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return f"(-{self(node.operand)})"
+        if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.USub, ast.Not):
+            return f"({'-' if isinstance(node.op, ast.USub) else '!'}{self(node.operand)})"
         if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
             return self._binary(node, self(node.left), self(node.right))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in ("sin", "cos") and len(node.args) == 1):
-            arg = self(node.args[0])
-            if not isinstance(node.args[0], ast.Name):
-                arg = self._temporary(arg)
-            self._check(arg, f"isinf({arg})", _INFINITE_ANGLE)
-            return f"{node.func.id}({arg})"
-        raise ValueError(f"no C translation for {ast.unparse(node)!r}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _fraction(self(node.right)):
+            base, exponent = self(node.left), self(node.right)
+            if _fraction(exponent) < 0.0:  # Python raises where 0.0 takes it
+                base = self._tested(node.left, base, "{} == 0.0", _ZERO_DIVISOR)
+            return f"pow({base}, {exponent})"
+        if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _C_OPS:
+            return f"({self(node.left)} {_C_OPS[type(node.ops[0])]} {self(node.comparators[0])})"
+        if isinstance(node, ast.BoolOp) and all(_c_type(value) == "int" for value in node.values):
+            first, checks = self(node.values[0]), len(self.checks)
+            rest = [self(value) for value in node.values[1:]]
+            if len(self.checks) > checks:
+                raise self.refuse(node, "a check under the short circuit of")
+            return f"({f' {_C_OPS[type(node.op)]} '.join([first, *rest])})"
+        func = ast.unparse(node.func) if isinstance(node, ast.Call) and not node.keywords else None
+        if func == "_error_norm" and isinstance(getattr(node.args[0], "slice", None), ast.Slice):
+            # of the ratios that the attempt left in err[:n], through BLAS ddot
+            ratio, n = self(node.args[0].value), self(node.args[0].slice.upper)
+            return f"sqrt((ddot({n}, {ratio}, 1, {ratio}, 1) / (double){n}))"
+        if func in _C_CALLS:
+            args = [self(arg) for arg in node.args]
+            if func in ("sin", "cos"):
+                args[0] = self._tested(node.args[0], args[0], "isinf({})", _INFINITE_ANGLE)
+            return f"{_C_CALLS[func]}({', '.join(args)})"
+        raise self.refuse(node)
 
     def _binary(self, node: ast.BinOp, left: str, right: str) -> str:
         if isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
-            if not isinstance(node.right, ast.Name):
-                right = self._temporary(right)
-            self._check(right, f"{right} == 0.0", _ZERO_DIVISOR)
+            right = self._tested(node.right, right, "{} == 0.0", _ZERO_DIVISOR)
         return f"({left} {_C_OPS[type(node.op)]} {right})"
 
     def pair(self, a, b) -> str:
@@ -607,10 +603,14 @@ class _CExpr:
             return self._binary(a, self.pair(a.left, b.left), self.pair(a.right, b.right))
         raise ValueError(f"lanes {ast.unparse(a)!r} and {ast.unparse(b)!r} do not pair in {self.where}")
 
-    def _check(self, name: str, condition: str, status: int) -> None:
+    def _tested(self, node, text: str, test: str, status: int) -> str:
+        """``text``, the C of ``node``, as a name that ``checks`` tests for
+        ``status`` by ``test``, a format of the name."""
+        name = text if isinstance(node, ast.Name) else self._temporary(text)
         if name not in self.checked:
             self.checked.add(name)
-            self.checks.append(f"if ({condition}) return {status};")
+            self.checks.append(f"if ({test.format(name)}) return {status};")
+        return name
 
     def _temporary(self, text: str) -> str:
         name = f"tmp{self.temporaries}"
@@ -640,69 +640,172 @@ def _values(node) -> list:
     return [node]
 
 
-def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None, lanes: int = 0) -> list[str]:
+def _translate(fn: ast.FunctionDef, names: dict[str, str], store=None, lanes: int = 0,
+               moving=()) -> list[str]:
     """The statements of the float function ``fn`` as C, in its order.
 
-    ``names`` spells its free names: scalars, vectors ``v`` (read as
-    ``v[j]``), parameters ``p.<field>`` and a stage's rhs ``f``. It takes the
-    docstring, ``name = expr`` (a new C local), ``v_0, ..., v_n = v`` (names
-    of v's components), a vector literal ``v = [...]``, a stage ``k = f(t +
-    c h, y)`` or ``k_0, ..., k_n = f(...)`` (a literal y first goes into
-    ``ys``) and the return, whose j-th value goes into ``store(j)``. With
-    ``lanes``, the tangents ``v_d0, ..., v_d<lanes - 1>`` of _Tangent, each
-    pair of lanes becomes one ``lanes2`` vector ``v_d01``, ``v_d23``: the
-    same operations on the same doubles, two at a time.
+    ``names`` spells its free names (scalars, vectors ``v`` read as ``v[j]``,
+    parameters ``p.<field>``, a stage's rhs ``f``, an attempt's ``step``), of
+    which only ``moving`` may be assigned. Besides ``name = expr``, ``while``,
+    ``if``, ``break``, ``continue`` and the return (its j-th value into
+    ``store(j)``), it takes ``v_0, ..., v_n = v`` (v's components), a vector
+    ``[...]`` or ``[e for a, b in zip(u, w)]``, a stage ``f(t + c h, y)`` (a
+    y that is no name goes into ``ys``), an attempt ``y_new, k7, err =
+    step(f, t, h, y, k1)``, the FSAL ``y, k1 = y_new, k7`` (a swap of buffers
+    that the next attempt writes), ``raise IntegrationError(...)`` (a step
+    underflow) and ``count += k``, and refuses anything else by its line. A
+    local assigned once outside any block is a C const; a vector, or a local
+    assigned again, in a block or by a conditional expression (an if), is
+    declared up front, an int if it holds a comparison. With ``lanes``, each
+    pair of the tangent lanes ``v_d0, ..., v_d<lanes - 1>`` of _Tangent is one
+    ``lanes2`` vector ``v_d01``, ``v_d23``: the same operations on the same
+    doubles, two at a time.
     """
     names = dict(names)
     to_c = _CExpr(names, fn.name)
-    lines: list[str] = []
-    statements = iter(fn.body)
-    for stmt in statements:
-        if isinstance(stmt, ast.Expr):  # the docstring
+    assigns = [s for s in ast.walk(fn) if isinstance(s, ast.Assign) and isinstance(s.targets[0], ast.Name)]
+    counts = collections.Counter(s.targets[0].id for s in assigns)
+    declared: dict[str, tuple[str, str]] = {}  # name: (C type, declarator)
+    for s in assigns:
+        name, vector = s.targets[0].id, isinstance(s.value, (ast.List, ast.ListComp)) or _stage(s.value)
+        const = s in fn.body and counts[name] == 1 and not isinstance(s.value, ast.IfExp)
+        if name in names or const and not vector:
             continue
-        if lanes and isinstance(stmt, ast.Assign) and stmt.targets[0].id.endswith("_d0"):
-            group = [stmt, *itertools.islice(statements, lanes - 1)]
-            lines += _lane_pairs(to_c, [(s.targets[0].id, s.value) for s in group])
-            continue
-        if isinstance(stmt, ast.Return):  # without a store, the values stay where they are
-            lines += to_c.statements(store, _values(stmt.value)) if store else []
-            continue
-        if not isinstance(stmt, ast.Assign):
-            raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
-        (target,) = stmt.targets
-        value = stmt.value
-        split = isinstance(target, ast.Tuple)
-        vector = target.elts[0].id.rpartition("_")[0] if split else target.id
-        if isinstance(value, ast.Call) and len(value.args) == 2:  # a stage f(t, y)
-            y = value.args[1]
-            if isinstance(y, ast.List):
-                lines += [f"/* stage {vector[1:]} */", *_components(to_c, "ys", y.elts)]
+        if name in _C_RESERVED or name.startswith("tmp"):
+            raise ValueError(f"local {name!r} cannot be a C local here")
+        declared[name] = ("double", f"{name}[{_MAX_STATES}]") if vector else (_c_type(s.value), name)
+        names[name] = name
+
+    def nested(body) -> list[str]:
+        """A block's lines: its tests hold in it, and none of a name it assigns after it."""
+        outer, to_c.checked = to_c.checked, set()
+        inner = block(body)
+        to_c.checked = outer - {names.get(n.id, n.id) for s in body for n in ast.walk(s)
+                                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        return [INDENT + line for line in inner]
+
+    def block(body) -> list[str]:
+        lines = []
+        statements = iter(body)
+        for stmt in statements:
+            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):  # the docstring
+                continue
+            if lanes and isinstance(stmt, ast.Assign) and stmt.targets[0].id.endswith("_d0"):
+                group = [stmt, *itertools.islice(statements, lanes - 1)]
+                lines += _lane_pairs(to_c, [(s.targets[0].id, s.value) for s in group])
+            elif isinstance(stmt, ast.Return) and stmt in fn.body:
+                # without a store, the values stay where they are
+                lines += to_c.statements(store, _values(stmt.value)) if store else []
+            elif isinstance(stmt, ast.If) or isinstance(stmt, ast.While) and not stmt.orelse:
+                to_c.checks = []
+                test = to_c(stmt.test)
+                if to_c.checks and isinstance(stmt, ast.While):
+                    raise to_c.refuse(stmt.test, "a check in the loop condition")
+                test = test if test[0] == "(" else f"({test})"
+                lines += to_c.checks + [f"{type(stmt).__name__.lower()} {test} {{", *nested(stmt.body)]
+                lines += ["} else {", *nested(stmt.orelse), "}"] if stmt.orelse else ["}"]
+            elif isinstance(stmt, (ast.Break, ast.Continue)):
+                lines.append(f"{type(stmt).__name__.lower()};")
+            elif isinstance(stmt, ast.Raise) and ast.unparse(stmt.exc).startswith("IntegrationError("):
+                lines.append(f"return {_UNDERFLOW};")
+            elif (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add)
+                  and type(getattr(stmt.value, "value", None)) is int):
+                lines.append(f"{to_c(stmt.target)} += {stmt.value.value};")
+            elif isinstance(stmt, ast.Assign):
+                lines += assign(stmt, *stmt.targets, stmt.value)
             else:
-                lines.append(f"/* stage {vector[1:]}, at the new state */")
-            x = "ys" if isinstance(y, ast.List) else to_c(y)
+                raise to_c.refuse(stmt)
+        return lines
+
+    def assign(stmt, target, value) -> list[str]:
+        split = isinstance(target, ast.Tuple)
+        if isinstance(value, ast.IfExp):
+            branches = ([ast.Assign([target], v, lineno=stmt.lineno)] for v in (value.body, value.orelse))
+            return block([ast.If(value.test, *branches)])
+        if split and isinstance(value, ast.Tuple):  # the FSAL: swap the buffers
+            return [f"{{ double *const swap = {a}; {a} = {b}; {b} = swap; }}"
+                    for a, b in zip(map(to_c, target.elts), map(to_c, value.elts))]
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "step":  # its error ratios into err
+            to_c.checks = []
+            h, y, k1, rtol, atol = map(to_c, [*value.args[2:], _load("rtol"), _load("atol")])
+            return to_c.checks + [f"if ((s = {to_c(value.func)}(blk, {h}, {rtol}, {atol}, {y}, {k1}, "
+                                  f"{', '.join(map(to_c, target.elts))}))) return s;"]
+        lines = []
+        vector = target.elts[0].id.rpartition("_")[0] if split else target.id
+        if _stage(value):
+            y = value.args[1]
+            label = f"stage {vector[1:]}" if vector.startswith("k") else vector
+            if isinstance(y, (ast.List, ast.ListComp)):
+                lines += [f"/* {label} */", *_components(to_c, "ys", y)]
+            else:
+                lines.append(f"/* {label}, at the new state */")
+            x = "ys" if isinstance(y, (ast.List, ast.ListComp)) else to_c(y)
             lines.append(f"if ((s = {to_c(value.func)}(blk, {x}, {to_c.name(vector)}))) return s;")
-        elif isinstance(value, ast.List):
+        elif isinstance(value, (ast.List, ast.ListComp)):
             lines.append(f"/* {_VECTOR_COMMENTS.get(vector, vector)} */")
-            lines += _components(to_c, to_c.name(vector), value.elts)
+            lines += _components(to_c, to_c.name(vector), value)
         elif split and isinstance(value, ast.Name):
             vector = value.id
         elif split:
-            raise ValueError(f"no C translation for {ast.unparse(stmt)!r}")
+            raise to_c.refuse(stmt)
+        elif vector in declared or vector in moving:
+            lines += to_c.statements(lambda _: names[vector], [value])
+            to_c.checked.discard(names[vector])
         elif vector in _C_RESERVED or vector in names or vector.startswith("tmp"):
             raise ValueError(f"local {vector!r} cannot be a C local here")
         else:
-            lines += to_c.statements(lambda _: f"const double {vector}", [value])
+            lines += to_c.statements(lambda _: f"const {_c_type(value)} {vector}", [value])
             names[vector] = vector
         if split:  # v_j is the component j of the vector
             names.update((e.id, f"{to_c.name(vector)}[{j}]") for j, e in enumerate(target.elts))
-    return lines
+        return lines
+
+    return [f"{kind} {', '.join(d for k, d in declared.values() if k == kind)};"
+            for kind in dict.fromkeys(k for k, _ in declared.values())] + block(fn.body)
 
 
-def _components(to_c: _CExpr, vector: str, elts: list) -> list[str]:
-    """C of the vector literal ``vector = [e_0, ..., e_n]``: one loop over j
-    where each e_j is e_0 on the components j in place of 0, else each one."""
-    texts = to_c.statements(f"{vector}[{{}}]".format, elts)
-    n = len(elts)
+def _stage(node) -> bool:
+    """Whether ``node`` is a call ``f(t, y)`` of the rhs."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "f" and len(node.args) == 2
+
+
+def _c_type(node) -> str:
+    """int for a comparison, its negation or a combination of them, else double."""
+    logical = isinstance(node, (ast.Compare, ast.BoolOp)) or isinstance(getattr(node, "op", None), ast.Not)
+    return "int" if logical else "double"
+
+
+def _fraction(text: str) -> float:
+    """The value of the C literal ``text`` where 0 < |value| < 1, else 0."""
+    with contextlib.suppress(ValueError):
+        if 0.0 < abs(value := float(text.strip("()"))) < 1.0:
+            return value
+    return 0.0
+
+
+def _components(to_c: _CExpr, vector: str, node) -> list[str]:
+    """C of ``vector = node``. A literal [e_0, ..., e_n] is one loop over j
+    where each e_j is e_0 on the components j in place of 0, else each one;
+    ``[e for a, b in zip(u, w)]`` (or ``for a in u``) a loop over j with a as
+    u[j] and b as w[j], to the m of ``u[:m]``, else the length ``len(u)`` spells."""
+    if isinstance(node, ast.ListComp):
+        (loop,) = node.generators
+        zipped = isinstance(loop.iter, ast.Call) and ast.unparse(loop.iter.func) == "zip"
+        iters = loop.iter.args if zipped else [loop.iter]
+        targets = loop.target.elts if isinstance(loop.target, ast.Tuple) else [loop.target]
+        if loop.ifs or len(targets) != len(iters) or any(t.id in to_c.names for t in targets):
+            raise to_c.refuse(node)
+        whole = [it.value if isinstance(it, ast.Subscript) else it for it in iters]
+        n = to_c(iters[0].slice.upper) if iters[0] is not whole[0] else to_c.name(f"len({whole[0].id})")
+        to_c.names.update((t.id, f"{to_c(w)}[j]") for t, w in zip(targets, whole))
+        outer, to_c.checked = to_c.checked, set()
+        body = to_c.statements(f"{vector}[j]".format, [node.elt])
+        to_c.checked = outer
+        for t in targets:
+            del to_c.names[t.id]
+        return [f"for (long j = 0; j < {n}; j++) {{", *(INDENT + line for line in body), "}"]
+    texts = to_c.statements(f"{vector}[{{}}]".format, node.elts)
+    n = len(node.elts)
     template = texts[0].replace("[0]", "[j]")
     if n > 1 and texts == [template.replace("[j]", f"[{j}]") for j in range(n)]:
         return [f"for (int j = 0; j < {n}; j++) {template}"]
@@ -729,10 +832,9 @@ def _c_function(signature: str, body: list[str]) -> list[str]:
 
 
 def _rhs_function(fn: ast.FunctionDef, m: _ckernel.Model) -> list[str]:
-    """``<m.name>_rhs``: k = fn(...) on the state ``x`` and the hold in blk,
-    as C. blk holds fn's parameters (those of ``p`` in PARAM_FIELDS order),
-    then the seeds ``dp`` of its lanes, then its arguments after ``x``: the
-    held input and the pivot force."""
+    """``<m.name>_rhs``: k = fn(...) on the state ``x`` and the hold in blk, as
+    C. blk holds fn's parameters (``p``'s in PARAM_FIELDS order), the seeds
+    ``dp`` of its lanes, then its arguments after ``x``: input and force."""
     args = [a.arg for a in fn.args.args]
     rest = args[args.index("x") + 1 :]
     params = ([f"p.{name}" for name in PARAM_FIELDS] if args[0] == "p"
@@ -758,12 +860,10 @@ def _model_function(model_fn: ast.FunctionDef) -> list[str]:
 
 
 def _attempt_function(m: _ckernel.Model) -> list[str]:
-    """``dp5_<name>_attempt``: the DP5 attempt of integrator._step_source(n)
-    for the model ``m`` of n states, calling its rhs, then the ratio vector
-    of integrator._error_norm over the states ahead of the sensitivities:
-    e / (atol + rtol * max(|y|, |y_new|)) with the NaN of either side
-    propagated. A zero scale gives an inf or a NaN, so the norm is
-    non-finite where Python's is inf."""
+    """``dp5_<name>_attempt``: integrator._step_source(n) on the model ``m``'s
+    rhs, then integrator._error_norm's ratios over the states ahead of the
+    sensitivities, NaNs propagated: a zero scale gives an inf or a NaN, so
+    the norm is non-finite where Python's is inf."""
     n = m.states
     signature = (
         f"int dp5_{m.name}_attempt(const double *blk, double h, double rtol, double atol,\n"
@@ -795,10 +895,9 @@ def _model_table() -> list[str]:
         rows.append(f"{{{m.states}, {m.params}, {m.inputs}, {m.forces}, {m.lanes}, {m.name}_rhs, "
                     f"dp5_{m.name}_attempt}},")
     return [
-        "/* The models of otbot._ckernel.MODELS, which struct rollout's model",
-        "   indexes: the state size, the widths of the parameters (seeds",
-        "   included), the held input and the pivot force in blk, the",
-        "   sensitivity lanes, the rhs and the DP5 attempt. */",
+        "/* otbot._ckernel.MODELS, which struct rollout's model indexes: the state size,",
+        "   the widths in blk of the parameters (seeds included), held input and pivot",
+        "   force, the sensitivity lanes, the rhs and the DP5 attempt. */",
         "struct model {",
         INDENT + "long states, params, inputs, forces, lanes;",
         INDENT + "int (*rhs)(const double *blk, const double *x, double *k);",
@@ -826,19 +925,50 @@ def _struct() -> list[str]:
     return ["struct rollout {"] + [INDENT + line for line in lines] + ["};"]
 
 
-def _loop() -> str:
-    """The rollout loop: simulate.integrate's event loop and
-    integrator.advance_segment's step control, with its constants."""
-    constants = "\n".join(
-        f"static const double {name} = {getattr(integrator, '_' + name)!r};"
-        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR", "ORDER_EXPONENT",
-                     "NONFINITE_FACTOR", "TIME_RESOLUTION")
-    )
-    return (_LOOP.replace("@CONSTANTS@", constants)
-            .replace("@MAX_STATES@", str(dict(_ckernel.Rollout._fields_)["x"]._length_))
-            .replace("@UNDERFLOW@", str(_UNDERFLOW))
-            .replace("@ZERO_DIVISOR@", str(_ZERO_DIVISOR))
-            .replace("@FEEDBACK@", str(_ckernel.FEEDBACK)))
+def _step_control(source: str) -> list[str]:
+    """``first_step`` and ``advance`` on a struct rollout: ``initial_step`` and
+    the step loop of ``advance_segment`` in ``source``, otbot.integrator's,
+    as C, with the ``_NAME = float`` constants of otbot.integrator inlined."""
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    loop = copy.copy(defs["advance_segment"])
+    loop.body = [s for s in loop.body if isinstance(s, ast.While)]
+    names = {**{name: repr(v) for name, v in vars(integrator).items() if name[0] == "_" and type(v) is float},
+             "rtol": "r->rtol", "atol": "r->atol", "y0": "r->x", "f0": "r->k1", "len(y0)": "n",
+             "error_states": "ne", "f": "m->rhs", "t": "t", "t1": "t1", "h_next": "r->h", "n": "ne",
+             "step": "m->attempt", "err": "ratio", **{v: v for v in ("y", "k1", "y_new", "k7")},
+             **{f"stats.{count}": f"r->{count}" for count in ("accepted", "rejected", "fevals")}}
+    head = ["const double *const blk = r->blk;", "int s;"]
+    return [
+        "/* integrator.initial_step from r->x and r->k1 over the ne states ahead of the",
+        "   sensitivities: the guess into r->h, its rhs call counted, or a status */",
+        *_c_function("int first_step(struct rollout *r)", [
+            "const struct model *m = &MODELS[r->model];",
+            "const long n = m->states, ne = n / (m->lanes + 1);",
+            *head, f"double ys[{_MAX_STATES}];",
+            *_translate(defs["initial_step"], names, lambda _: "r->h"),
+            "r->fevals += 1;",
+        ]),
+        "",
+        "/* The step loop of integrator.advance_segment from t to t1, the norm over the",
+        "   ne states: r->x, r->k1, r->h and the counts move on, or a status returns */",
+        *_c_function("static int advance(struct rollout *r, const struct model *m, double t, double t1)", [
+            "const ddot_t ddot = (ddot_t)r->ddot;",
+            "const long ne = m->states / (m->lanes + 1);",
+            *head, f"double ratio[{_MAX_STATES}], buffers[2][{_MAX_STATES}];",
+            "double *y = r->x, *k1 = r->k1, *y_new = buffers[0], *k7 = buffers[1];",
+            *_translate(loop, names, moving=("t", "h_next")),
+            "if (y != r->x) { /* the state ended in the buffers */",
+            "    copy(r->x, y, m->states);",
+            "    copy(r->k1, k1, m->states);",
+            "}",
+        ]),
+    ]
+
+
+def _loop(integrator_source: str) -> str:
+    """The rollout loop: simulate.integrate's event loop around :func:`_step_control`."""
+    return (_LOOP.replace("@STEP_CONTROL@", "\n".join(_step_control(integrator_source)))
+            .replace("@MAX_STATES@", str(_MAX_STATES)).replace("@FEEDBACK@", str(_ckernel.FEEDBACK)))
 
 
 _LOOP = """\
@@ -847,8 +977,6 @@ _LOOP = """\
 typedef double (*ddot_t)(long long, const double *, long long, const double *, long long);
 typedef void (*dgemv_t)(int, int, long long, long long, double, const double *, long long,
                         const double *, long long, double, double *, long long);
-
-@CONSTANTS@
 
 /* Python's min(a, b) and max(a, b): a unless b is smaller (larger) */
 static double py_min(double a, double b) { return b < a ? b : a; }
@@ -869,9 +997,9 @@ static int same_bits(const double *a, const double *b, long n)
     return 1;
 }
 
-/* numpy's add.reduce of the n (at most @MAX_STATES@) doubles a, its pairwise sum:
-   below 8 terms from the left, else eight interleaved partial sums added
-   as a tree, then the terms left over (numpy's order up to 128 terms) */
+/* numpy's add.reduce of n (at most @MAX_STATES@) doubles, its pairwise sum: below 8
+   terms from the left, else eight interleaved partial sums added as a tree,
+   then the terms left over (numpy's order up to 128 terms) */
 static double pairwise_sum(const double *a, long n)
 {
     if (n < 8) {
@@ -889,7 +1017,7 @@ static double pairwise_sum(const double *a, long n)
     return sum;
 }
 
-/* math.sqrt(np.mean((v / scale) ** 2)) of integrator.initial_step */
+/* integrator._rms(v, scale, n): math.sqrt(np.mean((v[:n] / scale) ** 2)) */
 static double rms(const double *v, const double *scale, long n)
 {
     double sq[@MAX_STATES@];
@@ -900,93 +1028,7 @@ static double rms(const double *v, const double *scale, long n)
     return sqrt(pairwise_sum(sq, n) / (double)n);
 }
 
-/* integrator.initial_step, Hairer's guess of the first step, from the state
-   r->x and its derivative r->k1 under the hold in r->blk, weighing the ne
-   states ahead of the sensitivities: the guess into r->h and its second
-   derivative counted in r->fevals, or the status where Python raises (the
-   rhs's, a step underflow where h0 is 0, or a zero divisor at
-   0.01 / max(d1, d2)). */
-int first_step(struct rollout *r)
-{
-    const struct model *m = &MODELS[r->model];
-    const long n = m->states, ne = n / (m->lanes + 1);
-    double scale[@MAX_STATES@], y1[@MAX_STATES@], f1[@MAX_STATES@];
-    for (long c = 0; c < ne; c++) scale[c] = r->atol + (r->rtol * fabs(r->x[c]));
-    const double d0 = rms(r->x, scale, ne), d1 = rms(r->k1, scale, ne);
-    const double h0 = (d0 < 1e-05 || d1 < 1e-05) ? 1e-06 : ((0.01 * d0) / d1);
-    for (long c = 0; c < n; c++) y1[c] = r->x[c] + (h0 * r->k1[c]);
-    const int s = m->rhs(r->blk, y1, f1);
-    if (s) return s;
-    for (long c = 0; c < ne; c++) f1[c] = f1[c] - r->k1[c];
-    if (h0 == 0.0) return @UNDERFLOW@;
-    const double d2 = rms(f1, scale, ne) / h0;
-    double h1;
-    if (d1 <= 1e-15 && d2 <= 1e-15) {
-        h1 = py_max(1e-06, h0 * 0.001);
-    } else {
-        const double d = py_max(d1, d2);
-        if (d == 0.0) return @ZERO_DIVISOR@;
-        h1 = pow(0.01 / d, 0.2);
-    }
-    r->h = py_min(100.0 * h0, h1);
-    r->fevals += 1;
-    return 0;
-}
-
-/* integrator.advance_segment of the model m from t to t1 on the hold in
-   r->blk, from r->x, r->k1 and r->h, the error norm over the ne states
-   ahead of the sensitivities: these and the counts move on, or a nonzero
-   status returns. */
-static int advance(struct rollout *r, const struct model *m, double t, double t1)
-{
-    const ddot_t ddot = (ddot_t)r->ddot;
-    const long n = m->states, ne = n / (m->lanes + 1);
-    double y[2][@MAX_STATES@], k[2][@MAX_STATES@], ratio[@MAX_STATES@];
-    int now = 0;
-    long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
-    double h_next = r->h;
-    copy(y[0], r->x, n);
-    copy(k[0], r->k1, n);
-    while (t < t1) {
-        const double remaining = t1 - t;
-        if (remaining <= TIME_RESOLUTION * py_max(1.0, fabs(t1))) {
-            t = t1; /* a sliver below the time resolution */
-            break;
-        }
-        const int clipped = h_next >= remaining;
-        const double h = clipped ? remaining : h_next;
-        /* written so that a NaN step underflows too */
-        if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return @UNDERFLOW@;
-        const int s = m->attempt(r->blk, h, r->rtol, r->atol, y[now], k[now], y[!now], k[!now], ratio);
-        if (s) return s;
-        const double norm = sqrt(ddot(ne, ratio, 1, ratio, 1) / (double)ne);
-        fevals += 6;
-        if (!isfinite(norm)) {
-            rejected += 1;
-            h_next = NONFINITE_FACTOR * h;
-            continue;
-        }
-        if (norm <= 1.0) {
-            accepted += 1;
-            t = clipped ? t1 : t + h;
-            now = !now; /* FSAL */
-            const double factor = norm == 0.0
-                ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
-            const double grown = h * factor;
-            h_next = clipped ? py_max(h_next, grown) : grown;
-        } else {
-            rejected += 1;
-            h_next = h * py_max(MIN_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
-        }
-    }
-    copy(r->x, y[now], n);
-    copy(r->k1, k[now], n);
-    r->h = h_next;
-    r->accepted = accepted;
-    r->rejected = rejected;
-    r->fevals = fevals;
-    return 0;
-}
+@STEP_CONTROL@
 
 /* y = a @ v for a row-major 3x3 a, through numpy's dgemv: row-major (101),
    no transpose (111), alpha 1, beta 0 */
@@ -995,12 +1037,10 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
     ((dgemv_t)r->dgemv)(101, 111, 3, 3, 1.0, a, 3, v, 1, 0.0, y, 1);
 }
 
-/* control.computed_torque of the robot at the state r->x and the reference
-   row r->instant: the torque into u and the row r->instant of u_traj and
-   u_corr, with every operation in numpy's order; u_corr is zero without
-   feedback. Where r->mbar and r->cbar are set, the task-space model goes
-   into their row r->instant too. A nonzero status is where the task-space
-   model raises. */
+/* control.computed_torque at the state r->x and the reference row r->instant,
+   in numpy's order: the torque into u and that row of u_traj, u_corr (zero
+   without feedback) and, where set, r->mbar and r->cbar; or the status
+   where the task-space model raises. */
 static int computed_torque(struct rollout *r, double *u)
 {
     const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
@@ -1030,12 +1070,11 @@ static int computed_torque(struct rollout *r, double *u)
 }
 
 /* Events [i, j) of simulate.integrate for the model r->model: at each event
-   the segment from the one before it (none at event 0; a call that ran
-   event 0 first guesses the first step from its hold), the law at a
-   control instant (or the torques held from the last one; the robot's
-   only), the hold (a fresh first stage where the input bits change or a
-   disturbance edge lies), then the output row, its first stage left out
-   where derivs is NULL. Returns 0, or the status of where Python raises. */
+   the segment from the one before (a call that ran event 0 first guesses
+   the first step from its hold), the law at a control instant (or the
+   torques held from the last), the hold (a fresh first stage where the
+   input bits change or a disturbance edge lies), then the output row, its
+   first stage left out where derivs is NULL. Returns 0, or a status. */
 int rollout(struct rollout *r, long i, long j)
 {
     const struct model *m = &MODELS[r->model];
@@ -1074,57 +1113,48 @@ int rollout(struct rollout *r, long i, long j)
 """
 
 
-def render_c(python_source: str, sensitivity_source: str, generator_sha256: str) -> str:
+def render_c(python_source: str, sensitivity_source: str, generator_sha256: str,
+             integrator_source: str | None = None) -> str:
+    """The source of ``_dp5_robot.c``, its step control from ``integrator_source``
+    (default otbot.integrator's)."""
     accel = _function_def(python_source, "accelerations")
     model_fn = _function_def(python_source, "task_space_model")
-    header = [
-        *_stamp("//", generator_sha256),
-        "//",
-        "// The rollout loop of the robot and of an isolated shaft: rollout runs",
-        "// the event loop of otbot.simulate.integrate, with the computed-torque law",
-        "// of otbot.control.computed_torque at each control instant (the robot's",
-        "// only), the first-step guess of otbot.integrator.initial_step",
-        "// (first_step) and the step control of otbot.integrator.advance_segment",
-        "// on a struct rollout (the fields of otbot._ckernel.Rollout), for the",
-        "// model of its MODELS row (otbot._ckernel.MODELS), so that one call",
-        "// runs a whole rollout. dp5_robot_attempt is one",
-        "// Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of",
-        "// otbot.dynamics.state_derivative (robot_rhs, from the accelerations of",
-        "// otbot._task_space) under the held torques and pivot force in blk:",
-        f"// the parameters ({', '.join(PARAM_FIELDS[:7])},",
-        f"// {', '.join(PARAM_FIELDS[7:])}), u0, u1, u2, fx, fy; the law's",
-        "// task_space_model is that of otbot._task_space on the same parameters.",
-        "// dp5_shaft_attempt is the same attempt of otbot.simulate.shaft_derivative",
-        "// (shaft_rhs) with blk holding the inertia, the damping and the torque.",
-        "// The _sensitivity models step a state and its sensitivities together:",
-        "// their rhs are robot_sensitivity and shaft_sensitivity of",
-        "// otbot._task_sensitivity, with the seeds of the lanes in blk after the",
-        "// parameters, and only the leading states weigh in the error norm and",
-        "// the guess, so those states take the steps of the plain model.",
-        "// Every value is bit for bit what the Python code computes; the error",
-        "// norm and the law's products reduce through the BLAS ddot and dgemv",
-        "// that numpy calls, and the guess's means in numpy's pairwise order.",
-        "// A nonzero status stops the loop where Python raises:",
-        f"// {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of an infinite angle, {_UNDERFLOW} a step",
-        "// underflow.",
-        "",
-        "#include <math.h>",
-        "",
-        "/* two sensitivity lanes, one SSE2 register on x86-64 */",
-        "typedef double lanes2 __attribute__((vector_size(16)));",
-        "",
-    ]
+    header = f"""{_stamp("//", generator_sha256)}
+//
+// The rollout loop of the robot and of an isolated shaft, a whole rollout
+// in one call on a struct rollout (otbot._ckernel.Rollout) for the model of
+// its MODELS row (otbot._ckernel.MODELS). rollout runs the event loop of
+// otbot.simulate.integrate, with the law of otbot.control.computed_torque;
+// first_step and advance are translated from the first-step guess and the
+// step loop of otbot.integrator.initial_step and advance_segment; each
+// dp5_<model>_attempt is one Dormand-Prince 5(4) attempt on the rhs of
+// otbot.dynamics.state_derivative (robot_rhs, from otbot._task_space),
+// otbot.simulate.shaft_derivative (shaft_rhs) or their sensitivities
+// (otbot._task_sensitivity). blk holds the parameters (the robot's
+// {', '.join(PARAM_FIELDS)}; a shaft's
+// inertia and damping), a sensitivity model's seeds, then the held input
+// and pivot force. Every value is bit for bit the Python's: the error norm
+// and the law's products reduce through numpy's BLAS ddot and dgemv, and
+// the guess's means in numpy's pairwise order. A nonzero status stops the
+// loop where Python raises: {_ZERO_DIVISOR} a zero divisor, {_INFINITE_ANGLE} sin or cos of an infinite
+// angle, {_UNDERFLOW} a step underflow.
+
+#include <math.h>
+
+/* two sensitivity lanes, one SSE2 register on x86-64 */
+typedef double lanes2 __attribute__((vector_size(16)));
+"""
     rhs = {"robot": _robot_rhs(accel),
            "shaft": _function_def(inspect.getsource(simulate), "shaft_derivative"),
            **{m.name: _function_def(sensitivity_source, m.name) for m in _ckernel.MODELS if m.lanes}}
-    lines = header + _struct() + [""]
+    lines = [header, *_struct(), ""]
     for m in _ckernel.MODELS:
         lines += _rhs_function(rhs[m.name], m) + [""]
         if m.name == "robot":
             lines += _model_function(model_fn) + [""]
         lines += _attempt_function(m) + [""]
     lines += _model_table() + [""]
-    return "\n".join(lines) + "\n" + _loop()
+    return "\n".join(lines) + "\n" + _loop(integrator_source or inspect.getsource(integrator))
 
 
 def generator_sha256() -> str:
@@ -1135,7 +1165,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--check", action="store_true",
                     help="regenerate in memory and exit 1 if a committed file differs")
-    args = ap.parse_args(argv)
+    check = ap.parse_args(argv).check
     digest = generator_sha256()
     python_source, sensitivity_source = render(digest)
     outputs = {TARGET: python_source, SENSITIVITY_TARGET: sensitivity_source,
@@ -1143,19 +1173,16 @@ def main(argv=None) -> int:
     status = 0
     for target, text in outputs.items():
         name = target.relative_to(ROOT)
-        if not args.check:
+        current = target.read_text() if check and target.exists() else ""
+        if not check:
             target.write_text(text)
             print(f"wrote {name}")
-            continue
-        current = target.read_text() if target.exists() else ""
-        if current == text:
+        elif current == text:
             print(f"{name} is up to date")
-            continue
-        sys.stdout.writelines(
-            difflib.unified_diff(current.splitlines(True), text.splitlines(True),
-                                 f"committed {name}", f"regenerated {name}", n=1)
-        )
-        status = 1
+        else:
+            sys.stdout.writelines(difflib.unified_diff(current.splitlines(True), text.splitlines(True),
+                                                       f"committed {name}", f"regenerated {name}", n=1))
+            status = 1
     return status
 
 

@@ -3,10 +3,11 @@
 Two libraries are compiled on first use, never at import:
 
 - ``_dp5_robot.c``, the rollout loop of the robot and of a shaft (the
-  :data:`MODELS`), first-step guess included, with the system C compiler
-  (``cc``); the models with sensitivity lanes carry the derivatives of the
-  state in the fitted parameters along, two lanes to a GCC vector of two
-  doubles. ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
+  :data:`MODELS`), with the system C compiler (``cc``); its first-step
+  guess and step loop are generated from ``otbot.integrator.initial_step``
+  and ``advance_segment``. The models with sensitivity lanes carry the
+  derivatives of the state in the fitted parameters along, two lanes to a
+  GCC vector of two doubles. ``-ffp-contract=off`` and ``-fno-fast-math`` keep every multiply
   and add a separately rounded double operation, in the source's order, a
   vector's per lane; ``-fno-builtin`` keeps ``sin``, ``cos``, ``pow`` and
   ``sqrt`` as calls into the libm that Python calls, with no fused

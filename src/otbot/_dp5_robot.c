@@ -1,34 +1,24 @@
 // Generated by scripts/gen_task_space.py; do not edit by hand.
-// generator sha256: dd10d66cc7475c69c28e354373c6f9eddd554617a93727fe03bdf147abd45f8a
+// generator sha256: 17cf34ce187268ccb5c864c6f3c18e6ebec0a8cf1d7716922d8b1af1ea651307
 // sympy 1.14.0
 //
-// The rollout loop of the robot and of an isolated shaft: rollout runs
-// the event loop of otbot.simulate.integrate, with the computed-torque law
-// of otbot.control.computed_torque at each control instant (the robot's
-// only), the first-step guess of otbot.integrator.initial_step
-// (first_step) and the step control of otbot.integrator.advance_segment
-// on a struct rollout (the fields of otbot._ckernel.Rollout), for the
-// model of its MODELS row (otbot._ckernel.MODELS), so that one call
-// runs a whole rollout. dp5_robot_attempt is one
-// Dormand-Prince 5(4) attempt of y' = f(y), with f the rhs of
-// otbot.dynamics.state_derivative (robot_rhs, from the accelerations of
-// otbot._task_space) under the held torques and pivot force in blk:
-// the parameters (l1, l2, r, xB, yB, xF, yF,
-// mc, mp, Ic, Ip, Ia, bw, bp), u0, u1, u2, fx, fy; the law's
-// task_space_model is that of otbot._task_space on the same parameters.
-// dp5_shaft_attempt is the same attempt of otbot.simulate.shaft_derivative
-// (shaft_rhs) with blk holding the inertia, the damping and the torque.
-// The _sensitivity models step a state and its sensitivities together:
-// their rhs are robot_sensitivity and shaft_sensitivity of
-// otbot._task_sensitivity, with the seeds of the lanes in blk after the
-// parameters, and only the leading states weigh in the error norm and
-// the guess, so those states take the steps of the plain model.
-// Every value is bit for bit what the Python code computes; the error
-// norm and the law's products reduce through the BLAS ddot and dgemv
-// that numpy calls, and the guess's means in numpy's pairwise order.
-// A nonzero status stops the loop where Python raises:
-// 1 a zero divisor, 2 sin or cos of an infinite angle, 3 a step
-// underflow.
+// The rollout loop of the robot and of an isolated shaft, a whole rollout
+// in one call on a struct rollout (otbot._ckernel.Rollout) for the model of
+// its MODELS row (otbot._ckernel.MODELS). rollout runs the event loop of
+// otbot.simulate.integrate, with the law of otbot.control.computed_torque;
+// first_step and advance are translated from the first-step guess and the
+// step loop of otbot.integrator.initial_step and advance_segment; each
+// dp5_<model>_attempt is one Dormand-Prince 5(4) attempt on the rhs of
+// otbot.dynamics.state_derivative (robot_rhs, from otbot._task_space),
+// otbot.simulate.shaft_derivative (shaft_rhs) or their sensitivities
+// (otbot._task_sensitivity). blk holds the parameters (the robot's
+// l1, l2, r, xB, yB, xF, yF, mc, mp, Ic, Ip, Ia, bw, bp; a shaft's
+// inertia and damping), a sensitivity model's seeds, then the held input
+// and pivot force. Every value is bit for bit the Python's: the error norm
+// and the law's products reduce through numpy's BLAS ddot and dgemv, and
+// the guess's means in numpy's pairwise order. A nonzero status stops the
+// loop where Python raises: 1 a zero divisor, 2 sin or cos of an infinite
+// angle, 3 a step underflow.
 
 #include <math.h>
 
@@ -1416,10 +1406,9 @@ int dp5_shaft_sensitivity_attempt(const double *blk, double h, double rtol, doub
     return 0;
 }
 
-/* The models of otbot._ckernel.MODELS, which struct rollout's model
-   indexes: the state size, the widths of the parameters (seeds
-   included), the held input and the pivot force in blk, the
-   sensitivity lanes, the rhs and the DP5 attempt. */
+/* otbot._ckernel.MODELS, which struct rollout's model indexes: the state size,
+   the widths in blk of the parameters (seeds included), held input and pivot
+   force, the sensitivity lanes, the rhs and the DP5 attempt. */
 struct model {
     long states, params, inputs, forces, lanes;
     int (*rhs)(const double *blk, const double *x, double *k);
@@ -1440,13 +1429,6 @@ typedef double (*ddot_t)(long long, const double *, long long, const double *, l
 typedef void (*dgemv_t)(int, int, long long, long long, double, const double *, long long,
                         const double *, long long, double, double *, long long);
 
-static const double SAFETY = 0.9;
-static const double MIN_FACTOR = 0.2;
-static const double MAX_FACTOR = 10.0;
-static const double ORDER_EXPONENT = -0.2;
-static const double NONFINITE_FACTOR = 0.1;
-static const double TIME_RESOLUTION = 1e-14;
-
 /* Python's min(a, b) and max(a, b): a unless b is smaller (larger) */
 static double py_min(double a, double b) { return b < a ? b : a; }
 static double py_max(double a, double b) { return b > a ? b : a; }
@@ -1466,9 +1448,9 @@ static int same_bits(const double *a, const double *b, long n)
     return 1;
 }
 
-/* numpy's add.reduce of the n (at most 60) doubles a, its pairwise sum:
-   below 8 terms from the left, else eight interleaved partial sums added
-   as a tree, then the terms left over (numpy's order up to 128 terms) */
+/* numpy's add.reduce of n (at most 60) doubles, its pairwise sum: below 8
+   terms from the left, else eight interleaved partial sums added as a tree,
+   then the terms left over (numpy's order up to 128 terms) */
 static double pairwise_sum(const double *a, long n)
 {
     if (n < 8) {
@@ -1486,7 +1468,7 @@ static double pairwise_sum(const double *a, long n)
     return sum;
 }
 
-/* math.sqrt(np.mean((v / scale) ** 2)) of integrator.initial_step */
+/* integrator._rms(v, scale, n): math.sqrt(np.mean((v[:n] / scale) ** 2)) */
 static double rms(const double *v, const double *scale, long n)
 {
     double sq[60];
@@ -1497,91 +1479,120 @@ static double rms(const double *v, const double *scale, long n)
     return sqrt(pairwise_sum(sq, n) / (double)n);
 }
 
-/* integrator.initial_step, Hairer's guess of the first step, from the state
-   r->x and its derivative r->k1 under the hold in r->blk, weighing the ne
-   states ahead of the sensitivities: the guess into r->h and its second
-   derivative counted in r->fevals, or the status where Python raises (the
-   rhs's, a step underflow where h0 is 0, or a zero divisor at
-   0.01 / max(d1, d2)). */
+/* integrator.initial_step from r->x and r->k1 over the ne states ahead of the
+   sensitivities: the guess into r->h, its rhs call counted, or a status */
 int first_step(struct rollout *r)
 {
     const struct model *m = &MODELS[r->model];
     const long n = m->states, ne = n / (m->lanes + 1);
-    double scale[60], y1[60], f1[60];
-    for (long c = 0; c < ne; c++) scale[c] = r->atol + (r->rtol * fabs(r->x[c]));
-    const double d0 = rms(r->x, scale, ne), d1 = rms(r->k1, scale, ne);
-    const double h0 = (d0 < 1e-05 || d1 < 1e-05) ? 1e-06 : ((0.01 * d0) / d1);
-    for (long c = 0; c < n; c++) y1[c] = r->x[c] + (h0 * r->k1[c]);
-    const int s = m->rhs(r->blk, y1, f1);
-    if (s) return s;
-    for (long c = 0; c < ne; c++) f1[c] = f1[c] - r->k1[c];
-    if (h0 == 0.0) return 3;
-    const double d2 = rms(f1, scale, ne) / h0;
-    double h1;
-    if (d1 <= 1e-15 && d2 <= 1e-15) {
-        h1 = py_max(1e-06, h0 * 0.001);
-    } else {
-        const double d = py_max(d1, d2);
-        if (d == 0.0) return 1;
-        h1 = pow(0.01 / d, 0.2);
+    const double *const blk = r->blk;
+    int s;
+    double ys[60];
+    double scale[60], h0, f1[60], change[60], h1;
+    /* scale */
+    for (long j = 0; j < ne; j++) {
+        scale[j] = (r->atol + (r->rtol * fabs(r->x[j])));
     }
-    r->h = py_min(100.0 * h0, h1);
+    const double d0 = rms(r->x, scale, ne);
+    const double d1 = rms(r->k1, scale, ne);
+    if ((d0 < 1e-05) || (d1 < 1e-05)) {
+        h0 = 1e-06;
+    } else {
+        if (d1 == 0.0) return 1;
+        h0 = ((0.01 * d0) / d1);
+    }
+    /* f1 */
+    for (long j = 0; j < n; j++) {
+        ys[j] = (r->x[j] + (h0 * r->k1[j]));
+    }
+    if ((s = m->rhs(blk, ys, f1))) return s;
+    if (h0 == 0.0) {
+        return 3;
+    }
+    /* change */
+    for (long j = 0; j < ne; j++) {
+        change[j] = (f1[j] - r->k1[j]);
+    }
+    if (h0 == 0.0) return 1;
+    const double d2 = (rms(change, scale, ne) / h0);
+    if ((d1 <= 1e-15) && (d2 <= 1e-15)) {
+        h1 = py_max(1e-06, (h0 * 0.001));
+    } else {
+        const double tmp0 = py_max(d1, d2);
+        if (tmp0 == 0.0) return 1;
+        h1 = pow((0.01 / tmp0), 0.2);
+    }
+    r->h = py_min((100.0 * h0), h1);
     r->fevals += 1;
     return 0;
 }
 
-/* integrator.advance_segment of the model m from t to t1 on the hold in
-   r->blk, from r->x, r->k1 and r->h, the error norm over the ne states
-   ahead of the sensitivities: these and the counts move on, or a nonzero
-   status returns. */
+/* The step loop of integrator.advance_segment from t to t1, the norm over the
+   ne states: r->x, r->k1, r->h and the counts move on, or a status returns */
 static int advance(struct rollout *r, const struct model *m, double t, double t1)
 {
     const ddot_t ddot = (ddot_t)r->ddot;
-    const long n = m->states, ne = n / (m->lanes + 1);
-    double y[2][60], k[2][60], ratio[60];
-    int now = 0;
-    long accepted = r->accepted, rejected = r->rejected, fevals = r->fevals;
-    double h_next = r->h;
-    copy(y[0], r->x, n);
-    copy(k[0], r->k1, n);
+    const long ne = m->states / (m->lanes + 1);
+    const double *const blk = r->blk;
+    int s;
+    double ratio[60], buffers[2][60];
+    double *y = r->x, *k1 = r->k1, *y_new = buffers[0], *k7 = buffers[1];
+    double remaining, h, norm, factor, grown;
+    int clipped;
     while (t < t1) {
-        const double remaining = t1 - t;
-        if (remaining <= TIME_RESOLUTION * py_max(1.0, fabs(t1))) {
-            t = t1; /* a sliver below the time resolution */
+        remaining = (t1 - t);
+        if (remaining <= (1e-14 * py_max(1.0, fabs(t1)))) {
+            t = t1;
             break;
         }
-        const int clipped = h_next >= remaining;
-        const double h = clipped ? remaining : h_next;
-        /* written so that a NaN step underflows too */
-        if (!(h >= TIME_RESOLUTION * py_max(1.0, fabs(t)))) return 3;
-        const int s = m->attempt(r->blk, h, r->rtol, r->atol, y[now], k[now], y[!now], k[!now], ratio);
-        if (s) return s;
-        const double norm = sqrt(ddot(ne, ratio, 1, ratio, 1) / (double)ne);
-        fevals += 6;
+        clipped = (r->h >= remaining);
+        if (clipped) {
+            h = remaining;
+        } else {
+            h = r->h;
+        }
+        if (!(h >= (1e-14 * py_max(1.0, fabs(t))))) {
+            return 3;
+        }
+        if ((s = m->attempt(blk, h, r->rtol, r->atol, y, k1, y_new, k7, ratio))) return s;
+        norm = sqrt((ddot(ne, ratio, 1, ratio, 1) / (double)ne));
+        r->fevals += 6;
         if (!isfinite(norm)) {
-            rejected += 1;
-            h_next = NONFINITE_FACTOR * h;
+            r->rejected += 1;
+            r->h = (0.1 * h);
             continue;
         }
         if (norm <= 1.0) {
-            accepted += 1;
-            t = clipped ? t1 : t + h;
-            now = !now; /* FSAL */
-            const double factor = norm == 0.0
-                ? MAX_FACTOR : py_min(MAX_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
-            const double grown = h * factor;
-            h_next = clipped ? py_max(h_next, grown) : grown;
+            r->accepted += 1;
+            if (clipped) {
+                t = t1;
+            } else {
+                t = (t + h);
+            }
+            { double *const swap = y; y = y_new; y_new = swap; }
+            { double *const swap = k1; k1 = k7; k7 = swap; }
+            if (norm == 0.0) {
+                factor = 10.0;
+            } else {
+                if (norm == 0.0) return 1;
+                factor = py_min(10.0, (0.9 * pow(norm, -0.2)));
+            }
+            grown = (h * factor);
+            if (clipped) {
+                r->h = py_max(r->h, grown);
+            } else {
+                r->h = grown;
+            }
         } else {
-            rejected += 1;
-            h_next = h * py_max(MIN_FACTOR, SAFETY * pow(norm, ORDER_EXPONENT));
+            r->rejected += 1;
+            if (norm == 0.0) return 1;
+            r->h = (h * py_max(0.2, (0.9 * pow(norm, -0.2))));
         }
     }
-    copy(r->x, y[now], n);
-    copy(r->k1, k[now], n);
-    r->h = h_next;
-    r->accepted = accepted;
-    r->rejected = rejected;
-    r->fevals = fevals;
+    if (y != r->x) { /* the state ended in the buffers */
+        copy(r->x, y, m->states);
+        copy(r->k1, k1, m->states);
+    }
     return 0;
 }
 
@@ -1592,12 +1603,10 @@ static void matvec(const struct rollout *r, const double *a, const double *v, do
     ((dgemv_t)r->dgemv)(101, 111, 3, 3, 1.0, a, 3, v, 1, 0.0, y, 1);
 }
 
-/* control.computed_torque of the robot at the state r->x and the reference
-   row r->instant: the torque into u and the row r->instant of u_traj and
-   u_corr, with every operation in numpy's order; u_corr is zero without
-   feedback. Where r->mbar and r->cbar are set, the task-space model goes
-   into their row r->instant too. A nonzero status is where the task-space
-   model raises. */
+/* control.computed_torque at the state r->x and the reference row r->instant,
+   in numpy's order: the torque into u and that row of u_traj, u_corr (zero
+   without feedback) and, where set, r->mbar and r->cbar; or the status
+   where the task-space model raises. */
 static int computed_torque(struct rollout *r, double *u)
 {
     const double *x = r->x, *ref = (const double *)r->reference + 9 * r->instant;
@@ -1627,12 +1636,11 @@ static int computed_torque(struct rollout *r, double *u)
 }
 
 /* Events [i, j) of simulate.integrate for the model r->model: at each event
-   the segment from the one before it (none at event 0; a call that ran
-   event 0 first guesses the first step from its hold), the law at a
-   control instant (or the torques held from the last one; the robot's
-   only), the hold (a fresh first stage where the input bits change or a
-   disturbance edge lies), then the output row, its first stage left out
-   where derivs is NULL. Returns 0, or the status of where Python raises. */
+   the segment from the one before (a call that ran event 0 first guesses
+   the first step from its hold), the law at a control instant (or the
+   torques held from the last), the hold (a fresh first stage where the
+   input bits change or a disturbance edge lies), then the output row, its
+   first stage left out where derivs is NULL. Returns 0, or a status. */
 int rollout(struct rollout *r, long i, long j)
 {
     const struct model *m = &MODELS[r->model];

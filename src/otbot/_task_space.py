@@ -1,5 +1,5 @@
 # Generated by scripts/gen_task_space.py; do not edit by hand.
-# generator sha256: dd10d66cc7475c69c28e354373c6f9eddd554617a93727fe03bdf147abd45f8a
+# generator sha256: 17cf34ce187268ccb5c864c6f3c18e6ebec0a8cf1d7716922d8b1af1ea651307
 # sympy 1.14.0
 """Closed-form task-space model: Mbar, Cbar and the forward accelerations.
 

@@ -100,7 +100,8 @@ class _Run:
         # tolerances of the rollouts; a run that fits adds its fits' as "fit"
         options = IntegratorOptions()
         self.tolerances: dict = {"rtol": options.rtol, "atol": options.atol}
-        self.configs: list[Path] = []
+        # the SHA-256 of each file read, by path, hashed as it is read
+        self.configs: dict[str, str] = {}
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         # per fit of an identify run: its solver's stop rule and counts
@@ -122,7 +123,7 @@ class _Run:
             value = reader(p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.configs.append(p)
+        self.configs[str(p)] = _sha256(p)
         return value
 
     def directory(self) -> Path:
@@ -138,7 +139,7 @@ class _Run:
         payload = {
             "tool": f"otbot {__version__}",
             "command": self.command,
-            "config_sha256": {str(p): _sha256(p) for p in self.configs if p.exists()},
+            "config_sha256": self.configs,
             "seeds": self.seeds,
             "fits": self.fits,
             "integrator": {
@@ -190,24 +191,14 @@ def _read_plan(path: Path):
 
 
 def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
-    """The noise seed: --seed, else OTBOT_SEED, else the scenario's."""
-    source, seed = "--seed", flag_seed
-    if seed is None:
-        env = os.environ.get("OTBOT_SEED")
-        if env is None:
-            return cfg_seed
-        source = "OTBOT_SEED"
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"OTBOT_SEED must be an integer, got {env!r}") from None
-    return checked(source, seed, natural)
+    """The noise seed: --seed, else the scenario's."""
+    return cfg_seed if flag_seed is None else checked("--seed", flag_seed, natural)
 
 
 def _scenario(run: _Run, name: str, params_file: str | None, modes, hint: str):
     """The scenario ``name`` in one of ``modes`` and its (``--params``) robot parameters."""
     cfg = load_scenario(name)
-    run.configs.append(cfg.path)
+    run.configs[str(cfg.path)] = _sha256(cfg.path)
     if cfg.mode not in modes:
         raise ConfigError(f"scenario {cfg.name!r} is a {cfg.mode} scenario; {hint}")
     return cfg, run.config("--params", params_file, load_params, cfg.params)
@@ -403,10 +394,20 @@ def _cmd_control(args) -> int:
     run.seeds["scenario"] = seed
     plan = None
     if cfg.mode == "plan":
+        # --plan, else the scenario's own plan file where it exists, else a
+        # plan built into --out under that file's name: no output may take its path
+        flag = "--plan" if args.plan else f"{cfg.path}: [plan] file"
         plan_file = Path(args.plan) if args.plan else cfg.plan_file
-        # a named plan is read now; one to generate is built after the checks
-        if args.plan or (plan_file is not None and plan_file.exists()):
-            plan = run.config("--plan" if args.plan else f"{cfg.path}: [plan] file", plan_file, _read_plan, None)
+        built = not (args.plan or (plan_file is not None and plan_file.exists()))
+        if plan_file is not None:
+            path = (run.out / plan_file.name if built else plan_file).resolve()
+            for name in _PLAN_RUN_OUTPUTS:
+                if (run.out / name).resolve() == path:
+                    shown = args.plan or plan_file.name
+                    raise ConfigError(f"{flag} {shown}: the run writes its own {name} into --out")
+        # a named plan is read now; one to build is built after the checks
+        if not built:
+            plan = run.config(flag, plan_file, _read_plan, None)
     else:
         ref = make_reference(cfg.reference)
     # the run lasts the scenario's horizon, or that of a named plan,
@@ -415,9 +416,6 @@ def _cmd_control(args) -> int:
                   else (f"{plan_file}: plan", float(plan.times[-1] - plan.times[0])))
     periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
     if cfg.mode == "plan" and plan is None:
-        # the plan is built into --out under its file's name, which no output may take
-        if cfg.plan_file is not None and (name := cfg.plan_file.name) in _PLAN_RUN_OUTPUTS:
-            raise ConfigError(f"{cfg.path}: [plan] file {name}: the run writes its own {name} into --out")
         plan_file = ensure_plan(cfg, run.directory())
         # an output of the run, and a file it reads (so its hash is recorded)
         plan = run.config("--out", run.emit(plan_file.name), _read_plan, None)

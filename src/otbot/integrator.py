@@ -18,11 +18,13 @@ norm reduces its ratios with numpy's dot, which is BLAS ``ddot``: a Python
 sum would change the last bit of the norm, and with it the step sizes, on
 about a fifth of the steps.
 
-This module is the oracle of the compiled rollout loop of the robot and a
-shaft (``rollout`` in ``_dp5_robot.c``, driven by ``otbot.simulate``). The
-C runs :func:`advance_segment`'s step control with this tableau and these
-constants and reduces its norm through the ``ddot`` that numpy calls; a
-rollout where it stops, which is where this module raises, is rerun here.
+This module is the source and the oracle of the compiled rollout loop of
+the robot and a shaft (``rollout`` in ``_dp5_robot.c``, driven by
+``otbot.simulate``): ``scripts/gen_task_space.py`` translates the attempt,
+:func:`initial_step` (``first_step``) and the step loop of
+:func:`advance_segment` (``advance``), with these constants, into its C,
+which reduces the norm through the ``ddot`` that numpy calls. A rollout
+where the C stops, which is where this module raises, is rerun here.
 """
 
 from __future__ import annotations
@@ -160,30 +162,33 @@ def _step_kernel(n: int):
     return namespace["step"]
 
 
+def _rms(v, scale, n) -> float:
+    """``math.sqrt(np.mean((v[:n] / scale) ** 2))``, in numpy's pairwise order.
+
+    Overflows and zero scales give infs and NaNs without a warning.
+    """
+    with np.errstate(all="ignore"):
+        return math.sqrt(float(np.mean((np.asarray(v[:n], dtype=float) / scale) ** 2)))
+
+
 def initial_step(f, t0: float, y0, f0, rtol: float, atol: float, error_states: int | None = None) -> float:
-    """Cheap two-evaluation guess of a sensible first step (Hairer's rule),
-    weighing the first ``error_states`` states (default all).
+    """Cheap two-evaluation guess of a sensible first step (Hairer's rule)
+    from y0 and f0 = f(t0, y0), weighing their first ``error_states``
+    states (default all).
 
     A guess h0 of 0 (a first stage that overflows) is a step size underflow.
-    Overflows give infs and NaNs without a warning, as in the compiled guess.
     """
-    y0 = np.asarray(y0, dtype=float)
-    f0 = np.asarray(f0, dtype=float)
-    n = error_states
-    with np.errstate(all="ignore"):
-        scale = atol + rtol * np.abs(y0[:n])
-        d0 = math.sqrt(float(np.mean((y0[:n] / scale) ** 2)))
-        d1 = math.sqrt(float(np.mean((f0[:n] / scale) ** 2)))
-        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        f1 = np.asarray(f(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
-        if h0 == 0.0:
-            raise IntegrationError(f"step size underflow at t = {t0:.6e} (first step guess h = 0)",
-                                   t=t0, h=h0, rejected=0)
-        d2 = math.sqrt(float(np.mean(((f1[:n] - f0[:n]) / scale) ** 2))) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+    scale = [atol + rtol * abs(v) for v in y0[:error_states]]
+    d0 = _rms(y0, scale, error_states)
+    d1 = _rms(f0, scale, error_states)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = f(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+    if h0 == 0.0:
+        raise IntegrationError(f"step size underflow at t = {t0:.6e} (first step guess h = 0)",
+                               t=t0, h=h0, rejected=0)
+    change = [b - a for a, b in zip(f0[:error_states], f1)]
+    d2 = _rms(change, scale, error_states) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1)
 
 
@@ -213,19 +218,19 @@ def advance_segment(
     # numpy scalar times would turn every stage value into a numpy scalar and
     # slow the float code of the rhs down
     t, t1 = float(t0), float(t1)
+    y = y0.tolist()
     if k1 is None:
-        k1 = f(t, y0.tolist())
+        k1 = f(t, y)
         stats.fevals += 1
+    if isinstance(k1, np.ndarray):
+        k1 = k1.tolist()
     if h_start is None:
-        h_next = initial_step(f, t, y0, k1, rtol, atol, error_states)
+        h_next = initial_step(f, t, y, k1, rtol, atol, error_states)
         stats.fevals += 1
     else:
         h_next = h_start
-    step = _step_kernel(len(y0))
+    step = _step_kernel(len(y))
     n = error_states
-    y = y0.tolist()
-    if isinstance(k1, np.ndarray):
-        k1 = k1.tolist()
 
     while t < t1:
         remaining = t1 - t

@@ -145,9 +145,3 @@ def nominal_params() -> RobotParams:
     scenarios name; the instance is frozen, so every caller shares it.
     """
     return load_params(Path(__file__).parent / "scenarios" / "nominal.cfg")
-
-
-def save_params(params: RobotParams, path: str | Path) -> None:
-    path = Path(path)
-    lines = [f"{name} = {getattr(params, name)!r}" for name in PARAM_FIELDS]
-    path.write_text("\n".join(lines) + "\n")

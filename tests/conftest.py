@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from otbot import _ckernel
 from otbot.dynamics import admissible_state
-from otbot.params import nominal_params
+from otbot.params import PARAM_FIELDS, nominal_params
 
 settings.register_profile(
     "numerics",
@@ -70,3 +72,9 @@ def random_q(rng: np.random.Generator) -> np.ndarray:
 def random_admissible(params, rng: np.random.Generator):
     """State with wheel/pivot rates consistent with a random task velocity."""
     return admissible_state(params, random_q(rng), dp=rng.uniform(-1.0, 1.0, size=3))
+
+
+def save_params(params, path) -> None:
+    """Write ``params`` as the ``key = value`` file that ``load_params`` reads."""
+    lines = [f"{name} = {getattr(params, name)!r}" for name in PARAM_FIELDS]
+    Path(path).write_text("\n".join(lines) + "\n")

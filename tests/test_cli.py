@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import otbot
+from conftest import save_params
 from otbot import __version__, _ckernel
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
-from otbot.params import nominal_params, save_params
+from otbot.params import nominal_params
 from otbot.simulate import TRAJECTORY_COLUMNS, SimTrajectory, trajectory_from_csv, trajectory_to_csv
 
 MANIFEST_KEYS = {
@@ -30,11 +31,6 @@ MANIFEST_KEYS = {
     "wall_clock_s",
     "files",
 }
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("OTBOT_SEED", raising=False)
 
 
 def manifest(out):
@@ -125,24 +121,6 @@ class TestSimulate:
         main(["simulate", "--scenario", "wheel-spin", "--seed", "3", "--out", str(b)])
         assert (a / "encoder.csv").read_bytes() == (b / "encoder.csv").read_bytes()
         assert (a / "shaft.csv").read_bytes() == (b / "shaft.csv").read_bytes()
-
-    def test_seed_flag_beats_environment(self, tmp_path, monkeypatch):
-        flag, env, plain = tmp_path / "f", tmp_path / "e", tmp_path / "p"
-        monkeypatch.setenv("OTBOT_SEED", "9")
-        main(["simulate", "--scenario", "wheel-spin", "--seed", "3", "--out", str(flag)])
-        main(["simulate", "--scenario", "wheel-spin", "--out", str(env)])
-        monkeypatch.delenv("OTBOT_SEED")
-        main(["simulate", "--scenario", "wheel-spin", "--seed", "9", "--out", str(plain)])
-        assert manifest(flag)["seeds"] == {"scenario": 3}
-        # the environment seed fills in when no flag is given
-        assert (env / "encoder.csv").read_bytes() == (plain / "encoder.csv").read_bytes()
-        assert (env / "encoder.csv").read_bytes() != (flag / "encoder.csv").read_bytes()
-
-    def test_rejects_garbage_environment_seed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OTBOT_SEED", "lots")
-        out = tmp_path / "run"
-        assert main(["simulate", "--scenario", "wheel-spin", "--out", str(out)]) == 2
-        assert "OTBOT_SEED must be an integer" in capsys.readouterr().err
 
     def test_needs_scenario_or_torques(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
@@ -442,6 +420,20 @@ class TestControl:
         assert "ghost.csv" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_a_plan_the_run_would_overwrite_is_refused(self, tmp_path, capsys):
+        # a finished run's closed-loop table, named by another spelling of
+        # its path, as the plan of a second run into the same --out
+        scenario = self._short_plan_scenario(tmp_path, "short.cfg")
+        out = tmp_path / "run"
+        assert main(["control", "--scenario", str(scenario), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        plan = out / ".." / "run" / "trajectory.csv"
+        assert main(["control", "--scenario", str(scenario), "--plan", str(plan), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --plan {plan}: the run writes its own trajectory.csv into --out\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_shaft_scenario_is_redirected(self, tmp_path, capsys):
         assert main(["control", "--scenario", "wheel-spin", "--out", str(tmp_path / "x")]) == 2
         assert "use the simulate subcommand" in capsys.readouterr().err
@@ -677,7 +669,6 @@ class TestBadNumericFlags:
              "torques-horizon-short.cfg: [scenario] horizon 0.001 s holds 0.1 periods of"),
             (["simulate", "--scenario", "horizon-inf.cfg"], "horizon-inf.cfg: [scenario] horizon"),
             (["simulate", "--scenario", "chassis-excitation", "--seed", "-1"], "--seed"),
-            (["OTBOT_SEED=-3", "simulate", "--scenario", "wheel-spin"], "OTBOT_SEED"),
             (["identify", "--step", "1", "--seed", "-2"], "--seed"),
             (["control", "--scenario", "corridor", "--rate", "0.45"], "--rate"),
             (["control", "--scenario", "plan", "--rate", "0.45"], "--rate"),
@@ -812,7 +803,7 @@ class TestBadNumericFlags:
              "scenario-lowercase-param", "scenario-unknown-param", "scenario-unknown-control-key",
              "scenario-unknown-section", "scenario-zero-shaft-rate", "scenario-shaft-horizon-under-one-period",
              "scenario-torques-horizon-under-one-period", "scenario-inf-horizon", "negative-seed",
-             "negative-environment-seed", "negative-identify-seed", "fractional-control-periods",
+             "negative-identify-seed", "fractional-control-periods",
              "plan-fractional-control-periods", "duration-under-one-period", "window-under-one-sample",
              "fractional-duration-periods", "fractional-window-periods",
              "scenario-fractional-torques-horizon", "scenario-horizon-past-reference",
@@ -836,11 +827,8 @@ class TestBadNumericFlags:
              "window-too-many-rows", "scenario-huge-mass-error", "huge-t-stab", "scenario-huge-t-stab",
              "check-torques-scenario-huge-t-stab", "scenario-plan-file-named-like-an-output"],
     )
-    def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, flag):
-        argv = list(argv)
-        if argv[0].startswith("OTBOT_SEED="):
-            monkeypatch.setenv("OTBOT_SEED", argv.pop(0).partition("=")[2])
-        argv = _write_inputs(tmp_path, argv, self.KEY_FILES, self.SCENARIO_FILES)
+    def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
+        argv = _write_inputs(tmp_path, list(argv), self.KEY_FILES, self.SCENARIO_FILES)
         out = tmp_path / "run"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib.util
+import inspect
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import otbot._task_sensitivity
 import otbot._task_space
+from otbot import integrator
 
 from otbot.dynamics import (
     AdmissibilityWarning,
@@ -380,13 +382,83 @@ def test_generator_check_finds_every_generated_file_up_to_date():
         "_task_space.py", "_task_sensitivity.py", "_dp5_robot.c")]
 
 
-def test_generator_translator_refuses_what_the_c_cannot_hold(monkeypatch):
-    # every generated C function passes through one translator; these are its refusals
+def _generator(monkeypatch):
+    """scripts/gen_task_space.py as a module; the test is skipped without sympy."""
     pytest.importorskip("sympy")
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("gen_task_space", ROOT / "scripts" / "gen_task_space.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def _render_c(gen, integrator_source: str) -> str:
+    """The C of the committed generated modules, its step control from ``integrator_source``."""
+    module = Path(otbot._task_space.__file__)
+    return gen.render_c(module.read_text(), module.with_name("_task_sensitivity.py").read_text(), "digest",
+                        integrator_source)
+
+
+def test_the_c_step_control_is_generated_from_the_integrator(monkeypatch, capsys):
+    # one source: a step-control branch or constant changed in otbot.integrator
+    # changes the C, and --check reports the drift with the generator as it is
+    gen = _generator(monkeypatch)
+    source = inspect.getsource(integrator)
+    base = _render_c(gen, source)
+    branch = "            h_next = _NONFINITE_FACTOR * h\n"
+    assert source.count(branch) == 1 and base.count("r->h = (0.1 * h);") == 1
+    assert _render_c(gen, source.replace(branch, "            h_next = 0.5 * h\n")) == base.replace(
+        "r->h = (0.1 * h);", "r->h = (0.5 * h);")
+    assert base.count("(0.9 * pow(norm, -0.2))") == 2
+    monkeypatch.setattr(integrator, "_SAFETY", 0.8)
+    assert _render_c(gen, source) == base.replace("(0.9 * pow(norm, -0.2))", "(0.8 * pow(norm, -0.2))")
+    assert gen.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert "src/otbot/_task_space.py is up to date" in out and "_dp5_robot.c is up to date" not in out
+    assert "+                factor = py_min(10.0, (0.8 * pow(norm, -0.2)));" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "old, new, construct",
+    [
+        ("        stats.fevals += 6\n", "        for _ in range(6):\n            stats.fevals += 1\n",
+         "for _ in range(6):"),
+        ("            grown = h * factor\n", "            grown = math.fsum([h, factor])\n",
+         "math.fsum([h, factor])"),
+        ("        norm = _error_norm(err[:n], y[:n], y_new[:n], rtol, atol)\n",
+         "        norm = _error_norm(err, y, y_new, rtol, atol)\n", "_error_norm(err, y, y_new, rtol, atol)"),
+    ],
+    ids=["for-loop", "unknown-call", "norm-of-no-slice"],
+)
+def test_the_step_control_translator_names_the_line_it_refuses(monkeypatch, old, new, construct):
+    gen = _generator(monkeypatch)
+    source = inspect.getsource(integrator)
+    assert source.count(old) == 1
+    patched = source.replace(old, new)
+    line = patched.splitlines().index(new.splitlines()[0]) + 1
+    with pytest.raises(ValueError, match=f"advance_segment, line {line}: no C translation for '{re.escape(construct)}"):
+        _render_c(gen, patched)
+
+
+def test_the_translator_tests_a_value_only_where_python_evaluates_it(monkeypatch):
+    gen = _generator(monkeypatch)
+    # the divisor of one branch is tested in that branch, and again after the
+    # branches, where a is assigned again
+    fn = ast.parse("def g(a):\n    b = 1.0 if a < 1e-5 else 2.0 / a\n    a = b\n    return [1.0 / a]\n").body[0]
+    assert gen._translate(fn, {"a": "a"}, "k[{}]".format, moving=("a",)) == [
+        "double b;", "if (a < 1e-05) {", "    b = 1.0;", "} else {", "    if (a == 0.0) return 1;",
+        "    b = (2.0 / a);", "}", "a = b;", "if (a == 0.0) return 1;", "k[0] = (1.0 / a);"]
+    # no test may run where a short circuit or a loop's end skips the operand
+    for body, message in (("b = a < 1.0 or 1.0 / a < 2.0", "a check under the short circuit of"),
+                          ("while 1.0 / a < 2.0:\n        break", "a check in the loop condition")):
+        fn = ast.parse(f"def g(a):\n    {body}\n").body[0]
+        with pytest.raises(ValueError, match=f"g, line 2: {message}"):
+            gen._translate(fn, {"a": "a"})
+
+
+def test_generator_translator_refuses_what_the_c_cannot_hold(monkeypatch):
+    # every generated C function passes through one translator; these are its refusals
+    gen = _generator(monkeypatch)
     cases = {
         "k = a * 2.0": "local 'k' cannot be a C local here",  # a C argument
         "tmp0 = a": "local 'tmp0' cannot be a C local here",  # a check's temporary
@@ -395,6 +467,8 @@ def test_generator_translator_refuses_what_the_c_cannot_hold(monkeypatch):
         "b = a ** 2": "no C translation for 'a ** 2'",
         "b, c = a + 1.0": "no C translation for 'b, c = a + 1.0'",
         "a += 1.0": "no C translation for 'a += 1.0'",
+        "b = a or 1.0": "no C translation for 'a or 1.0'",  # a float, where C's || is an int
+        "print(a)": "no C translation for 'print(a)'",  # a statement, not the docstring
     }
     for statement, message in cases.items():
         fn = ast.parse(f"def g(p, a):\n    {statement}\n").body[0]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import save_params
 from otbot.params import (
     PARAM_FIELDS,
     RobotParams,
     load_params,
     nominal_params,
-    save_params,
 )
 
 

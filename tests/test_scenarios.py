@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import save_params
 from otbot.dynamics import constraint_violation, inverse_dynamics, admissible_acceleration
-from otbot.params import nominal_params, save_params
+from otbot.params import nominal_params
 from otbot.references import (
     CorridorReference,
     Figure8Reference,

@@ -47,7 +47,8 @@ def test_count_lines_prints_the_tracked_sizes(tmp_path):
     assert sorted(modules) == sorted(p.stem for p in package.glob("*.py") if p.stem not in generated)
     assert head == f"src/otbot hand-written Python, without the generated modules: {sum(modules.values())}"
     others = [line.partition(":")[0] for line in lines if not line.startswith("  ")]
-    assert others == ["scripts/gen_task_space.py", "src/otbot/_task_space.py (generated Python)",
+    assert others == ["scripts/gen_task_space.py", "scripts/gen_task_space.py _LOOP (hand-written C)",
+                      "src/otbot/_task_space.py (generated Python)",
                       "src/otbot/_task_sensitivity.py (generated Python)",
                       "src/otbot/_csv_format.c (hand-written C)", "src/otbot/_dp5_robot.c (generated C)"]
 
