@@ -42,8 +42,8 @@ from .params import load_params, nominal_params, read_kv
 from .scenarios import (
     ConfigError,
     _bundle_dir,
+    build_plan,
     checked,
-    ensure_plan,
     float_list,
     load_scenario,
     make_reference,
@@ -126,14 +126,11 @@ class _Run:
         self.configs[str(p)] = _sha256(p)
         return value
 
-    def directory(self) -> Path:
-        """The output directory, created on first use so a rejected run leaves none."""
-        self.out.mkdir(parents=True, exist_ok=True)
-        return self.out
-
     def emit(self, name: str) -> Path:
+        """The path of output ``name``; --out is made on the first, so a rejected run leaves none."""
         self.files.append(name)
-        return self.directory() / name
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
     def finish(self) -> None:
         payload = {
@@ -290,9 +287,9 @@ def _report_step(fh, step: str, fits, truth: dict[str, float]) -> None:
     fh.write("\n")
 
 
-def _fit_data_csv(run: _Run, fit) -> None:
+def _fit_data_csv(run: _Run, fit, pred) -> None:
+    """``fit_<record>.csv``: the fit's record beside ``pred``, its prediction at the estimate."""
     exp = fit.experiment
-    pred = predict_outputs(fit.estimate.as_dict(), fit.held, exp, IntegratorOptions())
     # each measured channel next to its prediction
     pairs = np.stack([exp.record.values, pred], axis=2).reshape(len(pred), -1)
     channels = SENSOR_CHANNELS[exp.record.kind]
@@ -320,11 +317,14 @@ def _cmd_identify(args) -> int:
         deviations = (0.05, 0.10, 0.15, 0.20, 0.25)
         cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window)
     truth = {**params.as_dict(), "Ip0": params.Ip}
+    # predicted before the first write, so a failed run leaves nothing
+    preds = [predict_outputs(f.estimate.as_dict(), f.held, f.experiment, IntegratorOptions())
+             for f in fits]
 
     by_step: dict[str, list] = {}
-    for f in fits:
+    for f, pred in zip(fits, preds):
         by_step.setdefault(f.row.step, []).append(f)
-        _fit_data_csv(run, f)
+        _fit_data_csv(run, f, pred)
         run.fits[f.row.record] = {"stop": f.estimate.message, "jacobians": f.estimate.iterations,
                                   "residual_evals": f.estimate.evaluations}
     with open(run.emit("report.txt"), "w") as fh:
@@ -349,7 +349,7 @@ def _cmd_identify(args) -> int:
 # ---------------------------------------------------------------- control
 
 
-# what a control run of a plan writes into --out
+# what a control run of a --plan file writes into --out
 _PLAN_RUN_OUTPUTS = ("trajectory.csv", "errors.csv", "reference.csv", "torques.csv", "replay.csv",
                      "report.txt", "manifest.json")
 
@@ -393,43 +393,34 @@ def _cmd_control(args) -> int:
     seed = _resolve_seed(args.seed, cfg.seed)
     run.seeds["scenario"] = seed
     plan = None
-    if cfg.mode == "plan":
-        # --plan, else the scenario's own plan file where it exists, else a
-        # plan built into --out under that file's name: no output may take its path
-        flag = "--plan" if args.plan else f"{cfg.path}: [plan] file"
-        plan_file = Path(args.plan) if args.plan else cfg.plan_file
-        built = not (args.plan or (plan_file is not None and plan_file.exists()))
-        if plan_file is not None:
-            path = (run.out / plan_file.name if built else plan_file).resolve()
-            for name in _PLAN_RUN_OUTPUTS:
-                if (run.out / name).resolve() == path:
-                    shown = args.plan or plan_file.name
-                    raise ConfigError(f"{flag} {shown}: the run writes its own {name} into --out")
-        # a named plan is read now; one to build is built after the checks
-        if not built:
-            plan = run.config(flag, plan_file, _read_plan, None)
-    else:
+    if args.plan:
+        # no output of the run may take the path of the plan it reads
+        for name in _PLAN_RUN_OUTPUTS:
+            if (run.out / name).resolve() == Path(args.plan).resolve():
+                raise ConfigError(f"--plan {args.plan}: the run writes its own {name} into --out")
+        plan = run.config("--plan", args.plan, _read_plan, None)
+    elif cfg.mode == "controller":
         ref = make_reference(cfg.reference)
-    # the run lasts the scenario's horizon, or that of a named plan,
+    # the run lasts the scenario's horizon, or that of a --plan file,
     # a whole number of control periods
     run_length = ((f"{cfg.path}: [scenario] horizon", cfg.horizon) if plan is None
-                  else (f"{plan_file}: plan", float(plan.times[-1] - plan.times[0])))
+                  else (f"{args.plan}: plan", float(plan.times[-1] - plan.times[0])))
     periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
     if cfg.mode == "plan" and plan is None:
-        plan_file = ensure_plan(cfg, run.directory())
-        # an output of the run, and a file it reads (so its hash is recorded)
-        plan = run.config("--out", run.emit(plan_file.name), _read_plan, None)
+        plan = build_plan(cfg.params, horizon=cfg.horizon, rate=cfg.plan_rate,
+                          mass_error=cfg.plan_mass_error)
 
     report = {"scenario": cfg.name, "kp": f"{gains.kp[0]:.3f}", "kv": f"{gains.kv[0]:.3f}",
               "poles": f"{format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}"}
+    # each branch computes before it writes, so a run that fails leaves --out as it was
     if cfg.mode == "controller":
         x0 = cfg.initial_state(ref)
         result = closed_loop_simulate(
             params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances,
             t_end=cfg.horizon,
         )
-        _write_tracking_outputs(run, result)
         feas = torque_feasibility(params, ref, gains, t_end=cfg.horizon)
+        _write_tracking_outputs(run, result)
         _write_feasibility(run, feas)
         ep = np.linalg.norm(result.e_p[:, :2], axis=1)
         report.update(peak_position_error=format_float(ep.max()),
@@ -437,15 +428,19 @@ def _cmd_control(args) -> int:
                       feasible=feas.ok, feasibility_margin=format_float(feas.worst_margin))
     else:
         result = track_planned_trajectory(params, plan, gains, control_rate=rate)
-        _write_tracking_outputs(run, result)
         replay = open_loop_replay(params, plan)
+        _write_tracking_outputs(run, result)
         trajectory_to_csv(replay, run.emit("replay.csv"))
+        if not args.plan:
+            path = run.emit("plan.csv")
+            trajectory_to_csv(plan, path)
+            # hashed as an input is, so the manifest states the plan tracked
+            run.configs[str(path)] = _sha256(path)
         drift = np.linalg.norm(replay.states[:, 0:2] - plan.states[:, 0:2], axis=1)
         ep = np.linalg.norm(result.e_p[:, :2], axis=1)
         report.update(open_loop_drift_max=format_float(drift.max()),
                       open_loop_drift_final=format_float(drift[-1]),
                       closed_loop_position_error_max=format_float(ep.max()))
-    # written once every computation has returned, so a failed run leaves no report
     _write_report(run, report)
     run.finish()
     return 0

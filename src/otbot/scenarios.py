@@ -32,7 +32,7 @@ from .model import lambda_delta
 from .params import PARAM_FIELDS, RobotParams, load_params, nominal_params
 from .references import CorridorReference, Figure8Reference, HarmonicReference, ReferenceTrajectory
 from .simulate import (_EVENT_MERGE_TOL, MAX_PERIODS, DisturbanceSchedule, ForcePulse, SimTrajectory,
-                       trajectory_to_csv, whole_periods)
+                       whole_periods)
 
 BUNDLED_SCENARIOS = (
     "wheel-spin",
@@ -196,7 +196,6 @@ SCHEMA = {
     ("control", "reference"): Key("reference", _text, _one_of(*REFERENCES), ("controller",), True),
     ("control", "t_stab"): Key("t_stab", _number, stabilisation_time, _TRACKING),
     ("control", "rate"): Key("loop_rate", _number, frequency, _TRACKING),
-    ("plan", "file"): Key("plan_file", lambda text, what, folder: folder / text, None, ("plan",)),
     ("plan", "rate"): Key("plan_rate", _number, frequency, ("plan",)),
     ("plan", "mass_error"): Key("plan_mass_error", _number, _mass_error, ("plan",)),
     ("sensors", "rate"): Key("sensor_rate", _number, frequency, _SENSED),
@@ -227,7 +226,6 @@ class ScenarioConfig:
     reference: str | None = None
     t_stab: float = 3.0
     loop_rate: float = 1000.0
-    plan_file: Path | None = None
     plan_rate: float = 100.0
     plan_mass_error: float = 0.05
     sensors: dict[str, float] = field(default_factory=dict)
@@ -390,18 +388,3 @@ def build_plan(
                 kinematics, t, float(times[k + 1]), q, opts, stats, h_start=h
             )
     return SimTrajectory(times=times, states=states, controls=controls)
-
-
-def ensure_plan(cfg: ScenarioConfig, out_dir: Path) -> Path:
-    """The scenario's own plan file where it exists, else a plan built into ``out_dir`` under its name."""
-    if cfg.plan_file is not None and cfg.plan_file.exists():
-        return cfg.plan_file
-    path = out_dir / (cfg.plan_file.name if cfg.plan_file is not None else "plan.csv")
-    plan = build_plan(
-        cfg.params,
-        horizon=cfg.horizon,
-        rate=cfg.plan_rate,
-        mass_error=cfg.plan_mass_error,
-    )
-    trajectory_to_csv(plan, path)
-    return path

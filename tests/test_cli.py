@@ -14,9 +14,10 @@ import pytest
 
 import otbot
 from conftest import save_params
-from otbot import __version__, _ckernel
+from otbot import __version__, _ckernel, cli
 from otbot.cli import main
 from otbot.identify import FIT_TOLERANCE
+from otbot.integrator import IntegrationError
 from otbot.params import nominal_params
 from otbot.simulate import TRAJECTORY_COLUMNS, SimTrajectory, trajectory_from_csv, trajectory_to_csv
 
@@ -411,6 +412,74 @@ class TestControl:
         assert [str(w.message) for w in recwarn] == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, broken, call",
+        [
+            (["control", "--scenario", "corridor-2s.cfg"], "torque_feasibility", 1),
+            (["control", "--scenario", "plan-2s.cfg"], "open_loop_replay", 1),
+            (["identify", "--step", "1", "--sweep", "0"], "predict_outputs", 2),
+            (["control", "--scenario", "plan-2s.cfg"], "--gains", None),
+        ],
+        ids=["control-feasibility", "control-plan-replay", "identify-second-prediction",
+             "control-plan-gains-blow-up"],
+    )
+    def test_a_run_that_fails_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, argv, broken, call):
+        # a run writes once its computations have returned: a numerical failure
+        # makes no fresh --out and leaves a finished run's --out byte for byte
+        argv = _write_inputs(tmp_path, argv, {}, {"corridor-2s.cfg": ("corridor", "horizon = 30", "horizon = 2"),
+                                                 "plan-2s.cfg": ("plan-tracking", "horizon = 10", "horizon = 2")})
+        done, fresh = tmp_path / "done", tmp_path / "fresh"
+        assert main(argv + ["--out", str(done)]) == 0
+        before = {p.name: p.read_bytes() for p in done.iterdir()}
+        if broken == "--gains":
+            # t_stab = 1e-12 overflows the closed loop's correction
+            (tmp_path / "gains.kv").write_text("t_stab = 1e-12\n")
+            argv += ["--gains", str(tmp_path / "gains.kv")]
+        real = getattr(cli, broken, None)
+        capsys.readouterr()
+        for out in (fresh, done):
+            if real is not None:
+                calls = []
+
+                def failing(*args, **kwargs):
+                    calls.append(None)
+                    if len(calls) == call:
+                        raise IntegrationError("step size underflow", 0.0, 0.0, 0)
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(cli, broken, failing)
+            assert main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: step size underflow") and err.count("\n") == 1, err
+        assert not fresh.exists()
+        assert {p.name: p.read_bytes() for p in done.iterdir()} == before
+
+    def test_a_plan_built_in_memory_runs_as_its_file_does(self, tmp_path):
+        scenario = self._short_plan_scenario(tmp_path, "short.cfg")
+        built, read = tmp_path / "built", tmp_path / "read"
+        assert main(["control", "--scenario", str(scenario), "--out", str(built)]) == 0
+        assert main(["control", "--scenario", str(scenario), "--plan", str(built / "plan.csv"),
+                     "--out", str(read)]) == 0
+        for name in ("trajectory.csv", "errors.csv", "reference.csv", "torques.csv", "replay.csv", "report.txt"):
+            assert (built / name).read_bytes() == (read / name).read_bytes(), name
+
+    def test_a_plan_read_from_out_is_left_as_it_was(self, tmp_path):
+        # a --plan run writes no plan.csv, so it may read the one of a finished run in --out
+        scenario = self._short_plan_scenario(tmp_path, "short.cfg")
+        out = tmp_path / "run"
+        assert main(["control", "--scenario", str(scenario), "--out", str(out)]) == 0
+        plan = (out / "plan.csv").read_bytes()
+        assert main(["control", "--scenario", str(scenario), "--plan", str(out / "plan.csv"),
+                     "--out", str(out)]) == 0
+        assert (out / "plan.csv").read_bytes() == plan
+
+    def test_the_alias_check_guards_every_output_of_a_plan_file_run(self, tmp_path):
+        plan = tmp_path / "plan.csv"
+        plan.write_text(_plan_text(0.0, 0.01, 0.02))
+        out = tmp_path / "run"
+        assert main(["control", "--scenario", "plan", "--plan", str(plan), "--out", str(out)]) == 0
+        assert sorted(cli._PLAN_RUN_OUTPUTS) == sorted([*manifest(out)["files"], "manifest.json"])
+
     def test_missing_plan_file_is_a_config_error(self, tmp_path, capsys):
         code = main(
             ["control", "--scenario", "plan", "--plan", str(tmp_path / "ghost.csv"),
@@ -583,7 +652,7 @@ class TestBadNumericFlags:
         "rate-negative.cfg": ("corridor", "rate = 1000", "rate = -5"),
         "torque-rate-zero.cfg": ("chassis-excitation", "6, -10, 6\nrate = 100", "6, -10, 6\nrate = 0"),
         "sensor-rate-inf.cfg": ("chassis-excitation", "e-3\nrate = 100", "e-3\nrate = inf"),
-        "plan-rate-negative.cfg": ("plan-tracking", "plan.csv\nrate = 100", "plan.csv\nrate = -1"),
+        "plan-rate-negative.cfg": ("plan-tracking", "[plan]\nrate = 100", "[plan]\nrate = -1"),
         "rate-fraction.cfg": ("corridor", "rate = 1000", "rate = 0.45"),
         "seed-negative.cfg": ("chassis-excitation", "seed = 1", "seed = -1"),
         "params-lowercase.cfg": ("corridor", "bp = 0", "bp = 0\nic = 1.5"),
@@ -628,8 +697,7 @@ class TestBadNumericFlags:
         "mass-error-huge.cfg": ("plan-tracking", "horizon = 10", "horizon = 1",
                                 "mass_error = 0.05", "mass_error = 1e300"),
         "t-stab-huge.cfg": ("corridor", "t_stab = 3", "t_stab = 1e300"),
-        "plan-file-output.cfg": ("plan-tracking", "horizon = 10", "horizon = 2",
-                                 "file = plan.csv", "file = trajectory.csv"),
+        "plan-file-key.cfg": ("plan-tracking", "[plan]\nrate", "[plan]\nfile = trajectory.csv\nrate"),
     }
 
     @pytest.mark.parametrize(
@@ -789,9 +857,8 @@ class TestBadNumericFlags:
              "t-stab-huge.cfg: [control] t_stab must be positive with finite, normal gains"),
             (["check-torques", "--scenario", "t-stab-huge.cfg"],
              "t-stab-huge.cfg: [control] t_stab must be positive with finite, normal gains"),
-            # a plan to build into --out under the name of one of the run's outputs
-            (["control", "--scenario", "plan-file-output.cfg"],
-             "plan-file-output.cfg: [plan] file trajectory.csv: the run writes its own trajectory.csv into --out"),
+            # a plan is built on each run or given with --plan, never named in the scenario
+            (["control", "--scenario", "plan-file-key.cfg"], "plan-file-key.cfg: [plan] unknown key 'file'"),
         ],
         ids=["torques-not-numbers", "zero-rate", "negative-duration", "negative-limit",
              "negative-control-rate", "zero-jobs", "negative-jobs", "negative-sweep",
@@ -825,7 +892,7 @@ class TestBadNumericFlags:
              "duration-too-many-rows", "scenario-torques-horizon-too-many-rows",
              "scenario-shaft-horizon-too-many-rows", "scenario-plan-horizon-too-many-rows",
              "window-too-many-rows", "scenario-huge-mass-error", "huge-t-stab", "scenario-huge-t-stab",
-             "check-torques-scenario-huge-t-stab", "scenario-plan-file-named-like-an-output"],
+             "check-torques-scenario-huge-t-stab", "scenario-plan-file-key"],
     )
     def test_exits_two_and_leaves_no_out(self, tmp_path, capsys, argv, flag):
         argv = _write_inputs(tmp_path, list(argv), self.KEY_FILES, self.SCENARIO_FILES)

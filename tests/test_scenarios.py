@@ -22,7 +22,6 @@ from otbot.scenarios import (
     ScenarioConfig,
     build_plan,
     bundled_scenario_path,
-    ensure_plan,
     load_scenario,
     make_reference,
     parse_scenario,
@@ -247,20 +246,6 @@ class TestBuildPlan:
         np.testing.assert_allclose(
             plan.controls[k], inverse_dynamics(p, q, dq, ddq), rtol=1e-6, atol=1e-8
         )
-
-
-def test_ensure_plan_generates_then_reuses(tmp_path):
-    cfg = load_scenario("plan-tracking")
-    cfg.horizon = 1.0  # keep the generated plan small
-    cfg.plan_rate = 50.0
-    cfg.plan_file = tmp_path / "plan.csv"
-    path = ensure_plan(cfg, tmp_path)
-    assert path == tmp_path / "plan.csv"
-    assert path.exists()
-    first = path.read_text()
-    again = ensure_plan(cfg, tmp_path)
-    assert again == path
-    assert path.read_text() == first
 
 
 def _readme_key_table() -> dict:
