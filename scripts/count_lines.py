@@ -24,8 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "otbot"
 GENERATOR = ROOT / "scripts" / "gen_task_space.py"
-# the Python modules that GENERATOR writes
+# the Python modules and the C that GENERATOR writes
 GENERATED = ("_task_space.py", "_task_sensitivity.py")
+GENERATED_C = "_dp5_robot.c"
 
 
 def code_lines(path: Path) -> int:
@@ -50,8 +51,9 @@ def main() -> int:
     print(f"{GENERATOR.relative_to(ROOT)} _LOOP (hand-written C): {loop_lines()}")
     for name in GENERATED:
         print(f"src/otbot/{name} (generated Python): {code_lines(PACKAGE / name)}")
-    for name, kind in (("_csv_format.c", "hand-written"), ("_dp5_robot.c", "generated")):
-        print(f"src/otbot/{name} ({kind} C): {len((PACKAGE / name).read_text().splitlines())} lines")
+    for path in sorted(PACKAGE.glob("*.c")):
+        kind = "generated" if path.name == GENERATED_C else "hand-written"
+        print(f"src/otbot/{path.name} ({kind} C): {len(path.read_text().splitlines())} lines")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Build and load the compiled parts of otbot.
 
-Two libraries are compiled on first use, never at import:
+Three libraries are compiled on first use, never at import:
 
 - ``_dp5_robot.c``, the rollout loop of the robot and of a shaft (the
   :data:`MODELS`), with the system C compiler (``cc``); its first-step
@@ -20,10 +20,12 @@ Two libraries are compiled on first use, never at import:
 - ``_csv_format.c``, the CSV formatter (``-O2``): Schubfach's shortest
   round-trip digits in ``repr``'s layout, the bytes of the Python loop, on
   128-bit powers of ten built here from their definition when it loads.
+- ``_noise.c``, sensor noise (``-O2``): numpy's seeding and PCG64 on the ziggurat of its static
+  ``libnpyrandom.a``, ``default_rng(seed).standard_normal``'s bits without ``numpy.random`` or OpenSSL.
 
 A library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
-under the SHA-256 of its source and flags, so the first run after the
-source changes compiles it once. It is written to a temporary
+under the SHA-256 of its source, flags and archives, so the first run after
+the source changes compiles it once. It is written to a temporary
 name and moved into place, so concurrent processes may build it at once.
 Where the cache directory cannot be written, it is built into a temporary
 directory of this process. Without a working compiler a loader returns
@@ -107,6 +109,9 @@ FORMATTER_FLAGS = ("-O2", "-shared", "-fPIC")
 # a buffer of rows * (CELL_BYTES * cols + n_eol) bytes holds any table.
 CELL_BYTES = 25
 
+# built with the formatter's flags, and numpy's headers for its bitgen.h
+NOISE_SOURCE = Path(__file__).with_name("_noise.c")
+
 
 def cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -122,16 +127,17 @@ def _process_dir() -> Path:
     return Path(path)
 
 
-def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
-    """Path of ``source`` compiled to a shared library, compiled now if it is not cached.
+def build(source: Path, compiler: str, flags: tuple[str, ...], archives: tuple[Path, ...] = ()) -> Path | None:
+    """Path of ``source`` and the static libraries ``archives`` linked into a
+    shared library, compiled now if it is not cached.
 
-    None if there is no ``compiler`` or it fails on the source.
+    None if there is no ``compiler`` or archive, or the compiler fails.
     """
     exe = shutil.which(compiler)
-    if exe is None:
+    if exe is None or not all(archive.is_file() for archive in archives):
         return None
     text = source.read_bytes()
-    key = sha256(text + "\0".join(flags).encode()).hexdigest()
+    key = sha256(text + "\0".join(flags).encode() + b"".join(a.read_bytes() for a in archives)).hexdigest()
     name = f"{source.stem.lstrip('_')}-{key[:24]}.so"
     cached = cache_dir() / name
     if cached.is_file():
@@ -148,8 +154,9 @@ def build(source: Path, compiler: str, flags: tuple[str, ...]) -> Path | None:
             continue
         os.close(fd)
         try:
-            # libm last, for the rollout loop's sin, cos, pow and sqrt
-            done = subprocess.run([exe, *flags, "-o", tmp, str(source), "-lm"], capture_output=True)
+            # libm last, for the rollout loop's sin, cos, pow and sqrt and the
+            # ziggurat's exp and log1p
+            done = subprocess.run([exe, *flags, "-o", tmp, str(source), *map(str, archives), "-lm"], capture_output=True)
             if done.returncode != 0:
                 return None
             os.replace(tmp, target)
@@ -221,6 +228,22 @@ def load_formatter():
                             ctypes.c_char_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
     format_rows.restype = ctypes.c_long
     return functools.partial(format_rows, table)
+
+
+@functools.cache
+def load_noise():
+    """``normal_fill(words, n_words, n, out)``: ``default_rng(seed).standard_normal(n)`` into the float64
+    at ``out``, from the seed's little-endian 32-bit words; None without ``cc`` or ``libnpyrandom.a``."""
+    import numpy
+
+    archive = Path(numpy.__file__).with_name("random") / "lib" / "libnpyrandom.a"
+    path = build(NOISE_SOURCE, COMPILER, (*FORMATTER_FLAGS, f"-I{numpy.get_include()}"), (archive,))
+    if path is None:
+        return None
+    fill = ctypes.CDLL(str(path)).normal_fill
+    fill.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    fill.restype = None
+    return fill
 
 
 def pow10_scaling(k: int) -> int:

@@ -106,6 +106,7 @@ class _Run:
         self.seeds: dict[str, int] = {}
         # per fit of an identify run: its solver's stop rule and counts
         self.fits: dict[str, dict] = {}
+        self.noise = False  # whether the run drew sensor noise
         self.t0 = time.perf_counter()
 
     def config(self, flag: str, path: str | Path | None, reader, default):
@@ -147,6 +148,8 @@ class _Run:
             },
             # the formatter that wrote the run's CSV tables
             "csv": "python" if _ckernel.load_formatter() is None else "c",
+            # the generator of the run's sensor noise, in a run that drew some
+            **({"noise": "numpy" if _ckernel.load_noise() is None else "c"} if self.noise else {}),
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
             "files": sorted(self.files),
         }
@@ -223,8 +226,7 @@ def _cmd_simulate(args) -> int:
         torques = float_list(args.torques, 3, "--torques")
         rate = 100.0 if args.rate is None else args.rate
         n = periods("--duration", args.duration, "--rate", rate)
-    out = Path(args.out)
-    run = _Run("simulate", out)
+    run = _Run("simulate", Path(args.out))
 
     if args.scenario:
         cfg, params = _scenario(
@@ -254,6 +256,7 @@ def _cmd_simulate(args) -> int:
         for kind, sigma in cfg.sensors.items():
             # a shaft's encoder reads its rate
             model = SensorModel(kind=kind, sigma=sigma, axis=1 if shaft else None)
+            run.noise |= sigma > 0.0
             _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     else:
         params = run.config("--params", args.params, load_params, nominal_params())
@@ -309,6 +312,7 @@ def _cmd_identify(args) -> int:
                          lambda p: read_kv(p, GUESS, _guess_check(params)), {})
     seed = _resolve_seed(args.seed)
     run.seeds["base"] = seed
+    run.noise = True
     # a single step holds the other steps' parameters at the --params values
     steps = ("1", "2", "3") if args.step == "all" else (args.step,)
     fits = run_pipeline(params, seed, guesses, args.window, steps).values()
@@ -448,8 +452,7 @@ def _cmd_control(args) -> int:
 
 def _cmd_check_torques(args) -> int:
     checked("--limit", args.limit, non_negative)
-    out = Path(args.out)
-    run = _Run("check-torques", out)
+    run = _Run("check-torques", Path(args.out))
     cfg, params = _scenario(
         run, args.scenario, args.params, ("controller",), "check-torques needs a controller scenario"
     )

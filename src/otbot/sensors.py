@@ -10,10 +10,12 @@ reproducible; a fit's prediction is the same map without noise.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ckernel
 from .simulate import SimTrajectory
 
 ENCODER_SIGMA = 0.01  # rad/s, rate-encoder noise used by the shaft experiments
@@ -103,6 +105,20 @@ def sample_sensors(traj: SimTrajectory, model: SensorModel, seed: int | None = N
     plus noise of ``model.sigma`` from generator seed ``seed``."""
     values = outputs(traj, model).astype(float, copy=True)
     if model.sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        values += model.sigma * rng.standard_normal(values.shape)
+        values += model.sigma * standard_normal(seed, values.shape)
     return SensorRecord(times=traj.times.copy(), values=values, kind=model.kind)
+
+
+def standard_normal(seed: int | None, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.random.default_rng(seed).standard_normal(shape)``, from the noise library where it loads."""
+    # numpy.random would load secrets and OpenSSL; the library draws the same
+    # bits. A seed of None takes 128 bits of fresh entropy, as numpy does.
+    seed = int.from_bytes(os.urandom(16), "little") if seed is None else seed
+    fill = _ckernel.load_noise()
+    if fill is None or not isinstance(seed, int) or seed < 0:  # numpy raises on a bad seed
+        return np.random.default_rng(seed).standard_normal(shape)
+    # the seed's little-endian 32-bit words, as numpy's _int_to_uint32_array
+    words = np.array([seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)], np.uint32)
+    out = np.empty(shape)
+    fill(words.ctypes.data, len(words), out.size, out.ctypes.data)
+    return out

@@ -32,16 +32,18 @@ def params_nf():
 def python_kernel(monkeypatch):
     """Force the Python fallbacks: the C builder finds no compiler.
 
-    Robot and shaft rollouts then run on the Python integrator and CSV
-    rows are joined from ``repr`` in Python.
+    Robot and shaft rollouts then run on the Python integrator, CSV rows
+    are joined from ``repr`` in Python and sensor noise is drawn through
+    ``numpy.random``.
     """
+    loaders = (_ckernel.load, _ckernel.load_formatter, _ckernel.load_noise)
     monkeypatch.setattr(_ckernel, "build", lambda *library: None)
-    _ckernel.load.cache_clear()
-    _ckernel.load_formatter.cache_clear()
+    for loader in loaders:
+        loader.cache_clear()
     yield
     monkeypatch.undo()
-    _ckernel.load.cache_clear()
-    _ckernel.load_formatter.cache_clear()
+    for loader in loaders:
+        loader.cache_clear()
 
 
 def spy_runs(monkeypatch) -> list | None:

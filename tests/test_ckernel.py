@@ -10,7 +10,9 @@ loaded. Its ``dp5_robot_attempt`` and ``dp5_shaft_attempt`` must give the
 same bits as the generated Python kernels, and ``struct rollout`` must have
 the fields of ``_ckernel.Rollout``. ``format_rows``
 (``src/otbot/_csv_format.c``) must spell every double as ``repr`` does, so
-``write_csv`` writes the same bytes with it and without it.
+``write_csv`` writes the same bytes with it and without it. The noise
+library (``src/otbot/_noise.c``) is built as the others are, keyed also on
+the archive it links; its draws are checked in ``test_sensors.py``.
 """
 
 from __future__ import annotations
@@ -85,6 +87,13 @@ def compiled():
 def compiled_shaft():
     """``dp5_shaft_attempt``; the test is skipped where the loop cannot be loaded."""
     return _attempt("shaft")
+
+
+def _noise_library():
+    """``build``'s arguments for the noise library, as ``load_noise`` passes them."""
+    archive = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
+    flags = (*_ckernel.FORMATTER_FLAGS, f"-I{np.get_include()}")
+    return _ckernel.NOISE_SOURCE, _ckernel.COMPILER, flags, (archive,)
 
 
 @pytest.fixture
@@ -826,6 +835,39 @@ def test_formatter_build_falls_back_to_a_process_directory_and_to_python(
     _check_build_fallbacks(library, _ckernel.load_formatter, "COMPILER", tmp_path, monkeypatch)
 
 
+def test_noise_build_falls_back_to_a_process_directory_and_to_numpy(tmp_path, monkeypatch):
+    if _ckernel.load_noise() is None:
+        pytest.skip("no working C compiler (cc) or no libnpyrandom.a: the noise library cannot be built")
+    _check_build_fallbacks(_noise_library(), _ckernel.load_noise, "COMPILER", tmp_path, monkeypatch)
+
+
+def test_a_changed_archive_gets_a_new_cached_name(tmp_path, monkeypatch):
+    # a stand-in compiler that only creates its output: build names what it would link
+    fake = tmp_path / "cc"
+    fake.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n: > "$2"\n')
+    fake.chmod(0o755)
+    monkeypatch.setattr(_ckernel, "cache_dir", lambda: tmp_path / "cache")
+    source, _, flags, (archive,) = _noise_library()
+    if not archive.is_file():
+        pytest.skip("numpy ships no libnpyrandom.a")
+    names = []
+    for extra in (b"", b"", b"\n"):
+        copy = tmp_path / f"{len(names)}" / archive.name
+        copy.parent.mkdir()
+        copy.write_bytes(archive.read_bytes() + extra)
+        names.append(_ckernel.build(source, str(fake), flags, (copy,)).name)
+    key = hashlib.sha256(source.read_bytes() + "\0".join(flags).encode() + archive.read_bytes()).hexdigest()
+    assert names[0] == names[1] == f"noise-{key[:24]}.so" != names[2]
+
+
+def test_a_missing_archive_leaves_the_noise_to_numpy(tmp_path, monkeypatch):
+    source, compiler, flags, _ = _noise_library()
+    assert _ckernel.build(source, compiler, flags, (tmp_path / "libnpyrandom.a",)) is None
+    # a numpy installed without the archive
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert _ckernel.load_noise.__wrapped__() is None
+
+
 @given(st.binary(max_size=300))
 def test_the_builtin_sha256_is_hashlibs(data):
     assert _ckernel.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
@@ -833,9 +875,9 @@ def test_the_builtin_sha256_is_hashlibs(data):
 
 def test_the_builtin_sha256_hashes_the_sources_and_scenarios_as_hashlib_does():
     # the manifests' config_sha256 values of the bundled scenarios stay put
-    files = [_ckernel.SOURCE, _ckernel.FORMATTER_SOURCE,
+    files = [_ckernel.SOURCE, _ckernel.FORMATTER_SOURCE, _ckernel.NOISE_SOURCE,
              *sorted((Path(_ckernel.__file__).parent / "scenarios").glob("*.cfg"))]
-    assert len(files) > 2
+    assert len(files) > 3
     for path in files:
         assert _ckernel.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -885,7 +927,7 @@ def test_sources_sit_next_to_the_module_and_ship_as_package_data():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         shipped = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["otbot"]
-    for source in (_ckernel.SOURCE, _ckernel.FORMATTER_SOURCE):
+    for source in (_ckernel.SOURCE, _ckernel.FORMATTER_SOURCE, _ckernel.NOISE_SOURCE):
         assert source.parent == Path(_ckernel.__file__).parent and source.is_file()
         assert any(fnmatch.fnmatch(source.name, pattern) for pattern in shipped), source.name
 

@@ -78,7 +78,8 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main(["simulate", "--scenario", "wheel-spin", "--out", str(out)]) == 0
         m = manifest(out)
-        assert set(m.keys()) == MANIFEST_KEYS
+        # with the generator of the encoder's noise
+        assert set(m.keys()) == MANIFEST_KEYS | {"noise"}
         assert m["tool"] == f"otbot {__version__}"
         assert m["command"] == "simulate"
         assert m["files"] == sorted(m["files"])
@@ -994,8 +995,9 @@ class TestRunLength:
 
 
 class TestKernelInManifest:
-    """The manifest names the engine the rollouts (robot and shaft) ran on and
-    the formatter that wrote the CSV tables."""
+    """The manifest names the engine the rollouts (robot and shaft) ran on,
+    the formatter that wrote the CSV tables and, in a run that drew sensor
+    noise, its generator."""
 
     RUNS = [
         ["simulate", "--torques", "6,-10,6", "--duration", "0.2"],
@@ -1012,6 +1014,9 @@ class TestKernelInManifest:
         m = manifest(tmp_path / "run")
         assert m["integrator"]["kernel"] == expected
         assert m["csv"] == ("python" if _ckernel.load_formatter() is None else "c")
+        drew = argv[0] == "identify" or argv[:2] == ["simulate", "--scenario"]
+        noise = "numpy" if _ckernel.load_noise() is None else "c"
+        assert m.get("noise") == (noise if drew else None)
 
     def test_forced_fallback(self, tmp_path, python_kernel):
         assert main(self.RUNS[0] + ["--out", str(tmp_path / "run")]) == 0
@@ -1020,7 +1025,8 @@ class TestKernelInManifest:
 
     def test_forced_fallback_runs_shafts_in_python(self, tmp_path, python_kernel):
         assert main(self.RUNS[3] + ["--out", str(tmp_path / "run")]) == 0
-        assert manifest(tmp_path / "run")["integrator"]["kernel"] == "python"
+        m = manifest(tmp_path / "run")
+        assert m["integrator"]["kernel"] == "python" and m["noise"] == "numpy"
 
     def test_python_rows_write_the_same_csv_bytes(self, tmp_path, monkeypatch):
         if _ckernel.load_formatter() is None:
@@ -1094,7 +1100,8 @@ class TestEntryPoint:
 
     def test_a_command_loads_only_what_it_runs(self, tmp_path):
         # no OpenSSL hash (_hashlib), no compile of the Python engine's
-        # sensitivities, and on a warm cache no build tool
+        # sensitivities, and on a warm cache no build tool; a run that draws
+        # no noise leaves the noise library alone
         built = [_ckernel.build(source, _ckernel.COMPILER, flags) for source, flags in (
             (_ckernel.SOURCE, _ckernel.FLAGS), (_ckernel.FORMATTER_SOURCE, _ckernel.FORMATTER_FLAGS))]
         warm = all(path is not None and path.parent == _ckernel.cache_dir() for path in built)
@@ -1111,10 +1118,16 @@ class TestEntryPoint:
                 assert not lean & set(sys.modules), (argv, lean & set(sys.modules))
             assert main(["scenarios"]) == 0
             assert not lean & set(sys.modules), "scenarios"
-            # a fit's noise draw imports hashlib (numpy.random imports secrets);
+            assert _ckernel.load_noise.cache_info().currsize == 0, "the noise library loaded"
+            # the noise of a fit and of a sensed rollout: numpy.random (which
+            # imports secrets and so OpenSSL) only where the library is missing;
             # only the Python engine runs the sensitivities
+            drawn = {{"numpy.random", "secrets", "_hashlib"}}
             assert main(["identify", "--step", "1", "--out", "fit"]) == 0
             assert ("otbot._task_sensitivity" in sys.modules) == (_ckernel.load() is None)
+            assert main(["simulate", "--scenario", "wheel-spin", "--out", "sensed"]) == 0
+            if _ckernel.load_noise() is not None:
+                assert not drawn & set(sys.modules), drawn & set(sys.modules)
         """
         self._fresh(code, tmp_path)
 

@@ -50,7 +50,8 @@ def test_count_lines_prints_the_tracked_sizes(tmp_path):
     assert others == ["scripts/gen_task_space.py", "scripts/gen_task_space.py _LOOP (hand-written C)",
                       "src/otbot/_task_space.py (generated Python)",
                       "src/otbot/_task_sensitivity.py (generated Python)",
-                      "src/otbot/_csv_format.c (hand-written C)", "src/otbot/_dp5_robot.c (generated C)"]
+                      "src/otbot/_csv_format.c (hand-written C)", "src/otbot/_dp5_robot.c (generated C)",
+                      "src/otbot/_noise.c (hand-written C)"]
 
 
 def test_csv_cost_prints_each_table_of_a_short_figure8_lap(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from otbot import _ckernel
 from otbot.dynamics import RobotState
 from otbot.params import nominal_params
 from otbot.sensors import (
@@ -8,6 +11,7 @@ from otbot.sensors import (
     SensorModel,
     imu_truth,
     sample_sensors,
+    standard_normal,
 )
 from otbot.simulate import ControlSequence, simulate_robot, simulate_shaft
 
@@ -86,3 +90,47 @@ def test_imu_sampling_uses_recorded_accelerations(robot_traj):
     model = SensorModel(kind="imu", sigma=0.0)
     rec = sample_sensors(robot_traj, model)
     np.testing.assert_array_equal(rec.values, imu_truth(robot_traj))
+
+
+@pytest.fixture(scope="module")
+def noise_library():
+    """The compiled noise library; the test is skipped where it cannot be built."""
+    if _ckernel.load_noise() is None:
+        pytest.skip("no working C compiler (cc) or no libnpyrandom.a in numpy: "
+                    "the noise library cannot be built")
+
+
+@given(seed=st.integers(0, 2**130 - 1), rows=st.integers(0, 400),
+       shape=st.sampled_from(["empty", "column", "three"]))
+# seeds of one to seven 32-bit words, and draws enough to take the ziggurat's
+# rare branches (its wedges and its tail)
+@example(seed=0, rows=20000, shape="column")
+@example(seed=2**32, rows=7000, shape="three")
+@example(seed=2**200 + 7, rows=20000, shape="column")
+def test_the_compiled_draw_has_the_bits_of_numpys(noise_library, seed, rows, shape):
+    shape = {"empty": (0,), "column": (rows, 1), "three": (rows, 3)}[shape]
+    drawn = standard_normal(seed, shape)
+    expected = np.random.default_rng(seed).standard_normal(shape)
+    assert drawn.shape == expected.shape and drawn.dtype == expected.dtype
+    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, np.float64(3.0)])
+def test_a_seed_numpy_refuses_raises_as_numpy_does(noise_library, seed):
+    with pytest.raises(Exception) as numpy_error:
+        np.random.default_rng(seed)
+    with pytest.raises(numpy_error.type):
+        standard_normal(seed, (3,))
+
+
+def test_an_unseeded_draw_differs_from_run_to_run(noise_library):
+    assert not np.array_equal(standard_normal(None, (8,)), standard_normal(None, (8,)))
+
+
+def test_without_the_noise_library_a_record_has_the_same_bytes(robot_traj, shaft_traj, monkeypatch):
+    cases = [(robot_traj, SensorModel(kind="imu", sigma=13.73e-3), 3),
+             (shaft_traj, SensorModel(kind="encoder", sigma=ENCODER_SIGMA, axis=1), 2**64 + 1)]
+    compiled = [sample_sensors(traj, model, seed).values for traj, model, seed in cases]
+    monkeypatch.setattr(_ckernel, "load_noise", lambda: None)
+    for values, (traj, model, seed) in zip(compiled, cases):
+        assert values.tobytes() == sample_sensors(traj, model, seed).values.tobytes()
