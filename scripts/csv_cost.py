@@ -2,7 +2,7 @@
 """Print what writing the figure-8 run's CSV tables costs, table by table.
 
 Runs ``otbot control --scenario figure8`` once, keeping the columns of each
-table it writes, then writes each table again with ``simulate.write_csv``:
+table it writes, then writes each table again, whole, with ``simulate.write_csv``:
 the best of ``--repeat`` writes in nanoseconds per cell, and the peak of the
 memory that ``tracemalloc`` traces (numpy's buffers included) in one write.
 The formatter is the compiled one where it builds, else Python's ``repr``.
@@ -26,13 +26,17 @@ from otbot import _ckernel, cli, simulate
 
 
 def capture_tables(out: Path, horizon: float | None) -> list[tuple]:
-    """The (name, header, columns, line_end) of each table of a figure-8 run into ``out``."""
+    """The (name, header, columns, line_end) of each table of a figure-8 run into ``out``,
+    the columns of a table written a block at a time joined whole."""
     tables = []
-    write_csv = simulate.write_csv
+    write_tables = simulate.write_tables
 
-    def keep(path, header, columns, line_end="\n"):
-        tables.append((Path(path).name, header, columns, line_end))
-        write_csv(path, header, columns, line_end)
+    def keep(specs, blocks):
+        blocks = list(blocks)
+        for k, (path, header, line_end) in enumerate(specs):
+            columns = [np.concatenate(parts) for parts in zip(*(block[k] for block in blocks))]
+            tables.append((Path(path).name, header, columns, line_end))
+        write_tables(specs, blocks)
 
     scenario = "figure8"
     if horizon is not None:  # the bundled scenario with its horizon changed
@@ -41,11 +45,11 @@ def capture_tables(out: Path, horizon: float | None) -> list[tuple]:
         Path(scenario).write_text((bundled / "figure8.cfg").read_text().replace(
             "horizon = 18", f"horizon = {horizon!r}"))
         shutil.copy(bundled / "nominal.cfg", out)
-    cli.write_csv = simulate.write_csv = keep
+    cli.write_tables = simulate.write_tables = keep
     try:
         code = cli.main(["control", "--scenario", scenario, "--out", str(out / "run")])
     finally:
-        cli.write_csv = simulate.write_csv = write_csv
+        cli.write_tables = simulate.write_tables = write_tables
     if code:
         raise SystemExit(code)
     return tables

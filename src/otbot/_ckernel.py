@@ -25,8 +25,9 @@ Three libraries are compiled on first use, never at import:
 
 A library is cached in ``$XDG_CACHE_HOME/otbot`` (default ``~/.cache/otbot``)
 under the SHA-256 of its source, flags and archives, so the first run after
-the source changes compiles it once. It is written to a temporary
-name and moved into place, so concurrent processes may build it at once.
+the source changes compiles it once; that build removes the library's older
+builds there. It is written to a temporary name and moved into place, so
+concurrent processes may build it at once.
 Where the cache directory cannot be written, it is built into a temporary
 directory of this process. Without a working compiler a loader returns
 None and the Python code runs instead. Each loader runs once per process,
@@ -36,6 +37,7 @@ cache imports no build tool, and :func:`sha256` hashes without OpenSSL.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -160,6 +162,12 @@ def build(source: Path, compiler: str, flags: tuple[str, ...], archives: tuple[P
             if done.returncode != 0:
                 return None
             os.replace(tmp, target)
+            # the builds of older sources, flags or archives; a process that
+            # has one mapped keeps its copy
+            for old in target.parent.glob(f"{source.stem.lstrip('_')}-*.so"):
+                if old != target:
+                    with contextlib.suppress(OSError):
+                        old.unlink()
             return target
         except OSError:
             return None

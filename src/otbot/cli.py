@@ -8,6 +8,8 @@ numerical failures at run time. Errors print as a single line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import shutil
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__, _ckernel
 from .control import (
     TorqueBounds,
-    closed_loop_simulate,
+    closed_loop_blocks,
     open_loop_replay,
     torque_feasibility,
     track_planned_trajectory,
@@ -57,6 +59,7 @@ from .references import plan_step
 from .sensors import SensorModel
 from .sensors import sample_sensors
 from .simulate import (
+    TRAJECTORY_COLUMNS,
     ControlSequence,
     format_float,
     simulate_robot,
@@ -64,6 +67,7 @@ from .simulate import (
     trajectory_from_csv,
     trajectory_to_csv,
     write_csv,
+    write_tables,
 )
 
 
@@ -92,7 +96,11 @@ def _writable_dir(flag: str, path: str | Path) -> Path:
 
 
 class _Run:
-    """Collects emitted files and writes the manifest at the end."""
+    """Collects emitted files and writes the manifest at the end of the run it
+    wraps (``with``). Outputs are written into a hidden staging directory in
+    --out, moved into place once all are written, the manifest last; a run
+    that fails removes them, and --out where it made it, so --out is left as
+    it was."""
 
     def __init__(self, command: str, out_dir: Path):
         self.command = command
@@ -107,7 +115,31 @@ class _Run:
         # per fit of an identify run: its solver's stop rule and counts
         self.fits: dict[str, dict] = {}
         self.noise = False  # whether the run drew sensor noise
+        self.stage: Path | None = None
+        self.made: list[Path] = []  # --out and the parents this run made, innermost first
         self.t0 = time.perf_counter()
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if exc is None:
+                return self.finish()
+        except BaseException as err:
+            exc = err
+            raise
+        finally:
+            if self.stage is not None:
+                shutil.rmtree(self.stage, ignore_errors=True)
+            if exc is not None:
+                # a text write names no file: it is the last one emitted
+                staged = isinstance(exc, OSError) and self.stage and Path(exc.filename or self.stage / self.files[-1])
+                if staged and staged.parent == self.stage:
+                    exc.filename = str(self.out / staged.name)  # the output, not its staged copy
+                for made in self.made:
+                    with contextlib.suppress(OSError):
+                        made.rmdir()
 
     def config(self, flag: str, path: str | Path | None, reader, default):
         """``reader(path)`` of the file named by ``flag``, or ``default``.
@@ -128,10 +160,14 @@ class _Run:
         return value
 
     def emit(self, name: str) -> Path:
-        """The path of output ``name``; --out is made on the first, so a rejected run leaves none."""
+        """The staged path of output ``name``; --out is made on the first, so a rejected run leaves none."""
+        if self.stage is None:
+            self.made = [d for d in (self.out, *self.out.parents) if not d.exists()]
+            stage = self.out / f".otbot-{os.getpid()}"
+            stage.mkdir(parents=True, exist_ok=True)
+            self.stage = stage
         self.files.append(name)
-        self.out.mkdir(parents=True, exist_ok=True)
-        return self.out / name
+        return self.stage / name
 
     def finish(self) -> None:
         payload = {
@@ -153,9 +189,24 @@ class _Run:
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
             "files": sorted(self.files),
         }
-        tmp = self.out / "manifest.json.tmp"
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, self.out / "manifest.json")
+        self.emit("manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
+        # each old file is kept aside until all are in place; the renames made
+        # are undone in reverse where one fails
+        done = []
+        try:
+            for name in self.files:
+                final = self.out / name
+                moves = [(self.stage / name, final)]
+                if os.path.lexists(final) and not final.is_dir():
+                    moves.insert(0, (final, self.stage / f"{name}~"))
+                for src, dst in moves:
+                    os.replace(src, dst)
+                    done.append((src, dst))
+        except OSError:
+            for src, dst in reversed(done):
+                with contextlib.suppress(OSError):
+                    os.replace(dst, src)
+            raise
 
 
 def _guess_check(params):
@@ -226,46 +277,44 @@ def _cmd_simulate(args) -> int:
         torques = float_list(args.torques, 3, "--torques")
         rate = 100.0 if args.rate is None else args.rate
         n = periods("--duration", args.duration, "--rate", rate)
-    run = _Run("simulate", Path(args.out))
-
-    if args.scenario:
-        cfg, params = _scenario(
-            run, args.scenario, args.params, ("shaft", "torques"), "use the control subcommand"
-        )
-        seed = _resolve_seed(args.seed, cfg.seed)
-        run.seeds["scenario"] = seed
-        n = periods(f"{cfg.path}: [scenario] horizon", cfg.horizon,
-                    f"{cfg.path}: [sensors] rate", cfg.sensor_rate)
-        grid = np.arange(n + 1) / cfg.sensor_rate
-        shaft = cfg.mode == "shaft"
-        if shaft:
-            inertia, damping = (
-                (params.Ia, params.bw) if cfg.axis == "wheel" else (params.Ip, params.bp)
+    with _Run("simulate", Path(args.out)) as run:
+        if args.scenario:
+            cfg, params = _scenario(
+                run, args.scenario, args.params, ("shaft", "torques"), "use the control subcommand"
             )
-            controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.shaft_rate)
-            traj = simulate_shaft(inertia, damping, controls, output_times=grid)
-            write_csv(
-                run.emit("shaft.csv"),
-                ["time", "angle", "rate", "torque"],
-                [traj.times, traj.states, traj.controls],
-            )
+            seed = _resolve_seed(args.seed, cfg.seed)
+            run.seeds["scenario"] = seed
+            n = periods(f"{cfg.path}: [scenario] horizon", cfg.horizon,
+                        f"{cfg.path}: [sensors] rate", cfg.sensor_rate)
+            grid = np.arange(n + 1) / cfg.sensor_rate
+            shaft = cfg.mode == "shaft"
+            if shaft:
+                inertia, damping = (
+                    (params.Ia, params.bw) if cfg.axis == "wheel" else (params.Ip, params.bp)
+                )
+                controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.shaft_rate)
+                traj = simulate_shaft(inertia, damping, controls, output_times=grid)
+                write_csv(
+                    run.emit("shaft.csv"),
+                    ["time", "angle", "rate", "torque"],
+                    [traj.times, traj.states, traj.controls],
+                )
+            else:
+                controls = ControlSequence.constant(cfg.torques, cfg.horizon, cfg.torque_rate)
+                traj = simulate_robot(params, cfg.initial_state(), controls, output_times=grid)
+                trajectory_to_csv(traj, run.emit("trajectory.csv"))
+            for kind, sigma in cfg.sensors.items():
+                # a shaft's encoder reads its rate
+                model = SensorModel(kind=kind, sigma=sigma, axis=1 if shaft else None)
+                run.noise |= sigma > 0.0
+                _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
         else:
-            controls = ControlSequence.constant(cfg.torques, cfg.horizon, cfg.torque_rate)
-            traj = simulate_robot(params, cfg.initial_state(), controls, output_times=grid)
+            params = run.config("--params", args.params, load_params, nominal_params())
+            controls = ControlSequence.constant(torques, args.duration, rate)
+            grid = np.arange(n + 1) / rate
+            traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
             trajectory_to_csv(traj, run.emit("trajectory.csv"))
-        for kind, sigma in cfg.sensors.items():
-            # a shaft's encoder reads its rate
-            model = SensorModel(kind=kind, sigma=sigma, axis=1 if shaft else None)
-            run.noise |= sigma > 0.0
-            _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
-    else:
-        params = run.config("--params", args.params, load_params, nominal_params())
-        controls = ControlSequence.constant(torques, args.duration, rate)
-        grid = np.arange(n + 1) / rate
-        traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
-        trajectory_to_csv(traj, run.emit("trajectory.csv"))
 
-    run.finish()
     return 0
 
 
@@ -305,48 +354,43 @@ def _cmd_identify(args) -> int:
         raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     checked("--sweep", args.sweep, natural)
     periods("--window", args.window, "the sample rate", SAMPLE_RATE)
-    run = _Run("identify", Path(args.out))
-    run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
-    params = run.config("--params", args.params, load_params, nominal_params())
-    guesses = run.config("--guess", args.guess,
-                         lambda p: read_kv(p, GUESS, _guess_check(params)), {})
-    seed = _resolve_seed(args.seed)
-    run.seeds["base"] = seed
-    run.noise = True
-    # a single step holds the other steps' parameters at the --params values
-    steps = ("1", "2", "3") if args.step == "all" else (args.step,)
-    fits = run_pipeline(params, seed, guesses, args.window, steps).values()
-    cells = []
-    if "3" in steps and args.sweep > 0:
-        deviations = (0.05, 0.10, 0.15, 0.20, 0.25)
-        cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window)
-    truth = {**params.as_dict(), "Ip0": params.Ip}
-    # predicted before the first write, so a failed run leaves nothing
-    preds = [predict_outputs(f.estimate.as_dict(), f.held, f.experiment, IntegratorOptions())
-             for f in fits]
-
-    by_step: dict[str, list] = {}
-    for f, pred in zip(fits, preds):
-        by_step.setdefault(f.row.step, []).append(f)
-        _fit_data_csv(run, f, pred)
-        run.fits[f.row.record] = {"stop": f.estimate.message, "jacobians": f.estimate.iterations,
-                                  "residual_evals": f.estimate.evaluations}
-    with open(run.emit("report.txt"), "w") as fh:
-        for step, step_fits in by_step.items():
-            _report_step(fh, step, step_fits, truth)
-    with open(run.emit("estimates.csv"), "w") as fh:
-        fh.write("step,name,guess,estimate,true,abs_error\n")
+    with _Run("identify", Path(args.out)) as run:
+        run.tolerances["fit"] = {"rtol": FIT_TOLERANCE.rtol, "atol": FIT_TOLERANCE.atol}
+        params = run.config("--params", args.params, load_params, nominal_params())
+        guesses = run.config("--guess", args.guess,
+                             lambda p: read_kv(p, GUESS, _guess_check(params)), {})
+        seed = _resolve_seed(args.seed)
+        run.seeds["base"] = seed
+        run.noise = True
+        # a single step holds the other steps' parameters at the --params values
+        steps = ("1", "2", "3") if args.step == "all" else (args.step,)
+        fits = run_pipeline(params, seed, guesses, args.window, steps).values()
+        cells = []
+        if "3" in steps and args.sweep > 0:
+            deviations = (0.05, 0.10, 0.15, 0.20, 0.25)
+            cells = sensitivity_sweep(deviations, range(args.sweep), params, args.window)
+        truth = {**params.as_dict(), "Ip0": params.Ip}
+        by_step: dict[str, list] = {}
         for f in fits:
-            for name in f.row.names:
-                guess, value, true = f.guess[name], f.estimate[name], truth[name]
-                fh.write(
-                    f"step{f.row.step},{name},{format_float(guess)},{format_float(value)},"
-                    f"{format_float(true)},{format_float(abs(value - true))}\n"
-                )
-    if cells:
-        keys = list(cells[0])
-        write_csv(run.emit("sweep.csv"), keys, [np.array([float(c[k]) for c in cells]) for k in keys])
-    run.finish()
+            by_step.setdefault(f.row.step, []).append(f)
+            _fit_data_csv(run, f, predict_outputs(f.estimate.as_dict(), f.held, f.experiment, IntegratorOptions()))
+            run.fits[f.row.record] = {"stop": f.estimate.message, "jacobians": f.estimate.iterations,
+                                      "residual_evals": f.estimate.evaluations}
+        with open(run.emit("report.txt"), "w") as fh:
+            for step, step_fits in by_step.items():
+                _report_step(fh, step, step_fits, truth)
+        with open(run.emit("estimates.csv"), "w") as fh:
+            fh.write("step,name,guess,estimate,true,abs_error\n")
+            for f in fits:
+                for name in f.row.names:
+                    guess, value, true = f.guess[name], f.estimate[name], truth[name]
+                    fh.write(
+                        f"step{f.row.step},{name},{format_float(guess)},{format_float(value)},"
+                        f"{format_float(true)},{format_float(abs(value - true))}\n"
+                    )
+        if cells:
+            keys = list(cells[0])
+            write_csv(run.emit("sweep.csv"), keys, [np.array([float(c[k]) for c in cells]) for k in keys])
     return 0
 
 
@@ -358,16 +402,26 @@ _PLAN_RUN_OUTPUTS = ("trajectory.csv", "errors.csv", "reference.csv", "torques.c
                      "report.txt", "manifest.json")
 
 
-def _write_tracking_outputs(run: _Run, result) -> None:
-    traj = result.trajectory
-    trajectory_to_csv(traj, run.emit("trajectory.csv"))
-    t = traj.times
-    write_csv(run.emit("errors.csv"), ["time", *_prefix_suffix(("ep", "ev"), XYA)],
-              [t, result.e_p, result.e_v])
-    write_csv(run.emit("reference.csv"), ["time", *_prefix_suffix(("pd", "vd", "ad"), XYA)],
-              [t, result.p_ref, result.v_ref, result.a_ref])
-    write_csv(run.emit("torques.csv"), ["time", *_prefix_suffix(("u", "utraj", "ucorr"), RLP)],
-              [t, traj.controls, result.u_traj, result.u_corr])
+def _write_tracking_outputs(run: _Run, results) -> tuple[float, float]:
+    """The four tracking tables, written a block at a time as ``results``
+    (one :class:`~otbot.control.TrackingResult` per block of the run) come:
+    the largest position and alpha errors."""
+    peaks = np.full(2, -np.inf)
+
+    def columns(result):
+        nonlocal peaks
+        traj, t, e_p = result.trajectory, result.trajectory.times, result.e_p
+        peaks = np.maximum(peaks, (np.linalg.norm(e_p[:, :2], axis=1).max(), np.abs(e_p[:, 2]).max()))
+        return ([t, traj.states, traj.controls], [t, e_p, result.e_v],
+                [t, result.p_ref, result.v_ref, result.a_ref], [t, traj.controls, result.u_traj, result.u_corr])
+
+    # CRLF, the line end of the csv module's default dialect trajectories have used
+    write_tables([(run.emit("trajectory.csv"), TRAJECTORY_COLUMNS, "\r\n"),
+                  (run.emit("errors.csv"), ["time", *_prefix_suffix(("ep", "ev"), XYA)], "\n"),
+                  (run.emit("reference.csv"), ["time", *_prefix_suffix(("pd", "vd", "ad"), XYA)], "\n"),
+                  (run.emit("torques.csv"), ["time", *_prefix_suffix(("u", "utraj", "ucorr"), RLP)], "\n")],
+                 map(columns, results))
+    return float(peaks[0]), float(peaks[1])
 
 
 def _write_report(run: _Run, entries: dict) -> None:
@@ -382,89 +436,82 @@ def _write_feasibility(run: _Run, report) -> None:
 
 
 def _cmd_control(args) -> int:
-    run = _Run("control", Path(args.out))
-    name = args.scenario if args.scenario != "plan" else "plan-tracking"
-    cfg, params = _scenario(
-        run, name, args.params, ("controller", "plan"), "use the simulate subcommand"
-    )
-    if args.plan and cfg.mode != "plan":
-        raise ConfigError(f"--plan needs a plan scenario; {cfg.name!r} is a {cfg.mode} scenario")
-    gains_kv = run.config("--gains", args.gains,
-                          lambda p: read_kv(p, ("t_stab",), lambda k, v: stabilisation_time(v)), {})
-    t_stab = gains_kv.get("t_stab", cfg.t_stab)
-    gains = tune_gains(t_stab)
-    rate = cfg.loop_rate if args.rate is None else args.rate
-    seed = _resolve_seed(args.seed, cfg.seed)
-    run.seeds["scenario"] = seed
-    plan = None
-    if args.plan:
-        # no output of the run may take the path of the plan it reads
-        for name in _PLAN_RUN_OUTPUTS:
-            if (run.out / name).resolve() == Path(args.plan).resolve():
-                raise ConfigError(f"--plan {args.plan}: the run writes its own {name} into --out")
-        plan = run.config("--plan", args.plan, _read_plan, None)
-    elif cfg.mode == "controller":
-        ref = make_reference(cfg.reference)
-    # the run lasts the scenario's horizon, or that of a --plan file,
-    # a whole number of control periods
-    run_length = ((f"{cfg.path}: [scenario] horizon", cfg.horizon) if plan is None
-                  else (f"{args.plan}: plan", float(plan.times[-1] - plan.times[0])))
-    periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
-    if cfg.mode == "plan" and plan is None:
-        plan = build_plan(cfg.params, horizon=cfg.horizon, rate=cfg.plan_rate,
-                          mass_error=cfg.plan_mass_error)
-
-    report = {"scenario": cfg.name, "kp": f"{gains.kp[0]:.3f}", "kv": f"{gains.kv[0]:.3f}",
-              "poles": f"{format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}"}
-    # each branch computes before it writes, so a run that fails leaves --out as it was
-    if cfg.mode == "controller":
-        x0 = cfg.initial_state(ref)
-        result = closed_loop_simulate(
-            params, x0, ref, gains, control_rate=rate, disturbances=cfg.disturbances,
-            t_end=cfg.horizon,
+    with _Run("control", Path(args.out)) as run:
+        name = args.scenario if args.scenario != "plan" else "plan-tracking"
+        cfg, params = _scenario(
+            run, name, args.params, ("controller", "plan"), "use the simulate subcommand"
         )
-        feas = torque_feasibility(params, ref, gains, t_end=cfg.horizon)
-        _write_tracking_outputs(run, result)
-        _write_feasibility(run, feas)
-        ep = np.linalg.norm(result.e_p[:, :2], axis=1)
-        report.update(peak_position_error=format_float(ep.max()),
-                      peak_alpha_error=format_float(np.abs(result.e_p[:, 2]).max()),
-                      feasible=feas.ok, feasibility_margin=format_float(feas.worst_margin))
-    else:
-        result = track_planned_trajectory(params, plan, gains, control_rate=rate)
-        replay = open_loop_replay(params, plan)
-        _write_tracking_outputs(run, result)
-        trajectory_to_csv(replay, run.emit("replay.csv"))
-        if not args.plan:
-            path = run.emit("plan.csv")
-            trajectory_to_csv(plan, path)
-            # hashed as an input is, so the manifest states the plan tracked
-            run.configs[str(path)] = _sha256(path)
-        drift = np.linalg.norm(replay.states[:, 0:2] - plan.states[:, 0:2], axis=1)
-        ep = np.linalg.norm(result.e_p[:, :2], axis=1)
-        report.update(open_loop_drift_max=format_float(drift.max()),
-                      open_loop_drift_final=format_float(drift[-1]),
-                      closed_loop_position_error_max=format_float(ep.max()))
-    _write_report(run, report)
-    run.finish()
+        if args.plan and cfg.mode != "plan":
+            raise ConfigError(f"--plan needs a plan scenario; {cfg.name!r} is a {cfg.mode} scenario")
+        gains_kv = run.config("--gains", args.gains,
+                              lambda p: read_kv(p, ("t_stab",), lambda k, v: stabilisation_time(v)), {})
+        t_stab = gains_kv.get("t_stab", cfg.t_stab)
+        gains = tune_gains(t_stab)
+        rate = cfg.loop_rate if args.rate is None else args.rate
+        seed = _resolve_seed(args.seed, cfg.seed)
+        run.seeds["scenario"] = seed
+        plan = None
+        if args.plan:
+            # no output of the run may take the path of the plan it reads
+            for name in _PLAN_RUN_OUTPUTS:
+                if (run.out / name).resolve() == Path(args.plan).resolve():
+                    raise ConfigError(f"--plan {args.plan}: the run writes its own {name} into --out")
+            plan = run.config("--plan", args.plan, _read_plan, None)
+        elif cfg.mode == "controller":
+            ref = make_reference(cfg.reference)
+        # the run lasts the scenario's horizon, or that of a --plan file,
+        # a whole number of control periods
+        run_length = ((f"{cfg.path}: [scenario] horizon", cfg.horizon) if plan is None
+                      else (f"{args.plan}: plan", float(plan.times[-1] - plan.times[0])))
+        periods(*run_length, "--rate" if args.rate is not None else f"{cfg.path}: [control] rate", rate)
+        if cfg.mode == "plan" and plan is None:
+            plan = build_plan(cfg.params, horizon=cfg.horizon, rate=cfg.plan_rate,
+                              mass_error=cfg.plan_mass_error)
+
+        report = {"scenario": cfg.name, "kp": f"{gains.kp[0]:.3f}", "kv": f"{gains.kv[0]:.3f}",
+                  "poles": f"{format_float(gains.poles[0][0])}, {format_float(gains.poles[0][1])}"}
+        if cfg.mode == "controller":
+            # the lap is written a block at a time as it runs, then its feasibility pass
+            blocks = closed_loop_blocks(params, cfg.initial_state(ref), ref, gains, control_rate=rate,
+                                        disturbances=cfg.disturbances, t_end=cfg.horizon)
+            peak_position, peak_alpha = _write_tracking_outputs(run, blocks)
+            feas = torque_feasibility(params, ref, gains, t_end=cfg.horizon)
+            _write_feasibility(run, feas)
+            report.update(peak_position_error=format_float(peak_position),
+                          peak_alpha_error=format_float(peak_alpha),
+                          feasible=feas.ok, feasibility_margin=format_float(feas.worst_margin))
+        else:
+            result = track_planned_trajectory(params, plan, gains, control_rate=rate)
+            replay = open_loop_replay(params, plan)
+            peak_position, _ = _write_tracking_outputs(run, [result])
+            trajectory_to_csv(replay, run.emit("replay.csv"))
+            if not args.plan:
+                path = run.emit("plan.csv")
+                trajectory_to_csv(plan, path)
+                # hashed as an input is, so the manifest states the plan tracked
+                run.configs[str(run.out / "plan.csv")] = _sha256(path)
+            drift = np.linalg.norm(replay.states[:, 0:2] - plan.states[:, 0:2], axis=1)
+            report.update(open_loop_drift_max=format_float(drift.max()),
+                          open_loop_drift_final=format_float(drift[-1]),
+                          closed_loop_position_error_max=format_float(peak_position))
+        _write_report(run, report)
     return 0
 
 
 def _cmd_check_torques(args) -> int:
     checked("--limit", args.limit, non_negative)
-    run = _Run("check-torques", Path(args.out))
-    cfg, params = _scenario(
-        run, args.scenario, args.params, ("controller",), "check-torques needs a controller scenario"
-    )
-    gains = tune_gains(cfg.t_stab)
-    bounds = TorqueBounds.symmetric(torque=args.limit)
-    ref = make_reference(cfg.reference)
-    report = torque_feasibility(params, ref, gains, bounds, t_end=cfg.horizon)
-    _write_feasibility(run, report)
-    _write_report(run, {"scenario": cfg.name, "torque_limit": format_float(args.limit),
-                        "feasible": report.ok, "worst_margin": format_float(report.worst_margin),
-                        "note": report.note})
-    run.finish()
+    with _Run("check-torques", Path(args.out)) as run:
+        cfg, params = _scenario(
+            run, args.scenario, args.params, ("controller",), "check-torques needs a controller scenario"
+        )
+        gains = tune_gains(cfg.t_stab)
+        bounds = TorqueBounds.symmetric(torque=args.limit)
+        ref = make_reference(cfg.reference)
+        report = torque_feasibility(params, ref, gains, bounds, t_end=cfg.horizon)
+        _write_feasibility(run, report)
+        _write_report(run, {"scenario": cfg.name, "torque_limit": format_float(args.limit),
+                            "feasible": report.ok, "worst_margin": format_float(report.worst_margin),
+                            "note": report.note})
     print("feasible" if report.ok else "infeasible")
     return 0
 
@@ -483,6 +530,7 @@ def _cmd_scenarios(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
+@functools.cache  # once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="otbot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rate", type=float, help="control grid rate [Hz] of --torques (default 100)")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_id = sub.add_parser("identify", help="run the parameter-identification pipeline")
     p_id.add_argument("--step", choices=("1", "2", "3", "all"), default="all")
@@ -508,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--window", type=float, default=1.0,
                       help="step-3 and sweep record length in seconds")
     p_id.add_argument("--out", required=True)
-    p_id.set_defaults(func=_cmd_identify)
 
     p_ctl = sub.add_parser("control", help="closed-loop tracking runs")
     p_ctl.add_argument("--scenario", required=True,
@@ -519,32 +565,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_ctl.add_argument("--rate", type=float, default=None, help="control rate override [Hz]")
     p_ctl.add_argument("--seed", type=int, default=None)
     p_ctl.add_argument("--out", required=True)
-    p_ctl.set_defaults(func=_cmd_control)
 
     p_chk = sub.add_parser("check-torques", help="interval feasibility of tracking torques")
     p_chk.add_argument("--scenario", required=True)
     p_chk.add_argument("--params", help="robot parameter file override")
     p_chk.add_argument("--limit", type=float, default=50.0, help="torque limit [N m]")
     p_chk.add_argument("--out", required=True)
-    p_chk.set_defaults(func=_cmd_check_torques)
 
     p_lst = sub.add_parser("scenarios", help="list bundled scenarios")
     p_lst.add_argument("--export", help="copy bundled scenario files to a directory")
-    p_lst.set_defaults(func=_cmd_scenarios)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at each call, so that a command replaced since runs
+    command = globals()[f"_cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a write that failed, after which --out is as it was
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 1
     except (IntegrationError, ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
         # a numerical failure: a rollout that cannot go on, or a model that
         # divides by zero or overflows on the parameters it was given

@@ -10,6 +10,7 @@ is what the feasibility analysis bounds with interval arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,10 @@ from .simulate import (  # the disturbance types are re-exported from here
     DisturbanceSchedule,
     EventPlan,
     ForcePulse,
+    MAX_PERIODS,
     SimTrajectory,
-    integrate,
     robot_model,
+    rollout,
     simulate_robot,
     whole_periods,
 )
@@ -110,23 +112,31 @@ def computed_torque(
 
 
 class FeedbackLaw:
-    """The computed-torque law as data: row k of ``reference`` is (p_d, dp_d,
-    ddp_d) at ``boundaries[k]``; ``gains=None`` is feedforward. A robot rollout
-    evaluates it on its own parameters at instant k, by :meth:`command` or in C
-    to the same bits, holds the torque and fills row k of ``u_traj`` and
-    ``u_corr``, and with ``keep_model`` row k of ``mbar`` and ``cbar``, the
-    (3, 3) task-space matrices the torque came from (None without)."""
+    """The computed-torque law as data: ``reference`` gives (p_d, dp_d, ddp_d)
+    at ``boundaries[k]``, as row k of a table or sampled from a
+    :class:`ReferenceTrajectory`; ``gains=None`` is feedforward. A robot
+    rollout moves it over its instants a block at a time (:meth:`block`) and
+    evaluates it on its own parameters at the block's k-th instant, from row
+    k of ``reference``, by :meth:`command` or in C to the same bits: it holds
+    the torque and fills row k of ``u_traj`` and ``u_corr``, and with
+    ``keep_model`` of ``mbar`` and ``cbar``, the (3, 3) task-space matrices
+    the torque came from (None without)."""
 
-    def __init__(self, boundaries: np.ndarray, reference: np.ndarray, gains: Gains | None,
+    def __init__(self, boundaries: np.ndarray, reference, gains: Gains | None,
                  keep_model: bool = False):
-        self.boundaries, self.gains = boundaries, gains
+        self.boundaries, self.gains, self.keep_model = boundaries, gains, keep_model
         self.t0, self.end_time = float(boundaries[0]), float(boundaries[-1])
-        self.reference = np.ascontiguousarray(reference, dtype=float)
-        n = len(boundaries)
-        if self.reference.shape != (n, 9):
-            raise ValueError(f"need one reference row of 9 per instant, got {self.reference.shape}")
+        self.source = reference if isinstance(reference, ReferenceTrajectory) else np.asarray(reference, float)
+        if isinstance(self.source, np.ndarray) and self.source.shape != (len(boundaries), 9):
+            raise ValueError(f"need one reference row of 9 per instant, got {self.source.shape}")
+
+    def block(self, k0: int, k1: int) -> None:
+        """Hold the instants ``[k0, k1)``: their reference rows and fresh rows of the rest."""
+        n = k1 - k0
+        self.reference = np.ascontiguousarray(self.source[k0:k1] if isinstance(self.source, np.ndarray)
+                                              else np.column_stack(self.source.sample(self.boundaries[k0:k1])))
         self.u_traj, self.u_corr = np.empty((n, 3)), np.empty((n, 3))
-        self.mbar, self.cbar = (np.empty((n, 3, 3)), np.empty((n, 3, 3))) if keep_model else (None, None)
+        self.mbar, self.cbar = (np.empty((n, 3, 3)), np.empty((n, 3, 3))) if self.keep_model else (None, None)
 
     def command(self, params: RobotParams, k: int, x: np.ndarray) -> np.ndarray:
         """The torque at the k-th instant from the state ``x``, by :func:`computed_torque`."""
@@ -159,7 +169,14 @@ class TrackingResult:
     cbar: np.ndarray | None = None
 
 
-def closed_loop_simulate(
+def closed_loop_simulate(params: RobotParams, state0: RobotState | np.ndarray, ref: ReferenceTrajectory,
+                         gains: Gains | None, **options) -> TrackingResult:
+    """The whole run of :func:`closed_loop_blocks` as one block."""
+    (result,) = closed_loop_blocks(params, state0, ref, gains, **options, rows=MAX_PERIODS)
+    return result
+
+
+def closed_loop_blocks(
     params: RobotParams,
     state0: RobotState | np.ndarray,
     ref: ReferenceTrajectory,
@@ -168,8 +185,11 @@ def closed_loop_simulate(
     disturbances: DisturbanceSchedule | None = None,
     t_end: float | None = None,
     keep_model: bool = False,
-) -> TrackingResult:
-    """Track ``ref`` with the computed-torque law under zero-order hold.
+    rows: int | None = None,
+) -> Iterator[TrackingResult]:
+    """Track ``ref`` with the computed-torque law under zero-order hold: the
+    result of each block of at most ``rows`` control instants (default
+    ``simulate._BLOCK_ROWS``) in turn, its reference sampled for it.
 
     The torque updates at ``control_rate`` from the state at each update;
     ``gains=None`` applies the trajectory part alone (pure feedforward).
@@ -183,17 +203,17 @@ def closed_loop_simulate(
     if n is None:
         raise ValueError("t_end must be a whole number of control periods")
     grid = (1.0 / control_rate) * np.arange(n + 1)
-    law = FeedbackLaw(grid, np.column_stack(ref.sample(grid)), gains, keep_model)
+    law = FeedbackLaw(grid, ref, gains, keep_model)
     if not isinstance(state0, RobotState):
         state0 = RobotState.from_vector(state0)
     plan = EventPlan((law.t0, law.end_time), law, disturbances=disturbances)
     # every output is a control instant and every instant an output, so the
     # law's row k belongs to the k-th output state
     assert np.array_equal(plan.out, plan.start)
-    traj = integrate(robot_model(params), state0.as_vector(), plan)
-    p_ref, v_ref, a_ref = (law.reference[:, i : i + 3] for i in (0, 3, 6))
-    e_p, e_v = traj.states[:, 0:3] - p_ref, traj.states[:, 6:9] - v_ref
-    return TrackingResult(traj, p_ref, v_ref, a_ref, e_p, e_v, law.u_traj, law.u_corr, law.mbar, law.cbar)
+    for traj in rollout(robot_model(params), state0.as_vector(), plan, rows=rows):
+        p_ref, v_ref, a_ref = (law.reference[:, i : i + 3] for i in (0, 3, 6))
+        e_p, e_v = traj.states[:, 0:3] - p_ref, traj.states[:, 6:9] - v_ref
+        yield TrackingResult(traj, p_ref, v_ref, a_ref, e_p, e_v, law.u_traj, law.u_corr, law.mbar, law.cbar)
 
 
 def reference_start_state(params: RobotParams, ref: ReferenceTrajectory) -> RobotState:

@@ -21,7 +21,9 @@ start there (the final sample uses the input held at the end).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -225,22 +227,35 @@ class EventPlan:
             if table is not None:
                 table.flags.writeable = False
 
+    def block_ends(self, rows: int) -> list[int]:
+        """The event after the last output of each block of ``rows`` outputs but the last, then the end;
+        the first block holds two events or more, where the C guesses its first step."""
+        cuts = np.flatnonzero(self.out)[rows - 1 : len(self.times) - 1 : rows] + 1 if rows < len(self.times) else []
+        return [*(int(c) for c in cuts if c > 1), len(self.events)]
 
-def integrate(
-    model, x0, plan: EventPlan, options: IntegratorOptions | None = None
-) -> SimTrajectory:
+
+def integrate(model, x0, plan: EventPlan, options: IntegratorOptions | None = None) -> SimTrajectory:
+    """The whole rollout of :func:`rollout` as one block."""
+    (traj,) = rollout(model, x0, plan, options, rows=len(plan.times))
+    return traj
+
+
+def rollout(model, x0, plan: EventPlan, options: IntegratorOptions | None = None,
+            rows: int | None = None) -> Iterator[SimTrajectory]:
     """Adaptively integrate dx/dt = f(t, x) from ``x0`` over the events of
     ``plan``, the hard step boundaries, so every output sample is an exact
-    step endpoint.
+    step endpoint: the trajectory of each block of at most ``rows`` output
+    rows (default ``_BLOCK_ROWS``), in order, with the stats so far.
 
     ``model(u, force)`` returns the rhs ``f(t, y)`` for a held input ``u``
     and pivot force ``force``, both lists of floats; ``f`` follows the
     integrator's contract (``t`` a float, ``y`` a list of floats, a sequence
     of floats returned) and may not depend on ``t``. The input is the plan's
     held row (open loop) or the value of its ``FeedbackLaw`` at the latest
-    instant (closed loop): ``law.command(params, k, x)`` at the k-th instant,
-    on the robot model's own ``params``. The pivot force is the plan's, so
-    it is constant over each step; the model of a shaft ignores it.
+    instant (closed loop): ``law.command(params, k, x)`` at the k-th instant
+    of the block the law holds (``law.block``), on the robot model's own
+    ``params``. The pivot force is the plan's, so it is constant over each
+    step; the model of a shaft ignores it.
 
     Each segment's first stage is the derivative at its start. Where a
     segment holds the same input bits as the one before it and no
@@ -257,95 +272,121 @@ def integrate(
 
     A model of :func:`robot_model` or :func:`shaft_model` (one with a
     ``kind``) runs this loop, a law included, in C to the same bits
-    (:func:`_compiled_rollout`) wherever ``_ckernel.load`` loads it; where
-    the C stops, it runs here, which is where Python raises.
+    (:func:`_compiled_blocks`) wherever ``_ckernel.load`` loads it; where
+    the C stops, it runs here from the start, yielding from the block the
+    C stopped in, which is where Python raises.
     """
     opts = options or IntegratorOptions()
     x = np.asarray(x0, dtype=float).copy()
+    ends = plan.block_ends(rows or _BLOCK_ROWS)
+    kernel = _ckernel.load() if hasattr(model, "kind") else None
+    done = 0  # the blocks the C yielded
+    if kernel is not None:
+        for traj in _compiled_blocks(kernel, model, x, opts, plan, ends):
+            if traj is None:
+                break
+            done += 1
+            yield traj
+        else:
+            return
     law, held, params = plan.law, plan.held, getattr(model, "params", None)
     error_states = len(x) // (1 + getattr(model, "lanes", 0))
-    # the output buffers belong to this rollout; its plan serves others too
-    states = np.empty((len(plan.times), len(x)))
-    derivs = np.empty_like(states) if law is None else None
-    inputs = np.empty((len(states), 3 if held is None else held.shape[1]))
-    kernel = _ckernel.load() if hasattr(model, "kind") else None
-    if kernel is not None:
-        stats = _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs)
-        if stats is not None:
-            return SimTrajectory(plan.times.copy(), states, inputs, derivs, stats)
     stats = IntegratorStats()
     h = None
     last_bits = None
-    row = instant = 0
     # the flags are iterated as arrays and the times converted one at a
     # time, so no per-event Python objects outlive their event
     flags = zip(map(float, plan.events), plan.out, plan.start, plan.brk)
-    for i, (t, out, start, brk) in enumerate(flags):
-        if i:
-            x, k1, h = advance_segment(f, t_prev, t, x, opts, stats, h, k1, error_states)
-        if held is not None:
-            u = held[i]
-        elif start:
-            u = law.command(params, instant, x)
-            instant += 1
-        # compared bit for bit, so that 0.0 and -0.0 count as different holds
-        bits = u.tobytes()
-        if bits != last_bits or brk:
-            f = model(u.tolist(), plan.forces[i].tolist())
-            k1 = f(t, x.tolist())
-            stats.fevals += 1
-            last_bits = bits
-        if out:
-            states[row] = x
-            if derivs is not None:
-                derivs[row] = k1
-            inputs[row] = u
-            row += 1
-        t_prev = t
+    for b, (lo, hi, times, states, derivs, inputs) in enumerate(_block_buffers(plan, len(x), ends)):
+        row = instant = 0
+        for i, (t, out, start, brk) in enumerate(itertools.islice(flags, hi - lo), lo):
+            if i:
+                x, k1, h = advance_segment(f, t_prev, t, x, opts, stats, h, k1, error_states)
+            if held is not None:
+                u = held[i]
+            elif start:
+                u = law.command(params, instant, x)
+                instant += 1
+            # compared bit for bit, so that 0.0 and -0.0 count as different holds
+            bits = u.tobytes()
+            if bits != last_bits or brk:
+                f = model(u.tolist(), plan.forces[i].tolist())
+                k1 = f(t, x.tolist())
+                stats.fevals += 1
+                last_bits = bits
+            if out:
+                states[row] = x
+                if derivs is not None:
+                    derivs[row] = k1
+                inputs[row] = u
+                row += 1
+            t_prev = t
+        if b >= done:
+            yield SimTrajectory(times, states, inputs, derivs, asdict(stats))
 
-    return SimTrajectory(plan.times.copy(), states, inputs, derivs, asdict(stats))
+
+def _block_buffers(plan: EventPlan, width: int, ends):
+    """Per block of events ``[lo, hi)`` up to each of ``ends``: ``(lo, hi, times, states, derivs,
+    inputs)``, its output times and fresh output rows, the plan's law moved to its instants."""
+    law, lo, r0, k0 = plan.law, 0, 0, 0
+    for hi in ends:
+        rows = int(np.count_nonzero(plan.out[lo:hi]))
+        states = np.empty((rows, width))
+        if law is None:
+            derivs, inputs = np.empty_like(states), np.empty((rows, plan.held.shape[1]))
+        else:
+            derivs, inputs, k1 = None, np.empty((rows, 3)), k0 + int(np.count_nonzero(plan.start[lo:hi]))
+            law.block(k0, k1)
+            k0 = k1
+        yield lo, hi, plan.times[r0 : r0 + rows].copy(), states, derivs, inputs
+        lo, r0 = hi, r0 + rows
 
 
 # the IntegratorStats counts, fields of _ckernel.Rollout by the same names
 _STATS = [f.name for f in fields(IntegratorStats)]
 
 
-def _compiled_rollout(kernel, model, x, opts, plan, states, derivs, inputs):
-    """:func:`integrate`'s loop on ``rollout`` (``_dp5_robot.c``) for the
-    model's ``kind`` of ``_ckernel.MODELS``, a feedback law included, into
-    the given output buffers (``derivs`` None, NULL in the C, under a law):
-    the stats, or None where the C stops, which is where Python raises, or
-    where the model and plan do not fit the C.
+def _compiled_blocks(kernel, model, x, opts, plan, ends):
+    """:func:`rollout`'s loop on ``rollout`` (``_dp5_robot.c``) for the
+    model's ``kind`` of ``_ckernel.MODELS``, a feedback law included: each
+    block, or None where the C stops, which is where Python raises, or
+    first where the model and plan do not fit the C.
 
-    One call runs every event, the first-step guess included, on a copy of
-    the plan's ``template``, or under a law on a struct with held rows of its
-    own. The copy belongs to this rollout, since the C writes into it; the
-    template points into the plan's tables and serves its next rollouts."""
+    One call runs each block's events (from event 0, with the first-step
+    guess) on a copy of the plan's ``template``, or under a law on a struct
+    with held rows of its own, its output rows pointed at the block's. The
+    copy belongs to this rollout, since the C writes into it; the template
+    points into the plan's tables and serves its next rollouts."""
     index = _ckernel.MODEL_INDEX[model.kind]
     m, law = _ckernel.MODELS[index], plan.law
-    fits = (states.shape[1], inputs.shape[1]) == (m.states, m.inputs)
+    fits = (len(x), 3 if law is not None else plan.held.shape[1]) == (m.states, m.inputs)
     if not fits or (law is not None and m.name != "robot"):
-        return None
+        yield None
+        return
     run, *blas = kernel
     c = plan.template
     if law is not None or c is None or [c.ddot, c.dgemv] != blas:
         held = plan.held if law is None else np.empty((len(plan.events), m.inputs))
-        rows = (None,) * 5 if law is None else (law.reference, law.u_traj, law.u_corr, law.mbar, law.cbar)
-        tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces, None, None, None, *rows)
-        c = _ckernel.Rollout(*(None if a is None else a.ctypes.data for a in tables), *blas)
+        tables = (plan.events, plan.out, plan.start, plan.brk, held, plan.forces)
+        c = _ckernel.Rollout(*(a.ctypes.data for a in tables), *(None,) * 8, *blas)
         plan.template = c if law is None else None
     c = _ckernel.Rollout.from_buffer_copy(c)
     if law is not None:
         c.law = _ckernel.FEEDFORWARD if law.gains is None else _ckernel.FEEDBACK
         if law.gains is not None:
             c.kp[:], c.kv[:] = law.gains.kp.tolist(), law.gains.kv.tolist()
-    c.states, c.derivs, c.controls = (None if a is None else a.ctypes.data for a in (states, derivs, inputs))
     c.rtol, c.atol, c.model = opts.rtol, opts.atol, index
     c.blk[: m.params] = model.block
     c.x[: m.states] = x.tolist()
-    if run(c, 0, len(plan.events)):
-        return None
-    return {name: getattr(c, name) for name in _STATS}
+    for lo, hi, times, states, derivs, inputs in _block_buffers(plan, len(x), ends):
+        law_rows = (law.reference, law.u_traj, law.u_corr, law.mbar, law.cbar) if law is not None else (None,) * 5
+        c.states, c.derivs, c.controls, c.reference, c.u_traj, c.u_corr, c.mbar, c.cbar = (
+            None if a is None else a.ctypes.data for a in (states, derivs, inputs, *law_rows))
+        c.row = c.instant = 0
+        if run(c, lo, hi):
+            yield None
+            return
+        yield SimTrajectory(times, states, inputs, derivs, {name: getattr(c, name) for name in _STATS})
 
 
 def simulate_robot(
@@ -457,41 +498,64 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-# Rows spelled per call of the compiled formatter
+# Rows spelled per call of the compiled formatter, and of a rollout's blocks
 _BLOCK_ROWS = 1024
 
 
 def write_csv(path: str | Path, header, columns, line_end: str = "\n") -> None:
-    """Write equal-length columns (1-D or 2-D arrays) under a header row.
+    """Write equal-length columns (1-D or 2-D arrays) under a header row: one block of :func:`write_tables`."""
+    write_tables([(path, header, line_end)], [[columns]])
 
-    The columns are cast to float64 (no caller passes a non-float table), and
-    each double is written in its shortest exact spelling, the one ``repr``
-    gives (see :func:`format_float`). Blocks of rows are copied from the
-    columns into one reusable table, which the compiled formatter spells into
-    one reusable buffer: no copy or text of the whole table is made. Where it
-    cannot be built, Python joins the rows from ``repr``, with the same bytes.
-    ``line_end`` ends every line as given.
+
+def write_tables(tables, blocks) -> None:
+    """Write the tables ``(path, header, line_end)`` a block of rows at a time:
+    each of ``blocks`` holds one list of equal-length columns (1-D or 2-D
+    arrays) per table, cast to float64 (no caller passes a non-float table).
+
+    Each double is written in its shortest exact spelling, the one ``repr``
+    gives (see :func:`format_float`). Up to ``_BLOCK_ROWS`` rows at a time are
+    copied from the columns into one table, which the compiled formatter
+    spells into one buffer: no copy or text of a whole block is made. Where
+    it cannot be built, Python joins the rows from ``repr``, with the same
+    bytes. The OSError of a failed write names its table's path.
     """
+    format_rows = _ckernel.load_formatter()
+    files = []
+    try:
+        for path, header, line_end in tables:
+            files.append(open(path, "wb"))
+            files[-1].write(",".join(header).encode() + line_end.encode())
+        for block in blocks:
+            for (path, _, line_end), fh, columns in zip(tables, files, block):
+                _write_rows(fh, columns, line_end.encode(), format_rows)
+        for (path, _, _), fh in zip(tables, files):
+            fh.close()
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        raise
+    finally:
+        for fh in files:
+            fh.close()
+
+
+def _write_rows(fh, columns, eol: bytes, format_rows) -> None:
+    """The rows of ``columns`` into ``fh``, ``_BLOCK_ROWS`` at a time."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     rows = len(columns[0])
     assert all(len(c) == rows for c in columns), "the columns are not of equal length"
     table = np.empty((min(rows, _BLOCK_ROWS), sum(c.shape[1] for c in columns)))
-    eol = line_end.encode()
-    format_rows = _ckernel.load_formatter()
     out = np.empty(len(table) * (_ckernel.CELL_BYTES * table.shape[1] + len(eol)) if format_rows else 0, np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + eol)
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = table[: min(_BLOCK_ROWS, rows - start)]
-            np.concatenate([c[start : start + len(block)] for c in columns], axis=1, out=block)
-            if format_rows is None:
-                fh.write(b"".join(",".join(map(repr, row)).encode() + eol for row in block.tolist()))
-                continue
-            n = format_rows(block.ctypes.data, len(block), block.shape[1], eol, len(eol),
-                            out.ctypes.data, out.size)
-            if n < 0:
-                raise RuntimeError(f"CSV formatter: {out.size} bytes cannot hold {len(block)} rows")
-            fh.write(out[:n])
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = table[: min(_BLOCK_ROWS, rows - start)]
+        np.concatenate([c[start : start + len(block)] for c in columns], axis=1, out=block)
+        if format_rows is None:
+            fh.write(b"".join(",".join(map(repr, row)).encode() + eol for row in block.tolist()))
+            continue
+        n = format_rows(block.ctypes.data, len(block), block.shape[1], eol, len(eol),
+                        out.ctypes.data, out.size)
+        if n < 0:
+            raise RuntimeError(f"CSV formatter: {out.size} bytes cannot hold {len(block)} rows")
+        fh.write(out[:n])
 
 
 def trajectory_to_csv(traj: SimTrajectory, path: str | Path) -> None:

@@ -860,6 +860,26 @@ def test_a_changed_archive_gets_a_new_cached_name(tmp_path, monkeypatch):
     assert names[0] == names[1] == f"noise-{key[:24]}.so" != names[2]
 
 
+def test_a_build_removes_the_older_builds_of_its_library(tmp_path, monkeypatch):
+    # a stand-in compiler that only creates its output; an older build that
+    # cannot be removed (a directory here) is left, and the build goes on
+    fake = tmp_path / "cc"
+    fake.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n: > "$2"\n')
+    fake.chmod(0o755)
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_ckernel, "cache_dir", lambda: cache)
+    cache.mkdir()
+    old, other = (cache / f"{stem}-{24 * '0'}.so" for stem in ("csv_format", "noise"))
+    old.touch()
+    other.touch()
+    (cache / "csv_format-stuck.so").mkdir()
+    built = _ckernel.build(_ckernel.FORMATTER_SOURCE, str(fake), _ckernel.FORMATTER_FLAGS)
+    assert built.parent == cache and built.name.startswith("csv_format-")
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built.name, "csv_format-stuck.so", other.name])
+    again = _ckernel.build(_ckernel.FORMATTER_SOURCE, str(fake), (*_ckernel.FORMATTER_FLAGS, "-g"))
+    assert sorted(p.name for p in cache.iterdir()) == sorted([again.name, "csv_format-stuck.so", other.name])
+
+
 def test_a_missing_archive_leaves_the_noise_to_numpy(tmp_path, monkeypatch):
     source, compiler, flags, _ = _noise_library()
     assert _ckernel.build(source, compiler, flags, (tmp_path / "libnpyrandom.a",)) is None

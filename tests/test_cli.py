@@ -1148,3 +1148,142 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "corridor" in proc.stdout
 
+
+
+# ---------------------------------------------------------------- streamed tables and the staged --out
+
+_TRACKING = ("trajectory.csv", "errors.csv", "reference.csv", "torques.csv")
+# a 2 s corridor with pulse edges on the block boundaries of 7 rows (at
+# rows 7 and 13, the first and last of a block) and of 1000 rows (row 1000)
+_PULSED_CORRIDOR = ("corridor", "horizon = 30", "horizon = 2", "rate = 1000",
+                    "rate = 1000\n\n[disturbances]\npulse1 = 0.007, 0.013, 50, 0\npulse2 = 1, 1.5, 0, -40")
+
+
+def _whole_run_tables(folder: Path, scenario: str):
+    """The tracking tables of the ``control`` run of ``scenario`` from its whole
+    :class:`TrackingResult`, each written with ``write_csv`` into ``folder``,
+    and the result."""
+    from otbot.control import closed_loop_simulate, track_planned_trajectory, tune_gains
+    from otbot.scenarios import build_plan, load_scenario, make_reference
+    from otbot.simulate import write_csv
+
+    cfg = load_scenario(scenario)
+    gains = tune_gains(cfg.t_stab)
+    if cfg.mode == "controller":
+        ref = make_reference(cfg.reference)
+        result = closed_loop_simulate(cfg.params, cfg.initial_state(ref), ref, gains, control_rate=cfg.loop_rate,
+                                      disturbances=cfg.disturbances, t_end=cfg.horizon)
+    else:
+        plan = build_plan(cfg.params, horizon=cfg.horizon, rate=cfg.plan_rate, mass_error=cfg.plan_mass_error)
+        result = track_planned_trajectory(cfg.params, plan, gains, control_rate=cfg.loop_rate)
+    folder.mkdir()
+    traj, t = result.trajectory, result.trajectory.times
+    trajectory_to_csv(traj, folder / "trajectory.csv")
+    write_csv(folder / "errors.csv", ["time", *cli._prefix_suffix(("ep", "ev"), cli.XYA)], [t, result.e_p, result.e_v])
+    write_csv(folder / "reference.csv", ["time", *cli._prefix_suffix(("pd", "vd", "ad"), cli.XYA)],
+              [t, result.p_ref, result.v_ref, result.a_ref])
+    write_csv(folder / "torques.csv", ["time", *cli._prefix_suffix(("u", "utraj", "ucorr"), cli.RLP)],
+              [t, traj.controls, result.u_traj, result.u_corr])
+    return result
+
+
+class TestStreamedTables:
+    @pytest.mark.parametrize("rows", [7, 1000])
+    @pytest.mark.parametrize("engine", ["c", "python", "python-formatter"])
+    @pytest.mark.parametrize("scenario", [_PULSED_CORRIDOR, ("plan-tracking", "horizon = 10", "horizon = 1")],
+                             ids=["controller", "plan"])
+    def test_the_tables_are_those_of_the_whole_run(self, tmp_path, monkeypatch, request, scenario, engine, rows):
+        # rows that divide neither run (2001 and 1001 instants), and pulse
+        # edges on block boundaries, on either engine and formatter
+        if engine == "python":
+            request.getfixturevalue("python_kernel")
+        elif engine == "python-formatter":
+            monkeypatch.setattr(_ckernel, "load_formatter", lambda: None)
+        (path,) = _write_inputs(tmp_path, ["short.cfg"], {}, {"short.cfg": scenario})
+        whole = _whole_run_tables(tmp_path / "whole", path)
+        monkeypatch.setattr(otbot.simulate, "_BLOCK_ROWS", rows)
+        out = tmp_path / "out"
+        assert main(["control", "--scenario", path, "--out", str(out)]) == 0
+        for name in _TRACKING:
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+        report = dict(line.split(" = ") for line in (out / "report.txt").read_text().splitlines())
+        peak = np.linalg.norm(whole.e_p[:, :2], axis=1).max()
+        key = "peak_position_error" if scenario is _PULSED_CORRIDOR else "closed_loop_position_error_max"
+        assert report[key] == repr(float(peak))
+        if scenario is _PULSED_CORRIDOR:
+            assert report["peak_alpha_error"] == repr(float(np.abs(whole.e_p[:, 2]).max()))
+        else:  # the manifest hashes the built plan under its path in --out
+            assert str(out / "plan.csv") in manifest(out)["config_sha256"]
+
+    def test_a_figure8_lap_holds_a_block_of_its_tables(self, tmp_path):
+        # tracemalloc sees numpy's buffers: the lap's tables are never whole,
+        # so an 18 s lap peaks well under the 6.6 MB they took whole, and what
+        # still grows with the lap (the plan's tables) stays small beside them
+        if _ckernel.load() is None:
+            pytest.skip("the compiled rollout loop cannot be loaded: an 18 s lap in Python is slow")
+        import tracemalloc
+
+        (quarter,) = _write_inputs(tmp_path, ["quarter.cfg"], {},
+                                   {"quarter.cfg": ("figure8", "horizon = 18", "horizon = 4.5")})
+        assert main(["control", "--scenario", "figure8", "--out", str(tmp_path / "warm")]) == 0
+        peaks = {}
+        for name, scenario in (("lap", "figure8"), ("quarter", quarter)):
+            tracemalloc.start()
+            try:
+                assert main(["control", "--scenario", scenario, "--out", str(tmp_path / name)]) == 0
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["lap"] <= 3e6 and peaks["lap"] < 2.5 * peaks["quarter"], peaks
+
+    @pytest.mark.parametrize("failing", ["write", "move", "report"])
+    def test_a_write_that_fails_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, failing):
+        # an OSError on the third table, reference.csv: from a staged write
+        # (a full disk), or from its move into place once the run is done;
+        # or from a text write, which names no file, of report.txt
+        import errno
+
+        argv = _write_inputs(tmp_path, ["control", "--scenario", "short.cfg"], {},
+                             {"short.cfg": ("corridor", "horizon = 30", "horizon = 2")})
+        done, fresh = tmp_path / "done", tmp_path / "new" / "fresh"
+        assert main(argv + ["--out", str(done)]) == 0
+        before = {p.name: p.read_bytes() for p in done.iterdir()}
+        if failing == "write":
+            real_write = otbot.simulate._write_rows
+
+            def write_rows(fh, *args):
+                if Path(fh.name).name == "reference.csv":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return real_write(fh, *args)
+
+            monkeypatch.setattr(otbot.simulate, "_write_rows", write_rows)
+        elif failing == "report":
+            def write_report(run, entries):
+                with open(run.emit("report.txt"), "w"):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr(cli, "_write_report", write_report)
+        else:
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if Path(src).name == Path(dst).name == "reference.csv":  # the staged table into place
+                    raise OSError(errno.EIO, os.strerror(errno.EIO), str(src), None, str(dst))
+                return real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+        capsys.readouterr()
+        name = "report.txt" if failing == "report" else "reference.csv"
+        for out in (fresh, done):
+            assert main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {out / name}: ") and err.count("\n") == 1, err
+        assert not fresh.parent.exists()
+        # the finished run's files, and nothing else: no staging directory is left
+        assert {p.name: p.read_bytes() for p in done.iterdir()} == before
+
+
+def test_main_builds_its_parser_once_and_runs_a_command_replaced_since(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "_cmd_scenarios", lambda args: 7)
+    assert main(["scenarios"]) == 7 and main(["scenarios", "--export", "x"]) == 7

@@ -183,6 +183,30 @@ def _assert_same_rollout(a, b):
 
 
 @pytest.mark.parametrize("engine", ["c", "python"])
+def test_a_rollout_in_blocks_joins_into_the_whole_rollout(monkeypatch, engine):
+    """The blocks of a rollout, joined, are its whole trajectory bit for bit,
+    with the whole's stats after the last; on the C, one call of the loop
+    runs each block's events. Blocks of 1 row start with 2, where the C
+    takes its first-step guess."""
+    runs = _use_engine(monkeypatch, engine)
+    for model, x0, make_plan in _plan_cases():
+        plan = make_plan()
+        whole = integrate(model(1.0), x0, plan)
+        for rows in (1, 2, 7, 41, 1000):
+            del runs[:]
+            blocks = list(simulate.rollout(model(1.0), x0, plan, rows=rows))
+            names = ("times", "states", "controls", "derivs")
+            joined = simulate.SimTrajectory(*(np.concatenate([getattr(b, n) for b in blocks]) for n in names),
+                                            blocks[-1].stats)
+            _assert_same_rollout(joined, whole)
+            sizes = [len(b.times) for b in blocks]
+            assert all(0 < size <= max(rows, 2) for size in sizes), sizes
+            assert len(blocks) == (40 if rows == 1 else -(-41 // rows)), sizes
+            ends = plan.block_ends(rows)
+            assert runs == ([] if engine == "python" else list(zip([0, *ends[:-1]], ends)))
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
 def test_the_tenth_rollout_of_a_plan_equals_a_fresh_rollout(monkeypatch, engine):
     """Rollouts of other parameters on one plan leave it as it was: the tenth
     rollout equals a rollout on a plan of its own, bit for bit."""
