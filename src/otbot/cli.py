@@ -110,6 +110,8 @@ class _Run:
         self.tolerances: dict = {"rtol": options.rtol, "atol": options.atol}
         # the SHA-256 of each file read, by path, hashed as it is read
         self.configs: dict[str, str] = {}
+        # each file read, resolved, and how the run was told of it: no output may replace one
+        self.reads: dict[Path, str] = {}
         self.files: list[str] = []
         self.seeds: dict[str, int] = {}
         # per fit of an identify run: its solver's stop rule and counts
@@ -156,11 +158,19 @@ class _Run:
             value = reader(p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.configs[str(p)] = _sha256(p)
+        self.read(f"{flag} {path}", p)
         return value
+
+    def read(self, source: str, path: Path) -> None:
+        """Records ``path``, named by ``source`` (a flag and its value), as read by the run."""
+        self.configs[str(path)] = _sha256(path)
+        self.reads[path.resolve()] = source
 
     def emit(self, name: str) -> Path:
         """The staged path of output ``name``; --out is made on the first, so a rejected run leaves none."""
+        # no output may replace a file the run read
+        if source := self.reads.get((self.out / name).resolve()):
+            raise ConfigError(f"{source}: the run writes its own {name} into --out")
         if self.stage is None:
             self.made = [d for d in (self.out, *self.out.parents) if not d.exists()]
             stage = self.out / f".otbot-{os.getpid()}"
@@ -249,7 +259,9 @@ def _resolve_seed(flag_seed: int | None, cfg_seed: int = 0) -> int:
 def _scenario(run: _Run, name: str, params_file: str | None, modes, hint: str):
     """The scenario ``name`` in one of ``modes`` and its (``--params``) robot parameters."""
     cfg = load_scenario(name)
-    run.configs[str(cfg.path)] = _sha256(cfg.path)
+    run.read(f"--scenario {name}", cfg.path)
+    if cfg.params_file is not None:
+        run.read(f"{cfg.path}: [params] file {cfg.params_file}", cfg.params_file)
     if cfg.mode not in modes:
         raise ConfigError(f"scenario {cfg.name!r} is a {cfg.mode} scenario; {hint}")
     return cfg, run.config("--params", params_file, load_params, cfg.params)
@@ -276,45 +288,37 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--seed does not apply to --torques, which samples no sensor")
         torques = float_list(args.torques, 3, "--torques")
         rate = 100.0 if args.rate is None else args.rate
-        n = periods("--duration", args.duration, "--rate", rate)
+        grid = np.arange(periods("--duration", args.duration, "--rate", rate) + 1) / rate
+        duration, state0 = args.duration, RobotState.rest()
     with _Run("simulate", Path(args.out)) as run:
+        sensors, shaft = {}, False
         if args.scenario:
-            cfg, params = _scenario(
-                run, args.scenario, args.params, ("shaft", "torques"), "use the control subcommand"
-            )
-            seed = _resolve_seed(args.seed, cfg.seed)
-            run.seeds["scenario"] = seed
+            cfg, params = _scenario(run, args.scenario, args.params, ("shaft", "torques"),
+                                    "use the control subcommand")
+            seed = run.seeds["scenario"] = _resolve_seed(args.seed, cfg.seed)
             n = periods(f"{cfg.path}: [scenario] horizon", cfg.horizon,
                         f"{cfg.path}: [sensors] rate", cfg.sensor_rate)
             grid = np.arange(n + 1) / cfg.sensor_rate
-            shaft = cfg.mode == "shaft"
-            if shaft:
-                inertia, damping = (
-                    (params.Ia, params.bw) if cfg.axis == "wheel" else (params.Ip, params.bp)
-                )
-                controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.shaft_rate)
-                traj = simulate_shaft(inertia, damping, controls, output_times=grid)
-                write_csv(
-                    run.emit("shaft.csv"),
-                    ["time", "angle", "rate", "torque"],
-                    [traj.times, traj.states, traj.controls],
-                )
-            else:
-                controls = ControlSequence.constant(cfg.torques, cfg.horizon, cfg.torque_rate)
-                traj = simulate_robot(params, cfg.initial_state(), controls, output_times=grid)
-                trajectory_to_csv(traj, run.emit("trajectory.csv"))
-            for kind, sigma in cfg.sensors.items():
-                # a shaft's encoder reads its rate
-                model = SensorModel(kind=kind, sigma=sigma, axis=1 if shaft else None)
-                run.noise |= sigma > 0.0
-                _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
+            sensors, shaft = cfg.sensors, cfg.mode == "shaft"
+            if not shaft:
+                torques, duration, rate, state0 = cfg.torques, cfg.horizon, cfg.torque_rate, cfg.initial_state()
         else:
             params = run.config("--params", args.params, load_params, nominal_params())
-            controls = ControlSequence.constant(torques, args.duration, rate)
-            grid = np.arange(n + 1) / rate
-            traj = simulate_robot(params, RobotState.rest(), controls, output_times=grid)
+        if shaft:
+            inertia, damping = (params.Ia, params.bw) if cfg.axis == "wheel" else (params.Ip, params.bp)
+            controls = ControlSequence.constant([cfg.shaft_torque], cfg.horizon, cfg.shaft_rate)
+            traj = simulate_shaft(inertia, damping, controls, output_times=grid)
+            write_csv(run.emit("shaft.csv"), ["time", "angle", "rate", "torque"],
+                      [traj.times, traj.states, traj.controls])
+        else:
+            traj = simulate_robot(params, state0, ControlSequence.constant(torques, duration, rate),
+                                  output_times=grid)
             trajectory_to_csv(traj, run.emit("trajectory.csv"))
-
+        for kind, sigma in sensors.items():
+            # a shaft's encoder reads its rate
+            model = SensorModel(kind=kind, sigma=sigma, axis=1 if shaft else None)
+            run.noise |= sigma > 0.0
+            _write_sensor_csv(run, f"{kind}.csv", sample_sensors(traj, model, seed))
     return 0
 
 
@@ -359,8 +363,7 @@ def _cmd_identify(args) -> int:
         params = run.config("--params", args.params, load_params, nominal_params())
         guesses = run.config("--guess", args.guess,
                              lambda p: read_kv(p, GUESS, _guess_check(params)), {})
-        seed = _resolve_seed(args.seed)
-        run.seeds["base"] = seed
+        seed = run.seeds["base"] = _resolve_seed(args.seed)
         run.noise = True
         # a single step holds the other steps' parameters at the --params values
         steps = ("1", "2", "3") if args.step == "all" else (args.step,)
@@ -395,11 +398,6 @@ def _cmd_identify(args) -> int:
 
 
 # ---------------------------------------------------------------- control
-
-
-# what a control run of a --plan file writes into --out
-_PLAN_RUN_OUTPUTS = ("trajectory.csv", "errors.csv", "reference.csv", "torques.csv", "replay.csv",
-                     "report.txt", "manifest.json")
 
 
 def _write_tracking_outputs(run: _Run, results) -> tuple[float, float]:
@@ -445,17 +443,11 @@ def _cmd_control(args) -> int:
             raise ConfigError(f"--plan needs a plan scenario; {cfg.name!r} is a {cfg.mode} scenario")
         gains_kv = run.config("--gains", args.gains,
                               lambda p: read_kv(p, ("t_stab",), lambda k, v: stabilisation_time(v)), {})
-        t_stab = gains_kv.get("t_stab", cfg.t_stab)
-        gains = tune_gains(t_stab)
+        gains = tune_gains(gains_kv.get("t_stab", cfg.t_stab))
         rate = cfg.loop_rate if args.rate is None else args.rate
-        seed = _resolve_seed(args.seed, cfg.seed)
-        run.seeds["scenario"] = seed
+        run.seeds["scenario"] = _resolve_seed(args.seed, cfg.seed)
         plan = None
         if args.plan:
-            # no output of the run may take the path of the plan it reads
-            for name in _PLAN_RUN_OUTPUTS:
-                if (run.out / name).resolve() == Path(args.plan).resolve():
-                    raise ConfigError(f"--plan {args.plan}: the run writes its own {name} into --out")
             plan = run.config("--plan", args.plan, _read_plan, None)
         elif cfg.mode == "controller":
             ref = make_reference(cfg.reference)
@@ -518,6 +510,8 @@ def _cmd_check_torques(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     target = args.export and _writable_dir("--export", args.export)
+    if target and any((target / p.name).resolve() == p.resolve() for p in _bundle_dir().glob("*.cfg")):
+        raise ConfigError(f"--export {args.export}: a bundled scenario file would be copied onto itself")
     print(scenario_listing())
     if target:
         target.mkdir(parents=True, exist_ok=True)

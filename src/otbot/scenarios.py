@@ -216,6 +216,7 @@ class ScenarioConfig:
     description: str = ""
     seed: int = 0
     params: RobotParams = field(default_factory=nominal_params)
+    params_file: Path | None = None  # the [params] file, which params start from
     q0: np.ndarray = field(default_factory=lambda: np.zeros(6))
     velocity: str = "rest"  # rest | reference
     torques: np.ndarray | None = None
@@ -305,6 +306,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     for (section, key), row in SCHEMA.items():
         if row.required and mode in row.modes and row.field not in fields:
             raise ConfigError(f"{path}: a {mode} scenario needs [{section}] {key}")
+    if ini.has_option("params", "file"):
+        fields["params_file"] = path.parent / ini["params"]["file"]
     overrides = {name: fields.pop(name) for name in PARAM_FIELDS if name in fields}
     if "disturbances" in fields:
         fields["disturbances"] = DisturbanceSchedule(pulses=tuple(fields["disturbances"].values()))

@@ -203,9 +203,10 @@ class EventPlan:
         events = raw[starts]
         # keep the output-grid spelling so requested samples match exactly
         outs = np.flatnonzero(marks[0])
-        merged, first = np.unique(np.searchsorted(starts, outs, side="right") - 1,
-                                  return_index=True)
-        events[merged] = raw[outs[first]]
+        # each output time's boundary, never decreasing: a boundary takes its first's spelling
+        idx = np.searchsorted(starts, outs, side="right") - 1
+        first = np.flatnonzero(np.diff(idx, prepend=-1))
+        events[idx[first]] = raw[outs[first]]
         out, start, brk = (np.logical_or.reduceat(m, starts) for m in marks)
 
         # inputs and forces are read inside each segment (and at the end):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -71,6 +72,21 @@ class TestScenarioListing:
         assert len(names) == 7
         assert "nominal.cfg" in names
         assert "corridor.cfg" in names
+
+    @pytest.mark.parametrize("onto", ["the-bundled-folder", "a-link-to-a-bundled-file"])
+    def test_export_onto_a_bundled_file_is_refused_before_any_copy(self, tmp_path, capsys, onto):
+        bundled = Path(otbot.__file__).with_name("scenarios")
+        if onto == "the-bundled-folder":
+            target = bundled / ".." / "scenarios"
+        else:
+            target = tmp_path / "cfgs"
+            target.mkdir()
+            (target / "wheel-spin.cfg").symlink_to(bundled / "wheel-spin.cfg")
+        before = {p: p.read_bytes() for folder in (bundled, target) for p in folder.iterdir()}
+        assert main(["scenarios", "--export", str(target)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --export {target}: a bundled scenario file would be copied onto itself\n")
+        assert {p: p.read_bytes() for folder in (bundled, target) for p in folder.iterdir()} == before
 
 
 class TestSimulate:
@@ -474,13 +490,6 @@ class TestControl:
                      "--out", str(out)]) == 0
         assert (out / "plan.csv").read_bytes() == plan
 
-    def test_the_alias_check_guards_every_output_of_a_plan_file_run(self, tmp_path):
-        plan = tmp_path / "plan.csv"
-        plan.write_text(_plan_text(0.0, 0.01, 0.02))
-        out = tmp_path / "run"
-        assert main(["control", "--scenario", "plan", "--plan", str(plan), "--out", str(out)]) == 0
-        assert sorted(cli._PLAN_RUN_OUTPUTS) == sorted([*manifest(out)["files"], "manifest.json"])
-
     def test_missing_plan_file_is_a_config_error(self, tmp_path, capsys):
         code = main(
             ["control", "--scenario", "plan", "--plan", str(tmp_path / "ghost.csv"),
@@ -490,18 +499,42 @@ class TestControl:
         assert "ghost.csv" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_a_plan_the_run_would_overwrite_is_refused(self, tmp_path, capsys):
-        # a finished run's closed-loop table, named by another spelling of
-        # its path, as the plan of a second run into the same --out
-        scenario = self._short_plan_scenario(tmp_path, "short.cfg")
+    @pytest.mark.parametrize(
+        "argv, source, name, text",
+        [
+            (["simulate", "--torques", "1,2,3", "--duration", "0.1", "--params", "READ"],
+             "--params READ", "trajectory.csv", "nominal"),
+            (["control", "--scenario", "plan", "--plan", "plan.csv", "--gains", "READ"],
+             "--gains READ", "report.txt", "gains"),
+            (["identify", "--step", "1", "--sweep", "0", "--guess", "READ"],
+             "--guess READ", "estimates.csv", "guess"),
+            (["control", "--scenario", "plan", "--plan", "READ"], "--plan READ", "trajectory.csv", "plan"),
+            (["simulate", "--scenario", "READ"], "--scenario READ", "imu.csv", "scenario"),
+            (["simulate", "--scenario", "short.cfg"], "SHORT: [params] file READ", "trajectory.csv", "nominal"),
+        ],
+        ids=["params", "gains", "guess", "plan", "scenario", "scenario-params-file"],
+    )
+    def test_an_output_that_would_replace_a_file_the_run_read_is_refused(
+        self, tmp_path, capsys, argv, source, name, text
+    ):
+        # the file lies in --out under the name of an output of the run,
+        # which is told of it by another spelling of its path
+        bundled = Path(otbot.__file__).with_name("scenarios")
+        short = (bundled / "chassis-excitation.cfg").read_text().replace("horizon = 3", "horizon = 0.1")
+        texts = {"nominal": (bundled / "nominal.cfg").read_text(), "gains": "t_stab = 2\n", "guess": "Ia = 0.02\n",
+                 "plan": _plan_text(0.0, 0.01, 0.02), "scenario": short.replace("file = nominal.cfg", "")}
         out = tmp_path / "run"
-        assert main(["control", "--scenario", str(scenario), "--out", str(out)]) == 0
+        out.mkdir()
+        (out / name).write_text(texts[text])
+        (tmp_path / "plan.csv").write_text(texts["plan"])
+        (tmp_path / "short.cfg").write_text(short.replace("file = nominal.cfg", "file = run/../run/trajectory.csv"))
+        read = str(out / ".." / "run" / name)
+        argv = [str(tmp_path / arg) if arg in ("plan.csv", "short.cfg") else arg.replace("READ", read)
+                for arg in argv]
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        capsys.readouterr()
-        plan = out / ".." / "run" / "trajectory.csv"
-        assert main(["control", "--scenario", str(scenario), "--plan", str(plan), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --plan {plan}: the run writes its own trajectory.csv into --out\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        source = source.replace("READ", read).replace("SHORT", str(tmp_path / "short.cfg"))
+        assert capsys.readouterr().err == f"error: {source}: the run writes its own {name} into --out\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_shaft_scenario_is_redirected(self, tmp_path, capsys):
@@ -531,6 +564,11 @@ class TestControl:
                                for name in ("full", "short"))
                 assert len(short) == n + 1 and short == full[: n + 1], (command, table)
                 assert short[-1].startswith(b"5.0,")
+        # the scenario's [params] file is hashed beside the scenario file
+        for name, folder in (("full", bundled), ("short", tmp_path)):
+            nominal = folder / "nominal.cfg"
+            assert manifest(runs[name, "check-torques"])["config_sha256"][str(nominal)] == \
+                hashlib.sha256(nominal.read_bytes()).hexdigest()
 
 
 class TestCheckTorques:
